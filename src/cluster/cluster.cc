@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <mutex>
 #include <sstream>
-#include <thread>
 #include <unordered_map>
 
 #include "common/timer.h"
@@ -33,23 +33,93 @@ uint64_t AttrRequestKey(VertexId v) {
   return Mix64(static_cast<uint64_t>(v) ^ (kAttrReadTag << 40));
 }
 
-/// Content-derived key of one coalesced per-worker request: a fold over
-/// the unique vertices it carries. Pure in the request's payload, so two
-/// identical runs judge identical requests identically regardless of
-/// thread interleaving or call order.
-uint64_t BatchRequestKey(const std::vector<VertexId>& vertices) {
-  uint64_t key = kBatchReadTag << 40;
-  for (const VertexId v : vertices) key = Mix64(key ^ v);
-  return key;
-}
-
 constexpr uint64_t kAttrBatchTag = 0x61'6263ULL;  // "abc" (attr batch)
 
-uint64_t AttrBatchRequestKey(const std::vector<VertexId>& vertices) {
-  uint64_t key = kAttrBatchTag << 40;
-  for (const VertexId v : vertices) key = Mix64(key ^ v);
-  return key;
-}
+/// The remote residue of one batched read: its unique vertices in
+/// first-occurrence order, each with the worker that serves it, and every
+/// remote slot with the index of its unique vertex. Deduplication uses a
+/// flat linear-probing table sized for the batch, so no entry allocates.
+class RemoteResidue {
+ public:
+  explicit RemoteResidue(size_t batch_size) : batch_size_(batch_size) {}
+
+  /// Records that batch slot `slot` asks for v, served by `target`.
+  void Add(uint32_t slot, VertexId v, WorkerId target) {
+    if (table_.empty()) {
+      table_.assign(std::bit_ceil(2 * batch_size_), kEmpty);
+    }
+    const size_t mask = table_.size() - 1;
+    for (size_t h = Mix64(v) & mask;; h = (h + 1) & mask) {
+      if (table_[h] == kEmpty) {
+        table_[h] = static_cast<uint32_t>(vertices_.size());
+        vertices_.push_back(v);
+        targets_.push_back(target);
+        failed_.push_back(0);
+      } else if (vertices_[table_[h]] != v) {
+        continue;
+      }
+      slots_.emplace_back(slot, table_[h]);
+      return;
+    }
+  }
+
+  size_t size() const { return vertices_.size(); }
+  VertexId vertex(uint32_t u) const { return vertices_[u]; }
+  bool failed(uint32_t u) const { return failed_[u] != 0; }
+  /// Unique vertices whose request was refused.
+  size_t num_failed() const { return num_failed_; }
+  /// (batch slot, unique index) of every remote slot, in batch order.
+  const std::vector<std::pair<uint32_t, uint32_t>>& slots() const {
+    return slots_;
+  }
+
+  /// Walks the coalesced requests — one per destination worker, in worker
+  /// order, each carrying its unique vertices in first-occurrence order —
+  /// on the calling thread. `admit(w, request)` is the request's fault
+  /// decision; a refused request marks its vertices failed.
+  /// `serve(w, request)` answers an admitted one. Returns the number of
+  /// workers contacted.
+  template <typename Admit, typename Serve>
+  uint64_t ForEachRequest(size_t num_workers, Admit admit, Serve serve) {
+    uint64_t contacted = 0;
+    std::vector<uint32_t> request;
+    for (WorkerId w = 0; w < num_workers; ++w) {
+      request.clear();
+      for (uint32_t u = 0; u < targets_.size(); ++u) {
+        if (targets_[u] == w) request.push_back(u);
+      }
+      if (request.empty()) continue;
+      if (!admit(w, request)) {
+        for (const uint32_t u : request) failed_[u] = 1;
+        num_failed_ += request.size();
+        continue;
+      }
+      ++contacted;
+      serve(w, request);
+    }
+    return contacted;
+  }
+
+  /// Content-derived key of one coalesced request: a fold over the unique
+  /// vertices it carries. Pure in the request's payload, so two identical
+  /// runs judge identical requests identically regardless of call order.
+  uint64_t RequestKey(uint64_t tag,
+                      const std::vector<uint32_t>& request) const {
+    uint64_t key = tag << 40;
+    for (const uint32_t u : request) key = Mix64(key ^ vertices_[u]);
+    return key;
+  }
+
+ private:
+  static constexpr uint32_t kEmpty = ~uint32_t{0};
+  size_t batch_size_;
+  std::vector<uint32_t> table_;  // unique index per probe cell, or kEmpty
+  std::vector<VertexId> vertices_;
+  std::vector<WorkerId> targets_;
+  std::vector<uint8_t> failed_;
+  size_t num_failed_ = 0;
+  std::vector<std::pair<uint32_t, uint32_t>> slots_;
+};
 
 }  // namespace
 
@@ -70,41 +140,17 @@ Result<Cluster> Cluster::Build(const AttributedGraph& graph,
   Cluster cluster;
   cluster.graph_ = &graph;
 
-  Timer total;
   Timer phase;
-  ALIGRAPH_ASSIGN_OR_RETURN(cluster.plan_,
+  ALIGRAPH_ASSIGN_OR_RETURN(Placement plan,
                             partitioner.Partition(graph, num_workers));
+  cluster.plan_ = std::make_unique<Placement>(std::move(plan));
   const double partition_ms = phase.ElapsedMillis();
 
-  const size_t num_types = graph.num_edge_types();
-  cluster.servers_.reserve(num_workers);
-  for (uint32_t w = 0; w < num_workers; ++w) {
-    cluster.servers_.push_back(
-        std::make_unique<GraphServer>(w, num_types));
-  }
-
-  // Distribution pass: route every vertex and out-edge to its owner, and a
-  // full copy to each replica worker (identical edge order, so replica
-  // layouts are byte-identical to the primary's). This is per-source
-  // parallelizable; the per-worker share is distribute/p.
+  // Distribution pass: give every vertex its row on its owner and every
+  // replicated vertex its rank. This is per-source parallelizable; the
+  // per-worker share is distribute/p.
   phase.Reset();
-  const VertexId n = graph.num_vertices();
-  for (VertexId v = 0; v < n; ++v) {
-    GraphServer& srv = *cluster.servers_[cluster.plan_.OwnerOf(v)];
-    srv.AddVertex(v, graph.vertex_attr(v));
-    const std::span<const WorkerId> copies = cluster.plan_.ReplicasOf(v);
-    for (const WorkerId r : copies) {
-      cluster.servers_[r]->AddReplicaVertex(v, graph.vertex_attr(v));
-    }
-    for (size_t t = 0; t < num_types; ++t) {
-      for (const Neighbor& nb : graph.OutNeighbors(v, static_cast<EdgeType>(t))) {
-        srv.AddEdge(v, static_cast<EdgeType>(t), nb);
-        for (const WorkerId r : copies) {
-          cluster.servers_[r]->AddReplicaEdge(v, static_cast<EdgeType>(t), nb);
-        }
-      }
-    }
-  }
+  cluster.plan_->IndexRows();
   const double distribute_ms = phase.ElapsedMillis();
 
   cluster.served_reads_.reset(new std::atomic<uint64_t>[num_workers]);
@@ -112,13 +158,16 @@ Result<Cluster> Cluster::Build(const AttributedGraph& graph,
     cluster.served_reads_[w].store(0, std::memory_order_relaxed);
   }
 
-  // Local build per worker, timed individually; the slowest worker defines
-  // the simulated parallel critical path.
+  // Local build per worker — count then fill its CSR straight from the
+  // graph — timed individually; the slowest worker defines the simulated
+  // parallel critical path.
   double max_worker_ms = 0;
   double sum_worker_ms = 0;
-  for (auto& srv : cluster.servers_) {
+  cluster.servers_.reserve(num_workers);
+  for (uint32_t w = 0; w < num_workers; ++w) {
     Timer worker_timer;
-    srv->Finalize();
+    cluster.servers_.push_back(
+        std::make_unique<GraphServer>(w, graph, *cluster.plan_));
     const double ms = worker_timer.ElapsedMillis();
     max_worker_ms = std::max(max_worker_ms, ms);
     sum_worker_ms += ms;
@@ -131,7 +180,7 @@ Result<Cluster> Cluster::Build(const AttributedGraph& graph,
     report->simulated_parallel_ms =
         partition_ms + distribute_ms / num_workers + max_worker_ms;
     report->serial_ms = partition_ms + distribute_ms + sum_worker_ms;
-    report->partition_stats = ComputePartitionStats(graph, cluster.plan_);
+    report->partition_stats = ComputePartitionStats(graph, *cluster.plan_);
   }
 
   if (obs::MetricsRegistry* reg = obs::Default()) {
@@ -146,7 +195,8 @@ Result<Cluster> Cluster::Build(const AttributedGraph& graph,
     cluster.obs_.retry_backoff_us = reg->GetCounter("retry.backoff_us");
     cluster.obs_.failed_reads = reg->GetCounter("comm.failed_reads");
     reg->GetGauge("cluster.workers")->Set(num_workers);
-    reg->GetGauge("cluster.vertices")->Set(static_cast<double>(n));
+    reg->GetGauge("cluster.vertices")
+        ->Set(static_cast<double>(graph.num_vertices()));
     reg->GetGauge("cluster.edges")
         ->Set(static_cast<double>(graph.num_edges()));
   }
@@ -157,14 +207,14 @@ std::span<const Neighbor> Cluster::GetNeighbors(WorkerId from, VertexId v,
                                                 CommStats* stats,
                                                 uint64_t epoch) {
   const uint64_t e = ResolveEpoch(epoch);
-  const WorkerId owner = plan_.OwnerOf(v);
+  const WorkerId owner = plan_->OwnerOf(v);
   if (owner == from) {
     if (stats != nullptr) stats->local_reads.fetch_add(1);
     if (obs_.local_reads != nullptr) obs_.local_reads->Add(1);
     CountServed(from);
     return servers_[owner]->NeighborsAt(v, e);
   }
-  if (plan_.HasReplicas() && servers_[from]->HasReplica(v)) {
+  if (plan_->HasReplicas() && servers_[from]->HasReplica(v)) {
     if (stats != nullptr) stats->replica_reads.fetch_add(1);
     if (obs_.replica_reads != nullptr) obs_.replica_reads->Add(1);
     CountServed(from);
@@ -181,7 +231,7 @@ std::span<const Neighbor> Cluster::GetNeighbors(WorkerId from, VertexId v,
       return *hit;
     }
   }
-  const WorkerId target = plan_.ServingWorker(v, from);
+  const WorkerId target = plan_->ServingWorker(v, from);
   if (stats != nullptr) stats->remote_reads.fetch_add(1);
   if (obs_.remote_reads != nullptr) obs_.remote_reads->Add(1);
   CountServed(target);
@@ -195,14 +245,14 @@ std::span<const Neighbor> Cluster::GetNeighbors(WorkerId from, VertexId v,
                                                 CommStats* stats,
                                                 uint64_t epoch) {
   const uint64_t e = ResolveEpoch(epoch);
-  const WorkerId owner = plan_.OwnerOf(v);
+  const WorkerId owner = plan_->OwnerOf(v);
   if (owner == from) {
     if (stats != nullptr) stats->local_reads.fetch_add(1);
     if (obs_.local_reads != nullptr) obs_.local_reads->Add(1);
     CountServed(from);
     return servers_[owner]->NeighborsAt(v, type, e);
   }
-  if (plan_.HasReplicas() && servers_[from]->HasReplica(v)) {
+  if (plan_->HasReplicas() && servers_[from]->HasReplica(v)) {
     if (stats != nullptr) stats->replica_reads.fetch_add(1);
     if (obs_.replica_reads != nullptr) obs_.replica_reads->Add(1);
     CountServed(from);
@@ -218,24 +268,13 @@ std::span<const Neighbor> Cluster::GetNeighbors(WorkerId from, VertexId v,
     CountServed(from);
     return servers_[owner]->NeighborsAt(v, type, e);
   }
-  const WorkerId target = plan_.ServingWorker(v, from);
+  const WorkerId target = plan_->ServingWorker(v, from);
   if (stats != nullptr) stats->remote_reads.fetch_add(1);
   if (obs_.remote_reads != nullptr) obs_.remote_reads->Add(1);
   CountServed(target);
   const auto all = servers_[target]->NeighborsAt(v, e);
   if (cache != nullptr && !dirty) cache->OnRemoteFetch(v, all);
   return servers_[target]->NeighborsAt(v, type, e);
-}
-
-BucketExecutor& Cluster::executor() {
-  std::lock_guard<std::mutex> lock(*executor_mu_);
-  if (executor_ == nullptr) {
-    // One bucket lane per destination server (capped): requests to the same
-    // server serialize through its lane, different servers run in parallel.
-    const size_t buckets = std::min<size_t>(num_workers(), 8);
-    executor_ = std::make_unique<BucketExecutor>(buckets);
-  }
-  return *executor_;
 }
 
 bool Cluster::RemoteRequestSucceeds(WorkerId from, WorkerId to,
@@ -306,14 +345,14 @@ Result<std::span<const Neighbor>> Cluster::TryGetNeighbors(WorkerId from,
                                                            CommStats* stats,
                                                            uint64_t epoch) {
   const uint64_t e = ResolveEpoch(epoch);
-  const WorkerId owner = plan_.OwnerOf(v);
+  const WorkerId owner = plan_->OwnerOf(v);
   if (owner == from) {
     if (stats != nullptr) stats->local_reads.fetch_add(1);
     if (obs_.local_reads != nullptr) obs_.local_reads->Add(1);
     CountServed(from);
     return servers_[owner]->NeighborsAt(v, e);
   }
-  if (plan_.HasReplicas() && servers_[from]->HasReplica(v)) {
+  if (plan_->HasReplicas() && servers_[from]->HasReplica(v)) {
     if (stats != nullptr) stats->replica_reads.fetch_add(1);
     if (obs_.replica_reads != nullptr) obs_.replica_reads->Add(1);
     CountServed(from);
@@ -330,7 +369,7 @@ Result<std::span<const Neighbor>> Cluster::TryGetNeighbors(WorkerId from,
       return *hit;
     }
   }
-  const WorkerId target = plan_.ServingWorker(v, from);
+  const WorkerId target = plan_->ServingWorker(v, from);
   if (!RemoteRequestSucceeds(from, target,
                              PerVertexRequestKey(v, kAllEdgeTypes), stats)) {
     return Status::Unavailable("neighbors of vertex " + std::to_string(v) +
@@ -351,14 +390,14 @@ Result<std::span<const Neighbor>> Cluster::TryGetNeighbors(WorkerId from,
                                                            CommStats* stats,
                                                            uint64_t epoch) {
   const uint64_t e = ResolveEpoch(epoch);
-  const WorkerId owner = plan_.OwnerOf(v);
+  const WorkerId owner = plan_->OwnerOf(v);
   if (owner == from) {
     if (stats != nullptr) stats->local_reads.fetch_add(1);
     if (obs_.local_reads != nullptr) obs_.local_reads->Add(1);
     CountServed(from);
     return servers_[owner]->NeighborsAt(v, type, e);
   }
-  if (plan_.HasReplicas() && servers_[from]->HasReplica(v)) {
+  if (plan_->HasReplicas() && servers_[from]->HasReplica(v)) {
     if (stats != nullptr) stats->replica_reads.fetch_add(1);
     if (obs_.replica_reads != nullptr) obs_.replica_reads->Add(1);
     CountServed(from);
@@ -372,7 +411,7 @@ Result<std::span<const Neighbor>> Cluster::TryGetNeighbors(WorkerId from,
     CountServed(from);
     return servers_[owner]->NeighborsAt(v, type, e);
   }
-  const WorkerId target = plan_.ServingWorker(v, from);
+  const WorkerId target = plan_->ServingWorker(v, from);
   if (!RemoteRequestSucceeds(from, target, PerVertexRequestKey(v, type),
                              stats)) {
     return Status::Unavailable("typed neighbors of vertex " +
@@ -390,7 +429,7 @@ Result<std::span<const Neighbor>> Cluster::TryGetNeighbors(WorkerId from,
 
 Result<AttrId> Cluster::TryGetVertexAttr(WorkerId from, VertexId v,
                                          CommStats* stats) {
-  const WorkerId owner = plan_.OwnerOf(v);
+  const WorkerId owner = plan_->OwnerOf(v);
   if (owner == from) {
     if (stats != nullptr) stats->local_reads.fetch_add(1);
     if (obs_.local_reads != nullptr) obs_.local_reads->Add(1);
@@ -398,7 +437,7 @@ Result<AttrId> Cluster::TryGetVertexAttr(WorkerId from, VertexId v,
     return servers_[owner]->VertexAttr(v);
   }
   // Attributes are immutable, so a replica copy is always current.
-  if (plan_.HasReplicas() && servers_[from]->HasReplica(v)) {
+  if (plan_->HasReplicas() && servers_[from]->HasReplica(v)) {
     if (stats != nullptr) stats->replica_reads.fetch_add(1);
     if (obs_.replica_reads != nullptr) obs_.replica_reads->Add(1);
     CountServed(from);
@@ -440,60 +479,52 @@ Status Cluster::GetVertexAttrBatchImpl(WorkerId from,
   ids->assign(batch.size(), kNoAttr);
   if (ok != nullptr) ok->assign(batch.size(), 1);
 
-  // Owned slots resolve immediately; the remote residue is deduplicated and
-  // grouped by destination worker (attributes are never neighbor-cached).
+  // Owned and replica-held slots resolve from `from`'s own table
+  // (attributes are immutable, so a replica copy is always current); the
+  // remote residue is deduplicated and grouped by owner (attributes are
+  // never neighbor-cached).
+  const GraphServer& local = *servers_[from];
   uint64_t local_count = 0;
   uint64_t replica_count = 0;
-  std::unordered_map<VertexId, std::vector<uint32_t>> remote_slots;
-  std::vector<std::vector<VertexId>> per_worker(servers_.size());
+  RemoteResidue remote(batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
     const VertexId v = batch[i];
-    const WorkerId owner = plan_.OwnerOf(v);
-    if (owner == from) {
-      (*ids)[i] = servers_[owner]->VertexAttr(v);
-      ++local_count;
+    const WorkerId owner = plan_->OwnerOf(v);
+    const uint32_t row = local.RowOf(v);
+    if (row != GraphServer::kNoRow) {
+      (*ids)[i] = local.RowAttr(row);
+      ++(owner == from ? local_count : replica_count);
       continue;
     }
-    // Attributes are immutable, so a replica copy is always current.
-    if (plan_.HasReplicas() && servers_[from]->HasReplica(v)) {
-      (*ids)[i] = servers_[from]->VertexAttr(v);
-      ++replica_count;
-      continue;
-    }
-    auto [it, inserted] = remote_slots.try_emplace(v);
-    if (inserted) per_worker[owner].push_back(v);
-    it->second.push_back(static_cast<uint32_t>(i));
+    remote.Add(static_cast<uint32_t>(i), v, owner);
   }
 
-  // One message (and one fault decision) per destination worker. Responses
-  // are scalar AttrIds, so they are served inline — no executor hop.
-  size_t failed_slots = 0;
-  uint64_t failed_vertices = 0;
-  uint64_t contacted_workers = 0;
-  for (WorkerId w = 0; w < per_worker.size(); ++w) {
-    if (per_worker[w].empty()) continue;
-    if (fallible &&
-        !RemoteRequestSucceeds(from, w, AttrBatchRequestKey(per_worker[w]),
-                               stats)) {
-      for (const VertexId v : per_worker[w]) {
-        ++failed_vertices;
-        for (const uint32_t slot : remote_slots[v]) {
-          if (ok != nullptr) (*ok)[slot] = 0;
-          ++failed_slots;
+  // One message (and one fault decision) per destination worker.
+  std::vector<AttrId> attrs(remote.size(), kNoAttr);
+  const uint64_t contacted_workers = remote.ForEachRequest(
+      servers_.size(),
+      [&](WorkerId w, const std::vector<uint32_t>& request) {
+        return !fallible ||
+               RemoteRequestSucceeds(
+                   from, w, remote.RequestKey(kAttrBatchTag, request), stats);
+      },
+      [&](WorkerId w, const std::vector<uint32_t>& request) {
+        CountServed(w, request.size());
+        const GraphServer& srv = *servers_[w];
+        for (const uint32_t u : request) {
+          attrs[u] = srv.RowAttr(plan_->local_row[remote.vertex(u)]);
         }
-      }
-      continue;
-    }
-    ++contacted_workers;
-    CountServed(w, per_worker[w].size());
-    const GraphServer& srv = *servers_[w];
-    for (const VertexId v : per_worker[w]) {
-      const AttrId attr = srv.VertexAttr(v);
-      for (const uint32_t slot : remote_slots[v]) (*ids)[slot] = attr;
+      });
+  size_t failed_slots = 0;
+  for (const auto& [slot, u] : remote.slots()) {
+    (*ids)[slot] = attrs[u];
+    if (remote.failed(u)) {
+      if (ok != nullptr) (*ok)[slot] = 0;
+      ++failed_slots;
     }
   }
 
-  const uint64_t unique_remote = remote_slots.size() - failed_vertices;
+  const uint64_t unique_remote = remote.size() - remote.num_failed();
   CountServed(from, local_count + replica_count);
   if (stats != nullptr) {
     stats->local_reads.fetch_add(local_count);
@@ -523,15 +554,16 @@ void Cluster::InstallFaultInjection(FaultConfig config, RetryPolicy policy) {
 
 void Cluster::ClearFaultInjection() { injector_.reset(); }
 
-std::shared_ptr<const Cluster::DirtyMap> Cluster::dirty_snapshot() const {
+std::shared_ptr<const Cluster::DirtyMap> Cluster::DirtyFor(
+    const NeighborCache* cache) const {
+  if (cache == nullptr || !epochs_->versioned()) return nullptr;
   std::lock_guard<std::mutex> lock(*dirty_mu_);
   return dirty_;
 }
 
-bool Cluster::BypassCache(NeighborCache* cache, VertexId v, uint64_t e) {
-  if (cache == nullptr || !epochs_->versioned()) return false;
-  const auto dirty = dirty_snapshot();
-  if (dirty == nullptr) return false;
+bool Cluster::BypassCache(NeighborCache* cache, const DirtyMap* dirty,
+                          VertexId v, uint64_t e) {
+  if (cache == nullptr || dirty == nullptr) return false;
   auto it = dirty->find(v);
   if (it == dirty->end() || it->second > e) return false;
   cache->Invalidate(v);
@@ -583,11 +615,13 @@ Status Cluster::ApplyUpdateBatch(std::span<const EdgeUpdate> updates,
   std::vector<std::pair<VertexId, AdjVersionPtr>> versions;
   versions.reserve(sources.size());
   for (const VertexId v : sources) {
-    const GraphServer& osrv = *servers_[plan_.OwnerOf(v)];
+    const GraphServer& osrv = *servers_[plan_->OwnerOf(v)];
+    const auto delta = osrv.delta_snapshot();
+    const uint32_t row = osrv.RowOf(v);
     std::vector<std::vector<Neighbor>> typed(num_types);
     for (size_t t = 0; t < num_types; ++t) {
-      const auto s = osrv.NeighborsAt(v, static_cast<EdgeType>(t),
-                                      kEpochCurrent);
+      const auto s = osrv.Read(v, row, static_cast<EdgeType>(t),
+                               kEpochCurrent, delta.get());
       typed[t].assign(s.begin(), s.end());
     }
     bool changed = false;
@@ -648,8 +682,8 @@ Status Cluster::ApplyUpdateBatch(std::span<const EdgeUpdate> updates,
   std::unordered_map<WorkerId, std::vector<std::pair<VertexId, AdjVersionPtr>>>
       per_server;
   for (const auto& [v, ver] : versions) {
-    per_server[plan_.OwnerOf(v)].emplace_back(v, ver);
-    for (const WorkerId r : plan_.ReplicasOf(v)) {
+    per_server[plan_->OwnerOf(v)].emplace_back(v, ver);
+    for (const WorkerId r : plan_->ReplicasOf(v)) {
       per_server[r].emplace_back(v, ver);
     }
   }
@@ -675,14 +709,22 @@ Status Cluster::ApplyUpdateBatch(std::span<const EdgeUpdate> updates,
 
   // Publish the dirty map (vertex -> first-update epoch, kept at the
   // earliest), THEN advance: a reader that sees the new epoch is guaranteed
-  // to also see every table and the dirty entries of this batch.
+  // to also see every table and the dirty entries of this batch. Only
+  // writers (serialized by update_mu_) replace dirty_, so the copy is built
+  // before taking dirty_mu_ and the retired map is freed after releasing
+  // it: readers wait for a pointer swap, never for a whole-map copy.
+  std::shared_ptr<const DirtyMap> dirty;
   {
-    std::lock_guard<std::mutex> dirty_lock(*dirty_mu_);
     auto next = dirty_ != nullptr ? std::make_shared<DirtyMap>(*dirty_)
                                   : std::make_shared<DirtyMap>();
     for (const auto& [v, ver] : versions) next->try_emplace(v, new_epoch);
-    dirty_ = std::move(next);
+    dirty = std::move(next);
   }
+  {
+    std::lock_guard<std::mutex> dirty_lock(*dirty_mu_);
+    dirty_.swap(dirty);
+  }
+  dirty.reset();
   const uint64_t published = epochs_->Advance();
 
   if (obs::MetricsRegistry* reg = obs::Default()) {
@@ -726,150 +768,123 @@ Status Cluster::GetNeighborsBatchImpl(WorkerId from,
                                       uint64_t epoch) {
   obs::ScopedSpan span("cluster/batch_read");
   const bool all_types = type == kAllEdgeTypes;
-  // Resolved once, so the whole batch reads one epoch even unpinned.
+  // Resolved once, so the whole batch reads one epoch even unpinned. The
+  // published update state is snapshotted once too, after the epoch: every
+  // server's delta table and the dirty map serve all slots of the call.
   const uint64_t e = ResolveEpoch(epoch);
+  std::vector<std::shared_ptr<const DeltaTable>> deltas;
+  if (epochs_->versioned()) {
+    deltas.reserve(servers_.size());
+    for (const auto& srv : servers_) deltas.push_back(srv->delta_snapshot());
+  }
+  auto delta_of = [&deltas](WorkerId w) {
+    return deltas.empty() ? nullptr : deltas[w].get();
+  };
+  const GraphServer& local = *servers_[from];
+  NeighborCache* cache = local.neighbor_cache();
+  const auto dirty = DirtyFor(cache);
   out->Reset(batch.size());
-  NeighborCache* cache = servers_[from]->neighbor_cache();
-  const bool has_replicas = plan_.HasReplicas();
 
   // Partition the batch: owned, replica-held and cache-hit slots resolve
   // immediately; the remote residue is deduplicated and grouped by its
   // serving worker (the owner when unreplicated, a hash-spread copy holder
   // otherwise).
   uint64_t local_count = 0;
-  uint64_t replica_count = 0;
   uint64_t hit_count = 0;
-  // unique remote vertex -> slots in `batch` that asked for it
-  std::unordered_map<VertexId, std::vector<uint32_t>> remote_slots;
-  std::vector<std::vector<VertexId>> per_worker(servers_.size());
+  RemoteResidue remote(batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
     const VertexId v = batch[i];
-    const WorkerId owner = plan_.OwnerOf(v);
-    if (owner == from) {
-      out->spans[i] = all_types ? servers_[owner]->NeighborsAt(v, e)
-                                : servers_[owner]->NeighborsAt(v, type, e);
-      ++local_count;
+    const WorkerId owner = plan_->OwnerOf(v);
+    // Owned and replica-held slots read `from`'s own table. Batched
+    // replica reads are not charged to CommStats (the historical
+    // accounting, kept so modeled costs stay put).
+    const uint32_t row = local.RowOf(v);
+    if (row != GraphServer::kNoRow) {
+      out->spans[i] = local.Read(v, row, type, e, delta_of(from));
+      if (owner == from) ++local_count;
       continue;
     }
-    if (has_replicas && servers_[from]->HasReplica(v)) {
-      out->spans[i] = all_types ? servers_[from]->NeighborsAt(v, e)
-                                : servers_[from]->NeighborsAt(v, type, e);
-      ++replica_count;
+    if (cache != nullptr && !BypassCache(cache, dirty.get(), v, e) &&
+        cache->Lookup(v).has_value()) {
+      // Charged as a cache hit, but the span views the owner's immutable
+      // storage (same bytes: the cache only ever holds pre-update data and
+      // v is not dirty at e). A reactive cache may evict the entry while
+      // this batch admits later fetches, which would leave a span into the
+      // cache dangling.
+      out->spans[i] =
+          servers_[owner]->Read(v, plan_->local_row[v], type, e,
+                                delta_of(owner));
+      ++hit_count;
       continue;
     }
-    const bool dirty = BypassCache(cache, v, e);
-    if (cache != nullptr && !dirty) {
-      auto hit = cache->Lookup(v);
-      if (hit.has_value()) {
-        // The pinned copy holds all types; the typed view is served from
-        // the owner's layout (same bytes) while charging a cache hit.
-        out->spans[i] =
-            all_types ? *hit : servers_[owner]->NeighborsAt(v, type, e);
-        ++hit_count;
-        continue;
-      }
-    }
-    auto [it, inserted] = remote_slots.try_emplace(v);
-    if (inserted) per_worker[plan_.ServingWorker(v, from)].push_back(v);
-    it->second.push_back(static_cast<uint32_t>(i));
+    remote.Add(static_cast<uint32_t>(i), v,
+               plan_->ReplicaRank(v) == Placement::kNoRow
+                   ? owner
+                   : plan_->ServingWorker(v, from));
   }
 
   // Coalesce: ONE request per destination worker carrying all its unique
-  // vertices, drained through the request buckets. Each request op only
-  // reads the (immutable after Finalize) server storage and writes its own
-  // response vector, so requests to different servers are data-race free.
-  struct WorkerRequest {
-    WorkerId worker = 0;
-    const std::vector<VertexId>* vertices = nullptr;
-    std::vector<std::span<const Neighbor>> response;
-  };
-  std::vector<WorkerRequest> requests;
-  size_t failed_slots = 0;
-  uint64_t failed_vertices = 0;
-  for (WorkerId w = 0; w < per_worker.size(); ++w) {
-    if (per_worker[w].empty()) continue;
-    // One fault decision per coalesced message — the message is the failure
-    // domain, so all slots of a failed per-worker request fail together.
-    // Judged on the calling thread, keeping retry accounting deterministic.
-    if (fallible &&
-        !RemoteRequestSucceeds(from, w, BatchRequestKey(per_worker[w]),
-                               stats)) {
-      for (const VertexId v : per_worker[w]) {
-        ++failed_vertices;
-        for (const uint32_t slot : remote_slots[v]) {
-          out->ok[slot] = 0;
-          ++failed_slots;
-        }
-      }
-      continue;
-    }
-    requests.push_back({w, &per_worker[w], {}});
-  }
-
-  std::atomic<size_t> pending{requests.size()};
-  if (!requests.empty()) {
-    BucketExecutor& exec = executor();
-    for (WorkerRequest& req : requests) {
-      req.response.resize(req.vertices->size());
-      auto op = [this, &req, &pending, e] {
+  // vertices, served in worker order on this thread. One fault decision per
+  // coalesced message — the message is the failure domain, so all slots of
+  // a failed per-worker request fail together.
+  std::vector<std::span<const Neighbor>> views(remote.size());
+  const uint64_t contacted_workers = remote.ForEachRequest(
+      servers_.size(),
+      [&](WorkerId w, const std::vector<uint32_t>& request) {
+        return !fallible ||
+               RemoteRequestSucceeds(
+                   from, w, remote.RequestKey(kBatchReadTag, request), stats);
+      },
+      [&](WorkerId w, const std::vector<uint32_t>& request) {
+        CountServed(w, request.size());
+        const GraphServer& srv = *servers_[w];
         {
-          // Recorded on the consumer thread; parents under
-          // cluster/batch_read via the context the executor adopted at
-          // submission. Scoped so the record is published before `pending`
-          // drops — callers reading Events() right after the batch returns
-          // are guaranteed to see it.
           obs::ScopedSpan serve_span("cluster/remote_serve");
-          const GraphServer& srv = *servers_[req.worker];
-          for (size_t j = 0; j < req.vertices->size(); ++j) {
-            req.response[j] = srv.NeighborsAt((*req.vertices)[j], e);
+          for (const uint32_t u : request) {
+            const VertexId v = remote.vertex(u);
+            views[u] = srv.Read(v, srv.RowOf(v), kAllEdgeTypes, e,
+                                delta_of(w));
           }
         }
-        pending.fetch_sub(1, std::memory_order_release);
-      };
-      // Vertex group == destination server id: reads against one server
-      // stay sequential in its lane while other servers proceed.
-      // ResourceExhausted (local backpressure, not a worker fault) falls
-      // back to running the op inline on the calling thread.
-      if (!exec.TrySubmit(req.worker, op).ok()) op();
-    }
-    SpinBackoff backoff;
-    while (pending.load(std::memory_order_acquire) > 0) backoff.Pause();
-  }
-
-  // Scatter responses to every slot that asked, and admit fetched data into
-  // the reactive cache on the calling thread (caches are not thread-safe).
-  for (const WorkerRequest& req : requests) {
-    CountServed(req.worker, req.vertices->size());
-    for (size_t j = 0; j < req.vertices->size(); ++j) {
-      const VertexId v = (*req.vertices)[j];
-      const std::span<const Neighbor> full = req.response[j];
-      // Updated vertices are never admitted: the cache may only ever hold
-      // pre-update data, which is what makes the dirty-bypass rule exact.
-      if (cache != nullptr && !BypassCache(cache, v, e)) {
-        cache->OnRemoteFetch(v, full);
-      }
-      const std::span<const Neighbor> view =
-          all_types ? full : servers_[req.worker]->NeighborsAt(v, type, e);
-      for (const uint32_t slot : remote_slots[v]) out->spans[slot] = view;
+        // Admit fetched data into the reactive cache (caches are not
+        // thread-safe; this is the reading worker's thread). Updated
+        // vertices are never admitted: the cache may only ever hold
+        // pre-update data, which is what makes the dirty-bypass rule exact.
+        for (const uint32_t u : request) {
+          const VertexId v = remote.vertex(u);
+          if (cache != nullptr && !BypassCache(cache, dirty.get(), v, e)) {
+            cache->OnRemoteFetch(v, views[u]);
+          }
+          if (!all_types) {
+            views[u] = srv.Read(v, srv.RowOf(v), type, e, delta_of(w));
+          }
+        }
+      });
+  size_t failed_slots = 0;
+  for (const auto& [slot, u] : remote.slots()) {
+    out->spans[slot] = views[u];
+    if (remote.failed(u)) {
+      out->ok[slot] = 0;
+      ++failed_slots;
     }
   }
 
   // Only admitted requests moved bytes: failed vertices are excluded from
   // the payload counters (their cost lives in retry_* / failed_reads).
-  const uint64_t unique_remote = remote_slots.size() - failed_vertices;
+  const uint64_t unique_remote = remote.size() - remote.num_failed();
   if (stats != nullptr) {
     stats->local_reads.fetch_add(local_count);
     stats->cache_hits.fetch_add(hit_count);
     stats->remote_reads.fetch_add(unique_remote);
     stats->batched_remote_reads.fetch_add(unique_remote);
-    stats->remote_batches.fetch_add(requests.size());
+    stats->remote_batches.fetch_add(contacted_workers);
   }
   if (obs_.local_reads != nullptr) {
     obs_.local_reads->Add(local_count);
     obs_.cache_hits->Add(hit_count);
     obs_.remote_reads->Add(unique_remote);
     obs_.batched_remote_reads->Add(unique_remote);
-    obs_.remote_batches->Add(requests.size());
+    obs_.remote_batches->Add(contacted_workers);
   }
   if (failed_slots == 0) return Status::OK();
   return Status::Unavailable(std::to_string(failed_slots) + " of " +

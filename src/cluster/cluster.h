@@ -22,7 +22,6 @@
 #include "cluster/comm_model.h"
 #include "cluster/epoch.h"
 #include "cluster/graph_server.h"
-#include "cluster/request_bucket.h"
 #include "common/status.h"
 #include "fault/fault_injector.h"
 #include "fault/retry_policy.h"
@@ -80,11 +79,11 @@ class Cluster {
   uint32_t num_workers() const {
     return static_cast<uint32_t>(servers_.size());
   }
-  WorkerId OwnerOf(VertexId v) const { return plan_.OwnerOf(v); }
+  WorkerId OwnerOf(VertexId v) const { return plan_->OwnerOf(v); }
   GraphServer& server(WorkerId w) { return *servers_[w]; }
   const GraphServer& server(WorkerId w) const { return *servers_[w]; }
   const AttributedGraph& graph() const { return *graph_; }
-  const Placement& plan() const { return plan_; }
+  const Placement& plan() const { return *plan_; }
 
   /// Neighbor read issued by worker `from`, resolved as of `epoch`
   /// (kEpochCurrent = the latest published state). Serve order is cheapest
@@ -106,11 +105,11 @@ class Cluster {
   /// adjacency of batch[i] (all types when `type` == kAllEdgeTypes). The
   /// batch is split into owned / cache-hit / remote partitions; the remote
   /// residue is deduplicated and coalesced into ONE request per destination
-  /// worker, drained through the lock-free request buckets (one vertex
-  /// group per destination server, so same-group reads stay sequential).
-  /// Accounting: owned and cached slots count per occurrence; each unique
-  /// remote vertex counts one remote_read + one batched_remote_read
-  /// (duplicates ride the same response payload for free), and each
+  /// worker, and the requests are served one after another, in worker
+  /// order, on the calling thread. Accounting: owned and cached slots count
+  /// per occurrence; each unique remote vertex counts one remote_read + one
+  /// batched_remote_read (duplicates ride the same response payload for
+  /// free), and each
   /// contacted worker counts one remote_batch — at most num_workers - 1
   /// per call. Returns the same bytes as per-vertex GetNeighbors.
   void GetNeighborsBatch(WorkerId from, std::span<const VertexId> batch,
@@ -230,10 +229,6 @@ class Cluster {
  private:
   Cluster() = default;
 
-  /// Lazily constructed request-bucket executor shared by batched reads
-  /// (consumer threads are only spawned once a batched call happens).
-  BucketExecutor& executor();
-
   /// Registry handles mirroring the CommStats fields, resolved at Build
   /// time from the default metrics registry (all null when observability is
   /// detached — attach the registry before building the cluster). Every
@@ -270,8 +265,7 @@ class Cluster {
                                uint64_t epoch);
 
   /// Shared implementation of the batched attribute read; `fallible` works
-  /// as in GetNeighborsBatchImpl. Attribute payloads are scalar ids, so
-  /// responses are served inline on the calling thread (no executor hop).
+  /// as in GetNeighborsBatchImpl.
   Status GetVertexAttrBatchImpl(WorkerId from, std::span<const VertexId> batch,
                                 std::vector<AttrId>* ids,
                                 std::vector<uint8_t>* ok, CommStats* stats,
@@ -282,12 +276,20 @@ class Cluster {
   /// at epoch e iff e < first-update epoch; otherwise the cache is bypassed
   /// and the stale entry invalidated on the reading thread.
   using DirtyMap = std::unordered_map<VertexId, uint64_t>;
-  std::shared_ptr<const DirtyMap> dirty_snapshot() const;
+  /// The dirty map a read through `cache` must consult: null when there is
+  /// no cache or no update was ever published (nothing to bypass). Take it
+  /// after the read's epoch is resolved.
+  std::shared_ptr<const DirtyMap> DirtyFor(const NeighborCache* cache) const;
   /// True when the cache must be skipped for a read of v at epoch e (the
-  /// vertex was updated at or before e); also drops the stale entry.
-  /// Mutates the cache, so it runs on the reading worker's thread like all
-  /// other cache traffic.
-  bool BypassCache(NeighborCache* cache, VertexId v, uint64_t e);
+  /// vertex was updated at or before e per `dirty`); also drops the stale
+  /// entry. Mutates the cache, so it runs on the reading worker's thread
+  /// like all other cache traffic.
+  static bool BypassCache(NeighborCache* cache, const DirtyMap* dirty,
+                          VertexId v, uint64_t e);
+  /// Per-vertex form: snapshots the dirty map itself.
+  bool BypassCache(NeighborCache* cache, VertexId v, uint64_t e) const {
+    return BypassCache(cache, DirtyFor(cache).get(), v, e);
+  }
   /// Resolves the kEpochCurrent sentinel once per call so a whole batch
   /// reads one epoch even unpinned. Cheap no-op on never-updated clusters.
   uint64_t ResolveEpoch(uint64_t epoch) const {
@@ -302,16 +304,17 @@ class Cluster {
 
   const AttributedGraph* graph_ = nullptr;
   CommCounters obs_;
-  Placement plan_;
+  /// Heap-held so the servers' pointers to it survive moving the cluster.
+  std::unique_ptr<Placement> plan_;
   std::vector<std::unique_ptr<GraphServer>> servers_;
-  std::unique_ptr<std::mutex> executor_mu_ = std::make_unique<std::mutex>();
-  std::unique_ptr<BucketExecutor> executor_;
   std::unique_ptr<FaultInjector> injector_;
   RetryPolicy retry_policy_;
   std::unique_ptr<EpochManager> epochs_ = std::make_unique<EpochManager>();
   /// Serializes writers; readers never take it.
   std::unique_ptr<std::mutex> update_mu_ = std::make_unique<std::mutex>();
-  /// Guards the dirty-map pointer swap only (copy-on-write contents).
+  /// Guards the dirty-map pointer swap only (copy-on-write contents; the
+  /// writer builds the next map before locking and frees the old one after
+  /// unlocking).
   std::unique_ptr<std::mutex> dirty_mu_ = std::make_unique<std::mutex>();
   std::shared_ptr<const DirtyMap> dirty_;
   /// One counter per worker (unique_ptr keeps Cluster movable).

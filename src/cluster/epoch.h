@@ -21,6 +21,10 @@
 
 namespace aligraph {
 
+namespace obs {
+class Counter;
+}  // namespace obs
+
 /// Sentinel epoch meaning "resolve against the current global epoch at call
 /// time". Read paths default to it; pinned readers pass their pin's epoch.
 inline constexpr uint64_t kEpochCurrent = ~uint64_t{0};
@@ -75,16 +79,17 @@ class EpochPin {
 /// epoch-reclamation handshake (store the observed epoch, re-read, repeat
 /// until stable) so a pin is either visible to the writer's min-active scan
 /// or already holds the post-advance epoch. When every slot is taken,
-/// Acquire degrades to an unpinned EpochPin carrying the current epoch —
-/// still consistent for the reader (its reads resolve one epoch), merely
-/// invisible to reclamation, which then simply retains more versions.
+/// Acquire registers an *overflow* pin instead: it publishes itself in a
+/// live-overflow count, then reads the epoch. A writer that sees a nonzero
+/// count treats the minimum active epoch as 0 and prunes nothing; one that
+/// saw zero computed its minimum before the overflow pin read the epoch,
+/// so that minimum is <= the pin's epoch. Either way no version an
+/// overflow pin can reach is reclaimed while it is live.
 class EpochManager {
  public:
   static constexpr uint32_t kMaxPins = 64;
 
-  EpochManager() {
-    for (auto& s : slots_) s.store(kIdle, std::memory_order_relaxed);
-  }
+  EpochManager();
 
   /// Current global epoch. 0 until the first update batch is published.
   uint64_t current() const { return current_.load(std::memory_order_acquire); }
@@ -122,17 +127,20 @@ class EpochManager {
       }
       return EpochPin(this, i, e);
     }
-    // Slot table full: unpinned fallback (consistent reads, no reclamation
-    // guarantee — the writer keeps versions conservatively).
-    EpochPin pin;
-    pin.epoch_ = current();
-    return pin;
+    // Slot table full: publish an overflow pin, then read the epoch (see
+    // the class comment for why this order keeps its versions alive).
+    overflow_pins_.fetch_add(1, std::memory_order_seq_cst);
+    CountOverflow();
+    return EpochPin(this, kOverflowSlot,
+                    current_.load(std::memory_order_seq_cst));
   }
 
   /// Oldest epoch any pinned reader may still resolve against; current()
-  /// when nobody is pinned. Writers prune versions superseded at or below
-  /// this value.
+  /// when nobody is pinned, 0 while any overflow pin is live (their epochs
+  /// are not tracked). Writers prune versions superseded at or below this
+  /// value.
   uint64_t MinActiveEpoch() const {
+    if (overflow_pins_.load(std::memory_order_seq_cst) > 0) return 0;
     uint64_t min_epoch = current_.load(std::memory_order_seq_cst);
     for (const auto& s : slots_) {
       const uint64_t e = s.load(std::memory_order_seq_cst);
@@ -141,9 +149,10 @@ class EpochManager {
     return min_epoch;
   }
 
-  /// Number of currently registered pins (diagnostics / tests).
+  /// Number of currently registered pins, overflow pins included
+  /// (diagnostics / tests).
   uint32_t active_pins() const {
-    uint32_t n = 0;
+    uint32_t n = overflow_pins_.load(std::memory_order_relaxed);
     for (const auto& s : slots_) {
       if (s.load(std::memory_order_relaxed) != kIdle) ++n;
     }
@@ -153,13 +162,25 @@ class EpochManager {
  private:
   friend class EpochPin;
   static constexpr uint64_t kIdle = ~uint64_t{0};
+  static constexpr uint32_t kOverflowSlot = kMaxPins;
 
   void ReleaseSlot(uint32_t slot) {
-    slots_[slot].store(kIdle, std::memory_order_seq_cst);
+    if (slot == kOverflowSlot) {
+      overflow_pins_.fetch_sub(1, std::memory_order_seq_cst);
+    } else {
+      slots_[slot].store(kIdle, std::memory_order_seq_cst);
+    }
   }
+
+  /// Adds one to the "epoch.pin_overflow" counter when a registry was
+  /// attached at construction.
+  void CountOverflow();
 
   std::atomic<uint64_t> current_{0};
   std::atomic<uint64_t> slots_[kMaxPins];
+  /// Live pins taken while every slot was busy.
+  std::atomic<uint32_t> overflow_pins_{0};
+  obs::Counter* obs_overflow_ = nullptr;
 };
 
 inline void EpochPin::Release() {

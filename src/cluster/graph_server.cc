@@ -1,82 +1,18 @@
 #include "cluster/graph_server.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 
 namespace aligraph {
 
-void GraphServer::AddVertex(VertexId v, AttrId attr) {
-  ALIGRAPH_CHECK(!finalized_);
-  auto [it, inserted] = adj_.try_emplace(v);
-  if (inserted) owned_.push_back(v);
-  it->second.attr = attr;
-}
+namespace {
 
-void GraphServer::AddEdge(VertexId src, EdgeType type,
-                          const Neighbor& neighbor) {
-  ALIGRAPH_CHECK(!finalized_);
-  if (adj_.find(src) == adj_.end()) AddVertex(src, kNoAttr);
-  staging_[src].emplace_back(type, neighbor);
-  ++num_edges_;
-}
-
-void GraphServer::AddReplicaVertex(VertexId v, AttrId attr) {
-  ALIGRAPH_CHECK(!finalized_);
-  replica_adj_.try_emplace(v).first->second.attr = attr;
-}
-
-void GraphServer::AddReplicaEdge(VertexId src, EdgeType type,
-                                 const Neighbor& neighbor) {
-  ALIGRAPH_CHECK(!finalized_);
-  replica_adj_.try_emplace(src);
-  replica_staging_[src].emplace_back(type, neighbor);
-}
-
-void GraphServer::CompactInto(Staging& staging,
-                              std::unordered_map<VertexId, Adj>& out) {
-  for (auto& [v, edges] : staging) {
-    // Counting sort by type keeps Finalize O(m) per server.
-    Adj& a = out[v];
-    a.type_offsets.assign(num_edge_types_ + 1, 0);
-    for (const auto& [t, nb] : edges) ++a.type_offsets[t + 1];
-    for (size_t t = 1; t <= num_edge_types_; ++t) {
-      a.type_offsets[t] += a.type_offsets[t - 1];
-    }
-    a.neighbors.resize(edges.size());
-    std::vector<uint32_t> cursor(a.type_offsets.begin(),
-                                 a.type_offsets.end() - 1);
-    for (const auto& [t, nb] : edges) a.neighbors[cursor[t]++] = nb;
-  }
-  staging.clear();
-}
-
-void GraphServer::Finalize() {
-  ALIGRAPH_CHECK(!finalized_);
-  finalized_ = true;
-  CompactInto(staging_, adj_);
-  CompactInto(replica_staging_, replica_adj_);
-}
-
-const GraphServer::Adj* GraphServer::FindBase(VertexId v) const {
-  auto it = adj_.find(v);
-  if (it != adj_.end()) return &it->second;
-  auto rit = replica_adj_.find(v);
-  if (rit != replica_adj_.end()) return &rit->second;
-  return nullptr;
-}
-
-const AdjVersion* GraphServer::ResolveVersion(VertexId v,
-                                              uint64_t epoch) const {
-  if (!has_delta_.load(std::memory_order_relaxed)) return nullptr;
-  std::shared_ptr<const DeltaTable> table;
-  {
-    std::lock_guard<std::mutex> lock(delta_mu_);
-    table = delta_;
-  }
-  if (table == nullptr) return nullptr;
-  auto it = table->find(v);
-  if (it == table->end()) return nullptr;
+/// Newest version of v at or below epoch in `delta`, or null. The returned
+/// pointer's payload outlives the call per the retention contract.
+const AdjVersion* FindVersion(const DeltaTable* delta, VertexId v,
+                              uint64_t epoch) {
+  if (delta == nullptr) return nullptr;
+  auto it = delta->find(v);
+  if (it == delta->end()) return nullptr;
   // Chains are short (one entry per surviving epoch of this vertex) and
   // ascending: scan backwards for the newest version at or below epoch.
   const std::vector<AdjVersionPtr>& chain = it->second;
@@ -86,36 +22,75 @@ const AdjVersion* GraphServer::ResolveVersion(VertexId v,
   return nullptr;
 }
 
-std::span<const Neighbor> GraphServer::NeighborsAt(VertexId v,
-                                                   uint64_t epoch) const {
-  ALIGRAPH_CHECK(finalized_);
-  if (const AdjVersion* ver = ResolveVersion(v, epoch)) {
-    return ver->neighbors;
+}  // namespace
+
+GraphServer::GraphServer(WorkerId id, const AttributedGraph& graph,
+                         const Placement& placement)
+    : id_(id), num_types_(graph.num_edge_types()), placement_(&placement) {
+  ALIGRAPH_CHECK(placement.local_row.size() == graph.num_vertices())
+      << "placement rows not indexed";
+  const VertexId n = graph.num_vertices();
+  for (VertexId v = 0; v < n; ++v) {
+    if (placement.OwnerOf(v) == id) owned_.push_back(v);
   }
-  const Adj* a = FindBase(v);
-  if (a == nullptr) return {};
-  return a->neighbors;
+  if (!placement.replica_rank.empty()) {
+    replica_row_.assign(placement.replicas.size(), kNoRow);
+    for (VertexId v = 0; v < n; ++v) {
+      const uint32_t rank = placement.replica_rank[v];
+      if (rank == kNoRow) continue;
+      for (const WorkerId r : placement.ReplicasOf(v)) {
+        if (r != id) continue;
+        replica_row_[rank] =
+            static_cast<uint32_t>(owned_.size() + replicas_.size());
+        replicas_.push_back(v);
+      }
+    }
+  }
+
+  // Count pass: row offsets from per-type degrees, owned rows then replica
+  // rows — the row order Placement::local_row and replica_row_ name.
+  const size_t rows = owned_.size() + replicas_.size();
+  auto vertex_of = [this](size_t row) {
+    return row < owned_.size() ? owned_[row] : replicas_[row - owned_.size()];
+  };
+  offsets_.resize(rows * num_types_ + 1);
+  offsets_[0] = 0;
+  attrs_.resize(rows);
+  for (size_t row = 0, k = 0; row < rows; ++row) {
+    const VertexId v = vertex_of(row);
+    attrs_[row] = graph.vertex_attr(v);
+    for (size_t t = 0; t < num_types_; ++t, ++k) {
+      offsets_[k + 1] =
+          offsets_[k] + graph.OutDegree(v, static_cast<EdgeType>(t));
+    }
+  }
+  // Fill pass: the same walk appends each typed list, so every copy of a
+  // vertex (primary or replica) holds byte-identical adjacency.
+  neighbors_.reserve(offsets_.back());
+  for (size_t row = 0; row < rows; ++row) {
+    const VertexId v = vertex_of(row);
+    for (size_t t = 0; t < num_types_; ++t) {
+      const auto typed = graph.OutNeighbors(v, static_cast<EdgeType>(t));
+      neighbors_.insert(neighbors_.end(), typed.begin(), typed.end());
+    }
+  }
 }
 
-std::span<const Neighbor> GraphServer::NeighborsAt(VertexId v, EdgeType type,
-                                                   uint64_t epoch) const {
-  ALIGRAPH_CHECK(finalized_);
-  if (const AdjVersion* ver = ResolveVersion(v, epoch)) {
-    if (ver->type_offsets.empty()) return {};
+std::span<const Neighbor> GraphServer::Read(VertexId v, uint32_t row,
+                                            EdgeType type, uint64_t epoch,
+                                            const DeltaTable* delta) const {
+  if (const AdjVersion* ver = FindVersion(delta, v, epoch)) {
+    if (type == kAllEdgeTypes) return ver->neighbors;
     return {ver->neighbors.data() + ver->type_offsets[type],
             static_cast<size_t>(ver->type_offsets[type + 1] -
                                 ver->type_offsets[type])};
   }
-  const Adj* a = FindBase(v);
-  if (a == nullptr || a->type_offsets.empty()) return {};
-  return {a->neighbors.data() + a->type_offsets[type],
-          static_cast<size_t>(a->type_offsets[type + 1] -
-                              a->type_offsets[type])};
-}
-
-AttrId GraphServer::VertexAttr(VertexId v) const {
-  const Adj* a = FindBase(v);
-  return a == nullptr ? kNoAttr : a->attr;
+  if (row == kNoRow) return {};
+  const size_t begin = row * num_types_;
+  const size_t first = type == kAllEdgeTypes ? begin : begin + type;
+  const size_t last = type == kAllEdgeTypes ? begin + num_types_ : first + 1;
+  return {neighbors_.data() + offsets_[first],
+          static_cast<size_t>(offsets_[last] - offsets_[first])};
 }
 
 std::shared_ptr<const DeltaTable> GraphServer::delta_snapshot() const {
@@ -125,22 +100,20 @@ std::shared_ptr<const DeltaTable> GraphServer::delta_snapshot() const {
 }
 
 void GraphServer::PublishDelta(std::shared_ptr<const DeltaTable> table) {
-  std::lock_guard<std::mutex> lock(delta_mu_);
-  delta_ = std::move(table);
-  has_delta_.store(delta_ != nullptr, std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(delta_mu_);
+    delta_.swap(table);
+    has_delta_.store(delta_ != nullptr, std::memory_order_relaxed);
+  }
+  // `table` now holds the previous table and is released here, unlocked.
 }
 
 size_t GraphServer::MemoryBytes() const {
-  size_t bytes = 0;
-  auto add = [&bytes](const std::unordered_map<VertexId, Adj>& m) {
-    for (const auto& [v, a] : m) {
-      bytes += a.neighbors.size() * sizeof(Neighbor) +
-               a.type_offsets.size() * sizeof(uint32_t) + sizeof(VertexId) +
-               sizeof(AttrId);
-    }
-  };
-  add(adj_);
-  add(replica_adj_);
+  size_t bytes = offsets_.size() * sizeof(uint64_t) +
+                 neighbors_.size() * sizeof(Neighbor) +
+                 attrs_.size() * sizeof(AttrId) +
+                 (owned_.size() + replicas_.size() + replica_row_.size()) *
+                     sizeof(uint32_t);
   if (auto table = delta_snapshot()) {
     for (const auto& [v, chain] : *table) {
       bytes += sizeof(VertexId);

@@ -1,21 +1,28 @@
 /// \file graph_server.h
 /// \brief One worker of the simulated cluster: owns a source-partitioned
-/// subgraph stored as per-vertex, type-segmented adjacency lists plus an
-/// optional neighbor cache and an LRU attribute cache (the paper's IV/IE
-/// front caches).
+/// subgraph stored as one type-segmented CSR over a dense local id space,
+/// plus an optional neighbor cache (the paper's front cache).
+///
+/// Layout. The server's rows are its owned vertices in ascending id order,
+/// then its replica copies in ascending id order (the owned and the replica
+/// segment of one CSR). Row r's adjacency is neighbors_[offsets_[r*T] ..
+/// offsets_[(r+1)*T]), split by edge type at offsets_[r*T + t], and its
+/// vertex attribute is attrs_[r]. A global id resolves to its row through
+/// the Placement's dense index (Placement::local_row / replica_rank), so a
+/// read costs a few array loads and no hash lookup.
 ///
 /// Two extensions over the plain owned store:
 ///   - **Replica storage.** A server may additionally hold full adjacency
 ///     copies of hub vertices owned elsewhere (Placement replica sets);
 ///     replica reads are served at local cost.
-///   - **Epoch-versioned deltas.** Online updates never mutate the finalized
-///     base adjacency. Instead the cluster's update path publishes an
-///     immutable delta table mapping vertex -> ascending chain of adjacency
-///     versions; `NeighborsAt(v, epoch)` resolves to the newest version at
-///     or below the epoch, falling back to the base (owned, then replica)
-///     lists. Published version payloads are immutable and retained until
-///     no pinned reader can reach them (see epoch.h), so spans returned to
-///     a pinned reader stay valid for the pin's lifetime.
+///   - **Epoch-versioned deltas.** Online updates never mutate the base
+///     CSR. Instead the cluster's update path publishes an immutable delta
+///     table mapping vertex -> ascending chain of adjacency versions;
+///     `NeighborsAt(v, epoch)` resolves to the newest version at or below
+///     the epoch, falling back to the base CSR row. Published version
+///     payloads are immutable and retained until no pinned reader can reach
+///     them (see epoch.h), so spans returned to a pinned reader stay valid
+///     for the pin's lifetime.
 #ifndef ALIGRAPH_CLUSTER_GRAPH_SERVER_H_
 #define ALIGRAPH_CLUSTER_GRAPH_SERVER_H_
 
@@ -27,8 +34,8 @@
 #include <vector>
 
 #include "cluster/epoch.h"
-#include "common/lru_cache.h"
 #include "graph/graph.h"
+#include "partition/partitioner.h"
 #include "storage/neighbor_cache.h"
 
 namespace aligraph {
@@ -48,43 +55,40 @@ using DeltaTable =
     std::unordered_map<VertexId, std::vector<AdjVersionPtr>>;
 
 /// \brief Per-server local storage of the vertices it owns (and replicates).
-///
-/// Adjacency for each stored vertex is one contiguous vector segmented by
-/// edge type, so both "all neighbors" and "neighbors of type t" are O(1)
-/// span views. Construction: AddEdge/AddReplicaEdge calls followed by one
-/// Finalize.
 class GraphServer {
  public:
-  GraphServer(WorkerId id, size_t num_edge_types)
-      : id_(id), num_edge_types_(num_edge_types) {}
+  static constexpr uint32_t kNoRow = Placement::kNoRow;
+
+  /// Builds worker `id`'s storage straight from `graph`: a count pass sizes
+  /// the CSR from per-type degrees, a fill pass copies each stored vertex's
+  /// typed adjacency lists in type order. `placement` must have its rows
+  /// indexed (Placement::IndexRows) and must outlive the server.
+  GraphServer(WorkerId id, const AttributedGraph& graph,
+              const Placement& placement);
 
   WorkerId id() const { return id_; }
 
-  /// Registers ownership of a vertex (may hold zero edges).
-  void AddVertex(VertexId v, AttrId attr);
-
-  /// Buffers one out-edge of an owned vertex.
-  void AddEdge(VertexId src, EdgeType type, const Neighbor& neighbor);
-
-  /// Registers a replica copy of a vertex owned by another worker.
-  void AddReplicaVertex(VertexId v, AttrId attr);
-
-  /// Buffers one out-edge of a replicated vertex.
-  void AddReplicaEdge(VertexId src, EdgeType type, const Neighbor& neighbor);
-
-  /// Compacts buffered edges into type-segmented adjacency. Must be called
-  /// exactly once, after which AddEdge is illegal.
-  void Finalize();
-
-  bool Owns(VertexId v) const { return adj_.count(v) > 0; }
+  bool Owns(VertexId v) const { return placement_->OwnerOf(v) == id_; }
   /// True when this server holds a replica copy of v (not the primary).
-  bool HasReplica(VertexId v) const { return replica_adj_.count(v) > 0; }
+  bool HasReplica(VertexId v) const {
+    const uint32_t rank = placement_->ReplicaRank(v);
+    return rank != kNoRow && replica_row_[rank] != kNoRow;
+  }
   /// True when any copy (owned or replica) of v lives here.
-  bool ServesCopy(VertexId v) const { return Owns(v) || HasReplica(v); }
+  bool ServesCopy(VertexId v) const { return RowOf(v) != kNoRow; }
 
-  size_t num_vertices() const { return adj_.size(); }
-  size_t num_replicas() const { return replica_adj_.size(); }
-  size_t num_edges() const { return num_edges_; }
+  /// v's row in this server's table: its owned row, else its replica row,
+  /// else kNoRow.
+  uint32_t RowOf(VertexId v) const {
+    if (Owns(v)) return placement_->local_row[v];
+    const uint32_t rank = placement_->ReplicaRank(v);
+    return rank == kNoRow ? kNoRow : replica_row_[rank];
+  }
+
+  size_t num_vertices() const { return owned_.size(); }
+  size_t num_replicas() const { return replicas_.size(); }
+  /// Out-edges of the owned vertices (replica copies excluded).
+  size_t num_edges() const { return offsets_[owned_.size() * num_types_]; }
 
   /// All out-neighbors of a stored vertex at the latest epoch.
   std::span<const Neighbor> Neighbors(VertexId v) const {
@@ -95,19 +99,37 @@ class GraphServer {
     return NeighborsAt(v, type, kEpochCurrent);
   }
 
-  /// All out-neighbors of a stored vertex as of `epoch`: the newest
-  /// published version with version.epoch <= epoch, else the base list
-  /// (owned first, then replica). kEpochCurrent resolves to the newest.
-  std::span<const Neighbor> NeighborsAt(VertexId v, uint64_t epoch) const;
-  /// Typed variant of NeighborsAt.
+  /// Out-neighbors of a stored vertex as of `epoch`: the newest published
+  /// version with version.epoch <= epoch, else the base CSR row.
+  /// kEpochCurrent resolves to the newest. `type` restricts the view to one
+  /// edge type; kAllEdgeTypes returns every type. Empty when v has no copy
+  /// here.
+  std::span<const Neighbor> NeighborsAt(VertexId v, uint64_t epoch) const {
+    return NeighborsAt(v, kAllEdgeTypes, epoch);
+  }
   std::span<const Neighbor> NeighborsAt(VertexId v, EdgeType type,
-                                        uint64_t epoch) const;
+                                        uint64_t epoch) const {
+    const auto delta = delta_snapshot();
+    return Read(v, RowOf(v), type, epoch, delta.get());
+  }
+
+  /// The read primitive: v's adjacency at `epoch` given its row here
+  /// (RowOf(v)) and a delta-table snapshot (null when never updated).
+  /// Batch readers take one snapshot per call and reuse it for every slot.
+  std::span<const Neighbor> Read(VertexId v, uint32_t row, EdgeType type,
+                                 uint64_t epoch,
+                                 const DeltaTable* delta) const;
 
   /// Attribute id of a stored vertex (kNoAttr when absent). Attributes are
   /// immutable under online updates.
-  AttrId VertexAttr(VertexId v) const;
+  AttrId VertexAttr(VertexId v) const {
+    const uint32_t row = RowOf(v);
+    return row == kNoRow ? kNoAttr : RowAttr(row);
+  }
+  /// Attribute id stored at a row (see RowOf).
+  AttrId RowAttr(uint32_t row) const { return attrs_[row]; }
 
-  /// The vertices this server owns, in insertion order.
+  /// The vertices this server owns, in ascending id order (row order).
   const std::vector<VertexId>& owned_vertices() const { return owned_; }
 
   /// Current delta table (null until the first PublishDelta).
@@ -115,7 +137,8 @@ class GraphServer {
 
   /// Atomically replaces the delta table. Called by the cluster's update
   /// path with a fully built immutable table; readers see either the old or
-  /// the new table, never a partial one.
+  /// the new table, never a partial one. The previous table is released
+  /// after the swap, outside the lock readers take.
   void PublishDelta(std::shared_ptr<const DeltaTable> table);
 
   /// Installs / accesses the server-local neighbor cache (may be null).
@@ -124,35 +147,21 @@ class GraphServer {
   }
   NeighborCache* neighbor_cache() const { return neighbor_cache_.get(); }
 
-  /// Approximate resident bytes of the adjacency storage (owned + replica +
-  /// published deltas).
+  /// Approximate resident bytes of the adjacency storage (owned + replica
+  /// CSR, row index + published deltas).
   size_t MemoryBytes() const;
 
  private:
-  struct Adj {
-    std::vector<Neighbor> neighbors;       // segmented by type
-    std::vector<uint32_t> type_offsets;    // size num_edge_types + 1
-    AttrId attr = kNoAttr;
-  };
-  using Staging =
-      std::unordered_map<VertexId, std::vector<std::pair<EdgeType, Neighbor>>>;
-
-  void CompactInto(Staging& staging, std::unordered_map<VertexId, Adj>& out);
-  const Adj* FindBase(VertexId v) const;
-  /// Newest version of v at or below epoch, or null. The returned pointer's
-  /// payload outlives the call per the retention contract above.
-  const AdjVersion* ResolveVersion(VertexId v, uint64_t epoch) const;
-
   WorkerId id_;
-  size_t num_edge_types_;
-  bool finalized_ = false;
-  size_t num_edges_ = 0;
-  std::vector<VertexId> owned_;
-  std::unordered_map<VertexId, Adj> adj_;
-  std::unordered_map<VertexId, Adj> replica_adj_;
-  // Build-time staging: per-vertex edges tagged with their type.
-  Staging staging_;
-  Staging replica_staging_;
+  size_t num_types_;
+  const Placement* placement_;
+  std::vector<VertexId> owned_;     // rows [0, owned_.size())
+  std::vector<VertexId> replicas_;  // rows [owned_.size(), ...)
+  /// Replica rank -> row here (kNoRow when this server holds no copy).
+  std::vector<uint32_t> replica_row_;
+  std::vector<uint64_t> offsets_;  // rows * num_types_ + 1
+  std::vector<Neighbor> neighbors_;
+  std::vector<AttrId> attrs_;  // one per row
   std::unique_ptr<NeighborCache> neighbor_cache_;
 
   // Published updates. has_delta_ is the hot-path probe that keeps the

@@ -20,8 +20,8 @@ namespace aligraph {
 /// \brief Fixed-capacity map evicting the least-recently-used entry.
 ///
 /// Not internally synchronized; callers that share a cache across threads
-/// wrap it (the lock-free request buckets in the cluster module make each
-/// cache single-threaded by construction, matching the paper's design).
+/// wrap it (the cluster module touches each worker's caches only from that
+/// worker's reading thread).
 template <typename K, typename V>
 class LruCache {
  public:

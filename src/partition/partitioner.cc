@@ -28,6 +28,21 @@ WorkerId Placement::ServingWorker(VertexId v, WorkerId from) const {
   return idx == 0 ? vertex_owner[v] : extra[idx - 1];
 }
 
+void Placement::IndexRows() {
+  const VertexId n = static_cast<VertexId>(vertex_owner.size());
+  std::vector<uint32_t> next_row(num_workers, 0);
+  local_row.resize(n);
+  for (VertexId v = 0; v < n; ++v) local_row[v] = next_row[vertex_owner[v]]++;
+  replica_rank.clear();
+  if (replicas.empty()) return;
+  replica_rank.assign(n, kNoRow);
+  for (const auto& [v, workers] : replicas) replica_rank[v] = 0;
+  uint32_t rank = 0;
+  for (VertexId v = 0; v < n; ++v) {
+    if (replica_rank[v] != kNoRow) replica_rank[v] = rank++;
+  }
+}
+
 std::string PartitionStats::ToString() const {
   std::ostringstream os;
   os << "cut=" << edge_cut_fraction << " vbal=" << vertex_balance

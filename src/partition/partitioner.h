@@ -36,12 +36,36 @@ namespace aligraph {
 /// \brief Result of partitioning: ownership map, worker count and the
 /// (possibly empty) replica table.
 struct Placement {
+  /// Marks "no row": a vertex without a replica rank, or a vertex a server
+  /// holds no copy of.
+  static constexpr uint32_t kNoRow = ~uint32_t{0};
+
   uint32_t num_workers = 1;
   std::vector<WorkerId> vertex_owner;  ///< size n; primary owner per vertex
   /// Replica workers per replicated vertex, primary excluded, each list
   /// sorted ascending and duplicate-free. Vertices absent from the table
   /// live only on their primary owner — the degenerate single-owner form.
   std::unordered_map<VertexId, std::vector<WorkerId>> replicas;
+
+  /// Dense global -> local index over the servers' vertex tables, derived
+  /// from vertex_owner and replicas by IndexRows() (Cluster::Build calls
+  /// it; a placement that only routes needs neither). Every server numbers
+  /// the vertices it owns 0, 1, ... in ascending id order: local_row[v] is
+  /// v's row on its owner. replica_rank[v] is v's position among all
+  /// replicated vertices in ascending id order (kNoRow when v has a single
+  /// copy); each replica holder maps that rank to a row of its own. Both
+  /// are plain arrays, so resolving a read costs no hash lookup.
+  std::vector<uint32_t> local_row;     ///< size n after IndexRows()
+  std::vector<uint32_t> replica_rank;  ///< size n, or empty without replicas
+
+  /// Fills local_row and replica_rank from the current owner and replica
+  /// tables.
+  void IndexRows();
+
+  /// v's replica rank, or kNoRow (requires IndexRows()).
+  uint32_t ReplicaRank(VertexId v) const {
+    return replica_rank.empty() ? kNoRow : replica_rank[v];
+  }
 
   WorkerId OwnerOf(VertexId v) const { return vertex_owner[v]; }
 

@@ -569,6 +569,98 @@ TEST(ClusterBatchTest, CacheHitsShortCircuitTheRemotePath) {
   EXPECT_GT(stats.cache_hits.load(), 0u);
 }
 
+// ---------------------------------------------------------------------------
+// Storage differential: every copy of every vertex, read through every path,
+// equals the AttributedGraph CSR it was built from.
+
+/// v's adjacency as a cluster stores it: its typed lists in type order.
+std::vector<Neighbor> TypedConcat(const AttributedGraph& g, VertexId v) {
+  std::vector<Neighbor> all;
+  for (size_t t = 0; t < g.num_edge_types(); ++t) {
+    const auto typed = g.OutNeighbors(v, static_cast<EdgeType>(t));
+    all.insert(all.end(), typed.begin(), typed.end());
+  }
+  return all;
+}
+
+class StorageDifferentialTest : public ::testing::TestWithParam<const char*> {
+};
+
+TEST_P(StorageDifferentialTest, EveryCopyAndReadPathEqualsTheCsr) {
+  const AttributedGraph g =
+      std::move(gen::Taobao(gen::TaobaoSmallConfig(0.05))).value();
+  ASSERT_GT(g.num_edge_types(), 1u);
+  auto partitioner = std::move(MakePartitioner(GetParam())).value();
+  auto cluster = std::move(Cluster::Build(g, *partitioner, 4)).value();
+  const Placement& plan = cluster.plan();
+  if (std::string(GetParam()) == "hybrid") {
+    ASSERT_TRUE(plan.HasReplicas());
+  }
+
+  const VertexId n = g.num_vertices();
+  std::vector<VertexId> all(n);
+  std::iota(all.begin(), all.end(), 0);
+  size_t copies = 0;
+  for (WorkerId w = 0; w < 4; ++w) {
+    const GraphServer& srv = cluster.server(w);
+    std::vector<VertexId> held;
+    for (VertexId v = 0; v < n; ++v) {
+      const bool holds = plan.ServesLocally(v, w);
+      ASSERT_EQ(srv.ServesCopy(v), holds) << "v=" << v << " w=" << w;
+      if (!holds) continue;
+      held.push_back(v);
+      const std::vector<Neighbor> want = TypedConcat(g, v);
+      EXPECT_TRUE(SameBytes(srv.Neighbors(v), want)) << "v=" << v;
+      EXPECT_TRUE(SameBytes(cluster.GetNeighbors(w, v, nullptr), want));
+      EXPECT_EQ(srv.VertexAttr(v), g.vertex_attr(v));
+      for (EdgeType t = 0; t < g.num_edge_types(); ++t) {
+        EXPECT_TRUE(SameBytes(srv.Neighbors(v, t), g.OutNeighbors(v, t)));
+        EXPECT_TRUE(SameBytes(cluster.GetNeighbors(w, v, t, nullptr),
+                              g.OutNeighbors(v, t)));
+      }
+    }
+    copies += held.size();
+
+    // Batched reads over the copies w holds, and over every vertex (owned,
+    // replica and remote slots mixed), untyped and per type.
+    for (const std::vector<VertexId>* batch : {&held, &all}) {
+      BatchResult out;
+      cluster.GetNeighborsBatch(w, *batch, kAllEdgeTypes, &out, nullptr);
+      ASSERT_EQ(out.size(), batch->size());
+      for (size_t i = 0; i < batch->size(); ++i) {
+        EXPECT_TRUE(SameBytes(out[i], TypedConcat(g, (*batch)[i])))
+            << "v=" << (*batch)[i] << " from=" << w;
+      }
+      for (EdgeType t = 0; t < g.num_edge_types(); ++t) {
+        cluster.GetNeighborsBatch(w, *batch, t, &out, nullptr);
+        for (size_t i = 0; i < batch->size(); ++i) {
+          EXPECT_TRUE(SameBytes(out[i], g.OutNeighbors((*batch)[i], t)));
+        }
+      }
+      std::vector<AttrId> ids;
+      cluster.GetVertexAttrBatch(w, *batch, &ids, nullptr);
+      ASSERT_EQ(ids.size(), batch->size());
+      for (size_t i = 0; i < batch->size(); ++i) {
+        EXPECT_EQ(ids[i], g.vertex_attr((*batch)[i]));
+      }
+    }
+  }
+  // Owned rows partition the vertex set; replica rows add the extra copies.
+  size_t owned = 0;
+  for (WorkerId w = 0; w < 4; ++w) owned += cluster.server(w).num_vertices();
+  EXPECT_EQ(owned, n);
+  size_t extra = 0;
+  for (const auto& [v, workers] : plan.replicas) extra += workers.size();
+  EXPECT_EQ(copies, n + extra);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Partitioners, StorageDifferentialTest,
+    ::testing::Values("edge_cut", "vertex_cut", "hybrid"),
+    [](const ::testing::TestParamInfo<const char*>& info) {
+      return std::string(info.param);
+    });
+
 TEST(ClusterBatchTest, LruAdmitsBatchFetchedVertices) {
   const AttributedGraph g = MakeGraph();
   auto cluster = std::move(Cluster::Build(g, EdgeCutPartitioner(), 2)).value();

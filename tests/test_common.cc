@@ -198,7 +198,7 @@ TEST(AliasTableTest, SampleBatchSingleEntryAndAllEqualWeights) {
   // Regression: degenerate tables where every draw accepts. The batch path
   // must still consume (Uniform, NextDouble) per draw and return the same
   // indices as the scalar loop.
-  for (const std::vector<double> w :
+  for (const std::vector<double>& w :
        {std::vector<double>{7.0}, std::vector<double>(6, 123.0)}) {
     AliasTable t(w);
     Rng a(99), b(99);
@@ -455,7 +455,7 @@ TEST(PowerLawFitTest, DegenerateInputs) {
 TEST(TimerTest, MeasuresElapsedTime) {
   Timer t;
   volatile double sink = 0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  for (int i = 0; i < 100000; ++i) sink = sink + i;
   EXPECT_GT(t.ElapsedNanos(), 0);
   const double before = t.ElapsedMillis();
   t.Reset();

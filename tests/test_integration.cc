@@ -102,7 +102,9 @@ TEST_P(PipelineTest, Figure5SamplingStage) {
   EXPECT_EQ(stats.TotalReads(),
             stats.local_reads.load() + stats.cache_hits.load() +
                 stats.remote_reads.load());
-  if (cache_policy == "none") EXPECT_EQ(stats.cache_hits.load(), 0u);
+  if (cache_policy == "none") {
+    EXPECT_EQ(stats.cache_hits.load(), 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

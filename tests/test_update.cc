@@ -19,6 +19,7 @@
 #include "common/random.h"
 #include "gen/powerlaw.h"
 #include "graph/graph.h"
+#include "obs/metrics.h"
 #include "partition/partitioner.h"
 #include "sampling/sampler.h"
 
@@ -432,6 +433,216 @@ TEST(DifferentialTest, ReplicationChangesNoDrawBlockOrForward) {
 }
 
 // ---------------------------------------------------------------------------
+// Differential against a reference adjacency model: after random update
+// batches, every read path at every pinned epoch returns exactly the model's
+// adjacency at that epoch.
+
+/// Typed adjacency per vertex: model[v][t].
+using AdjModel = std::vector<std::vector<std::vector<Neighbor>>>;
+
+AdjModel ModelOf(const AttributedGraph& g) {
+  AdjModel model(g.num_vertices());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    for (EdgeType t = 0; t < g.num_edge_types(); ++t) {
+      const auto typed = g.OutNeighbors(v, t);
+      model[v].emplace_back(typed.begin(), typed.end());
+    }
+  }
+  return model;
+}
+
+std::vector<Neighbor> ModelNeighbors(const AdjModel& model, VertexId v) {
+  std::vector<Neighbor> all;
+  for (const auto& typed : model[v]) {
+    all.insert(all.end(), typed.begin(), typed.end());
+  }
+  return all;
+}
+
+/// Applies a batch with ApplyUpdateBatch's semantics; returns the number of
+/// updates it skips.
+size_t ApplyToModel(std::span<const EdgeUpdate> batch, AdjModel* model) {
+  const VertexId n = static_cast<VertexId>(model->size());
+  size_t skipped = 0;
+  for (const EdgeUpdate& u : batch) {
+    if (u.src >= n || u.type >= (*model)[0].size() ||
+        (u.kind == EdgeUpdate::Kind::kInsert && u.dst >= n)) {
+      ++skipped;
+      continue;
+    }
+    std::vector<Neighbor>& list = (*model)[u.src][u.type];
+    if (u.kind == EdgeUpdate::Kind::kInsert) {
+      list.push_back(Neighbor{u.dst, u.weight, u.attr});
+      continue;
+    }
+    auto match = std::find_if(
+        list.begin(), list.end(),
+        [&u](const Neighbor& nb) { return nb.dst == u.dst; });
+    if (match == list.end()) {
+      ++skipped;
+    } else {
+      list.erase(match);
+    }
+  }
+  return skipped;
+}
+
+/// Random edits: inserts with fresh weights, removes of existing edges and
+/// of absent ones, and one out-of-range source.
+std::vector<EdgeUpdate> RandomBatch(const AdjModel& model, size_t size,
+                                    Rng* rng) {
+  const VertexId n = static_cast<VertexId>(model.size());
+  const size_t types = model[0].size();
+  std::vector<EdgeUpdate> batch;
+  for (size_t i = 0; i < size; ++i) {
+    EdgeUpdate u;
+    // Half the edits hit the 64 lowest ids (the hubs of a ChungLu graph),
+    // so vertices are updated again and again and versions get reclaimed.
+    u.src = static_cast<VertexId>(
+        rng->Uniform(rng->Uniform(2) == 0 ? std::min<VertexId>(n, 64) : n));
+    u.type = static_cast<EdgeType>(rng->Uniform(types));
+    u.dst = static_cast<VertexId>(rng->Uniform(n));
+    const auto& list = model[u.src][u.type];
+    if (rng->Uniform(4) == 0) {
+      u.kind = EdgeUpdate::Kind::kRemove;
+      if (!list.empty() && rng->Uniform(4) != 0) {
+        u.dst = list[rng->Uniform(list.size())].dst;
+      }
+    } else {
+      u.weight = static_cast<float>(rng->Uniform(1000)) / 8.0f;
+    }
+    batch.push_back(u);
+  }
+  batch.push_back({EdgeUpdate::Kind::kInsert, n + 5, 0, 0, 1.0f, kNoAttr});
+  return batch;
+}
+
+void ExpectClusterMatchesModel(Cluster& cluster, uint64_t epoch,
+                               const AdjModel& model) {
+  const VertexId n = static_cast<VertexId>(model.size());
+  const size_t types = model[0].size();
+  std::vector<VertexId> all(n);
+  for (VertexId v = 0; v < n; ++v) all[v] = v;
+  for (WorkerId from = 0; from < cluster.num_workers(); ++from) {
+    CommStats stats;
+    BatchResult out;
+    cluster.GetNeighborsBatch(from, all, kAllEdgeTypes, &out, &stats, epoch);
+    for (VertexId v = 0; v < n; ++v) {
+      const std::vector<Neighbor> want = ModelNeighbors(model, v);
+      ASSERT_TRUE(SameNeighbors(cluster.GetNeighbors(from, v, &stats, epoch),
+                                want))
+          << "v=" << v << " from=" << from << " epoch=" << epoch;
+      ASSERT_TRUE(SameNeighbors(out[v], want))
+          << "batched v=" << v << " from=" << from << " epoch=" << epoch;
+    }
+    for (EdgeType t = 0; t < types; ++t) {
+      cluster.GetNeighborsBatch(from, all, t, &out, &stats, epoch);
+      for (VertexId v = 0; v < n; ++v) {
+        ASSERT_TRUE(SameNeighbors(
+            cluster.GetNeighbors(from, v, t, &stats, epoch), model[v][t]))
+            << "typed v=" << v << " t=" << t << " epoch=" << epoch;
+        ASSERT_TRUE(SameNeighbors(out[v], model[v][t]))
+            << "typed batched v=" << v << " t=" << t << " epoch=" << epoch;
+      }
+    }
+  }
+}
+
+TEST(UpdateModelTest, PinnedEpochReadsMatchReferenceModel) {
+  // Two edge types, so typed reads and type-segmented versions are covered;
+  // hubs, so hybrid replica copies take updates too; an LRU cache, so the
+  // dirty-bypass path runs.
+  const AttributedGraph base = MakeSkewGraph(31);
+  GraphSchema schema;
+  schema.AddEdgeType("a");
+  schema.AddEdgeType("b");
+  GraphBuilder gb(std::move(schema));
+  for (VertexId v = 0; v < base.num_vertices(); ++v) gb.AddVertex();
+  for (VertexId v = 0; v < base.num_vertices(); ++v) {
+    for (const Neighbor& nb : base.OutNeighbors(v)) {
+      ASSERT_TRUE(gb.AddEdge(v, nb.dst, (v + nb.dst) % 2, nb.weight).ok());
+    }
+  }
+  const AttributedGraph g = std::move(gb.Build()).value();
+  Cluster cluster = BuildWith(g, "hybrid", 4);
+  ASSERT_TRUE(cluster.plan().HasReplicas());
+  cluster.InstallLruCache(128);
+
+  AdjModel model = ModelOf(g);
+  std::vector<std::pair<EpochPin, AdjModel>> pinned;
+  pinned.emplace_back(cluster.PinEpoch(), model);
+  Rng rng(2024);
+  size_t pruned = 0;
+  for (int b = 0; b < 8; ++b) {
+    const std::vector<EdgeUpdate> batch = RandomBatch(model, 60, &rng);
+    const size_t skipped = ApplyToModel(batch, &model);
+    UpdateReport report;
+    ASSERT_TRUE(cluster.ApplyUpdateBatch(batch, &report).ok());
+    EXPECT_EQ(report.epoch, static_cast<uint64_t>(b + 1));
+    EXPECT_EQ(report.skipped, skipped);
+    EXPECT_EQ(report.applied, batch.size() - skipped);
+    pruned += report.versions_pruned;
+    // Drop the oldest pin now and then so reclamation runs below the
+    // epochs still pinned.
+    if (b % 3 == 2) pinned.erase(pinned.begin());
+    pinned.emplace_back(cluster.PinEpoch(), model);
+    // Warm the cache at the newest epoch so later old-epoch reads meet
+    // admitted entries.
+    ExpectClusterMatchesModel(cluster, kEpochCurrent, model);
+  }
+  EXPECT_GT(pruned, 0u);
+  for (const auto& [pin, at_pin] : pinned) {
+    ExpectClusterMatchesModel(cluster, pin.epoch(), at_pin);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Pin overflow: a reader that finds every pin slot taken still blocks the
+// reclamation of the versions it reads.
+
+TEST(EpochOverflowTest, OverflowPinBlocksPruningUntilReleased) {
+  obs::MetricsRegistry registry;
+  obs::SetDefault(&registry);
+  const AttributedGraph g = MakeTinyGraph();
+  Cluster cluster = BuildWith(g, "edge_cut", 2);
+  obs::SetDefault(nullptr);
+
+  // Batch k appends 1 -> 3 with weight k, so epoch e shows e extra edges.
+  auto append = [&cluster](float k) {
+    std::vector<EdgeUpdate> batch{
+        {EdgeUpdate::Kind::kInsert, 1, 3, 0, k, kNoAttr}};
+    UpdateReport report;
+    EXPECT_TRUE(cluster.ApplyUpdateBatch(batch, &report).ok());
+    return report;
+  };
+  append(1.0f);
+
+  std::vector<EpochPin> slots;
+  for (uint32_t i = 0; i < EpochManager::kMaxPins; ++i) {
+    slots.push_back(cluster.PinEpoch());
+  }
+  EpochPin overflow = cluster.PinEpoch();
+  EXPECT_TRUE(overflow.pinned());
+  EXPECT_EQ(overflow.epoch(), 1u);
+  EXPECT_EQ(registry.GetCounter("epoch.pin_overflow")->Value(), 1u);
+  slots.clear();  // only the overflow pin is left
+
+  // Two more versions: without the overflow pin, the second batch would
+  // reclaim the epoch-1 version the pin still reads.
+  EXPECT_EQ(append(2.0f).versions_pruned, 0u);
+  EXPECT_EQ(append(3.0f).versions_pruned, 0u);
+  for (WorkerId from = 0; from < 2; ++from) {
+    CommStats stats;
+    const auto nbs = cluster.GetNeighbors(from, 1, &stats, overflow.epoch());
+    ASSERT_EQ(nbs.size(), 2u) << "from=" << from;
+    EXPECT_EQ(nbs[1].weight, 1.0f);
+  }
+
+  overflow.Release();
+  EXPECT_GT(append(4.0f).versions_pruned, 0u);
+}
+
+// ---------------------------------------------------------------------------
 // Concurrency stress (run under TSan in CI): one writer flipping every
 // adjacency each batch, readers pinning epochs. The invariant is exact:
 // batch k stamps every edge weight to float(k), so a read scope pinned at
@@ -525,6 +736,132 @@ TEST(UpdateStressTest, ConcurrentUpdatesAndPinnedReadsSeeOneEpoch) {
   UpdateReport report;
   ASSERT_TRUE(cluster.ApplyUpdateBatch(last, &report).ok());
   EXPECT_GT(report.versions_pruned, 0u);
+}
+
+TEST(UpdateStressTest, BatchReadsEqualPerVertexReadsWhileWriting) {
+  // One reader per worker (caches are per-worker, single-threaded), a
+  // static cache so cache hits, bypasses and replicas all mix with a
+  // concurrent writer. Every slot of a pinned batch must equal the
+  // per-vertex read of the same vertex at the same epoch.
+  const AttributedGraph g = MakeSkewGraph(5);
+  Cluster cluster = BuildWith(g, "hybrid", 4);
+  cluster.InstallRandomCache(0.3, 9);
+  std::atomic<bool> done{false};
+  std::atomic<int> mismatches{0};
+
+  std::thread writer([&] {
+    AdjModel model = ModelOf(g);
+    Rng rng(77);
+    for (int b = 0; b < 40; ++b) {
+      const auto batch = RandomBatch(model, 32, &rng);
+      ApplyToModel(batch, &model);
+      ASSERT_TRUE(cluster.ApplyUpdateBatch(batch).ok());
+    }
+    done.store(true, std::memory_order_release);
+  });
+
+  std::vector<VertexId> batch;
+  for (VertexId v = 0; v < g.num_vertices(); v += 2) batch.push_back(v);
+  batch.insert(batch.end(), batch.begin(), batch.begin() + 20);  // repeats
+  std::vector<std::thread> readers;
+  for (WorkerId from = 0; from < 4; ++from) {
+    readers.emplace_back([&, from] {
+      do {
+        EpochPin pin = cluster.PinEpoch();
+        CommStats stats;
+        BatchResult out;
+        cluster.GetNeighborsBatch(from, batch, kAllEdgeTypes, &out, &stats,
+                                  pin.epoch());
+        for (size_t i = 0; i < batch.size(); ++i) {
+          const auto one =
+              cluster.GetNeighbors(from, batch[i], &stats, pin.epoch());
+          if (!SameNeighbors(out[i], one)) {
+            mismatches.fetch_add(1);
+          }
+        }
+      } while (!done.load(std::memory_order_acquire));
+    });
+  }
+  writer.join();
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(cluster.current_epoch(), 40u);
+}
+
+TEST(UpdateStressTest, MorePinnedReadersThanPinSlots) {
+  // 128 concurrent readers, twice the pin slots, each holding a pin across
+  // a SampleBlock while a writer stamps every edge weight with its batch
+  // number: a scope pinned at epoch e must read weight e everywhere, also
+  // for the readers whose pins overflowed the slot table.
+  obs::MetricsRegistry registry;
+  obs::SetDefault(&registry);
+  GraphBuilder gb;
+  const VertexId n = 48;
+  for (VertexId i = 0; i < n; ++i) gb.AddVertex();
+  for (VertexId i = 0; i < n; ++i) {
+    EXPECT_TRUE(gb.AddEdge(i, (i + 1) % n, 0, 0.0f).ok());
+  }
+  const AttributedGraph g = std::move(gb.Build()).value();
+  Cluster cluster = BuildWith(g, "edge_cut", 2);
+  obs::SetDefault(nullptr);
+
+  constexpr int kReaders = 128;
+  constexpr int kBatches = 30;
+  std::atomic<int> ready{0};
+  std::atomic<bool> done{false};
+  std::atomic<int> violations{0};
+
+  std::thread writer([&] {
+    while (ready.load() < kReaders) std::this_thread::yield();
+    for (int k = 1; k <= kBatches; ++k) {
+      std::vector<EdgeUpdate> batch;
+      for (VertexId v = 0; v < n; ++v) {
+        const VertexId d = (v + 1) % n;
+        batch.push_back({EdgeUpdate::Kind::kRemove, v, d, 0, 0, kNoAttr});
+        batch.push_back({EdgeUpdate::Kind::kInsert, v, d, 0,
+                         static_cast<float>(k), kNoAttr});
+      }
+      ASSERT_TRUE(cluster.ApplyUpdateBatch(batch).ok());
+    }
+    done.store(true, std::memory_order_release);
+  });
+
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      const WorkerId from = static_cast<WorkerId>(r % 2);
+      CommStats stats;
+      DistributedNeighborSource source(cluster, from, &stats);
+      NeighborhoodSampler hood(NeighborStrategy::kUniform, 500 + r);
+      const std::vector<VertexId> roots{0, 7, 13};
+      const std::vector<uint32_t> fans{2, 2};
+      bool first = true;
+      do {
+        EpochPin pin = cluster.PinEpoch();
+        if (first) {
+          // Every reader holds a pin at once: half of them overflow.
+          ready.fetch_add(1);
+          while (ready.load() < kReaders) std::this_thread::yield();
+          first = false;
+        }
+        const auto blk = hood.SampleBlock(source, roots, kAllEdgeTypes, fans);
+        if (blk.root_locals().size() != roots.size()) violations.fetch_add(1);
+        const float want = static_cast<float>(pin.epoch());
+        for (VertexId v = 0; v < n; ++v) {
+          for (const Neighbor& nb :
+               cluster.GetNeighbors(from, v, &stats, pin.epoch())) {
+            if (nb.weight != want) violations.fetch_add(1);
+          }
+        }
+      } while (!done.load(std::memory_order_acquire));
+    });
+  }
+  writer.join();
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(violations.load(), 0);
+  EXPECT_EQ(cluster.current_epoch(), static_cast<uint64_t>(kBatches));
+  EXPECT_GE(registry.GetCounter("epoch.pin_overflow")->Value(),
+            static_cast<uint64_t>(kReaders - EpochManager::kMaxPins));
 }
 
 }  // namespace
