@@ -19,17 +19,6 @@ namespace {
 
 inline float SigmoidF(float x) { return 1.0f / (1.0f + std::exp(-x)); }
 
-// Gathers feature rows for a vertex list.
-nn::Matrix Gather(const nn::Matrix& features, std::span<const VertexId> ids) {
-  nn::Matrix out(ids.size(), features.cols());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    auto src = features.Row(ids[i]);
-    auto dst = out.Row(i);
-    std::copy(src.begin(), src.end(), dst.begin());
-  }
-  return out;
-}
-
 // Mean aggregation [n*fan, d] -> [n, d].
 nn::Matrix MeanAgg(const nn::Matrix& neigh, size_t fan) {
   const size_t n = neigh.rows() / fan;
@@ -53,9 +42,8 @@ nn::Matrix MeanAggBackward(const nn::Matrix& grad, size_t fan) {
 }
 
 // One training batch's edge sample: the root list plus the positive /
-// negative pair index lists into it. Factored out of the training loop so
-// the sequential path and the pipeline's roots stage draw batches through
-// the SAME code — same RNG call sequence, hence bit-identical batches.
+// negative pair index lists into it. Drawn on the pipeline's sample stage
+// and handed to the compute stage as the batch's payload.
 struct EdgeBatch {
   std::vector<VertexId> roots;
   std::vector<std::pair<size_t, size_t>> pos;  // index into roots
@@ -231,15 +219,6 @@ SageTrainer::SageTrainer(const GnnConfig& config, size_t feature_dim)
 
 void SageTrainer::TrainEpochs(const AttributedGraph& graph,
                               const nn::Matrix& features, uint32_t epochs) {
-  if (config_.use_blocks && config_.pipeline_depth >= 1) {
-    TrainEpochsPipelined(graph, features, epochs);
-    return;
-  }
-  Rng& rng = rng_;
-  SageLayer& layer1 = layer1_;
-  SageLayer& layer2 = layer2_;
-  nn::Adam& opt = opt_;
-
   std::vector<VertexId> all(graph.num_vertices());
   std::iota(all.begin(), all.end(), 0);
   NegativeSampler negatives(graph, all, 0.75, config_.seed + 2);
@@ -252,65 +231,6 @@ void SageTrainer::TrainEpochs(const AttributedGraph& graph,
   feature_rows_.Reset();
 
   const uint32_t f1 = config_.fanout1;
-  const uint32_t f2 = config_.fanout2;
-  const size_t B = config_.batch_size;
-  const uint32_t k = config_.negatives;
-
-  for (uint32_t epoch = 0; epoch < epochs; ++epoch) {
-    for (size_t batch = 0; batch < config_.batches_per_epoch; ++batch) {
-      const EdgeBatch eb = DrawEdgeBatch(graph, all, rng, negatives, B, k);
-      if (eb.roots.empty()) continue;
-
-      // Sampled 2-hop tree and feature gathering. Both branches draw the
-      // same sample (one shared draw loop) and execute the same float-op
-      // sequence, so the produced embeddings are bitwise equal; the block
-      // branch gathers features once per unique vertex (with cross-batch
-      // row reuse) instead of once per slot.
-      const std::vector<uint32_t> fans{f1, f2};
-      SageLayer::Cache c_roots, c_h1, c_top;
-      nn::Matrix h1_roots, h1_h1, h2;
-      if (config_.use_blocks) {
-        const block::SampledBlock blk = hood.SampleBlock(
-            source, eb.roots, NeighborhoodSampler::kAllEdgeTypes, fans);
-        const nn::Matrix x =
-            block::GatherBlockFeatures(blk, feature_source, &feature_rows_);
-        h1_roots = layer1.ForwardBlock(x, blk.hops()[0], &c_roots);
-        h1_h1 = layer1.ForwardBlock(x, blk.hops()[1], &c_h1);
-        h2 = layer2.Forward(h1_roots, h1_h1, f1, &c_top);
-      } else {
-        const NeighborhoodSample tree = hood.Sample(
-            source, eb.roots, NeighborhoodSampler::kAllEdgeTypes, fans);
-        const nn::Matrix x_roots = Gather(features, eb.roots);
-        const nn::Matrix x_h1 = Gather(features, tree.hops[0]);
-        const nn::Matrix x_h2 = Gather(features, tree.hops[1]);
-        h1_roots = layer1.Forward(x_roots, x_h1, f1, &c_roots);
-        h1_h1 = layer1.Forward(x_h1, x_h2, f2, &c_h1);
-        h2 = layer2.Forward(h1_roots, h1_h1, f1, &c_top);
-      }
-
-      // Edge loss; backward through the tree. Feature gradients discarded.
-      const nn::Matrix dh2 = EdgeLossGrad(h2, eb);
-      auto [dh1_roots, dh1_h1] = layer2.Backward(c_top, dh2);
-      layer1.Backward(c_roots, dh1_roots);
-      layer1.Backward(c_h1, dh1_h1);
-      layer1.Apply(opt);
-      layer2.Apply(opt);
-    }
-  }
-}
-
-void SageTrainer::TrainEpochsPipelined(const AttributedGraph& graph,
-                                       const nn::Matrix& features,
-                                       uint32_t epochs) {
-  std::vector<VertexId> all(graph.num_vertices());
-  std::iota(all.begin(), all.end(), 0);
-  NegativeSampler negatives(graph, all, 0.75, config_.seed + 2);
-  NeighborhoodSampler hood(NeighborStrategy::kUniform, config_.seed + 3);
-  LocalNeighborSource source(graph);
-  block::MatrixFeatureSource feature_source(features);
-  feature_rows_.Reset();
-
-  const uint32_t f1 = config_.fanout1;
   const std::vector<uint32_t> fans{f1, config_.fanout2};
   const size_t B = config_.batch_size;
   const uint32_t k = config_.negatives;
@@ -318,9 +238,9 @@ void SageTrainer::TrainEpochsPipelined(const AttributedGraph& graph,
       static_cast<size_t>(epochs) * config_.batches_per_epoch;
 
   // Stage state partitioning keeps every stateful participant single-stage
-  // (hence single-threaded and in batch order, hence bit-identical to the
-  // sequential loop): rng_ / negatives / hood live on the sample lane,
-  // feature_rows_ on the gather lane, layers / optimizer on this thread.
+  // (hence single-threaded and in batch order, hence bit-identical at every
+  // depth): rng_ / negatives / hood live on the sample stage, feature_rows_
+  // on the gather stage, layers / optimizer on this thread.
   pipeline::BlockPipeline pipe({config_.pipeline_depth});
   const Status run = pipe.Run(
       hood, source, NeighborhoodSampler::kAllEdgeTypes, fans, num_batches,
@@ -340,7 +260,7 @@ void SageTrainer::TrainEpochsPipelined(const AttributedGraph& graph,
       [&](size_t, const block::SampledBlock& blk, const nn::Matrix& x,
           std::any& user) {
         const EdgeBatch& eb = std::any_cast<const EdgeBatch&>(user);
-        if (eb.roots.empty()) return;  // mirrors the sequential `continue`
+        if (eb.roots.empty()) return;  // every draw hit a sink vertex
         SageLayer::Cache c_roots, c_h1, c_top;
         const nn::Matrix h1_roots =
             layer1_.ForwardBlock(x, blk.hops()[0], &c_roots);
@@ -359,63 +279,11 @@ void SageTrainer::TrainEpochsPipelined(const AttributedGraph& graph,
 
 nn::Matrix SageTrainer::Infer(const AttributedGraph& graph,
                               const nn::Matrix& features) {
-  if (config_.use_blocks && config_.pipeline_depth >= 1) {
-    return InferPipelined(graph, features);
-  }
-  SageLayer& layer1 = layer1_;
-  SageLayer& layer2 = layer2_;
-  LocalNeighborSource source(graph);
-  const uint32_t f1 = config_.fanout1;
-  const uint32_t f2 = config_.fanout2;
-
-  // Inference: one deterministic sampled pass over all vertices, chunked.
-  nn::Matrix out(graph.num_vertices(), config_.dim);
-  NeighborhoodSampler infer_hood(NeighborStrategy::kUniform, config_.seed + 7);
-  block::MatrixFeatureSource feature_source(features);
-  feature_rows_.Reset();
-  const size_t chunk = 512;
-  for (VertexId begin = 0; begin < graph.num_vertices(); begin += chunk) {
-    const VertexId end =
-        std::min<VertexId>(begin + chunk, graph.num_vertices());
-    std::vector<VertexId> roots(end - begin);
-    std::iota(roots.begin(), roots.end(), begin);
-    const std::vector<uint32_t> fans{f1, f2};
-    SageLayer::Cache c_roots, c_h1, c_top;
-    nn::Matrix h1_roots, h1_h1, h2;
-    if (config_.use_blocks) {
-      const block::SampledBlock blk = infer_hood.SampleBlock(
-          source, roots, NeighborhoodSampler::kAllEdgeTypes, fans);
-      const nn::Matrix x =
-          GatherBlockFeatures(blk, feature_source, &feature_rows_);
-      h1_roots = layer1.ForwardBlock(x, blk.hops()[0], &c_roots);
-      h1_h1 = layer1.ForwardBlock(x, blk.hops()[1], &c_h1);
-      h2 = layer2.Forward(h1_roots, h1_h1, f1, &c_top);
-    } else {
-      const NeighborhoodSample tree = infer_hood.Sample(
-          source, roots, NeighborhoodSampler::kAllEdgeTypes, fans);
-      const nn::Matrix x_roots = Gather(features, roots);
-      const nn::Matrix x_h1 = Gather(features, tree.hops[0]);
-      const nn::Matrix x_h2 = Gather(features, tree.hops[1]);
-      h1_roots = layer1.Forward(x_roots, x_h1, f1, &c_roots);
-      h1_h1 = layer1.Forward(x_h1, x_h2, f2, &c_h1);
-      h2 = layer2.Forward(h1_roots, h1_h1, f1, &c_top);
-    }
-    nn::L2NormalizeRows(h2);
-    for (size_t i = 0; i < h2.rows(); ++i) {
-      auto src = h2.Row(i);
-      auto dst = out.Row(begin + i);
-      std::copy(src.begin(), src.end(), dst.begin());
-    }
-  }
-  return out;
-}
-
-nn::Matrix SageTrainer::InferPipelined(const AttributedGraph& graph,
-                                       const nn::Matrix& features) {
   LocalNeighborSource source(graph);
   const uint32_t f1 = config_.fanout1;
   const std::vector<uint32_t> fans{f1, config_.fanout2};
 
+  // Inference: one deterministic sampled pass over all vertices, chunked.
   nn::Matrix out(graph.num_vertices(), config_.dim);
   NeighborhoodSampler infer_hood(NeighborStrategy::kUniform, config_.seed + 7);
   block::MatrixFeatureSource feature_source(features);
@@ -503,52 +371,6 @@ Result<nn::Matrix> Gcn::Embed(const AttributedGraph& graph) {
   }
   AliasTable degree_table(degree_weight);
 
-  // Row-normalized propagation with self loops restricted to a support set
-  // (empty support = all vertices). The importance-sampling estimator
-  // rescales each sampled contribution by 1 / (s * q(u)).
-  auto propagate = [&](const nn::Matrix& h,
-                       const std::unordered_set<VertexId>* support,
-                       double support_scale) {
-    nn::Matrix out(n, h.cols());
-    for (VertexId v = 0; v < n; ++v) {
-      auto dst = out.Row(v);
-      const auto nbs = graph.OutNeighbors(v);
-      const float inv = 1.0f / static_cast<float>(nbs.size() + 1);
-      nn::Axpy(inv, h.Row(v), dst);  // self loop always retained
-      for (const Neighbor& nb : nbs) {
-        if (support != nullptr && support->count(nb.dst) == 0) continue;
-        const float scale =
-            support == nullptr
-                ? inv
-                : inv * static_cast<float>(support_scale /
-                                           degree_weight[nb.dst]);
-        nn::Axpy(scale, h.Row(nb.dst), dst);
-      }
-    }
-    return out;
-  };
-  // Transposed propagation for the backward pass (same support).
-  auto propagate_t = [&](const nn::Matrix& g,
-                         const std::unordered_set<VertexId>* support,
-                         double support_scale) {
-    nn::Matrix out(n, g.cols());
-    for (VertexId v = 0; v < n; ++v) {
-      const auto nbs = graph.OutNeighbors(v);
-      const float inv = 1.0f / static_cast<float>(nbs.size() + 1);
-      nn::Axpy(inv, g.Row(v), out.Row(v));
-      for (const Neighbor& nb : nbs) {
-        if (support != nullptr && support->count(nb.dst) == 0) continue;
-        const float scale =
-            support == nullptr
-                ? inv
-                : inv * static_cast<float>(support_scale /
-                                           degree_weight[nb.dst]);
-        nn::Axpy(scale, g.Row(v), out.Row(nb.dst));
-      }
-    }
-    return out;
-  };
-
   std::vector<VertexId> all(n);
   std::iota(all.begin(), all.end(), 0);
   NegativeSampler negatives(graph, all, 0.75, base.seed + 2);
@@ -591,33 +413,20 @@ Result<nn::Matrix> Gcn::Embed(const AttributedGraph& graph) {
             static_cast<double>(support.size()) / config_.layer_samples;
       }
 
-      // The block path compiles the support-restricted propagation into a
-      // ScaledCsr once per step: the per-edge hash-set membership test and
-      // scale recomputation of the legacy lambdas disappear from the hot
-      // loop, and the CSR is reused by both forward propagations and the
-      // transposed backward one. Edge order and scales match the lambdas
-      // exactly, so both paths are bitwise equal.
-      block::ScaledCsr step_csr;
-      if (base.use_blocks) {
-        step_csr = block::BuildPropagationCsr(graph, support_ptr,
-                                              support_scale, degree_weight);
-      }
-      auto prop = [&](const nn::Matrix& h) {
-        return base.use_blocks ? step_csr.Propagate(h)
-                               : propagate(h, support_ptr, support_scale);
-      };
-      auto prop_t = [&](const nn::Matrix& g) {
-        return base.use_blocks
-                   ? step_csr.PropagateTransposed(g)
-                   : propagate_t(g, support_ptr, support_scale);
-      };
+      // Row-normalized propagation with self loops, restricted to the
+      // support set (none = all vertices) and compiled into a ScaledCsr once
+      // per step; both forward propagations and the transposed backward one
+      // reuse it. The importance-sampling estimator rescales each sampled
+      // contribution by 1 / (s * q(u)).
+      const block::ScaledCsr step_csr = block::BuildPropagationCsr(
+          graph, support_ptr, support_scale, degree_weight);
 
       // Forward.
-      const nn::Matrix px = prop(x);
+      const nn::Matrix px = step_csr.Propagate(x);
       nn::Matrix h1 = w1.ForwardAt(px);
       nn::ReluInPlace(h1);
       const nn::Matrix h1_act = h1;
-      const nn::Matrix ph1 = prop(h1_act);
+      const nn::Matrix ph1 = step_csr.Propagate(h1_act);
       const nn::Matrix h2 = w2.ForwardAt(ph1);
 
       // Sampled-edge loss on h2.
@@ -642,7 +451,7 @@ Result<nn::Matrix> Gcn::Embed(const AttributedGraph& graph) {
 
       // Backward.
       const nn::Matrix dph1 = w2.BackwardAt(ph1, dh2);
-      const nn::Matrix dh1 = prop_t(dph1);
+      const nn::Matrix dh1 = step_csr.PropagateTransposed(dph1);
       const nn::Matrix dh1_pre = nn::ReluBackward(h1_act, dh1);
       w1.BackwardAt(px, dh1_pre);
       w1.Apply(opt);
@@ -651,17 +460,12 @@ Result<nn::Matrix> Gcn::Embed(const AttributedGraph& graph) {
   }
 
   // Inference is always exact full propagation with the trained weights.
-  block::ScaledCsr full_csr;
-  if (base.use_blocks) {
-    full_csr = block::BuildPropagationCsr(graph, nullptr, 1.0, degree_weight);
-  }
-  auto full_prop = [&](const nn::Matrix& h) {
-    return base.use_blocks ? full_csr.Propagate(h) : propagate(h, nullptr, 1.0);
-  };
-  const nn::Matrix px = full_prop(x);
+  const block::ScaledCsr full_csr =
+      block::BuildPropagationCsr(graph, nullptr, 1.0, degree_weight);
+  const nn::Matrix px = full_csr.Propagate(x);
   nn::Matrix h1 = w1.ForwardAt(px);
   nn::ReluInPlace(h1);
-  const nn::Matrix ph1 = full_prop(h1);
+  const nn::Matrix ph1 = full_csr.Propagate(h1);
   nn::Matrix h2 = w2.ForwardAt(ph1);
   nn::L2NormalizeRows(h2);
   return h2;

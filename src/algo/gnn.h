@@ -38,20 +38,15 @@ struct GnnConfig {
   float learning_rate = 0.01f;
   std::string aggregator = "mean";  ///< "mean" or "maxpool"
   uint64_t seed = 31;
-  /// Run the subgraph-block execution path: samples are relabeled into
-  /// block::SampledBlock, features are gathered once per unique vertex
-  /// (with cross-batch row reuse through HopEmbeddingCache) and operators
-  /// index dense local-id rows. The legacy flat path (false) draws the
-  /// same samples and produces bit-identical embeddings; it is kept for
-  /// differential testing and ablation.
-  bool use_blocks = true;
-  /// Stage-queue depth of the 3-stage sample/gather/compute pipeline over
-  /// the block path: 0 keeps the sequential per-batch loop; >= 1 streams
-  /// batches through pipeline::BlockPipeline so batch N+1's hop sampling
-  /// overlaps batch N's feature gather and batch N-1's forward/backward.
-  /// Every stage stays single-threaded and in batch order, so results are
-  /// bit-identical across depths; only wall-clock and the (bounded) number
-  /// of in-flight blocks change. Ignored when use_blocks is false.
+  /// Stage-queue depth of the pipeline::BlockPipeline that drives GraphSAGE
+  /// training and inference (sample -> gather -> compute over
+  /// block::SampledBlock, features gathered once per unique vertex with
+  /// cross-batch row reuse). 0 runs the three stages inline on the
+  /// caller's thread, batch after batch; >= 1 overlaps batch N+1's hop
+  /// sampling with batch N's feature gather and batch N-1's
+  /// forward/backward. Every stage stays single-threaded and in batch
+  /// order, so results are bit-identical across depths; only wall-clock and
+  /// the (bounded) number of in-flight blocks change.
   size_t pipeline_depth = 0;
 };
 
@@ -109,23 +104,18 @@ class SageTrainer {
  public:
   SageTrainer(const GnnConfig& config, size_t feature_dim);
 
-  /// Runs `epochs` epochs of unsupervised edge-loss training.
+  /// Runs `epochs` epochs of unsupervised edge-loss training. Batch
+  /// drawing + hop sampling is the pipeline's sample stage, the feature
+  /// gather its gather stage, and forward/backward/apply its compute stage
+  /// (always the caller's thread).
   void TrainEpochs(const AttributedGraph& graph, const nn::Matrix& features,
                    uint32_t epochs);
 
-  /// Embeds every vertex with one deterministic sampled pass.
+  /// Embeds every vertex with one deterministic sampled pass, through the
+  /// same pipeline stages as TrainEpochs.
   nn::Matrix Infer(const AttributedGraph& graph, const nn::Matrix& features);
 
  private:
-  /// Pipeline-driven twins of TrainEpochs / Infer, taken when
-  /// config_.pipeline_depth >= 1 (and use_blocks): batch drawing + hop
-  /// sampling runs on the pipeline's sample lane, the feature gather on its
-  /// gather lane, and forward/backward/apply stays on the caller's thread.
-  void TrainEpochsPipelined(const AttributedGraph& graph,
-                            const nn::Matrix& features, uint32_t epochs);
-  nn::Matrix InferPipelined(const AttributedGraph& graph,
-                            const nn::Matrix& features);
-
   GnnConfig config_;
   Rng rng_;
   SageLayer layer1_;

@@ -4,15 +4,16 @@
 /// in, so the propagate hot loop is pure Axpy over a CSR — no hash-set
 /// membership test and no scale recomputation per edge per call.
 ///
-/// The legacy Gcn::Embed propagate lambda walks OutNeighbors(v) on every
-/// call and asks `support->count(nb.dst)` per edge (a hash lookup in the
-/// hot loop) and re-derives the importance-sampling scale per edge. One
-/// training step calls propagate twice and its transpose once over the
-/// same support set; compiling the support into a CSR once per step pays
-/// for itself immediately. Edges are laid out in adjacency order and the
-/// self loop is applied first, so Propagate / PropagateTransposed execute
-/// the exact same float-operation sequence as the legacy lambdas —
-/// bit-identical results on the same weights.
+/// One Gcn::Embed training step propagates twice and back-propagates once
+/// over the same support set; compiling the support into a CSR once per
+/// step replaces a hash lookup and a scale derivation per edge per call.
+///
+/// Float-op order contract: for each vertex v in id order, the self loop
+/// is applied first, then v's kept edges in OutNeighbors(v) order, each as
+/// one Axpy with a float coefficient computed once at build time. GCN,
+/// FastGCN and AS-GCN embeddings are pinned bit for bit by golden
+/// fingerprints in tests/test_block.cc; reordering any of these operations
+/// breaks them.
 
 #ifndef ALIGRAPH_BLOCK_SCALED_CSR_H_
 #define ALIGRAPH_BLOCK_SCALED_CSR_H_
@@ -39,13 +40,13 @@ struct ScaledCsr {
   size_t num_vertices() const { return self_scale.size(); }
   size_t num_edges() const { return src.size(); }
 
-  /// out.Row(v) = self_scale[v] * h.Row(v) + sum_e scale[e] * h.Row(src[e]).
-  /// Same float-op order as the legacy propagate lambda.
+  /// out.Row(v) = self_scale[v] * h.Row(v) + sum_e scale[e] * h.Row(src[e]),
+  /// accumulated in the contract order above.
   nn::Matrix Propagate(const nn::Matrix& h) const;
 
   /// Transposed propagation for the backward pass:
   /// out.Row(v) += self_scale[v] * g.Row(v); out.Row(src[e]) += scale[e] *
-  /// g.Row(v). Same float-op order as the legacy propagate_t lambda.
+  /// g.Row(v), for v in id order, self loop first, then edges in order.
   nn::Matrix PropagateTransposed(const nn::Matrix& g) const;
 };
 
@@ -53,8 +54,8 @@ struct ScaledCsr {
 /// ScaledCsr. `support` == nullptr keeps every edge with scale
 /// 1 / (deg(v) + 1); otherwise edges to vertices outside the support are
 /// dropped and kept edges get the importance-sampling coefficient
-/// 1 / (deg(v) + 1) * support_scale / degree_weight[dst], matching the
-/// legacy Gcn::Embed formula exactly.
+/// 1 / (deg(v) + 1) * support_scale / degree_weight[dst] (the division in
+/// double, the product in float).
 ScaledCsr BuildPropagationCsr(const AttributedGraph& graph,
                               const std::unordered_set<VertexId>* support,
                               double support_scale,

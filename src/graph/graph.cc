@@ -1,5 +1,6 @@
 #include "graph/graph.h"
 
+#include <cmath>
 #include <sstream>
 #include <utility>
 
@@ -128,8 +129,10 @@ Status GraphBuilder::AddEdge(VertexId src, VertexId dst, EdgeType type,
   if (type >= schema_.num_edge_types()) {
     return Status::InvalidArgument("unregistered edge type");
   }
-  if (weight < 0) {
-    return Status::InvalidArgument("edge weight must be non-negative");
+  // NaN compares false with everything, so `weight < 0` alone lets it in.
+  if (!std::isfinite(weight) || weight < 0) {
+    return Status::InvalidArgument(
+        "edge weight must be finite and non-negative");
   }
   RawEdge e;
   e.src = src;

@@ -240,7 +240,8 @@ class GraphBuilder {
   VertexId AddVertex(VertexType type = 0,
                      const std::vector<float>& attributes = {});
 
-  /// Adds an edge. Endpoints must already exist and the type be registered.
+  /// Adds an edge. Endpoints must already exist, the type be registered and
+  /// the weight be finite and non-negative; InvalidArgument otherwise.
   Status AddEdge(VertexId src, VertexId dst, EdgeType type = 0,
                  float weight = 1.0f,
                  const std::vector<float>& attributes = {});

@@ -36,9 +36,18 @@ class Writer {
   bool ok_ = true;
 };
 
+// Reads the file's records in order. Every length prefix is checked against
+// the bytes left in the file before anything is allocated, so a corrupt
+// count fails the read instead of allocating up to 4 GiB.
 class Reader {
  public:
-  explicit Reader(std::FILE* f) : f_(f) {}
+  explicit Reader(std::FILE* f) : f_(f) {
+    if (std::fseek(f_, 0, SEEK_END) == 0) {
+      const long size = std::ftell(f_);
+      if (size > 0) remaining_ = static_cast<uint64_t>(size);
+    }
+    std::rewind(f_);
+  }
 
   uint32_t U32() {
     uint32_t v = 0;
@@ -57,20 +66,14 @@ class Reader {
   }
   std::string Str() {
     const uint32_t n = U32();
-    if (!ok_ || n > (1u << 20)) {
-      ok_ = false;
-      return {};
-    }
+    if (!Fits(n)) return {};
     std::string s(n, '\0');
     Raw(s.data(), n);
     return s;
   }
   std::vector<float> Floats() {
     const uint32_t n = U32();
-    if (!ok_ || n > (1u << 24)) {
-      ok_ = false;
-      return {};
-    }
+    if (!Fits(uint64_t{n} * sizeof(float))) return {};
     std::vector<float> v(n);
     Raw(v.data(), n * sizeof(float));
     return v;
@@ -78,10 +81,21 @@ class Reader {
   bool ok() const { return ok_; }
 
  private:
+  // False (and the reader failed) unless `bytes` more bytes are left.
+  bool Fits(uint64_t bytes) {
+    if (bytes > remaining_) ok_ = false;
+    return ok_;
+  }
   void Raw(void* p, size_t n) {
-    if (n > 0 && std::fread(p, 1, n, f_) != n) ok_ = false;
+    if (n == 0 || !Fits(n)) return;
+    if (std::fread(p, 1, n, f_) != n) {
+      ok_ = false;
+      return;
+    }
+    remaining_ -= n;
   }
   std::FILE* f_;
+  uint64_t remaining_ = 0;
   bool ok_ = true;
 };
 
@@ -180,7 +194,7 @@ Result<AttributedGraph> LoadGraph(const std::string& path) {
   for (uint32_t v = 0; v < n && r.ok(); ++v) {
     const uint32_t type = r.U32();
     const std::vector<float> attrs = r.Floats();
-    if (type >= num_vtypes) {
+    if (type >= schema.num_vertex_types()) {
       return Status::InvalidArgument("corrupt vertex record");
     }
     gb.AddVertex(static_cast<VertexType>(type), attrs);

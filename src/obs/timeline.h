@@ -43,8 +43,8 @@ struct TraceTree {
 
 /// \brief Every trace found in a batch of events, plus what could not be
 /// linked: orphans carry a parent span id that is absent from their trace
-/// (evicted from a ring, or recorded through the legacy id-less Record);
-/// untraced events carry no ids at all.
+/// (evicted from a ring); untraced events carry no ids at all (an empty
+/// TraceContext).
 struct TraceForest {
   std::vector<TraceTree> traces;  ///< sorted by trace id
   uint64_t orphan_spans = 0;

@@ -138,12 +138,6 @@ class Tracer {
               std::chrono::steady_clock::time_point start,
               int64_t duration_ns);
 
-  /// Legacy aggregate-only record: no causal links, no timestamp. Kept for
-  /// tests that only exercise Aggregate().
-  void Record(const char* name, uint32_t depth, int64_t duration_ns) {
-    Record(name, depth, TraceContext{}, 0, epoch_, duration_ns);
-  }
-
  private:
   struct SpanRecord {
     const char* name = nullptr;

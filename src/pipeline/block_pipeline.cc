@@ -65,9 +65,7 @@ BlockPipeline::BlockPipeline(PipelineConfig config)
       stall_compute_(obs::DefaultCounter("pipeline.stall_us.compute")),
       batches_(obs::DefaultCounter("pipeline.batches")),
       depth_sampled_(obs::DefaultGauge("pipeline.queue_depth.sampled")),
-      depth_gathered_(obs::DefaultGauge("pipeline.queue_depth.gathered")) {
-  if (config_.depth == 0) config_.depth = 1;
-}
+      depth_gathered_(obs::DefaultGauge("pipeline.queue_depth.gathered")) {}
 
 Status BlockPipeline::Run(NeighborhoodSampler& sampler,
                           NeighborSource& source, EdgeType type,
@@ -80,7 +78,7 @@ Status BlockPipeline::Run(NeighborhoodSampler& sampler,
         const std::vector<VertexId> batch_roots = roots(b, user);
         // Gather deliberately NOT passed: it is the next stage. No draw
         // pool either — per-stage threading comes from the lanes, keeping
-        // draws bit-identical to the pool-less sequential path.
+        // draws bit-identical at every depth.
         *block = sampler.SampleBlock(source, batch_roots, type, fans,
                                      /*pool=*/nullptr,
                                      /*features=*/nullptr);
@@ -92,6 +90,66 @@ Status BlockPipeline::Run(NeighborhoodSampler& sampler,
 Status BlockPipeline::RunStages(size_t num_batches, const SampleFn& sample,
                                 const GatherFn& gather,
                                 const ComputeFn& compute) {
+  obs::Tracer* tracer = obs::DefaultTracer();
+
+  // The three stage bodies. Both schedules below run exactly these, so the
+  // spans, batch roots and busy counters do not depend on the depth.
+  // Sample returns null for a batch dropped at the source (shed / deadline
+  // abandoned): downstream stages never see it, but it still gets its root
+  // span so the trace timeline shows every offered batch, served or not.
+  auto sample_stage = [&](size_t b) -> std::unique_ptr<Batch> {
+    auto batch = std::make_unique<Batch>();
+    batch->index = b;
+    // Mint the batch's trace root here, at first touch: all three stage
+    // spans adopt this context, so the batch stays one causal tree even
+    // when its stages run on three threads.
+    const uint64_t root_id = obs::NextSpanId();
+    batch->trace = obs::TraceContext{root_id, root_id};
+    batch->start = std::chrono::steady_clock::now();
+    obs::ScopedTraceContext adopt(batch->trace);
+    bool admitted = false;
+    {
+      obs::ScopedSpan span(config_.sample_span);
+      Timer busy;
+      admitted = sample(b, &batch->block, &batch->user);
+      Charge(busy_sample_, busy);
+    }
+    if (admitted) return batch;
+    RecordBatchRoot(tracer, config_.batch_span, *batch);
+    return nullptr;
+  };
+  auto gather_stage = [&](Batch& batch) {
+    obs::ScopedTraceContext adopt(batch.trace);
+    obs::ScopedSpan span(config_.gather_span);
+    Timer busy;
+    batch.features = gather(batch.block);
+    Charge(busy_gather_, busy);
+  };
+  auto compute_stage = [&](Batch& batch) {
+    obs::ScopedTraceContext adopt(batch.trace);
+    {
+      obs::ScopedSpan span(config_.compute_span);
+      Timer busy;
+      compute(batch.index, batch.block, batch.features, batch.user);
+      Charge(busy_compute_, busy);
+    }
+    if (batches_ != nullptr) batches_->Add(1);
+    RecordBatchRoot(tracer, config_.batch_span, batch);
+  };
+
+  if (config_.depth == 0) {
+    // Inline schedule: every batch runs sample -> gather -> compute to the
+    // end on the caller's thread before the next one starts. No queue, so
+    // no stall is ever charged.
+    for (size_t b = 0; b < num_batches; ++b) {
+      if (std::unique_ptr<Batch> batch = sample_stage(b)) {
+        gather_stage(*batch);
+        compute_stage(*batch);
+      }
+    }
+    return Status::OK();
+  }
+
   // sample -> gather and gather -> compute handoffs. Producer-side waits
   // (queue full) are charged to the producing stage, consumer-side waits
   // (queue empty) to the consuming stage.
@@ -100,35 +158,12 @@ Status BlockPipeline::RunStages(size_t num_batches, const SampleFn& sample,
   BoundedQueue<std::unique_ptr<Batch>> gathered(config_.depth, depth_gathered_,
                                                 stall_gather_, stall_compute_);
 
-  obs::Tracer* tracer = obs::DefaultTracer();
-
   // Stage 1 — sample lane. One long-lived task per Run keeps batch order
   // trivial and avoids a Submit per batch: the loop itself is the stage.
   const Status sample_submitted = sample_lane_.Submit([&] {
     for (size_t b = 0; b < num_batches; ++b) {
-      auto batch = std::make_unique<Batch>();
-      batch->index = b;
-      // Mint the batch's trace root here, at first touch: all three stage
-      // spans adopt this context, so the batch stays one causal tree even
-      // though its stages run on three threads.
-      const uint64_t root_id = obs::NextSpanId();
-      batch->trace = obs::TraceContext{root_id, root_id};
-      batch->start = std::chrono::steady_clock::now();
-      obs::ScopedTraceContext adopt(batch->trace);
-      bool admitted = false;
-      {
-        obs::ScopedSpan span(config_.sample_span);
-        Timer busy;
-        admitted = sample(b, &batch->block, &batch->user);
-        Charge(busy_sample_, busy);
-      }
-      if (!admitted) {
-        // Dropped at the source (shed / deadline abandoned): downstream
-        // stages never see it, but the batch still gets its root span so
-        // the trace timeline shows every offered batch, served or not.
-        RecordBatchRoot(tracer, config_.batch_span, *batch);
-        continue;
-      }
+      std::unique_ptr<Batch> batch = sample_stage(b);
+      if (batch == nullptr) continue;
       if (!sampled.Push(std::move(batch))) return;  // downstream closed
     }
     sampled.Close();
@@ -142,13 +177,7 @@ Status BlockPipeline::RunStages(size_t num_batches, const SampleFn& sample,
   const Status gather_submitted = gather_lane_.Submit([&] {
     std::unique_ptr<Batch> batch;
     while (sampled.Pop(&batch)) {
-      obs::ScopedTraceContext adopt(batch->trace);
-      {
-        obs::ScopedSpan span(config_.gather_span);
-        Timer busy;
-        batch->features = gather(batch->block);
-        Charge(busy_gather_, busy);
-      }
+      gather_stage(*batch);
       if (!gathered.Push(std::move(batch))) return;  // downstream closed
     }
     gathered.Close();
@@ -164,17 +193,7 @@ Status BlockPipeline::RunStages(size_t num_batches, const SampleFn& sample,
 
   // Stage 3 — compute, on the caller's thread, in batch order.
   std::unique_ptr<Batch> batch;
-  while (gathered.Pop(&batch)) {
-    obs::ScopedTraceContext adopt(batch->trace);
-    {
-      obs::ScopedSpan span(config_.compute_span);
-      Timer busy;
-      compute(batch->index, batch->block, batch->features, batch->user);
-      Charge(busy_compute_, busy);
-    }
-    if (batches_ != nullptr) batches_->Add(1);
-    RecordBatchRoot(tracer, config_.batch_span, *batch);
-  }
+  while (gathered.Pop(&batch)) compute_stage(*batch);
   sample_lane_.Wait();
   gather_lane_.Wait();
   return Status::OK();

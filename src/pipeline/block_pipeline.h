@@ -3,8 +3,7 @@
 /// hop sampling for batch N+1 overlaps feature gathering for batch N and
 /// block compute for batch N-1.
 ///
-/// The sequential block path (PR 4) runs SampleBlock -> gather -> forward
-/// strictly back to back per batch, so the PR 5 trace timelines show each
+/// Run back to back per batch, SampleBlock -> gather -> forward leaves each
 /// stage idle two thirds of the time. BGL (PAPERS.md, arXiv:2112.08541)
 /// shows that overlapping graph-data I/O with compute is the dominant lever
 /// for end-to-end GNN throughput; this subsystem is that overlap, built
@@ -21,11 +20,15 @@
 ///
 /// Each stage is single-threaded and processes batches in submission order,
 /// so every stateful participant keeps the exact call sequence of the
-/// sequential path: the sampler's RNG advances batch by batch on the sample
+/// inline schedule: the sampler's RNG advances batch by batch on the sample
 /// lane, a row cache sees gathers in batch order on the gather lane, and
 /// model weights update in batch order on the caller thread. That is what
-/// makes pipelined results BIT-IDENTICAL to sequential execution — the
-/// overlap reorders work across *stages*, never within a stage.
+/// makes results BIT-IDENTICAL across depths — the overlap reorders work
+/// across *stages*, never within a stage.
+///
+/// Depth 0 is the degenerate inline schedule: the same three stage bodies
+/// (same spans, batch roots and busy counters) run batch after batch on
+/// the caller's thread, with no queues and no lane handoff.
 ///
 /// The bounded queues double-buffer SampledBlocks: at most `depth` batches
 /// wait between adjacent stages (2 * depth + 3 alive in the worst case),
@@ -66,7 +69,8 @@ namespace pipeline {
 /// \brief Pipeline shape knobs.
 struct PipelineConfig {
   /// Capacity of each stage queue — how many batches may sit between two
-  /// adjacent stages. 1 already overlaps (classic double buffering per
+  /// adjacent stages. 0 runs the stages inline on the caller's thread, one
+  /// batch at a time; 1 already overlaps (classic double buffering per
   /// handoff); 2-3 absorbs stage-time jitter. Peak in-flight batches is
   /// bounded by 2 * depth + 3 (one resident per stage plus the queues).
   size_t depth = 2;
@@ -84,7 +88,7 @@ struct PipelineConfig {
 /// overlap. Reusable: construct once, Run() any number of batch streams.
 class BlockPipeline {
  public:
-  /// Produces batch b's roots; runs on the SAMPLE lane, strictly in batch
+  /// Produces batch b's roots; runs on the SAMPLE stage, strictly in batch
   /// order. `user` may be filled with per-batch payload (e.g. the training
   /// pairs drawn alongside the roots) and is handed to the compute stage
   /// with the batch — it rides the stage queues, so no extra locking.
@@ -92,7 +96,7 @@ class BlockPipeline {
                                                       std::any* user)>;
 
   /// Gathers the block's [num_vertices, dim] feature rows; runs on the
-  /// GATHER lane, strictly in batch order.
+  /// GATHER stage, strictly in batch order.
   using GatherFn = std::function<nn::Matrix(const block::SampledBlock&)>;
 
   /// Consumes the finished batch; runs on the CALLER's thread, strictly in
@@ -103,7 +107,7 @@ class BlockPipeline {
                                        std::any& user)>;
 
   /// Generalized first stage: produces batch b's block (and optional user
-  /// payload) on the SAMPLE lane, strictly in batch order. Returning false
+  /// payload) on the SAMPLE stage, strictly in batch order. Returning false
   /// DROPS the batch — the gather and compute stages never see it, only its
   /// root + sample spans are recorded. The serving layer uses the drop to
   /// shed or abandon requests at admission time without occupying the
@@ -124,7 +128,7 @@ class BlockPipeline {
   /// The sampler is driven WITHOUT its inline feature gather (that is the
   /// whole point: gather is a separately scheduled stage) and without a
   /// draw pool — per-stage threading comes from the lanes, keeping draws
-  /// bit-identical to the pool-less sequential path.
+  /// bit-identical at every depth.
   Status Run(NeighborhoodSampler& sampler, NeighborSource& source,
              EdgeType type, std::span<const uint32_t> fans,
              size_t num_batches, const RootsFn& roots, const GatherFn& gather,

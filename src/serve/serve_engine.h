@@ -105,7 +105,8 @@ struct ServeConfig {
   double per_edge_us = 0.4;
   double per_row_us = 0.6;
 
-  /// Stage-queue depth of the underlying BlockPipeline.
+  /// Stage-queue depth of the underlying BlockPipeline (0 serves every
+  /// request inline on the calling thread).
   size_t pipeline_depth = 2;
   /// Seed for the served model's weight initialization.
   uint64_t seed = 29;

@@ -1,9 +1,9 @@
 // Tests for the 3-stage block pipeline: BoundedQueue handoff semantics,
-// bit-identity of pipelined execution against the sequential block path
-// (direct BlockPipeline differential and end-to-end GraphSAGE training
-// across depths and batch counts), a slow-stage stress run that forces the
-// queue-full and queue-empty edges (the TSan target), and the exported
-// metrics / per-batch causal trace trees.
+// bit-identity of every depth (0 = inline, >= 1 = laned) against a
+// hand-written sequential stage loop (direct BlockPipeline differential)
+// and of end-to-end GraphSAGE training across depths, a slow-stage stress
+// run that forces the queue-full and queue-empty edges (the TSan target),
+// and the exported metrics / per-batch causal trace trees.
 
 #include <gtest/gtest.h>
 
@@ -175,14 +175,15 @@ ALIGRAPH_PROP(BlockPipelineProps, MatchesSequentialAcrossDepths, 6) {
       v = static_cast<VertexId>(ctx.rng.Uniform(graph.num_vertices()));
     }
   }
-  // One batch with no roots: the sequential loop's `continue` case.
+  // One batch with no roots (a training draw that hit only sink vertices):
+  // every stage must still see it, in order.
   if (num_batches > 2) roots[num_batches / 2].clear();
 
   const uint64_t draw_seed = ctx.rng.Next();
   const bool use_row_cache = ctx.rng.Uniform(2) == 0;
   const auto seq = RunSequential(graph, features, draw_seed, roots, fans,
                                  use_row_cache);
-  for (const size_t depth : {size_t{1}, size_t{2}, size_t{3}}) {
+  for (const size_t depth : {size_t{0}, size_t{1}, size_t{2}, size_t{3}}) {
     const auto piped = RunPipelined(graph, features, draw_seed, roots, fans,
                                     use_row_cache, depth);
     ASSERT_EQ(piped.size(), seq.size());
@@ -195,10 +196,10 @@ ALIGRAPH_PROP(BlockPipelineProps, MatchesSequentialAcrossDepths, 6) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end GraphSAGE: pipeline_depth toggles the pipelined trainer +
-// inference; embeddings must stay bit-identical to the sequential block
-// path for every depth, with weight updates and the feature-row cache in
-// the loop.
+// End-to-end GraphSAGE: pipeline_depth switches training + inference
+// between the inline schedule (0) and the laned one; embeddings must stay
+// bit-identical across depths, with weight updates and the feature-row
+// cache in the loop.
 
 TEST(BlockPipelineTest, GraphSageBitIdenticalAcrossPipelineDepths) {
   auto graph = std::move(gen::Taobao(gen::TaobaoSmallConfig(0.05))).value();
@@ -211,25 +212,23 @@ TEST(BlockPipelineTest, GraphSageBitIdenticalAcrossPipelineDepths) {
   config.batch_size = 8;
   config.batches_per_epoch = 3;
   config.seed = 77;
-  config.use_blocks = true;
 
   config.pipeline_depth = 0;
-  const nn::Matrix sequential =
+  const nn::Matrix inline_run =
       std::move(algo::GraphSage(config).Embed(graph)).value();
   for (const size_t depth : {size_t{1}, size_t{2}, size_t{3}}) {
     config.pipeline_depth = depth;
-    // A live registry proves the depth knob really dispatches to the
-    // pipelined trainer/inference (the differential would pass vacuously
-    // if both sides took the sequential loop).
+    // A live registry proves training and inference really went through
+    // the pipeline at this depth.
     obs::MetricsRegistry registry;
     obs::SetDefault(&registry);
     const nn::Matrix piped =
         std::move(algo::GraphSage(config).Embed(graph)).value();
     obs::SetDefault(nullptr);
-    EXPECT_TRUE(BitEqual(sequential, piped)) << "pipeline_depth " << depth;
+    EXPECT_TRUE(BitEqual(inline_run, piped)) << "pipeline_depth " << depth;
     EXPECT_GE(registry.GetCounter("pipeline.batches")->Value(),
               config.epochs * config.batches_per_epoch)
-        << "pipeline_depth " << depth << " did not take the pipelined path";
+        << "pipeline_depth " << depth << " did not run the pipeline";
   }
 }
 
@@ -245,14 +244,13 @@ TEST(BlockPipelineTest, GraphSageMaxpoolPipelined) {
   config.batches_per_epoch = 2;
   config.seed = 13;
   config.aggregator = "maxpool";
-  config.use_blocks = true;
 
   config.pipeline_depth = 0;
-  const nn::Matrix sequential =
+  const nn::Matrix inline_run =
       std::move(algo::GraphSage(config).Embed(graph)).value();
   config.pipeline_depth = 2;
   const nn::Matrix piped = std::move(algo::GraphSage(config).Embed(graph)).value();
-  EXPECT_TRUE(BitEqual(sequential, piped));
+  EXPECT_TRUE(BitEqual(inline_run, piped));
 }
 
 // ---------------------------------------------------------------------------
@@ -335,15 +333,12 @@ TEST(BlockPipelineTest, StressSlowGatherForcesQueueEdges) {
 
 // ---------------------------------------------------------------------------
 // Observability: stage busy counters, queue-depth gauges and the per-batch
-// causal trace tree (one parentless "pipeline/batch" root whose sample /
-// gather / compute children live on three different threads).
+// causal trace tree (one parentless "pipeline/batch" root with one sample /
+// gather / compute child each). Laned (depth 2), the three children live on
+// three different threads; inline (depth 0), all three run on the caller's
+// thread and no stage ever stalls on a queue.
 
 TEST(BlockPipelineTest, ExportsMetricsAndPerBatchTraceTrees) {
-  obs::MetricsRegistry registry;
-  obs::SetDefault(&registry);
-  obs::Tracer tracer;
-  obs::SetDefaultTracer(&tracer);
-
   proptest::PropContext ctx(/*seed=*/4321);
   const AttributedGraph graph = proptest::RandomGraph(ctx);
   const size_t d = 4;
@@ -360,46 +355,83 @@ TEST(BlockPipelineTest, ExportsMetricsAndPerBatchTraceTrees) {
       v = static_cast<VertexId>(ctx.rng.Uniform(graph.num_vertices()));
     }
   }
-  RunPipelined(graph, features, /*draw_seed=*/7, roots, fans,
-               /*use_row_cache=*/false, /*depth=*/2);
 
-  obs::SetDefaultTracer(nullptr);
-  obs::SetDefault(nullptr);
+  for (const size_t depth : {size_t{0}, size_t{2}}) {
+    SCOPED_TRACE(::testing::Message() << "depth " << depth);
+    obs::MetricsRegistry registry;
+    obs::SetDefault(&registry);
+    obs::Tracer tracer;
+    obs::SetDefaultTracer(&tracer);
+    RunPipelined(graph, features, /*draw_seed=*/7, roots, fans,
+                 /*use_row_cache=*/false, depth);
+    // Marks the caller's ring, to tell which thread ran which stage.
+    { obs::ScopedSpan marker("test/caller"); }
+    obs::SetDefaultTracer(nullptr);
+    obs::SetDefault(nullptr);
 
-  EXPECT_EQ(registry.GetCounter("pipeline.batches")->Value(), num_batches);
-  EXPECT_GT(registry.GetCounter("pipeline.stage_busy_us.sample")->Value(), 0u);
-  // Gather/compute on tiny batches can round to 0us, but the handles must
-  // exist; the queue gauges must have drained back to empty.
-  (void)registry.GetCounter("pipeline.stage_busy_us.gather");
-  (void)registry.GetCounter("pipeline.stall_us.compute");
-  EXPECT_EQ(registry.GetGauge("pipeline.queue_depth.sampled")->Value(), 0.0);
-  EXPECT_EQ(registry.GetGauge("pipeline.queue_depth.gathered")->Value(), 0.0);
-  EXPECT_EQ(registry.GetGauge("pool.pipeline.sample.queue_depth")->Value(),
-            0.0);
-  EXPECT_EQ(registry.GetGauge("pool.pipeline.gather.queue_depth")->Value(),
-            0.0);
-
-  const obs::TraceForest forest = obs::AssembleTraces(tracer.Events());
-  size_t batch_trees = 0;
-  for (const obs::TraceTree& tree : forest.traces) {
-    if (tree.root_event().name != "pipeline/batch") continue;
-    ++batch_trees;
-    EXPECT_EQ(tree.root_event().parent_span_id, 0u);
-    // The three stage spans parent directly under the batch root and were
-    // recorded by three different threads (sample lane, gather lane, the
-    // caller) — one causal tree spanning the whole handoff chain.
-    std::multiset<std::string> names;
-    std::set<uint32_t> threads;
-    for (const size_t child : tree.nodes[tree.root].children) {
-      names.insert(tree.nodes[child].event.name);
-      threads.insert(tree.nodes[child].event.thread);
+    EXPECT_EQ(registry.GetCounter("pipeline.batches")->Value(), num_batches);
+    EXPECT_GT(registry.GetCounter("pipeline.stage_busy_us.sample")->Value(),
+              0u);
+    // Gather/compute on tiny batches can round to 0us, but the handles must
+    // exist; the queue gauges must have drained back to empty.
+    (void)registry.GetCounter("pipeline.stage_busy_us.gather");
+    (void)registry.GetCounter("pipeline.stall_us.compute");
+    EXPECT_EQ(registry.GetGauge("pipeline.queue_depth.sampled")->Value(), 0.0);
+    EXPECT_EQ(registry.GetGauge("pipeline.queue_depth.gathered")->Value(),
+              0.0);
+    EXPECT_EQ(registry.GetGauge("pool.pipeline.sample.queue_depth")->Value(),
+              0.0);
+    EXPECT_EQ(registry.GetGauge("pool.pipeline.gather.queue_depth")->Value(),
+              0.0);
+    if (depth == 0) {
+      for (const char* stall :
+           {"pipeline.stall_us.sample", "pipeline.stall_us.gather",
+            "pipeline.stall_us.compute"}) {
+        EXPECT_EQ(registry.GetCounter(stall)->Value(), 0u) << stall;
+      }
     }
-    EXPECT_EQ(names.count("pipeline/sample"), 1u);
-    EXPECT_EQ(names.count("pipeline/gather"), 1u);
-    EXPECT_EQ(names.count("pipeline/compute"), 1u);
-    EXPECT_EQ(threads.size(), 3u);
+
+    const std::vector<obs::SpanEvent> events = tracer.Events();
+    uint32_t caller = 0;
+    bool caller_found = false;
+    for (const obs::SpanEvent& event : events) {
+      if (event.name == "test/caller") {
+        caller = event.thread;
+        caller_found = true;
+      }
+    }
+    ASSERT_TRUE(caller_found);
+
+    const obs::TraceForest forest = obs::AssembleTraces(events);
+    size_t batch_trees = 0;
+    for (const obs::TraceTree& tree : forest.traces) {
+      if (tree.root_event().name != "pipeline/batch") continue;
+      ++batch_trees;
+      EXPECT_EQ(tree.root_event().parent_span_id, 0u);
+      // The three stage spans parent directly under the batch root: one
+      // causal tree spanning the whole handoff chain, whichever threads
+      // ran it. Compute is always the caller's.
+      std::multiset<std::string> names;
+      std::set<uint32_t> threads;
+      for (const size_t child : tree.nodes[tree.root].children) {
+        const obs::SpanEvent& event = tree.nodes[child].event;
+        names.insert(event.name);
+        threads.insert(event.thread);
+        if (event.name == "pipeline/compute") {
+          EXPECT_EQ(event.thread, caller);
+        }
+      }
+      EXPECT_EQ(names.count("pipeline/sample"), 1u);
+      EXPECT_EQ(names.count("pipeline/gather"), 1u);
+      EXPECT_EQ(names.count("pipeline/compute"), 1u);
+      if (depth == 0) {
+        EXPECT_EQ(threads, std::set<uint32_t>{caller});
+      } else {
+        EXPECT_EQ(threads.size(), 3u);
+      }
+    }
+    EXPECT_EQ(batch_trees, num_batches);
   }
-  EXPECT_EQ(batch_trees, num_batches);
 }
 
 }  // namespace

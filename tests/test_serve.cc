@@ -316,7 +316,7 @@ TEST(ServeEngineTest, ReorderingIsInvisibleAcrossPoliciesAndDepths) {
         std::move(layout::ApplyLayout(graph, lay)).value();
     const nn::Matrix permuted = layout::PermuteRows(features, lay);
 
-    for (const size_t depth : {size_t{1}, size_t{3}}) {
+    for (const size_t depth : {size_t{0}, size_t{1}, size_t{3}}) {
       ServeConfig rcfg = cfg;
       rcfg.pipeline_depth = depth;
       ServeEngine engine(reordered, permuted, rcfg, &lay);

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <fstream>
 #include <set>
 #include <string>
@@ -167,9 +168,10 @@ TEST(TraceContextTest, ScopedTraceContextAdoptsAcrossThreads) {
   EXPECT_NE(child->thread, parent->thread);  // distinct ring buffers
 }
 
-TEST(TraceContextTest, LegacyRecordIsUntraced) {
+TEST(TraceContextTest, EmptyContextIsUntraced) {
   Tracer tracer;
-  tracer.Record("legacy", 1, 1000);
+  tracer.Record("untraced", 1, TraceContext{}, /*parent_span_id=*/0,
+                std::chrono::steady_clock::now(), /*duration_ns=*/1000);
   const auto events = tracer.Events();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].trace_id, 0u);
