@@ -95,7 +95,7 @@ nn::Matrix GatherBlockFeatures(const SampledBlock& blk, FeatureSource& source,
     auto src = fetched.Row(k);
     std::copy(src.begin(), src.end(), x.Row(missing_rows[k]).begin());
   }
-  if (obs::Counter* bytes = obs::DefaultCounter("block.gather_bytes")) {
+  if (obs::Counter* bytes = obs::DefaultHandles<BlockMetrics>().gather_bytes) {
     bytes->Add(static_cast<uint64_t>(fetched.size()) * sizeof(float));
   }
   if (row_cache != nullptr) {

@@ -1,6 +1,7 @@
 #include "block/sampled_block.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "block/feature_source.h"
 #include "common/logging.h"
@@ -11,25 +12,53 @@
 namespace aligraph {
 namespace block {
 
+namespace {
+
+/// Bounds for the slots-per-unique-vertex duplicate ratio (>= 1; a hop of
+/// all-distinct vertices records 1, heavy hub resampling records >> 1).
+std::span<const double> RatioBounds() {
+  static constexpr double kBounds[] = {1,  1.25, 1.5, 2,  3,  4,  6, 8,
+                                       12, 16,   24,  32, 48, 64, 96, 128};
+  return kBounds;
+}
+
+}  // namespace
+
+BlockMetrics BlockMetrics::Resolve(obs::MetricsRegistry* reg) {
+  if (reg == nullptr) return {};
+  return {reg->GetHistogram("block.build_us", obs::LatencyBoundsUs()),
+          reg->GetGauge("block.dedup_ratio"),
+          reg->GetHistogram("sample.frontier_dup_ratio", RatioBounds()),
+          reg->GetCounter("block.gather_bytes")};
+}
+
 SampledBlock SampledBlock::Build(std::span<const VertexId> roots,
                                  std::span<const std::vector<VertexId>> hops,
                                  std::span<const uint32_t> fans) {
   ALIGRAPH_CHECK_EQ(hops.size(), fans.size());
   Timer build_timer;
+  const BlockMetrics metrics = obs::DefaultHandles<BlockMetrics>();
   SampledBlock block;
   // A k-hop tree over B roots has B * (1 + f1 + f1*f2 + ...) slots; unique
   // vertices are at most that many.
   size_t slots = roots.size();
   for (const auto& hop : hops) slots += hop.size();
-  block.local_index_.reserve(slots);
   block.globals_.reserve(slots);
+  const size_t cells = std::bit_ceil(std::max<size_t>(2 * slots, 2));
+  block.table_.assign(cells, kInvalidLocal);
+  block.table_shift_ = static_cast<uint32_t>(64 - std::countr_zero(cells));
 
   auto relabel = [&block](VertexId v) {
-    auto [it, inserted] = block.local_index_.try_emplace(
-        v, static_cast<uint32_t>(block.globals_.size()));
-    if (inserted) block.globals_.push_back(v);
-    return it->second;
+    uint32_t& cell = block.table_[block.ProbeCell(v)];
+    if (cell == kInvalidLocal) {
+      cell = static_cast<uint32_t>(block.globals_.size());
+      block.globals_.push_back(v);
+    }
+    return cell;
   };
+  // hop_seen[l] == k + 1 once local id l occurred in hop k, so each hop's
+  // distinct vertices are counted at one load and one store per slot.
+  std::vector<uint32_t> hop_seen(slots, 0);
 
   block.root_locals_.reserve(roots.size());
   for (const VertexId r : roots) block.root_locals_.push_back(relabel(r));
@@ -51,15 +80,26 @@ SampledBlock SampledBlock::Build(std::span<const VertexId> roots,
     for (size_t r = 0; r <= hop.dst.size(); ++r) {
       hop.offsets.push_back(static_cast<uint32_t>(r * fan));
     }
-    for (const VertexId v : flat) hop.src.push_back(relabel(v));
+    const uint32_t stamp = static_cast<uint32_t>(k + 1);
+    size_t distinct = 0;
+    for (const VertexId v : flat) {
+      const uint32_t local = relabel(v);
+      hop.src.push_back(local);
+      distinct += hop_seen[local] != stamp;
+      hop_seen[local] = stamp;
+    }
+    const double dup_ratio =
+        distinct == 0 ? 1.0 : static_cast<double>(flat.size()) / distinct;
+    if (metrics.frontier_dup_ratio != nullptr) {
+      metrics.frontier_dup_ratio->Record(dup_ratio);
+    }
     block.hops_.push_back(std::move(hop));
     prev_slots = &block.hops_.back().src;
   }
 
-  if (obs::MetricsRegistry* reg = obs::Default()) {
-    reg->GetHistogram("block.build_us", obs::LatencyBoundsUs())
-        ->Record(build_timer.ElapsedMicros());
-    reg->GetGauge("block.dedup_ratio")->Set(block.dedup_ratio());
+  if (metrics.build_us != nullptr) {
+    metrics.build_us->Record(build_timer.ElapsedMicros());
+    metrics.dedup_ratio->Set(block.dedup_ratio());
   }
   return block;
 }
@@ -82,7 +122,7 @@ Status SampledBlock::GatherFeatures(FeatureSource& source) {
   std::vector<uint8_t> ok;
   const Status st = source.Gather(globals_, &features_, &ok);
   if (!st.ok()) partial_ = true;
-  if (obs::Counter* bytes = obs::DefaultCounter("block.gather_bytes")) {
+  if (obs::Counter* bytes = obs::DefaultHandles<BlockMetrics>().gather_bytes) {
     bytes->Add(static_cast<uint64_t>(features_.size()) * sizeof(float));
   }
   return st;

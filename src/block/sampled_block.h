@@ -34,7 +34,6 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -42,9 +41,29 @@
 #include "nn/matrix.h"
 
 namespace aligraph {
+
+namespace obs {
+class Counter;
+class Gauge;
+class Histogram;
+class MetricsRegistry;
+}  // namespace obs
+
 namespace block {
 
 class FeatureSource;
+
+/// \brief Metric handles of block relabelling and gathering; per-call sites
+/// read them through obs::DefaultHandles<BlockMetrics>().
+struct BlockMetrics {
+  obs::Histogram* build_us = nullptr;
+  obs::Gauge* dedup_ratio = nullptr;
+  obs::Histogram* frontier_dup_ratio = nullptr;  ///< one record per hop
+  obs::Counter* gather_bytes = nullptr;
+
+  /// All-null handles for a null registry.
+  static BlockMetrics Resolve(obs::MetricsRegistry* reg);
+};
 
 /// \brief One hop's local-id CSR: destination SLOTS (positions in the
 /// previous level, each annotated with the local id of the vertex that
@@ -71,7 +90,9 @@ class SampledBlock {
   /// flattened hop-k frontier (size roots.size() * fans[0] * ... * fans[k])
   /// exactly as NeighborhoodSample lays it out. Local ids are assigned in
   /// first-appearance order (roots first, then hop 0, ...), which makes the
-  /// relabeling deterministic for a fixed sample.
+  /// relabeling deterministic for a fixed sample. Records "block.build_us",
+  /// "block.dedup_ratio" and, per hop, "sample.frontier_dup_ratio" (hop
+  /// slots / distinct vertices in that hop).
   static SampledBlock Build(std::span<const VertexId> roots,
                             std::span<const std::vector<VertexId>> hops,
                             std::span<const uint32_t> fans);
@@ -83,8 +104,7 @@ class SampledBlock {
 
   /// Local id of a global vertex, or kInvalidLocal when not in the block.
   uint32_t local_of(VertexId v) const {
-    auto it = local_index_.find(v);
-    return it == local_index_.end() ? kInvalidLocal : it->second;
+    return table_.empty() ? kInvalidLocal : table_[ProbeCell(v)];
   }
 
   /// Local id per root SLOT (duplicated roots keep duplicated slots).
@@ -119,8 +139,24 @@ class SampledBlock {
   void add_degraded_draws(uint64_t n) { degraded_draws_ += n; }
 
  private:
+  /// Linear-probing walk from v's home cell (Fibonacci hashing: the top
+  /// bits of the product) to the cell holding v's local id, or to the
+  /// empty cell where it would go.
+  size_t ProbeCell(VertexId v) const {
+    const size_t mask = table_.size() - 1;
+    const uint64_t hash = uint64_t{v} * 0x9E3779B97F4A7C15ull;
+    size_t i = static_cast<size_t>(hash >> table_shift_);
+    while (table_[i] != kInvalidLocal && globals_[table_[i]] != v) {
+      i = (i + 1) & mask;
+    }
+    return i;
+  }
+
   std::vector<VertexId> globals_;
-  std::unordered_map<VertexId, uint32_t> local_index_;
+  /// Relabel table: a power of two >= 2 x slots cells, each a local id or
+  /// kInvalidLocal when empty; the key is read back through globals_.
+  std::vector<uint32_t> table_;
+  uint32_t table_shift_ = 0;  ///< 64 - log2(table_.size())
   std::vector<uint32_t> root_locals_;
   std::vector<BlockHop> hops_;
   nn::Matrix features_;

@@ -139,6 +139,7 @@ std::atomic<MetricsRegistry*> g_default{nullptr};
 
 void SetDefault(MetricsRegistry* registry) {
   g_default.store(registry, std::memory_order_release);
+  internal::default_generation.fetch_add(1, std::memory_order_release);
 }
 
 MetricsRegistry* Default() {

@@ -11,11 +11,21 @@
 /// Reads (Value / Snapshot) sum the cells; they are monotonic but not a
 /// consistent cut across metrics, which is all benches and reports need.
 ///
-/// Attachment model: instrumented components look up their handles from the
-/// process-wide default registry (SetDefault) at construction time and keep
-/// raw pointers; when no registry is attached the handles are null and the
-/// instrumented paths reduce to one branch. Handles stay valid for the
-/// lifetime of the registry — metrics are never removed.
+/// Attachment model: instrumented code records through raw handles resolved
+/// from the process-wide default registry (SetDefault); when no registry is
+/// attached the handles are null and the instrumented paths reduce to one
+/// branch. Handles stay valid for the lifetime of the registry — metrics are
+/// never removed — so a registry must stay alive until the instrumented work
+/// that may hold its handles has finished.
+///
+/// Per-call sites (samplers, block relabelling and gathering) never look a
+/// name up on their hot path: DefaultHandles<T>() keeps one resolved handle
+/// struct per thread, keyed by a generation counter that every SetDefault
+/// bumps, and re-resolves it only when the generation moved. Steady state is
+/// one atomic load and one compare. Keying on the generation rather than the
+/// registry address means a registry destroyed and re-created at the same
+/// address is still re-resolved. Long-lived components (clusters, engines,
+/// pools) may instead resolve their handles once at construction.
 
 #ifndef ALIGRAPH_OBS_METRICS_H_
 #define ALIGRAPH_OBS_METRICS_H_
@@ -172,8 +182,37 @@ class MetricsRegistry {
 };
 
 /// Process-wide default registry (null = observability detached).
+/// SetDefault publishes the registry, then bumps the handle-cache generation.
 void SetDefault(MetricsRegistry* registry);
 MetricsRegistry* Default();
+
+namespace internal {
+/// Bumped by every SetDefault. Starts at 1 so a fresh per-thread cache
+/// (generation 0) always resolves.
+inline std::atomic<uint64_t> default_generation{1};
+}  // namespace internal
+
+/// Calling thread's handle struct for the default registry. `Handles` is an
+/// aggregate of metric handles with `static Handles Resolve(MetricsRegistry*)`
+/// that returns all-null handles for a null registry. The struct is resolved
+/// again only after a SetDefault since this thread's last call.
+template <typename Handles>
+const Handles& DefaultHandles() {
+  struct Cached {
+    uint64_t generation = 0;
+    Handles handles{};
+  };
+  thread_local Cached cached;
+  // Acquire pairs with SetDefault's release bump: a thread that sees the new
+  // generation also sees the registry published before it.
+  const uint64_t generation =
+      internal::default_generation.load(std::memory_order_acquire);
+  if (cached.generation != generation) {
+    cached.handles = Handles::Resolve(Default());
+    cached.generation = generation;
+  }
+  return cached.handles;
+}
 
 /// Handle from the default registry, or null when detached.
 Counter* DefaultCounter(const std::string& name);

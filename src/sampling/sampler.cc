@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_set>
 
 #include "common/logging.h"
 #include "common/threadpool.h"
@@ -23,21 +22,21 @@ const char* HopSpanName(size_t hop) {
   return kNames[hop < kLast ? hop : kLast];
 }
 
-/// Bounds for the slots-per-unique-vertex duplicate ratio (>= 1; a hop of
-/// all-distinct vertices records 1, heavy hub resampling records >> 1).
-std::span<const double> RatioBounds() {
-  static constexpr double kBounds[] = {1,  1.25, 1.5, 2,  3,  4,  6, 8,
-                                       12, 16,   24,  32, 48, 64, 96, 128};
-  return kBounds;
-}
+/// The samplers' metric handles, cached per thread by obs::DefaultHandles.
+struct SamplerMetrics {
+  obs::Histogram* hop_latency = nullptr;
+  obs::Histogram* frontier_size = nullptr;
+  obs::Histogram* fan_out = nullptr;
+  obs::Counter* degraded_samples = nullptr;
 
-/// slots / unique over one flat hop frontier.
-double FrontierDupRatio(std::span<const VertexId> frontier) {
-  if (frontier.empty()) return 1.0;
-  std::unordered_set<VertexId> unique(frontier.begin(), frontier.end());
-  return static_cast<double>(frontier.size()) /
-         static_cast<double>(unique.size());
-}
+  static SamplerMetrics Resolve(obs::MetricsRegistry* reg) {
+    if (reg == nullptr) return {};
+    return {reg->GetHistogram("sample.hop_latency_us", obs::LatencyBoundsUs()),
+            reg->GetHistogram("sample.frontier_size", obs::SizeBounds()),
+            reg->GetHistogram("sample.fan_out", obs::SizeBounds()),
+            reg->GetCounter("degraded.samples")};
+  }
+};
 
 }  // namespace
 
@@ -77,9 +76,9 @@ std::vector<std::pair<VertexId, Neighbor>> TraverseSampler::SampleEdges(
     // next round instead of aborting the batch.
     const Status st = source.NeighborsBatchChecked(seeds, type, &adj);
     if (!st.ok()) {
-      const uint64_t failed = static_cast<uint64_t>(adj.FailedSlots());
-      if (obs::Counter* degraded = obs::DefaultCounter("degraded.samples")) {
-        degraded->Add(failed);
+      if (obs::Counter* degraded =
+              obs::DefaultHandles<SamplerMetrics>().degraded_samples) {
+        degraded->Add(static_cast<uint64_t>(adj.FailedSlots()));
       }
     }
     for (size_t i = 0; i < seeds.size() && batch.size() < batch_size; ++i) {
@@ -150,24 +149,6 @@ void NeighborhoodSampler::DrawFan(std::span<const Neighbor> nbs,
   }
 }
 
-void NeighborhoodSampler::RefreshObsHandles() {
-  obs::MetricsRegistry* reg = obs::Default();
-  if (reg == obs_registry_) return;
-  obs_registry_ = reg;
-  if (reg == nullptr) {
-    hop_latency_ = frontier_sizes_ = fan_outs_ = dup_ratio_ = nullptr;
-    degraded_samples_ = nullptr;
-    return;
-  }
-  hop_latency_ =
-      reg->GetHistogram("sample.hop_latency_us", obs::LatencyBoundsUs());
-  frontier_sizes_ = reg->GetHistogram("sample.frontier_size",
-                                      obs::SizeBounds());
-  fan_outs_ = reg->GetHistogram("sample.fan_out", obs::SizeBounds());
-  dup_ratio_ = reg->GetHistogram("sample.frontier_dup_ratio", RatioBounds());
-  degraded_samples_ = reg->GetCounter("degraded.samples");
-}
-
 void NeighborhoodSampler::AdmitStale(std::span<const VertexId> frontier,
                                      const BatchResult& adj) {
   for (size_t i = 0; i < frontier.size(); ++i) {
@@ -182,7 +163,8 @@ void NeighborhoodSampler::AdmitStale(std::span<const VertexId> frontier,
 
 void NeighborhoodSampler::DegradeFailedSlots(std::span<const VertexId> frontier,
                                              BatchResult* adj,
-                                             NeighborhoodSample* sample) {
+                                             NeighborhoodSample* sample,
+                                             obs::Counter* degraded_samples) {
   uint64_t degraded = 0;
   for (size_t i = 0; i < frontier.size(); ++i) {
     if (adj->ok[i] != 0) continue;
@@ -201,7 +183,7 @@ void NeighborhoodSampler::DegradeFailedSlots(std::span<const VertexId> frontier,
   if (degraded == 0) return;
   sample->partial = true;
   sample->degraded_draws += degraded;
-  if (degraded_samples_ != nullptr) degraded_samples_->Add(degraded);
+  if (degraded_samples != nullptr) degraded_samples->Add(degraded);
 }
 
 NeighborhoodSample NeighborhoodSampler::Sample(
@@ -239,9 +221,9 @@ NeighborhoodSample NeighborhoodSampler::DrawHops(
     ~EpochScope() { src.UnpinEpoch(); }
   } epoch_scope(source);
   // Per-hop instrumentation: latency histogram plus frontier / fan-out
-  // size distributions. Handles are cached across Sample calls; all null
-  // (and skipped) when observability is detached.
-  RefreshObsHandles();
+  // size distributions. All handles are null (and skipped) when
+  // observability is detached.
+  const SamplerMetrics metrics = obs::DefaultHandles<SamplerMetrics>();
 
   NeighborhoodSample sample;
   sample.roots.assign(roots.begin(), roots.end());
@@ -251,10 +233,10 @@ NeighborhoodSample NeighborhoodSampler::DrawHops(
   size_t hop_index = 0;
   for (uint32_t fan : hop_nums) {
     // The hop span doubles as the latency-histogram timer.
-    obs::ScopedSpan hop_span(HopSpanName(hop_index), hop_latency_);
-    if (frontier_sizes_ != nullptr) {
-      frontier_sizes_->Record(static_cast<double>(frontier.size()));
-      fan_outs_->Record(static_cast<double>(fan));
+    obs::ScopedSpan hop_span(HopSpanName(hop_index), metrics.hop_latency);
+    if (metrics.frontier_size != nullptr) {
+      metrics.frontier_size->Record(static_cast<double>(frontier.size()));
+      metrics.fan_out->Record(static_cast<double>(fan));
     }
     // One coalesced read for the whole frontier: the source sees the full
     // hop and can turn its remote residue into one request per worker. On
@@ -266,7 +248,7 @@ NeighborhoodSample NeighborhoodSampler::DrawHops(
       // Resolve failures BEFORE the draw loop so the (possibly parallel)
       // draw below never sees a failed slot — degradation is sequential
       // and deterministic regardless of the thread pool.
-      DegradeFailedSlots(frontier, &adj, &sample);
+      DegradeFailedSlots(frontier, &adj, &sample, metrics.degraded_samples);
     }
     std::vector<VertexId> next(frontier.size() * fan);
     if (pool == nullptr) {
@@ -285,7 +267,6 @@ NeighborhoodSample NeighborhoodSampler::DrawHops(
     }
     sample.hops.push_back(std::move(next));
     frontier = std::span<const VertexId>(sample.hops.back());
-    if (dup_ratio_ != nullptr) dup_ratio_->Record(FrontierDupRatio(frontier));
     ++hop_index;
   }
   return sample;

@@ -32,8 +32,6 @@ class ThreadPool;
 
 namespace obs {
 class Counter;
-class Histogram;
-class MetricsRegistry;
 }  // namespace obs
 
 /// \brief Adjacency access abstraction shared by all samplers.
@@ -296,9 +294,10 @@ class NeighborhoodSampler {
 
  private:
   /// The shared draw loop: one checked batched read + fan draws per hop,
-  /// recording per-hop latency / frontier / fan-out / duplicate-ratio
-  /// observations. Sample returns its result verbatim; SampleBlock
-  /// relabels it.
+  /// recording per-hop latency / frontier / fan-out observations through
+  /// the calling thread's cached handles. Sample returns its result
+  /// verbatim; SampleBlock relabels it (and SampledBlock::Build records
+  /// the per-hop duplicate ratio).
   NeighborhoodSample DrawHops(NeighborSource& source,
                               std::span<const VertexId> roots, EdgeType type,
                               std::span<const uint32_t> hop_nums,
@@ -318,18 +317,15 @@ class NeighborhoodSampler {
   /// Graceful degradation: for every failed slot of a fallible frontier
   /// read, substitute the stale cached adjacency when one is held, else
   /// leave the span empty so SampleOne's fallback repeats the root (a
-  /// resample). Counts degraded slots into the sample and "degraded.samples".
+  /// resample). Counts degraded slots into the sample and, when non-null,
+  /// `degraded_samples`.
   void DegradeFailedSlots(std::span<const VertexId> frontier, BatchResult* adj,
-                          NeighborhoodSample* sample);
+                          NeighborhoodSample* sample,
+                          obs::Counter* degraded_samples);
 
   /// Admits successful slots of a fallible read into the stale cache
   /// (copies; capped) so later hops can survive the same vertex failing.
   void AdmitStale(std::span<const VertexId> frontier, const BatchResult& adj);
-
-  /// Re-resolves the cached histogram handles when the process default
-  /// registry changed since the last Sample call (one pointer compare per
-  /// call in steady state; all handles null when detached).
-  void RefreshObsHandles();
 
   /// Stale-cache capacity in vertices; admission stops when full (simple
   /// and deterministic — no eviction, faults are rare and runs bounded).
@@ -338,12 +334,6 @@ class NeighborhoodSampler {
   NeighborStrategy strategy_;
   Rng rng_;
   std::unordered_map<VertexId, std::vector<Neighbor>> stale_cache_;
-  obs::MetricsRegistry* obs_registry_ = nullptr;
-  obs::Histogram* hop_latency_ = nullptr;
-  obs::Histogram* frontier_sizes_ = nullptr;
-  obs::Histogram* fan_outs_ = nullptr;
-  obs::Histogram* dup_ratio_ = nullptr;
-  obs::Counter* degraded_samples_ = nullptr;
 };
 
 /// \brief NEGATIVE: samples noise vertices from a static unigram^power

@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
+#include <map>
+#include <set>
 #include <unordered_set>
 #include <vector>
 
@@ -103,6 +107,71 @@ ALIGRAPH_PROP(BlockProps, RelabelIsBijection, 12) {
     for (const uint32_t l : hop.dst) EXPECT_LT(l, n);
     for (const uint32_t l : hop.src) EXPECT_LT(l, n);
   }
+}
+
+// local_of against a std::map reference on hand-built blocks whose ids
+// include runs that collide modulo the relabel table size (and absent ids
+// from the same runs), so probe chains are long and wrap around.
+ALIGRAPH_PROP(BlockProps, LocalOfMatchesMapReference, 16) {
+  const size_t num_roots = 1 + ctx.rng.Uniform(12);
+  const std::vector<uint32_t> fans{
+      static_cast<uint32_t>(1 + ctx.rng.Uniform(5)),
+      static_cast<uint32_t>(1 + ctx.rng.Uniform(4))};
+  const size_t slots =
+      num_roots * (1 + fans[0] + static_cast<size_t>(fans[0]) * fans[1]);
+  const VertexId table_size =
+      static_cast<VertexId>(std::bit_ceil(std::max<size_t>(2 * slots, 2)));
+
+  // Pool: a collision run base + j * table_size, random ids, and ids near
+  // the top of the id space.
+  std::vector<VertexId> pool;
+  const VertexId base = static_cast<VertexId>(ctx.rng.Uniform(table_size));
+  for (VertexId j = 0; j < 16; ++j) pool.push_back(base + j * table_size);
+  for (int j = 0; j < 16; ++j) {
+    pool.push_back(static_cast<VertexId>(ctx.rng.Next()));
+  }
+  for (VertexId j = 0; j < 4; ++j) pool.push_back(~VertexId{0} - j);
+  auto draw = [&] { return pool[ctx.rng.Uniform(pool.size())]; };
+
+  std::vector<VertexId> roots(num_roots);
+  for (VertexId& r : roots) r = draw();
+  std::vector<std::vector<VertexId>> hops(fans.size());
+  size_t width = num_roots;
+  for (size_t k = 0; k < fans.size(); ++k) {
+    width *= fans[k];
+    hops[k].resize(width);
+    for (VertexId& v : hops[k]) v = draw();
+  }
+  const block::SampledBlock blk = block::SampledBlock::Build(roots, hops, fans);
+
+  // Reference relabelling: first-appearance order over roots, then hops.
+  std::map<VertexId, uint32_t> ref;
+  std::vector<VertexId> order;
+  auto note = [&](VertexId v) {
+    if (ref.try_emplace(v, static_cast<uint32_t>(order.size())).second) {
+      order.push_back(v);
+    }
+  };
+  for (const VertexId r : roots) note(r);
+  for (const auto& hop : hops) {
+    for (const VertexId v : hop) note(v);
+  }
+
+  ASSERT_EQ(blk.num_vertices(), ref.size());
+  EXPECT_TRUE(std::equal(order.begin(), order.end(), blk.globals().begin()));
+  for (const VertexId v : pool) {
+    const auto it = ref.find(v);
+    const uint32_t want =
+        it == ref.end() ? block::SampledBlock::kInvalidLocal : it->second;
+    EXPECT_EQ(blk.local_of(v), want) << "vertex " << v;
+  }
+  // Absent members of the collision run, past the pool's end.
+  for (VertexId j = 16; j < 24; ++j) {
+    EXPECT_EQ(blk.local_of(base + j * table_size),
+              block::SampledBlock::kInvalidLocal);
+  }
+  EXPECT_EQ(block::SampledBlock().local_of(base),
+            block::SampledBlock::kInvalidLocal);
 }
 
 ALIGRAPH_PROP(BlockProps, CsrEdgesExistInGraph, 12) {
@@ -455,19 +524,49 @@ TEST(BlockObsTest, SamplerAndBlockMetricsRecorded) {
       sampler.SampleBlock(source, roots, NeighborhoodSampler::kAllEdgeTypes,
                           fans, /*pool=*/nullptr, &features);
 
-  EXPECT_GT(
-      registry.GetHistogram("sample.frontier_dup_ratio", obs::SizeBounds())
-          ->Count(),
-      0u);
-  EXPECT_GT(registry.GetHistogram("block.build_us", obs::LatencyBoundsUs())
-                ->Count(),
-            0u);
-  EXPECT_DOUBLE_EQ(registry.GetGauge("block.dedup_ratio")->Value(),
-                   blk.dedup_ratio());
-  EXPECT_EQ(registry.GetCounter("block.gather_bytes")->Value(),
+  // One duplicate-ratio record per hop: hop slots / distinct vertices.
+  double dup_sum = 0;
+  for (const block::BlockHop& hop : blk.hops()) {
+    const std::set<uint32_t> distinct(hop.src.begin(), hop.src.end());
+    const double slots = static_cast<double>(hop.src.size());
+    dup_sum += slots / static_cast<double>(distinct.size());
+  }
+  const obs::MetricsSnapshot snap = registry.Snapshot();
+  EXPECT_EQ(snap.histograms.at("sample.frontier_dup_ratio").count, 2u);
+  EXPECT_DOUBLE_EQ(snap.histograms.at("sample.frontier_dup_ratio").sum,
+                   dup_sum);
+  EXPECT_EQ(snap.histograms.at("sample.hop_latency_us").count, 2u);
+  EXPECT_EQ(snap.histograms.at("sample.frontier_size").count, 2u);
+  EXPECT_EQ(snap.histograms.at("sample.frontier_size").sum, 8.0 + 8 * 4);
+  EXPECT_EQ(snap.histograms.at("sample.fan_out").sum, 4.0 + 2);
+  EXPECT_EQ(snap.histograms.at("block.build_us").count, 1u);
+  EXPECT_DOUBLE_EQ(snap.gauges.at("block.dedup_ratio"), blk.dedup_ratio());
+  EXPECT_EQ(snap.counters.at("block.gather_bytes"),
             blk.num_vertices() * 8 * sizeof(float));
 
   obs::SetDefault(nullptr);
+}
+
+TEST(BlockObsTest, BuildRecordsPerHopDupRatio) {
+  obs::MetricsRegistry registry;
+  obs::SetDefault(&registry);
+
+  // Hop 0: 6 slots over {3, 9, 7} -> 2. Hop 1: 12 slots over {1, 2, 9}
+  // -> 4. Roots are not a hop and record nothing.
+  const std::vector<VertexId> roots{7, 7, 3};
+  const std::vector<std::vector<VertexId>> hops{
+      {3, 9, 9, 9, 7, 3}, {1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 9}};
+  const std::vector<uint32_t> fans{2, 2};
+  const block::SampledBlock blk = block::SampledBlock::Build(roots, hops, fans);
+  obs::SetDefault(nullptr);
+
+  const obs::HistogramSnapshot dup =
+      registry.Snapshot().histograms.at("sample.frontier_dup_ratio");
+  EXPECT_EQ(dup.count, 2u);
+  EXPECT_DOUBLE_EQ(dup.sum, 2.0 + 4.0);
+  EXPECT_EQ(blk.num_vertices(), 5u);
+  EXPECT_DOUBLE_EQ(registry.GetGauge("block.dedup_ratio")->Value(), 21.0 / 5.0);
+  EXPECT_EQ(registry.GetHistogram("block.build_us")->Count(), 1u);
 }
 
 TEST(BlockObsTest, HopCacheReusesRowsAcrossBatches) {

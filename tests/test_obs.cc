@@ -5,13 +5,18 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "block/feature_source.h"
+#include "block/sampled_block.h"
 #include "cluster/cluster.h"
 #include "common/histogram.h"
 #include "gen/powerlaw.h"
@@ -586,12 +591,168 @@ TEST(ObsIntegrationTest, SamplerRecordsHopHistogramsWhenAttached) {
   const obs::MetricsSnapshot snap = registry.Snapshot();
   EXPECT_EQ(snap.histograms.at("sample.hop_latency_us").count, 2u);
   EXPECT_EQ(snap.histograms.at("sample.frontier_size").count, 2u);
+  // The duplicate ratio comes from SampledBlock::Build's relabel; the flat
+  // adapter never builds a block.
+  EXPECT_EQ(snap.histograms.count("sample.frontier_dup_ratio"), 0u);
   const auto agg = tracer.Aggregate();
   EXPECT_EQ(agg.at("sample/neighborhood").count, 1u);
   EXPECT_EQ(agg.at("sample/hop0").count, 1u);
   EXPECT_EQ(agg.at("sample/hop1").count, 1u);
   // Hop spans nest inside the whole-call span.
   EXPECT_EQ(agg.at("sample/hop0").depth, 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Per-thread handle cache (obs::DefaultHandles)
+
+AttributedGraph HandleCacheGraph() {
+  gen::ChungLuConfig cfg;
+  cfg.num_vertices = 600;
+  cfg.avg_degree = 6;
+  cfg.seed = 11;
+  return std::move(gen::ChungLu(cfg)).value();
+}
+
+constexpr size_t kHandleDim = 4;
+const std::vector<uint32_t> kHandleFans{3, 2};
+
+/// What one SampleBlock + GatherBlockFeatures call must record.
+struct ExpectedWork {
+  uint64_t blocks = 0;
+  uint64_t gather_bytes = 0;
+};
+
+/// One instrumented request: sample a block, gather its features (once
+/// through the block, once through GatherBlockFeatures).
+void SampleAndGather(const AttributedGraph& graph, uint64_t seed,
+                     ExpectedWork* work) {
+  LocalNeighborSource source(graph);
+  block::GraphFeatureSource features(graph, kHandleDim);
+  NeighborhoodSampler sampler(NeighborStrategy::kUniform, seed);
+  const std::vector<VertexId> roots{
+      static_cast<VertexId>(seed % 600), static_cast<VertexId>(seed * 7 % 600),
+      static_cast<VertexId>(seed * 13 % 600), 5};
+  const block::SampledBlock blk =
+      sampler.SampleBlock(source, roots, NeighborhoodSampler::kAllEdgeTypes,
+                          kHandleFans, /*pool=*/nullptr, &features);
+  const nn::Matrix x =
+      block::GatherBlockFeatures(blk, features, /*row_cache=*/nullptr);
+  work->blocks += 1;
+  work->gather_bytes += 2 * x.size() * sizeof(float);
+}
+
+void ExpectRecorded(const obs::MetricsRegistry& registry,
+                    const ExpectedWork& work) {
+  const obs::MetricsSnapshot snap = registry.Snapshot();
+  const uint64_t hops = work.blocks * kHandleFans.size();
+  EXPECT_EQ(snap.histograms.at("block.build_us").count, work.blocks);
+  EXPECT_EQ(snap.histograms.at("sample.frontier_dup_ratio").count, hops);
+  EXPECT_EQ(snap.histograms.at("sample.hop_latency_us").count, hops);
+  EXPECT_EQ(snap.histograms.at("sample.frontier_size").count, hops);
+  EXPECT_EQ(snap.counters.at("block.gather_bytes"), work.gather_bytes);
+}
+
+// A registry destroyed and re-created at the same address must be
+// re-resolved: records land in the new one, never in freed memory (ASan
+// reports the use-after-free if a stale handle survives).
+TEST(HandleCacheTest, RegistryReusingFreedAddressIsReResolved) {
+  const AttributedGraph graph = HandleCacheGraph();
+  std::optional<obs::MetricsRegistry> slot;
+
+  slot.emplace();
+  obs::MetricsRegistry* const first = &*slot;
+  obs::SetDefault(first);
+  ExpectedWork work_a;
+  SampleAndGather(graph, 1, &work_a);
+  ExpectRecorded(*slot, work_a);
+  obs::SetDefault(nullptr);
+  slot.reset();
+
+  slot.emplace();
+  ASSERT_EQ(&*slot, first);
+  obs::SetDefault(&*slot);
+  ExpectedWork work_b;
+  SampleAndGather(graph, 2, &work_b);
+  SampleAndGather(graph, 3, &work_b);
+  obs::SetDefault(nullptr);
+  ExpectRecorded(*slot, work_b);
+}
+
+// Workers keep sampling while the main thread attaches and detaches
+// registries. After a quiescent point and a final attach (of a registry
+// re-created at a freed address), each counter of the final registry equals
+// exactly the work done since, and the churn registries receive nothing.
+TEST(HandleCacheTest, AttachDetachUnderConcurrentSampling) {
+  constexpr int kWorkers = 4;
+  constexpr int kChurn = 200;
+  constexpr int kFinalCalls = 20;
+  const AttributedGraph graph = HandleCacheGraph();
+  std::array<std::optional<obs::MetricsRegistry>, 3> regs;
+  for (auto& r : regs) r.emplace();
+
+  std::atomic<int> phase{0};  // 0 churn, 1 settle and park, 2 final work
+  std::atomic<int> parked{0};
+  std::atomic<int> churn_calls{0};
+  std::vector<ExpectedWork> final_work(kWorkers);
+  std::vector<std::thread> workers;
+  for (int w = 0; w < kWorkers; ++w) {
+    workers.emplace_back([&, w] {
+      ExpectedWork churn_work;
+      uint64_t seed = 100 * static_cast<uint64_t>(w + 1);
+      while (phase.load(std::memory_order_acquire) == 0) {
+        SampleAndGather(graph, ++seed, &churn_work);
+        churn_calls.fetch_add(1, std::memory_order_relaxed);
+      }
+      // Settle: one call with regs[0] attached, so every worker's cache
+      // points into the registry about to be freed.
+      SampleAndGather(graph, ++seed, &churn_work);
+      parked.fetch_add(1, std::memory_order_acq_rel);
+      while (phase.load(std::memory_order_acquire) != 2) {
+        std::this_thread::yield();
+      }
+      for (int i = 0; i < kFinalCalls; ++i) {
+        SampleAndGather(graph, ++seed, &final_work[w]);
+      }
+    });
+  }
+  // Toggle at least kChurn times and until the workers have sampled across
+  // the toggles.
+  for (int i = 0;
+       i < kChurn || churn_calls.load(std::memory_order_relaxed) < kChurn;
+       ++i) {
+    obs::SetDefault(i % 2 == 0 ? &*regs[(i / 2) % regs.size()] : nullptr);
+    std::this_thread::yield();
+  }
+  obs::SetDefault(&*regs[0]);
+  phase.store(1, std::memory_order_release);
+  while (parked.load(std::memory_order_acquire) != kWorkers) {
+    std::this_thread::yield();
+  }
+
+  // Quiescent: no worker is inside a call. Re-create regs[0] in place and
+  // attach it; the workers' caches still point into the old one.
+  obs::SetDefault(nullptr);
+  obs::MetricsRegistry* const old_address = &*regs[0];
+  regs[0].reset();
+  regs[0].emplace();
+  ASSERT_EQ(&*regs[0], old_address);
+  obs::SetDefault(&*regs[0]);
+  const obs::MetricsSnapshot before1 = regs[1]->Snapshot();
+  const obs::MetricsSnapshot before2 = regs[2]->Snapshot();
+
+  phase.store(2, std::memory_order_release);
+  for (std::thread& t : workers) t.join();
+  obs::SetDefault(nullptr);
+
+  ExpectedWork total;
+  for (const ExpectedWork& w : final_work) {
+    total.blocks += w.blocks;
+    total.gather_bytes += w.gather_bytes;
+  }
+  ASSERT_EQ(total.blocks, uint64_t{kWorkers} * kFinalCalls);
+  ExpectRecorded(*regs[0], total);
+  EXPECT_EQ(regs[1]->Snapshot().counters, before1.counters);
+  EXPECT_EQ(regs[2]->Snapshot().counters, before2.counters);
 }
 
 }  // namespace
