@@ -19,16 +19,26 @@ namespace {
 
 inline float SigmoidF(float x) { return 1.0f / (1.0f + std::exp(-x)); }
 
-// Mean aggregation [n*fan, d] -> [n, d].
-nn::Matrix MeanAgg(const nn::Matrix& neigh, size_t fan) {
-  const size_t n = neigh.rows() / fan;
-  nn::Matrix out(n, neigh.cols());
+// The mean path's layer input [self | mean], written in place: row i is
+// self_row(i) followed by inv * neighbor_row(e) summed over its fan edges
+// e = i * fan + f, f ascending. Those are the adds, in the order, of a
+// separate aggregate matrix joined by ConcatCols, so the bits are the same.
+template <typename SelfRow, typename NeighborRow>
+nn::Matrix SelfMeanInput(size_t n, size_t self_cols, size_t d, size_t fan,
+                         const SelfRow& self_row,
+                         const NeighborRow& neighbor_row) {
+  nn::Matrix input(n, self_cols + d);
   const float inv = 1.0f / static_cast<float>(fan);
   for (size_t i = 0; i < n; ++i) {
-    auto dst = out.Row(i);
-    for (size_t f = 0; f < fan; ++f) nn::Axpy(inv, neigh.Row(i * fan + f), dst);
+    auto row = input.Row(i);
+    const auto own = self_row(i);
+    std::copy(own.begin(), own.end(), row.begin());
+    const auto mean = row.subspan(self_cols);
+    for (size_t f = 0; f < fan; ++f) {
+      nn::Axpy(inv, neighbor_row(i * fan + f), mean);
+    }
   }
-  return out;
+  return input;
 }
 
 nn::Matrix MeanAggBackward(const nn::Matrix& grad, size_t fan) {
@@ -101,11 +111,10 @@ nn::Matrix SageLayer::Forward(const nn::Matrix& self,
                               const nn::Matrix& neighbors, size_t fan,
                               Cache* cache) {
   ALIGRAPH_CHECK_EQ(neighbors.rows(), self.rows() * fan);
-  nn::Matrix agg;
+  const size_t n = self.rows();
+  const size_t d = neighbors.cols();
   if (maxpool_) {
-    const size_t n = self.rows();
-    const size_t d = neighbors.cols();
-    agg = nn::Matrix(n, d);
+    nn::Matrix agg(n, d);
     cache->argmax.assign(n * d, 0);
     for (size_t i = 0; i < n; ++i) {
       auto dst = agg.Row(i);
@@ -120,11 +129,13 @@ nn::Matrix SageLayer::Forward(const nn::Matrix& self,
         }
       }
     }
+    cache->input = nn::ConcatCols(self, agg);
   } else {
-    agg = MeanAgg(neighbors, fan);
+    cache->input = SelfMeanInput(
+        n, self.cols(), d, fan, [&](size_t i) { return self.Row(i); },
+        [&](size_t e) { return neighbors.Row(e); });
   }
   cache->fan = fan;
-  cache->input = nn::ConcatCols(self, agg);
   nn::Matrix y = linear_.ForwardAt(cache->input);
   if (relu_) nn::ReluInPlace(y);
   cache->output = y;
@@ -135,8 +146,8 @@ nn::Matrix SageLayer::ForwardBlock(const nn::Matrix& rows,
                                    const block::BlockHop& hop, Cache* cache) {
   const size_t n = hop.num_dst();
   const size_t d = rows.cols();
-  nn::Matrix agg(n, d);
   if (maxpool_) {
+    nn::Matrix agg(n, d);
     cache->argmax.assign(n * d, 0);
     for (size_t i = 0; i < n; ++i) {
       auto dst = agg.Row(i);
@@ -153,17 +164,15 @@ nn::Matrix SageLayer::ForwardBlock(const nn::Matrix& rows,
         }
       }
     }
+    cache->input = nn::ConcatCols(block::GatherRows(rows, hop.dst), agg);
   } else {
-    const float inv = 1.0f / static_cast<float>(hop.fan);
-    for (size_t i = 0; i < n; ++i) {
-      auto dst = agg.Row(i);
-      for (uint32_t e = hop.offsets[i]; e < hop.offsets[i + 1]; ++e) {
-        nn::Axpy(inv, rows.Row(hop.src[e]), dst);
-      }
-    }
+    // Build lays every hop out with stride fan: edge e of dst i is
+    // i * fan + f.
+    cache->input = SelfMeanInput(
+        n, d, d, hop.fan, [&](size_t i) { return rows.Row(hop.dst[i]); },
+        [&](size_t e) { return rows.Row(hop.src[e]); });
   }
   cache->fan = hop.fan;
-  cache->input = nn::ConcatCols(block::GatherRows(rows, hop.dst), agg);
   nn::Matrix y = linear_.ForwardAt(cache->input);
   if (relu_) nn::ReluInPlace(y);
   cache->output = y;

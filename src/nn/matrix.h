@@ -66,7 +66,10 @@ class Matrix {
   std::vector<float> data_;
 };
 
-/// C = A * B. A is [n,k], B is [k,m], C is [n,m].
+/// C = A * B. A is [n,k], B is [k,m], C is [n,m]. Each C[i][j] is the sum
+/// of A[i][p] * B[p][j] over p in ascending order, starting from +0, so the
+/// result does not depend on how the kernel tiles or vectorizes. Plain IEEE
+/// semantics throughout: a zero in A does not mask an Inf or NaN in B.
 Matrix MatMul(const Matrix& a, const Matrix& b);
 /// C = A * B^T. A is [n,k], B is [m,k], C is [n,m].
 Matrix MatMulTransB(const Matrix& a, const Matrix& b);

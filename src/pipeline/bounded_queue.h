@@ -12,19 +12,28 @@
 /// so a trace showing bubbles can be cross-checked against which queue ran
 /// full (downstream too slow) or empty (upstream too slow).
 ///
-/// A plain mutex + two condvars is deliberate: handoffs happen per BATCH
-/// (hundreds per second), not per vertex, so lock cost is noise, and the
-/// blocking semantics stay trivially correct under TSan. The lock-free
-/// MpscRing in cluster/ covers the per-operation hot path instead.
+/// Waiting is spin-then-park. A serving pipeline hands off one batch per
+/// request, tens of thousands per second per queue, and a waiter the other
+/// side catches within microseconds is the common case; a futex sleep and
+/// wake per handoff would cost more than the batch's own compute. So a
+/// blocked side first polls the atomic mirrors of the item count and the
+/// closed flag for kSpinBudget, yielding its CPU between polls (stages may
+/// outnumber cores), and only then parks on a condvar. The items and the
+/// park/wake protocol stay under one mutex; a side notifies only when the
+/// other has a parked waiter, so handing an item to a stage that is busy
+/// or still spinning needs no futex wake. Spin and park time are both
+/// charged as stall.
 
 #ifndef ALIGRAPH_PIPELINE_BOUNDED_QUEUE_H_
 #define ALIGRAPH_PIPELINE_BOUNDED_QUEUE_H_
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <mutex>
+#include <thread>
 
 #include "common/logging.h"
 #include "obs/metrics.h"
@@ -38,6 +47,9 @@ namespace pipeline {
 template <typename T>
 class BoundedQueue {
  public:
+  /// How long a blocked Push / Pop polls before parking on the condvar.
+  static constexpr std::chrono::microseconds kSpinBudget{50};
+
   /// \param capacity max items in flight (>= 1).
   /// \param depth gauge updated with the queue size on every transition.
   /// \param push_stall_us counter charged with producer-side blocked time.
@@ -54,73 +66,134 @@ class BoundedQueue {
   /// Blocks until a slot frees up, then enqueues. Returns false (dropping
   /// `value`) when the queue was closed.
   bool Push(T value) {
+    auto can_push = [this] {
+      return count_.load(std::memory_order_acquire) < capacity_ ||
+             closed_.load(std::memory_order_acquire);
+    };
+    Stall stall = Spin(can_push);
     std::unique_lock<std::mutex> lock(mu_);
-    if (items_.size() >= capacity_ && !closed_) {
-      const auto blocked = std::chrono::steady_clock::now();
-      cv_not_full_.wait(
-          lock, [this] { return items_.size() < capacity_ || closed_; });
-      Charge(push_stall_us_, blocked);
-    }
-    if (closed_) return false;
+    if (!can_push()) Park(lock, cv_not_full_, push_waiters_, can_push, stall);
+    stall.Charge(push_stall_us_);
+    if (closed_.load(std::memory_order_relaxed)) return false;
     items_.push_back(std::move(value));
-    if (depth_ != nullptr) depth_->Set(static_cast<double>(items_.size()));
+    Publish();
+    const bool wake = pop_waiters_ > 0;
     lock.unlock();
-    cv_not_empty_.notify_one();
+    if (wake) cv_not_empty_.notify_one();
     return true;
   }
 
   /// Blocks until an item is available, pops it in FIFO order. Returns
-  /// false when the queue is closed AND drained.
+  /// false when the queue is closed AND drained. `*out`'s previous value is
+  /// released after the lock is dropped, so a consumer recycling one slot
+  /// never frees its last item while the producer waits on the mutex.
   bool Pop(T* out) {
+    auto can_pop = [this] {
+      return count_.load(std::memory_order_acquire) > 0 ||
+             closed_.load(std::memory_order_acquire);
+    };
+    Stall stall = Spin(can_pop);
     std::unique_lock<std::mutex> lock(mu_);
-    if (items_.empty() && !closed_) {
-      const auto blocked = std::chrono::steady_clock::now();
-      cv_not_empty_.wait(lock, [this] { return !items_.empty() || closed_; });
-      Charge(pop_stall_us_, blocked);
-    }
+    if (!can_pop()) Park(lock, cv_not_empty_, pop_waiters_, can_pop, stall);
+    stall.Charge(pop_stall_us_);
     if (items_.empty()) return false;
-    *out = std::move(items_.front());
+    T item = std::move(items_.front());
     items_.pop_front();
-    if (depth_ != nullptr) depth_->Set(static_cast<double>(items_.size()));
+    Publish();
+    const bool wake = push_waiters_ > 0;
     lock.unlock();
-    cv_not_full_.notify_one();
+    if (wake) cv_not_full_.notify_one();
+    *out = std::move(item);
     return true;
   }
 
-  /// Rejects future pushes and wakes all waiters; already-queued items stay
-  /// poppable. Idempotent.
+  /// Rejects future pushes and wakes all waiters, spinning or parked;
+  /// already-queued items stay poppable. Idempotent.
   void Close() {
     {
       std::lock_guard<std::mutex> lock(mu_);
-      closed_ = true;
+      closed_.store(true, std::memory_order_release);
     }
     cv_not_full_.notify_all();
     cv_not_empty_.notify_all();
   }
 
-  size_t size() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return items_.size();
-  }
+  size_t size() const { return count_.load(std::memory_order_acquire); }
 
  private:
-  static void Charge(obs::Counter* counter,
-                     std::chrono::steady_clock::time_point since) {
-    if (counter == nullptr) return;
-    const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-        std::chrono::steady_clock::now() - since);
-    counter->Add(static_cast<uint64_t>(us.count()));
+  /// When a side first found itself blocked (unset if it never was).
+  struct Stall {
+    bool blocked = false;
+    std::chrono::steady_clock::time_point since;
+
+    void Start() {
+      if (blocked) return;
+      blocked = true;
+      since = std::chrono::steady_clock::now();
+    }
+
+    void Charge(obs::Counter* counter) const {
+      if (!blocked || counter == nullptr) return;
+      const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - since);
+      counter->Add(static_cast<uint64_t>(us.count()));
+    }
+  };
+
+  static void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#endif
+  }
+
+  /// Polls `ready` (lock-free) for up to kSpinBudget. Returns the stall
+  /// start if `ready` was false on entry; the caller re-checks under the
+  /// lock and parks if the budget ran out.
+  template <typename Ready>
+  static Stall Spin(const Ready& ready) {
+    Stall stall;
+    if (ready()) return stall;
+    stall.Start();
+    const auto deadline = stall.since + kSpinBudget;
+    while (!ready() && std::chrono::steady_clock::now() < deadline) {
+      for (int i = 0; i < 4; ++i) CpuRelax();
+      std::this_thread::yield();
+    }
+    return stall;
+  }
+
+  /// Sleeps on `cv` until `ready`, counted in `waiters` so the other side
+  /// knows to notify. Called with `lock` held. Starts `stall` if Spin did
+  /// not: a side that found the queue ready but lost the item or slot to a
+  /// peer before taking the lock parks here without having spun.
+  template <typename Ready>
+  static void Park(std::unique_lock<std::mutex>& lock,
+                   std::condition_variable& cv, size_t& waiters,
+                   const Ready& ready, Stall& stall) {
+    stall.Start();
+    ++waiters;
+    cv.wait(lock, ready);
+    --waiters;
+  }
+
+  /// Mirrors the item count for spinners and the depth gauge. Under mu_.
+  void Publish() {
+    count_.store(items_.size(), std::memory_order_release);
+    if (depth_ != nullptr) depth_->Set(static_cast<double>(items_.size()));
   }
 
   const size_t capacity_;
   obs::Gauge* depth_;
   obs::Counter* push_stall_us_;
   obs::Counter* pop_stall_us_;
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_not_full_;
   std::condition_variable cv_not_empty_;
-  std::deque<T> items_;
-  bool closed_ = false;
+  std::deque<T> items_;                // guarded by mu_
+  size_t push_waiters_ = 0;            // parked producers, guarded by mu_
+  size_t pop_waiters_ = 0;             // parked consumers, guarded by mu_
+  std::atomic<size_t> count_{0};       // == items_.size(), written under mu_
+  std::atomic<bool> closed_{false};    // written under mu_
 };
 
 }  // namespace pipeline

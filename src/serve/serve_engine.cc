@@ -333,14 +333,7 @@ LatencyReport ServeEngine::Run(const LoadGenerator& gen) {
       /*compute=*/
       [&](size_t id, const block::SampledBlock& blk, const nn::Matrix& x,
           std::any&) {
-        algo::SageLayer::Cache c_roots, c_h1, c_top;
-        const nn::Matrix h1_roots =
-            layer1_.ForwardBlock(x, blk.hops()[0], &c_roots);
-        const nn::Matrix h1_h1 = layer1_.ForwardBlock(x, blk.hops()[1], &c_h1);
-        nn::Matrix h2 =
-            layer2_.Forward(h1_roots, h1_h1, config_.fanout1, &c_top);
-        nn::L2NormalizeRows(h2);
-        results_[id].fingerprint = FingerprintMatrix(h2);
+        results_[id].fingerprint = Embed(blk, x);
         Count(completed_);
         Observe(wall_latency_, wall_start[id].ElapsedMicros());
       });
@@ -389,6 +382,11 @@ uint64_t ServeEngine::ExecuteOffline(const LoadGenerator& gen,
                        NeighborhoodSampler::kAllEdgeTypes, fans);
   const nn::Matrix x =
       block::GatherBlockFeatures(blk, feature_source, /*row_cache=*/nullptr);
+  return Embed(blk, x);
+}
+
+uint64_t ServeEngine::Embed(const block::SampledBlock& blk,
+                            const nn::Matrix& x) {
   algo::SageLayer::Cache c_roots, c_h1, c_top;
   const nn::Matrix h1_roots = layer1_.ForwardBlock(x, blk.hops()[0], &c_roots);
   const nn::Matrix h1_h1 = layer1_.ForwardBlock(x, blk.hops()[1], &c_h1);

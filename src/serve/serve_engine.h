@@ -240,6 +240,11 @@ class ServeEngine {
   std::vector<VertexId> TranslateRoots(const LoadGenerator& gen,
                                        uint64_t request_id) const;
 
+  /// The request forward shared by Run's compute lane and ExecuteOffline:
+  /// two GraphSAGE layers over the block's gathered rows `x`, row-wise L2
+  /// normalization, and the fingerprint of the resulting embedding.
+  uint64_t Embed(const block::SampledBlock& blk, const nn::Matrix& x);
+
   const AttributedGraph& graph_;
   const nn::Matrix& features_;
   ServeConfig config_;

@@ -311,6 +311,54 @@ ALIGRAPH_PROP(BlockProps, AggregatorsBitIdenticalToLegacy, 8) {
                        combiner2.ForwardBlock(rows, hop, aggregated)));
 }
 
+// SageLayer::ForwardBlock's mean path writes [self | mean] straight into the
+// layer input. It must equal, bit for bit, the separate formulation it
+// replaced: self rows gathered per dst slot, an aggregate matrix summed edge
+// by edge in CSR order, and the two concatenated.
+ALIGRAPH_PROP(BlockProps, SageMeanForwardBitIdenticalToGatherConcat, 6) {
+  const AttributedGraph graph = proptest::RandomGraph(ctx);
+  LocalNeighborSource source(graph);
+  NeighborhoodSampler sampler(NeighborStrategy::kUniform, ctx.rng.Next());
+  const auto roots = RandomRoots(ctx, graph, 4 + ctx.rng.Uniform(8));
+  const std::vector<uint32_t> fans{
+      static_cast<uint32_t>(1 + ctx.rng.Uniform(5)),
+      static_cast<uint32_t>(1 + ctx.rng.Uniform(3))};
+  const block::SampledBlock blk = sampler.SampleBlock(
+      source, roots, NeighborhoodSampler::kAllEdgeTypes, fans);
+
+  for (const size_t d : {3, 16, 32}) {
+    Rng mrng(ctx.rng.Next());
+    const nn::Matrix rows =
+        nn::Matrix::Gaussian(blk.num_vertices(), d, 1.0f, mrng);
+    for (const block::BlockHop& hop : blk.hops()) {
+      nn::Matrix agg(hop.num_dst(), d);
+      const float inv = 1.0f / static_cast<float>(hop.fan);
+      for (size_t i = 0; i < hop.num_dst(); ++i) {
+        for (uint32_t e = hop.offsets[i]; e < hop.offsets[i + 1]; ++e) {
+          for (size_t j = 0; j < d; ++j) {
+            agg.At(i, j) += inv * rows.At(hop.src[e], j);
+          }
+        }
+      }
+      const nn::Matrix self = block::GatherRows(rows, hop.dst);
+      const nn::Matrix neighbors = block::GatherRows(rows, hop.src);
+      const nn::Matrix input = nn::ConcatCols(self, agg);
+
+      Rng wrng(99);
+      algo::SageLayer fused(d, 8, /*maxpool=*/false, wrng);
+      Rng wrng2(99);
+      algo::SageLayer separate(d, 8, /*maxpool=*/false, wrng2);
+      algo::SageLayer::Cache c_fused, c_separate;
+      const nn::Matrix out_fused = fused.ForwardBlock(rows, hop, &c_fused);
+      const nn::Matrix out_separate =
+          separate.Forward(self, neighbors, hop.fan, &c_separate);
+      EXPECT_TRUE(BitEqual(c_fused.input, input)) << "d=" << d;
+      EXPECT_TRUE(BitEqual(c_separate.input, input)) << "d=" << d;
+      EXPECT_TRUE(BitEqual(out_fused, out_separate)) << "d=" << d;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end golden fingerprints. Each constant is the FNV-1a hash (float
 // bit patterns, row-major, as serve_engine.cc's FingerprintMatrix) of a

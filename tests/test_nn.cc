@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -31,6 +34,91 @@ TEST(MatrixTest, MatMulHandValues) {
   EXPECT_FLOAT_EQ(c.At(0, 1), 64);
   EXPECT_FLOAT_EQ(c.At(1, 0), 139);
   EXPECT_FLOAT_EQ(c.At(1, 1), 154);
+}
+
+// Each output element summed over k in ascending order from +0, no skips:
+// the order MatMul's register tiles must reproduce bit for bit.
+Matrix NaiveMatMul(const Matrix& a, const Matrix& b) {
+  Matrix c(a.rows(), b.cols());
+  for (size_t i = 0; i < a.rows(); ++i) {
+    for (size_t j = 0; j < b.cols(); ++j) {
+      float acc = 0.0f;
+      for (size_t k = 0; k < a.cols(); ++k) acc += a.At(i, k) * b.At(k, j);
+      c.At(i, j) = acc;
+    }
+  }
+  return c;
+}
+
+bool SameBits(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+TEST(MatrixTest, MatMulBitEqualsNaiveReference) {
+  Rng rng(7);
+  for (size_t m : {0, 1, 3, 4, 5, 41}) {
+    for (size_t k : {0, 1, 16, 64}) {
+      for (size_t n : {1, 7, 8, 30, 33}) {
+        Matrix a = Matrix::Gaussian(m, k, 1.0f, rng);
+        const Matrix b = Matrix::Gaussian(k, n, 1.0f, rng);
+        // Every third row all zero; elsewhere exact zeros and -0.0f.
+        for (size_t i = 0; i < m; ++i) {
+          for (size_t p = 0; p < k; ++p) {
+            if (i % 3 == 2) {
+              a.At(i, p) = 0.0f;
+            } else if (rng.Uniform(4) == 0) {
+              a.At(i, p) = 0.0f;
+            } else if (rng.Uniform(8) == 0) {
+              a.At(i, p) = -0.0f;
+            }
+          }
+        }
+        EXPECT_TRUE(SameBits(MatMul(a, b), NaiveMatMul(a, b)))
+            << m << "x" << k << " * " << k << "x" << n;
+      }
+    }
+  }
+}
+
+TEST(MatrixTest, MatMulZeroTimesInfinityIsNan) {
+  // Plain IEEE: a zero in `a` does not mask a non-finite value in `b`.
+  Matrix a(1, 2), b(2, 1);
+  a.At(0, 0) = 0.0f;
+  a.At(0, 1) = 1.0f;
+  b.At(0, 0) = std::numeric_limits<float>::infinity();
+  b.At(1, 0) = 2.0f;
+  EXPECT_TRUE(std::isnan(MatMul(a, b).At(0, 0)));
+}
+
+TEST(MatrixTest, AxpyBitEqualsScalarLoop) {
+  Rng rng(11);
+  for (size_t n = 0; n <= 13; ++n) {
+    const Matrix x = Matrix::Gaussian(1, n, 1.0f, rng);
+    Matrix y = Matrix::Gaussian(1, n, 1.0f, rng);
+    Matrix expected = y;
+    const float alpha = 0.37f;
+    for (size_t j = 0; j < n; ++j) expected.At(0, j) += alpha * x.At(0, j);
+    Axpy(alpha, x.Row(0), y.Row(0));
+    EXPECT_TRUE(SameBits(y, expected)) << "n=" << n;
+  }
+}
+
+TEST(MatrixTest, ReluBitEqualsStdMax) {
+  Rng rng(17);
+  for (size_t n = 0; n <= 13; ++n) {
+    Matrix a = Matrix::Gaussian(1, n, 1.0f, rng);
+    if (n > 1) a.At(0, 1) = -0.0f;
+    if (n > 2) a.At(0, n - 1) = std::numeric_limits<float>::quiet_NaN();
+    if (n > 5) a.At(0, 5) = -std::numeric_limits<float>::infinity();
+    Matrix expected = a;
+    for (size_t j = 0; j < n; ++j) {
+      expected.At(0, j) = std::max(expected.At(0, j), 0.0f);
+    }
+    ReluInPlace(a);
+    EXPECT_TRUE(SameBits(a, expected)) << "n=" << n;
+  }
 }
 
 TEST(MatrixTest, TransposedMatMulsConsistent) {

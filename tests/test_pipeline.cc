@@ -101,6 +101,212 @@ TEST(BoundedQueueTest, CloseWakesBlockedWaiters) {
   consumer.join();
 }
 
+// A wait shorter than the spin budget is usually caught while spinning; a
+// longer one forces the other side to park on the condvar.
+void RandomDelay(Rng& rng) {
+  switch (rng.Uniform(16)) {
+    case 0:
+      std::this_thread::sleep_for(
+          pipeline::BoundedQueue<int>::kSpinBudget * 4);
+      break;
+    case 1:
+    case 2:
+      std::this_thread::sleep_for(std::chrono::microseconds(5));
+      break;
+    default:
+      break;
+  }
+}
+
+// Producers push (producer, seq) pairs in seq order with random delays,
+// consumers pop with random delays. Every item arrives exactly once, and
+// each consumer sees every producer's items in increasing seq order.
+void StressQueue(size_t producers, size_t consumers, size_t capacity) {
+  constexpr uint32_t kItems = 1500;
+  obs::MetricsRegistry registry;
+  obs::Counter* push_stall = registry.GetCounter("push_stall_us");
+  obs::Counter* pop_stall = registry.GetCounter("pop_stall_us");
+  pipeline::BoundedQueue<std::pair<uint32_t, uint32_t>> q(
+      capacity, /*depth=*/nullptr, push_stall, pop_stall);
+  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> seen(consumers);
+  std::vector<std::thread> threads;
+  for (size_t c = 0; c < consumers; ++c) {
+    threads.emplace_back([&, c] {
+      Rng rng(1000 + c);
+      std::pair<uint32_t, uint32_t> item;
+      while (q.Pop(&item)) {
+        seen[c].push_back(item);
+        RandomDelay(rng);
+      }
+    });
+  }
+  std::vector<std::thread> pushers;
+  for (size_t p = 0; p < producers; ++p) {
+    pushers.emplace_back([&, p] {
+      Rng rng(p + 1);
+      for (uint32_t s = 0; s < kItems; ++s) {
+        EXPECT_TRUE(q.Push({static_cast<uint32_t>(p), s}));
+        RandomDelay(rng);
+      }
+    });
+  }
+  for (std::thread& t : pushers) t.join();
+  q.Close();
+  for (std::thread& t : threads) t.join();
+
+  std::vector<std::vector<uint32_t>> count(
+      producers, std::vector<uint32_t>(kItems, 0));
+  for (const auto& items : seen) {
+    std::vector<int64_t> last(producers, -1);
+    for (const auto& [p, s] : items) {
+      ASSERT_LT(p, producers);
+      ASSERT_LT(s, kItems);
+      EXPECT_GT(static_cast<int64_t>(s), last[p]) << "FIFO per producer";
+      last[p] = s;
+      ++count[p][s];
+    }
+  }
+  for (size_t p = 0; p < producers; ++p) {
+    for (uint32_t s = 0; s < kItems; ++s) {
+      EXPECT_EQ(count[p][s], 1u) << "producer " << p << " seq " << s;
+    }
+  }
+  // Both sides slept past the spin budget now and then, so each was forced
+  // to wait on the other at least once.
+  EXPECT_GT(push_stall->Value(), 0u);
+  EXPECT_GT(pop_stall->Value(), 0u);
+}
+
+TEST(BoundedQueueTest, StressOneToOne) { StressQueue(1, 1, 1); }
+
+TEST(BoundedQueueTest, StressTwoToTwo) { StressQueue(2, 2, 2); }
+
+TEST(BoundedQueueTest, CloseWakesSpinningAndParkedWaiters) {
+  // Closed well inside the spin budget: the consumer is still polling.
+  // Closed after many budgets: the consumer has parked on the condvar.
+  for (const auto wait : {std::chrono::microseconds(0),
+                          pipeline::BoundedQueue<int>::kSpinBudget * 100}) {
+    obs::MetricsRegistry registry;
+    obs::Counter* pop_stall = registry.GetCounter("pop_stall_us");
+    pipeline::BoundedQueue<int> q(1, nullptr, nullptr, pop_stall);
+    std::atomic<bool> popping{false};
+    std::thread consumer([&] {
+      int v = 0;
+      popping.store(true);
+      EXPECT_FALSE(q.Pop(&v));
+    });
+    while (!popping.load()) std::this_thread::yield();
+    std::this_thread::sleep_for(wait);
+    q.Close();
+    consumer.join();
+    if (wait > pipeline::BoundedQueue<int>::kSpinBudget) {
+      EXPECT_GE(pop_stall->Value(),
+                static_cast<uint64_t>(wait.count()) / 2);
+    }
+  }
+  // Same for a producer blocked on a full queue.
+  for (const auto wait : {std::chrono::microseconds(0),
+                          pipeline::BoundedQueue<int>::kSpinBudget * 100}) {
+    obs::MetricsRegistry registry;
+    obs::Counter* push_stall = registry.GetCounter("push_stall_us");
+    pipeline::BoundedQueue<int> q(1, nullptr, push_stall, nullptr);
+    ASSERT_TRUE(q.Push(1));
+    std::atomic<bool> pushing{false};
+    std::thread producer([&] {
+      pushing.store(true);
+      EXPECT_FALSE(q.Push(2));
+    });
+    while (!pushing.load()) std::this_thread::yield();
+    std::this_thread::sleep_for(wait);
+    q.Close();
+    producer.join();
+    if (wait > pipeline::BoundedQueue<int>::kSpinBudget) {
+      EXPECT_GE(push_stall->Value(),
+                static_cast<uint64_t>(wait.count()) / 2);
+    }
+    int v = 0;
+    EXPECT_TRUE(q.Pop(&v));
+    EXPECT_EQ(v, 1);
+  }
+}
+
+// Holds the queue's mutex at a known point: the first move-construction a
+// gated thread makes waits for `release`. Push moves its argument into the
+// deque, and Pop moves the front item out, both under the lock.
+thread_local bool t_gated = false;
+
+struct Gate {
+  std::atomic<bool> entered{false};
+  std::atomic<bool> release{false};
+};
+
+struct Gated {
+  Gate* gate = nullptr;
+
+  Gated() = default;
+  explicit Gated(Gate* g) : gate(g) {}
+  Gated(Gated&& other) noexcept : gate(other.gate) {
+    if (t_gated && gate != nullptr && !gate->entered.exchange(true)) {
+      while (!gate->release.load()) std::this_thread::yield();
+    }
+  }
+  Gated& operator=(Gated&&) = default;
+};
+
+// A side that saw the queue ready without the lock, then lost the item or
+// slot to a peer, parks without having spun. That park is stall time too.
+TEST(BoundedQueueTest, LosingTheRaceThenParkingIsCharged) {
+  constexpr auto kHold = std::chrono::milliseconds(20);
+  {
+    obs::MetricsRegistry registry;
+    obs::Counter* pop_stall = registry.GetCounter("pop_stall_us");
+    pipeline::BoundedQueue<Gated> q(2, nullptr, nullptr, pop_stall);
+    Gate gate;
+    ASSERT_TRUE(q.Push(Gated(&gate)));
+    // A takes the lock and holds it while moving the only item out; B sees
+    // one item, waits for the lock, finds the queue empty and parks.
+    std::thread a([&] {
+      t_gated = true;
+      Gated v;
+      EXPECT_TRUE(q.Pop(&v));
+    });
+    while (!gate.entered.load()) std::this_thread::yield();
+    std::thread b([&] {
+      Gated v;
+      EXPECT_TRUE(q.Pop(&v));
+    });
+    std::this_thread::sleep_for(kHold);
+    gate.release.store(true);
+    a.join();
+    std::this_thread::sleep_for(kHold);
+    ASSERT_TRUE(q.Push(Gated()));
+    b.join();
+    EXPECT_GT(pop_stall->Value(), 0u);
+  }
+  {
+    obs::MetricsRegistry registry;
+    obs::Counter* push_stall = registry.GetCounter("push_stall_us");
+    pipeline::BoundedQueue<Gated> q(1, nullptr, push_stall, nullptr);
+    Gate gate;
+    // A takes the lock and holds it while moving its item in; B sees a free
+    // slot, waits for the lock, finds the queue full and parks.
+    std::thread a([&] {
+      t_gated = true;
+      EXPECT_TRUE(q.Push(Gated(&gate)));
+    });
+    while (!gate.entered.load()) std::this_thread::yield();
+    std::thread b([&] { EXPECT_TRUE(q.Push(Gated())); });
+    std::this_thread::sleep_for(kHold);
+    gate.release.store(true);
+    a.join();
+    std::this_thread::sleep_for(kHold);
+    Gated v;
+    ASSERT_TRUE(q.Pop(&v));
+    b.join();
+    EXPECT_GT(push_stall->Value(), 0u);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Direct BlockPipeline differential: the pipelined run must produce the
 // exact blocks and gathered feature matrices of the sequential stage
