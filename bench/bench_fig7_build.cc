@@ -178,9 +178,10 @@ void RunSkewSweep(bench::ObsBench& obs, const bench::BenchArgs& args) {
   // The gated headline: how much hotter the hottest server runs under plain
   // hash edge-cut than under hub replication, on the degree-proportional
   // traffic model (ComputePartitionStats). The measured ratio from the
-  // sampling workload is printed alongside; batched reads deduplicate each
-  // hub to one read per batch, so it understates the per-request skew the
-  // model captures and serves as a directional cross-check only.
+  // sampling workload is printed alongside as a directional cross-check
+  // only: batched reads deduplicate each remote hub to one read per batch,
+  // and a reader's own local, replica and cache-hit slots count for the
+  // reader, so replicated hub reads land on whichever worker samples.
   if (hot_share_hybrid > 0 && max_served_hybrid > 0) {
     const double modeled = hot_share_edge_cut / hot_share_hybrid;
     const double measured = max_served_edge_cut / max_served_hybrid;

@@ -54,14 +54,8 @@ Status ClusterFeatureSource::Gather(std::span<const VertexId> vertices,
   ALIGRAPH_CHECK_EQ(out->cols(), dim_);
   std::vector<AttrId> ids;
   std::vector<uint8_t> slot_ok;
-  Status status = Status::OK();
-  if (cluster_.fault_injection_enabled()) {
-    status = cluster_.TryGetVertexAttrBatch(worker_, vertices, &ids, &slot_ok,
-                                            stats_);
-  } else {
-    cluster_.GetVertexAttrBatch(worker_, vertices, &ids, stats_);
-    slot_ok.assign(vertices.size(), 1);
-  }
+  const Status status =
+      cluster_.TryGetVertexAttrBatch(worker_, vertices, &ids, &slot_ok, stats_);
   const AttributeStore& store = cluster_.graph().vertex_attributes();
   for (size_t i = 0; i < vertices.size(); ++i) {
     if (slot_ok[i] == 0 || ids[i] == kNoAttr) continue;

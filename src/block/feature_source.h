@@ -85,9 +85,9 @@ class GraphFeatureSource : public FeatureSource {
 
 /// \brief Attribute payloads read through the cluster from one worker's
 /// perspective: local slots cost nothing, remote slots ride coalesced
-/// per-worker attribute messages (Cluster::GetVertexAttrBatch), and when
-/// fault injection is active the Try* path is taken so failed messages
-/// degrade to zero rows instead of aborting the gather.
+/// per-worker attribute messages (Cluster::TryGetVertexAttrBatch), and
+/// under fault injection failed messages degrade to zero rows instead of
+/// aborting the gather.
 class ClusterFeatureSource : public FeatureSource {
  public:
   ClusterFeatureSource(Cluster& cluster, WorkerId worker, size_t dim,

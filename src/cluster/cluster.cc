@@ -19,15 +19,9 @@ namespace {
 // Tags keep the request-key spaces of the read paths disjoint, so e.g. a
 // neighbor read and an attribute read of the same vertex are judged as
 // independent requests by the fault injector.
-constexpr uint64_t kNeighborReadTag = 0x6e62'7264ULL;  // "nbrd"
 constexpr uint64_t kAttrReadTag = 0x61'7472ULL;        // "atr"
 constexpr uint64_t kBatchReadTag = 0x62'6368ULL;       // "bch"
 constexpr uint64_t kJitterStreamTag = 0x6a'7472ULL;    // "jtr"
-
-uint64_t PerVertexRequestKey(VertexId v, EdgeType type) {
-  return Mix64((static_cast<uint64_t>(v) << 16) ^ type ^
-               (kNeighborReadTag << 40));
-}
 
 uint64_t AttrRequestKey(VertexId v) {
   return Mix64(static_cast<uint64_t>(v) ^ (kAttrReadTag << 40));
@@ -36,15 +30,17 @@ uint64_t AttrRequestKey(VertexId v) {
 constexpr uint64_t kAttrBatchTag = 0x61'6263ULL;  // "abc" (attr batch)
 
 /// The remote residue of one batched read: its unique vertices in
-/// first-occurrence order, each with the worker that serves it, and every
-/// remote slot with the index of its unique vertex. Deduplication uses a
-/// flat linear-probing table sized for the batch, so no entry allocates.
+/// first-occurrence order, each with the worker that serves it and its row
+/// there, and every remote slot with the index of its unique vertex.
+/// Deduplication uses a flat linear-probing table sized for the batch, so no
+/// entry allocates.
 class RemoteResidue {
  public:
   explicit RemoteResidue(size_t batch_size) : batch_size_(batch_size) {}
 
-  /// Records that batch slot `slot` asks for v, served by `target`.
-  void Add(uint32_t slot, VertexId v, WorkerId target) {
+  /// Records that batch slot `slot` asks for v, served by `target` from
+  /// its row `row`.
+  void Add(uint32_t slot, VertexId v, WorkerId target, uint32_t row) {
     if (table_.empty()) {
       table_.assign(std::bit_ceil(2 * batch_size_), kEmpty);
     }
@@ -54,6 +50,7 @@ class RemoteResidue {
         table_[h] = static_cast<uint32_t>(vertices_.size());
         vertices_.push_back(v);
         targets_.push_back(target);
+        rows_.push_back(row);
         failed_.push_back(0);
       } else if (vertices_[table_[h]] != v) {
         continue;
@@ -65,6 +62,7 @@ class RemoteResidue {
 
   size_t size() const { return vertices_.size(); }
   VertexId vertex(uint32_t u) const { return vertices_[u]; }
+  uint32_t row(uint32_t u) const { return rows_[u]; }
   bool failed(uint32_t u) const { return failed_[u] != 0; }
   /// Unique vertices whose request was refused.
   size_t num_failed() const { return num_failed_; }
@@ -72,16 +70,20 @@ class RemoteResidue {
   const std::vector<std::pair<uint32_t, uint32_t>>& slots() const {
     return slots_;
   }
+  /// (worker, unique vertices it sent) of every answered request.
+  const std::vector<std::pair<WorkerId, uint64_t>>& served() const {
+    return served_;
+  }
 
   /// Walks the coalesced requests — one per destination worker, in worker
   /// order, each carrying its unique vertices in first-occurrence order —
   /// on the calling thread. `admit(w, request)` is the request's fault
   /// decision; a refused request marks its vertices failed.
   /// `serve(w, request)` answers an admitted one. Returns the number of
-  /// workers contacted.
+  /// workers contacted (answered requests).
   template <typename Admit, typename Serve>
-  uint64_t ForEachRequest(size_t num_workers, Admit admit, Serve serve) {
-    uint64_t contacted = 0;
+  uint32_t ForEachRequest(size_t num_workers, Admit admit, Serve serve) {
+    uint32_t contacted = 0;
     std::vector<uint32_t> request;
     for (WorkerId w = 0; w < num_workers; ++w) {
       request.clear();
@@ -95,6 +97,7 @@ class RemoteResidue {
         continue;
       }
       ++contacted;
+      served_.emplace_back(w, request.size());
       serve(w, request);
     }
     return contacted;
@@ -116,9 +119,11 @@ class RemoteResidue {
   std::vector<uint32_t> table_;  // unique index per probe cell, or kEmpty
   std::vector<VertexId> vertices_;
   std::vector<WorkerId> targets_;
+  std::vector<uint32_t> rows_;
   std::vector<uint8_t> failed_;
   size_t num_failed_ = 0;
   std::vector<std::pair<uint32_t, uint32_t>> slots_;
+  std::vector<std::pair<WorkerId, uint64_t>> served_;
 };
 
 }  // namespace
@@ -203,93 +208,104 @@ Result<Cluster> Cluster::Build(const AttributedGraph& graph,
   return cluster;
 }
 
-std::span<const Neighbor> Cluster::GetNeighbors(WorkerId from, VertexId v,
-                                                CommStats* stats,
-                                                uint64_t epoch) {
-  const uint64_t e = ResolveEpoch(epoch);
+// Forced inline: the batch loops call this once per slot. As an
+// out-of-line call it cost a two-reader khop_cluster-style loop about 15%
+// more CPU per block on a 4-vCPU x86 VM (fewer slots' cache misses in
+// flight at once).
+[[gnu::always_inline]] inline Cluster::Route Cluster::Classify(
+    WorkerId from, VertexId v, uint64_t e, NeighborCache* cache,
+    const DirtyMap* dirty) const {
   const WorkerId owner = plan_->OwnerOf(v);
-  if (owner == from) {
-    if (stats != nullptr) stats->local_reads.fetch_add(1);
-    if (obs_.local_reads != nullptr) obs_.local_reads->Add(1);
-    CountServed(from);
-    return servers_[owner]->NeighborsAt(v, e);
+  const uint32_t row = servers_[from]->RowOf(v);
+  if (row != GraphServer::kNoRow) {
+    return {owner == from ? Route::Kind::kLocal : Route::Kind::kReplica, from,
+            row};
   }
-  if (plan_->HasReplicas() && servers_[from]->HasReplica(v)) {
-    if (stats != nullptr) stats->replica_reads.fetch_add(1);
-    if (obs_.replica_reads != nullptr) obs_.replica_reads->Add(1);
-    CountServed(from);
-    return servers_[from]->NeighborsAt(v, e);
+  if (cache != nullptr && !BypassCache(cache, dirty, v, e) &&
+      cache->Lookup(v).has_value()) {
+    // The owner's storage holds the same bytes and outlives the entry.
+    return {Route::Kind::kCacheHit, owner, plan_->local_row[v]};
   }
-  NeighborCache* cache = servers_[from]->neighbor_cache();
-  const bool dirty = BypassCache(cache, v, e);
-  if (cache != nullptr && !dirty) {
-    auto hit = cache->Lookup(v);
-    if (hit.has_value()) {
-      if (stats != nullptr) stats->cache_hits.fetch_add(1);
-      if (obs_.cache_hits != nullptr) obs_.cache_hits->Add(1);
-      CountServed(from);
-      return *hit;
-    }
+  if (plan_->ReplicaRank(v) == Placement::kNoRow) {
+    return {Route::Kind::kRemote, owner, plan_->local_row[v]};
   }
   const WorkerId target = plan_->ServingWorker(v, from);
-  if (stats != nullptr) stats->remote_reads.fetch_add(1);
-  if (obs_.remote_reads != nullptr) obs_.remote_reads->Add(1);
-  CountServed(target);
-  const auto nbs = servers_[target]->NeighborsAt(v, e);
-  if (cache != nullptr && !dirty) cache->OnRemoteFetch(v, nbs);
+  return {Route::Kind::kRemote, target, servers_[target]->RowOf(v)};
+}
+
+void Cluster::Charge(WorkerId from, const ReadTally& tally, CommStats* stats) {
+  const uint64_t own = tally.local + tally.replica + tally.hit;
+  if (own != 0) served_reads_[from].fetch_add(own, std::memory_order_relaxed);
+  for (const auto& [w, n] : tally.remote_served) {
+    served_reads_[w].fetch_add(n, std::memory_order_relaxed);
+  }
+  auto add = [](std::atomic<uint64_t>& stat, uint64_t n) {
+    if (n != 0) stat.fetch_add(n);
+  };
+  if (stats != nullptr) {
+    add(stats->local_reads, tally.local);
+    add(stats->replica_reads, tally.replica);
+    add(stats->cache_hits, tally.hit);
+    add(stats->remote_reads, tally.remote);
+    add(stats->batched_remote_reads, tally.batched_remote);
+    add(stats->remote_batches, tally.batches);
+    add(stats->faults_injected, tally.faults);
+    add(stats->retry_attempts, tally.retries);
+    add(stats->retry_backoff_us, tally.backoff_us);
+    add(stats->failed_reads, tally.failed);
+  }
+  if (obs_.local_reads == nullptr) return;  // all handles or none
+  auto count = [](obs::Counter* counter, uint64_t n) {
+    if (n != 0) counter->Add(n);
+  };
+  count(obs_.local_reads, tally.local);
+  count(obs_.replica_reads, tally.replica);
+  count(obs_.cache_hits, tally.hit);
+  count(obs_.remote_reads, tally.remote);
+  count(obs_.batched_remote_reads, tally.batched_remote);
+  count(obs_.remote_batches, tally.batches);
+  count(obs_.retry_attempts, tally.retries);
+  count(obs_.retry_backoff_us, tally.backoff_us);
+  count(obs_.failed_reads, tally.failed);
+}
+
+std::span<const Neighbor> Cluster::ReadNeighbors(WorkerId from, VertexId v,
+                                                 EdgeType type,
+                                                 CommStats* stats,
+                                                 uint64_t epoch) {
+  const uint64_t e = ResolveEpoch(epoch);
+  NeighborCache* cache = servers_[from]->neighbor_cache();
+  const auto dirty = DirtyFor(cache);
+  const Route route = Classify(from, v, e, cache, dirty.get());
+  ReadTally tally;
+  tally.Count(route.kind);
+  const std::pair<WorkerId, uint64_t> served{route.worker, 1};
+  if (route.kind == Route::Kind::kRemote) tally.remote_served = {&served, 1};
+  Charge(from, tally, stats);
+  const GraphServer& srv = *servers_[route.worker];
+  const auto delta = srv.delta_snapshot();
+  const auto nbs = srv.Read(v, route.row, type, e, delta.get());
+  if (route.kind == Route::Kind::kRemote) {
+    // A typed read still admits the full adjacency.
+    AdmitFetched(cache, dirty.get(), v, e,
+                 type == kAllEdgeTypes
+                     ? nbs
+                     : srv.Read(v, route.row, kAllEdgeTypes, e, delta.get()));
+  }
   return nbs;
 }
 
-std::span<const Neighbor> Cluster::GetNeighbors(WorkerId from, VertexId v,
-                                                EdgeType type,
-                                                CommStats* stats,
-                                                uint64_t epoch) {
-  const uint64_t e = ResolveEpoch(epoch);
-  const WorkerId owner = plan_->OwnerOf(v);
-  if (owner == from) {
-    if (stats != nullptr) stats->local_reads.fetch_add(1);
-    if (obs_.local_reads != nullptr) obs_.local_reads->Add(1);
-    CountServed(from);
-    return servers_[owner]->NeighborsAt(v, type, e);
-  }
-  if (plan_->HasReplicas() && servers_[from]->HasReplica(v)) {
-    if (stats != nullptr) stats->replica_reads.fetch_add(1);
-    if (obs_.replica_reads != nullptr) obs_.replica_reads->Add(1);
-    CountServed(from);
-    return servers_[from]->NeighborsAt(v, type, e);
-  }
-  NeighborCache* cache = servers_[from]->neighbor_cache();
-  const bool dirty = BypassCache(cache, v, e);
-  if (cache != nullptr && !dirty && cache->Lookup(v).has_value()) {
-    // The pinned copy holds all types; serve the typed view from the owner's
-    // layout (same bytes) while charging a cache hit.
-    if (stats != nullptr) stats->cache_hits.fetch_add(1);
-    if (obs_.cache_hits != nullptr) obs_.cache_hits->Add(1);
-    CountServed(from);
-    return servers_[owner]->NeighborsAt(v, type, e);
-  }
-  const WorkerId target = plan_->ServingWorker(v, from);
-  if (stats != nullptr) stats->remote_reads.fetch_add(1);
-  if (obs_.remote_reads != nullptr) obs_.remote_reads->Add(1);
-  CountServed(target);
-  const auto all = servers_[target]->NeighborsAt(v, e);
-  if (cache != nullptr && !dirty) cache->OnRemoteFetch(v, all);
-  return servers_[target]->NeighborsAt(v, type, e);
-}
-
 bool Cluster::RemoteRequestSucceeds(WorkerId from, WorkerId to,
-                                    uint64_t request_key, CommStats* stats) {
+                                    uint64_t request_key, ReadTally* tally) {
   if (injector_ == nullptr || !injector_->enabled()) return true;
   const RetryPolicy& policy = retry_policy_;
   double charged_us = 0;  // backoff + injected latency, billed to the model
   double elapsed_us = 0;  // modeled request clock, checked vs the deadline
-  uint64_t retries = 0;
+  uint32_t retries = 0;
   bool success = false;
 
   FaultDecision d = injector_->Decide(from, to, request_key, 1);
-  if (stats != nullptr && d.kind != FaultKind::kNone) {
-    stats->faults_injected.fetch_add(1);
-  }
+  if (d.kind != FaultKind::kNone) ++tally->faults;
   charged_us += d.latency_us;
   elapsed_us += d.latency_us;
   if (d.Succeeds() && elapsed_us <= policy.deadline_us) {
@@ -314,9 +330,7 @@ bool Cluster::RemoteRequestSucceeds(WorkerId from, WorkerId to,
       // each attempt nested under cluster/retry.
       obs::ScopedSpan attempt_span("cluster/retry_attempt");
       d = injector_->Decide(from, to, request_key, attempt);
-      if (stats != nullptr && d.kind != FaultKind::kNone) {
-        stats->faults_injected.fetch_add(1);
-      }
+      if (d.kind != FaultKind::kNone) ++tally->faults;
       charged_us += d.latency_us;
       elapsed_us += d.latency_us;
       if (d.Succeeds() && elapsed_us <= policy.deadline_us) {
@@ -326,132 +340,31 @@ bool Cluster::RemoteRequestSucceeds(WorkerId from, WorkerId to,
     }
   }
 
-  const uint64_t charged = static_cast<uint64_t>(charged_us + 0.5);
-  if (stats != nullptr) {
-    if (retries > 0) stats->retry_attempts.fetch_add(retries);
-    if (charged > 0) stats->retry_backoff_us.fetch_add(charged);
-    if (!success) stats->failed_reads.fetch_add(1);
-  }
-  if (obs_.retry_attempts != nullptr) {
-    if (retries > 0) obs_.retry_attempts->Add(retries);
-    if (charged > 0) obs_.retry_backoff_us->Add(charged);
-    if (!success) obs_.failed_reads->Add(1);
-  }
+  tally->retries += retries;
+  tally->backoff_us += static_cast<uint64_t>(charged_us + 0.5);
+  if (!success) ++tally->failed;
   return success;
-}
-
-Result<std::span<const Neighbor>> Cluster::TryGetNeighbors(WorkerId from,
-                                                           VertexId v,
-                                                           CommStats* stats,
-                                                           uint64_t epoch) {
-  const uint64_t e = ResolveEpoch(epoch);
-  const WorkerId owner = plan_->OwnerOf(v);
-  if (owner == from) {
-    if (stats != nullptr) stats->local_reads.fetch_add(1);
-    if (obs_.local_reads != nullptr) obs_.local_reads->Add(1);
-    CountServed(from);
-    return servers_[owner]->NeighborsAt(v, e);
-  }
-  if (plan_->HasReplicas() && servers_[from]->HasReplica(v)) {
-    if (stats != nullptr) stats->replica_reads.fetch_add(1);
-    if (obs_.replica_reads != nullptr) obs_.replica_reads->Add(1);
-    CountServed(from);
-    return servers_[from]->NeighborsAt(v, e);
-  }
-  NeighborCache* cache = servers_[from]->neighbor_cache();
-  const bool dirty = BypassCache(cache, v, e);
-  if (cache != nullptr && !dirty) {
-    auto hit = cache->Lookup(v);
-    if (hit.has_value()) {
-      if (stats != nullptr) stats->cache_hits.fetch_add(1);
-      if (obs_.cache_hits != nullptr) obs_.cache_hits->Add(1);
-      CountServed(from);
-      return *hit;
-    }
-  }
-  const WorkerId target = plan_->ServingWorker(v, from);
-  if (!RemoteRequestSucceeds(from, target,
-                             PerVertexRequestKey(v, kAllEdgeTypes), stats)) {
-    return Status::Unavailable("neighbors of vertex " + std::to_string(v) +
-                               ": worker " + std::to_string(target) +
-                               " did not answer within the retry budget");
-  }
-  if (stats != nullptr) stats->remote_reads.fetch_add(1);
-  if (obs_.remote_reads != nullptr) obs_.remote_reads->Add(1);
-  CountServed(target);
-  const auto nbs = servers_[target]->NeighborsAt(v, e);
-  if (cache != nullptr && !dirty) cache->OnRemoteFetch(v, nbs);
-  return nbs;
-}
-
-Result<std::span<const Neighbor>> Cluster::TryGetNeighbors(WorkerId from,
-                                                           VertexId v,
-                                                           EdgeType type,
-                                                           CommStats* stats,
-                                                           uint64_t epoch) {
-  const uint64_t e = ResolveEpoch(epoch);
-  const WorkerId owner = plan_->OwnerOf(v);
-  if (owner == from) {
-    if (stats != nullptr) stats->local_reads.fetch_add(1);
-    if (obs_.local_reads != nullptr) obs_.local_reads->Add(1);
-    CountServed(from);
-    return servers_[owner]->NeighborsAt(v, type, e);
-  }
-  if (plan_->HasReplicas() && servers_[from]->HasReplica(v)) {
-    if (stats != nullptr) stats->replica_reads.fetch_add(1);
-    if (obs_.replica_reads != nullptr) obs_.replica_reads->Add(1);
-    CountServed(from);
-    return servers_[from]->NeighborsAt(v, type, e);
-  }
-  NeighborCache* cache = servers_[from]->neighbor_cache();
-  const bool dirty = BypassCache(cache, v, e);
-  if (cache != nullptr && !dirty && cache->Lookup(v).has_value()) {
-    if (stats != nullptr) stats->cache_hits.fetch_add(1);
-    if (obs_.cache_hits != nullptr) obs_.cache_hits->Add(1);
-    CountServed(from);
-    return servers_[owner]->NeighborsAt(v, type, e);
-  }
-  const WorkerId target = plan_->ServingWorker(v, from);
-  if (!RemoteRequestSucceeds(from, target, PerVertexRequestKey(v, type),
-                             stats)) {
-    return Status::Unavailable("typed neighbors of vertex " +
-                               std::to_string(v) + ": worker " +
-                               std::to_string(target) +
-                               " did not answer within the retry budget");
-  }
-  if (stats != nullptr) stats->remote_reads.fetch_add(1);
-  if (obs_.remote_reads != nullptr) obs_.remote_reads->Add(1);
-  CountServed(target);
-  const auto all = servers_[target]->NeighborsAt(v, e);
-  if (cache != nullptr && !dirty) cache->OnRemoteFetch(v, all);
-  return servers_[target]->NeighborsAt(v, type, e);
 }
 
 Result<AttrId> Cluster::TryGetVertexAttr(WorkerId from, VertexId v,
                                          CommStats* stats) {
-  const WorkerId owner = plan_->OwnerOf(v);
-  if (owner == from) {
-    if (stats != nullptr) stats->local_reads.fetch_add(1);
-    if (obs_.local_reads != nullptr) obs_.local_reads->Add(1);
-    CountServed(from);
-    return servers_[owner]->VertexAttr(v);
-  }
   // Attributes are immutable, so a replica copy is always current.
-  if (plan_->HasReplicas() && servers_[from]->HasReplica(v)) {
-    if (stats != nullptr) stats->replica_reads.fetch_add(1);
-    if (obs_.replica_reads != nullptr) obs_.replica_reads->Add(1);
-    CountServed(from);
-    return servers_[from]->VertexAttr(v);
+  const Route route = Classify(from, v, kEpochCurrent, nullptr, nullptr);
+  ReadTally tally;
+  const std::pair<WorkerId, uint64_t> served{route.worker, 1};
+  if (route.kind == Route::Kind::kRemote) {
+    if (!RemoteRequestSucceeds(from, route.worker, AttrRequestKey(v),
+                               &tally)) {
+      Charge(from, tally, stats);
+      return Status::Unavailable("attribute of vertex " + std::to_string(v) +
+                                 ": worker " + std::to_string(route.worker) +
+                                 " did not answer within the retry budget");
+    }
+    tally.remote_served = {&served, 1};
   }
-  if (!RemoteRequestSucceeds(from, owner, AttrRequestKey(v), stats)) {
-    return Status::Unavailable("attribute of vertex " + std::to_string(v) +
-                               ": worker " + std::to_string(owner) +
-                               " did not answer within the retry budget");
-  }
-  if (stats != nullptr) stats->remote_reads.fetch_add(1);
-  if (obs_.remote_reads != nullptr) obs_.remote_reads->Add(1);
-  CountServed(owner);
-  return servers_[owner]->VertexAttr(v);
+  tally.Count(route.kind);
+  Charge(from, tally, stats);
+  return servers_[route.worker]->RowAttr(route.row);
 }
 
 void Cluster::GetVertexAttrBatch(WorkerId from, std::span<const VertexId> batch,
@@ -480,40 +393,34 @@ Status Cluster::GetVertexAttrBatchImpl(WorkerId from,
   if (ok != nullptr) ok->assign(batch.size(), 1);
 
   // Owned and replica-held slots resolve from `from`'s own table
-  // (attributes are immutable, so a replica copy is always current); the
-  // remote residue is deduplicated and grouped by owner (attributes are
-  // never neighbor-cached).
-  const GraphServer& local = *servers_[from];
-  uint64_t local_count = 0;
-  uint64_t replica_count = 0;
+  // (attributes are immutable, so a replica copy is always current, and
+  // never neighbor-cached); the remote residue is deduplicated and grouped
+  // by serving worker.
+  ReadTally tally;
   RemoteResidue remote(batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
     const VertexId v = batch[i];
-    const WorkerId owner = plan_->OwnerOf(v);
-    const uint32_t row = local.RowOf(v);
-    if (row != GraphServer::kNoRow) {
-      (*ids)[i] = local.RowAttr(row);
-      ++(owner == from ? local_count : replica_count);
+    const Route route = Classify(from, v, kEpochCurrent, nullptr, nullptr);
+    if (route.kind == Route::Kind::kRemote) {
+      remote.Add(static_cast<uint32_t>(i), v, route.worker, route.row);
       continue;
     }
-    remote.Add(static_cast<uint32_t>(i), v, owner);
+    (*ids)[i] = servers_[route.worker]->RowAttr(route.row);
+    tally.Count(route.kind);
   }
 
   // One message (and one fault decision) per destination worker.
   std::vector<AttrId> attrs(remote.size(), kNoAttr);
-  const uint64_t contacted_workers = remote.ForEachRequest(
+  tally.batches = remote.ForEachRequest(
       servers_.size(),
       [&](WorkerId w, const std::vector<uint32_t>& request) {
         return !fallible ||
                RemoteRequestSucceeds(
-                   from, w, remote.RequestKey(kAttrBatchTag, request), stats);
+                   from, w, remote.RequestKey(kAttrBatchTag, request), &tally);
       },
       [&](WorkerId w, const std::vector<uint32_t>& request) {
-        CountServed(w, request.size());
         const GraphServer& srv = *servers_[w];
-        for (const uint32_t u : request) {
-          attrs[u] = srv.RowAttr(plan_->local_row[remote.vertex(u)]);
-        }
+        for (const uint32_t u : request) attrs[u] = srv.RowAttr(remote.row(u));
       });
   size_t failed_slots = 0;
   for (const auto& [slot, u] : remote.slots()) {
@@ -524,22 +431,10 @@ Status Cluster::GetVertexAttrBatchImpl(WorkerId from,
     }
   }
 
-  const uint64_t unique_remote = remote.size() - remote.num_failed();
-  CountServed(from, local_count + replica_count);
-  if (stats != nullptr) {
-    stats->local_reads.fetch_add(local_count);
-    stats->replica_reads.fetch_add(replica_count);
-    stats->remote_reads.fetch_add(unique_remote);
-    stats->batched_remote_reads.fetch_add(unique_remote);
-    stats->remote_batches.fetch_add(contacted_workers);
-  }
-  if (obs_.local_reads != nullptr) {
-    obs_.local_reads->Add(local_count);
-    obs_.replica_reads->Add(replica_count);
-    obs_.remote_reads->Add(unique_remote);
-    obs_.batched_remote_reads->Add(unique_remote);
-    obs_.remote_batches->Add(contacted_workers);
-  }
+  tally.remote = tally.batched_remote =
+      static_cast<uint32_t>(remote.size() - remote.num_failed());
+  tally.remote_served = remote.served();
+  Charge(from, tally, stats);
   if (failed_slots == 0) return Status::OK();
   return Status::Unavailable(std::to_string(failed_slots) + " of " +
                              std::to_string(batch.size()) +
@@ -780,47 +675,25 @@ Status Cluster::GetNeighborsBatchImpl(WorkerId from,
   auto delta_of = [&deltas](WorkerId w) {
     return deltas.empty() ? nullptr : deltas[w].get();
   };
-  const GraphServer& local = *servers_[from];
-  NeighborCache* cache = local.neighbor_cache();
+  NeighborCache* cache = servers_[from]->neighbor_cache();
   const auto dirty = DirtyFor(cache);
   out->Reset(batch.size());
 
-  // Partition the batch: owned, replica-held and cache-hit slots resolve
+  // Slots with a copy `from` can read (owned, replica, cache hit) resolve
   // immediately; the remote residue is deduplicated and grouped by its
-  // serving worker (the owner when unreplicated, a hash-spread copy holder
-  // otherwise).
-  uint64_t local_count = 0;
-  uint64_t hit_count = 0;
+  // serving worker.
+  ReadTally tally;
   RemoteResidue remote(batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
     const VertexId v = batch[i];
-    const WorkerId owner = plan_->OwnerOf(v);
-    // Owned and replica-held slots read `from`'s own table. Batched
-    // replica reads are not charged to CommStats (the historical
-    // accounting, kept so modeled costs stay put).
-    const uint32_t row = local.RowOf(v);
-    if (row != GraphServer::kNoRow) {
-      out->spans[i] = local.Read(v, row, type, e, delta_of(from));
-      if (owner == from) ++local_count;
+    const Route route = Classify(from, v, e, cache, dirty.get());
+    if (route.kind == Route::Kind::kRemote) {
+      remote.Add(static_cast<uint32_t>(i), v, route.worker, route.row);
       continue;
     }
-    if (cache != nullptr && !BypassCache(cache, dirty.get(), v, e) &&
-        cache->Lookup(v).has_value()) {
-      // Charged as a cache hit, but the span views the owner's immutable
-      // storage (same bytes: the cache only ever holds pre-update data and
-      // v is not dirty at e). A reactive cache may evict the entry while
-      // this batch admits later fetches, which would leave a span into the
-      // cache dangling.
-      out->spans[i] =
-          servers_[owner]->Read(v, plan_->local_row[v], type, e,
-                                delta_of(owner));
-      ++hit_count;
-      continue;
-    }
-    remote.Add(static_cast<uint32_t>(i), v,
-               plan_->ReplicaRank(v) == Placement::kNoRow
-                   ? owner
-                   : plan_->ServingWorker(v, from));
+    out->spans[i] = servers_[route.worker]->Read(v, route.row, type, e,
+                                                 delta_of(route.worker));
+    tally.Count(route.kind);
   }
 
   // Coalesce: ONE request per destination worker carrying all its unique
@@ -828,35 +701,29 @@ Status Cluster::GetNeighborsBatchImpl(WorkerId from,
   // coalesced message — the message is the failure domain, so all slots of
   // a failed per-worker request fail together.
   std::vector<std::span<const Neighbor>> views(remote.size());
-  const uint64_t contacted_workers = remote.ForEachRequest(
+  tally.batches = remote.ForEachRequest(
       servers_.size(),
       [&](WorkerId w, const std::vector<uint32_t>& request) {
         return !fallible ||
                RemoteRequestSucceeds(
-                   from, w, remote.RequestKey(kBatchReadTag, request), stats);
+                   from, w, remote.RequestKey(kBatchReadTag, request), &tally);
       },
       [&](WorkerId w, const std::vector<uint32_t>& request) {
-        CountServed(w, request.size());
         const GraphServer& srv = *servers_[w];
         {
           obs::ScopedSpan serve_span("cluster/remote_serve");
           for (const uint32_t u : request) {
-            const VertexId v = remote.vertex(u);
-            views[u] = srv.Read(v, srv.RowOf(v), kAllEdgeTypes, e,
-                                delta_of(w));
+            views[u] = srv.Read(remote.vertex(u), remote.row(u),
+                                kAllEdgeTypes, e, delta_of(w));
           }
         }
-        // Admit fetched data into the reactive cache (caches are not
-        // thread-safe; this is the reading worker's thread). Updated
-        // vertices are never admitted: the cache may only ever hold
-        // pre-update data, which is what makes the dirty-bypass rule exact.
+        // Admission touches the cache, which is not thread-safe; this is
+        // the reading worker's thread.
         for (const uint32_t u : request) {
           const VertexId v = remote.vertex(u);
-          if (cache != nullptr && !BypassCache(cache, dirty.get(), v, e)) {
-            cache->OnRemoteFetch(v, views[u]);
-          }
+          AdmitFetched(cache, dirty.get(), v, e, views[u]);
           if (!all_types) {
-            views[u] = srv.Read(v, srv.RowOf(v), type, e, delta_of(w));
+            views[u] = srv.Read(v, remote.row(u), type, e, delta_of(w));
           }
         }
       });
@@ -871,21 +738,10 @@ Status Cluster::GetNeighborsBatchImpl(WorkerId from,
 
   // Only admitted requests moved bytes: failed vertices are excluded from
   // the payload counters (their cost lives in retry_* / failed_reads).
-  const uint64_t unique_remote = remote.size() - remote.num_failed();
-  if (stats != nullptr) {
-    stats->local_reads.fetch_add(local_count);
-    stats->cache_hits.fetch_add(hit_count);
-    stats->remote_reads.fetch_add(unique_remote);
-    stats->batched_remote_reads.fetch_add(unique_remote);
-    stats->remote_batches.fetch_add(contacted_workers);
-  }
-  if (obs_.local_reads != nullptr) {
-    obs_.local_reads->Add(local_count);
-    obs_.cache_hits->Add(hit_count);
-    obs_.remote_reads->Add(unique_remote);
-    obs_.batched_remote_reads->Add(unique_remote);
-    obs_.remote_batches->Add(contacted_workers);
-  }
+  tally.remote = tally.batched_remote =
+      static_cast<uint32_t>(remote.size() - remote.num_failed());
+  tally.remote_served = remote.served();
+  Charge(from, tally, stats);
   if (failed_slots == 0) return Status::OK();
   return Status::Unavailable(std::to_string(failed_slots) + " of " +
                              std::to_string(batch.size()) +

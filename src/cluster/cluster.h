@@ -90,49 +90,53 @@ class Cluster {
   /// copy first: local when `from` owns v, then `from`'s replica copy, then
   /// `from`'s neighbor cache, then a counted remote fetch from the serving
   /// worker Placement::ServingWorker picks (the owner when v is
-  /// unreplicated). All paths return the same data for the same epoch.
+  /// unreplicated). All paths return the same data for the same epoch. A
+  /// cache hit is charged as one but views the owner's storage (the same
+  /// bytes: a cache only holds pre-update data), so the span never points
+  /// into a cache entry a later read may evict. Per-vertex reads never
+  /// consult the fault injector; fallible reads are batched
+  /// (TryGetNeighborsBatch).
   std::span<const Neighbor> GetNeighbors(WorkerId from, VertexId v,
                                          CommStats* stats,
-                                         uint64_t epoch = kEpochCurrent);
+                                         uint64_t epoch = kEpochCurrent) {
+    return ReadNeighbors(from, v, kAllEdgeTypes, stats, epoch);
+  }
 
   /// Same, restricted to one edge type. Cache hits at type granularity are
   /// conservative: a cached vertex serves all its types.
   std::span<const Neighbor> GetNeighbors(WorkerId from, VertexId v,
                                          EdgeType type, CommStats* stats,
-                                         uint64_t epoch = kEpochCurrent);
+                                         uint64_t epoch = kEpochCurrent) {
+    return ReadNeighbors(from, v, type, stats, epoch);
+  }
 
   /// Batched neighbor read issued by worker `from`: out->spans[i] is the
-  /// adjacency of batch[i] (all types when `type` == kAllEdgeTypes). The
-  /// batch is split into owned / cache-hit / remote partitions; the remote
-  /// residue is deduplicated and coalesced into ONE request per destination
-  /// worker, and the requests are served one after another, in worker
-  /// order, on the calling thread. Accounting: owned and cached slots count
-  /// per occurrence; each unique remote vertex counts one remote_read + one
-  /// batched_remote_read (duplicates ride the same response payload for
-  /// free), and each
-  /// contacted worker counts one remote_batch — at most num_workers - 1
-  /// per call. Returns the same bytes as per-vertex GetNeighbors.
+  /// adjacency of batch[i] (all types when `type` == kAllEdgeTypes). Each
+  /// slot is routed like a per-vertex read; the remote residue is
+  /// deduplicated and coalesced into ONE request per destination worker,
+  /// and the requests are served one after another, in worker order, on
+  /// the calling thread. Accounting: owned, replica and cached slots count
+  /// per occurrence, exactly as per-vertex reads do; each unique remote
+  /// vertex counts one remote_read + one batched_remote_read (duplicates
+  /// ride the same response payload for free), and each contacted worker
+  /// counts one remote_batch — at most num_workers - 1 per call. Returns
+  /// the same bytes as per-vertex GetNeighbors. Never consults the fault
+  /// injector.
   void GetNeighborsBatch(WorkerId from, std::span<const VertexId> batch,
                          EdgeType type, BatchResult* out, CommStats* stats,
                          uint64_t epoch = kEpochCurrent);
 
-  /// Fallible variants of the read paths, used when fault injection is
-  /// active. The first attempt plus up to retry_policy().max_attempts - 1
-  /// retries (exponential backoff with decorrelated jitter, modeled — see
-  /// RetryPolicy) are judged by the installed FaultInjector; backoff time
-  /// and failed attempts are charged to `stats` (retry_attempts,
-  /// retry_backoff_us, faults_injected, failed_reads) so
-  /// CommModel::ModeledMillis reflects the faults. With no injector
-  /// installed these behave exactly like the infallible paths and always
-  /// succeed. Exhausted retries return Unavailable; local and cache-served
-  /// reads never fail (faults model the network, not local storage).
-  Result<std::span<const Neighbor>> TryGetNeighbors(
-      WorkerId from, VertexId v, CommStats* stats,
-      uint64_t epoch = kEpochCurrent);
-  Result<std::span<const Neighbor>> TryGetNeighbors(
-      WorkerId from, VertexId v, EdgeType type, CommStats* stats,
-      uint64_t epoch = kEpochCurrent);
-
+  /// The fallible read paths, used when fault injection is active. Every
+  /// remote request (one message) gets the first attempt plus up to
+  /// retry_policy().max_attempts - 1 retries (exponential backoff with
+  /// decorrelated jitter, modeled — see RetryPolicy), judged by the
+  /// installed FaultInjector; backoff time and failed attempts are charged
+  /// to `stats` (faults_injected, retry_attempts, retry_backoff_us,
+  /// failed_reads) so CommModel::ModeledMillis reflects the faults. With no
+  /// injector installed these behave exactly like the infallible paths and
+  /// always succeed. Local, replica and cache-served reads never fail
+  /// (faults model the network, not local storage).
+  ///
   /// Fallible batched read: each coalesced per-worker request is judged
   /// once (one fault decision per message, matching the real failure
   /// domain). Failed requests mark their slots out->ok[i] = 0 and leave the
@@ -143,16 +147,19 @@ class Cluster {
                               CommStats* stats,
                               uint64_t epoch = kEpochCurrent);
 
-  /// Fallible attribute fetch: local attrs are free; remote attrs cost one
-  /// (retryable) individual message. kNoAttr for vertices without attrs.
+  /// Fallible attribute fetch, routed like a neighbor read (attributes are
+  /// never cached): remote attrs cost one (retryable) individual message
+  /// and exhausted retries return Unavailable. kNoAttr for vertices without
+  /// attrs.
   Result<AttrId> TryGetVertexAttr(WorkerId from, VertexId v, CommStats* stats);
 
   /// Batched attribute fetch issued by worker `from`: (*ids)[i] is the
   /// AttrId of batch[i] (kNoAttr for vertices without attributes). Mirrors
-  /// GetNeighborsBatch's shape: owned slots resolve locally per occurrence;
-  /// the remote residue is deduplicated and coalesced into ONE message per
-  /// destination worker. Each unique remote vertex counts one remote_read +
-  /// one batched_remote_read, each contacted worker one remote_batch.
+  /// GetNeighborsBatch's shape: owned and replica slots resolve locally per
+  /// occurrence; the remote residue is deduplicated and coalesced into ONE
+  /// message per serving worker. Each unique remote vertex counts one
+  /// remote_read + one batched_remote_read, each contacted worker one
+  /// remote_batch.
   void GetVertexAttrBatch(WorkerId from, std::span<const VertexId> batch,
                           std::vector<AttrId>* ids, CommStats* stats);
 
@@ -191,7 +198,9 @@ class Cluster {
 
   /// Per-worker count of reads this worker serviced (local + replica +
   /// cache hits count for the reading worker; remote reads for the serving
-  /// worker). The measured form of PartitionStats::hot_server_share.
+  /// worker, once per unique vertex of a batch). Per-vertex and batched
+  /// reads count alike. The measured form of
+  /// PartitionStats::hot_server_share.
   std::vector<uint64_t> ServedReadsSnapshot() const;
   void ResetServedReads();
 
@@ -231,10 +240,10 @@ class Cluster {
 
   /// Registry handles mirroring the CommStats fields, resolved at Build
   /// time from the default metrics registry (all null when observability is
-  /// detached — attach the registry before building the cluster). Every
-  /// access path increments both its CommStats counter and, when attached,
-  /// the matching "comm.*" registry counter, so the registry view stays
-  /// consistent with any Snapshot::Delta over the same window.
+  /// detached — attach the registry before building the cluster). Charge
+  /// increments both a CommStats counter and, when attached, the matching
+  /// "comm.*" registry counter, so the registry view stays consistent with
+  /// any Snapshot::Delta over the same window.
   struct CommCounters {
     obs::Counter* local_reads = nullptr;
     obs::Counter* replica_reads = nullptr;
@@ -247,18 +256,83 @@ class Cluster {
     obs::Counter* failed_reads = nullptr;
   };
 
+  /// Vertex -> epoch of its FIRST update. A cached entry (always pre-update
+  /// data, because dirty vertices are never admitted) is valid for a read
+  /// at epoch e iff e < first-update epoch; otherwise the cache is bypassed
+  /// and the stale entry invalidated on the reading thread.
+  using DirtyMap = std::unordered_map<VertexId, uint64_t>;
+
+  /// Where one read of v issued by worker `from` is served. `worker` and
+  /// `row` locate the storage the read views: `from`'s own row for local
+  /// and replica reads, the owner's row for a cache hit, and the serving
+  /// worker's row for a remote fetch.
+  struct Route {
+    enum class Kind : uint8_t { kLocal, kReplica, kCacheHit, kRemote };
+    Kind kind;
+    WorkerId worker;
+    uint32_t row;
+  };
+
+  /// The serve-order policy of every read path, cheapest copy first:
+  /// `from`'s owned row, its replica row, its neighbor cache (`cache`,
+  /// null for attribute reads, which are never cached), else a remote
+  /// fetch from Placement::ServingWorker. Touches the cache like a read
+  /// (recency, stale-entry invalidation via `dirty`), so it runs on the
+  /// reading worker's thread.
+  Route Classify(WorkerId from, VertexId v, uint64_t e, NeighborCache* cache,
+                 const DirtyMap* dirty) const;
+
+  /// What one read call did, filled by the read path and charged once.
+  /// Counts are per call, so 32 bits hold them (a batch indexes its slots
+  /// with uint32_t); that keeps zeroing a tally to a few vector stores,
+  /// which the per-vertex read pays on every call.
+  struct ReadTally {
+    uint32_t local = 0;           ///< slots served by `from`'s owned rows
+    uint32_t replica = 0;         ///< slots served by `from`'s replicas
+    uint32_t hit = 0;             ///< slots served as cache hits
+    uint32_t remote = 0;          ///< unique vertices fetched remotely
+    uint32_t batched_remote = 0;  ///< of those, inside a coalesced request
+    uint32_t batches = 0;         ///< coalesced requests answered
+    uint32_t faults = 0;          ///< injected faults over all attempts
+    uint32_t retries = 0;         ///< attempts beyond each request's first
+    uint32_t failed = 0;          ///< requests that exhausted their retries
+    uint64_t backoff_us = 0;      ///< modeled backoff + injected latency
+    /// (serving worker, vertices it sent), one entry per answered request.
+    std::span<const std::pair<WorkerId, uint64_t>> remote_served;
+
+    void Count(Route::Kind kind) {
+      switch (kind) {
+        case Route::Kind::kLocal: ++local; break;
+        case Route::Kind::kReplica: ++replica; break;
+        case Route::Kind::kCacheHit: ++hit; break;
+        case Route::Kind::kRemote: ++remote; break;
+      }
+    }
+  };
+
+  /// The one charge point of every read path: adds `tally` to `stats`
+  /// (when non-null), to the comm.* registry counters (when attached) and
+  /// to served_reads_ (`from` for local, replica and hit slots; each
+  /// remote_served worker for what it sent).
+  void Charge(WorkerId from, const ReadTally& tally, CommStats* stats);
+
+  /// The per-vertex neighbor read behind both GetNeighbors overloads.
+  std::span<const Neighbor> ReadNeighbors(WorkerId from, VertexId v,
+                                          EdgeType type, CommStats* stats,
+                                          uint64_t epoch);
+
   /// Runs the retry loop for one remote request (one message): judges up
-  /// to retry_policy_.max_attempts attempts against the injector, charging
-  /// faults, retries and modeled backoff to `stats` and the registry.
-  /// Returns true when some attempt succeeded within the deadline. Always
-  /// true when no injector is active.
+  /// to retry_policy_.max_attempts attempts against the injector, adding
+  /// faults, retries and modeled backoff to `tally`. Returns true when
+  /// some attempt succeeded within the deadline. Always true when no
+  /// injector is active.
   bool RemoteRequestSucceeds(WorkerId from, WorkerId to, uint64_t request_key,
-                             CommStats* stats);
+                             ReadTally* tally);
 
   /// Shared implementation of the batched read. With `fallible` false this
-  /// is exactly the historical GetNeighborsBatch (every slot resolves, no
-  /// injector branch is evaluated); with `fallible` true each coalesced
-  /// per-worker request is judged by the retry loop first.
+  /// is exactly GetNeighborsBatch (every slot resolves, no injector branch
+  /// is evaluated); with `fallible` true each coalesced per-worker request
+  /// is judged by the retry loop first.
   Status GetNeighborsBatchImpl(WorkerId from, std::span<const VertexId> batch,
                                EdgeType type, BatchResult* out,
                                CommStats* stats, bool fallible,
@@ -271,11 +345,6 @@ class Cluster {
                                 std::vector<uint8_t>* ok, CommStats* stats,
                                 bool fallible);
 
-  /// Vertex -> epoch of its FIRST update. A cached entry (always pre-update
-  /// data, because dirty vertices are never admitted) is valid for a read
-  /// at epoch e iff e < first-update epoch; otherwise the cache is bypassed
-  /// and the stale entry invalidated on the reading thread.
-  using DirtyMap = std::unordered_map<VertexId, uint64_t>;
   /// The dirty map a read through `cache` must consult: null when there is
   /// no cache or no update was ever published (nothing to bypass). Take it
   /// after the read's epoch is resolved.
@@ -286,9 +355,15 @@ class Cluster {
   /// like all other cache traffic.
   static bool BypassCache(NeighborCache* cache, const DirtyMap* dirty,
                           VertexId v, uint64_t e);
-  /// Per-vertex form: snapshots the dirty map itself.
-  bool BypassCache(NeighborCache* cache, VertexId v, uint64_t e) const {
-    return BypassCache(cache, DirtyFor(cache).get(), v, e);
+  /// Admits a remote fetch of v's full adjacency into `cache` (may be
+  /// null). Updated vertices are never admitted: a cache only ever holds
+  /// pre-update data, which is what makes the dirty-bypass rule exact.
+  static void AdmitFetched(NeighborCache* cache, const DirtyMap* dirty,
+                           VertexId v, uint64_t e,
+                           std::span<const Neighbor> all) {
+    if (cache != nullptr && !BypassCache(cache, dirty, v, e)) {
+      cache->OnRemoteFetch(v, all);
+    }
   }
   /// Resolves the kEpochCurrent sentinel once per call so a whole batch
   /// reads one epoch even unpinned. Cheap no-op on never-updated clusters.
@@ -297,9 +372,6 @@ class Cluster {
       return epochs_->current();
     }
     return epoch;
-  }
-  void CountServed(WorkerId worker, uint64_t n = 1) {
-    served_reads_[worker].fetch_add(n, std::memory_order_relaxed);
   }
 
   const AttributedGraph* graph_ = nullptr;

@@ -17,9 +17,9 @@
 ///     replica reads are served at local cost.
 ///   - **Epoch-versioned deltas.** Online updates never mutate the base
 ///     CSR. Instead the cluster's update path publishes an immutable delta
-///     table mapping vertex -> ascending chain of adjacency versions;
-///     `NeighborsAt(v, epoch)` resolves to the newest version at or below
-///     the epoch, falling back to the base CSR row. Published version
+///     table mapping vertex -> ascending chain of adjacency versions; a
+///     read at an epoch (`Read`) resolves to the newest version at or
+///     below it, falling back to the base CSR row. Published version
 ///     payloads are immutable and retained until no pinned reader can reach
 ///     them (see epoch.h), so spans returned to a pinned reader stay valid
 ///     for the pin's lifetime.
@@ -69,11 +69,6 @@ class GraphServer {
   WorkerId id() const { return id_; }
 
   bool Owns(VertexId v) const { return placement_->OwnerOf(v) == id_; }
-  /// True when this server holds a replica copy of v (not the primary).
-  bool HasReplica(VertexId v) const {
-    const uint32_t rank = placement_->ReplicaRank(v);
-    return rank != kNoRow && replica_row_[rank] != kNoRow;
-  }
   /// True when any copy (owned or replica) of v lives here.
   bool ServesCopy(VertexId v) const { return RowOf(v) != kNoRow; }
 
@@ -90,27 +85,13 @@ class GraphServer {
   /// Out-edges of the owned vertices (replica copies excluded).
   size_t num_edges() const { return offsets_[owned_.size() * num_types_]; }
 
-  /// All out-neighbors of a stored vertex at the latest epoch.
-  std::span<const Neighbor> Neighbors(VertexId v) const {
-    return NeighborsAt(v, kEpochCurrent);
-  }
-  /// Out-neighbors restricted to one edge type, latest epoch.
-  std::span<const Neighbor> Neighbors(VertexId v, EdgeType type) const {
-    return NeighborsAt(v, type, kEpochCurrent);
-  }
-
-  /// Out-neighbors of a stored vertex as of `epoch`: the newest published
-  /// version with version.epoch <= epoch, else the base CSR row.
-  /// kEpochCurrent resolves to the newest. `type` restricts the view to one
-  /// edge type; kAllEdgeTypes returns every type. Empty when v has no copy
-  /// here.
-  std::span<const Neighbor> NeighborsAt(VertexId v, uint64_t epoch) const {
-    return NeighborsAt(v, kAllEdgeTypes, epoch);
-  }
-  std::span<const Neighbor> NeighborsAt(VertexId v, EdgeType type,
-                                        uint64_t epoch) const {
+  /// Out-neighbors of a stored vertex at the latest epoch, restricted to
+  /// one edge type unless `type` is kAllEdgeTypes. Empty when v has no
+  /// copy here.
+  std::span<const Neighbor> Neighbors(VertexId v,
+                                      EdgeType type = kAllEdgeTypes) const {
     const auto delta = delta_snapshot();
-    return Read(v, RowOf(v), type, epoch, delta.get());
+    return Read(v, RowOf(v), type, kEpochCurrent, delta.get());
   }
 
   /// The read primitive: v's adjacency at `epoch` given its row here

@@ -135,12 +135,12 @@ class RecordingNeighborSource : public NeighborSource {
   // COALESCED walk LocalNeighborSource::NeighborsBatch actually performs —
   // so a replay of the trace models the memory-touch order, not the slot
   // order.
-  void NeighborsBatch(std::span<const VertexId> vertices, EdgeType type,
-                      BatchResult* out) override {
+  Status NeighborsBatch(std::span<const VertexId> vertices, EdgeType type,
+                        BatchResult* out) override {
     const size_t start = trace_.size();
     trace_.insert(trace_.end(), vertices.begin(), vertices.end());
     std::sort(trace_.begin() + static_cast<ptrdiff_t>(start), trace_.end());
-    inner_.NeighborsBatch(vertices, type, out);
+    return inner_.NeighborsBatch(vertices, type, out);
   }
 
   const std::vector<VertexId>& trace() const { return trace_; }

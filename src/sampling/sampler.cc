@@ -70,11 +70,11 @@ std::vector<std::pair<VertexId, Neighbor>> TraverseSampler::SampleEdges(
     seeds.resize(want);
     for (VertexId& s : seeds) s = pool_[rng_.Uniform(pool_.size())];
     tries += want;
-    // Checked read: on an infallible source this is exactly NeighborsBatch.
-    // Failed slots (ok == 0) have empty spans and fall through the empty
-    // check below, so the sampler degrades by re-drawing those seeds in the
-    // next round instead of aborting the batch.
-    const Status st = source.NeighborsBatchChecked(seeds, type, &adj);
+    // Failed slots (ok == 0, fallible sources only) have empty spans and
+    // fall through the empty check below, so the sampler degrades by
+    // re-drawing those seeds in the next round instead of aborting the
+    // batch.
+    const Status st = source.NeighborsBatch(seeds, type, &adj);
     if (!st.ok()) {
       if (obs::Counter* degraded =
               obs::DefaultHandles<SamplerMetrics>().degraded_samples) {
@@ -239,10 +239,9 @@ NeighborhoodSample NeighborhoodSampler::DrawHops(
       metrics.fan_out->Record(static_cast<double>(fan));
     }
     // One coalesced read for the whole frontier: the source sees the full
-    // hop and can turn its remote residue into one request per worker. On
-    // an infallible source the checked read IS NeighborsBatch (same bytes,
-    // same accounting); only fallible sources take the degradation branch.
-    (void)source.NeighborsBatchChecked(frontier, type, &adj);
+    // hop and can turn its remote residue into one request per worker.
+    // Only fallible sources take the degradation branch.
+    (void)source.NeighborsBatch(frontier, type, &adj);
     if (source.fallible()) {
       AdmitStale(frontier, adj);
       // Resolve failures BEFORE the draw loop so the (possibly parallel)

@@ -50,14 +50,18 @@ class NeighborSource {
   virtual std::span<const Neighbor> Neighbors(VertexId v, EdgeType type) = 0;
 
   /// Batched read: out->spans[i] = adjacency of vertices[i], restricted to
-  /// `type` unless it is kAllEdgeTypes. Default: per-vertex fallback.
-  virtual void NeighborsBatch(std::span<const VertexId> vertices,
-                              EdgeType type, BatchResult* out) {
+  /// `type` unless it is kAllEdgeTypes. On a fallible source, slots whose
+  /// read exhausted its retry budget get out->ok[i] = 0 (span left empty)
+  /// and the call returns Unavailable; infallible sources always return OK
+  /// with every flag at 1. Default: per-vertex fallback.
+  virtual Status NeighborsBatch(std::span<const VertexId> vertices,
+                                EdgeType type, BatchResult* out) {
     out->Reset(vertices.size());
     for (size_t i = 0; i < vertices.size(); ++i) {
       out->spans[i] = type == kAllEdgeTypes ? Neighbors(vertices[i])
                                             : Neighbors(vertices[i], type);
     }
+    return Status::OK();
   }
 
   /// True when reads through this source can fail (fault injection on a
@@ -73,16 +77,6 @@ class NeighborSource {
   /// brackets each DrawHops with this pair.
   virtual void PinEpoch() {}
   virtual void UnpinEpoch() {}
-
-  /// Fallible batched read: like NeighborsBatch but slots whose read
-  /// exhausted its retry budget get out->ok[i] = 0 (span left empty) and
-  /// the call returns Unavailable. Infallible sources (the default) always
-  /// succeed with every flag at 1.
-  virtual Status NeighborsBatchChecked(std::span<const VertexId> vertices,
-                                       EdgeType type, BatchResult* out) {
-    NeighborsBatch(vertices, type, out);
-    return Status::OK();
-  }
 };
 
 /// \brief Reads a local AttributedGraph directly.
@@ -104,8 +98,8 @@ class LocalNeighborSource : public NeighborSource {
   // sorted walk is software-prefetched. Slot ASSIGNMENT order is
   // observationally irrelevant: spans[i] is a pure function of
   // vertices[i], so outputs are bit-identical to the slot-order loop.
-  void NeighborsBatch(std::span<const VertexId> vertices, EdgeType type,
-                      BatchResult* out) override {
+  Status NeighborsBatch(std::span<const VertexId> vertices, EdgeType type,
+                        BatchResult* out) override {
     constexpr size_t kPrefetchAhead = 8;
     out->Reset(vertices.size());
     order_.resize(vertices.size());
@@ -128,6 +122,7 @@ class LocalNeighborSource : public NeighborSource {
                              ? graph_.OutNeighbors(vertices[slot])
                              : graph_.OutNeighbors(vertices[slot], type);
     }
+    return Status::OK();
   }
 
  private:
@@ -149,19 +144,14 @@ class DistributedNeighborSource : public NeighborSource {
   std::span<const Neighbor> Neighbors(VertexId v, EdgeType type) override {
     return cluster_.GetNeighbors(worker_, v, type, stats_, epoch_);
   }
-  void NeighborsBatch(std::span<const VertexId> vertices, EdgeType type,
-                      BatchResult* out) override {
-    cluster_.GetNeighborsBatch(worker_, vertices, type, out, stats_, epoch_);
+  Status NeighborsBatch(std::span<const VertexId> vertices, EdgeType type,
+                        BatchResult* out) override {
+    return cluster_.TryGetNeighborsBatch(worker_, vertices, type, out, stats_,
+                                         epoch_);
   }
 
   bool fallible() const override {
     return cluster_.fault_injection_enabled();
-  }
-
-  Status NeighborsBatchChecked(std::span<const VertexId> vertices,
-                               EdgeType type, BatchResult* out) override {
-    return cluster_.TryGetNeighborsBatch(worker_, vertices, type, out, stats_,
-                                         epoch_);
   }
 
   /// Registers this reader with the cluster's epoch manager; the pin both

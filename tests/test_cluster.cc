@@ -678,5 +678,65 @@ TEST(ClusterBatchTest, LruAdmitsBatchFetchedVertices) {
   EXPECT_EQ(stats.cache_hits.load(), first_remote);
 }
 
+// A pinned per-vertex cache hit views the owner's storage, so the span
+// outlives the LRU entry it was served from.
+TEST(ClusterAccessTest, PinnedCacheHitSurvivesEviction) {
+  const AttributedGraph g = MakeGraph();
+  auto cluster = std::move(Cluster::Build(g, EdgeCutPartitioner(), 2)).value();
+  cluster.InstallLruCache(2);
+  std::vector<VertexId> remote;  // three worker-1 vertices with neighbors
+  for (VertexId v = 0; v < g.num_vertices() && remote.size() < 3; ++v) {
+    if (cluster.OwnerOf(v) == 1 && g.OutDegree(v) > 0) remote.push_back(v);
+  }
+  ASSERT_EQ(remote.size(), 3u);
+  const VertexId a = remote[0], b = remote[1], c = remote[2];
+  CommStats stats;
+  cluster.GetNeighbors(0, a, &stats);  // remote, admitted
+  cluster.GetNeighbors(0, b, &stats);  // remote, admitted
+  EpochPin pin = cluster.PinEpoch();
+  const auto span_a = cluster.GetNeighbors(0, a, &stats, pin.epoch());
+  cluster.GetNeighbors(0, b, &stats, pin.epoch());  // a is now least recent
+  cluster.GetNeighbors(0, c, &stats, pin.epoch());  // admitting c evicts a
+  EXPECT_EQ(stats.cache_hits.load(), 2u);
+  EXPECT_EQ(stats.remote_reads.load(), 3u);
+  EXPECT_TRUE(SameBytes(span_a, g.OutNeighbors(a)));
+}
+
+// The same unique vertices read one by one and in one batch are charged
+// alike — per kind and per serving worker — with and without a cache.
+TEST(ClusterAccessTest, BatchedAndPerVertexReadsCountAlike) {
+  gen::ChungLuConfig cfg;
+  cfg.num_vertices = 3000;
+  cfg.avg_degree = 6;
+  cfg.seed = 9;
+  const AttributedGraph g = std::move(gen::ChungLu(cfg)).value();
+  std::vector<VertexId> batch(g.num_vertices());
+  std::iota(batch.begin(), batch.end(), 0);
+  for (const bool cached : {false, true}) {
+    SCOPED_TRACE(cached ? "importance cache" : "no cache");
+    auto partitioner = std::move(MakePartitioner("hybrid")).value();
+    auto per_vertex = std::move(Cluster::Build(g, *partitioner, 4)).value();
+    auto batched = std::move(Cluster::Build(g, *partitioner, 4)).value();
+    ASSERT_TRUE(per_vertex.plan().HasReplicas());
+    if (cached) {
+      per_vertex.InstallTopImportanceCache(/*k=*/1, 0.1);
+      batched.InstallTopImportanceCache(/*k=*/1, 0.1);
+    }
+    CommStats one, many;
+    for (const VertexId v : batch) per_vertex.GetNeighbors(0, v, &one);
+    BatchResult out;
+    batched.GetNeighborsBatch(0, batch, kAllEdgeTypes, &out, &many);
+    EXPECT_GT(one.replica_reads.load(), 0u);
+    EXPECT_EQ(many.local_reads.load(), one.local_reads.load());
+    EXPECT_EQ(many.replica_reads.load(), one.replica_reads.load());
+    EXPECT_EQ(many.cache_hits.load(), one.cache_hits.load());
+    EXPECT_EQ(many.remote_reads.load(), one.remote_reads.load());
+    EXPECT_EQ(batched.ServedReadsSnapshot(), per_vertex.ServedReadsSnapshot());
+    if (cached) {
+      EXPECT_GT(one.cache_hits.load(), 0u);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace aligraph

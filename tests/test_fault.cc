@@ -37,6 +37,14 @@ bool SameBytes(std::span<const Neighbor> a, std::span<const Neighbor> b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(Neighbor)) == 0;
 }
 
+// One-slot fallible read of v's adjacency: the per-vertex form of
+// TryGetNeighborsBatch, one remote message when v is not local to `from`.
+Status ReadOne(Cluster& cluster, WorkerId from, VertexId v, CommStats* stats,
+               BatchResult* out) {
+  const VertexId batch[] = {v};
+  return cluster.TryGetNeighborsBatch(from, batch, kAllEdgeTypes, out, stats);
+}
+
 // A config where every attempt draws the transient probability.
 FaultConfig TransientConfig(uint64_t seed, double p) {
   FaultConfig cfg;
@@ -173,9 +181,11 @@ TEST(ClusterFaultTest, RetryRecoversFromScheduledTransient) {
   for (VertexId v = 0; v < 300; ++v) {
     if (cluster.OwnerOf(v) != 1) continue;
     ++remote_tried;
-    auto r = cluster.TryGetNeighbors(/*from=*/0, v, &stats);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_TRUE(SameBytes(*r, g.OutNeighbors(v)));
+    BatchResult out;
+    const Status st = ReadOne(cluster, /*from=*/0, v, &stats, &out);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    EXPECT_EQ(out.ok[0], 1);
+    EXPECT_TRUE(SameBytes(out[0], g.OutNeighbors(v)));
   }
   ASSERT_GT(remote_tried, 0u);
   EXPECT_EQ(stats.failed_reads.load(), 0u);
@@ -202,9 +212,12 @@ TEST(ClusterFaultTest, ExhaustedRetriesReturnUnavailable) {
     }
   }
   ASSERT_NE(remote, kInvalidVertex);
-  auto r = cluster.TryGetNeighbors(0, remote, &stats);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kUnavailable);
+  BatchResult out;
+  const Status st = ReadOne(cluster, 0, remote, &stats, &out);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(out.ok[0], 0);
+  EXPECT_TRUE(out[0].empty());
   EXPECT_EQ(stats.failed_reads.load(), 1u);
   EXPECT_EQ(stats.retry_attempts.load(), policy.max_attempts - 1);
   // Local reads never fail even under a total-blackout schedule.
@@ -216,7 +229,10 @@ TEST(ClusterFaultTest, ExhaustedRetriesReturnUnavailable) {
     }
   }
   ASSERT_NE(local, kInvalidVertex);
-  EXPECT_TRUE(cluster.TryGetNeighbors(0, local, &stats).ok());
+  EXPECT_TRUE(ReadOne(cluster, 0, local, &stats, &out).ok());
+  EXPECT_EQ(out.ok[0], 1);
+  EXPECT_TRUE(SameBytes(out[0], g.OutNeighbors(local)));
+  EXPECT_EQ(stats.failed_reads.load(), 1u);
 }
 
 TEST(ClusterFaultTest, DeadlineStopsRetriesEarly) {
@@ -240,7 +256,8 @@ TEST(ClusterFaultTest, DeadlineStopsRetriesEarly) {
     }
   }
   ASSERT_NE(remote, kInvalidVertex);
-  EXPECT_FALSE(cluster.TryGetNeighbors(0, remote, &stats).ok());
+  BatchResult out;
+  EXPECT_FALSE(ReadOne(cluster, 0, remote, &stats, &out).ok());
   EXPECT_LT(stats.retry_attempts.load(), 2u);
 }
 
@@ -267,8 +284,10 @@ TEST(ClusterFaultTest, ClearFaultInjectionRestoresInfallibility) {
   cluster.ClearFaultInjection();
   EXPECT_FALSE(cluster.fault_injection_enabled());
   CommStats stats;
+  BatchResult out;
   for (VertexId v = 0; v < 200; ++v) {
-    EXPECT_TRUE(cluster.TryGetNeighbors(0, v, &stats).ok());
+    EXPECT_TRUE(ReadOne(cluster, 0, v, &stats, &out).ok());
+    EXPECT_EQ(out.ok[0], 1);
   }
   EXPECT_EQ(stats.faults_injected.load(), 0u);
   EXPECT_EQ(stats.retry_attempts.load(), 0u);
@@ -404,11 +423,15 @@ ALIGRAPH_PROP(FaultDifferentialProps, BatchPayloadsMatchPerVertex, 6) {
       EXPECT_TRUE(SameBytes(out[i], g.OutNeighbors(batch[i])))
           << "vertex " << batch[i];
     }
-    // Per-vertex fallible reads obey the same payload contract.
+    // One-slot fallible reads obey the same payload contract.
     for (size_t i = 0; i < batch.size(); i += 17) {
-      auto r = cluster.TryGetNeighbors(0, batch[i], nullptr);
-      if (r.ok()) {
-        EXPECT_TRUE(SameBytes(*r, g.OutNeighbors(batch[i])));
+      BatchResult one;
+      if (ReadOne(cluster, 0, batch[i], nullptr, &one).ok()) {
+        EXPECT_EQ(one.ok[0], 1);
+        EXPECT_TRUE(SameBytes(one[0], g.OutNeighbors(batch[i])));
+      } else {
+        EXPECT_EQ(one.ok[0], 0);
+        EXPECT_TRUE(one[0].empty());
       }
     }
   }

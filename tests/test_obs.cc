@@ -517,13 +517,17 @@ TEST(ObsIntegrationTest, CommCountersMatchSnapshotDelta) {
   cfg.avg_degree = 6;
   cfg.seed = 17;
   const AttributedGraph g = std::move(gen::ChungLu(cfg)).value();
-  auto cluster = std::move(Cluster::Build(g, EdgeCutPartitioner(), 3)).value();
+  // Hybrid placement replicates hubs, so replica reads are charged too.
+  auto partitioner = std::move(MakePartitioner("hybrid")).value();
+  auto cluster = std::move(Cluster::Build(g, *partitioner, 3)).value();
+  ASSERT_TRUE(cluster.plan().HasReplicas());
   cluster.InstallTopImportanceCache(/*k=*/1, 0.1);
 
   CommStats stats;
   const CommStats::Snapshot before = stats.snapshot();
 
-  // Per-vertex reads from every worker touch local, cached and remote paths.
+  // Per-vertex reads from every worker touch the local, replica, cached and
+  // remote paths.
   for (VertexId v = 0; v < g.num_vertices(); v += 7) {
     cluster.GetNeighbors(static_cast<WorkerId>(v % 3), v, &stats);
   }
@@ -542,6 +546,8 @@ TEST(ObsIntegrationTest, CommCountersMatchSnapshotDelta) {
   const CommStats::Snapshot delta = stats.snapshot().Delta(before);
   const obs::MetricsSnapshot snap = registry.Snapshot();
   EXPECT_EQ(snap.counters.at("comm.local_reads"), delta.local_reads);
+  EXPECT_EQ(snap.counters.at("comm.replica_reads"), delta.replica_reads);
+  EXPECT_GT(delta.replica_reads, 0u);
   EXPECT_EQ(snap.counters.at("comm.cache_hits"), delta.cache_hits);
   EXPECT_EQ(snap.counters.at("comm.remote_reads"), delta.remote_reads);
   EXPECT_EQ(snap.counters.at("comm.remote_batches"), delta.remote_batches);
