@@ -7,7 +7,6 @@
 /// batch. The paper's claims: all samplers finish within tens of
 /// milliseconds, and latency grows slowly with graph size.
 
-#include <algorithm>
 #include <cstdio>
 #include <numeric>
 #include <vector>
@@ -138,12 +137,12 @@ struct ReorderCosts {
 /// smoke scale the Taobao graphs fit entirely — the gated ratio must mean
 /// the same thing at every --scale. Traffic is Zipf over an ACTIVITY
 /// ranking drawn independently of degree (item popularity correlates only
-/// loosely with connectivity), the sampler records its coalesced
-/// per-request walk through a RecordingNeighborSource, and each layout
-/// replays the identical reads — re-coalesced in its own id space, exactly
-/// as the batch walk would touch memory — through the LRU + stream-
-/// prefetch line model over its CSR geometry. Pure function of the seed,
-/// so the speedup is bit-stable and CI can gate it.
+/// loosely with connectivity), the sampler records its reads through a
+/// RecordingNeighborSource in the order it makes them, and each layout
+/// replays that identical read sequence, mapped into its own id space,
+/// through the LRU + stream-prefetch line model over its CSR geometry.
+/// Pure function of the seed, so the speedup is bit-stable and CI can
+/// gate it.
 ReorderCosts RunReorder(uint64_t seed) {
   gen::ChungLuConfig cfg;
   cfg.num_vertices = 20000;
@@ -176,8 +175,6 @@ ReorderCosts RunReorder(uint64_t seed) {
     for (VertexId& v : roots) v = activity[zipf.Next()];
     hood.Sample(recorder, roots, NeighborhoodSampler::kAllEdgeTypes, fans);
   }
-  // One window per request: the batch walk coalesces within a request,
-  // never across requests.
   const std::vector<VertexId>& trace = recorder.trace();
 
   // An L1-ish cache (256 lines = 16 KiB of adjacency) against a ~5600-line
@@ -192,11 +189,7 @@ ReorderCosts RunReorder(uint64_t seed) {
     cost.policy = policy;
     const AttributedGraph reordered =
         std::move(layout::ApplyLayout(graph, lay)).value();
-    std::vector<VertexId> replay = layout::MapToNew(lay, trace);
-    for (size_t w = 0; w + kBatch <= replay.size(); w += kBatch) {
-      std::sort(replay.begin() + static_cast<ptrdiff_t>(w),
-                replay.begin() + static_cast<ptrdiff_t>(w + kBatch));
-    }
+    const std::vector<VertexId> replay = layout::MapToNew(lay, trace);
     const layout::ScanCost scan =
         layout::ModeledScanCost(reordered, replay, model);
     cost.modeled_us = scan.modeled_us;

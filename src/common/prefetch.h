@@ -1,14 +1,11 @@
 /// \file prefetch.h
 /// \brief Software prefetch hint, compiled out on toolchains without
-/// __builtin_prefetch. Used on the sampling hot path (CSR neighbor walks,
-/// alias-table batch resolution) where the next access's address is known
-/// a few iterations ahead but the hardware prefetcher cannot see it
-/// through the index indirection.
+/// __builtin_prefetch. Used by the alias-table batch resolution, where the
+/// next access's address is known a few iterations ahead but the hardware
+/// prefetcher cannot see it through the index indirection.
 
 #ifndef ALIGRAPH_COMMON_PREFETCH_H_
 #define ALIGRAPH_COMMON_PREFETCH_H_
-
-#include <cstddef>
 
 #if defined(__GNUC__) || defined(__clang__)
 /// Read prefetch with high temporal locality into all cache levels.
@@ -16,13 +13,5 @@
 #else
 #define ALIGRAPH_PREFETCH(addr) ((void)sizeof(addr))
 #endif
-
-namespace aligraph {
-
-/// Cache-line granularity assumed by the prefetch helpers. A wrong guess
-/// only costs redundant hint instructions, never correctness.
-inline constexpr size_t kCacheLineBytes = 64;
-
-}  // namespace aligraph
 
 #endif  // ALIGRAPH_COMMON_PREFETCH_H_

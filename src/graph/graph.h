@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "common/prefetch.h"
 #include "common/status.h"
 #include "graph/attributes.h"
 #include "graph/schema.h"
@@ -80,21 +79,6 @@ class Csr {
   /// actual storage geometry.
   uint64_t OffsetOf(VertexId v) const { return offsets_[v]; }
 
-  /// Software-prefetches the first cache lines of v's adjacency (capped, so
-  /// a hub vertex does not flood the prefetch queue). Used by batched
-  /// readers that know the frontier a few slots ahead of the scan.
-  void PrefetchNeighbors(VertexId v) const {
-    const uint64_t begin = offsets_[v];
-    const uint64_t end = offsets_[v + 1];
-    constexpr uint64_t kMaxLines = 4;
-    const char* p = reinterpret_cast<const char*>(neighbors_.data() + begin);
-    const char* stop = reinterpret_cast<const char*>(neighbors_.data() + end);
-    for (uint64_t line = 0; line < kMaxLines && p < stop;
-         ++line, p += kCacheLineBytes) {
-      ALIGRAPH_PREFETCH(p);
-    }
-  }
-
   /// Copy of this CSR re-indexed under a vertex permutation: the new
   /// vertex new_of_old[v] gets v's adjacency with every destination mapped
   /// through new_of_old, per-vertex neighbor ORDER preserved. Order
@@ -153,15 +137,6 @@ class AttributedGraph {
   }
   size_t OutDegree(VertexId v) const { return out_all_.Degree(v); }
   size_t InDegree(VertexId v) const { return in_all_.Degree(v); }
-
-  /// Prefetch hint for an upcoming OutNeighbors(v) read (merged adjacency).
-  void PrefetchOutNeighbors(VertexId v) const {
-    out_all_.PrefetchNeighbors(v);
-  }
-  /// Prefetch hint for an upcoming typed OutNeighbors(v, t) read.
-  void PrefetchOutNeighbors(VertexId v, EdgeType t) const {
-    out_by_type_[t].PrefetchNeighbors(v);
-  }
 
   /// Storage position of v's merged out-adjacency (units of Neighbor
   /// entries); feeds the layout subsystem's modeled cache cost.

@@ -20,14 +20,14 @@
 /// consume their RNG streams positionally.
 ///
 /// The payoff is modeled, not just measured: ModeledScanCost replays a
-/// recorded access trace through an LRU cache-line model over the CSR's
-/// actual storage geometry, so bench_table4's reorder-on/off variants gate
-/// a deterministic `sampling.reorder_speedup` in CI.
+/// recorded access trace (every adjacency read, in the order the sampler
+/// makes it) through an LRU cache-line model over the CSR's actual
+/// storage geometry, so bench_table4's reorder-on/off variants gate a
+/// deterministic `sampling.reorder_speedup` in CI.
 
 #ifndef ALIGRAPH_LAYOUT_LAYOUT_H_
 #define ALIGRAPH_LAYOUT_LAYOUT_H_
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -93,7 +93,8 @@ VertexLayout ComputeLayout(const AttributedGraph& graph, LayoutPolicy policy);
 /// `hot_order` may be partial and may repeat ids; the first occurrence
 /// wins and every unranked vertex follows in ascending old id. The result
 /// packs the traffic-hot working set into a contiguous CSR prefix, which
-/// is what the coalesced batch gather turns into a near-monotone walk.
+/// is what keeps the adjacency a batch gather touches within a small set
+/// of cache lines.
 VertexLayout ComputeHotFirstLayout(const AttributedGraph& graph,
                                    std::span<const VertexId> hot_order);
 
@@ -131,15 +132,11 @@ class RecordingNeighborSource : public NeighborSource {
     trace_.push_back(v);
     return inner_.Neighbors(v, type);
   }
-  // Batched reads are recorded in ascending-id order — mirroring the
-  // COALESCED walk LocalNeighborSource::NeighborsBatch actually performs —
-  // so a replay of the trace models the memory-touch order, not the slot
-  // order.
+  // Batched reads are recorded in slot order, the order
+  // LocalNeighborSource::NeighborsBatch touches the adjacency in.
   Status NeighborsBatch(std::span<const VertexId> vertices, EdgeType type,
                         BatchResult* out) override {
-    const size_t start = trace_.size();
     trace_.insert(trace_.end(), vertices.begin(), vertices.end());
-    std::sort(trace_.begin() + static_cast<ptrdiff_t>(start), trace_.end());
     return inner_.NeighborsBatch(vertices, type, out);
   }
 

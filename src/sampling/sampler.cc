@@ -133,9 +133,9 @@ void NeighborhoodSampler::DrawFan(std::span<const Neighbor> nbs,
     return;
   }
   // Uniform fast path: batch the index draws, then resolve the span reads
-  // in a second pass (dst fields of a hub's adjacency are prefetched by the
-  // batched frontier read). Stack chunking keeps the scratch register-/
-  // L1-sized for any fan-out.
+  // in a second pass, so the loads of one chunk can overlap instead of
+  // each waiting behind the next RNG step. Stack chunking keeps the
+  // scratch register-/L1-sized for any fan-out.
   constexpr uint32_t kChunk = 64;
   uint32_t idx[kChunk];
   for (uint32_t base = 0; base < fan; base += kChunk) {
@@ -238,7 +238,7 @@ NeighborhoodSample NeighborhoodSampler::DrawHops(
       metrics.frontier_size->Record(static_cast<double>(frontier.size()));
       metrics.fan_out->Record(static_cast<double>(fan));
     }
-    // One coalesced read for the whole frontier: the source sees the full
+    // One batched read for the whole frontier: the source sees the full
     // hop and can turn its remote residue into one request per worker.
     // Only fallible sources take the degradation branch.
     (void)source.NeighborsBatch(frontier, type, &adj);

@@ -10,9 +10,7 @@
 #ifndef ALIGRAPH_SAMPLING_SAMPLER_H_
 #define ALIGRAPH_SAMPLING_SAMPLER_H_
 
-#include <algorithm>
 #include <memory>
-#include <numeric>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -89,45 +87,21 @@ class LocalNeighborSource : public NeighborSource {
   std::span<const Neighbor> Neighbors(VertexId v, EdgeType type) override {
     return graph_.OutNeighbors(v, type);
   }
-  // Native batch: straight-line loop over the graph, no virtual dispatch
-  // per vertex (local reads have no RPC to amortize). The walk is
-  // COALESCED — slots are visited in ascending vertex id, so the CSR is
-  // touched as a monotone sweep (duplicate and id-adjacent slots land on
-  // the same or consecutive cache lines, and under a hot-packed layout the
-  // hot prefix streams). The adjacency kPrefetchAhead positions down the
-  // sorted walk is software-prefetched. Slot ASSIGNMENT order is
-  // observationally irrelevant: spans[i] is a pure function of
-  // vertices[i], so outputs are bit-identical to the slot-order loop.
+  // Native batch: a straight-line loop over the graph in slot order, with
+  // no virtual dispatch per vertex (local reads have no RPC to amortize).
   Status NeighborsBatch(std::span<const VertexId> vertices, EdgeType type,
                         BatchResult* out) override {
-    constexpr size_t kPrefetchAhead = 8;
     out->Reset(vertices.size());
-    order_.resize(vertices.size());
-    std::iota(order_.begin(), order_.end(), uint32_t{0});
-    std::sort(order_.begin(), order_.end(),
-              [&vertices](uint32_t a, uint32_t b) {
-                return vertices[a] < vertices[b];
-              });
-    for (size_t i = 0; i < order_.size(); ++i) {
-      if (i + kPrefetchAhead < order_.size()) {
-        if (type == kAllEdgeTypes) {
-          graph_.PrefetchOutNeighbors(vertices[order_[i + kPrefetchAhead]]);
-        } else {
-          graph_.PrefetchOutNeighbors(vertices[order_[i + kPrefetchAhead]],
-                                      type);
-        }
-      }
-      const uint32_t slot = order_[i];
-      out->spans[slot] = type == kAllEdgeTypes
-                             ? graph_.OutNeighbors(vertices[slot])
-                             : graph_.OutNeighbors(vertices[slot], type);
+    for (size_t i = 0; i < vertices.size(); ++i) {
+      out->spans[i] = type == kAllEdgeTypes
+                          ? graph_.OutNeighbors(vertices[i])
+                          : graph_.OutNeighbors(vertices[i], type);
     }
     return Status::OK();
   }
 
  private:
   const AttributedGraph& graph_;
-  std::vector<uint32_t> order_;  ///< reusable sorted-walk permutation
 };
 
 /// \brief Reads through the cluster from the perspective of one worker,

@@ -374,10 +374,10 @@ TEST(ScanCostTest, RecordingSourceCapturesVisitsInOrder) {
   BatchResult batch;
   const std::vector<VertexId> frontier{7, 5, 9};
   recorder.NeighborsBatch(frontier, kAllEdgeTypes, &batch);
-  // Scalar reads record in call order; the batch records in ascending id —
-  // the coalesced order the local batch walk actually touches memory in.
+  // Scalar and batched reads both record in call order, slot by slot —
+  // the order the local batch walk touches memory in.
   EXPECT_EQ(recorder.trace(),
-            (std::vector<VertexId>{5, 3, 5, 7, 9}));
+            (std::vector<VertexId>{5, 3, 7, 5, 9}));
   // The decorator forwards the actual reads.
   EXPECT_EQ(batch.spans[0].size(), g.OutDegree(7));
   recorder.ClearTrace();

@@ -239,19 +239,42 @@ AttributedGraph MakeClusterGraph(VertexId n) {
 }
 
 TEST(NeighborSourceTest, LocalBatchMatchesPerVertex) {
+  const auto expect_matches = [](LocalNeighborSource& source,
+                                 std::span<const VertexId> vertices,
+                                 EdgeType type) {
+    BatchResult batch;
+    source.NeighborsBatch(vertices, type, &batch);
+    ASSERT_EQ(batch.size(), vertices.size());
+    for (size_t i = 0; i < vertices.size(); ++i) {
+      const auto want = type == kAllEdgeTypes
+                            ? source.Neighbors(vertices[i])
+                            : source.Neighbors(vertices[i], type);
+      ASSERT_EQ(batch[i].size(), want.size()) << "slot " << i;
+      EXPECT_TRUE(batch[i].empty() ||
+                  std::memcmp(batch[i].data(), want.data(),
+                              want.size() * sizeof(Neighbor)) == 0)
+          << "slot " << i;
+    }
+  };
+
   const AttributedGraph g = MakeStar();
-  LocalNeighborSource source(g);
-  const std::vector<VertexId> vertices{0, 5, 0, 3};
-  BatchResult batch;
-  source.NeighborsBatch(vertices, kAllEdgeTypes, &batch);
-  ASSERT_EQ(batch.size(), vertices.size());
-  for (size_t i = 0; i < vertices.size(); ++i) {
-    const auto want = source.Neighbors(vertices[i]);
-    ASSERT_EQ(batch[i].size(), want.size());
-    EXPECT_TRUE(batch[i].empty() ||
-                std::memcmp(batch[i].data(), want.data(),
-                            want.size() * sizeof(Neighbor)) == 0);
+  LocalNeighborSource star(g);
+  expect_matches(star, std::vector<VertexId>{0, 5, 0, 3}, kAllEdgeTypes);
+
+  // Typed reads: a frontier with duplicates, in descending id order, over
+  // the click adjacency of a heterogeneous graph.
+  auto taobao = std::move(gen::Taobao(gen::TaobaoSmallConfig(0.05))).value();
+  const EdgeType click = taobao.schema().EdgeTypeId("click").value();
+  std::vector<VertexId> clickers;
+  for (VertexId v = 0; v < taobao.num_vertices() && clickers.size() < 4;
+       ++v) {
+    if (!taobao.OutNeighbors(v, click).empty()) clickers.push_back(v);
   }
+  ASSERT_EQ(clickers.size(), 4u);
+  const std::vector<VertexId> frontier{clickers[3], clickers[3], clickers[2],
+                                       clickers[1], clickers[1], clickers[0]};
+  LocalNeighborSource typed(taobao);
+  expect_matches(typed, frontier, click);
 }
 
 TEST(NeighborSourceTest, PerVertexAdapterFallsBackToDefaultBatch) {
