@@ -9,6 +9,7 @@
 #include <numeric>
 #include <vector>
 
+#include "algo/gnn.h"
 #include "block/feature_source.h"
 #include "block/sampled_block.h"
 #include "cluster/request_bucket.h"
@@ -22,7 +23,6 @@
 #include "nn/matrix.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "ops/operators.h"
 #include "sampling/sampler.h"
 
 namespace aligraph {
@@ -179,22 +179,26 @@ void BM_BlockGather(benchmark::State& state) {
 }
 BENCHMARK(BM_BlockGather)->Arg(0)->Arg(1);
 
-// AGGREGATE over one hop: legacy per-slot materialization + map-based
-// Forward vs dense CSR-indexed ForwardBlock. Arg 0 = map, 1 = block.
+// AGGREGATE + COMBINE over one hop: SageLayer::Forward over per-slot
+// gathered self and neighbor rows vs the dense CSR-indexed ForwardBlock.
+// Arg 0 = gathered, 1 = block.
 void BM_BlockAggregate(benchmark::State& state) {
   const BlockFixture& f = BenchBlock();
   const block::BlockHop& hop = f.blk.hops()[1];
   Rng rng(11);
   const nn::Matrix rows =
       nn::Matrix::Gaussian(f.blk.num_vertices(), 32, 1.0f, rng);
-  ops::MeanAggregator agg;
+  algo::SageLayer layer(32, 32, /*maxpool=*/false, rng);
+  algo::SageLayer::Cache cache;
   const bool use_block = state.range(0) == 1;
   for (auto _ : state) {
     if (use_block) {
-      benchmark::DoNotOptimize(agg.ForwardBlock(rows, hop));
+      benchmark::DoNotOptimize(layer.ForwardBlock(rows, hop, &cache));
     } else {
+      const nn::Matrix self = block::GatherRows(rows, hop.dst);
       const nn::Matrix neighbors = block::GatherRows(rows, hop.src);
-      benchmark::DoNotOptimize(agg.Forward(neighbors, hop.fan));
+      benchmark::DoNotOptimize(
+          layer.Forward(self, neighbors, hop.fan, &cache));
     }
   }
 }

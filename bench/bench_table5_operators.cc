@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "algo/gnn.h"
 #include "bench_util.h"
 #include "block/feature_source.h"
 #include "block/sampled_block.h"
@@ -22,7 +23,6 @@
 #include "gen/taobao.h"
 #include "nn/layers.h"
 #include "ops/hop_cache.h"
-#include "ops/operators.h"
 #include "partition/partitioner.h"
 #include "pipeline/block_pipeline.h"
 #include "sampling/sampler.h"
@@ -47,8 +47,7 @@ OperatorCost RunDataset(const AttributedGraph& graph, uint64_t seed) {
   nn::Matrix x(graph.num_vertices(), d);
   for (size_t i = 0; i < x.size(); ++i) x.data()[i] = rng.NextFloat();
 
-  ops::MeanAggregator aggregator;
-  ops::ConcatCombiner combiner(d, d, rng);
+  algo::SageLayer layer(d, d, /*maxpool=*/false, rng);
 
   // Computes h1 of one vertex from its own sampled neighbors.
   auto compute_h1 = [&](VertexId v, nn::Matrix* out_row) {
@@ -61,8 +60,8 @@ OperatorCost RunDataset(const AttributedGraph& graph, uint64_t seed) {
           nbs.empty() ? v : nbs[rng.Uniform(nbs.size())].dst;
       std::copy(x.Row(u).begin(), x.Row(u).end(), neigh.Row(f).begin());
     }
-    const nn::Matrix agg = aggregator.Forward(neigh, fan);
-    *out_row = combiner.Forward(self, agg);
+    algo::SageLayer::Cache cache;
+    *out_row = layer.Forward(self, neigh, fan, &cache);
   };
 
   OperatorCost cost;
@@ -111,11 +110,11 @@ OperatorCost RunDataset(const AttributedGraph& graph, uint64_t seed) {
 }
 
 // ---------------------------------------------------------------------------
-// Map-based vs block-based execution of the same two-hop AGGREGATE stack:
-// the legacy path fetches one attribute row per SLOT (per occurrence,
-// individual RPCs, hash-keyed rows); the block path relabels the sample,
-// gathers one row per UNIQUE vertex through a coalesced per-worker batch
-// and aggregates over dense CSR indices.
+// Map-based vs block-based execution of the same two-hop AGGREGATE +
+// COMBINE stack: the map path fetches one attribute row per SLOT (per
+// occurrence, individual RPCs) into per-slot matrices; the block path
+// relabels the sample, gathers one row per UNIQUE vertex through a
+// coalesced per-worker batch and aggregates over dense CSR indices.
 
 struct BlockCost {
   double map_ms = 0;
@@ -137,6 +136,8 @@ BlockCost RunBlockVariant(const AttributedGraph& graph, uint64_t seed) {
   const AttributeStore& store = cluster.graph().vertex_attributes();
   CommModel model;
   Rng rng(seed);
+  Rng layer_rng(seed + 1);  // weights off `rng`, so the draws stay put
+  algo::SageLayer layer(d, d, /*maxpool=*/false, layer_rng);
 
   // One attribute row, zero-padded / truncated to d.
   auto fetch_row = [&](VertexId v, CommStats* stats, std::span<float> out) {
@@ -149,8 +150,8 @@ BlockCost RunBlockVariant(const AttributedGraph& graph, uint64_t seed) {
   };
 
   BlockCost cost;
-  // The two paths aggregate the same draws, so their outputs cancel; a
-  // non-zero sink would mean they diverged.
+  // The two paths run one layer over the same draws, so their outputs
+  // cancel; a non-zero sink would mean they diverged.
   float sink = 0.0f;
   for (int round = 0; round < rounds; ++round) {
     std::vector<VertexId> roots(batch);
@@ -159,7 +160,7 @@ BlockCost RunBlockVariant(const AttributedGraph& graph, uint64_t seed) {
     }
     const uint64_t draw_seed = rng.Next();
 
-    // Map path: flat sample, one fetch per slot, legacy per-slot matrices.
+    // Map path: flat sample, one fetch per slot into per-slot matrices.
     {
       CommStats stats;
       DistributedNeighborSource source(cluster, /*worker=*/0, &stats);
@@ -175,9 +176,13 @@ BlockCost RunBlockVariant(const AttributedGraph& graph, uint64_t seed) {
       for (size_t i = 0; i < s.hops[0].size(); ++i) {
         fetch_row(s.hops[0][i], &stats, hop0.Row(i));
       }
-      ops::MeanAggregator agg1, agg0;
-      const nn::Matrix a1 = agg1.Forward(hop1, fans[1]);
-      const nn::Matrix a0 = agg0.Forward(hop0, fans[0]);
+      nn::Matrix self(roots.size(), d);
+      for (size_t i = 0; i < roots.size(); ++i) {
+        fetch_row(roots[i], &stats, self.Row(i));
+      }
+      algo::SageLayer::Cache c1, c0;
+      const nn::Matrix a1 = layer.Forward(hop0, hop1, fans[1], &c1);
+      const nn::Matrix a0 = layer.Forward(self, hop0, fans[0], &c0);
       cost.map_ms += t.ElapsedMillis();
       cost.map_modeled_ms += model.ModeledMillis(stats);
       const size_t slots =
@@ -196,11 +201,11 @@ BlockCost RunBlockVariant(const AttributedGraph& graph, uint64_t seed) {
       const block::SampledBlock blk = sampler.SampleBlock(
           source, roots, NeighborhoodSampler::kAllEdgeTypes, fans,
           /*pool=*/nullptr, &features);
-      ops::MeanAggregator agg1, agg0;
-      const nn::Matrix a1 =
-          agg1.ForwardBlock(blk.features(), blk.hops()[1]);
-      const nn::Matrix a0 =
-          agg0.ForwardBlock(blk.features(), blk.hops()[0]);
+      algo::SageLayer::Cache c1, c0;
+      const nn::Matrix a1 = layer.ForwardBlock(blk.features(), blk.hops()[1],
+                                               &c1);
+      const nn::Matrix a0 = layer.ForwardBlock(blk.features(), blk.hops()[0],
+                                               &c0);
       cost.block_ms += t.ElapsedMillis();
       cost.block_modeled_ms += model.ModeledMillis(stats);
       cost.block_mb +=
@@ -278,7 +283,8 @@ PipelineCost RunPipelineVariant(const AttributedGraph& graph, uint64_t seed) {
   }
   const uint64_t draw_seed = rng.Next();
 
-  ops::MeanAggregator agg1, agg0;
+  Rng layer_rng(seed + 1);  // weights off `rng`, so the draws stay put
+  algo::SageLayer layer(d, d, /*maxpool=*/false, layer_rng);
   PipelineCost cost;
   // Per-batch checksums of the two paths, compared bitwise after both runs:
   // the pipeline must not change a single bit (stages stay in batch order).
@@ -312,8 +318,9 @@ PipelineCost RunPipelineVariant(const AttributedGraph& graph, uint64_t seed) {
       const nn::Matrix x =
           block::GatherBlockFeatures(blk, features, /*row_cache=*/nullptr);
       g_cost[b] = model.ModeledMillis(gather_stats) - g_before;
-      const nn::Matrix a1 = agg1.ForwardBlock(x, blk.hops()[1]);
-      const nn::Matrix a0 = agg0.ForwardBlock(x, blk.hops()[0]);
+      algo::SageLayer::Cache c1, c0;
+      const nn::Matrix a1 = layer.ForwardBlock(x, blk.hops()[1], &c1);
+      const nn::Matrix a0 = layer.ForwardBlock(x, blk.hops()[0], &c0);
       c_cost[b] = kComputeMsPerElement * static_cast<double>(
           (blk.hops()[0].src.size() + blk.hops()[1].src.size()) * d);
       seq_sums[b] = a1.At(0, 0) + a0.At(0, 0);
@@ -340,8 +347,9 @@ PipelineCost RunPipelineVariant(const AttributedGraph& graph, uint64_t seed) {
         },
         [&](size_t b, const block::SampledBlock& blk, const nn::Matrix& x,
             std::any&) {
-          const nn::Matrix a1 = agg1.ForwardBlock(x, blk.hops()[1]);
-          const nn::Matrix a0 = agg0.ForwardBlock(x, blk.hops()[0]);
+          algo::SageLayer::Cache c1, c0;
+          const nn::Matrix a1 = layer.ForwardBlock(x, blk.hops()[1], &c1);
+          const nn::Matrix a0 = layer.ForwardBlock(x, blk.hops()[0], &c0);
           pipe_sums[b] = a1.At(0, 0) + a0.At(0, 0);
         });
     cost.pipe_ms = t.ElapsedMillis();
@@ -366,7 +374,7 @@ int main(int argc, char** argv) {
   using namespace aligraph;
   const bench::BenchArgs args = bench::BenchArgs::Parse(argc, argv);
   // Attach before any HopEmbeddingCache exists so its hit/miss counters
-  // land in this registry, and so aggregate/combine spans are captured.
+  // land in this registry.
   bench::ObsBench obs("table5_operators", args);
   obs.report().AddMeta("experiment", "Table 5 operator cost");
   bench::Banner(
@@ -399,7 +407,7 @@ int main(int argc, char** argv) {
 
   // Variant: map-based (per-slot fetch + hash-keyed rows) vs block-based
   // (relabeled block + coalesced gather + dense CSR aggregation) execution
-  // of the same sampled two-hop AGGREGATE stack.
+  // of the same sampled two-hop AGGREGATE + COMBINE stack.
   obs.Table("block_execution",
             {"dataset", "path", "measured (ms)", "modeled comm (ms)",
              "gathered (MB)"});

@@ -80,6 +80,7 @@ Result<EvolvingScores> EvolvingGnn::Run(const DynamicGraph& dynamic) {
   if (T < 3) {
     return Status::InvalidArgument("need at least 3 timestamps");
   }
+  ALIGRAPH_RETURN_NOT_OK(CheckAggregator(config_.gnn.aggregator));
   const VertexId n = dynamic.Snapshot(1).num_vertices();
   const size_t d = config_.gnn.dim;
   Rng rng(config_.seed);

@@ -19,28 +19,6 @@ namespace {
 
 inline float SigmoidF(float x) { return 1.0f / (1.0f + std::exp(-x)); }
 
-// The mean path's layer input [self | mean], written in place: row i is
-// self_row(i) followed by inv * neighbor_row(e) summed over its fan edges
-// e = i * fan + f, f ascending. Those are the adds, in the order, of a
-// separate aggregate matrix joined by ConcatCols, so the bits are the same.
-template <typename SelfRow, typename NeighborRow>
-nn::Matrix SelfMeanInput(size_t n, size_t self_cols, size_t d, size_t fan,
-                         const SelfRow& self_row,
-                         const NeighborRow& neighbor_row) {
-  nn::Matrix input(n, self_cols + d);
-  const float inv = 1.0f / static_cast<float>(fan);
-  for (size_t i = 0; i < n; ++i) {
-    auto row = input.Row(i);
-    const auto own = self_row(i);
-    std::copy(own.begin(), own.end(), row.begin());
-    const auto mean = row.subspan(self_cols);
-    for (size_t f = 0; f < fan; ++f) {
-      nn::Axpy(inv, neighbor_row(i * fan + f), mean);
-    }
-  }
-  return input;
-}
-
 nn::Matrix MeanAggBackward(const nn::Matrix& grad, size_t fan) {
   nn::Matrix out(grad.rows() * fan, grad.cols());
   const float inv = 1.0f / static_cast<float>(fan);
@@ -107,76 +85,77 @@ nn::Matrix EdgeLossGrad(const nn::Matrix& h2, const EdgeBatch& eb) {
 
 }  // namespace
 
-nn::Matrix SageLayer::Forward(const nn::Matrix& self,
-                              const nn::Matrix& neighbors, size_t fan,
-                              Cache* cache) {
-  ALIGRAPH_CHECK_EQ(neighbors.rows(), self.rows() * fan);
-  const size_t n = self.rows();
-  const size_t d = neighbors.cols();
-  if (maxpool_) {
-    nn::Matrix agg(n, d);
-    cache->argmax.assign(n * d, 0);
-    for (size_t i = 0; i < n; ++i) {
-      auto dst = agg.Row(i);
-      for (size_t j = 0; j < d; ++j) dst[j] = neighbors.At(i * fan, j);
-      for (size_t f = 1; f < fan; ++f) {
-        auto src = neighbors.Row(i * fan + f);
-        for (size_t j = 0; j < d; ++j) {
-          if (src[j] > dst[j]) {
-            dst[j] = src[j];
-            cache->argmax[i * d + j] = static_cast<uint32_t>(f);
-          }
+Status CheckAggregator(const std::string& aggregator) {
+  if (aggregator == "mean" || aggregator == "maxpool") return Status::OK();
+  return Status::InvalidArgument("unknown aggregator: " + aggregator);
+}
+
+// Row i of the layer input is self_row(i) followed by the aggregate of
+// neighbor_row(i * fan + f), f ascending. The mean adds inv * row into +0
+// edge by edge; the maxpool keeps, per column, the first strict maximum and
+// its fan slot. Both are written straight into the input, with the adds in
+// the order a separate aggregate matrix joined by ConcatCols would use, so
+// the bits are the same.
+template <typename SelfRow, typename NeighborRow>
+nn::Matrix SageLayer::ForwardRows(size_t n, size_t fan,
+                                  const SelfRow& self_row,
+                                  const NeighborRow& neighbor_row,
+                                  Cache* cache) {
+  ALIGRAPH_CHECK(!maxpool_ || fan > 0) << "maxpool needs a neighbor per row";
+  const size_t d = in_dim_;
+  cache->input = nn::Matrix(n, 2 * d);
+  cache->fan = fan;
+  if (maxpool_) cache->argmax.assign(n * d, 0);
+  const float inv = 1.0f / static_cast<float>(fan);
+  for (size_t i = 0; i < n; ++i) {
+    const auto row = cache->input.Row(i);
+    const auto own = self_row(i);
+    std::copy(own.begin(), own.end(), row.begin());
+    const auto agg = row.subspan(d);
+    if (!maxpool_) {
+      for (size_t f = 0; f < fan; ++f) {
+        nn::Axpy(inv, neighbor_row(i * fan + f), agg);
+      }
+      continue;
+    }
+    const auto first = neighbor_row(i * fan);
+    std::copy(first.begin(), first.end(), agg.begin());
+    uint32_t* winner = cache->argmax.data() + i * d;
+    for (size_t f = 1; f < fan; ++f) {
+      const auto src = neighbor_row(i * fan + f);
+      for (size_t j = 0; j < d; ++j) {
+        if (src[j] > agg[j]) {
+          agg[j] = src[j];
+          winner[j] = static_cast<uint32_t>(f);
         }
       }
     }
-    cache->input = nn::ConcatCols(self, agg);
-  } else {
-    cache->input = SelfMeanInput(
-        n, self.cols(), d, fan, [&](size_t i) { return self.Row(i); },
-        [&](size_t e) { return neighbors.Row(e); });
   }
-  cache->fan = fan;
   nn::Matrix y = linear_.ForwardAt(cache->input);
   if (relu_) nn::ReluInPlace(y);
   cache->output = y;
   return y;
 }
 
+nn::Matrix SageLayer::Forward(const nn::Matrix& self,
+                              const nn::Matrix& neighbors, size_t fan,
+                              Cache* cache) {
+  ALIGRAPH_CHECK_EQ(self.cols(), in_dim_);
+  ALIGRAPH_CHECK_EQ(neighbors.cols(), in_dim_);
+  ALIGRAPH_CHECK_EQ(neighbors.rows(), self.rows() * fan);
+  return ForwardRows(
+      self.rows(), fan, [&](size_t i) { return self.Row(i); },
+      [&](size_t e) { return neighbors.Row(e); }, cache);
+}
+
 nn::Matrix SageLayer::ForwardBlock(const nn::Matrix& rows,
                                    const block::BlockHop& hop, Cache* cache) {
-  const size_t n = hop.num_dst();
-  const size_t d = rows.cols();
-  if (maxpool_) {
-    nn::Matrix agg(n, d);
-    cache->argmax.assign(n * d, 0);
-    for (size_t i = 0; i < n; ++i) {
-      auto dst = agg.Row(i);
-      const uint32_t begin = hop.offsets[i];
-      auto first = rows.Row(hop.src[begin]);
-      for (size_t j = 0; j < d; ++j) dst[j] = first[j];
-      for (uint32_t e = begin + 1; e < hop.offsets[i + 1]; ++e) {
-        auto src = rows.Row(hop.src[e]);
-        for (size_t j = 0; j < d; ++j) {
-          if (src[j] > dst[j]) {
-            dst[j] = src[j];
-            cache->argmax[i * d + j] = e - begin;
-          }
-        }
-      }
-    }
-    cache->input = nn::ConcatCols(block::GatherRows(rows, hop.dst), agg);
-  } else {
-    // Build lays every hop out with stride fan: edge e of dst i is
-    // i * fan + f.
-    cache->input = SelfMeanInput(
-        n, d, d, hop.fan, [&](size_t i) { return rows.Row(hop.dst[i]); },
-        [&](size_t e) { return rows.Row(hop.src[e]); });
-  }
-  cache->fan = hop.fan;
-  nn::Matrix y = linear_.ForwardAt(cache->input);
-  if (relu_) nn::ReluInPlace(y);
-  cache->output = y;
-  return y;
+  ALIGRAPH_CHECK_EQ(rows.cols(), in_dim_);
+  // Build lays every hop out with stride fan: edge e of dst i is
+  // i * fan + f.
+  return ForwardRows(
+      hop.num_dst(), hop.fan, [&](size_t i) { return rows.Row(hop.dst[i]); },
+      [&](size_t e) { return rows.Row(hop.src[e]); }, cache);
 }
 
 std::pair<nn::Matrix, nn::Matrix> SageLayer::Backward(
@@ -342,6 +321,7 @@ nn::Matrix SageTrainer::Infer(const AttributedGraph& graph,
 Result<nn::Matrix> GraphSage::EmbedWithFeatures(const AttributedGraph& graph,
                                                 const nn::Matrix& features) {
   if (graph.num_vertices() == 0) return Status::InvalidArgument("empty graph");
+  ALIGRAPH_RETURN_NOT_OK(CheckAggregator(config_.aggregator));
   if (features.rows() != graph.num_vertices()) {
     return Status::InvalidArgument("feature matrix row count mismatch");
   }

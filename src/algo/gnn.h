@@ -50,9 +50,15 @@ struct GnnConfig {
   size_t pipeline_depth = 0;
 };
 
-/// \brief One GraphSAGE layer h' = ReLU(W [self || AGG(neigh)] + b) with an
-/// explicit cache so the same layer can be applied at several tree levels
-/// within one training step.
+/// InvalidArgument unless `aggregator` is one SageLayer runs: "mean" or
+/// "maxpool".
+Status CheckAggregator(const std::string& aggregator);
+
+/// \brief One GraphSAGE layer h' = ReLU(W [self || AGG(neigh)] + b), where
+/// AGG is the element-wise mean or max-pool: the operator layer's AGGREGATE
+/// and COMBINE (Section 3.4) with their backward pass. An explicit cache
+/// lets the same layer be applied at several tree levels within one
+/// training step.
 class SageLayer {
  public:
   /// \param relu apply ReLU to the output. The top layer of a stack should
@@ -66,7 +72,7 @@ class SageLayer {
   struct Cache {
     nn::Matrix input;             // [n, 2*in_dim] concat(self, agg)
     nn::Matrix output;            // [n, out_dim] post-ReLU
-    std::vector<uint32_t> argmax;  // maxpool winners
+    std::vector<uint32_t> argmax;  // maxpool: winning fan slot per [n, in_dim]
     size_t fan = 1;
   };
 
@@ -90,6 +96,12 @@ class SageLayer {
   size_t out_dim() const { return linear_.out_dim(); }
 
  private:
+  // The one AGGREGATE + COMBINE body behind Forward and ForwardBlock: row i
+  // aggregates self_row(i) with neighbor_row(i * fan + f) for f < fan.
+  template <typename SelfRow, typename NeighborRow>
+  nn::Matrix ForwardRows(size_t n, size_t fan, const SelfRow& self_row,
+                         const NeighborRow& neighbor_row, Cache* cache);
+
   nn::Linear linear_;
   size_t in_dim_;
   bool maxpool_;

@@ -27,7 +27,7 @@
 #include "graph/types.h"
 
 // System layers: partitioning, distributed runtime, storage, sampling,
-// subgraph blocks, operators.
+// subgraph blocks, the hop-embedding cache.
 #include "block/feature_source.h"
 #include "block/sampled_block.h"
 #include "block/scaled_csr.h"
@@ -36,7 +36,6 @@
 #include "cluster/graph_server.h"
 #include "cluster/request_bucket.h"
 #include "ops/hop_cache.h"
-#include "ops/operators.h"
 #include "partition/partitioner.h"
 #include "sampling/sampler.h"
 #include "storage/importance.h"

@@ -27,13 +27,13 @@ Matrix Linear::ForwardAt(const Matrix& x) const {
 Matrix Linear::BackwardAt(const Matrix& x, const Matrix& grad_out) {
   ALIGRAPH_CHECK_EQ(grad_out.rows(), x.rows());
   // dW += X^T dY ; db += colsum(dY) ; dX = dY W^T
-  w_.grad += MatMulTransA(x, grad_out);
+  w_.grad += MatMul(Transpose(x), grad_out);
   for (size_t i = 0; i < grad_out.rows(); ++i) {
     auto g = grad_out.Row(i);
     auto b = b_.grad.Row(0);
     for (size_t j = 0; j < g.size(); ++j) b[j] += g[j];
   }
-  return MatMulTransB(grad_out, w_.value);
+  return MatMul(grad_out, Transpose(w_.value));
 }
 
 EmbeddingTable::EmbeddingTable(size_t num_rows, size_t dim, Rng& rng,

@@ -31,6 +31,8 @@ class Linear {
   /// Stateless variants for layers used at several sites in one step: the
   /// caller keeps the input and passes it back at backward time.
   Matrix ForwardAt(const Matrix& x) const;
+  /// dW += X^T dY, db += colsum(dY), returns dX = dY W^T, both products
+  /// under MatMul's contract.
   Matrix BackwardAt(const Matrix& x, const Matrix& grad_out);
 
   /// Applies the optimizer to both parameters and clears gradients.

@@ -153,31 +153,13 @@ Matrix MatMul(const Matrix& a, const Matrix& b) {
   return c;
 }
 
-Matrix MatMulTransB(const Matrix& a, const Matrix& b) {
-  ALIGRAPH_CHECK_EQ(a.cols(), b.cols());
-  Matrix c(a.rows(), b.rows());
+Matrix Transpose(const Matrix& a) {
+  Matrix t(a.cols(), a.rows());
   for (size_t i = 0; i < a.rows(); ++i) {
-    for (size_t j = 0; j < b.rows(); ++j) {
-      c.At(i, j) = Dot(a.Row(i), b.Row(j));
-    }
+    const float* row = a.Row(i).data();
+    for (size_t j = 0; j < a.cols(); ++j) t.At(j, i) = row[j];
   }
-  return c;
-}
-
-Matrix MatMulTransA(const Matrix& a, const Matrix& b) {
-  ALIGRAPH_CHECK_EQ(a.rows(), b.rows());
-  Matrix c(a.cols(), b.cols());
-  for (size_t k = 0; k < a.rows(); ++k) {
-    const float* arow = a.Row(k).data();
-    const float* brow = b.Row(k).data();
-    for (size_t i = 0; i < a.cols(); ++i) {
-      const float aki = arow[i];
-      if (aki == 0.0f) continue;
-      float* crow = c.Row(i).data();
-      for (size_t j = 0; j < b.cols(); ++j) crow[j] += aki * brow[j];
-    }
-  }
-  return c;
+  return t;
 }
 
 void AddBiasRow(Matrix& a, const Matrix& bias) {

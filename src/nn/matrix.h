@@ -70,11 +70,12 @@ class Matrix {
 /// of A[i][p] * B[p][j] over p in ascending order, starting from +0, so the
 /// result does not depend on how the kernel tiles or vectorizes. Plain IEEE
 /// semantics throughout: a zero in A does not mask an Inf or NaN in B.
+/// Linear::BackwardAt runs both of its products (X^T dY and dY W^T) through
+/// MatMul on Transpose copies, so the backward pass follows this contract.
 Matrix MatMul(const Matrix& a, const Matrix& b);
-/// C = A * B^T. A is [n,k], B is [m,k], C is [n,m].
-Matrix MatMulTransB(const Matrix& a, const Matrix& b);
-/// C = A^T * B. A is [k,n], B is [k,m], C is [n,m].
-Matrix MatMulTransA(const Matrix& a, const Matrix& b);
+
+/// A^T: the [cols, rows] matrix with A^T[j][i] == A[i][j].
+Matrix Transpose(const Matrix& a);
 
 /// Adds a 1 x m bias row to every row of a.
 void AddBiasRow(Matrix& a, const Matrix& bias);

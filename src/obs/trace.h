@@ -4,7 +4,7 @@
 /// per-request trace trees.
 ///
 /// A ScopedSpan times one stage of a pipeline ("sample/hop0",
-/// "aggregate/fwd", ...). Spans nest: a thread-local depth counter tracks
+/// "block/gather", ...). Spans nest: a thread-local depth counter tracks
 /// the nesting level so aggregation can tell stages from their sub-stages.
 /// Completed spans are appended to a per-thread ring buffer owned by the
 /// active Tracer — recording is wait-free for the owning thread (one index

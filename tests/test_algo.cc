@@ -380,6 +380,35 @@ TEST(EvolvingTest, RejectsTooFewTimestamps) {
   EXPECT_FALSE(model.Run(dg).ok());
 }
 
+// SageLayer runs only the mean and max-pool aggregators; any other name is
+// a config error, not a silent mean model.
+TEST(GnnConfigTest, UnknownAggregatorRejected) {
+  GnnConfig config;
+  config.dim = 8;
+  config.feature_dim = 8;
+  config.batches_per_epoch = 2;
+  config.aggregator = "sum";
+  auto emb = GraphSage(config).Embed(SmallGraph());
+  ASSERT_FALSE(emb.ok());
+  EXPECT_EQ(emb.status().code(), StatusCode::kInvalidArgument);
+
+  gen::DynamicConfig dcfg;
+  dcfg.num_vertices = 50;
+  dcfg.num_timestamps = 3;
+  dcfg.base_edges = 100;
+  dcfg.normal_edges_per_step = 20;
+  dcfg.burst_size = 5;
+  auto dg = std::move(gen::GenerateDynamic(dcfg)).value();
+  for (const char* name : {"sum", "Mean"}) {
+    EvolvingGnn::Config cfg;
+    cfg.gnn = config;
+    cfg.gnn.aggregator = name;
+    auto scores = EvolvingGnn(cfg).Run(dg);
+    ASSERT_FALSE(scores.ok()) << name;
+    EXPECT_EQ(scores.status().code(), StatusCode::kInvalidArgument) << name;
+  }
+}
+
 TEST(BayesianTest, CorrectionPullsRelatedEntitiesTogether) {
   Rng rng(9);
   const size_t n = 60;

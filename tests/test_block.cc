@@ -1,6 +1,6 @@
 // Tests for the subgraph-block execution path: SampledBlock relabeling
-// invariants, block-vs-flat draw equivalence, bit-identity of block-based
-// AGGREGATE / COMBINE against the per-slot materialized operators, golden
+// invariants, block-vs-flat draw equivalence, bit-identity of SageLayer's
+// block and per-slot AGGREGATE / COMBINE against a separate reference, golden
 // fingerprints of the end-to-end GraphSAGE / GCN embeddings, feature
 // gathering through every source, and full-shape degradation under fault
 // injection.
@@ -25,7 +25,6 @@
 #include "graph/graph.h"
 #include "obs/metrics.h"
 #include "ops/hop_cache.h"
-#include "ops/operators.h"
 #include "partition/partitioner.h"
 #include "proptest.h"
 #include "sampling/sampler.h"
@@ -249,73 +248,15 @@ ALIGRAPH_PROP(BlockProps, BlockMatchesFlatDraws, 12) {
 }
 
 // ---------------------------------------------------------------------------
-// Operator bit-identity: block CSR-indexed AGGREGATE / COMBINE against the
-// legacy per-slot materialized path, forward and backward.
+// Operator bit-identity: SageLayer::ForwardBlock (CSR-indexed) and
+// SageLayer::Forward (per-slot matrices) against a separate reference.
 
-ALIGRAPH_PROP(BlockProps, AggregatorsBitIdenticalToLegacy, 8) {
-  const AttributedGraph graph = proptest::RandomGraph(ctx);
-  LocalNeighborSource source(graph);
-  NeighborhoodSampler sampler(NeighborStrategy::kUniform, ctx.rng.Next());
-  const auto roots = RandomRoots(ctx, graph, 4 + ctx.rng.Uniform(8));
-  const std::vector<uint32_t> fans{
-      static_cast<uint32_t>(1 + ctx.rng.Uniform(4)),
-      static_cast<uint32_t>(1 + ctx.rng.Uniform(3))};
-  const block::SampledBlock blk = sampler.SampleBlock(
-      source, roots, NeighborhoodSampler::kAllEdgeTypes, fans);
-
-  const size_t d = 8;
-  Rng mrng(ctx.rng.Next());
-  const nn::Matrix rows =
-      nn::Matrix::Gaussian(blk.num_vertices(), d, 1.0f, mrng);
-
-  for (const char* name : {"mean", "sum", "maxpool"}) {
-    for (const block::BlockHop& hop : blk.hops()) {
-      auto legacy = ops::MakeAggregator(name);
-      auto blocked = ops::MakeAggregator(name);
-
-      // Legacy path: materialize one row per slot, then aggregate.
-      const nn::Matrix neighbors = block::GatherRows(rows, hop.src);
-      const nn::Matrix out_legacy = legacy->Forward(neighbors, hop.fan);
-      const nn::Matrix out_block = blocked->ForwardBlock(rows, hop);
-      EXPECT_TRUE(BitEqual(out_legacy, out_block)) << name << " forward";
-
-      const nn::Matrix grad_out =
-          nn::Matrix::Gaussian(hop.num_dst(), d, 1.0f, mrng);
-      const nn::Matrix grad_legacy = legacy->Backward(grad_out);
-      const nn::Matrix grad_block =
-          blocked->BackwardBlock(grad_out, blk.num_vertices());
-
-      // The block backward is the legacy per-slot gradient accumulated per
-      // unique vertex in slot order.
-      nn::Matrix accumulated(blk.num_vertices(), d);
-      for (size_t e = 0; e < hop.src.size(); ++e) {
-        for (size_t j = 0; j < d; ++j) {
-          accumulated.At(hop.src[e], j) += grad_legacy.At(e, j);
-        }
-      }
-      EXPECT_TRUE(BitEqual(accumulated, grad_block)) << name << " backward";
-    }
-  }
-
-  // COMBINE: the block entry point gathers self rows from dst slots and
-  // must match the legacy call on the materialized self matrix.
-  Rng crng(42);
-  ops::ConcatCombiner combiner(d, d, crng);
-  const block::BlockHop& hop = blk.hops()[0];
-  ops::MeanAggregator agg;
-  const nn::Matrix aggregated = agg.ForwardBlock(rows, hop);
-  const nn::Matrix self = block::GatherRows(rows, hop.dst);
-  Rng crng2(42);
-  ops::ConcatCombiner combiner2(d, d, crng2);
-  EXPECT_TRUE(BitEqual(combiner.Forward(self, aggregated),
-                       combiner2.ForwardBlock(rows, hop, aggregated)));
-}
-
-// SageLayer::ForwardBlock's mean path writes [self | mean] straight into the
-// layer input. It must equal, bit for bit, the separate formulation it
-// replaced: self rows gathered per dst slot, an aggregate matrix summed edge
-// by edge in CSR order, and the two concatenated.
-ALIGRAPH_PROP(BlockProps, SageMeanForwardBitIdenticalToGatherConcat, 6) {
+// Both SageLayer entry points write [self | AGG] straight into the layer
+// input. They must equal, bit for bit, the separate formulation: self rows
+// gathered per dst slot, an aggregate matrix built edge by edge in CSR order
+// (the mean summed from +0, the maxpool keeping each column's first strict
+// maximum and its slot), and the two concatenated.
+ALIGRAPH_PROP(BlockProps, SageForwardBitIdenticalToGatherConcat, 6) {
   const AttributedGraph graph = proptest::RandomGraph(ctx);
   LocalNeighborSource source(graph);
   NeighborhoodSampler sampler(NeighborStrategy::kUniform, ctx.rng.Next());
@@ -326,35 +267,48 @@ ALIGRAPH_PROP(BlockProps, SageMeanForwardBitIdenticalToGatherConcat, 6) {
   const block::SampledBlock blk = sampler.SampleBlock(
       source, roots, NeighborhoodSampler::kAllEdgeTypes, fans);
 
-  for (const size_t d : {3, 16, 32}) {
-    Rng mrng(ctx.rng.Next());
-    const nn::Matrix rows =
-        nn::Matrix::Gaussian(blk.num_vertices(), d, 1.0f, mrng);
-    for (const block::BlockHop& hop : blk.hops()) {
-      nn::Matrix agg(hop.num_dst(), d);
-      const float inv = 1.0f / static_cast<float>(hop.fan);
-      for (size_t i = 0; i < hop.num_dst(); ++i) {
-        for (uint32_t e = hop.offsets[i]; e < hop.offsets[i + 1]; ++e) {
-          for (size_t j = 0; j < d; ++j) {
-            agg.At(i, j) += inv * rows.At(hop.src[e], j);
+  for (const bool maxpool : {false, true}) {
+    for (const size_t d : {3, 16, 32}) {
+      Rng mrng(ctx.rng.Next());
+      const nn::Matrix rows =
+          nn::Matrix::Gaussian(blk.num_vertices(), d, 1.0f, mrng);
+      for (const block::BlockHop& hop : blk.hops()) {
+        const nn::Matrix self = block::GatherRows(rows, hop.dst);
+        const nn::Matrix neighbors = block::GatherRows(rows, hop.src);
+        nn::Matrix agg(hop.num_dst(), d);
+        std::vector<uint32_t> argmax(maxpool ? hop.num_dst() * d : 0);
+        const float inv = 1.0f / static_cast<float>(hop.fan);
+        for (size_t i = 0; i < hop.num_dst(); ++i) {
+          const uint32_t begin = hop.offsets[i];
+          for (uint32_t e = begin; e < hop.offsets[i + 1]; ++e) {
+            for (size_t j = 0; j < d; ++j) {
+              const float v = neighbors.At(e, j);
+              if (!maxpool) {
+                agg.At(i, j) += inv * v;
+              } else if (e == begin || v > agg.At(i, j)) {
+                agg.At(i, j) = v;
+                argmax[i * d + j] = e - begin;
+              }
+            }
           }
         }
-      }
-      const nn::Matrix self = block::GatherRows(rows, hop.dst);
-      const nn::Matrix neighbors = block::GatherRows(rows, hop.src);
-      const nn::Matrix input = nn::ConcatCols(self, agg);
+        const nn::Matrix input = nn::ConcatCols(self, agg);
 
-      Rng wrng(99);
-      algo::SageLayer fused(d, 8, /*maxpool=*/false, wrng);
-      Rng wrng2(99);
-      algo::SageLayer separate(d, 8, /*maxpool=*/false, wrng2);
-      algo::SageLayer::Cache c_fused, c_separate;
-      const nn::Matrix out_fused = fused.ForwardBlock(rows, hop, &c_fused);
-      const nn::Matrix out_separate =
-          separate.Forward(self, neighbors, hop.fan, &c_separate);
-      EXPECT_TRUE(BitEqual(c_fused.input, input)) << "d=" << d;
-      EXPECT_TRUE(BitEqual(c_separate.input, input)) << "d=" << d;
-      EXPECT_TRUE(BitEqual(out_fused, out_separate)) << "d=" << d;
+        Rng wrng(99);
+        algo::SageLayer fused(d, 8, maxpool, wrng);
+        Rng wrng2(99);
+        algo::SageLayer separate(d, 8, maxpool, wrng2);
+        algo::SageLayer::Cache c_fused, c_separate;
+        const nn::Matrix out_fused = fused.ForwardBlock(rows, hop, &c_fused);
+        const nn::Matrix out_separate =
+            separate.Forward(self, neighbors, hop.fan, &c_separate);
+        const char* what = maxpool ? "maxpool" : "mean";
+        EXPECT_TRUE(BitEqual(c_fused.input, input)) << what << " d=" << d;
+        EXPECT_TRUE(BitEqual(c_separate.input, input)) << what << " d=" << d;
+        EXPECT_TRUE(BitEqual(out_fused, out_separate)) << what << " d=" << d;
+        EXPECT_EQ(c_fused.argmax, argmax) << what << " d=" << d;
+        EXPECT_EQ(c_separate.argmax, argmax) << what << " d=" << d;
+      }
     }
   }
 }

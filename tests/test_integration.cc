@@ -16,7 +16,6 @@
 #include "gen/taobao.h"
 #include "nn/layers.h"
 #include "ops/hop_cache.h"
-#include "ops/operators.h"
 #include "partition/partitioner.h"
 #include "sampling/sampler.h"
 
@@ -124,8 +123,7 @@ TEST(OperatorPipelineTest, CachedAndUncachedAgree) {
   nn::Matrix x(graph.num_vertices(), d);
   for (size_t i = 0; i < x.size(); ++i) x.data()[i] = rng.NextFloat();
 
-  ops::MeanAggregator agg;
-  ops::ConcatCombiner combine(d, d, rng);
+  algo::SageLayer layer(d, d, /*maxpool=*/false, rng);
 
   LocalNeighborSource source(graph);
   NeighborhoodSampler hood(NeighborStrategy::kUniform, 7);
@@ -142,8 +140,8 @@ TEST(OperatorPipelineTest, CachedAndUncachedAgree) {
       std::copy(x.Row(nbs[f]).begin(), x.Row(nbs[f]).end(),
                 neigh.Row(f).begin());
     }
-    const nn::Matrix a = agg.Forward(neigh, nbs.size());
-    return combine.Forward(self, a);
+    algo::SageLayer::Cache cache;
+    return layer.Forward(self, neigh, nbs.size(), &cache);
   };
 
   // Two passes over the same sampled tree: pass 1 computes and fills the

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <limits>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "gen/powerlaw.h"
@@ -121,28 +122,43 @@ TEST(MatrixTest, ReluBitEqualsStdMax) {
   }
 }
 
-TEST(MatrixTest, TransposedMatMulsConsistent) {
-  Rng rng(1);
-  Matrix a = Matrix::Gaussian(4, 3, 1.0f, rng);
-  Matrix b = Matrix::Gaussian(3, 5, 1.0f, rng);
-  Matrix c = MatMul(a, b);
-  // A*B == (A^T)^T * B via MatMulTransA with A^T stored.
-  Matrix at(3, 4);
-  for (size_t i = 0; i < 4; ++i) {
-    for (size_t j = 0; j < 3; ++j) at.At(j, i) = a.At(i, j);
-  }
-  Matrix c2 = MatMulTransA(at, b);
-  for (size_t i = 0; i < c.size(); ++i) {
-    EXPECT_NEAR(c.data()[i], c2.data()[i], 1e-4);
-  }
-  // A*B == A * (B^T)^T via MatMulTransB with B^T stored.
-  Matrix bt(5, 3);
-  for (size_t i = 0; i < 3; ++i) {
-    for (size_t j = 0; j < 5; ++j) bt.At(j, i) = b.At(i, j);
-  }
-  Matrix c3 = MatMulTransB(a, bt);
-  for (size_t i = 0; i < c.size(); ++i) {
-    EXPECT_NEAR(c.data()[i], c3.data()[i], 1e-4);
+// Linear::BackwardAt's dW = X^T dY and dX = dY W^T go through Transpose
+// and the tiled MatMul; both must equal the naive k-ascending sums bit for
+// bit, also on ragged shapes: fewer than 8 columns, rows not a multiple
+// of 4.
+TEST(MatrixTest, TransposedProductsBitEqualNaiveReference) {
+  Rng rng(13);
+  for (size_t n : {1, 3, 6, 13}) {
+    for (size_t in : {1, 5, 7, 9}) {
+      for (size_t out : {1, 3, 7, 8, 11}) {
+        Matrix x = Matrix::Gaussian(n, in, 1.0f, rng);
+        for (size_t i = 0; i < n; ++i) {
+          if (rng.Uniform(3) == 0) x.At(i, rng.Uniform(in)) = 0.0f;
+        }
+        const Matrix dy = Matrix::Gaussian(n, out, 1.0f, rng);
+
+        const Matrix xt = Transpose(x);
+        ASSERT_EQ(xt.rows(), in);
+        ASSERT_EQ(xt.cols(), n);
+        for (size_t i = 0; i < n; ++i) {
+          for (size_t j = 0; j < in; ++j) {
+            EXPECT_EQ(std::memcmp(&xt.Row(j)[i], &x.Row(i)[j], sizeof(float)),
+                      0);
+          }
+        }
+
+        Linear layer(in, out, rng);
+        const Matrix dx = layer.BackwardAt(x, dy);
+        const std::string shape = std::to_string(n) + "x" +
+                                  std::to_string(in) + " -> " +
+                                  std::to_string(out);
+        EXPECT_TRUE(SameBits(layer.weight().grad, NaiveMatMul(xt, dy)))
+            << "dW " << shape;
+        EXPECT_TRUE(SameBits(dx, NaiveMatMul(dy, Transpose(
+                                                     layer.weight().value))))
+            << "dX " << shape;
+      }
+    }
   }
 }
 
@@ -239,6 +255,21 @@ TEST(LinearTest, GradientCheck) {
     w.value.data()[i] = orig;
     EXPECT_NEAR(analytic, (lp - lm) / (2 * eps), 5e-2) << "dW[" << i << "]";
   }
+}
+
+TEST(LinearTest, ZeroInputDoesNotMaskNonFiniteGradient) {
+  // dW = X^T dY under plain IEEE: 0 * Inf is NaN, and it must reach the
+  // gradient instead of being skipped as a zero input.
+  Rng rng(3);
+  Linear layer(2, 1, rng);
+  Matrix x(1, 2);
+  x.At(0, 0) = 0.0f;
+  x.At(0, 1) = 1.0f;
+  Matrix dy(1, 1);
+  dy.At(0, 0) = std::numeric_limits<float>::infinity();
+  layer.BackwardAt(x, dy);
+  EXPECT_TRUE(std::isnan(layer.weight().grad.At(0, 0)));
+  EXPECT_TRUE(std::isinf(layer.weight().grad.At(1, 0)));
 }
 
 TEST(BceTest, PerfectPredictionsHaveLowLoss) {

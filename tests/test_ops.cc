@@ -1,15 +1,16 @@
-// Tests for the operator layer: AGGREGATE / COMBINE forward + backward and
-// the per-mini-batch hop-embedding materialization cache of Table 5.
+// Tests for the operator layer: AGGREGATE / COMBINE forward + backward
+// (algo::SageLayer, mean and max-pool, on hand-computed values) and the
+// per-mini-batch hop-embedding materialization cache of Table 5.
 
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <string>
+#include <algorithm>
+#include <utility>
+#include <vector>
 
+#include "algo/gnn.h"
 #include "nn/matrix.h"
-#include "nn/optimizer.h"
 #include "ops/hop_cache.h"
-#include "ops/operators.h"
 
 namespace aligraph {
 namespace ops {
@@ -17,152 +18,83 @@ namespace {
 
 using nn::Matrix;
 
-Matrix MakeNeighbors() {
-  // batch=2, fan=2, d=2: rows are neighbors of root0 then root1.
-  Matrix m(4, 2);
-  float vals[] = {1, 2, 3, 4, 5, 6, 7, 8};
-  std::copy(vals, vals + 8, m.data());
+Matrix FromValues(size_t rows, size_t cols, std::vector<float> vals) {
+  Matrix m(rows, cols);
+  std::copy(vals.begin(), vals.end(), m.data());
   return m;
 }
 
-TEST(MeanAggregatorTest, ForwardAverages) {
-  MeanAggregator agg;
-  Matrix out = agg.Forward(MakeNeighbors(), 2);
-  ASSERT_EQ(out.rows(), 2u);
-  EXPECT_FLOAT_EQ(out.At(0, 0), 2.0f);  // (1+3)/2
-  EXPECT_FLOAT_EQ(out.At(0, 1), 3.0f);  // (2+4)/2
-  EXPECT_FLOAT_EQ(out.At(1, 0), 6.0f);
+// A SageLayer draws its [2 * in, out] weight with Matrix::Xavier from the
+// Rng it is built with, so a twin Rng hands the test W.
+constexpr uint64_t kWeightSeed = 5;
+constexpr size_t kIn = 2;
+
+Matrix LayerWeight() {
+  Rng rng(kWeightSeed);
+  return Matrix::Xavier(2 * kIn, 1, rng);
 }
 
-TEST(MeanAggregatorTest, BackwardDistributesEvenly) {
-  MeanAggregator agg;
-  agg.Forward(MakeNeighbors(), 2);
-  Matrix grad(2, 2);
-  grad.Fill(1.0f);
-  Matrix din = agg.Backward(grad);
-  ASSERT_EQ(din.rows(), 4u);
-  for (size_t i = 0; i < din.size(); ++i) {
-    EXPECT_FLOAT_EQ(din.data()[i], 0.5f);
-  }
-}
+// batch=2, fan=2, in=2 with a linear top (out=1, no ReLU) and dY = 1, so
+// dInput row i is W^T: dSelf gets W[0..in), the aggregate W[in..2in).
+struct SageCase {
+  Matrix self = FromValues(2, kIn, {-1, -2, -3, -4});
+  algo::SageLayer::Cache cache;
+  std::pair<Matrix, Matrix> grads;
 
-TEST(SumAggregatorTest, ForwardSums) {
-  SumAggregator agg;
-  Matrix out = agg.Forward(MakeNeighbors(), 2);
-  EXPECT_FLOAT_EQ(out.At(0, 0), 4.0f);
-  EXPECT_FLOAT_EQ(out.At(1, 1), 14.0f);
-}
-
-TEST(SumAggregatorTest, BackwardCopies) {
-  SumAggregator agg;
-  agg.Forward(MakeNeighbors(), 2);
-  Matrix grad(2, 2);
-  grad.At(0, 0) = 2.0f;
-  Matrix din = agg.Backward(grad);
-  EXPECT_FLOAT_EQ(din.At(0, 0), 2.0f);
-  EXPECT_FLOAT_EQ(din.At(1, 0), 2.0f);  // both fan slots get it
-}
-
-TEST(MaxPoolAggregatorTest, ForwardTakesMax) {
-  MaxPoolAggregator agg;
-  Matrix out = agg.Forward(MakeNeighbors(), 2);
-  EXPECT_FLOAT_EQ(out.At(0, 0), 3.0f);
-  EXPECT_FLOAT_EQ(out.At(0, 1), 4.0f);
-  EXPECT_FLOAT_EQ(out.At(1, 0), 7.0f);
-}
-
-TEST(MaxPoolAggregatorTest, BackwardRoutesToArgmax) {
-  MaxPoolAggregator agg;
-  agg.Forward(MakeNeighbors(), 2);
-  Matrix grad(2, 2);
-  grad.Fill(1.0f);
-  Matrix din = agg.Backward(grad);
-  // Winners were the second neighbor of each root.
-  EXPECT_FLOAT_EQ(din.At(0, 0), 0.0f);
-  EXPECT_FLOAT_EQ(din.At(1, 0), 1.0f);
-  EXPECT_FLOAT_EQ(din.At(2, 0), 0.0f);
-  EXPECT_FLOAT_EQ(din.At(3, 0), 1.0f);
-}
-
-TEST(AggregatorFactoryTest, ResolvesNames) {
-  for (const char* name : {"mean", "sum", "maxpool"}) {
-    auto agg = MakeAggregator(name);
-    ASSERT_NE(agg, nullptr);
-    EXPECT_EQ(agg->name(), name);
-  }
-}
-
-class CombinerParamTest : public ::testing::TestWithParam<std::string> {
- protected:
-  std::unique_ptr<Combiner> Make(size_t in, size_t out, Rng& rng) {
-    if (GetParam() == "concat") {
-      return std::make_unique<ConcatCombiner>(in, out, rng);
-    }
-    return std::make_unique<AddCombiner>(in, out, rng);
+  SageCase(bool maxpool, const Matrix& neighbors) {
+    Rng rng(kWeightSeed);
+    algo::SageLayer layer(kIn, 1, maxpool, rng, /*relu=*/false);
+    layer.Forward(self, neighbors, 2, &cache);
+    Matrix dy(2, 1);
+    dy.Fill(1.0f);
+    grads = layer.Backward(cache, dy);
   }
 };
 
-TEST_P(CombinerParamTest, ForwardShapeAndNonNegativity) {
-  Rng rng(3);
-  auto comb = Make(4, 3, rng);
-  Matrix self = Matrix::Gaussian(5, 4, 1.0f, rng);
-  Matrix agg = Matrix::Gaussian(5, 4, 1.0f, rng);
-  Matrix out = comb->Forward(self, agg);
-  EXPECT_EQ(out.rows(), 5u);
-  EXPECT_EQ(out.cols(), 3u);
-  for (size_t i = 0; i < out.size(); ++i) {
-    EXPECT_GE(out.data()[i], 0.0f);  // ReLU output
+TEST(SageLayerTest, MeanBackwardDistributesEvenly) {
+  SageCase c(/*maxpool=*/false, FromValues(4, kIn, {1, 2, 3, 4, 5, 6, 7, 8}));
+  // Row i of the input is [self | mean of its two neighbors].
+  const Matrix input = FromValues(2, 2 * kIn, {-1, -2, 2, 3, -3, -4, 6, 7});
+  for (size_t i = 0; i < input.size(); ++i) {
+    EXPECT_EQ(c.cache.input.data()[i], input.data()[i]) << i;
   }
-}
-
-TEST_P(CombinerParamTest, BackwardShapes) {
-  Rng rng(5);
-  auto comb = Make(4, 3, rng);
-  Matrix self = Matrix::Gaussian(2, 4, 1.0f, rng);
-  Matrix agg = Matrix::Gaussian(2, 4, 1.0f, rng);
-  comb->Forward(self, agg);
-  Matrix grad(2, 3);
-  grad.Fill(1.0f);
-  auto [dself, dagg] = comb->Backward(grad);
-  EXPECT_EQ(dself.rows(), 2u);
-  EXPECT_EQ(dself.cols(), 4u);
-  EXPECT_EQ(dagg.cols(), 4u);
-}
-
-TEST_P(CombinerParamTest, TrainingReducesLoss) {
-  // Fit target = first column of self through the combiner.
-  Rng rng(7);
-  auto comb = Make(3, 1, rng);
-  nn::Adam opt(0.05f);
-  Matrix self = Matrix::Gaussian(16, 3, 1.0f, rng);
-  // AddCombiner sees only self + agg, so give both branches the same
-  // signal; the test checks trainability, not separability.
-  Matrix agg = self;
-  Matrix target(16, 1);
-  for (size_t i = 0; i < 16; ++i) {
-    target.At(i, 0) = std::abs(self.At(i, 0));
+  const Matrix w = LayerWeight();
+  const auto& [dself, dneigh] = c.grads;
+  ASSERT_EQ(dneigh.rows(), 4u);
+  for (size_t r = 0; r < 2; ++r) {
+    for (size_t j = 0; j < kIn; ++j) EXPECT_EQ(dself.At(r, j), w.At(j, 0));
   }
-  float first_loss = -1;
-  float last_loss = 0;
-  for (int step = 0; step < 300; ++step) {
-    Matrix out = comb->Forward(self, agg);
-    Matrix grad(16, 1);
-    float loss = 0;
-    for (size_t i = 0; i < 16; ++i) {
-      const float diff = out.At(i, 0) - target.At(i, 0);
-      loss += diff * diff;
-      grad.At(i, 0) = 2 * diff / 16;
+  // Every fan slot gets half of the aggregate's gradient.
+  for (size_t e = 0; e < 4; ++e) {
+    for (size_t j = 0; j < kIn; ++j) {
+      EXPECT_EQ(dneigh.At(e, j), 0.5f * w.At(kIn + j, 0)) << e << "," << j;
     }
-    if (first_loss < 0) first_loss = loss;
-    last_loss = loss;
-    comb->Backward(grad);
-    comb->Apply(opt);
   }
-  EXPECT_LT(last_loss, first_loss * 0.5f);
 }
 
-INSTANTIATE_TEST_SUITE_P(Combiners, CombinerParamTest,
-                         ::testing::Values("concat", "add"));
+TEST(SageLayerTest, MaxPoolBackwardRoutesToArgmax) {
+  // Per column, the first strict maximum wins: root 0 takes slot 1 in
+  // column 0 and slot 0 in column 1; root 1 ties in column 0 and keeps
+  // slot 0.
+  SageCase c(/*maxpool=*/true, FromValues(4, kIn, {1, 4, 3, 2, 5, 6, 5, 8}));
+  const Matrix input = FromValues(2, 2 * kIn, {-1, -2, 3, 4, -3, -4, 5, 8});
+  for (size_t i = 0; i < input.size(); ++i) {
+    EXPECT_EQ(c.cache.input.data()[i], input.data()[i]) << i;
+  }
+  EXPECT_EQ(c.cache.argmax, (std::vector<uint32_t>{1, 0, 0, 1}));
+  const Matrix w = LayerWeight();
+  const auto& [dself, dneigh] = c.grads;
+  ASSERT_EQ(dneigh.rows(), 4u);
+  EXPECT_EQ(dself.At(1, 1), w.At(1, 0));
+  // Slot rows: root 0 = {0, 1}, root 1 = {2, 3}. The winner of each
+  // column takes the aggregate's whole gradient; the loser gets zero.
+  const float g0 = w.At(kIn, 0);
+  const float g1 = w.At(kIn + 1, 0);
+  const Matrix expected = FromValues(4, kIn, {0, g1, g0, 0, g0, 0, 0, g1});
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(dneigh.data()[i], expected.data()[i]) << i;
+  }
+}
 
 TEST(HopCacheTest, MissThenHit) {
   HopEmbeddingCache cache(3);
