@@ -102,16 +102,48 @@ void AliasTable::SampleBatch(Rng& rng, std::span<size_t> out,
     s.u[j] = rng.NextDouble();
   }
 
-  // Pass 2: resolve the accept/alias branch. The row needed `kAhead`
-  // iterations from now is prefetched so the (random-index) loads overlap.
+  Resolve(s.idx.data(), s.u.data(), 1, out);
+}
+
+void AliasTable::SamplePairBatch(const AliasTable& a, const AliasTable& b,
+                                 Rng& rng, std::span<size_t> out_a,
+                                 std::span<size_t> out_b,
+                                 BatchScratch* scratch) {
+  ALIGRAPH_CHECK_EQ(out_a.size(), out_b.size());
+  if (out_a.empty()) return;
+  ALIGRAPH_CHECK(!a.empty() && !b.empty());
+
+  BatchScratch local;
+  BatchScratch& s = scratch != nullptr ? *scratch : local;
+  const size_t count = out_a.size();
+  s.idx.resize(2 * count);
+  s.u.resize(2 * count);
+
+  // Pass 1: the draws of a then b, pair by pair, interleaved in scratch
+  // exactly as the scalar loop consumes them.
+  for (size_t j = 0; j < count; ++j) {
+    s.idx[2 * j] = static_cast<uint32_t>(rng.Uniform(a.prob_.size()));
+    s.u[2 * j] = rng.NextDouble();
+    s.idx[2 * j + 1] = static_cast<uint32_t>(rng.Uniform(b.prob_.size()));
+    s.u[2 * j + 1] = rng.NextDouble();
+  }
+  a.Resolve(s.idx.data(), s.u.data(), 2, out_a);
+  b.Resolve(s.idx.data() + 1, s.u.data() + 1, 2, out_b);
+}
+
+void AliasTable::Resolve(const uint32_t* idx, const double* u, size_t stride,
+                         std::span<size_t> out) const {
+  // The row needed `kAhead` iterations from now is prefetched so the
+  // (random-index) loads overlap.
   constexpr size_t kAhead = 8;
+  const size_t count = out.size();
   for (size_t j = 0; j < count; ++j) {
     if (j + kAhead < count) {
-      ALIGRAPH_PREFETCH(&prob_[s.idx[j + kAhead]]);
-      ALIGRAPH_PREFETCH(&alias_[s.idx[j + kAhead]]);
+      ALIGRAPH_PREFETCH(&prob_[idx[(j + kAhead) * stride]]);
+      ALIGRAPH_PREFETCH(&alias_[idx[(j + kAhead) * stride]]);
     }
-    const uint32_t i = s.idx[j];
-    out[j] = s.u[j] < prob_[i] ? i : alias_[i];
+    const uint32_t i = idx[j * stride];
+    out[j] = u[j * stride] < prob_[i] ? i : alias_[i];
   }
 }
 

@@ -61,10 +61,27 @@ class AliasTable {
   void SampleBatch(Rng& rng, std::span<size_t> out,
                    BatchScratch* scratch = nullptr) const;
 
+  /// Draws out_a.size() pairs, bit-identical to the interleaved scalar
+  /// loop `for j { out_a[j] = a.Sample(rng); out_b[j] = b.Sample(rng); }`
+  /// on the same stream: pass 1 takes the RNG draws in exactly that order,
+  /// pass 2 resolves each table's rows with prefetching as in SampleBatch.
+  /// out_b must be as long as out_a; both tables must be non-empty unless
+  /// the spans are empty.
+  static void SamplePairBatch(const AliasTable& a, const AliasTable& b,
+                              Rng& rng, std::span<size_t> out_a,
+                              std::span<size_t> out_b,
+                              BatchScratch* scratch = nullptr);
+
   bool empty() const { return prob_.empty(); }
   size_t size() const { return prob_.size(); }
 
  private:
+  // Pass 2 of the batched draws: out[j] resolves row idx[j * stride]
+  // against the uniform u[j * stride], the row `kAhead` draws on
+  // prefetched.
+  void Resolve(const uint32_t* idx, const double* u, size_t stride,
+               std::span<size_t> out) const;
+
   std::vector<double> prob_;
   std::vector<uint32_t> alias_;
 };

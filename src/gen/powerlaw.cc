@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "common/alias_table.h"
@@ -49,16 +50,31 @@ Result<AttributedGraph> ChungLu(const ChungLuConfig& config) {
 
   const size_t target_edges = static_cast<size_t>(
       static_cast<double>(n) * config.avg_degree + 0.5);
+  gb.ReserveEdges(target_edges);
+  const size_t max_attempts = target_edges * 4 + 64;
+  // Endpoint pairs are drawn in chunks (AliasTable::SamplePairBatch takes
+  // the stream in the scalar src, dst order). A chunk never exceeds the
+  // edges still missing, and each attempt adds at most one edge, so the
+  // stream is consumed exactly as a one-pair-at-a-time loop would.
+  constexpr size_t kChunk = 4096;
+  std::vector<size_t> srcs(kChunk), dsts(kChunk);
+  AliasTable::BatchScratch scratch;
   size_t added = 0;
   size_t attempts = 0;
-  const size_t max_attempts = target_edges * 4 + 64;
   while (added < target_edges && attempts < max_attempts) {
-    ++attempts;
-    const VertexId src = static_cast<VertexId>(out_table.Sample(rng));
-    const VertexId dst = static_cast<VertexId>(in_table.Sample(rng));
-    if (src == dst) continue;
-    ALIGRAPH_RETURN_NOT_OK(gb.AddEdge(src, dst));
-    ++added;
+    const size_t chunk =
+        std::min({kChunk, target_edges - added, max_attempts - attempts});
+    AliasTable::SamplePairBatch(out_table, in_table, rng,
+                                std::span<size_t>(srcs).first(chunk),
+                                std::span<size_t>(dsts).first(chunk),
+                                &scratch);
+    attempts += chunk;
+    for (size_t j = 0; j < chunk; ++j) {
+      if (srcs[j] == dsts[j]) continue;
+      ALIGRAPH_RETURN_NOT_OK(gb.AddEdge(static_cast<VertexId>(srcs[j]),
+                                        static_cast<VertexId>(dsts[j])));
+      ++added;
+    }
   }
   return gb.Build();
 }

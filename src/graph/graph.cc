@@ -8,19 +8,44 @@
 
 namespace aligraph {
 
-Csr::Csr(VertexId num_vertices,
-         const std::vector<std::pair<VertexId, Neighbor>>& edges) {
-  offsets_.assign(static_cast<size_t>(num_vertices) + 1, 0);
-  for (const auto& [src, nb] : edges) {
-    ALIGRAPH_CHECK_LT(src, num_vertices);
-    ++offsets_[src + 1];
+namespace {
+
+// Calls emit(row, neighbor) for every entry a CSR of `direction` holds, in
+// edge order: the one place that says which edge lands in which row.
+template <typename Emit>
+void ForEachEntry(std::span<const RawEdge> edges, Csr::Direction direction,
+                  bool mirror, EdgeType type, Emit&& emit) {
+  for (const RawEdge& e : edges) {
+    if (type != kAllEdgeTypes && e.type != type) continue;
+    const VertexId row = direction == Csr::kOut ? e.src : e.dst;
+    const VertexId far = direction == Csr::kOut ? e.dst : e.src;
+    emit(row, Neighbor{far, e.weight, e.attr});
+    if (mirror && row != far) emit(far, Neighbor{row, e.weight, e.attr});
   }
-  for (size_t i = 1; i < offsets_.size(); ++i) offsets_[i] += offsets_[i - 1];
-  neighbors_.resize(edges.size());
-  std::vector<uint64_t> cursor(offsets_.begin(), offsets_.end() - 1);
-  for (const auto& [src, nb] : edges) {
-    neighbors_[cursor[src]++] = nb;
+}
+
+}  // namespace
+
+Csr Csr::FromEdges(VertexId num_vertices, std::span<const RawEdge> edges,
+                   Direction direction, bool mirror, EdgeType type) {
+  Csr c;
+  c.offsets_.assign(static_cast<size_t>(num_vertices) + 1, 0);
+  uint64_t* const count = c.offsets_.data() + 1;
+  ForEachEntry(edges, direction, mirror, type,
+               [&](VertexId row, const Neighbor&) {
+                 ALIGRAPH_CHECK_LT(row, num_vertices);
+                 ++count[row];
+               });
+  for (size_t i = 1; i < c.offsets_.size(); ++i) {
+    c.offsets_[i] += c.offsets_[i - 1];
   }
+  c.neighbors_.resize(c.offsets_.back());
+  std::vector<uint64_t> cursor(c.offsets_.begin(), c.offsets_.end() - 1);
+  uint64_t* const next = cursor.data();
+  Neighbor* const out = c.neighbors_.data();
+  ForEachEntry(edges, direction, mirror, type,
+               [&](VertexId row, const Neighbor& nb) { out[next[row]++] = nb; });
+  return c;
 }
 
 Csr Csr::Permuted(std::span<const VertexId> new_of_old,
@@ -162,42 +187,22 @@ Result<AttributedGraph> GraphBuilder::Build() {
     g.vertices_by_type_[g.vertex_type_[v]].push_back(v);
   }
 
-  // Assemble (src, Neighbor) pair lists, one per direction and per type,
-  // plus the merged lists. Undirected graphs mirror every edge.
-  std::vector<std::pair<VertexId, Neighbor>> out_pairs, in_pairs;
-  std::vector<std::vector<std::pair<VertexId, Neighbor>>> out_t(num_types),
-      in_t(num_types);
-  const size_t mult = undirected_ ? 2 : 1;
-  out_pairs.reserve(edges_.size() * mult);
-  in_pairs.reserve(edges_.size() * mult);
-
-  auto add_one = [&](VertexId src, VertexId dst, const RawEdge& e) {
-    const Neighbor fwd{dst, e.weight, e.attr};
-    out_pairs.emplace_back(src, fwd);
-    out_t[e.type].emplace_back(src, fwd);
-    const Neighbor bwd{src, e.weight, e.attr};
-    in_pairs.emplace_back(dst, bwd);
-    in_t[e.type].emplace_back(dst, bwd);
-  };
-
-  for (const RawEdge& e : edges_) {
-    add_one(e.src, e.dst, e);
-    if (undirected_ && e.src != e.dst) {
-      RawEdge rev = e;
-      add_one(e.dst, e.src, rev);
+  g.out_all_ = Csr::FromEdges(n, edges_, Csr::kOut, undirected_);
+  g.in_all_ = Csr::FromEdges(n, edges_, Csr::kIn, undirected_);
+  // One edge type: the typed accessors serve the merged CSRs.
+  if (num_types > 1) {
+    g.out_by_type_.reserve(num_types);
+    g.in_by_type_.reserve(num_types);
+    for (size_t t = 0; t < num_types; ++t) {
+      const auto type = static_cast<EdgeType>(t);
+      g.out_by_type_.push_back(
+          Csr::FromEdges(n, edges_, Csr::kOut, undirected_, type));
+      g.in_by_type_.push_back(
+          Csr::FromEdges(n, edges_, Csr::kIn, undirected_, type));
     }
   }
   edges_.clear();
   edges_.shrink_to_fit();
-
-  g.out_all_ = Csr(n, out_pairs);
-  g.in_all_ = Csr(n, in_pairs);
-  g.out_by_type_.reserve(num_types);
-  g.in_by_type_.reserve(num_types);
-  for (size_t t = 0; t < num_types; ++t) {
-    g.out_by_type_.emplace_back(n, out_t[t]);
-    g.in_by_type_.emplace_back(n, in_t[t]);
-  }
   return g;
 }
 

@@ -5,7 +5,8 @@
 /// edge type keeps only (dst, weight, AttrId); attribute payloads live in
 /// separate deduplicated AttributeStores (IV for vertices, IE for edges).
 /// Both out- and in-adjacency are materialized because the importance metric
-/// Imp_k(v) = D_i^k / D_o^k needs in-degrees.
+/// Imp_k(v) = D_i^k / D_o^k needs in-degrees. A graph with one edge type
+/// keeps only the merged CSRs, which then also serve the per-type view.
 
 #ifndef ALIGRAPH_GRAPH_GRAPH_H_
 #define ALIGRAPH_GRAPH_GRAPH_H_
@@ -61,11 +62,21 @@ struct BatchResult {
 /// \brief Compressed sparse row adjacency over a fixed vertex count.
 class Csr {
  public:
+  /// Which endpoint of an edge keys its row: the source (out-adjacency)
+  /// or the destination (in-adjacency).
+  enum Direction : uint8_t { kOut, kIn };
+
   Csr() = default;
 
-  /// Builds from (src, Neighbor) pairs using a counting sort; O(n + m).
-  Csr(VertexId num_vertices,
-      const std::vector<std::pair<VertexId, Neighbor>>& edges);
+  /// Builds one adjacency straight from an edge list with a count pass and
+  /// a fill pass over it; O(n + m), no intermediate copy. Row r lists, in
+  /// edge order, the far endpoint of every edge keyed to r. `mirror`
+  /// (undirected storage) also keys each non-loop edge by its other
+  /// endpoint. Only edges of type `type` are kept unless it is
+  /// kAllEdgeTypes.
+  static Csr FromEdges(VertexId num_vertices, std::span<const RawEdge> edges,
+                       Direction direction, bool mirror,
+                       EdgeType type = kAllEdgeTypes);
 
   std::span<const Neighbor> Neighbors(VertexId v) const {
     return {neighbors_.data() + offsets_[v],
@@ -112,7 +123,7 @@ class AttributedGraph {
   VertexId num_vertices() const { return static_cast<VertexId>(vertex_type_.size()); }
   size_t num_edges() const { return num_edges_; }
   const GraphSchema& schema() const { return schema_; }
-  size_t num_edge_types() const { return out_by_type_.size(); }
+  size_t num_edge_types() const { return schema_.num_edge_types(); }
   bool undirected() const { return undirected_; }
 
   VertexType vertex_type(VertexId v) const { return vertex_type_[v]; }
@@ -153,19 +164,18 @@ class AttributedGraph {
   AttributedGraph Reordered(std::span<const VertexId> new_of_old,
                             std::span<const VertexId> old_of_new) const;
 
-  /// Per-edge-type adjacency.
+  /// Per-edge-type adjacency. A graph with one edge type serves these
+  /// from the merged CSRs, so both views share one copy.
   std::span<const Neighbor> OutNeighbors(VertexId v, EdgeType t) const {
-    return out_by_type_[t].Neighbors(v);
+    return OutCsr(t).Neighbors(v);
   }
   std::span<const Neighbor> InNeighbors(VertexId v, EdgeType t) const {
-    return in_by_type_[t].Neighbors(v);
+    return InCsr(t).Neighbors(v);
   }
   size_t OutDegree(VertexId v, EdgeType t) const {
-    return out_by_type_[t].Degree(v);
+    return OutCsr(t).Degree(v);
   }
-  size_t InDegree(VertexId v, EdgeType t) const {
-    return in_by_type_[t].Degree(v);
-  }
+  size_t InDegree(VertexId v, EdgeType t) const { return InCsr(t).Degree(v); }
 
   const AttributeStore& vertex_attributes() const { return vertex_store_; }
   const AttributeStore& edge_attributes() const { return edge_store_; }
@@ -185,6 +195,13 @@ class AttributedGraph {
  private:
   friend class GraphBuilder;
 
+  const Csr& OutCsr(EdgeType t) const {
+    return out_by_type_.empty() ? out_all_ : out_by_type_[t];
+  }
+  const Csr& InCsr(EdgeType t) const {
+    return in_by_type_.empty() ? in_all_ : in_by_type_[t];
+  }
+
   GraphSchema schema_;
   bool undirected_ = false;
   size_t num_edges_ = 0;
@@ -193,8 +210,8 @@ class AttributedGraph {
   std::vector<std::vector<VertexId>> vertices_by_type_;
   Csr out_all_;
   Csr in_all_;
-  std::vector<Csr> out_by_type_;
-  std::vector<Csr> in_by_type_;
+  std::vector<Csr> out_by_type_;  // empty when there is one edge type
+  std::vector<Csr> in_by_type_;   // empty when there is one edge type
   AttributeStore vertex_store_;
   AttributeStore edge_store_;
 };
@@ -223,6 +240,9 @@ class GraphBuilder {
 
   VertexId num_vertices() const { return static_cast<VertexId>(vertex_type_.size()); }
   size_t num_edges() const { return edges_.size(); }
+
+  /// Reserves room for `n` more AddEdge calls.
+  void ReserveEdges(size_t n) { edges_.reserve(edges_.size() + n); }
 
   /// Freezes into an immutable graph; the builder is consumed.
   Result<AttributedGraph> Build();

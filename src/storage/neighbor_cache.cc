@@ -5,27 +5,22 @@ namespace aligraph {
 StaticNeighborCache::StaticNeighborCache(std::string name,
                                          const AttributedGraph& graph,
                                          const std::vector<VertexId>& vertices)
-    : name_(std::move(name)) {
-  pinned_.reserve(vertices.size());
+    : name_(std::move(name)),
+      graph_(&graph),
+      pinned_(graph.num_vertices(), 0) {
   for (VertexId v : vertices) {
-    const auto nbs = graph.OutNeighbors(v);
-    pinned_.emplace(v, std::vector<Neighbor>(nbs.begin(), nbs.end()));
-    entries_ += nbs.size();
+    if (pinned_[v]) continue;
+    pinned_[v] = 1;
+    ++size_;
+    entries_ += graph.OutDegree(v);
   }
 }
 
-std::optional<std::span<const Neighbor>> StaticNeighborCache::Lookup(
-    VertexId v) {
-  auto it = pinned_.find(v);
-  if (it == pinned_.end()) return std::nullopt;
-  return std::span<const Neighbor>(it->second);
-}
-
 void StaticNeighborCache::Invalidate(VertexId v) {
-  auto it = pinned_.find(v);
-  if (it == pinned_.end()) return;
-  entries_ -= it->second.size();
-  pinned_.erase(it);
+  if (!pinned_[v]) return;
+  pinned_[v] = 0;
+  --size_;
+  entries_ -= graph_->OutDegree(v);
 }
 
 std::optional<std::span<const Neighbor>> LruNeighborCache::Lookup(VertexId v) {

@@ -10,7 +10,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/lru_cache.h"
@@ -50,22 +49,33 @@ class NeighborCache {
 /// \brief Pinned cache over a fixed vertex set, used by both the
 /// importance-based and the random strategy (they differ only in how the
 /// set is chosen).
+///
+/// The pin set is one flag byte per graph vertex over the graph's own CSR:
+/// a hit views graph.OutNeighbors(v), the same pre-update bytes a worker's
+/// copy would hold, so the graph must outlive the cache. entry_count() is
+/// still the degree sum a real worker would store.
 class StaticNeighborCache : public NeighborCache {
  public:
+  /// Pins every vertex of `vertices`; a repeated vertex is pinned once.
   StaticNeighborCache(std::string name, const AttributedGraph& graph,
                       const std::vector<VertexId>& vertices);
 
   std::string name() const override { return name_; }
-  std::optional<std::span<const Neighbor>> Lookup(VertexId v) override;
+  std::optional<std::span<const Neighbor>> Lookup(VertexId v) override {
+    if (!pinned_[v]) return std::nullopt;
+    return graph_->OutNeighbors(v);
+  }
   void OnRemoteFetch(VertexId v,
                      std::span<const Neighbor> neighbors) override {}
   void Invalidate(VertexId v) override;
-  size_t size() const override { return pinned_.size(); }
+  size_t size() const override { return size_; }
   size_t entry_count() const override { return entries_; }
 
  private:
   std::string name_;
-  std::unordered_map<VertexId, std::vector<Neighbor>> pinned_;
+  const AttributedGraph* graph_;
+  std::vector<uint8_t> pinned_;  // 1 = v's out-neighbors are cached
+  size_t size_ = 0;
   size_t entries_ = 0;
 };
 

@@ -18,6 +18,7 @@
 #include "gen/taobao.h"
 #include "obs/metrics.h"
 #include "partition/partitioner.h"
+#include "storage/neighbor_cache.h"
 
 namespace aligraph {
 namespace {
@@ -129,6 +130,42 @@ TEST(ClusterAccessTest, CachedDataMatchesOwnerData) {
       EXPECT_EQ(got[i].dst, want[i].dst);
     }
   }
+}
+
+TEST(ClusterAccessTest, ImportanceCachedVerticesReadGraphAdjacency) {
+  const AttributedGraph g = MakeGraph();
+  auto cluster = std::move(Cluster::Build(g, EdgeCutPartitioner(), 4)).value();
+  cluster.InstallTopImportanceCache(/*k=*/1, /*fraction=*/0.2);
+  size_t cached = 0;
+  for (WorkerId w = 0; w < 4; ++w) {
+    NeighborCache* cache = cluster.server(w).neighbor_cache();
+    ASSERT_NE(cache, nullptr);
+    std::vector<VertexId> batch;
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      if (!cache->Lookup(v).has_value()) continue;
+      ++cached;
+      batch.push_back(v);
+      const auto want = g.OutNeighbors(v);
+      const auto got = cluster.GetNeighbors(w, v, nullptr);
+      ASSERT_EQ(got.size(), want.size()) << "v=" << v;
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].dst, want[i].dst);
+        EXPECT_EQ(got[i].weight, want[i].weight);
+        EXPECT_EQ(got[i].attr, want[i].attr);
+      }
+    }
+    BatchResult out;
+    cluster.GetNeighborsBatch(w, batch, kAllEdgeTypes, &out, nullptr);
+    ASSERT_EQ(out.size(), batch.size());
+    for (size_t i = 0; i < batch.size(); ++i) {
+      const auto want = g.OutNeighbors(batch[i]);
+      ASSERT_EQ(out[i].size(), want.size());
+      for (size_t j = 0; j < want.size(); ++j) {
+        EXPECT_EQ(out[i][j].dst, want[j].dst);
+      }
+    }
+  }
+  EXPECT_GT(cached, 0u);
 }
 
 TEST(ClusterAccessTest, LruCacheAdmitsOnRemoteFetch) {

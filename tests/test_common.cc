@@ -212,6 +212,50 @@ TEST(AliasTableTest, SampleBatchSingleEntryAndAllEqualWeights) {
   }
 }
 
+// The pair draw behind the Chung-Lu generator: chunks of (a, b) pairs
+// must reproduce the interleaved scalar loop on the same stream, whatever
+// the chunk split, including degenerate tables where every draw accepts.
+ALIGRAPH_PROP(AliasTableProps, SamplePairBatchBitIdenticalToScalarLoop, 12) {
+  auto random_table = [&ctx]() {
+    switch (ctx.rng.Uniform(3)) {
+      case 0:
+        return AliasTable(std::vector<double>{3.5});  // single entry
+      case 1:
+        return AliasTable(std::vector<double>(1 + ctx.rng.Uniform(9), 2.0));
+      default:
+        return AliasTable(
+            proptest::RandomWeights(ctx, 1 + ctx.rng.Uniform(40)));
+    }
+  };
+  const AliasTable a = random_table();
+  const AliasTable b = random_table();
+  const uint64_t seed = ctx.rng.Next();
+  const size_t total = 1 + ctx.rng.Uniform(500);
+
+  Rng scalar_rng(seed);
+  std::vector<size_t> scalar_a(total), scalar_b(total);
+  for (size_t j = 0; j < total; ++j) {
+    scalar_a[j] = a.Sample(scalar_rng);
+    scalar_b[j] = b.Sample(scalar_rng);
+  }
+
+  Rng batch_rng(seed);
+  std::vector<size_t> batched_a(total), batched_b(total);
+  AliasTable::BatchScratch scratch;
+  const size_t split = ctx.rng.Uniform(total + 1);
+  AliasTable::SamplePairBatch(a, b, batch_rng,
+                              std::span<size_t>(batched_a).first(split),
+                              std::span<size_t>(batched_b).first(split),
+                              &scratch);
+  AliasTable::SamplePairBatch(a, b, batch_rng,
+                              std::span<size_t>(batched_a).subspan(split),
+                              std::span<size_t>(batched_b).subspan(split),
+                              &scratch);
+  EXPECT_EQ(batched_a, scalar_a);
+  EXPECT_EQ(batched_b, scalar_b);
+  EXPECT_EQ(batch_rng.Next(), scalar_rng.Next());
+}
+
 TEST(AliasTableTest, SampleBatchEmptyOutputIsANoop) {
   AliasTable t(std::vector<double>{1.0, 2.0});
   Rng rng(5);

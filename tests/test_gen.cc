@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "common/histogram.h"
@@ -60,6 +63,56 @@ TEST(ChungLuTest, DeterministicBySeed) {
   for (VertexId v = 0; v < 100; ++v) {
     EXPECT_EQ(a.OutDegree(v), b.OutDegree(v));
   }
+}
+
+// FNV-1a over every vertex's out- then in-adjacency: degree, then each
+// neighbor's dst, weight bits and attr, in storage order. Pins the whole
+// generated graph, not just its degree sequence.
+uint64_t AdjacencyFingerprint(const AttributedGraph& g) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](uint32_t word) {
+    for (int shift = 0; shift < 32; shift += 8) {
+      h ^= (word >> shift) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  auto mix_span = [&mix](std::span<const Neighbor> nbs) {
+    mix(static_cast<uint32_t>(nbs.size()));
+    for (const Neighbor& nb : nbs) {
+      uint32_t bits;
+      std::memcpy(&bits, &nb.weight, sizeof(bits));
+      mix(nb.dst);
+      mix(bits);
+      mix(nb.attr);
+    }
+  };
+  for (VertexId v = 0; v < g.num_vertices(); ++v) mix_span(g.OutNeighbors(v));
+  for (VertexId v = 0; v < g.num_vertices(); ++v) mix_span(g.InNeighbors(v));
+  return h;
+}
+
+// Golden values recorded from the scalar one-pair-at-a-time generator loop
+// and the pair-list CSR build. Any change to the RNG stream, the self-loop
+// skip, or per-vertex neighbor order breaks them.
+TEST(ChungLuTest, AdjacencyFingerprintDirected) {
+  ChungLuConfig cfg;
+  cfg.num_vertices = 40000;
+  cfg.avg_degree = 10;
+  cfg.seed = 1;
+  const auto g = std::move(ChungLu(cfg)).value();
+  EXPECT_EQ(g.num_edges(), 400000u);
+  EXPECT_EQ(AdjacencyFingerprint(g), 0x5f74ea9df76de12eULL);
+}
+
+TEST(ChungLuTest, AdjacencyFingerprintUndirected) {
+  ChungLuConfig cfg;
+  cfg.num_vertices = 5000;
+  cfg.avg_degree = 6;
+  cfg.directed = false;
+  cfg.seed = 11;
+  const auto g = std::move(ChungLu(cfg)).value();
+  EXPECT_EQ(g.num_edges(), 30000u);
+  EXPECT_EQ(AdjacencyFingerprint(g), 0xe1a2be14bf031d95ULL);
 }
 
 TEST(BarabasiAlbertTest, EveryNewVertexAttaches) {

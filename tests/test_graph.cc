@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <string>
 #include <vector>
 
 #include "common/threadpool.h"
@@ -11,6 +13,7 @@
 #include "graph/graph.h"
 #include "graph/khop.h"
 #include "graph/schema.h"
+#include "proptest.h"
 
 namespace aligraph {
 namespace {
@@ -191,6 +194,121 @@ TEST(GraphBuilderTest, SelfLoopNotMirroredTwice) {
   auto g = gb.Build();
   ASSERT_TRUE(g.ok());
   EXPECT_EQ(g->OutDegree(0), 1u);
+}
+
+// The adjacency GraphBuilder::Build must produce, written out naively:
+// walk the edges in insertion order, append (row, neighbor) for the edge
+// and, in an undirected graph, for its mirror unless it is a self-loop.
+struct ReferenceAdjacency {
+  std::vector<std::vector<Neighbor>> out, in;
+};
+
+ReferenceAdjacency Reference(VertexId n, const std::vector<RawEdge>& edges,
+                             bool undirected, EdgeType type) {
+  ReferenceAdjacency ref;
+  ref.out.resize(n);
+  ref.in.resize(n);
+  for (const RawEdge& e : edges) {
+    if (type != kAllEdgeTypes && e.type != type) continue;
+    ref.out[e.src].push_back(Neighbor{e.dst, e.weight, e.attr});
+    ref.in[e.dst].push_back(Neighbor{e.src, e.weight, e.attr});
+    if (undirected && e.src != e.dst) {
+      ref.out[e.dst].push_back(Neighbor{e.src, e.weight, e.attr});
+      ref.in[e.src].push_back(Neighbor{e.dst, e.weight, e.attr});
+    }
+  }
+  return ref;
+}
+
+void ExpectSameAdjacency(std::span<const Neighbor> got,
+                         const std::vector<Neighbor>& want,
+                         const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].dst, want[i].dst) << what << " #" << i;
+    EXPECT_EQ(got[i].weight, want[i].weight) << what << " #" << i;
+    EXPECT_EQ(got[i].attr, want[i].attr) << what << " #" << i;
+  }
+}
+
+ALIGRAPH_PROP(CsrBuildProps, MatchesNaiveReference, 16) {
+  const bool undirected = ctx.rng.Bernoulli(0.5);
+  GraphSchema schema;
+  const size_t num_types = 1 + ctx.rng.Uniform(3);
+  for (size_t t = 1; t < num_types; ++t) {
+    schema.AddEdgeType("t" + std::to_string(t));
+  }
+  GraphBuilder gb(schema, undirected);
+  const VertexId n = static_cast<VertexId>(1 + ctx.rng.Uniform(40));
+  for (VertexId v = 0; v < n; ++v) gb.AddVertex();
+
+  // Weights are distinct so a misplaced entry shows. Self-loops and
+  // parallel edges are forced in. A twin AttributeStore fed the same
+  // payloads in the same order yields the attr ids the builder assigns.
+  std::vector<RawEdge> edges;
+  AttributeStore attr_ids;
+  const size_t m = ctx.rng.Uniform(200);
+  for (size_t i = 0; i < m; ++i) {
+    RawEdge e;
+    e.src = static_cast<VertexId>(ctx.rng.Uniform(n));
+    e.dst = ctx.rng.Bernoulli(0.1) ? e.src
+                                   : static_cast<VertexId>(ctx.rng.Uniform(n));
+    if (!edges.empty() && ctx.rng.Bernoulli(0.1)) {
+      e.src = edges.back().src;
+      e.dst = edges.back().dst;
+    }
+    e.type = static_cast<EdgeType>(ctx.rng.Uniform(num_types));
+    e.weight = static_cast<float>(i) + 0.5f;
+    std::vector<float> attrs;
+    if (ctx.rng.Bernoulli(0.3)) attrs = {static_cast<float>(i % 5)};
+    e.attr = attrs.empty() ? kNoAttr : attr_ids.Intern(attrs);
+    ASSERT_TRUE(gb.AddEdge(e.src, e.dst, e.type, e.weight, attrs).ok());
+    edges.push_back(e);
+  }
+  const AttributedGraph g = std::move(gb.Build()).value();
+  ASSERT_EQ(g.num_edges(), m);
+  ASSERT_EQ(g.num_edge_types(), num_types);
+
+  const ReferenceAdjacency all = Reference(n, edges, undirected,
+                                           kAllEdgeTypes);
+  for (VertexId v = 0; v < n; ++v) {
+    const std::string at = " v=" + std::to_string(v);
+    ExpectSameAdjacency(g.OutNeighbors(v), all.out[v], "out" + at);
+    ExpectSameAdjacency(g.InNeighbors(v), all.in[v], "in" + at);
+    EXPECT_EQ(g.OutDegree(v), all.out[v].size());
+    EXPECT_EQ(g.InDegree(v), all.in[v].size());
+  }
+  for (size_t t = 0; t < num_types; ++t) {
+    const auto type = static_cast<EdgeType>(t);
+    const ReferenceAdjacency typed = Reference(n, edges, undirected, type);
+    for (VertexId v = 0; v < n; ++v) {
+      const std::string at =
+          " t=" + std::to_string(t) + " v=" + std::to_string(v);
+      ExpectSameAdjacency(g.OutNeighbors(v, type), typed.out[v], "out" + at);
+      ExpectSameAdjacency(g.InNeighbors(v, type), typed.in[v], "in" + at);
+      EXPECT_EQ(g.OutDegree(v, type), typed.out[v].size());
+      EXPECT_EQ(g.InDegree(v, type), typed.in[v].size());
+    }
+  }
+}
+
+TEST(GraphBuilderTest, SingleTypeTypedAccessorsShareMergedCsr) {
+  for (const bool undirected : {false, true}) {
+    GraphBuilder gb(GraphSchema(), undirected);
+    for (int v = 0; v < 5; ++v) gb.AddVertex();
+    ASSERT_TRUE(gb.AddEdge(0, 1).ok());
+    ASSERT_TRUE(gb.AddEdge(0, 1).ok());
+    ASSERT_TRUE(gb.AddEdge(2, 2).ok());
+    ASSERT_TRUE(gb.AddEdge(3, 0, 0, 2.0f).ok());
+    const AttributedGraph g = std::move(gb.Build()).value();
+    ASSERT_EQ(g.num_edge_types(), 1u);
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      EXPECT_EQ(g.OutNeighbors(v, 0).data(), g.OutNeighbors(v).data());
+      EXPECT_EQ(g.OutNeighbors(v, 0).size(), g.OutNeighbors(v).size());
+      EXPECT_EQ(g.InNeighbors(v, 0).data(), g.InNeighbors(v).data());
+      EXPECT_EQ(g.InNeighbors(v, 0).size(), g.InNeighbors(v).size());
+    }
+  }
 }
 
 TEST(GraphBuilderTest, EmptyGraphBuilds) {

@@ -108,6 +108,42 @@ TEST(StaticNeighborCacheTest, EntryCountMatchesDegreeSum) {
   EXPECT_EQ(cache.entry_count(), expected);
 }
 
+TEST(StaticNeighborCacheTest, DuplicatePinCountedOnce) {
+  const AttributedGraph g = MakeGraph();
+  StaticNeighborCache cache("x", g, {1, 2, 2, 3});
+  EXPECT_EQ(cache.size(), 3u);
+  EXPECT_EQ(cache.entry_count(),
+            g.OutDegree(1) + g.OutDegree(2) + g.OutDegree(3));
+  cache.Invalidate(2);
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.entry_count(), g.OutDegree(1) + g.OutDegree(3));
+  cache.Invalidate(2);  // already gone: no double subtraction
+  EXPECT_EQ(cache.entry_count(), g.OutDegree(1) + g.OutDegree(3));
+}
+
+TEST(StaticNeighborCacheTest, HitViewsGraphStorage) {
+  const AttributedGraph g = MakeGraph();
+  std::vector<VertexId> pinned;
+  for (VertexId v = 0; v < g.num_vertices(); v += 7) pinned.push_back(v);
+  StaticNeighborCache cache("x", g, pinned);
+  for (VertexId v : pinned) {
+    const auto hit = cache.Lookup(v);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(hit->data(), g.OutNeighbors(v).data());
+    EXPECT_EQ(hit->size(), g.OutDegree(v));
+  }
+  // Invalidation drops the pin, not the bytes a reader already holds.
+  const VertexId v = pinned[1];
+  const auto hit = cache.Lookup(v);
+  ASSERT_TRUE(hit.has_value());
+  cache.Invalidate(v);
+  EXPECT_FALSE(cache.Lookup(v).has_value());
+  ASSERT_EQ(hit->size(), g.OutDegree(v));
+  for (size_t i = 0; i < hit->size(); ++i) {
+    EXPECT_EQ((*hit)[i].dst, g.OutNeighbors(v)[i].dst);
+  }
+}
+
 TEST(LruNeighborCacheTest, AdmitsAndEvicts) {
   const AttributedGraph g = MakeGraph();
   LruNeighborCache cache(2);
