@@ -214,16 +214,16 @@ Result<Cluster> Cluster::Build(const AttributedGraph& graph,
 // flight at once).
 [[gnu::always_inline]] inline Cluster::Route Cluster::Classify(
     WorkerId from, VertexId v, uint64_t e, NeighborCache* cache,
-    const DirtyMap* dirty) const {
+    const DeltaTable* owner_delta) const {
   const WorkerId owner = plan_->OwnerOf(v);
   const uint32_t row = servers_[from]->RowOf(v);
   if (row != GraphServer::kNoRow) {
     return {owner == from ? Route::Kind::kLocal : Route::Kind::kReplica, from,
             row};
   }
-  if (cache != nullptr && !BypassCache(cache, dirty, v, e) &&
-      cache->Lookup(v).has_value()) {
-    // The owner's storage holds the same bytes and outlives the entry.
+  if (cache != nullptr && !BypassCache(cache, owner_delta, v, e) &&
+      cache->Lookup(v)) {
+    // The cache holds no bytes: the owner's row is the pre-update adjacency.
     return {Route::Kind::kCacheHit, owner, plan_->local_row[v]};
   }
   if (plan_->ReplicaRank(v) == Placement::kNoRow) {
@@ -275,24 +275,19 @@ std::span<const Neighbor> Cluster::ReadNeighbors(WorkerId from, VertexId v,
                                                  uint64_t epoch) {
   const uint64_t e = ResolveEpoch(epoch);
   NeighborCache* cache = servers_[from]->neighbor_cache();
-  const auto dirty = DirtyFor(cache);
-  const Route route = Classify(from, v, e, cache, dirty.get());
+  // Taken after e is resolved. Every copy of v carries the same version
+  // chain, so the owner's table also serves a replica or remote row of v.
+  const auto delta = servers_[plan_->OwnerOf(v)]->delta_snapshot();
+  const Route route = Classify(from, v, e, cache, delta.get());
   ReadTally tally;
   tally.Count(route.kind);
   const std::pair<WorkerId, uint64_t> served{route.worker, 1};
-  if (route.kind == Route::Kind::kRemote) tally.remote_served = {&served, 1};
-  Charge(from, tally, stats);
-  const GraphServer& srv = *servers_[route.worker];
-  const auto delta = srv.delta_snapshot();
-  const auto nbs = srv.Read(v, route.row, type, e, delta.get());
   if (route.kind == Route::Kind::kRemote) {
-    // A typed read still admits the full adjacency.
-    AdmitFetched(cache, dirty.get(), v, e,
-                 type == kAllEdgeTypes
-                     ? nbs
-                     : srv.Read(v, route.row, kAllEdgeTypes, e, delta.get()));
+    tally.remote_served = {&served, 1};
+    AdmitFetched(cache, delta.get(), v, e);
   }
-  return nbs;
+  Charge(from, tally, stats);
+  return servers_[route.worker]->Read(v, route.row, type, e, delta.get());
 }
 
 bool Cluster::RemoteRequestSucceeds(WorkerId from, WorkerId to,
@@ -449,22 +444,6 @@ void Cluster::InstallFaultInjection(FaultConfig config, RetryPolicy policy) {
 
 void Cluster::ClearFaultInjection() { injector_.reset(); }
 
-std::shared_ptr<const Cluster::DirtyMap> Cluster::DirtyFor(
-    const NeighborCache* cache) const {
-  if (cache == nullptr || !epochs_->versioned()) return nullptr;
-  std::lock_guard<std::mutex> lock(*dirty_mu_);
-  return dirty_;
-}
-
-bool Cluster::BypassCache(NeighborCache* cache, const DirtyMap* dirty,
-                          VertexId v, uint64_t e) {
-  if (cache == nullptr || dirty == nullptr) return false;
-  auto it = dirty->find(v);
-  if (it == dirty->end() || it->second > e) return false;
-  cache->Invalidate(v);
-  return true;
-}
-
 std::vector<uint64_t> Cluster::ServedReadsSnapshot() const {
   std::vector<uint64_t> out(num_workers());
   for (uint32_t w = 0; w < out.size(); ++w) {
@@ -602,24 +581,8 @@ Status Cluster::ApplyUpdateBatch(std::span<const EdgeUpdate> updates,
     servers_[w]->PublishDelta(std::move(table));
   }
 
-  // Publish the dirty map (vertex -> first-update epoch, kept at the
-  // earliest), THEN advance: a reader that sees the new epoch is guaranteed
-  // to also see every table and the dirty entries of this batch. Only
-  // writers (serialized by update_mu_) replace dirty_, so the copy is built
-  // before taking dirty_mu_ and the retired map is freed after releasing
-  // it: readers wait for a pointer swap, never for a whole-map copy.
-  std::shared_ptr<const DirtyMap> dirty;
-  {
-    auto next = dirty_ != nullptr ? std::make_shared<DirtyMap>(*dirty_)
-                                  : std::make_shared<DirtyMap>();
-    for (const auto& [v, ver] : versions) next->try_emplace(v, new_epoch);
-    dirty = std::move(next);
-  }
-  {
-    std::lock_guard<std::mutex> dirty_lock(*dirty_mu_);
-    dirty_.swap(dirty);
-  }
-  dirty.reset();
+  // Every table is published, THEN the epoch advances: a reader that sees
+  // the new epoch also sees every version of this batch.
   const uint64_t published = epochs_->Advance();
 
   if (obs::MetricsRegistry* reg = obs::Default()) {
@@ -662,10 +625,10 @@ Status Cluster::GetNeighborsBatchImpl(WorkerId from,
                                       CommStats* stats, bool fallible,
                                       uint64_t epoch) {
   obs::ScopedSpan span("cluster/batch_read");
-  const bool all_types = type == kAllEdgeTypes;
   // Resolved once, so the whole batch reads one epoch even unpinned. The
   // published update state is snapshotted once too, after the epoch: every
-  // server's delta table and the dirty map serve all slots of the call.
+  // server's delta table serves all slots of the call, and each slot's
+  // owner's table decides whether the cache may serve it.
   const uint64_t e = ResolveEpoch(epoch);
   std::vector<std::shared_ptr<const DeltaTable>> deltas;
   if (epochs_->versioned()) {
@@ -676,7 +639,6 @@ Status Cluster::GetNeighborsBatchImpl(WorkerId from,
     return deltas.empty() ? nullptr : deltas[w].get();
   };
   NeighborCache* cache = servers_[from]->neighbor_cache();
-  const auto dirty = DirtyFor(cache);
   out->Reset(batch.size());
 
   // Slots with a copy `from` can read (owned, replica, cache hit) resolve
@@ -686,7 +648,8 @@ Status Cluster::GetNeighborsBatchImpl(WorkerId from,
   RemoteResidue remote(batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
     const VertexId v = batch[i];
-    const Route route = Classify(from, v, e, cache, dirty.get());
+    const Route route =
+        Classify(from, v, e, cache, delta_of(plan_->OwnerOf(v)));
     if (route.kind == Route::Kind::kRemote) {
       remote.Add(static_cast<uint32_t>(i), v, route.worker, route.row);
       continue;
@@ -713,18 +676,15 @@ Status Cluster::GetNeighborsBatchImpl(WorkerId from,
         {
           obs::ScopedSpan serve_span("cluster/remote_serve");
           for (const uint32_t u : request) {
-            views[u] = srv.Read(remote.vertex(u), remote.row(u),
-                                kAllEdgeTypes, e, delta_of(w));
+            views[u] = srv.Read(remote.vertex(u), remote.row(u), type, e,
+                                delta_of(w));
           }
         }
         // Admission touches the cache, which is not thread-safe; this is
         // the reading worker's thread.
         for (const uint32_t u : request) {
           const VertexId v = remote.vertex(u);
-          AdmitFetched(cache, dirty.get(), v, e, views[u]);
-          if (!all_types) {
-            views[u] = srv.Read(v, remote.row(u), type, e, delta_of(w));
-          }
+          AdmitFetched(cache, delta_of(plan_->OwnerOf(v)), v, e);
         }
       });
   size_t failed_slots = 0;
@@ -779,7 +739,7 @@ void Cluster::InstallRandomCache(double fraction, uint64_t seed) {
 void Cluster::InstallLruCache(size_t capacity_vertices) {
   for (auto& srv : servers_) {
     srv->set_neighbor_cache(
-        std::make_unique<LruNeighborCache>(capacity_vertices));
+        std::make_unique<LruNeighborCache>(*graph_, capacity_vertices));
   }
 }
 

@@ -91,11 +91,11 @@ class Cluster {
   /// `from`'s neighbor cache, then a counted remote fetch from the serving
   /// worker Placement::ServingWorker picks (the owner when v is
   /// unreplicated). All paths return the same data for the same epoch. A
-  /// cache hit is charged as one but views the owner's storage (the same
-  /// bytes: a cache only holds pre-update data), so the span never points
-  /// into a cache entry a later read may evict. Per-vertex reads never
-  /// consult the fault injector; fallible reads are batched
-  /// (TryGetNeighborsBatch).
+  /// cache holds membership, not bytes: a hit is charged as one and reads
+  /// the owner's storage. A vertex updated at or before the read's epoch
+  /// (per the owner's delta table) bypasses the cache and leaves it.
+  /// Per-vertex reads never consult the fault injector; fallible reads are
+  /// batched (TryGetNeighborsBatch).
   std::span<const Neighbor> GetNeighbors(WorkerId from, VertexId v,
                                          CommStats* stats,
                                          uint64_t epoch = kEpochCurrent) {
@@ -256,12 +256,6 @@ class Cluster {
     obs::Counter* failed_reads = nullptr;
   };
 
-  /// Vertex -> epoch of its FIRST update. A cached entry (always pre-update
-  /// data, because dirty vertices are never admitted) is valid for a read
-  /// at epoch e iff e < first-update epoch; otherwise the cache is bypassed
-  /// and the stale entry invalidated on the reading thread.
-  using DirtyMap = std::unordered_map<VertexId, uint64_t>;
-
   /// Where one read of v issued by worker `from` is served. `worker` and
   /// `row` locate the storage the read views: `from`'s own row for local
   /// and replica reads, the owner's row for a cache hit, and the serving
@@ -277,10 +271,10 @@ class Cluster {
   /// `from`'s owned row, its replica row, its neighbor cache (`cache`,
   /// null for attribute reads, which are never cached), else a remote
   /// fetch from Placement::ServingWorker. Touches the cache like a read
-  /// (recency, stale-entry invalidation via `dirty`), so it runs on the
-  /// reading worker's thread.
+  /// (recency, stale-entry invalidation via `owner_delta`, a snapshot of
+  /// v's owner's delta table), so it runs on the reading worker's thread.
   Route Classify(WorkerId from, VertexId v, uint64_t e, NeighborCache* cache,
-                 const DirtyMap* dirty) const;
+                 const DeltaTable* owner_delta) const;
 
   /// What one read call did, filled by the read path and charged once.
   /// Counts are per call, so 32 bits hold them (a batch indexes its slots
@@ -345,24 +339,24 @@ class Cluster {
                                 std::vector<uint8_t>* ok, CommStats* stats,
                                 bool fallible);
 
-  /// The dirty map a read through `cache` must consult: null when there is
-  /// no cache or no update was ever published (nothing to bypass). Take it
-  /// after the read's epoch is resolved.
-  std::shared_ptr<const DirtyMap> DirtyFor(const NeighborCache* cache) const;
-  /// True when the cache must be skipped for a read of v at epoch e (the
-  /// vertex was updated at or before e per `dirty`); also drops the stale
-  /// entry. Mutates the cache, so it runs on the reading worker's thread
-  /// like all other cache traffic.
-  static bool BypassCache(NeighborCache* cache, const DirtyMap* dirty,
-                          VertexId v, uint64_t e);
-  /// Admits a remote fetch of v's full adjacency into `cache` (may be
-  /// null). Updated vertices are never admitted: a cache only ever holds
-  /// pre-update data, which is what makes the dirty-bypass rule exact.
-  static void AdmitFetched(NeighborCache* cache, const DirtyMap* dirty,
-                           VertexId v, uint64_t e,
-                           std::span<const Neighbor> all) {
-    if (cache != nullptr && !BypassCache(cache, dirty, v, e)) {
-      cache->OnRemoteFetch(v, all);
+  /// True when the cache must be skipped for a read of v at epoch e (v was
+  /// updated at or before e per `owner_delta`, its owner's delta snapshot
+  /// taken after e was resolved); also drops the stale entry. Mutates the
+  /// cache, so it runs on the reading worker's thread like all other cache
+  /// traffic.
+  static bool BypassCache(NeighborCache* cache, const DeltaTable* owner_delta,
+                          VertexId v, uint64_t e) {
+    if (!GraphServer::Updated(owner_delta, v, e)) return false;
+    cache->Invalidate(v);
+    return true;
+  }
+  /// Admits a remote fetch of v into `cache` (may be null). Updated
+  /// vertices are never admitted: a cache only ever stands for pre-update
+  /// adjacency, which is what makes the bypass rule exact.
+  static void AdmitFetched(NeighborCache* cache, const DeltaTable* owner_delta,
+                           VertexId v, uint64_t e) {
+    if (cache != nullptr && !GraphServer::Updated(owner_delta, v, e)) {
+      cache->OnRemoteFetch(v);
     }
   }
   /// Resolves the kEpochCurrent sentinel once per call so a whole batch
@@ -384,11 +378,6 @@ class Cluster {
   std::unique_ptr<EpochManager> epochs_ = std::make_unique<EpochManager>();
   /// Serializes writers; readers never take it.
   std::unique_ptr<std::mutex> update_mu_ = std::make_unique<std::mutex>();
-  /// Guards the dirty-map pointer swap only (copy-on-write contents; the
-  /// writer builds the next map before locking and frees the old one after
-  /// unlocking).
-  std::unique_ptr<std::mutex> dirty_mu_ = std::make_unique<std::mutex>();
-  std::shared_ptr<const DirtyMap> dirty_;
   /// One counter per worker (unique_ptr keeps Cluster movable).
   std::unique_ptr<std::atomic<uint64_t>[]> served_reads_;
 };

@@ -4,12 +4,8 @@
 
 namespace aligraph {
 
-namespace {
-
-/// Newest version of v at or below epoch in `delta`, or null. The returned
-/// pointer's payload outlives the call per the retention contract.
-const AdjVersion* FindVersion(const DeltaTable* delta, VertexId v,
-                              uint64_t epoch) {
+const AdjVersion* GraphServer::FindVersion(const DeltaTable* delta,
+                                           VertexId v, uint64_t epoch) {
   if (delta == nullptr) return nullptr;
   auto it = delta->find(v);
   if (it == delta->end()) return nullptr;
@@ -21,8 +17,6 @@ const AdjVersion* FindVersion(const DeltaTable* delta, VertexId v,
   }
   return nullptr;
 }
-
-}  // namespace
 
 GraphServer::GraphServer(WorkerId id, const AttributedGraph& graph,
                          const Placement& placement)

@@ -101,6 +101,15 @@ class GraphServer {
                                  uint64_t epoch,
                                  const DeltaTable* delta) const;
 
+  /// True when `delta` (a delta-table snapshot of a server holding v; null
+  /// when never updated) has a version of v at or below `epoch`. Pruning
+  /// keeps the newest version at or below every live reader's epoch and
+  /// never drops a vertex's chain, so for any epoch a live reader holds this
+  /// is exactly "v's first update is at or before `epoch`".
+  static bool Updated(const DeltaTable* delta, VertexId v, uint64_t epoch) {
+    return delta != nullptr && FindVersion(delta, v, epoch) != nullptr;
+  }
+
   /// Attribute id of a stored vertex (kNoAttr when absent). Attributes are
   /// immutable under online updates.
   AttrId VertexAttr(VertexId v) const {
@@ -133,6 +142,12 @@ class GraphServer {
   size_t MemoryBytes() const;
 
  private:
+  /// Newest version of v at or below epoch in `delta`, or null. The
+  /// returned pointer's payload outlives the call per the retention
+  /// contract.
+  static const AdjVersion* FindVersion(const DeltaTable* delta, VertexId v,
+                                       uint64_t epoch);
+
   WorkerId id_;
   size_t num_types_;
   const Placement* placement_;

@@ -23,34 +23,19 @@ void StaticNeighborCache::Invalidate(VertexId v) {
   entries_ -= graph_->OutDegree(v);
 }
 
-std::optional<std::span<const Neighbor>> LruNeighborCache::Lookup(VertexId v) {
-  auto hit = cache_.Get(v);
-  if (!hit.has_value()) return std::nullopt;
-  // Pin the looked-up list so the returned span outlives a later eviction.
-  last_ = *hit;
-  return std::span<const Neighbor>(*last_);
+LruNeighborCache::LruNeighborCache(const AttributedGraph& graph,
+                                   size_t capacity)
+    : graph_(&graph), cache_(capacity == 0 ? 1 : capacity) {
+  // Runs on capacity evictions and on Erase, which keeps entries_ exact.
+  cache_.SetEvictionCallback(
+      [this](const VertexId&, size_t& degree) { entries_ -= degree; });
 }
 
-void LruNeighborCache::OnRemoteFetch(VertexId v,
-                                     std::span<const Neighbor> neighbors) {
+void LruNeighborCache::OnRemoteFetch(VertexId v) {
   if (cache_.Contains(v)) return;
-  auto entry = std::make_shared<std::vector<Neighbor>>(neighbors.begin(),
-                                                       neighbors.end());
-  entries_ += entry->size();
-  if (!callback_installed_) {
-    callback_installed_ = true;
-    cache_.SetEvictionCallback(
-        [this](const VertexId&, std::shared_ptr<std::vector<Neighbor>>& val) {
-          entries_ -= val->size();
-        });
-  }
-  cache_.Put(v, std::move(entry));
-}
-
-void LruNeighborCache::Invalidate(VertexId v) {
-  // Erase runs the eviction callback, which keeps entries_ exact. The last_
-  // pin (if it holds this entry) keeps previously returned spans valid.
-  cache_.Erase(v);
+  const size_t degree = graph_->OutDegree(v);
+  entries_ += degree;
+  cache_.Put(v, degree);
 }
 
 }  // namespace aligraph

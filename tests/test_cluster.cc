@@ -142,7 +142,7 @@ TEST(ClusterAccessTest, ImportanceCachedVerticesReadGraphAdjacency) {
     ASSERT_NE(cache, nullptr);
     std::vector<VertexId> batch;
     for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      if (!cache->Lookup(v).has_value()) continue;
+      if (!cache->Lookup(v)) continue;
       ++cached;
       batch.push_back(v);
       const auto want = g.OutNeighbors(v);

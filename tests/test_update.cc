@@ -338,6 +338,81 @@ TEST(UpdateCacheTest, StaticCacheNeverServesStaleData) {
   EXPECT_GT(stats.cache_hits.load(), hits_before);
 }
 
+/// What one read of v by `reader` at `epoch` is charged: a per-vertex read,
+/// or a one-slot batch when `batched`.
+CommStats::Snapshot ChargeOfRead(Cluster& cluster, WorkerId reader,
+                                 VertexId v, uint64_t epoch, bool batched) {
+  CommStats stats;
+  if (batched) {
+    const VertexId one[] = {v};
+    BatchResult out;
+    cluster.GetNeighborsBatch(reader, one, kAllEdgeTypes, &out, &stats, epoch);
+  } else {
+    cluster.GetNeighbors(reader, v, &stats, epoch);
+  }
+  return stats.snapshot();
+}
+
+/// The exact charges around an update of a cached remote vertex v: a reader
+/// pinned before the update still hits, the first current read is remote
+/// and drops v from the cache, and a pin taken after the update is remote.
+/// `lru` picks an LRU-admitted entry, else a static pin.
+void ExpectUpdatedCachedVertexCharges(bool lru, bool batched) {
+  const AttributedGraph g = MakeTinyGraph();
+  Cluster cluster = BuildWith(g, "edge_cut", 2);
+  const VertexId v = 0;
+  const WorkerId reader = cluster.OwnerOf(v) == 0 ? 1 : 0;
+  if (lru) {
+    cluster.InstallLruCache(16);
+    cluster.GetNeighbors(reader, v, nullptr);  // remote fetch, admitted
+  } else {
+    cluster.InstallRandomCache(1.0, 3);  // pin everything everywhere
+  }
+  const NeighborCache& cache = *cluster.server(reader).neighbor_cache();
+  const size_t size0 = cache.size();
+  const size_t entries0 = cache.entry_count();
+
+  const EpochPin before = cluster.PinEpoch();
+  std::vector<EdgeUpdate> batch{{EdgeUpdate::Kind::kInsert, v, 5, 0, 4.0f,
+                                 kNoAttr}};
+  ASSERT_TRUE(cluster.ApplyUpdateBatch(batch).ok());
+
+  CommStats::Snapshot s =
+      ChargeOfRead(cluster, reader, v, before.epoch(), batched);
+  EXPECT_EQ(s.cache_hits, 1u);
+  EXPECT_EQ(s.TotalReads(), 1u);
+  EXPECT_EQ(s.remote_batches, 0u);
+  EXPECT_EQ(cache.size(), size0);
+  EXPECT_EQ(cache.entry_count(), entries0);
+
+  s = ChargeOfRead(cluster, reader, v, kEpochCurrent, batched);
+  EXPECT_EQ(s.remote_reads, 1u);
+  EXPECT_EQ(s.TotalReads(), 1u);
+  EXPECT_EQ(s.remote_batches, batched ? 1u : 0u);
+  EXPECT_EQ(cache.size(), size0 - 1);
+  EXPECT_EQ(cache.entry_count(), entries0 - g.OutDegree(v));
+
+  const EpochPin after = cluster.PinEpoch();
+  s = ChargeOfRead(cluster, reader, v, after.epoch(), batched);
+  EXPECT_EQ(s.remote_reads, 1u);
+  EXPECT_EQ(s.TotalReads(), 1u);
+  EXPECT_EQ(cache.size(), size0 - 1);
+}
+
+TEST(UpdateCacheTest, UpdatedPinnedVertexChargedExactly) {
+  for (const bool batched : {false, true}) {
+    SCOPED_TRACE(batched ? "one-slot batch" : "per-vertex");
+    ExpectUpdatedCachedVertexCharges(/*lru=*/false, batched);
+  }
+}
+
+TEST(UpdateCacheTest, UpdatedLruVertexChargedExactly) {
+  for (const bool batched : {false, true}) {
+    SCOPED_TRACE(batched ? "one-slot batch" : "per-vertex");
+    ExpectUpdatedCachedVertexCharges(/*lru=*/true, batched);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Differential: no replicas + no updates == legacy behavior, and replicas
 // alone do not change any sampled draw, block, or GNN forward.
@@ -548,10 +623,9 @@ void ExpectClusterMatchesModel(Cluster& cluster, uint64_t epoch,
   }
 }
 
-TEST(UpdateModelTest, PinnedEpochReadsMatchReferenceModel) {
-  // Two edge types, so typed reads and type-segmented versions are covered;
-  // hubs, so hybrid replica copies take updates too; an LRU cache, so the
-  // dirty-bypass path runs.
+/// MakeSkewGraph(31) with each edge typed a or b by (src + dst) parity:
+/// hubs for hybrid replication and two edge types for typed reads.
+AttributedGraph MakeTwoTypeSkewGraph() {
   const AttributedGraph base = MakeSkewGraph(31);
   GraphSchema schema;
   schema.AddEdgeType("a");
@@ -560,10 +634,17 @@ TEST(UpdateModelTest, PinnedEpochReadsMatchReferenceModel) {
   for (VertexId v = 0; v < base.num_vertices(); ++v) gb.AddVertex();
   for (VertexId v = 0; v < base.num_vertices(); ++v) {
     for (const Neighbor& nb : base.OutNeighbors(v)) {
-      ASSERT_TRUE(gb.AddEdge(v, nb.dst, (v + nb.dst) % 2, nb.weight).ok());
+      EXPECT_TRUE(gb.AddEdge(v, nb.dst, (v + nb.dst) % 2, nb.weight).ok());
     }
   }
-  const AttributedGraph g = std::move(gb.Build()).value();
+  return std::move(gb.Build()).value();
+}
+
+TEST(UpdateModelTest, PinnedEpochReadsMatchReferenceModel) {
+  // Two edge types, so typed reads and type-segmented versions are covered;
+  // hubs, so hybrid replica copies take updates too; an LRU cache, so the
+  // updated-vertex bypass runs.
+  const AttributedGraph g = MakeTwoTypeSkewGraph();
   Cluster cluster = BuildWith(g, "hybrid", 4);
   ASSERT_TRUE(cluster.plan().HasReplicas());
   cluster.InstallLruCache(128);
@@ -593,6 +674,92 @@ TEST(UpdateModelTest, PinnedEpochReadsMatchReferenceModel) {
   EXPECT_GT(pruned, 0u);
   for (const auto& [pin, at_pin] : pinned) {
     ExpectClusterMatchesModel(cluster, pin.epoch(), at_pin);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Accounting fingerprint: what a seeded mix of reads and updates charges.
+
+/// Runs a seeded sequence on `cluster` (built over `g`): rounds of
+/// per-vertex and batched reads, typed and untyped, from every worker, at
+/// the current epoch and at every still-pinned older epoch, each round
+/// followed by an update batch. Returns every CommStats field, then each
+/// worker's cache size() and entry_count().
+std::vector<uint64_t> ChargeFingerprint(Cluster& cluster,
+                                        const AttributedGraph& g) {
+  const VertexId n = g.num_vertices();
+  AdjModel model = ModelOf(g);
+  Rng rng(4242);
+  // Half the picks hit the 64 lowest ids, which RandomBatch updates most.
+  auto pick = [&rng, n] {
+    return static_cast<VertexId>(
+        rng.Uniform(rng.Uniform(2) == 0 ? std::min<VertexId>(n, 64) : n));
+  };
+  // Draws kAllEdgeTypes one time in three, else a concrete type.
+  auto pick_type = [&rng] {
+    const uint64_t t = rng.Uniform(3);
+    return t == 2 ? kAllEdgeTypes : static_cast<EdgeType>(t);
+  };
+  CommStats stats;
+  std::vector<EpochPin> pins;
+  pins.push_back(cluster.PinEpoch());
+  for (int round = 0; round < 6; ++round) {
+    std::vector<uint64_t> epochs{kEpochCurrent};
+    for (const EpochPin& pin : pins) epochs.push_back(pin.epoch());
+    for (const uint64_t e : epochs) {
+      for (WorkerId from = 0; from < cluster.num_workers(); ++from) {
+        for (int i = 0; i < 24; ++i) {
+          cluster.GetNeighbors(from, pick(), pick_type(), &stats, e);
+        }
+        std::vector<VertexId> batch(40);
+        for (VertexId& v : batch) v = pick();
+        BatchResult out;
+        cluster.GetNeighborsBatch(from, batch, pick_type(), &out, &stats, e);
+      }
+    }
+    const std::vector<EdgeUpdate> batch = RandomBatch(model, 40, &rng);
+    ApplyToModel(batch, &model);
+    EXPECT_TRUE(cluster.ApplyUpdateBatch(batch).ok());
+    if (round % 2 == 1) pins.erase(pins.begin());
+    pins.push_back(cluster.PinEpoch());
+  }
+  const CommStats::Snapshot s = stats.snapshot();
+  std::vector<uint64_t> print{s.local_reads,    s.replica_reads,
+                              s.cache_hits,     s.remote_reads,
+                              s.remote_batches, s.batched_remote_reads,
+                              s.faults_injected, s.retry_attempts,
+                              s.retry_backoff_us, s.failed_reads};
+  for (WorkerId w = 0; w < cluster.num_workers(); ++w) {
+    const NeighborCache* cache = cluster.server(w).neighbor_cache();
+    print.push_back(cache->size());
+    print.push_back(cache->entry_count());
+  }
+  return print;
+}
+
+TEST(UpdateCacheTest, ChargesMatchParentFingerprint) {
+  // Every charge and cache size of the sequence, pinned bit for bit: how a
+  // cache and the delta tables decide "hit or remote" is part of the
+  // communication count the paper's cache comparison rests on. Layout:
+  // local, replica, hit, remote, remote_batches, batched_remote, faults,
+  // retries, backoff_us, failed, then (size, entry_count) per worker.
+  const AttributedGraph g = MakeTwoTypeSkewGraph();
+  {
+    Cluster cluster = BuildWith(g, "hybrid", 4);
+    ASSERT_TRUE(cluster.plan().HasReplicas());
+    cluster.InstallLruCache(128);
+    const std::vector<uint64_t> want{1324, 22,  1224, 2684, 251,  1614,
+                                     0,    0,   0,    0,    128,  978,
+                                     128,  1162, 128, 1232, 128,  1125};
+    EXPECT_EQ(ChargeFingerprint(cluster, g), want);
+  }
+  {
+    Cluster cluster = BuildWith(g, "hybrid", 4);
+    cluster.InstallRandomCache(0.5, 17);
+    const std::vector<uint64_t> want{1324, 22,  1470, 2411, 251,  1444,
+                                     0,    0,   0,    0,    431,  4448,
+                                     428,  4377, 427, 4341, 432,  4450};
+    EXPECT_EQ(ChargeFingerprint(cluster, g), want);
   }
 }
 
