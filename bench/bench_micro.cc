@@ -1,8 +1,8 @@
 /// \file bench_micro.cc
 /// \brief google-benchmark micro-benchmarks for the hot primitives the
 /// system layers are built from: alias-table sampling, LRU access, CSR
-/// neighbor scans, importance computation, lock-free bucket submission and
-/// the dense GEMM behind AGGREGATE/COMBINE.
+/// neighbor scans, importance computation and the dense GEMM behind
+/// AGGREGATE/COMBINE.
 
 #include <benchmark/benchmark.h>
 
@@ -12,7 +12,6 @@
 #include "algo/gnn.h"
 #include "block/feature_source.h"
 #include "block/sampled_block.h"
-#include "cluster/request_bucket.h"
 #include "common/alias_table.h"
 #include "common/lru_cache.h"
 #include "common/random.h"
@@ -117,16 +116,6 @@ void BM_NeighborhoodSampleInstrumented(benchmark::State& state) {
   obs::SetDefault(nullptr);
 }
 BENCHMARK(BM_NeighborhoodSampleInstrumented);
-
-void BM_BucketSubmit(benchmark::State& state) {
-  BucketExecutor exec(2);
-  uint64_t group = 0;
-  for (auto _ : state) {
-    (void)exec.Submit(group++, [] {});
-  }
-  exec.Drain();
-}
-BENCHMARK(BM_BucketSubmit);
 
 // Shared fixture for the block benchmarks: one sampled two-hop block over
 // the bench graph plus a dense feature table.

@@ -202,8 +202,7 @@ SageTrainer::SageTrainer(const GnnConfig& config, size_t feature_dim)
       layer1_(feature_dim, config.dim, config.aggregator == "maxpool", rng_),
       layer2_(config.dim, config.dim, config.aggregator == "maxpool", rng_,
               /*relu=*/false),
-      opt_(config.learning_rate),
-      feature_rows_(feature_dim) {}
+      opt_(config.learning_rate) {}
 
 void SageTrainer::TrainEpochs(const AttributedGraph& graph,
                               const nn::Matrix& features, uint32_t epochs) {
@@ -213,10 +212,6 @@ void SageTrainer::TrainEpochs(const AttributedGraph& graph,
   NeighborhoodSampler hood(NeighborStrategy::kUniform, config_.seed + 3);
   LocalNeighborSource source(graph);
   block::MatrixFeatureSource feature_source(features);
-  // The cached feature rows are only valid for THIS (graph, features)
-  // pair; trainers are reused across snapshots (Evolving GNN), so start
-  // each training run clean. Reuse still spans every batch of the run.
-  feature_rows_.Reset();
 
   const uint32_t f1 = config_.fanout1;
   const std::vector<uint32_t> fans{f1, config_.fanout2};
@@ -227,7 +222,7 @@ void SageTrainer::TrainEpochs(const AttributedGraph& graph,
 
   // Stage state partitioning keeps every stateful participant single-stage
   // (hence single-threaded and in batch order, hence bit-identical at every
-  // depth): rng_ / negatives / hood live on the sample stage, feature_rows_
+  // depth): rng_ / negatives / hood live on the sample stage, feature_source
   // on the gather stage, layers / optimizer on this thread.
   pipeline::BlockPipeline pipe({config_.pipeline_depth});
   const Status run = pipe.Run(
@@ -242,7 +237,7 @@ void SageTrainer::TrainEpochs(const AttributedGraph& graph,
       /*gather=*/
       [&](const block::SampledBlock& blk) {
         return block::GatherBlockFeatures(blk, feature_source,
-                                          &feature_rows_);
+                                          /*row_cache=*/nullptr);
       },
       /*compute=*/
       [&](size_t, const block::SampledBlock& blk, const nn::Matrix& x,
@@ -275,7 +270,6 @@ nn::Matrix SageTrainer::Infer(const AttributedGraph& graph,
   nn::Matrix out(graph.num_vertices(), config_.dim);
   NeighborhoodSampler infer_hood(NeighborStrategy::kUniform, config_.seed + 7);
   block::MatrixFeatureSource feature_source(features);
-  feature_rows_.Reset();
   const size_t chunk = 512;
   const size_t num_batches =
       (static_cast<size_t>(graph.num_vertices()) + chunk - 1) / chunk;
@@ -296,7 +290,7 @@ nn::Matrix SageTrainer::Infer(const AttributedGraph& graph,
       /*gather=*/
       [&](const block::SampledBlock& blk) {
         return block::GatherBlockFeatures(blk, feature_source,
-                                          &feature_rows_);
+                                          /*row_cache=*/nullptr);
       },
       /*compute=*/
       [&](size_t b, const block::SampledBlock& blk, const nn::Matrix& x,

@@ -19,7 +19,6 @@
 #include "nn/layers.h"
 #include "nn/skipgram.h"
 #include "nn/walks.h"
-#include "ops/hop_cache.h"
 #include "sampling/sampler.h"
 
 namespace aligraph {
@@ -133,12 +132,6 @@ class SageTrainer {
   SageLayer layer1_;
   SageLayer layer2_;
   nn::Adam opt_;
-  /// Block-path feature rows keyed by (hop 0, global vertex id): a vertex
-  /// sampled by several batches has its feature row gathered once and
-  /// reused ("block.reused_rows"), which is exactly the paper's hop-level
-  /// materialization applied at the input layer where reuse is
-  /// semantics-preserving.
-  ops::HopEmbeddingCache feature_rows_;
 };
 
 /// \brief Two-layer GraphSAGE with node-wise neighbor sampling.

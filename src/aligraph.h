@@ -34,7 +34,6 @@
 #include "cluster/cluster.h"
 #include "cluster/comm_model.h"
 #include "cluster/graph_server.h"
-#include "cluster/request_bucket.h"
 #include "ops/hop_cache.h"
 #include "partition/partitioner.h"
 #include "sampling/sampler.h"

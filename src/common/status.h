@@ -29,9 +29,9 @@ enum class StatusCode : uint8_t {
   kNotSupported = 8,
   kIoError = 9,
   /// A (simulated) remote worker failed to answer within the retry budget.
-  /// Distinct from kResourceExhausted (local backpressure, e.g. a full
-  /// request bucket): Unavailable means retrying elsewhere or degrading;
-  /// ResourceExhausted means the caller should run the work itself.
+  /// Distinct from kResourceExhausted (local backpressure, e.g. a serve
+  /// request shed at admission): Unavailable means retrying elsewhere or
+  /// degrading; ResourceExhausted means backing off and retrying later.
   kUnavailable = 10,
 };
 

@@ -86,7 +86,10 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
         for (size_t i = begin; i < end; ++i) fn(i);
       }
     });
-    if (!submitted.ok()) return;  // shut down: nothing enqueued, nothing runs
+    // Shut down mid-loop: the tasks already accepted still run and read
+    // `next` and `fn` off this frame, so wait for them. Each task loops
+    // until `next` reaches n, so one accepted task covers every index.
+    if (!submitted.ok()) break;
   }
   Wait();
 }

@@ -53,7 +53,8 @@ class ThreadPool {
 
   /// Runs fn(i) for every i in [0, n), spread over the pool, and waits.
   /// Chunks the index space so per-call overhead stays negligible. After
-  /// Shutdown() this is a no-op (the submits fail, Wait returns at once).
+  /// Shutdown() this is a no-op (the submits fail, Wait returns at once);
+  /// racing Shutdown() it runs either no index or every index.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
   /// Finishes every already-enqueued task, joins the worker threads and

@@ -4,10 +4,10 @@
 ///
 /// Every headline number of the paper's evaluation is a measurement, so the
 /// system layers export their counters through one substrate instead of
-/// ad-hoc per-class fields. Hot-path increments follow the same discipline
-/// as the lock-free request buckets: a counter is an array of cache-line
-/// padded atomic cells, each thread hashes to its own cell, and increments
-/// are relaxed fetch-adds — no shared cache line, no lock, no contention.
+/// ad-hoc per-class fields. Hot-path increments take no lock: a counter is
+/// an array of cache-line padded atomic cells, each thread hashes to its
+/// own cell, and increments are relaxed fetch-adds — no shared cache line,
+/// no lock, no contention.
 /// Reads (Value / Snapshot) sum the cells; they are monotonic but not a
 /// consistent cut across metrics, which is all benches and reports need.
 ///

@@ -19,10 +19,10 @@
 /// (trace_id == its span id, parent 0), so each top-level request span is
 /// automatically the single root of its trace. A span opened inside another
 /// span inherits the trace and parents under it. Cross-thread handoffs
-/// (BucketExecutor submissions, ThreadPool tasks) capture the submitter's
-/// CurrentTraceContext() and adopt it on the worker thread with a
-/// ScopedTraceContext, so consumer-side spans stay children of the
-/// submitting span instead of starting disconnected roots.
+/// (ThreadPool tasks) capture the submitter's CurrentTraceContext() and
+/// adopt it on the worker thread with a ScopedTraceContext, so worker-side
+/// spans stay children of the submitting span instead of starting
+/// disconnected roots.
 ///
 /// Aggregate() folds every thread's ring into a name -> {count, total,
 /// min, max} map; Events() returns the raw causally-linked records for

@@ -1,22 +1,15 @@
-// Tests for the simulated cluster: distributed build, cache-aware neighbor
-// access with communication accounting, and the lock-free request buckets.
+// Tests for the simulated cluster: distributed build and cache-aware neighbor
+// access with communication accounting.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstring>
 #include <numeric>
-#include <set>
-#include <thread>
 #include <vector>
 
 #include "cluster/cluster.h"
-#include "cluster/request_bucket.h"
 #include "gen/powerlaw.h"
 #include "gen/taobao.h"
-#include "obs/metrics.h"
 #include "partition/partitioner.h"
 #include "storage/neighbor_cache.h"
 
@@ -265,263 +258,6 @@ TEST(NaiveBuildTest, SlowerOrEqualToMeasuredParallelCriticalPath) {
   const AttributedGraph g = MakeGraph();
   const double naive_ms = NaiveLockedBuildMillis(g);
   EXPECT_GT(naive_ms, 0.0);
-}
-
-TEST(MpscRingTest, SingleThreadFifo) {
-  MpscRing<int> ring(8);
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(ring.TryPush(i));
-  int out = -1;
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(ring.TryPop(&out));
-    EXPECT_EQ(out, i);
-  }
-  EXPECT_FALSE(ring.TryPop(&out));
-}
-
-TEST(MpscRingTest, FullRingRejectsPush) {
-  MpscRing<int> ring(4);
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(ring.TryPush(i));
-  EXPECT_FALSE(ring.TryPush(99));
-  int out;
-  EXPECT_TRUE(ring.TryPop(&out));
-  EXPECT_TRUE(ring.TryPush(99));  // slot freed
-}
-
-TEST(MpscRingTest, ConcurrentProducersLoseNothing) {
-  MpscRing<int> ring(1024);
-  constexpr int kPerProducer = 2000;
-  constexpr int kProducers = 4;
-  std::atomic<long> sum{0};
-  std::atomic<int> popped{0};
-  std::thread consumer([&] {
-    int v;
-    while (popped.load() < kPerProducer * kProducers) {
-      if (ring.TryPop(&v)) {
-        sum += v;
-        ++popped;
-      } else {
-        std::this_thread::yield();
-      }
-    }
-  });
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&ring] {
-      for (int i = 1; i <= kPerProducer; ++i) {
-        while (!ring.TryPush(i)) std::this_thread::yield();
-      }
-    });
-  }
-  for (auto& t : producers) t.join();
-  consumer.join();
-  const long expected =
-      static_cast<long>(kProducers) * kPerProducer * (kPerProducer + 1) / 2;
-  EXPECT_EQ(sum.load(), expected);
-}
-
-TEST(BucketExecutorTest, ExecutesEverythingOnDrain) {
-  BucketExecutor exec(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 500; ++i) {
-    ASSERT_TRUE(exec.Submit(i, [&count] { ++count; }));
-  }
-  exec.Drain();
-  EXPECT_EQ(count.load(), 500);
-  EXPECT_EQ(exec.dropped_after_spin(), 0u);
-}
-
-TEST(BucketExecutorTest, SameGroupIsSequential) {
-  // All ops on one group must execute in submission order (single consumer,
-  // no locking): record the order and verify.
-  BucketExecutor exec(4);
-  std::vector<int> order;
-  for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(exec.Submit(7, [&order, i] { order.push_back(i); }));
-  }
-  exec.Drain();
-  ASSERT_EQ(order.size(), 200u);
-  for (int i = 0; i < 200; ++i) EXPECT_EQ(order[i], i);
-}
-
-TEST(BucketExecutorTest, GroupsRouteStably) {
-  BucketExecutor exec(3);
-  // Two ops on the same group from different "threads of submission" still
-  // serialize; different groups may interleave but each sees its own order.
-  std::vector<int> a, b;
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(exec.Submit(0, [&a, i] { a.push_back(i); }));
-    ASSERT_TRUE(exec.Submit(1, [&b, i] { b.push_back(i); }));
-  }
-  exec.Drain();
-  ASSERT_EQ(a.size(), 100u);
-  ASSERT_EQ(b.size(), 100u);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(a[i], i);
-    EXPECT_EQ(b[i], i);
-  }
-}
-
-TEST(BucketExecutorTest, FullRingDropsAfterSpinBudgetInsteadOfHanging) {
-  // Stall the single consumer of bucket 0 with a blocking op, fill the
-  // ring, and submit one more with a tiny spin budget: Submit must give up,
-  // report false, and count the drop — not spin forever.
-  BucketExecutor exec(/*num_buckets=*/1, /*ring_capacity=*/4,
-                      /*submit_spin_limit=*/16);
-  std::atomic<bool> release{false};
-  std::atomic<int> ran{0};
-  ASSERT_TRUE(exec.Submit(0, [&] {
-    while (!release.load()) std::this_thread::yield();
-    ++ran;
-  }));
-  // Wait until the consumer has picked up the blocker so the ring is free.
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(exec.Submit(0, [&ran] { ++ran; }));
-  }
-  int inline_runs = 0;
-  for (int i = 0; i < 3; ++i) {
-    if (!exec.Submit(0, [&ran] { ++ran; })) {
-      ++inline_runs;  // caller's responsibility now
-      ++ran;
-    }
-  }
-  EXPECT_GT(inline_runs, 0);
-  EXPECT_EQ(exec.dropped_after_spin(),
-            static_cast<uint64_t>(inline_runs));
-  release.store(true);
-  exec.Drain();
-  EXPECT_EQ(ran.load(), 1 + 4 + 3);
-}
-
-TEST(BucketExecutorTest, TrySubmitReportsBackpressureAsResourceExhausted) {
-  // Same setup as the drop test, but through the Status-returning API: a
-  // successful enqueue is OK, a spin-budget exhaustion is ResourceExhausted
-  // (local backpressure — distinct from kUnavailable, a dead remote), and
-  // the rejected op must not run.
-  BucketExecutor exec(/*num_buckets=*/1, /*ring_capacity=*/4,
-                      /*submit_spin_limit=*/16);
-  std::atomic<bool> release{false};
-  std::atomic<int> ran{0};
-  ASSERT_TRUE(exec.TrySubmit(0, [&] {
-    while (!release.load()) std::this_thread::yield();
-    ++ran;
-  }).ok());
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(exec.TrySubmit(0, [&ran] { ++ran; }).ok());
-  }
-  // Ring is now full and its consumer blocked: the submit must give up
-  // with the backpressure code, leaving the op unexecuted.
-  const Status st = exec.TrySubmit(0, [&ran] { ++ran; });
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kResourceExhausted);
-  EXPECT_FALSE(st.message().empty());
-  EXPECT_EQ(exec.dropped_after_spin(), 1u);
-  release.store(true);
-  exec.Drain();
-  EXPECT_EQ(ran.load(), 1 + 4);  // the rejected op never ran
-}
-
-TEST(BucketExecutorTest, ExportsQueueDepthGauge) {
-  // The executor resolves "bucket.queue_depth" from the default registry at
-  // construction; with the single consumer stalled every accepted op stays
-  // in flight, so the gauge (last set on the submit path) reads exactly the
-  // number of accepted ops. After Drain the accessor must be back to zero.
-  obs::MetricsRegistry registry;
-  obs::SetDefault(&registry);
-  {
-    BucketExecutor exec(/*num_buckets=*/1, /*ring_capacity=*/8,
-                        /*submit_spin_limit=*/16);
-    std::atomic<bool> release{false};
-    ASSERT_TRUE(exec.TrySubmit(0, [&] {
-      while (!release.load()) std::this_thread::yield();
-    }).ok());
-    for (int i = 0; i < 4; ++i) {
-      ASSERT_TRUE(exec.TrySubmit(0, [] {}).ok());
-    }
-    EXPECT_EQ(exec.queue_depth(), 5u);
-    EXPECT_EQ(registry.GetGauge("bucket.queue_depth")->Value(), 5.0);
-    release.store(true);
-    exec.Drain();
-    EXPECT_EQ(exec.queue_depth(), 0u);
-  }
-  obs::SetDefault(nullptr);
-}
-
-TEST(MpscRingTest, MultiProducerStressNoLossNoDuplication) {
-  // N producers push disjoint tagged ranges; the consumer must see every
-  // value exactly once (no loss, no duplication, any interleaving).
-  MpscRing<uint64_t> ring(256);
-  constexpr uint64_t kPerProducer = 5000;
-  constexpr uint64_t kProducers = 6;
-  std::vector<uint64_t> seen;
-  seen.reserve(kPerProducer * kProducers);
-  std::thread consumer([&] {
-    uint64_t v;
-    while (seen.size() < kPerProducer * kProducers) {
-      if (ring.TryPop(&v)) {
-        seen.push_back(v);
-      } else {
-        std::this_thread::yield();
-      }
-    }
-  });
-  std::vector<std::thread> producers;
-  for (uint64_t p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&ring, p] {
-      for (uint64_t i = 0; i < kPerProducer; ++i) {
-        const uint64_t tagged = p * 1'000'000ull + i;
-        while (!ring.TryPush(tagged)) std::this_thread::yield();
-      }
-    });
-  }
-  for (auto& t : producers) t.join();
-  consumer.join();
-  ASSERT_EQ(seen.size(), kPerProducer * kProducers);
-  std::sort(seen.begin(), seen.end());
-  EXPECT_EQ(std::adjacent_find(seen.begin(), seen.end()), seen.end())
-      << "duplicate value popped";
-  for (uint64_t p = 0; p < kProducers; ++p) {
-    for (uint64_t i : {uint64_t{0}, kPerProducer - 1}) {
-      EXPECT_TRUE(std::binary_search(seen.begin(), seen.end(),
-                                     p * 1'000'000ull + i));
-    }
-  }
-}
-
-TEST(MpscRingTest, FullRingBackpressureRecovers) {
-  // Producers outpace a deliberately slow consumer on a tiny ring: pushes
-  // must fail (backpressure) rather than overwrite, and every item must
-  // still arrive once the consumer catches up.
-  MpscRing<int> ring(8);
-  constexpr int kItems = 2000;
-  std::atomic<long> pushed_sum{0};
-  std::atomic<bool> saw_full{false};
-  std::thread producer([&] {
-    for (int i = 1; i <= kItems; ++i) {
-      if (!ring.TryPush(i)) {
-        saw_full.store(true);
-        while (!ring.TryPush(i)) std::this_thread::yield();
-      }
-      pushed_sum += i;
-    }
-  });
-  long consumed_sum = 0;
-  int consumed = 0;
-  int v;
-  while (consumed < kItems) {
-    if (ring.TryPop(&v)) {
-      consumed_sum += v;
-      ++consumed;
-      if (consumed % 64 == 0) {
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-      }
-    }
-  }
-  producer.join();
-  EXPECT_TRUE(saw_full.load()) << "ring never filled; backpressure untested";
-  EXPECT_EQ(consumed_sum, pushed_sum.load());
-  EXPECT_FALSE(ring.TryPop(&v));
 }
 
 // ---------------------------------------------------------------------------

@@ -436,6 +436,29 @@ TEST(ThreadPoolTest, ShutdownRaceNeverLosesAcceptedTasks) {
   }
 }
 
+TEST(ThreadPoolTest, ParallelForRacingShutdownRunsNoIndexOrEvery) {
+  // ParallelFor races Shutdown from another thread. Once one of its tasks is
+  // accepted it must wait for it: the task reads ParallelFor's stack frame.
+  // So it returns having run no index or every index, and the join inside
+  // Shutdown adds none. ASan/TSan cover the frame lifetime.
+  constexpr size_t kN = 256;
+  for (int round = 0; round < 200; ++round) {
+    ThreadPool pool(4);
+    std::atomic<size_t> ran{0};
+    std::atomic<bool> go{false};
+    std::thread stopper([&] {
+      while (!go.load()) std::this_thread::yield();
+      pool.Shutdown();
+    });
+    go.store(true);
+    pool.ParallelFor(kN, [&ran](size_t) { ++ran; });
+    const size_t at_return = ran.load();
+    stopper.join();
+    EXPECT_TRUE(at_return == 0 || at_return == kN) << "ran " << at_return;
+    EXPECT_EQ(ran.load(), at_return) << "indices ran after ParallelFor";
+  }
+}
+
 TEST(SummaryTest, BasicStatistics) {
   Summary s;
   for (double v : {1.0, 2.0, 3.0, 4.0}) s.Add(v);

@@ -1,9 +1,9 @@
 /// \file test_trace.cc
 /// \brief Causal tracing: context minting/propagation, parentage across
-/// BucketExecutor and ThreadPool handoffs, trace completeness under
-/// parallel k-hop sampling (with and without fault injection), timeline
-/// assembly, the critical-path analyzer, Chrome trace export, and the
-/// bench_compare regression gate.
+/// ThreadPool handoffs, trace completeness under parallel k-hop sampling
+/// (with and without fault injection), timeline assembly, the
+/// critical-path analyzer, Chrome trace export, and the bench_compare
+/// regression gate.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "cluster/cluster.h"
-#include "cluster/request_bucket.h"
 #include "common/threadpool.h"
 #include "fault/fault_injector.h"
 #include "fault/retry_policy.h"
@@ -181,54 +180,7 @@ TEST(TraceContextTest, EmptyContextIsUntraced) {
 }
 
 // ---------------------------------------------------------------------------
-// Cross-thread handoffs through the executors.
-
-TEST(BucketExecutorTraceTest, HandoffPreservesParentage) {
-  Tracer tracer;
-  TracerSession session(&tracer);
-  uint64_t parent_span = 0;
-  {
-    ScopedSpan submit_span("submit");
-    parent_span = obs::CurrentTraceContext().span_id;
-    BucketExecutor exec(/*num_buckets=*/2);
-    for (uint64_t g = 0; g < 8; ++g) {
-      ASSERT_TRUE(exec.TrySubmit(g, [] { ScopedSpan op("op"); }).ok());
-    }
-    exec.Drain();
-  }
-  const auto events = tracer.Events();
-  const SpanEvent* submit = FindByName(events, "submit");
-  ASSERT_NE(submit, nullptr);
-  size_t ops = 0;
-  std::set<uint32_t> op_threads;
-  for (const SpanEvent& e : events) {
-    if (e.name != "op") continue;
-    ++ops;
-    EXPECT_EQ(e.trace_id, submit->trace_id);
-    EXPECT_EQ(e.parent_span_id, parent_span);
-    op_threads.insert(e.thread);
-  }
-  EXPECT_EQ(ops, 8u);
-  // Two lanes, two consumer threads: ops recorded off the submitting ring.
-  EXPECT_EQ(op_threads.size(), 2u);
-  EXPECT_EQ(op_threads.count(submit->thread), 0u);
-}
-
-TEST(BucketExecutorTraceTest, SubmitOutsideTraceStaysUntraced) {
-  Tracer tracer;
-  TracerSession session(&tracer);
-  {
-    BucketExecutor exec(/*num_buckets=*/1);
-    ASSERT_TRUE(exec.TrySubmit(0, [] { ScopedSpan op("op"); }).ok());
-    exec.Drain();
-  }
-  const auto events = tracer.Events();
-  const SpanEvent* op = FindByName(events, "op");
-  ASSERT_NE(op, nullptr);
-  // No submitter context to adopt: the op span minted its own trace.
-  EXPECT_EQ(op->trace_id, op->span_id);
-  EXPECT_EQ(op->parent_span_id, 0u);
-}
+// Cross-thread handoffs through the thread pool.
 
 TEST(ThreadPoolTraceTest, SubmitAndParallelForPropagateContext) {
   Tracer tracer;
@@ -241,19 +193,46 @@ TEST(ThreadPoolTraceTest, SubmitAndParallelForPropagateContext) {
     std::atomic<int> sum{0};
     pool.ParallelFor(64, [&sum](size_t i) { sum.fetch_add(1); });
     EXPECT_EQ(sum.load(), 64);
+    for (int i = 0; i < 8; ++i) {
+      ASSERT_TRUE(pool.Submit([] { ScopedSpan op("op"); }).ok());
+    }
+    pool.Wait();
   }
   const auto events = tracer.Events();
   const SpanEvent* root = FindByName(events, "request");
   ASSERT_NE(root, nullptr);
   size_t workers = 0;
+  size_t ops = 0;
   for (const SpanEvent& e : events) {
-    if (e.name != "pool/parallel_for") continue;
-    ++workers;
+    if (e.name == "pool/parallel_for") {
+      ++workers;
+    } else if (e.name == "op") {
+      ++ops;
+      // A direct Submit: the op ran on a worker, off the submitting ring.
+      EXPECT_NE(e.thread, root->thread);
+    } else {
+      continue;
+    }
     EXPECT_EQ(e.trace_id, root->trace_id);
     EXPECT_EQ(e.parent_span_id, parent_span);
   }
   EXPECT_GE(workers, 1u);
   EXPECT_LE(workers, 3u);
+  EXPECT_EQ(ops, 8u);
+}
+
+TEST(ThreadPoolTraceTest, SubmitOutsideTraceStaysUntraced) {
+  Tracer tracer;
+  TracerSession session(&tracer);
+  ThreadPool pool(1);
+  ASSERT_TRUE(pool.Submit([] { ScopedSpan op("op"); }).ok());
+  pool.Wait();
+  const auto events = tracer.Events();
+  const SpanEvent* op = FindByName(events, "op");
+  ASSERT_NE(op, nullptr);
+  // No submitter context to adopt: the op span minted its own trace.
+  EXPECT_EQ(op->trace_id, op->span_id);
+  EXPECT_EQ(op->parent_span_id, 0u);
 }
 
 // ---------------------------------------------------------------------------
