@@ -1,8 +1,8 @@
 /// \file bench_micro.cc
 /// \brief google-benchmark micro-benchmarks for the hot primitives the
 /// system layers are built from: alias-table sampling, LRU access, CSR
-/// neighbor scans, importance computation and the dense GEMM behind
-/// AGGREGATE/COMBINE.
+/// neighbor scans, importance computation, the dense GEMM behind
+/// AGGREGATE/COMBINE and online update batches.
 
 #include <benchmark/benchmark.h>
 
@@ -12,6 +12,7 @@
 #include "algo/gnn.h"
 #include "block/feature_source.h"
 #include "block/sampled_block.h"
+#include "cluster/cluster.h"
 #include "common/alias_table.h"
 #include "common/lru_cache.h"
 #include "common/random.h"
@@ -22,6 +23,7 @@
 #include "nn/matrix.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "partition/partitioner.h"
 #include "sampling/sampler.h"
 
 namespace aligraph {
@@ -317,6 +319,52 @@ void BM_MatMul(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MatMul)->Arg(64)->Arg(128);
+
+// One ApplyUpdateBatch after Arg(0) earlier batches on a 4-worker hybrid
+// cluster. Each batch has 256 edges: 128 inserts with Zipf(1.0)-hot
+// sources (low ChungLu ids are the hubs) and removes of the previous
+// batch's 128 inserts, so adjacency sizes stay flat and only the update
+// history differs between the two args. The iteration count is fixed, so
+// timing adds at most 20 batches of history; CI gates the 200 / 20 ratio.
+void BM_ApplyUpdateBatch(benchmark::State& state) {
+  const AttributedGraph& g = BenchGraph();
+  auto partitioner = std::move(MakePartitioner("hybrid")).value();
+  Cluster cluster = std::move(Cluster::Build(g, *partitioner, 4)).value();
+  gen::ZipfConfig zcfg;
+  zcfg.num_ranks = g.num_vertices();
+  zcfg.exponent = 1.0;
+  zcfg.seed = 7;
+  gen::ZipfSampler zipf(zcfg);
+  Rng rng(11);
+  const size_t history = static_cast<size_t>(state.range(0));
+  std::vector<std::vector<EdgeUpdate>> batches(
+      history + static_cast<size_t>(state.max_iterations));
+  std::vector<EdgeUpdate> inserted;  // the previous batch's inserts
+  for (std::vector<EdgeUpdate>& batch : batches) {
+    for (EdgeUpdate u : inserted) {
+      u.kind = EdgeUpdate::Kind::kRemove;
+      batch.push_back(u);
+    }
+    inserted.clear();
+    for (int i = 0; i < 128; ++i) {
+      EdgeUpdate u;
+      u.src = static_cast<VertexId>(zipf.Next());
+      u.dst = static_cast<VertexId>(rng.Uniform(g.num_vertices()));
+      inserted.push_back(u);
+      batch.push_back(u);
+    }
+  }
+  size_t b = 0;
+  for (; b < history; ++b) (void)cluster.ApplyUpdateBatch(batches[b]);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cluster.ApplyUpdateBatch(batches[b++]));
+  }
+}
+BENCHMARK(BM_ApplyUpdateBatch)
+    ->Arg(20)
+    ->Arg(200)
+    ->Iterations(20)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace aligraph

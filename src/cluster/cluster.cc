@@ -6,6 +6,7 @@
 #include <mutex>
 #include <sstream>
 #include <unordered_map>
+#include <utility>
 
 #include "common/timer.h"
 #include "obs/metrics.h"
@@ -30,8 +31,9 @@ uint64_t AttrRequestKey(VertexId v) {
 constexpr uint64_t kAttrBatchTag = 0x61'6263ULL;  // "abc" (attr batch)
 
 /// The remote residue of one batched read: its unique vertices in
-/// first-occurrence order, each with the worker that serves it and its row
-/// there, and every remote slot with the index of its unique vertex.
+/// first-occurrence order, each with the worker that serves it, its row
+/// there and its resolved version, and every remote slot with the index of
+/// its unique vertex.
 /// Deduplication uses a flat linear-probing table sized for the batch, so no
 /// entry allocates.
 class RemoteResidue {
@@ -39,8 +41,10 @@ class RemoteResidue {
   explicit RemoteResidue(size_t batch_size) : batch_size_(batch_size) {}
 
   /// Records that batch slot `slot` asks for v, served by `target` from
-  /// its row `row`.
-  void Add(uint32_t slot, VertexId v, WorkerId target, uint32_t row) {
+  /// its row `row` or from `ver` (null for attribute reads and for vertices
+  /// not updated at the read's epoch).
+  void Add(uint32_t slot, VertexId v, WorkerId target, uint32_t row,
+           const AdjVersion* ver) {
     if (table_.empty()) {
       table_.assign(std::bit_ceil(2 * batch_size_), kEmpty);
     }
@@ -51,6 +55,7 @@ class RemoteResidue {
         vertices_.push_back(v);
         targets_.push_back(target);
         rows_.push_back(row);
+        versions_.push_back(ver);
         failed_.push_back(0);
       } else if (vertices_[table_[h]] != v) {
         continue;
@@ -63,6 +68,7 @@ class RemoteResidue {
   size_t size() const { return vertices_.size(); }
   VertexId vertex(uint32_t u) const { return vertices_[u]; }
   uint32_t row(uint32_t u) const { return rows_[u]; }
+  const AdjVersion* version(uint32_t u) const { return versions_[u]; }
   bool failed(uint32_t u) const { return failed_[u] != 0; }
   /// Unique vertices whose request was refused.
   size_t num_failed() const { return num_failed_; }
@@ -120,6 +126,7 @@ class RemoteResidue {
   std::vector<VertexId> vertices_;
   std::vector<WorkerId> targets_;
   std::vector<uint32_t> rows_;
+  std::vector<const AdjVersion*> versions_;
   std::vector<uint8_t> failed_;
   size_t num_failed_ = 0;
   std::vector<std::pair<uint32_t, uint32_t>> slots_;
@@ -213,16 +220,15 @@ Result<Cluster> Cluster::Build(const AttributedGraph& graph,
 // more CPU per block on a 4-vCPU x86 VM (fewer slots' cache misses in
 // flight at once).
 [[gnu::always_inline]] inline Cluster::Route Cluster::Classify(
-    WorkerId from, VertexId v, uint64_t e, NeighborCache* cache,
-    const DeltaTable* owner_delta) const {
+    WorkerId from, VertexId v, const AdjVersion* ver,
+    NeighborCache* cache) const {
   const WorkerId owner = plan_->OwnerOf(v);
   const uint32_t row = servers_[from]->RowOf(v);
   if (row != GraphServer::kNoRow) {
     return {owner == from ? Route::Kind::kLocal : Route::Kind::kReplica, from,
             row};
   }
-  if (cache != nullptr && !BypassCache(cache, owner_delta, v, e) &&
-      cache->Lookup(v)) {
+  if (cache != nullptr && !BypassCache(cache, ver, v) && cache->Lookup(v)) {
     // The cache holds no bytes: the owner's row is the pre-update adjacency.
     return {Route::Kind::kCacheHit, owner, plan_->local_row[v]};
   }
@@ -273,21 +279,21 @@ std::span<const Neighbor> Cluster::ReadNeighbors(WorkerId from, VertexId v,
                                                  EdgeType type,
                                                  CommStats* stats,
                                                  uint64_t epoch) {
-  const uint64_t e = ResolveEpoch(epoch);
+  EpochPin pin;
+  const uint64_t e = ResolveEpoch(epoch, &pin);
   NeighborCache* cache = servers_[from]->neighbor_cache();
-  // Taken after e is resolved. Every copy of v carries the same version
-  // chain, so the owner's table also serves a replica or remote row of v.
-  const auto delta = servers_[plan_->OwnerOf(v)]->delta_snapshot();
-  const Route route = Classify(from, v, e, cache, delta.get());
+  // Every copy of v serves the same version, whichever row the route picks.
+  const AdjVersion* ver = VersionAt(v, e);
+  const Route route = Classify(from, v, ver, cache);
   ReadTally tally;
   tally.Count(route.kind);
   const std::pair<WorkerId, uint64_t> served{route.worker, 1};
   if (route.kind == Route::Kind::kRemote) {
     tally.remote_served = {&served, 1};
-    AdmitFetched(cache, delta.get(), v, e);
+    AdmitFetched(cache, ver, v);
   }
   Charge(from, tally, stats);
-  return servers_[route.worker]->Read(v, route.row, type, e, delta.get());
+  return servers_[route.worker]->Read(route.row, type, ver);
 }
 
 bool Cluster::RemoteRequestSucceeds(WorkerId from, WorkerId to,
@@ -344,7 +350,7 @@ bool Cluster::RemoteRequestSucceeds(WorkerId from, WorkerId to,
 Result<AttrId> Cluster::TryGetVertexAttr(WorkerId from, VertexId v,
                                          CommStats* stats) {
   // Attributes are immutable, so a replica copy is always current.
-  const Route route = Classify(from, v, kEpochCurrent, nullptr, nullptr);
+  const Route route = Classify(from, v, nullptr, nullptr);
   ReadTally tally;
   const std::pair<WorkerId, uint64_t> served{route.worker, 1};
   if (route.kind == Route::Kind::kRemote) {
@@ -395,9 +401,10 @@ Status Cluster::GetVertexAttrBatchImpl(WorkerId from,
   RemoteResidue remote(batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
     const VertexId v = batch[i];
-    const Route route = Classify(from, v, kEpochCurrent, nullptr, nullptr);
+    const Route route = Classify(from, v, nullptr, nullptr);
     if (route.kind == Route::Kind::kRemote) {
-      remote.Add(static_cast<uint32_t>(i), v, route.worker, route.row);
+      remote.Add(static_cast<uint32_t>(i), v, route.worker, route.row,
+                 nullptr);
       continue;
     }
     (*ids)[i] = servers_[route.worker]->RowAttr(route.row);
@@ -482,58 +489,52 @@ Status Cluster::ApplyUpdateBatch(std::span<const EdgeUpdate> updates,
     it->second.push_back(&u);
   }
 
-  // Rebuild each touched vertex's full typed adjacency from the latest
-  // published state and stamp ONE immutable version at the new epoch. The
-  // same version object is shared by the primary and every replica, which
-  // is what makes all copies flip together when the epoch advances.
-  std::vector<std::pair<VertexId, AdjVersionPtr>> versions;
+  // Copy each touched vertex's typed adjacency once, from its newest
+  // version (or its owner's base row), into ONE new version stamped at the
+  // new epoch, which the primary and every replica serve alike; the
+  // updates edit that copy in place, each within its type's segment.
+  std::vector<std::pair<VertexId, std::unique_ptr<AdjVersion>>> versions;
   versions.reserve(sources.size());
   for (const VertexId v : sources) {
     const GraphServer& osrv = *servers_[plan_->OwnerOf(v)];
-    const auto delta = osrv.delta_snapshot();
-    const uint32_t row = osrv.RowOf(v);
-    std::vector<std::vector<Neighbor>> typed(num_types);
+    const uint32_t row = plan_->local_row[v];
+    const AdjVersion* head = VersionAt(v, kEpochCurrent);
+    const std::vector<const EdgeUpdate*>& ups = by_src[v];
+    auto ver = std::make_unique<AdjVersion>();
+    ver->epoch = new_epoch;
+    std::vector<Neighbor>& list = ver->neighbors;
+    std::vector<uint32_t>& offsets = ver->type_offsets;
+    const auto all = osrv.Read(row, kAllEdgeTypes, head);
+    list.reserve(all.size() + ups.size());
+    list.assign(all.begin(), all.end());
+    offsets.assign(1, 0);
     for (size_t t = 0; t < num_types; ++t) {
-      const auto s = osrv.Read(v, row, static_cast<EdgeType>(t),
-                               kEpochCurrent, delta.get());
-      typed[t].assign(s.begin(), s.end());
+      offsets.push_back(offsets.back() + static_cast<uint32_t>(
+          osrv.Read(row, static_cast<EdgeType>(t), head).size()));
     }
     bool changed = false;
-    for (const EdgeUpdate* u : by_src[v]) {
-      std::vector<Neighbor>& list = typed[u->type];
-      if (u->kind == EdgeUpdate::Kind::kInsert) {
-        list.push_back(Neighbor{u->dst, u->weight, u->attr});
-        ++applied;
-        changed = true;
+    for (const EdgeUpdate* u : ups) {
+      const auto end = list.begin() + offsets[u->type + 1];
+      const bool insert = u->kind == EdgeUpdate::Kind::kInsert;
+      if (insert) {
+        list.insert(end, Neighbor{u->dst, u->weight, u->attr});
       } else {
-        auto match = std::find_if(
-            list.begin(), list.end(),
-            [u](const Neighbor& nb) { return nb.dst == u->dst; });
-        if (match == list.end()) {
+        const auto match =
+            std::find_if(list.begin() + offsets[u->type], end,
+                         [u](const Neighbor& nb) { return nb.dst == u->dst; });
+        if (match == end) {
           ++skipped;
-        } else {
-          list.erase(match);
-          ++applied;
-          changed = true;
+          continue;
         }
+        list.erase(match);
       }
+      for (size_t t = u->type + 1; t <= num_types; ++t) {
+        offsets[t] = insert ? offsets[t] + 1 : offsets[t] - 1;
+      }
+      ++applied;
+      changed = true;
     }
-    if (!changed) continue;
-    auto ver = std::make_shared<AdjVersion>();
-    ver->epoch = new_epoch;
-    ver->type_offsets.resize(num_types + 1, 0);
-    size_t total = 0;
-    for (size_t t = 0; t < num_types; ++t) {
-      ver->type_offsets[t] = static_cast<uint32_t>(total);
-      total += typed[t].size();
-    }
-    ver->type_offsets[num_types] = static_cast<uint32_t>(total);
-    ver->neighbors.reserve(total);
-    for (size_t t = 0; t < num_types; ++t) {
-      ver->neighbors.insert(ver->neighbors.end(), typed[t].begin(),
-                            typed[t].end());
-    }
-    versions.emplace_back(v, std::move(ver));
+    if (changed) versions.emplace_back(v, std::move(ver));
   }
 
   if (versions.empty()) {
@@ -548,41 +549,19 @@ Status Cluster::ApplyUpdateBatch(std::span<const EdgeUpdate> updates,
     return Status::OK();
   }
 
-  // Copy-on-write republish of every touched server's delta table,
-  // reclaiming versions no pinned reader can still reach: the newest
-  // version at or below the min-active epoch shadows everything older.
+  // One new head per touched vertex, and in the same step the versions no
+  // pinned reader can reach any more are freed: the newest version at or
+  // below the min-active epoch shadows everything older.
+  if (versions_ == nullptr) versions_ = std::make_unique<VersionIndex>(n);
   const uint64_t min_active = epochs_->MinActiveEpoch();
   size_t pruned = 0;
-  std::unordered_map<WorkerId, std::vector<std::pair<VertexId, AdjVersionPtr>>>
-      per_server;
-  for (const auto& [v, ver] : versions) {
-    per_server[plan_->OwnerOf(v)].emplace_back(v, ver);
-    for (const WorkerId r : plan_->ReplicasOf(v)) {
-      per_server[r].emplace_back(v, ver);
-    }
-  }
-  for (auto& [w, items] : per_server) {
-    const auto old_table = servers_[w]->delta_snapshot();
-    auto table = old_table != nullptr ? std::make_shared<DeltaTable>(*old_table)
-                                      : std::make_shared<DeltaTable>();
-    for (const auto& [v, ver] : items) {
-      std::vector<AdjVersionPtr>& chain = (*table)[v];
-      chain.push_back(ver);
-      size_t newest_le = chain.size();
-      for (size_t i = 0; i < chain.size(); ++i) {
-        if (chain[i]->epoch <= min_active) newest_le = i;
-      }
-      if (newest_le != chain.size() && newest_le > 0) {
-        pruned += newest_le;
-        chain.erase(chain.begin(),
-                    chain.begin() + static_cast<ptrdiff_t>(newest_le));
-      }
-    }
-    servers_[w]->PublishDelta(std::move(table));
+  for (auto& [v, ver] : versions) {
+    pruned += versions_->Push(v, std::move(ver), min_active);
   }
 
-  // Every table is published, THEN the epoch advances: a reader that sees
-  // the new epoch also sees every version of this batch.
+  // Every head is pushed, THEN the epoch advances: a reader that sees the
+  // new epoch also sees every version of this batch, and one that does not
+  // walks past them.
   const uint64_t published = epochs_->Advance();
 
   if (obs::MetricsRegistry* reg = obs::Default()) {
@@ -599,6 +578,57 @@ Status Cluster::ApplyUpdateBatch(std::span<const EdgeUpdate> updates,
     report->versions_pruned = pruned;
   }
   return Status::OK();
+}
+
+Cluster::VersionIndex::VersionIndex(VertexId n)
+    : n_(n), heads_(new std::atomic<AdjVersion*>[n]) {
+  for (VertexId v = 0; v < n; ++v) {
+    heads_[v].store(nullptr, std::memory_order_relaxed);
+  }
+}
+
+Cluster::VersionIndex::~VersionIndex() {
+  for (VertexId v = 0; v < n_; ++v) {
+    for (AdjVersion* ver = heads_[v].load(std::memory_order_relaxed);
+         ver != nullptr;) {
+      delete std::exchange(ver, ver->older);
+    }
+  }
+}
+
+size_t Cluster::VersionIndex::Push(VertexId v,
+                                   std::unique_ptr<AdjVersion> ver,
+                                   uint64_t min_active) {
+  ver->older = heads_[v].load(std::memory_order_relaxed);
+  AdjVersion* keep = ver.get();
+  heads_[v].store(ver.release(), std::memory_order_release);
+  while (keep != nullptr && keep->epoch > min_active) keep = keep->older;
+  if (keep == nullptr) return 0;
+  size_t freed = 0;
+  for (AdjVersion* dead = std::exchange(keep->older, nullptr);
+       dead != nullptr; ++freed) {
+    delete std::exchange(dead, dead->older);
+  }
+  return freed;
+}
+
+size_t Cluster::VersionIndex::MemoryBytes() const {
+  size_t bytes = n_ * sizeof(heads_[0]);
+  for (VertexId v = 0; v < n_; ++v) {
+    for (const AdjVersion* ver = heads_[v].load(std::memory_order_relaxed);
+         ver != nullptr; ver = ver->older) {
+      bytes += sizeof(AdjVersion) + ver->neighbors.size() * sizeof(Neighbor) +
+               ver->type_offsets.size() * sizeof(uint32_t);
+    }
+  }
+  return bytes;
+}
+
+size_t Cluster::MemoryBytes() const {
+  std::lock_guard<std::mutex> lock(*update_mu_);
+  size_t bytes = versions_ != nullptr ? versions_->MemoryBytes() : 0;
+  for (const auto& srv : servers_) bytes += srv->MemoryBytes();
+  return bytes;
 }
 
 void Cluster::GetNeighborsBatch(WorkerId from,
@@ -625,19 +655,11 @@ Status Cluster::GetNeighborsBatchImpl(WorkerId from,
                                       CommStats* stats, bool fallible,
                                       uint64_t epoch) {
   obs::ScopedSpan span("cluster/batch_read");
-  // Resolved once, so the whole batch reads one epoch even unpinned. The
-  // published update state is snapshotted once too, after the epoch: every
-  // server's delta table serves all slots of the call, and each slot's
-  // owner's table decides whether the cache may serve it.
-  const uint64_t e = ResolveEpoch(epoch);
-  std::vector<std::shared_ptr<const DeltaTable>> deltas;
-  if (epochs_->versioned()) {
-    deltas.reserve(servers_.size());
-    for (const auto& srv : servers_) deltas.push_back(srv->delta_snapshot());
-  }
-  auto delta_of = [&deltas](WorkerId w) {
-    return deltas.empty() ? nullptr : deltas[w].get();
-  };
+  // Resolved once, so the whole batch reads one epoch even unpinned. Each
+  // slot resolves its version once; it decides whether the cache may serve
+  // the slot and is what every copy of the vertex returns.
+  EpochPin pin;
+  const uint64_t e = ResolveEpoch(epoch, &pin);
   NeighborCache* cache = servers_[from]->neighbor_cache();
   out->Reset(batch.size());
 
@@ -648,14 +670,13 @@ Status Cluster::GetNeighborsBatchImpl(WorkerId from,
   RemoteResidue remote(batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
     const VertexId v = batch[i];
-    const Route route =
-        Classify(from, v, e, cache, delta_of(plan_->OwnerOf(v)));
+    const AdjVersion* ver = VersionAt(v, e);
+    const Route route = Classify(from, v, ver, cache);
     if (route.kind == Route::Kind::kRemote) {
-      remote.Add(static_cast<uint32_t>(i), v, route.worker, route.row);
+      remote.Add(static_cast<uint32_t>(i), v, route.worker, route.row, ver);
       continue;
     }
-    out->spans[i] = servers_[route.worker]->Read(v, route.row, type, e,
-                                                 delta_of(route.worker));
+    out->spans[i] = servers_[route.worker]->Read(route.row, type, ver);
     tally.Count(route.kind);
   }
 
@@ -676,15 +697,13 @@ Status Cluster::GetNeighborsBatchImpl(WorkerId from,
         {
           obs::ScopedSpan serve_span("cluster/remote_serve");
           for (const uint32_t u : request) {
-            views[u] = srv.Read(remote.vertex(u), remote.row(u), type, e,
-                                delta_of(w));
+            views[u] = srv.Read(remote.row(u), type, remote.version(u));
           }
         }
         // Admission touches the cache, which is not thread-safe; this is
         // the reading worker's thread.
         for (const uint32_t u : request) {
-          const VertexId v = remote.vertex(u);
-          AdmitFetched(cache, delta_of(plan_->OwnerOf(v)), v, e);
+          AdmitFetched(cache, remote.version(u), remote.vertex(u));
         }
       });
   size_t failed_slots = 0;

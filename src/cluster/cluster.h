@@ -63,7 +63,7 @@ struct UpdateReport {
   uint64_t epoch = 0;    ///< the epoch this batch became visible at
   size_t applied = 0;    ///< updates applied
   size_t skipped = 0;    ///< out-of-range sources / removes with no match
-  size_t versions_pruned = 0;  ///< retired versions reclaimed this batch
+  size_t versions_pruned = 0;  ///< versions freed this batch, each once
 };
 
 /// \brief A distributed AttributedGraph over p simulated workers.
@@ -93,9 +93,13 @@ class Cluster {
   /// unreplicated). All paths return the same data for the same epoch. A
   /// cache holds membership, not bytes: a hit is charged as one and reads
   /// the owner's storage. A vertex updated at or before the read's epoch
-  /// (per the owner's delta table) bypasses the cache and leaves it.
+  /// (it has a version there) bypasses the cache and leaves it.
   /// Per-vertex reads never consult the fault injector; fallible reads are
   /// batched (TryGetNeighborsBatch).
+  ///
+  /// Spans stay valid while a pin at `epoch` is held. A kEpochCurrent read
+  /// pins internally for the call only, so its spans are only safe to use
+  /// until an ApplyUpdateBatch runs; pin to keep them across updates.
   std::span<const Neighbor> GetNeighbors(WorkerId from, VertexId v,
                                          CommStats* stats,
                                          uint64_t epoch = kEpochCurrent) {
@@ -173,13 +177,15 @@ class Cluster {
                                std::vector<uint8_t>* ok, CommStats* stats);
 
   /// Applies a batch of edge inserts/removes concurrently with sampling
-  /// reads. The whole batch becomes visible atomically at one new epoch on
-  /// every server holding a copy of a touched vertex (primary and
-  /// replicas); readers pinned at older epochs keep seeing the old
-  /// adjacency. Versions no pinned reader can still reach are reclaimed
-  /// (reported via UpdateReport::versions_pruned). Out-of-range sources and
-  /// removes with no matching (dst, type) are skipped, not errors.
-  /// Concurrent ApplyUpdateBatch calls serialize on an internal mutex.
+  /// reads. Each touched vertex gets one new version, which every copy of
+  /// it (primary and replicas) serves; the whole batch becomes visible
+  /// atomically at one new epoch, and readers pinned at older epochs keep
+  /// seeing the old adjacency. Versions no pinned reader can still reach
+  /// are freed in the same step (UpdateReport::versions_pruned), so the
+  /// cost of a batch depends on its size, not on the update history.
+  /// Out-of-range sources and removes with no matching (dst, type) are
+  /// skipped, not errors. Concurrent ApplyUpdateBatch calls serialize on
+  /// an internal mutex.
   Status ApplyUpdateBatch(std::span<const EdgeUpdate> updates,
                           UpdateReport* report = nullptr);
 
@@ -195,6 +201,11 @@ class Cluster {
 
   /// True once any update batch has been applied.
   bool versioned() const { return epochs_->versioned(); }
+
+  /// Approximate resident bytes of the adjacency: every server's base
+  /// storage plus the version index (head array and each live version
+  /// once). Waits for a running ApplyUpdateBatch.
+  size_t MemoryBytes() const;
 
   /// Per-worker count of reads this worker serviced (local + replica +
   /// cache hits count for the reading worker; remote reads for the serving
@@ -271,10 +282,10 @@ class Cluster {
   /// `from`'s owned row, its replica row, its neighbor cache (`cache`,
   /// null for attribute reads, which are never cached), else a remote
   /// fetch from Placement::ServingWorker. Touches the cache like a read
-  /// (recency, stale-entry invalidation via `owner_delta`, a snapshot of
-  /// v's owner's delta table), so it runs on the reading worker's thread.
-  Route Classify(WorkerId from, VertexId v, uint64_t e, NeighborCache* cache,
-                 const DeltaTable* owner_delta) const;
+  /// (recency, and invalidation when `ver`, v's version at the read's
+  /// epoch, is non-null), so it runs on the reading worker's thread.
+  Route Classify(WorkerId from, VertexId v, const AdjVersion* ver,
+                 NeighborCache* cache) const;
 
   /// What one read call did, filled by the read path and charged once.
   /// Counts are per call, so 32 bits hold them (a batch indexes its slots
@@ -339,33 +350,71 @@ class Cluster {
                                 std::vector<uint8_t>* ok, CommStats* stats,
                                 bool fallible);
 
-  /// True when the cache must be skipped for a read of v at epoch e (v was
-  /// updated at or before e per `owner_delta`, its owner's delta snapshot
-  /// taken after e was resolved); also drops the stale entry. Mutates the
-  /// cache, so it runs on the reading worker's thread like all other cache
-  /// traffic.
-  static bool BypassCache(NeighborCache* cache, const DeltaTable* owner_delta,
-                          VertexId v, uint64_t e) {
-    if (!GraphServer::Updated(owner_delta, v, e)) return false;
+  /// True when the cache must be skipped for a read of v whose version at
+  /// the read's epoch is `ver` (non-null: v was updated by then); also
+  /// drops the stale entry. Mutates the cache, so it runs on the reading
+  /// worker's thread like all other cache traffic.
+  static bool BypassCache(NeighborCache* cache, const AdjVersion* ver,
+                          VertexId v) {
+    if (ver == nullptr) return false;
     cache->Invalidate(v);
     return true;
   }
   /// Admits a remote fetch of v into `cache` (may be null). Updated
   /// vertices are never admitted: a cache only ever stands for pre-update
   /// adjacency, which is what makes the bypass rule exact.
-  static void AdmitFetched(NeighborCache* cache, const DeltaTable* owner_delta,
-                           VertexId v, uint64_t e) {
-    if (cache != nullptr && !GraphServer::Updated(owner_delta, v, e)) {
-      cache->OnRemoteFetch(v);
-    }
+  static void AdmitFetched(NeighborCache* cache, const AdjVersion* ver,
+                           VertexId v) {
+    if (cache != nullptr && ver == nullptr) cache->OnRemoteFetch(v);
   }
-  /// Resolves the kEpochCurrent sentinel once per call so a whole batch
-  /// reads one epoch even unpinned. Cheap no-op on never-updated clusters.
-  uint64_t ResolveEpoch(uint64_t epoch) const {
-    if (epoch == kEpochCurrent && epochs_->versioned()) {
-      return epochs_->current();
+  /// Resolves the kEpochCurrent sentinel once per call, so a whole batch
+  /// reads one epoch even unpinned: 0 on a never-updated cluster, else the
+  /// epoch of an internal pin stored in `*pin`, which the caller holds for
+  /// the call so no version it reads is freed under it.
+  uint64_t ResolveEpoch(uint64_t epoch, EpochPin* pin) const {
+    if (epoch != kEpochCurrent) return epoch;
+    if (!epochs_->versioned()) return 0;
+    *pin = epochs_->Acquire();
+    return pin->epoch();
+  }
+
+  /// The published update state: one version-chain head per vertex (null
+  /// until it is updated), shared by every copy of the vertex. Only the
+  /// writer, under update_mu_, pushes and frees versions; readers load a
+  /// head and walk `older` down to their epoch.
+  class VersionIndex {
+   public:
+    explicit VersionIndex(VertexId n);
+    ~VersionIndex();
+    VersionIndex(const VersionIndex&) = delete;
+    VersionIndex& operator=(const VersionIndex&) = delete;
+
+    /// Newest version of v at or below `epoch`, or null.
+    const AdjVersion* At(VertexId v, uint64_t epoch) const {
+      const AdjVersion* ver = heads_[v].load(std::memory_order_acquire);
+      while (ver != nullptr && ver->epoch > epoch) ver = ver->older;
+      return ver;
     }
-    return epoch;
+    /// Makes `ver` v's head, then frees every version behind the newest
+    /// one at or below `min_active`. Every live reader is pinned at or
+    /// above `min_active`, so its walk stops at that version or before it
+    /// and none can reach what is freed. Returns the number freed.
+    size_t Push(VertexId v, std::unique_ptr<AdjVersion> ver,
+                uint64_t min_active);
+    /// Bytes of the head array and of every live version.
+    size_t MemoryBytes() const;
+
+   private:
+    VertexId n_;
+    std::unique_ptr<std::atomic<AdjVersion*>[]> heads_;
+  };
+
+  /// v's newest version at or below epoch e: the one version every copy of
+  /// v serves at e, or null when v had not been updated by then (always at
+  /// epoch 0). A nonzero e comes from this cluster's epoch counter, which
+  /// orders the read after the index was allocated.
+  const AdjVersion* VersionAt(VertexId v, uint64_t e) const {
+    return e == 0 || versions_ == nullptr ? nullptr : versions_->At(v, e);
   }
 
   const AttributedGraph* graph_ = nullptr;
@@ -376,7 +425,9 @@ class Cluster {
   std::unique_ptr<FaultInjector> injector_;
   RetryPolicy retry_policy_;
   std::unique_ptr<EpochManager> epochs_ = std::make_unique<EpochManager>();
-  /// Serializes writers; readers never take it.
+  /// Allocated by the first batch that applies anything.
+  std::unique_ptr<VersionIndex> versions_;
+  /// Serializes writers and MemoryBytes; readers never take it.
   std::unique_ptr<std::mutex> update_mu_ = std::make_unique<std::mutex>();
   /// One counter per worker (unique_ptr keeps Cluster movable).
   std::unique_ptr<std::atomic<uint64_t>[]> served_reads_;

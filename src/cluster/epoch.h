@@ -3,15 +3,17 @@
 /// counter, RAII reader pins, and the min-active-epoch computation that
 /// drives reclamation of retired adjacency versions.
 ///
-/// Contract (see DESIGN.md §15): writers stage a whole update batch at epoch
-/// E+1 across every touched server (primary and replicas), then advance the
-/// global counter once — so the batch becomes visible to all workers
-/// atomically. Readers pin the current epoch for the duration of a
-/// multi-read scope (a whole k-hop) and resolve every adjacency read as "the
-/// newest version with epoch <= pinned", which is what makes a k-hop unable
-/// to observe a mix of two epochs. Versions that no pinned reader can reach
-/// any more (superseded by a newer version at or below the minimum active
-/// epoch) are pruned the next time a writer rebuilds a server's delta table.
+/// Contract (see DESIGN.md §15): writers push a whole update batch at epoch
+/// E+1, one new version per touched vertex that every copy of it serves,
+/// then advance the global counter once — so the batch becomes visible to
+/// all workers atomically. Readers pin the current epoch for the duration
+/// of a multi-read scope (a whole k-hop) and resolve every adjacency read as
+/// "the newest version with epoch <= pinned", which is what makes a k-hop
+/// unable to observe a mix of two epochs; an unpinned cluster read pins
+/// internally for its own length. When a writer pushes a vertex's new
+/// version it frees, in the same step, every version behind the newest one
+/// at or below the minimum active epoch: each live reader's walk stops at
+/// that version or before it, so none can reach what is freed.
 
 #ifndef ALIGRAPH_CLUSTER_EPOCH_H_
 #define ALIGRAPH_CLUSTER_EPOCH_H_

@@ -4,20 +4,6 @@
 
 namespace aligraph {
 
-const AdjVersion* GraphServer::FindVersion(const DeltaTable* delta,
-                                           VertexId v, uint64_t epoch) {
-  if (delta == nullptr) return nullptr;
-  auto it = delta->find(v);
-  if (it == delta->end()) return nullptr;
-  // Chains are short (one entry per surviving epoch of this vertex) and
-  // ascending: scan backwards for the newest version at or below epoch.
-  const std::vector<AdjVersionPtr>& chain = it->second;
-  for (auto rit = chain.rbegin(); rit != chain.rend(); ++rit) {
-    if ((*rit)->epoch <= epoch) return rit->get();
-  }
-  return nullptr;
-}
-
 GraphServer::GraphServer(WorkerId id, const AttributedGraph& graph,
                          const Placement& placement)
     : id_(id), num_types_(graph.num_edge_types()), placement_(&placement) {
@@ -70,55 +56,12 @@ GraphServer::GraphServer(WorkerId id, const AttributedGraph& graph,
   }
 }
 
-std::span<const Neighbor> GraphServer::Read(VertexId v, uint32_t row,
-                                            EdgeType type, uint64_t epoch,
-                                            const DeltaTable* delta) const {
-  if (const AdjVersion* ver = FindVersion(delta, v, epoch)) {
-    if (type == kAllEdgeTypes) return ver->neighbors;
-    return {ver->neighbors.data() + ver->type_offsets[type],
-            static_cast<size_t>(ver->type_offsets[type + 1] -
-                                ver->type_offsets[type])};
-  }
-  if (row == kNoRow) return {};
-  const size_t begin = row * num_types_;
-  const size_t first = type == kAllEdgeTypes ? begin : begin + type;
-  const size_t last = type == kAllEdgeTypes ? begin + num_types_ : first + 1;
-  return {neighbors_.data() + offsets_[first],
-          static_cast<size_t>(offsets_[last] - offsets_[first])};
-}
-
-std::shared_ptr<const DeltaTable> GraphServer::delta_snapshot() const {
-  if (!has_delta_.load(std::memory_order_relaxed)) return nullptr;
-  std::lock_guard<std::mutex> lock(delta_mu_);
-  return delta_;
-}
-
-void GraphServer::PublishDelta(std::shared_ptr<const DeltaTable> table) {
-  {
-    std::lock_guard<std::mutex> lock(delta_mu_);
-    delta_.swap(table);
-    has_delta_.store(delta_ != nullptr, std::memory_order_relaxed);
-  }
-  // `table` now holds the previous table and is released here, unlocked.
-}
-
 size_t GraphServer::MemoryBytes() const {
-  size_t bytes = offsets_.size() * sizeof(uint64_t) +
-                 neighbors_.size() * sizeof(Neighbor) +
-                 attrs_.size() * sizeof(AttrId) +
-                 (owned_.size() + replicas_.size() + replica_row_.size()) *
-                     sizeof(uint32_t);
-  if (auto table = delta_snapshot()) {
-    for (const auto& [v, chain] : *table) {
-      bytes += sizeof(VertexId);
-      for (const AdjVersionPtr& ver : chain) {
-        bytes += ver->neighbors.size() * sizeof(Neighbor) +
-                 ver->type_offsets.size() * sizeof(uint32_t) +
-                 sizeof(AdjVersion);
-      }
-    }
-  }
-  return bytes;
+  return offsets_.size() * sizeof(uint64_t) +
+         neighbors_.size() * sizeof(Neighbor) +
+         attrs_.size() * sizeof(AttrId) +
+         (owned_.size() + replicas_.size() + replica_row_.size()) *
+             sizeof(uint32_t);
 }
 
 }  // namespace aligraph

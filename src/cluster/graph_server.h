@@ -15,25 +15,19 @@
 ///   - **Replica storage.** A server may additionally hold full adjacency
 ///     copies of hub vertices owned elsewhere (Placement replica sets);
 ///     replica reads are served at local cost.
-///   - **Epoch-versioned deltas.** Online updates never mutate the base
-///     CSR. Instead the cluster's update path publishes an immutable delta
-///     table mapping vertex -> ascending chain of adjacency versions; a
-///     read at an epoch (`Read`) resolves to the newest version at or
-///     below it, falling back to the base CSR row. Published version
-///     payloads are immutable and retained until no pinned reader can reach
-///     them (see epoch.h), so spans returned to a pinned reader stay valid
-///     for the pin's lifetime.
+///   - **Epoch-versioned reads.** Online updates never mutate the base
+///     CSR. The cluster keeps one version chain per updated vertex (its
+///     VersionIndex) that every copy of the vertex shares; a read passes
+///     the version it resolved for its epoch (`Read`), or null to read the
+///     base row. Version payloads are immutable and outlive every reader
+///     pinned at or above their epoch (see epoch.h).
 #ifndef ALIGRAPH_CLUSTER_GRAPH_SERVER_H_
 #define ALIGRAPH_CLUSTER_GRAPH_SERVER_H_
 
-#include <atomic>
 #include <memory>
-#include <mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
-#include "cluster/epoch.h"
 #include "graph/graph.h"
 #include "partition/partitioner.h"
 #include "storage/neighbor_cache.h"
@@ -41,18 +35,20 @@
 namespace aligraph {
 
 /// \brief One immutable adjacency snapshot of one vertex at one epoch,
-/// type-segmented exactly like the base storage.
+/// type-segmented exactly like the base storage. A vertex's versions form a
+/// chain from the newest through `older`.
 struct AdjVersion {
   uint64_t epoch = 0;
   std::vector<Neighbor> neighbors;     // segmented by type
   std::vector<uint32_t> type_offsets;  // size num_edge_types + 1
-};
-using AdjVersionPtr = std::shared_ptr<const AdjVersion>;
+  AdjVersion* older = nullptr;         // next older version, or null
 
-/// Vertex -> ascending-epoch chain of published versions. Tables are
-/// immutable once published; the updater copies-on-write.
-using DeltaTable =
-    std::unordered_map<VertexId, std::vector<AdjVersionPtr>>;
+  std::span<const Neighbor> Neighbors(EdgeType type) const {
+    if (type == kAllEdgeTypes) return neighbors;
+    return {neighbors.data() + type_offsets[type],
+            static_cast<size_t>(type_offsets[type + 1] - type_offsets[type])};
+  }
+};
 
 /// \brief Per-server local storage of the vertices it owns (and replicates).
 class GraphServer {
@@ -85,29 +81,25 @@ class GraphServer {
   /// Out-edges of the owned vertices (replica copies excluded).
   size_t num_edges() const { return offsets_[owned_.size() * num_types_]; }
 
-  /// Out-neighbors of a stored vertex at the latest epoch, restricted to
-  /// one edge type unless `type` is kAllEdgeTypes. Empty when v has no
-  /// copy here.
+  /// Out-neighbors of a stored vertex as built, restricted to one edge
+  /// type unless `type` is kAllEdgeTypes. Empty when v has no copy here.
+  /// Updates are not applied: Cluster::GetNeighbors reads them.
   std::span<const Neighbor> Neighbors(VertexId v,
                                       EdgeType type = kAllEdgeTypes) const {
-    const auto delta = delta_snapshot();
-    return Read(v, RowOf(v), type, kEpochCurrent, delta.get());
+    return Read(RowOf(v), type, nullptr);
   }
 
-  /// The read primitive: v's adjacency at `epoch` given its row here
-  /// (RowOf(v)) and a delta-table snapshot (null when never updated).
-  /// Batch readers take one snapshot per call and reuse it for every slot.
-  std::span<const Neighbor> Read(VertexId v, uint32_t row, EdgeType type,
-                                 uint64_t epoch,
-                                 const DeltaTable* delta) const;
-
-  /// True when `delta` (a delta-table snapshot of a server holding v; null
-  /// when never updated) has a version of v at or below `epoch`. Pruning
-  /// keeps the newest version at or below every live reader's epoch and
-  /// never drops a vertex's chain, so for any epoch a live reader holds this
-  /// is exactly "v's first update is at or before `epoch`".
-  static bool Updated(const DeltaTable* delta, VertexId v, uint64_t epoch) {
-    return delta != nullptr && FindVersion(delta, v, epoch) != nullptr;
+  /// The read primitive: `ver` when non-null (the vertex's version the
+  /// caller resolved for its epoch), else the base adjacency at `row`.
+  std::span<const Neighbor> Read(uint32_t row, EdgeType type,
+                                 const AdjVersion* ver) const {
+    if (ver != nullptr) return ver->Neighbors(type);
+    if (row == kNoRow) return {};
+    const size_t begin = row * num_types_;
+    const size_t first = type == kAllEdgeTypes ? begin : begin + type;
+    const size_t last = type == kAllEdgeTypes ? begin + num_types_ : first + 1;
+    return {neighbors_.data() + offsets_[first],
+            static_cast<size_t>(offsets_[last] - offsets_[first])};
   }
 
   /// Attribute id of a stored vertex (kNoAttr when absent). Attributes are
@@ -122,32 +114,17 @@ class GraphServer {
   /// The vertices this server owns, in ascending id order (row order).
   const std::vector<VertexId>& owned_vertices() const { return owned_; }
 
-  /// Current delta table (null until the first PublishDelta).
-  std::shared_ptr<const DeltaTable> delta_snapshot() const;
-
-  /// Atomically replaces the delta table. Called by the cluster's update
-  /// path with a fully built immutable table; readers see either the old or
-  /// the new table, never a partial one. The previous table is released
-  /// after the swap, outside the lock readers take.
-  void PublishDelta(std::shared_ptr<const DeltaTable> table);
-
   /// Installs / accesses the server-local neighbor cache (may be null).
   void set_neighbor_cache(std::unique_ptr<NeighborCache> cache) {
     neighbor_cache_ = std::move(cache);
   }
   NeighborCache* neighbor_cache() const { return neighbor_cache_.get(); }
 
-  /// Approximate resident bytes of the adjacency storage (owned + replica
-  /// CSR, row index + published deltas).
+  /// Approximate resident bytes of the base storage (owned + replica CSR
+  /// and row index).
   size_t MemoryBytes() const;
 
  private:
-  /// Newest version of v at or below epoch in `delta`, or null. The
-  /// returned pointer's payload outlives the call per the retention
-  /// contract.
-  static const AdjVersion* FindVersion(const DeltaTable* delta, VertexId v,
-                                       uint64_t epoch);
-
   WorkerId id_;
   size_t num_types_;
   const Placement* placement_;
@@ -159,12 +136,6 @@ class GraphServer {
   std::vector<Neighbor> neighbors_;
   std::vector<AttrId> attrs_;  // one per row
   std::unique_ptr<NeighborCache> neighbor_cache_;
-
-  // Published updates. has_delta_ is the hot-path probe that keeps the
-  // never-updated case lock-free; the mutex only guards the pointer swap.
-  mutable std::mutex delta_mu_;
-  std::shared_ptr<const DeltaTable> delta_;
-  std::atomic<bool> has_delta_{false};
 };
 
 }  // namespace aligraph

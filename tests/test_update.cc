@@ -256,25 +256,83 @@ TEST(UpdateTest, UpdatesReachReplicaCopiesAtomically) {
   }
 }
 
+/// Batch b flips edge 1 -> 3 of MakeTinyGraph: odd batches insert it, even
+/// batches remove it. Returns the versions the batch freed.
+size_t Flip(Cluster& cluster, int b) {
+  const std::vector<EdgeUpdate> batch{
+      {b % 2 == 1 ? EdgeUpdate::Kind::kInsert : EdgeUpdate::Kind::kRemove, 1,
+       3, 0, 1.0f, kNoAttr}};
+  UpdateReport report;
+  EXPECT_TRUE(cluster.ApplyUpdateBatch(batch, &report).ok());
+  EXPECT_EQ(report.epoch, static_cast<uint64_t>(b));
+  return report.versions_pruned;
+}
+
 TEST(UpdateTest, StaleVersionsArePrunedOnceUnpinned) {
   const AttributedGraph g = MakeTinyGraph();
   Cluster cluster = BuildWith(g, "edge_cut", 2);
-  std::vector<EdgeUpdate> flip_up{{EdgeUpdate::Kind::kInsert, 1, 3, 0, 1.0f,
-                                   kNoAttr}};
-  std::vector<EdgeUpdate> flip_down{{EdgeUpdate::Kind::kRemove, 1, 3, 0, 0,
-                                     kNoAttr}};
-  size_t pruned = 0;
-  for (int i = 0; i < 10; ++i) {
-    UpdateReport report;
-    ASSERT_TRUE(
-        cluster.ApplyUpdateBatch(i % 2 == 0 ? flip_up : flip_down, &report)
-            .ok());
-    pruned += report.versions_pruned;
+  // With no pinned readers, batch b frees the version of batch b - 2: the
+  // chain holds the newest version and the one current when it was pushed,
+  // so memory is the same after batch 10 as after batch 1000.
+  size_t bytes_at_10 = 0;
+  for (int b = 1; b <= 1000; ++b) {
+    ASSERT_EQ(Flip(cluster, b), b >= 3 ? 1u : 0u) << "batch " << b;
+    if (b == 10) bytes_at_10 = cluster.MemoryBytes();
   }
-  // With no pinned readers, each batch reclaims the versions shadowed by
-  // the previous one instead of growing the chain forever.
-  EXPECT_GT(pruned, 0u);
-  EXPECT_EQ(cluster.current_epoch(), 10u);
+  EXPECT_EQ(cluster.MemoryBytes(), bytes_at_10);
+  EXPECT_EQ(cluster.current_epoch(), 1000u);
+}
+
+TEST(UpdateTest, HeldPinKeepsItsVersionUntilReleased) {
+  const AttributedGraph g = MakeTinyGraph();
+  Cluster cluster = BuildWith(g, "edge_cut", 2);
+  Flip(cluster, 1);
+  EpochPin pin = cluster.PinEpoch();
+  const auto pinned = cluster.GetNeighbors(0, 1, nullptr, pin.epoch());
+  ASSERT_EQ(pinned.size(), 2u);
+  EXPECT_EQ(pinned[1].dst, 3u);
+
+  // The pin holds every version from its epoch up: nothing is freed.
+  for (int b = 2; b <= 21; ++b) EXPECT_EQ(Flip(cluster, b), 0u) << b;
+  EXPECT_EQ(cluster.GetNeighbors(0, 1, nullptr).size(), 2u);  // batch 21
+  for (WorkerId from = 0; from < 2; ++from) {
+    EXPECT_TRUE(SameNeighbors(
+        cluster.GetNeighbors(from, 1, nullptr, pin.epoch()), pinned));
+  }
+  EXPECT_EQ(pinned[1].dst, 3u);  // the span read at the pin is still live
+
+  // Released, the next batch frees all 20 versions behind batch 21's, and
+  // the chain is back to the size an unpinned history leaves.
+  pin.Release();
+  EXPECT_EQ(Flip(cluster, 22), 20u);
+  Cluster unpinned = BuildWith(g, "edge_cut", 2);
+  Flip(unpinned, 1);
+  Flip(unpinned, 2);
+  EXPECT_EQ(cluster.MemoryBytes(), unpinned.MemoryBytes());
+}
+
+TEST(UpdateTest, ReplicatedHubVersionsArePrunedOnce) {
+  // One version serves the owner and every replica, so it is freed, and
+  // counted, once.
+  obs::MetricsRegistry registry;
+  obs::SetDefault(&registry);
+  const AttributedGraph g = MakeSkewGraph();
+  Cluster cluster = BuildWith(g, "hybrid", 4);
+  VertexId hub = kInvalidVertex;
+  for (VertexId v = 0; v < g.num_vertices() && hub == kInvalidVertex; ++v) {
+    if (cluster.plan().ReplicasOf(v).size() >= 2) hub = v;
+  }
+  ASSERT_NE(hub, kInvalidVertex);
+  for (int b = 1; b <= 6; ++b) {
+    const std::vector<EdgeUpdate> batch{
+        {EdgeUpdate::Kind::kInsert, hub, static_cast<VertexId>(b), 0, 1.0f,
+         kNoAttr}};
+    UpdateReport report;
+    ASSERT_TRUE(cluster.ApplyUpdateBatch(batch, &report).ok());
+    EXPECT_EQ(report.versions_pruned, b >= 3 ? 1u : 0u) << "batch " << b;
+  }
+  obs::SetDefault(nullptr);
+  EXPECT_EQ(registry.GetCounter("update.versions_pruned")->Value(), 4u);
 }
 
 // ---------------------------------------------------------------------------
@@ -739,7 +797,7 @@ std::vector<uint64_t> ChargeFingerprint(Cluster& cluster,
 
 TEST(UpdateCacheTest, ChargesMatchParentFingerprint) {
   // Every charge and cache size of the sequence, pinned bit for bit: how a
-  // cache and the delta tables decide "hit or remote" is part of the
+  // cache and the version index decide "hit or remote" is part of the
   // communication count the paper's cache comparison rests on. Layout:
   // local, replica, hit, remote, remote_batches, batched_remote, faults,
   // retries, backoff_us, failed, then (size, entry_count) per worker.
@@ -1029,6 +1087,124 @@ TEST(UpdateStressTest, MorePinnedReadersThanPinSlots) {
   EXPECT_EQ(cluster.current_epoch(), static_cast<uint64_t>(kBatches));
   EXPECT_GE(registry.GetCounter("epoch.pin_overflow")->Value(),
             static_cast<uint64_t>(kReaders - EpochManager::kMaxPins));
+}
+
+TEST(UpdateStressTest, UnpinnedReadsWhileWriting) {
+  // No caller pins: every read resolves kEpochCurrent and is kept safe by
+  // the cluster's own pin for the length of the call. Batch k rewrites
+  // every adjacency to 1 + k % 3 edges of weight k, so a result names its
+  // epoch. Every batch frees what no reader can reach any more.
+  //
+  // An unpinned result is only safe to use until a batch runs after the
+  // call, so two kinds of reader share the writer. Checked readers compare
+  // each result with the model in full; the writer starts a batch only once
+  // every checked reader has finished an iteration since the last batch
+  // returned, so at most one batch runs inside one of their iterations, and
+  // a single batch never frees the version a read of the then-current
+  // epoch resolved: it is the newest one at or below that batch's
+  // min-active epoch. Long readers make 3072-slot batched reads that the
+  // writer never waits for, so batches land inside their calls (what the
+  // internal pin guards); they check only slot sizes, which live in the
+  // result, not in versions.
+  GraphBuilder gb;
+  const VertexId n = 48;
+  for (VertexId i = 0; i < n; ++i) gb.AddVertex();
+  for (VertexId i = 0; i < n; ++i) {
+    EXPECT_TRUE(gb.AddEdge(i, (i + 1) % n, 0, 0.0f).ok());
+  }
+  const AttributedGraph g = std::move(gb.Build()).value();
+  Cluster cluster = BuildWith(g, "edge_cut", 2);
+
+  constexpr int kBatches = 60;
+  std::vector<AdjModel> models{ModelOf(g)};
+  std::vector<std::vector<EdgeUpdate>> batches(kBatches + 1);
+  for (int k = 1; k <= kBatches; ++k) {
+    for (VertexId v = 0; v < n; ++v) {
+      for (const Neighbor& nb : models.back()[v][0]) {
+        batches[k].push_back({EdgeUpdate::Kind::kRemove, v, nb.dst, 0, 0,
+                              kNoAttr});
+      }
+      for (VertexId j = 1; j <= static_cast<VertexId>(1 + k % 3); ++j) {
+        batches[k].push_back({EdgeUpdate::Kind::kInsert, v, (v + j) % n, 0,
+                              static_cast<float>(k), kNoAttr});
+      }
+    }
+    models.push_back(models.back());
+    ApplyToModel(batches[k], &models.back());
+  }
+  // The epoch a result shows, or -1 when it matches no epoch's model.
+  auto epoch_of = [&](VertexId v, std::span<const Neighbor> nbs) {
+    if (nbs.empty()) return -1;
+    const int e = static_cast<int>(nbs[0].weight);
+    return e <= kBatches && SameNeighbors(nbs, models[e][v][0]) ? e : -1;
+  };
+
+  constexpr int kChecked = 2;
+  std::atomic<uint64_t> iterations[kChecked] = {0, 0};
+  std::atomic<bool> done{false};
+  std::atomic<int> violations{0};
+  size_t pruned = 0;
+
+  std::thread writer([&] {
+    for (int k = 1; k <= kBatches; ++k) {
+      UpdateReport report;
+      EXPECT_TRUE(cluster.ApplyUpdateBatch(batches[k], &report).ok());
+      pruned += report.versions_pruned;
+      for (auto& it : iterations) {
+        const uint64_t seen = it.load();
+        while (it.load() == seen) std::this_thread::yield();
+      }
+    }
+    done.store(true, std::memory_order_release);
+  });
+
+  std::vector<VertexId> all(n);
+  for (VertexId v = 0; v < n; ++v) all[v] = v;
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kChecked; ++r) {
+    readers.emplace_back([&, r] {
+      const WorkerId from = static_cast<WorkerId>(r);
+      CommStats stats;
+      BatchResult out;
+      while (!done.load(std::memory_order_acquire)) {
+        cluster.GetNeighborsBatch(from, all, kAllEdgeTypes, &out, &stats);
+        const int e = epoch_of(0, out[0]);
+        for (VertexId v = 0; v < n; ++v) {
+          if (e < 0 || epoch_of(v, out[v]) != e) violations.fetch_add(1);
+        }
+        // Each per-vertex read is one epoch, never older than the last.
+        int last = e;
+        for (VertexId v = 0; v < n; ++v) {
+          const int ev = epoch_of(v, cluster.GetNeighbors(from, v, &stats));
+          if (ev < last) violations.fetch_add(1);
+          last = std::max(last, ev);
+        }
+        iterations[r].fetch_add(1);
+      }
+    });
+  }
+  std::vector<VertexId> repeated;
+  for (int i = 0; i < 64; ++i) {
+    repeated.insert(repeated.end(), all.begin(), all.end());
+  }
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r] {
+      const WorkerId from = static_cast<WorkerId>(r);
+      CommStats stats;
+      BatchResult out;
+      while (!done.load(std::memory_order_acquire)) {
+        cluster.GetNeighborsBatch(from, repeated, kAllEdgeTypes, &out, &stats);
+        for (const auto& span : out.spans) {
+          if (span.size() != out.spans[0].size()) violations.fetch_add(1);
+        }
+      }
+    });
+  }
+  writer.join();
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(violations.load(), 0);
+  EXPECT_EQ(cluster.current_epoch(), static_cast<uint64_t>(kBatches));
+  EXPECT_GT(pruned, 0u);
 }
 
 }  // namespace
