@@ -199,17 +199,15 @@ BlockCost RunBlockVariant(const AttributedGraph& graph, uint64_t seed) {
       NeighborhoodSampler sampler(NeighborStrategy::kUniform, draw_seed);
       Timer t;
       const block::SampledBlock blk = sampler.SampleBlock(
-          source, roots, NeighborhoodSampler::kAllEdgeTypes, fans,
-          /*pool=*/nullptr, &features);
+          source, roots, NeighborhoodSampler::kAllEdgeTypes, fans);
+      const nn::Matrix x =
+          block::GatherBlockFeatures(blk, features, /*row_cache=*/nullptr);
       algo::SageLayer::Cache c1, c0;
-      const nn::Matrix a1 = layer.ForwardBlock(blk.features(), blk.hops()[1],
-                                               &c1);
-      const nn::Matrix a0 = layer.ForwardBlock(blk.features(), blk.hops()[0],
-                                               &c0);
+      const nn::Matrix a1 = layer.ForwardBlock(x, blk.hops()[1], &c1);
+      const nn::Matrix a0 = layer.ForwardBlock(x, blk.hops()[0], &c0);
       cost.block_ms += t.ElapsedMillis();
       cost.block_modeled_ms += model.ModeledMillis(stats);
-      cost.block_mb +=
-          static_cast<double>(blk.features().size() * sizeof(float)) / 1e6;
+      cost.block_mb += static_cast<double>(x.size() * sizeof(float)) / 1e6;
       sink -= a1.At(0, 0) + a0.At(0, 0);
     }
   }
@@ -337,10 +335,13 @@ PipelineCost RunPipelineVariant(const AttributedGraph& graph, uint64_t seed) {
     NeighborhoodSampler sampler(NeighborStrategy::kUniform, draw_seed);
     pipeline::BlockPipeline pipe({/*depth=*/2});
     Timer t;
-    const Status run = pipe.Run(
-        sampler, source, NeighborhoodSampler::kAllEdgeTypes, fans,
+    const Status run = pipe.RunStages(
         num_batches,
-        [&](size_t b, std::any*) { return all_roots[b]; },
+        [&](size_t b, block::SampledBlock* blk, std::any*) {
+          *blk = sampler.SampleBlock(source, all_roots[b],
+                                     NeighborhoodSampler::kAllEdgeTypes, fans);
+          return true;
+        },
         [&](const block::SampledBlock& blk) {
           return block::GatherBlockFeatures(blk, features,
                                             /*row_cache=*/nullptr);

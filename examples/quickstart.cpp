@@ -55,18 +55,20 @@ int main() {
               stats.ToString().c_str());
 
   // 5. Or sample straight into a relabeled subgraph block: the frontier is
-  //    deduplicated to dense local ids, each hop becomes a local-id CSR,
-  //    and one coalesced pass gathers every unique vertex's attributes
-  //    through the cluster — operators then index dense rows, no hash maps.
+  //    deduplicated to dense local ids and each hop becomes a local-id CSR.
+  //    GatherBlockFeatures then fetches every unique vertex's attributes
+  //    through the cluster in one coalesced pass — operators index dense
+  //    rows, no hash maps.
   block::ClusterFeatureSource features(cluster, /*worker=*/0, /*dim=*/16,
                                        &stats);
-  const block::SampledBlock blk =
-      hood.SampleBlock(source, seeds, NeighborhoodSampler::kAllEdgeTypes,
-                       fans, /*pool=*/nullptr, &features);
+  const block::SampledBlock blk = hood.SampleBlock(
+      source, seeds, NeighborhoodSampler::kAllEdgeTypes, fans);
+  const nn::Matrix x =
+      block::GatherBlockFeatures(blk, features, /*row_cache=*/nullptr);
   std::printf("block: %zu slots -> %zu unique vertices (dedup %.2fx), "
               "feature matrix %zux%zu\n",
               blk.total_slots(), blk.num_vertices(), blk.dedup_ratio(),
-              blk.features().rows(), blk.features().cols());
+              x.rows(), x.cols());
 
   // 6. Train a GraphSAGE embedding and evaluate link prediction.
   auto split_or = eval::SplitLinkPrediction(graph, 0.15, /*seed=*/42);

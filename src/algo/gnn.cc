@@ -225,14 +225,15 @@ void SageTrainer::TrainEpochs(const AttributedGraph& graph,
   // depth): rng_ / negatives / hood live on the sample stage, feature_source
   // on the gather stage, layers / optimizer on this thread.
   pipeline::BlockPipeline pipe({config_.pipeline_depth});
-  const Status run = pipe.Run(
-      hood, source, NeighborhoodSampler::kAllEdgeTypes, fans, num_batches,
-      /*roots=*/
-      [&](size_t, std::any* user) {
+  const Status run = pipe.RunStages(
+      num_batches,
+      /*sample=*/
+      [&](size_t, block::SampledBlock* blk, std::any* user) {
         EdgeBatch eb = DrawEdgeBatch(graph, all, rng_, negatives, B, k);
-        std::vector<VertexId> roots = eb.roots;
+        *blk = hood.SampleBlock(source, eb.roots,
+                                NeighborhoodSampler::kAllEdgeTypes, fans);
         *user = std::move(eb);
-        return roots;
+        return true;
       },
       /*gather=*/
       [&](const block::SampledBlock& blk) {
@@ -275,17 +276,18 @@ nn::Matrix SageTrainer::Infer(const AttributedGraph& graph,
       (static_cast<size_t>(graph.num_vertices()) + chunk - 1) / chunk;
 
   pipeline::BlockPipeline pipe({config_.pipeline_depth});
-  const Status run = pipe.Run(
-      infer_hood, source, NeighborhoodSampler::kAllEdgeTypes, fans,
+  const Status run = pipe.RunStages(
       num_batches,
-      /*roots=*/
-      [&](size_t b, std::any*) {
+      /*sample=*/
+      [&](size_t b, block::SampledBlock* blk, std::any*) {
         const VertexId begin = static_cast<VertexId>(b * chunk);
         const VertexId end =
             std::min<VertexId>(begin + chunk, graph.num_vertices());
         std::vector<VertexId> roots(end - begin);
         std::iota(roots.begin(), roots.end(), begin);
-        return roots;
+        *blk = infer_hood.SampleBlock(source, roots,
+                                      NeighborhoodSampler::kAllEdgeTypes, fans);
+        return true;
       },
       /*gather=*/
       [&](const block::SampledBlock& blk) {

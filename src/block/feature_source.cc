@@ -67,13 +67,19 @@ Status ClusterFeatureSource::Gather(std::span<const VertexId> vertices,
 
 nn::Matrix GatherBlockFeatures(const SampledBlock& blk, FeatureSource& source,
                                ops::HopEmbeddingCache* row_cache) {
+  obs::Counter* bytes = obs::DefaultHandles<BlockMetrics>().gather_bytes;
   nn::Matrix x(blk.num_vertices(), source.dim());
-  std::vector<uint8_t> present;
-  if (row_cache != nullptr) {
-    row_cache->LookupRows(0, blk.globals(), &x, &present);
-  } else {
-    present.assign(blk.num_vertices(), 0);
+  if (row_cache == nullptr) {
+    // No cache: every row is fetched, straight into the block matrix.
+    if (blk.num_vertices() == 0) return x;
+    (void)source.Gather(blk.globals(), &x);
+    if (bytes != nullptr) {
+      bytes->Add(static_cast<uint64_t>(x.size()) * sizeof(float));
+    }
+    return x;
   }
+  std::vector<uint8_t> present;
+  row_cache->LookupRows(0, blk.globals(), &x, &present);
   std::vector<VertexId> missing;
   std::vector<uint32_t> missing_rows;
   for (size_t i = 0; i < blk.num_vertices(); ++i) {
@@ -89,16 +95,14 @@ nn::Matrix GatherBlockFeatures(const SampledBlock& blk, FeatureSource& source,
     auto src = fetched.Row(k);
     std::copy(src.begin(), src.end(), x.Row(missing_rows[k]).begin());
   }
-  if (obs::Counter* bytes = obs::DefaultHandles<BlockMetrics>().gather_bytes) {
+  if (bytes != nullptr) {
     bytes->Add(static_cast<uint64_t>(fetched.size()) * sizeof(float));
   }
-  if (row_cache != nullptr) {
-    // `ok` doubles as the skip mask: failed rows read 0 == "insert", so
-    // flip it — only successfully fetched rows enter the cache.
-    std::vector<uint8_t> skip(missing.size(), 0);
-    for (size_t k = 0; k < missing.size(); ++k) skip[k] = ok[k] == 0 ? 1 : 0;
-    row_cache->InsertRows(0, missing, fetched, &skip);
-  }
+  // `ok` doubles as the skip mask: failed rows read 0 == "insert", so flip
+  // it — only successfully fetched rows enter the cache.
+  std::vector<uint8_t> skip(missing.size(), 0);
+  for (size_t k = 0; k < missing.size(); ++k) skip[k] = ok[k] == 0 ? 1 : 0;
+  row_cache->InsertRows(0, missing, fetched, &skip);
   return x;
 }
 

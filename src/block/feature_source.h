@@ -3,8 +3,9 @@
 /// local AttributedGraph's attribute store, or the simulated cluster with
 /// coalesced (and fault-aware) remote attribute reads.
 ///
-/// The block pipeline gathers features exactly once per unique vertex, so
-/// the source abstraction is batched by construction: one Gather call per
+/// GatherBlockFeatures is the one gather: the pipeline's gather stage runs
+/// it once per block, fetching exactly one row per unique vertex, so the
+/// source abstraction is batched by construction: one Gather call per
 /// block, never one fetch per slot. The cluster-backed source mirrors the
 /// adjacency path's design — local slots are free, the remote residue is
 /// deduplicated and coalesced into one message per destination worker, and
@@ -106,13 +107,14 @@ class ClusterFeatureSource : public FeatureSource {
 };
 
 /// Materializes a block's [num_vertices, d] feature matrix: the GATHER
-/// stage of block execution, callable on its own so the pipeline can
-/// schedule it on a dedicated lane instead of running it inline after the
-/// sample. Rows already held by `row_cache` (keyed hop 0 by global id) are
-/// reused bitwise; only the missing residue is fetched from `source` and —
-/// when the fetch succeeded — admitted to the cache. Only the residue's
-/// bytes are charged to "block.gather_bytes"; rows whose fetch failed stay
-/// zero and are NOT admitted. Pass a null cache for a plain full gather.
+/// stage of block execution, which the pipeline schedules on its own lane.
+/// With a null `row_cache` every row is fetched from `source` straight into
+/// the returned matrix. Otherwise rows already held by `row_cache` (keyed
+/// hop 0 by global id) are reused bitwise; only the missing residue is
+/// fetched and — when the fetch succeeded — admitted to the cache. Only
+/// fetched bytes are charged to "block.gather_bytes". Rows whose fetch
+/// failed stay zero (and are not admitted); the source counts them in its
+/// CommStats.
 nn::Matrix GatherBlockFeatures(const SampledBlock& blk, FeatureSource& source,
                                ops::HopEmbeddingCache* row_cache);
 

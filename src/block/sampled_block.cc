@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <bit>
 
-#include "block/feature_source.h"
 #include "common/logging.h"
 #include "common/timer.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace aligraph {
 namespace block {
@@ -44,17 +42,26 @@ SampledBlock SampledBlock::Build(std::span<const VertexId> roots,
   size_t slots = roots.size();
   for (const auto& hop : hops) slots += hop.size();
   block.globals_.reserve(slots);
+  // Relabel table: a power of two >= 2 x slots cells, each a local id or
+  // kEmpty; the key is read back through globals_. Linear probing from v's
+  // home cell (Fibonacci hashing: the top bits of the product) walks to
+  // the cell holding v's local id, or to the empty cell where it goes.
+  constexpr uint32_t kEmpty = 0xffffffffu;
   const size_t cells = std::bit_ceil(std::max<size_t>(2 * slots, 2));
-  block.table_.assign(cells, kInvalidLocal);
-  block.table_shift_ = static_cast<uint32_t>(64 - std::countr_zero(cells));
+  const size_t mask = cells - 1;
+  const int shift = 64 - std::countr_zero(cells);
+  std::vector<uint32_t> table(cells, kEmpty);
+  std::vector<VertexId>& globals = block.globals_;
 
-  auto relabel = [&block](VertexId v) {
-    uint32_t& cell = block.table_[block.ProbeCell(v)];
-    if (cell == kInvalidLocal) {
-      cell = static_cast<uint32_t>(block.globals_.size());
-      block.globals_.push_back(v);
+  auto relabel = [&](VertexId v) {
+    const uint64_t hash = uint64_t{v} * 0x9E3779B97F4A7C15ull;
+    size_t i = static_cast<size_t>(hash >> shift);
+    while (table[i] != kEmpty && globals[table[i]] != v) i = (i + 1) & mask;
+    if (table[i] == kEmpty) {
+      table[i] = static_cast<uint32_t>(globals.size());
+      globals.push_back(v);
     }
-    return cell;
+    return table[i];
   };
   // hop_seen[l] == k + 1 once local id l occurred in hop k, so each hop's
   // distinct vertices are counted at one load and one store per slot.
@@ -114,18 +121,6 @@ double SampledBlock::dedup_ratio() const {
   if (globals_.empty()) return 1.0;
   return static_cast<double>(total_slots()) /
          static_cast<double>(globals_.size());
-}
-
-Status SampledBlock::GatherFeatures(FeatureSource& source) {
-  obs::ScopedSpan span("block/gather");
-  features_ = nn::Matrix(globals_.size(), source.dim());
-  std::vector<uint8_t> ok;
-  const Status st = source.Gather(globals_, &features_, &ok);
-  if (!st.ok()) partial_ = true;
-  if (obs::Counter* bytes = obs::DefaultHandles<BlockMetrics>().gather_bytes) {
-    bytes->Add(static_cast<uint64_t>(features_.size()) * sizeof(float));
-  }
-  return st;
 }
 
 nn::Matrix GatherRows(const nn::Matrix& rows,

@@ -10,9 +10,10 @@
 /// that succeeded AliGraph (BGL, GLISP) materialize the sampled
 /// neighborhood as a compact relabeled block instead: unique vertices get
 /// dense local ids [0, n), each hop becomes a CSR of local-id edges, and
-/// the feature matrix is gathered exactly once per unique vertex. All
-/// downstream work — AGGREGATE / COMBINE, hop-embedding caching, gradient
-/// scatter — then runs on dense row indices with no hash in the hot loop.
+/// the feature matrix is gathered exactly once per unique vertex by
+/// GatherBlockFeatures (feature_source.h), which returns it beside the
+/// block. All downstream work — AGGREGATE / COMBINE, gradient scatter —
+/// then runs on dense row indices with no hash in the hot loop.
 ///
 /// Layout (two hops, fan-outs f1 / f2):
 ///
@@ -20,14 +21,12 @@
 ///   roots:    [ l(r0) l(r1) ... ]            local ids, one per root SLOT
 ///   hop 0:    dst = roots' slots             |dst| = B,   |src| = B*f1
 ///   hop 1:    dst = hop 0's src slots        |dst| = B*f1, |src| = B*f1*f2
-///   features: [ n x d ] matrix               one row per unique vertex
 ///
 /// Slots, not vertices, index the CSRs: the same vertex appearing in two
 /// slots keeps two (independently drawn) neighbor sets, so block-based
 /// aggregation is bit-identical to the legacy flat path on the same RNG
-/// seed. Deduplication pays off in feature gathering (one row per unique
-/// vertex instead of one per slot) and in cross-batch reuse of cached hop
-/// embeddings keyed by (hop, global id).
+/// seed. Deduplication pays off in feature gathering: one row per unique
+/// vertex instead of one per slot.
 
 #ifndef ALIGRAPH_BLOCK_SAMPLED_BLOCK_H_
 #define ALIGRAPH_BLOCK_SAMPLED_BLOCK_H_
@@ -36,7 +35,6 @@
 #include <span>
 #include <vector>
 
-#include "common/status.h"
 #include "graph/types.h"
 #include "nn/matrix.h"
 
@@ -50,8 +48,6 @@ class MetricsRegistry;
 }  // namespace obs
 
 namespace block {
-
-class FeatureSource;
 
 /// \brief Metric handles of block relabelling and gathering; per-call sites
 /// read them through obs::DefaultHandles<BlockMetrics>().
@@ -78,21 +74,19 @@ struct BlockHop {
   size_t num_edges() const { return src.size(); }
 };
 
-/// \brief A relabeled k-hop sample: unique frontier + per-hop CSRs +
-/// (optionally) the gathered feature matrix.
+/// \brief A relabeled k-hop sample: unique frontier + per-hop CSRs.
 class SampledBlock {
  public:
-  static constexpr uint32_t kInvalidLocal = 0xffffffffu;
-
   SampledBlock() = default;
 
   /// Builds a block from the legacy flat representation: `hops[k]` is the
   /// flattened hop-k frontier (size roots.size() * fans[0] * ... * fans[k])
   /// exactly as NeighborhoodSample lays it out. Local ids are assigned in
   /// first-appearance order (roots first, then hop 0, ...), which makes the
-  /// relabeling deterministic for a fixed sample. Records "block.build_us",
-  /// "block.dedup_ratio" and, per hop, "sample.frontier_dup_ratio" (hop
-  /// slots / distinct vertices in that hop).
+  /// relabeling deterministic for a fixed sample; the relabel table lives
+  /// only for the call. Records "block.build_us", "block.dedup_ratio" and,
+  /// per hop, "sample.frontier_dup_ratio" (hop slots / distinct vertices
+  /// in that hop).
   static SampledBlock Build(std::span<const VertexId> roots,
                             std::span<const std::vector<VertexId>> hops,
                             std::span<const uint32_t> fans);
@@ -101,11 +95,6 @@ class SampledBlock {
   size_t num_vertices() const { return globals_.size(); }
   std::span<const VertexId> globals() const { return globals_; }
   VertexId global_of(uint32_t local) const { return globals_[local]; }
-
-  /// Local id of a global vertex, or kInvalidLocal when not in the block.
-  uint32_t local_of(VertexId v) const {
-    return table_.empty() ? kInvalidLocal : table_[ProbeCell(v)];
-  }
 
   /// Local id per root SLOT (duplicated roots keep duplicated slots).
   std::span<const uint32_t> root_locals() const { return root_locals_; }
@@ -119,19 +108,8 @@ class SampledBlock {
   /// relabeling saves (>= 1; 1 means no duplicates at all).
   double dedup_ratio() const;
 
-  /// Gathers one feature row per unique vertex into features(), charging
-  /// "block.gather_bytes" for the moved payload. Rows whose fetch failed
-  /// (fallible sources under fault injection) stay zero and flip
-  /// partial(); the block keeps its full shape either way. Returns the
-  /// source's status.
-  Status GatherFeatures(FeatureSource& source);
-
-  /// The gathered [num_vertices, d] matrix; empty until GatherFeatures.
-  const nn::Matrix& features() const { return features_; }
-  bool has_features() const { return !features_.empty(); }
-
-  /// True when the sample degraded under faults (stale / resampled slots)
-  /// or a feature fetch exhausted its retry budget.
+  /// True when the draw degraded under faults (stale / resampled slots).
+  /// Failed feature fetches are counted in CommStats::failed_reads.
   bool partial() const { return partial_; }
   uint64_t degraded_draws() const { return degraded_draws_; }
 
@@ -139,27 +117,9 @@ class SampledBlock {
   void add_degraded_draws(uint64_t n) { degraded_draws_ += n; }
 
  private:
-  /// Linear-probing walk from v's home cell (Fibonacci hashing: the top
-  /// bits of the product) to the cell holding v's local id, or to the
-  /// empty cell where it would go.
-  size_t ProbeCell(VertexId v) const {
-    const size_t mask = table_.size() - 1;
-    const uint64_t hash = uint64_t{v} * 0x9E3779B97F4A7C15ull;
-    size_t i = static_cast<size_t>(hash >> table_shift_);
-    while (table_[i] != kInvalidLocal && globals_[table_[i]] != v) {
-      i = (i + 1) & mask;
-    }
-    return i;
-  }
-
   std::vector<VertexId> globals_;
-  /// Relabel table: a power of two >= 2 x slots cells, each a local id or
-  /// kInvalidLocal when empty; the key is read back through globals_.
-  std::vector<uint32_t> table_;
-  uint32_t table_shift_ = 0;  ///< 64 - log2(table_.size())
   std::vector<uint32_t> root_locals_;
   std::vector<BlockHop> hops_;
-  nn::Matrix features_;
   bool partial_ = false;
   uint64_t degraded_draws_ = 0;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <cmath>
 #include <mutex>
 #include <sstream>
 #include <unordered_map>
@@ -479,8 +480,12 @@ Status Cluster::ApplyUpdateBatch(std::span<const EdgeUpdate> updates,
   size_t applied = 0;
   size_t skipped = 0;
   for (const EdgeUpdate& u : updates) {
-    if (u.src >= n || u.type >= num_types ||
-        (u.kind == EdgeUpdate::Kind::kInsert && u.dst >= n)) {
+    // Inserts take the loader's weight rule (GraphBuilder::AddEdge): a NaN,
+    // infinite or negative weight would poison kWeighted draws on src.
+    const bool bad_insert =
+        u.kind == EdgeUpdate::Kind::kInsert &&
+        (u.dst >= n || !std::isfinite(u.weight) || u.weight < 0);
+    if (u.src >= n || u.type >= num_types || bad_insert) {
       ++skipped;
       continue;
     }

@@ -46,8 +46,10 @@ struct ClusterBuildReport {
 };
 
 /// \brief One online edge mutation. Inserts append (dst, weight, attr) to
-/// src's adjacency under `type`; removes delete the first neighbor of src
-/// matching (dst, type). Vertex attributes are immutable under updates.
+/// src's adjacency under `type`; the weight must be finite and
+/// non-negative, as the graph loader requires. Removes delete the first
+/// neighbor of src matching (dst, type) and ignore the weight. Vertex
+/// attributes are immutable under updates.
 struct EdgeUpdate {
   enum class Kind : uint8_t { kInsert, kRemove };
   Kind kind = Kind::kInsert;
@@ -62,7 +64,7 @@ struct EdgeUpdate {
 struct UpdateReport {
   uint64_t epoch = 0;    ///< the epoch this batch became visible at
   size_t applied = 0;    ///< updates applied
-  size_t skipped = 0;    ///< out-of-range sources / removes with no match
+  size_t skipped = 0;    ///< invalid updates / removes with no match
   size_t versions_pruned = 0;  ///< versions freed this batch, each once
 };
 
@@ -183,9 +185,10 @@ class Cluster {
   /// seeing the old adjacency. Versions no pinned reader can still reach
   /// are freed in the same step (UpdateReport::versions_pruned), so the
   /// cost of a batch depends on its size, not on the update history.
-  /// Out-of-range sources and removes with no matching (dst, type) are
-  /// skipped, not errors. Concurrent ApplyUpdateBatch calls serialize on
-  /// an internal mutex.
+  /// Out-of-range ids or types, inserts with a NaN, infinite or negative
+  /// weight, and removes with no matching (dst, type) are skipped, not
+  /// errors. Concurrent ApplyUpdateBatch calls serialize on an internal
+  /// mutex.
   Status ApplyUpdateBatch(std::span<const EdgeUpdate> updates,
                           UpdateReport* report = nullptr);
 

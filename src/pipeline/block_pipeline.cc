@@ -8,7 +8,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "pipeline/bounded_queue.h"
-#include "sampling/sampler.h"
 
 namespace aligraph {
 namespace pipeline {
@@ -66,26 +65,6 @@ BlockPipeline::BlockPipeline(PipelineConfig config)
       batches_(obs::DefaultCounter("pipeline.batches")),
       depth_sampled_(obs::DefaultGauge("pipeline.queue_depth.sampled")),
       depth_gathered_(obs::DefaultGauge("pipeline.queue_depth.gathered")) {}
-
-Status BlockPipeline::Run(NeighborhoodSampler& sampler,
-                          NeighborSource& source, EdgeType type,
-                          std::span<const uint32_t> fans, size_t num_batches,
-                          const RootsFn& roots, const GatherFn& gather,
-                          const ComputeFn& compute) {
-  return RunStages(
-      num_batches,
-      [&](size_t b, block::SampledBlock* block, std::any* user) {
-        const std::vector<VertexId> batch_roots = roots(b, user);
-        // Gather deliberately NOT passed: it is the next stage. No draw
-        // pool either — per-stage threading comes from the lanes, keeping
-        // draws bit-identical at every depth.
-        *block = sampler.SampleBlock(source, batch_roots, type, fans,
-                                     /*pool=*/nullptr,
-                                     /*features=*/nullptr);
-        return true;
-      },
-      gather, compute);
-}
 
 Status BlockPipeline::RunStages(size_t num_batches, const SampleFn& sample,
                                 const GatherFn& gather,
@@ -158,7 +137,7 @@ Status BlockPipeline::RunStages(size_t num_batches, const SampleFn& sample,
   BoundedQueue<std::unique_ptr<Batch>> gathered(config_.depth, depth_gathered_,
                                                 stall_gather_, stall_compute_);
 
-  // Stage 1 — sample lane. One long-lived task per Run keeps batch order
+  // Stage 1 — sample lane. One long-lived task per call keeps batch order
   // trivial and avoids a Submit per batch: the loop itself is the stage.
   const Status sample_submitted = sample_lane_.Submit([&] {
     for (size_t b = 0; b < num_batches; ++b) {

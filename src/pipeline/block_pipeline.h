@@ -10,13 +10,17 @@
 /// from parts the repo already has:
 ///
 ///   sample lane (ThreadPool "pipeline.sample", 1 thread)
-///     batch b: roots(b) -> NeighborhoodSampler::SampleBlock (no gather)
+///     batch b: the caller's SampleFn, e.g. roots(b) -> SampleBlock
 ///        | BoundedQueue "sampled"  (capacity = depth)
 ///   gather lane (ThreadPool "pipeline.gather", 1 thread)
-///     batch b: FeatureSource gather, one row per unique vertex
+///     batch b: the caller's GatherFn, e.g. block::GatherBlockFeatures
 ///        | BoundedQueue "gathered" (capacity = depth)
 ///   compute (the CALLER's thread)
 ///     batch b: forward / backward / apply, in batch order
+///
+/// RunStages is the one entry point, and the pipeline knows nothing of
+/// samplers or feature sources: each caller (the trainer, the serve
+/// engine) owns its stage bodies and the state they touch.
 ///
 /// Each stage is single-threaded and processes batches in submission order,
 /// so every stateful participant keeps the exact call sequence of the
@@ -45,19 +49,13 @@
 
 #include <any>
 #include <functional>
-#include <span>
-#include <vector>
 
 #include "block/sampled_block.h"
 #include "common/status.h"
 #include "common/threadpool.h"
-#include "graph/types.h"
 #include "nn/matrix.h"
 
 namespace aligraph {
-
-class NeighborhoodSampler;
-class NeighborSource;
 
 namespace obs {
 class Counter;
@@ -85,16 +83,10 @@ struct PipelineConfig {
 };
 
 /// \brief Runs batches through sample -> gather -> compute with bounded
-/// overlap. Reusable: construct once, Run() any number of batch streams.
+/// overlap. Reusable: construct once, RunStages() any number of batch
+/// streams.
 class BlockPipeline {
  public:
-  /// Produces batch b's roots; runs on the SAMPLE stage, strictly in batch
-  /// order. `user` may be filled with per-batch payload (e.g. the training
-  /// pairs drawn alongside the roots) and is handed to the compute stage
-  /// with the batch — it rides the stage queues, so no extra locking.
-  using RootsFn = std::function<std::vector<VertexId>(size_t batch,
-                                                      std::any* user)>;
-
   /// Gathers the block's [num_vertices, dim] feature rows; runs on the
   /// GATHER stage, strictly in batch order.
   using GatherFn = std::function<nn::Matrix(const block::SampledBlock&)>;
@@ -106,12 +98,14 @@ class BlockPipeline {
                                        const nn::Matrix& features,
                                        std::any& user)>;
 
-  /// Generalized first stage: produces batch b's block (and optional user
-  /// payload) on the SAMPLE stage, strictly in batch order. Returning false
-  /// DROPS the batch — the gather and compute stages never see it, only its
-  /// root + sample spans are recorded. The serving layer uses the drop to
-  /// shed or abandon requests at admission time without occupying the
-  /// downstream lanes.
+  /// First stage: produces batch b's block on the SAMPLE stage, strictly in
+  /// batch order. `user` may be filled with per-batch payload (e.g. the
+  /// training pairs drawn alongside the roots) and is handed to the compute
+  /// stage with the batch — it rides the stage queues, so no extra locking.
+  /// Returning false DROPS the batch — the gather and compute stages never
+  /// see it, only its root + sample spans are recorded. The serving layer
+  /// uses the drop to shed or abandon requests at admission time without
+  /// occupying the downstream lanes.
   using SampleFn = std::function<bool(size_t batch,
                                       block::SampledBlock* block,
                                       std::any* user)>;
@@ -122,23 +116,8 @@ class BlockPipeline {
   BlockPipeline& operator=(const BlockPipeline&) = delete;
 
   /// Streams `num_batches` batches through the three stages. Blocks until
-  /// every batch has been computed. Returns FailedPrecondition when a stage
-  /// lane was shut down underneath the pipeline; OK otherwise.
-  ///
-  /// The sampler is driven WITHOUT its inline feature gather (that is the
-  /// whole point: gather is a separately scheduled stage) and without a
-  /// draw pool — per-stage threading comes from the lanes, keeping draws
-  /// bit-identical at every depth.
-  Status Run(NeighborhoodSampler& sampler, NeighborSource& source,
-             EdgeType type, std::span<const uint32_t> fans,
-             size_t num_batches, const RootsFn& roots, const GatherFn& gather,
-             const ComputeFn& compute);
-
-  /// Generalized entry point Run() delegates to: the caller owns the whole
-  /// first stage (its sampler, its RNG discipline, its per-batch admission
-  /// decisions) instead of handing the pipeline a NeighborhoodSampler to
-  /// drive. Stage ordering, queue bounds, metrics and per-batch trace trees
-  /// are identical to Run().
+  /// every batch has been computed or dropped. Returns FailedPrecondition
+  /// when a stage lane was shut down underneath the pipeline; OK otherwise.
   Status RunStages(size_t num_batches, const SampleFn& sample,
                    const GatherFn& gather, const ComputeFn& compute);
 

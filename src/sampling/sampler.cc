@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "common/logging.h"
-#include "common/threadpool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -188,30 +187,27 @@ void NeighborhoodSampler::DegradeFailedSlots(std::span<const VertexId> frontier,
 
 NeighborhoodSample NeighborhoodSampler::Sample(
     NeighborSource& source, std::span<const VertexId> roots, EdgeType type,
-    std::span<const uint32_t> hop_nums, ThreadPool* pool) {
-  return DrawHops(source, roots, type, hop_nums, pool);
+    std::span<const uint32_t> hop_nums) {
+  return DrawHops(source, roots, type, hop_nums);
 }
 
 block::SampledBlock NeighborhoodSampler::SampleBlock(
     NeighborSource& source, std::span<const VertexId> roots, EdgeType type,
-    std::span<const uint32_t> hop_nums, ThreadPool* pool,
-    block::FeatureSource* features) {
-  // Request root when called outside any span: draw, relabel, and gather
-  // all land in one trace.
+    std::span<const uint32_t> hop_nums) {
+  // Request root when called outside any span: draw and relabel land in
+  // one trace.
   obs::ScopedSpan span("sample/block");
-  const NeighborhoodSample sample =
-      DrawHops(source, roots, type, hop_nums, pool);
+  const NeighborhoodSample sample = DrawHops(source, roots, type, hop_nums);
   block::SampledBlock out =
       block::SampledBlock::Build(sample.roots, sample.hops, hop_nums);
   out.set_partial(sample.partial);
   out.add_degraded_draws(sample.degraded_draws);
-  if (features != nullptr) (void)out.GatherFeatures(*features);
   return out;
 }
 
 NeighborhoodSample NeighborhoodSampler::DrawHops(
     NeighborSource& source, std::span<const VertexId> roots, EdgeType type,
-    std::span<const uint32_t> hop_nums, ThreadPool* pool) {
+    std::span<const uint32_t> hop_nums) {
   obs::ScopedSpan whole("sample/neighborhood");
   // Pin the source for the whole k-hop: concurrent update batches become
   // visible between hops of two samples, never inside one.
@@ -244,25 +240,13 @@ NeighborhoodSample NeighborhoodSampler::DrawHops(
     (void)source.NeighborsBatch(frontier, type, &adj);
     if (source.fallible()) {
       AdmitStale(frontier, adj);
-      // Resolve failures BEFORE the draw loop so the (possibly parallel)
-      // draw below never sees a failed slot — degradation is sequential
-      // and deterministic regardless of the thread pool.
+      // Resolve failures BEFORE the draw loop so the draw below never
+      // sees a failed slot.
       DegradeFailedSlots(frontier, &adj, &sample, metrics.degraded_samples);
     }
     std::vector<VertexId> next(frontier.size() * fan);
-    if (pool == nullptr) {
-      for (size_t i = 0; i < frontier.size(); ++i) {
-        DrawFan(adj.spans[i], frontier[i], fan, rng_, &next[i * fan]);
-      }
-    } else {
-      // Parallel draw over the fetched spans: each root gets its own RNG
-      // stream derived from one draw of the sampler RNG, so results are
-      // deterministic for a fixed seed and roots write disjoint ranges.
-      const uint64_t base = rng_.Next();
-      pool->ParallelFor(frontier.size(), [&](size_t i) {
-        Rng local(Mix64(base ^ (static_cast<uint64_t>(i) + 1)));
-        DrawFan(adj.spans[i], frontier[i], fan, local, &next[i * fan]);
-      });
+    for (size_t i = 0; i < frontier.size(); ++i) {
+      DrawFan(adj.spans[i], frontier[i], fan, rng_, &next[i * fan]);
     }
     sample.hops.push_back(std::move(next));
     frontier = std::span<const VertexId>(sample.hops.back());

@@ -6,6 +6,11 @@
 /// Samplers read adjacency through a NeighborSource so the same code runs
 /// against a local AttributedGraph or against the simulated distributed
 /// Cluster (where reads are cache-aware and communication-counted).
+///
+/// The NEIGHBORHOOD sampler only draws: its blocks carry ids and CSRs, no
+/// feature rows. block::GatherBlockFeatures is the one gather, run as its
+/// own stage by pipeline::BlockPipeline. Draws are sequential on the
+/// calling thread; the pipeline's lanes supply the concurrency.
 
 #ifndef ALIGRAPH_SAMPLING_SAMPLER_H_
 #define ALIGRAPH_SAMPLING_SAMPLER_H_
@@ -16,7 +21,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "block/feature_source.h"
 #include "block/sampled_block.h"
 #include "cluster/cluster.h"
 #include "common/alias_table.h"
@@ -25,8 +29,6 @@
 #include "graph/graph.h"
 
 namespace aligraph {
-
-class ThreadPool;
 
 namespace obs {
 class Counter;
@@ -227,28 +229,19 @@ class NeighborhoodSampler {
   /// kAllEdgeTypes for type-agnostic neighborhoods) and relabels it into a
   /// block::SampledBlock: deduplicated frontier with dense local ids plus
   /// one local-id CSR per hop. Each hop issues ONE NeighborsBatch over the
-  /// whole frontier instead of per-vertex reads. When `pool` is non-null,
-  /// alias/weighted sampling over the fetched spans is parallelized across
-  /// the pool with per-root RNG streams derived from the sampler seed
-  /// (deterministic for a fixed seed, but a different — equally valid —
-  /// draw than the pool-less sequential path). When `features` is non-null
-  /// the block's feature matrix is gathered (once per unique vertex)
-  /// before returning; gather failures under fault injection leave zero
-  /// rows and mark the block partial instead of aborting. The draws are
-  /// identical to Sample's for the same sampler state: both entry points
-  /// share one draw loop.
+  /// whole frontier instead of per-vertex reads. The sampler only draws:
+  /// feature rows come from block::GatherBlockFeatures, the pipeline's
+  /// gather stage. The draws are identical to Sample's for the same
+  /// sampler state: both entry points share one draw loop.
   block::SampledBlock SampleBlock(NeighborSource& source,
                                   std::span<const VertexId> roots,
                                   EdgeType type,
-                                  std::span<const uint32_t> hop_nums,
-                                  ThreadPool* pool = nullptr,
-                                  block::FeatureSource* features = nullptr);
+                                  std::span<const uint32_t> hop_nums);
 
   /// Legacy flat-vector adapter around the same draw loop as SampleBlock.
   NeighborhoodSample Sample(NeighborSource& source,
                             std::span<const VertexId> roots, EdgeType type,
-                            std::span<const uint32_t> hop_nums,
-                            ThreadPool* pool = nullptr);
+                            std::span<const uint32_t> hop_nums);
 
   static constexpr EdgeType kAllEdgeTypes = aligraph::kAllEdgeTypes;
 
@@ -264,8 +257,7 @@ class NeighborhoodSampler {
   /// the per-hop duplicate ratio).
   NeighborhoodSample DrawHops(NeighborSource& source,
                               std::span<const VertexId> roots, EdgeType type,
-                              std::span<const uint32_t> hop_nums,
-                              ThreadPool* pool);
+                              std::span<const uint32_t> hop_nums);
 
   VertexId SampleOne(std::span<const Neighbor> nbs, VertexId fallback,
                      size_t rank, Rng& rng);

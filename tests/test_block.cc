@@ -85,16 +85,12 @@ ALIGRAPH_PROP(BlockProps, RelabelIsBijection, 12) {
   ASSERT_LE(n, blk.total_slots());
   EXPECT_GE(blk.dedup_ratio(), 1.0);
 
-  // globals() carries each vertex exactly once and the local <-> global
-  // maps are mutually inverse on [0, n).
+  // globals() carries each vertex exactly once.
   std::unordered_set<VertexId> seen;
   for (uint32_t local = 0; local < n; ++local) {
     const VertexId g = blk.global_of(local);
     EXPECT_TRUE(seen.insert(g).second) << "duplicate global " << g;
-    EXPECT_EQ(blk.local_of(g), local);
   }
-  EXPECT_EQ(blk.local_of(graph.num_vertices() + 1000),
-            block::SampledBlock::kInvalidLocal);
 
   // Every slot (roots, CSR dst and src) refers to a valid local id.
   for (const uint32_t l : blk.root_locals()) EXPECT_LT(l, n);
@@ -108,10 +104,10 @@ ALIGRAPH_PROP(BlockProps, RelabelIsBijection, 12) {
   }
 }
 
-// local_of against a std::map reference on hand-built blocks whose ids
-// include runs that collide modulo the relabel table size (and absent ids
-// from the same runs), so probe chains are long and wrap around.
-ALIGRAPH_PROP(BlockProps, LocalOfMatchesMapReference, 16) {
+// Build's relabelling against a std::map reference on hand-built blocks
+// whose ids include runs that collide modulo the relabel table size, so
+// probe chains are long and wrap around.
+ALIGRAPH_PROP(BlockProps, RelabelMatchesMapReference, 16) {
   const size_t num_roots = 1 + ctx.rng.Uniform(12);
   const std::vector<uint32_t> fans{
       static_cast<uint32_t>(1 + ctx.rng.Uniform(5)),
@@ -158,19 +154,19 @@ ALIGRAPH_PROP(BlockProps, LocalOfMatchesMapReference, 16) {
 
   ASSERT_EQ(blk.num_vertices(), ref.size());
   EXPECT_TRUE(std::equal(order.begin(), order.end(), blk.globals().begin()));
-  for (const VertexId v : pool) {
-    const auto it = ref.find(v);
-    const uint32_t want =
-        it == ref.end() ? block::SampledBlock::kInvalidLocal : it->second;
-    EXPECT_EQ(blk.local_of(v), want) << "vertex " << v;
+  // Every root slot and every hop's src entry carries the reference id.
+  ASSERT_EQ(blk.root_locals().size(), roots.size());
+  for (size_t i = 0; i < roots.size(); ++i) {
+    EXPECT_EQ(blk.root_locals()[i], ref.at(roots[i])) << "root slot " << i;
   }
-  // Absent members of the collision run, past the pool's end.
-  for (VertexId j = 16; j < 24; ++j) {
-    EXPECT_EQ(blk.local_of(base + j * table_size),
-              block::SampledBlock::kInvalidLocal);
+  ASSERT_EQ(blk.hops().size(), hops.size());
+  for (size_t k = 0; k < hops.size(); ++k) {
+    const std::vector<uint32_t>& src = blk.hops()[k].src;
+    ASSERT_EQ(src.size(), hops[k].size());
+    for (size_t j = 0; j < src.size(); ++j) {
+      EXPECT_EQ(src[j], ref.at(hops[k][j])) << "hop " << k << " slot " << j;
+    }
   }
-  EXPECT_EQ(block::SampledBlock().local_of(base),
-            block::SampledBlock::kInvalidLocal);
 }
 
 ALIGRAPH_PROP(BlockProps, CsrEdgesExistInGraph, 12) {
@@ -489,17 +485,18 @@ TEST(BlockFaultTest, DegradedSampleKeepsFullShape) {
 
   NeighborhoodSampler sampler(NeighborStrategy::kUniform, 5);
   const std::vector<uint32_t> fans{4, 3};
-  const block::SampledBlock blk =
-      sampler.SampleBlock(source, roots, NeighborhoodSampler::kAllEdgeTypes,
-                          fans, /*pool=*/nullptr, &features);
+  const block::SampledBlock blk = sampler.SampleBlock(
+      source, roots, NeighborhoodSampler::kAllEdgeTypes, fans);
+  const nn::Matrix x =
+      block::GatherBlockFeatures(blk, features, /*row_cache=*/nullptr);
 
   // Shapes are exactly what an un-faulted run would produce.
   ASSERT_EQ(blk.hops().size(), 2u);
   EXPECT_EQ(blk.hops()[0].src.size(), roots.size() * 4);
   EXPECT_EQ(blk.hops()[1].src.size(), roots.size() * 4 * 3);
   EXPECT_EQ(blk.hops()[1].dst.size(), roots.size() * 4);
-  EXPECT_EQ(blk.features().rows(), blk.num_vertices());
-  EXPECT_EQ(blk.features().cols(), 8u);
+  EXPECT_EQ(x.rows(), blk.num_vertices());
+  EXPECT_EQ(x.cols(), 8u);
 
   // And the degradation was recorded rather than hidden.
   EXPECT_TRUE(blk.partial());
@@ -522,9 +519,9 @@ TEST(BlockObsTest, SamplerAndBlockMetricsRecorded) {
   const std::vector<VertexId> roots{0, 0, 0, 0, 1, 1, 1, 1};
   const std::vector<uint32_t> fans{4, 2};
   block::GraphFeatureSource features(graph, /*dim=*/8);
-  const block::SampledBlock blk =
-      sampler.SampleBlock(source, roots, NeighborhoodSampler::kAllEdgeTypes,
-                          fans, /*pool=*/nullptr, &features);
+  const block::SampledBlock blk = sampler.SampleBlock(
+      source, roots, NeighborhoodSampler::kAllEdgeTypes, fans);
+  (void)block::GatherBlockFeatures(blk, features, /*row_cache=*/nullptr);
 
   // One duplicate-ratio record per hop: hop slots / distinct vertices.
   double dup_sum = 0;

@@ -301,18 +301,17 @@ ALIGRAPH_PROP(LayoutDifferential, BlocksAndForwardBitIdentical, 6) {
   block::MatrixFeatureSource base_features(features);
   NeighborhoodSampler base_sampler(NeighborStrategy::kUniform, sampler_seed);
   const block::SampledBlock base = base_sampler.SampleBlock(
-      base_source, roots, NeighborhoodSampler::kAllEdgeTypes, fans,
-      /*pool=*/nullptr, &base_features);
+      base_source, roots, NeighborhoodSampler::kAllEdgeTypes, fans);
+  const nn::Matrix base_x =
+      block::GatherBlockFeatures(base, base_features, /*row_cache=*/nullptr);
 
   Rng base_rng(weight_seed);
   algo::SageLayer base_l1(kDim, kDim, /*maxpool=*/false, base_rng);
   algo::SageLayer base_l2(kDim, kDim, /*maxpool=*/false, base_rng,
                           /*relu=*/false);
   algo::SageLayer::Cache c0, c1, c2;
-  const nn::Matrix base_h1r =
-      base_l1.ForwardBlock(base.features(), base.hops()[0], &c0);
-  const nn::Matrix base_h1n =
-      base_l1.ForwardBlock(base.features(), base.hops()[1], &c1);
+  const nn::Matrix base_h1r = base_l1.ForwardBlock(base_x, base.hops()[0], &c0);
+  const nn::Matrix base_h1n = base_l1.ForwardBlock(base_x, base.hops()[1], &c1);
   const nn::Matrix base_out = base_l2.Forward(base_h1r, base_h1n, fans[0], &c2);
 
   for (const VertexLayout& layout : NontrivialLayouts(ctx, g)) {
@@ -322,9 +321,10 @@ ALIGRAPH_PROP(LayoutDifferential, BlocksAndForwardBitIdentical, 6) {
     block::MatrixFeatureSource feature_source(permuted);
     NeighborhoodSampler sampler(NeighborStrategy::kUniform, sampler_seed);
     const block::SampledBlock blk = sampler.SampleBlock(
-        source, MapToNew(layout, roots),
-        NeighborhoodSampler::kAllEdgeTypes, fans, /*pool=*/nullptr,
-        &feature_source);
+        source, MapToNew(layout, roots), NeighborhoodSampler::kAllEdgeTypes,
+        fans);
+    const nn::Matrix x =
+        block::GatherBlockFeatures(blk, feature_source, /*row_cache=*/nullptr);
 
     // Identical structure: local ids, per-slot roots, per-hop CSRs.
     ASSERT_EQ(blk.num_vertices(), base.num_vertices());
@@ -342,14 +342,14 @@ ALIGRAPH_PROP(LayoutDifferential, BlocksAndForwardBitIdentical, 6) {
                 base.global_of(static_cast<uint32_t>(local)));
     }
     // Features per local id are bit-identical, hence so is the forward pass.
-    EXPECT_TRUE(MatricesBitEqual(blk.features(), base.features()));
+    EXPECT_TRUE(MatricesBitEqual(x, base_x));
 
     Rng rng(weight_seed);
     algo::SageLayer l1(kDim, kDim, /*maxpool=*/false, rng);
     algo::SageLayer l2(kDim, kDim, /*maxpool=*/false, rng, /*relu=*/false);
     algo::SageLayer::Cache d0, d1, d2;
-    const nn::Matrix h1r = l1.ForwardBlock(blk.features(), blk.hops()[0], &d0);
-    const nn::Matrix h1n = l1.ForwardBlock(blk.features(), blk.hops()[1], &d1);
+    const nn::Matrix h1r = l1.ForwardBlock(x, blk.hops()[0], &d0);
+    const nn::Matrix h1n = l1.ForwardBlock(x, blk.hops()[1], &d1);
     const nn::Matrix out = l2.Forward(h1r, h1n, fans[0], &d2);
     EXPECT_TRUE(MatricesBitEqual(out, base_out)) << PolicyName(layout.policy);
   }

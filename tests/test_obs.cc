@@ -628,8 +628,7 @@ struct ExpectedWork {
   uint64_t gather_bytes = 0;
 };
 
-/// One instrumented request: sample a block, gather its features (once
-/// through the block, once through GatherBlockFeatures).
+/// One instrumented request: sample a block, gather its features.
 void SampleAndGather(const AttributedGraph& graph, uint64_t seed,
                      ExpectedWork* work) {
   LocalNeighborSource source(graph);
@@ -638,13 +637,12 @@ void SampleAndGather(const AttributedGraph& graph, uint64_t seed,
   const std::vector<VertexId> roots{
       static_cast<VertexId>(seed % 600), static_cast<VertexId>(seed * 7 % 600),
       static_cast<VertexId>(seed * 13 % 600), 5};
-  const block::SampledBlock blk =
-      sampler.SampleBlock(source, roots, NeighborhoodSampler::kAllEdgeTypes,
-                          kHandleFans, /*pool=*/nullptr, &features);
+  const block::SampledBlock blk = sampler.SampleBlock(
+      source, roots, NeighborhoodSampler::kAllEdgeTypes, kHandleFans);
   const nn::Matrix x =
       block::GatherBlockFeatures(blk, features, /*row_cache=*/nullptr);
   work->blocks += 1;
-  work->gather_bytes += 2 * x.size() * sizeof(float);
+  work->gather_bytes += x.size() * sizeof(float);
 }
 
 void ExpectRecorded(const obs::MetricsRegistry& registry,

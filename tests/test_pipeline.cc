@@ -347,9 +347,13 @@ std::vector<BatchCapture> RunPipelined(
   NeighborhoodSampler sampler(NeighborStrategy::kUniform, draw_seed);
   std::vector<BatchCapture> out(roots.size());
   pipeline::BlockPipeline pipe({depth});
-  const Status run = pipe.Run(
-      sampler, source, NeighborhoodSampler::kAllEdgeTypes, fans, roots.size(),
-      [&](size_t b, std::any*) { return roots[b]; },
+  const Status run = pipe.RunStages(
+      roots.size(),
+      [&](size_t b, block::SampledBlock* blk, std::any*) {
+        *blk = sampler.SampleBlock(source, roots[b],
+                                   NeighborhoodSampler::kAllEdgeTypes, fans);
+        return true;
+      },
       [&](const block::SampledBlock& blk) {
         return block::GatherBlockFeatures(blk, feature_source,
                                           use_row_cache ? &cache : nullptr);
@@ -516,9 +520,13 @@ TEST(BlockPipelineTest, StressSlowGatherForcesQueueEdges) {
   // occasionally-sleeping compute stage pushes back on the gathered queue
   // from the other side.
   pipeline::BlockPipeline pipe({/*depth=*/1});
-  const Status run = pipe.Run(
-      sampler, source, NeighborhoodSampler::kAllEdgeTypes, fans, num_batches,
-      [&](size_t b, std::any*) { return roots[b]; },
+  const Status run = pipe.RunStages(
+      num_batches,
+      [&](size_t b, block::SampledBlock* blk, std::any*) {
+        *blk = sampler.SampleBlock(source, roots[b],
+                                   NeighborhoodSampler::kAllEdgeTypes, fans);
+        return true;
+      },
       [&](const block::SampledBlock& blk) {
         return block::GatherBlockFeatures(blk, slow, nullptr);
       },

@@ -9,7 +9,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/threadpool.h"
 #include "gen/powerlaw.h"
 #include "gen/taobao.h"
 #include "graph/graph.h"
@@ -288,47 +287,6 @@ TEST(NeighborSourceTest, PerVertexAdapterFallsBackToDefaultBatch) {
   EXPECT_EQ(batch[0].size(), 4u);
   EXPECT_EQ(batch[1].size(), 0u);
   EXPECT_EQ(batch[2].size(), 0u);
-}
-
-TEST(NeighborhoodSamplerTest, ThreadPoolPathKeepsShapesAndValidity) {
-  const AttributedGraph g = MakeClusterGraph(800);
-  LocalNeighborSource source(g);
-  ThreadPool pool(4);
-  NeighborhoodSampler sampler(NeighborStrategy::kUniform, 42);
-  std::vector<VertexId> roots(64);
-  std::iota(roots.begin(), roots.end(), 0);
-  const std::vector<uint32_t> fans{6, 3};
-  const auto sample = sampler.Sample(
-      source, roots, NeighborhoodSampler::kAllEdgeTypes, fans, &pool);
-  ASSERT_EQ(sample.hops.size(), 2u);
-  ASSERT_EQ(sample.hops[0].size(), roots.size() * 6);
-  ASSERT_EQ(sample.hops[1].size(), roots.size() * 6 * 3);
-  // Every hop-1 draw is a real neighbor of its root (or the fallback self).
-  for (size_t i = 0; i < roots.size(); ++i) {
-    std::set<VertexId> nbrs;
-    for (const Neighbor& nb : g.OutNeighbors(roots[i])) nbrs.insert(nb.dst);
-    for (uint32_t j = 0; j < 6; ++j) {
-      const VertexId u = sample.hops[0][i * 6 + j];
-      EXPECT_TRUE(u == roots[i] || nbrs.count(u)) << "root " << roots[i];
-    }
-  }
-}
-
-TEST(NeighborhoodSamplerTest, ThreadPoolPathIsDeterministicPerSeed) {
-  const AttributedGraph g = MakeClusterGraph(500);
-  LocalNeighborSource source(g);
-  ThreadPool pool(4);
-  std::vector<VertexId> roots(32);
-  std::iota(roots.begin(), roots.end(), 0);
-  const std::vector<uint32_t> fans{5, 4};
-  NeighborhoodSampler a(NeighborStrategy::kUniform, 7);
-  NeighborhoodSampler b(NeighborStrategy::kUniform, 7);
-  const auto sa = a.Sample(source, roots, NeighborhoodSampler::kAllEdgeTypes,
-                           fans, &pool);
-  const auto sb = b.Sample(source, roots, NeighborhoodSampler::kAllEdgeTypes,
-                           fans, &pool);
-  EXPECT_EQ(sa.hops[0], sb.hops[0]);
-  EXPECT_EQ(sa.hops[1], sb.hops[1]);
 }
 
 TEST(NeighborhoodSamplerTest, DistributedBatchedMatchesGraphData) {

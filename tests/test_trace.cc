@@ -1,7 +1,7 @@
 /// \file test_trace.cc
 /// \brief Causal tracing: context minting/propagation, parentage across
-/// ThreadPool handoffs, trace completeness under parallel k-hop sampling
-/// (with and without fault injection), timeline assembly, the
+/// ThreadPool handoffs, trace completeness of a pipelined k-hop batch and
+/// of fault-injected sampling, timeline assembly, the
 /// critical-path analyzer, Chrome trace export, and the bench_compare
 /// regression gate.
 
@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "block/feature_source.h"
 #include "cluster/cluster.h"
 #include "common/threadpool.h"
 #include "fault/fault_injector.h"
@@ -26,6 +27,7 @@
 #include "obs/timeline.h"
 #include "obs/trace.h"
 #include "partition/partitioner.h"
+#include "pipeline/block_pipeline.h"
 #include "sampling/sampler.h"
 
 namespace aligraph {
@@ -236,17 +238,20 @@ TEST(ThreadPoolTraceTest, SubmitOutsideTraceStaysUntraced) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end: parallel k-hop sampling through the cluster stays one tree.
+// End-to-end: one pipelined k-hop batch through the cluster stays one tree
+// across the sample lane, the gather lane and the caller's thread.
 
-TEST(SamplingTraceTest, ParallelKHopTraceIsCompleteAndSingleRooted) {
+TEST(SamplingTraceTest, PipelinedKHopTraceIsCompleteAndSingleRooted) {
   const AttributedGraph graph = MakeGraph();
   auto cluster =
       std::move(Cluster::Build(graph, EdgeCutPartitioner(), 4)).value();
   CommStats stats;
   DistributedNeighborSource source(cluster, /*worker=*/0, &stats);
-  ThreadPool pool(4);
+  block::ClusterFeatureSource features(cluster, /*worker=*/0, /*dim=*/8,
+                                       &stats);
+  pipeline::BlockPipeline pipe({/*depth=*/2});
 
-  // Attach AFTER the build so the only recorded request is the sample.
+  // Attach AFTER the build so the only recorded request is the batch.
   Tracer tracer;
   TracerSession session(&tracer);
   NeighborhoodSampler sampler(NeighborStrategy::kUniform, /*seed=*/5);
@@ -255,19 +260,35 @@ TEST(SamplingTraceTest, ParallelKHopTraceIsCompleteAndSingleRooted) {
     roots[i] = static_cast<VertexId>(i * 7 % graph.num_vertices());
   }
   const std::vector<uint32_t> fans{4, 3};
-  const auto block = sampler.SampleBlock(
-      source, roots, NeighborhoodSampler::kAllEdgeTypes, fans, &pool);
-  EXPECT_EQ(block.root_locals().size(), roots.size());
+  size_t computed_rows = 0;
+  const Status run = pipe.RunStages(
+      /*num_batches=*/1,
+      [&](size_t, block::SampledBlock* blk, std::any*) {
+        *blk = sampler.SampleBlock(source, roots,
+                                   NeighborhoodSampler::kAllEdgeTypes, fans);
+        return true;
+      },
+      [&](const block::SampledBlock& blk) {
+        return block::GatherBlockFeatures(blk, features,
+                                          /*row_cache=*/nullptr);
+      },
+      [&](size_t, const block::SampledBlock& blk, const nn::Matrix& x,
+          std::any&) {
+        EXPECT_EQ(blk.root_locals().size(), roots.size());
+        computed_rows = x.rows();
+      });
+  ASSERT_TRUE(run.ok()) << run.ToString();
+  EXPECT_GT(computed_rows, 0u);
 
   const auto events = tracer.Events();
   const TraceForest forest = AssembleTraces(events);
   EXPECT_EQ(forest.orphan_spans, 0u);
   EXPECT_EQ(forest.untraced_spans, 0u);
 
-  const TraceTree* tree = TreeRootedAt(forest, "sample/block");
+  const TraceTree* tree = TreeRootedAt(forest, "pipeline/batch");
   ASSERT_NE(tree, nullptr);
-  // Every recorded event belongs to this one request: nothing leaked into a
-  // second trace, and the request has exactly one parentless span.
+  // Every recorded event belongs to this one batch: nothing leaked into a
+  // second trace, and the batch has exactly one parentless span.
   ASSERT_EQ(forest.traces.size(), 1u);
   EXPECT_EQ(tree->nodes.size(), events.size());
   size_t parentless = 0;
@@ -277,18 +298,22 @@ TEST(SamplingTraceTest, ParallelKHopTraceIsCompleteAndSingleRooted) {
   }
   EXPECT_EQ(parentless, 1u);
 
-  // The layers the request crossed are all present in its tree.
+  // The stages and the layers the batch crossed are all in its tree.
+  EXPECT_EQ(CountByName(*tree, "pipeline/sample"), 1u);
+  EXPECT_EQ(CountByName(*tree, "pipeline/gather"), 1u);
+  EXPECT_EQ(CountByName(*tree, "pipeline/compute"), 1u);
+  EXPECT_EQ(CountByName(*tree, "sample/block"), 1u);
   EXPECT_EQ(CountByName(*tree, "sample/neighborhood"), 1u);
   EXPECT_EQ(CountByName(*tree, "sample/hop0"), 1u);
   EXPECT_EQ(CountByName(*tree, "sample/hop1"), 1u);
   EXPECT_EQ(CountByName(*tree, "cluster/batch_read"), fans.size());
   EXPECT_GT(CountByName(*tree, "cluster/remote_serve"), 0u);
-  EXPECT_GT(CountByName(*tree, "pool/parallel_for"), 0u);
+  EXPECT_EQ(CountByName(*tree, "cluster/attr_batch_read"), 1u);
 
-  // Cross-thread handoffs happened: spans were recorded on >= 2 rings.
+  // Sample lane, gather lane and the caller's compute thread: three rings.
   std::set<uint32_t> threads;
   for (const auto& node : tree->nodes) threads.insert(node.event.thread);
-  EXPECT_GE(threads.size(), 2u);
+  EXPECT_EQ(threads.size(), 3u);
 }
 
 TEST(SamplingTraceTest, RetryAttemptsAreLinkedIntoTheRequestTrace) {

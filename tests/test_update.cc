@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -213,10 +214,16 @@ TEST(UpdateTest, SkippedUpdatesDoNotBurnAnEpoch) {
   // Remove with no matching (dst, type) and an out-of-range source.
   batch.push_back({EdgeUpdate::Kind::kRemove, 0, 5, 0, 0, kNoAttr});
   batch.push_back({EdgeUpdate::Kind::kInsert, 99, 1, 0, 1.0f, kNoAttr});
+  // Weights the graph loader rejects: NaN, negative and infinite.
+  batch.push_back({EdgeUpdate::Kind::kInsert, 0, 1, 0,
+                   std::numeric_limits<float>::quiet_NaN(), kNoAttr});
+  batch.push_back({EdgeUpdate::Kind::kInsert, 0, 1, 0, -1.0f, kNoAttr});
+  batch.push_back({EdgeUpdate::Kind::kInsert, 0, 1, 0,
+                   std::numeric_limits<float>::infinity(), kNoAttr});
   UpdateReport report;
   ASSERT_TRUE(cluster.ApplyUpdateBatch(batch, &report).ok());
   EXPECT_EQ(report.applied, 0u);
-  EXPECT_EQ(report.skipped, 2u);
+  EXPECT_EQ(report.skipped, 5u);
   EXPECT_EQ(cluster.current_epoch(), 0u);
   EXPECT_FALSE(cluster.versioned());
 
@@ -529,10 +536,14 @@ TEST(DifferentialTest, ReplicationChangesNoDrawBlockOrForward) {
   block::MatrixFeatureSource fsrc(feats);
   NeighborhoodSampler bs_plain(NeighborStrategy::kUniform, 78);
   NeighborhoodSampler bs_repl(NeighborStrategy::kUniform, 78);
-  const block::SampledBlock blk_plain = bs_plain.SampleBlock(
-      src_plain, roots, kAllEdgeTypes, fans, nullptr, &fsrc);
-  const block::SampledBlock blk_repl = bs_repl.SampleBlock(
-      src_repl, roots, kAllEdgeTypes, fans, nullptr, &fsrc);
+  const block::SampledBlock blk_plain =
+      bs_plain.SampleBlock(src_plain, roots, kAllEdgeTypes, fans);
+  const block::SampledBlock blk_repl =
+      bs_repl.SampleBlock(src_repl, roots, kAllEdgeTypes, fans);
+  const nn::Matrix x_plain =
+      block::GatherBlockFeatures(blk_plain, fsrc, /*row_cache=*/nullptr);
+  const nn::Matrix x_repl =
+      block::GatherBlockFeatures(blk_repl, fsrc, /*row_cache=*/nullptr);
   const auto globals_a = blk_plain.globals();
   const auto globals_b = blk_repl.globals();
   ASSERT_TRUE(std::equal(globals_a.begin(), globals_a.end(),
@@ -543,11 +554,9 @@ TEST(DifferentialTest, ReplicationChangesNoDrawBlockOrForward) {
     EXPECT_EQ(blk_plain.hops()[h].src, blk_repl.hops()[h].src);
     EXPECT_EQ(blk_plain.hops()[h].offsets, blk_repl.hops()[h].offsets);
   }
-  ASSERT_EQ(blk_plain.features().rows(), blk_repl.features().rows());
-  EXPECT_EQ(std::memcmp(blk_plain.features().data(),
-                        blk_repl.features().data(),
-                        blk_plain.features().rows() *
-                            blk_plain.features().cols() * sizeof(float)),
+  ASSERT_EQ(x_plain.rows(), x_repl.rows());
+  EXPECT_EQ(std::memcmp(x_plain.data(), x_repl.data(),
+                        x_plain.rows() * x_plain.cols() * sizeof(float)),
             0);
 
   // GNN forward over the deepest hop of each block.
@@ -555,10 +564,10 @@ TEST(DifferentialTest, ReplicationChangesNoDrawBlockOrForward) {
   algo::SageLayer layer_a(8, 4, /*maxpool=*/false, wrng_a);
   algo::SageLayer layer_b(8, 4, /*maxpool=*/false, wrng_b);
   algo::SageLayer::Cache cache_a, cache_b;
-  const nn::Matrix out_a = layer_a.ForwardBlock(
-      blk_plain.features(), blk_plain.hops().back(), &cache_a);
-  const nn::Matrix out_b = layer_b.ForwardBlock(
-      blk_repl.features(), blk_repl.hops().back(), &cache_b);
+  const nn::Matrix out_a =
+      layer_a.ForwardBlock(x_plain, blk_plain.hops().back(), &cache_a);
+  const nn::Matrix out_b =
+      layer_b.ForwardBlock(x_repl, blk_repl.hops().back(), &cache_b);
   ASSERT_EQ(out_a.rows(), out_b.rows());
   EXPECT_EQ(std::memcmp(out_a.data(), out_b.data(),
                         out_a.rows() * out_a.cols() * sizeof(float)),
