@@ -107,6 +107,7 @@ int main(int argc, char** argv) {
                   std::to_string(s.failed_reads),
                   std::to_string(sample.degraded_draws),
                   sample.partial ? "yes" : "no"});
+    s.ExportTo(obs.registry(), "fault." + scenario.name);
     obs.report().AddMetric("fault." + scenario.name + ".modeled_ms",
                            modeled_ms);
     obs.report().AddMetric("fault." + scenario.name + ".degraded",

@@ -62,7 +62,6 @@ CommCosts ModeledWorkload(Cluster& cluster, uint64_t seed) {
 int main(int argc, char** argv) {
   using namespace aligraph;
   const bench::BenchArgs args = bench::BenchArgs::Parse(argc, argv);
-  // Attach before Cluster::Build so comm counters resolve here.
   bench::ObsBench obs("fig8_cache_rate", args);
   obs.report().AddMeta("experiment", "Figure 8 cache rate vs threshold");
   bench::Banner("Figure 8 — cache rate w.r.t. importance threshold",

@@ -11,6 +11,7 @@
 /// exactly.
 
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench_util.h"
@@ -23,8 +24,10 @@
 namespace aligraph {
 namespace {
 
-// One pass of the query workload; returns modeled total time in ms.
-double RunWorkload(Cluster& cluster, const CommModel& model, uint64_t seed) {
+// One pass of the query workload; returns modeled total time in ms and
+// exports the pass's communication counts as "<prefix>.<field>".
+double RunWorkload(Cluster& cluster, const CommModel& model, uint64_t seed,
+                   obs::MetricsRegistry& registry, const std::string& prefix) {
   Rng rng(seed);
   CommStats stats;
   const CommStats::Snapshot before = stats.snapshot();
@@ -41,8 +44,10 @@ double RunWorkload(Cluster& cluster, const CommModel& model, uint64_t seed) {
       cluster.GetNeighbors(from, u, &stats);
     }
   }
-  return timer.ElapsedMillis() +
-         model.ModeledMillis(stats.snapshot().Delta(before));
+  const double cpu_ms = timer.ElapsedMillis();
+  const CommStats::Snapshot delta = stats.snapshot().Delta(before);
+  delta.ExportTo(registry, prefix);
+  return cpu_ms + model.ModeledMillis(delta);
 }
 
 }  // namespace
@@ -51,7 +56,6 @@ double RunWorkload(Cluster& cluster, const CommModel& model, uint64_t seed) {
 int main(int argc, char** argv) {
   using namespace aligraph;
   const bench::BenchArgs args = bench::BenchArgs::Parse(argc, argv);
-  // Attach before Cluster::Build so comm counters resolve here.
   bench::ObsBench obs("fig9_cache_policy", args);
   obs.report().AddMeta("experiment", "Figure 9 cache policy comparison");
   bench::Banner(
@@ -70,21 +74,25 @@ int main(int argc, char** argv) {
             {"cached (%)", "importance (ms)", "random (ms)", "LRU (ms)"});
   for (double fraction : {0.0, 0.1, 0.2, 0.3, 0.4, 0.5}) {
     cluster.ClearCaches();
+    const std::string key = bench::Fmt("fraction_%.1f", fraction);
+    const std::string counts = "fig9." + key;
     double importance_ms, random_ms, lru_ms;
     if (fraction == 0.0) {
-      importance_ms = random_ms = lru_ms = RunWorkload(cluster, model, 99);
+      importance_ms = random_ms = lru_ms =
+          RunWorkload(cluster, model, 99, obs.registry(), counts + ".none");
     } else {
       cluster.InstallTopImportanceCache(/*k=*/1, fraction);
-      importance_ms = RunWorkload(cluster, model, 99);
+      importance_ms = RunWorkload(cluster, model, 99, obs.registry(),
+                                  counts + ".importance");
       cluster.InstallRandomCache(fraction, /*seed=*/7);
-      random_ms = RunWorkload(cluster, model, 99);
+      random_ms =
+          RunWorkload(cluster, model, 99, obs.registry(), counts + ".random");
       cluster.InstallLruCache(
           static_cast<size_t>(fraction * graph.num_vertices()));
-      lru_ms = RunWorkload(cluster, model, 99);
+      lru_ms = RunWorkload(cluster, model, 99, obs.registry(), counts + ".lru");
     }
     obs.TableRow({bench::Pct(fraction), bench::Fmt("%.1f", importance_ms),
                   bench::Fmt("%.1f", random_ms), bench::Fmt("%.1f", lru_ms)});
-    const std::string key = bench::Fmt("fraction_%.1f", fraction);
     obs.report().AddMetric(key + ".importance_ms", importance_ms);
     obs.report().AddMetric(key + ".random_ms", random_ms);
     obs.report().AddMetric(key + ".lru_ms", lru_ms);

@@ -189,10 +189,10 @@ Result<EvolvingScores> EvolvingGnn::Run(const DynamicGraph& dynamic) {
                       examples[i].v, &x, i);
         labels[i] = examples[i].label;
       }
-      nn::Matrix logits = classifier.Forward(x);
+      nn::Matrix logits = classifier.ForwardAt(x);
       nn::Matrix grad;
       nn::SoftmaxXent(logits, labels, &grad);
-      classifier.Backward(grad);
+      classifier.BackwardAt(x, grad);
       classifier.Apply(opt);
     }
   }

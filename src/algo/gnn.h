@@ -39,11 +39,10 @@ struct GnnConfig {
   uint64_t seed = 31;
   /// Stage-queue depth of the pipeline::BlockPipeline that drives GraphSAGE
   /// training and inference (sample -> gather -> compute over
-  /// block::SampledBlock, features gathered once per unique vertex with
-  /// cross-batch row reuse). 0 runs the three stages inline on the
-  /// caller's thread, batch after batch; >= 1 overlaps batch N+1's hop
-  /// sampling with batch N's feature gather and batch N-1's
-  /// forward/backward. Every stage stays single-threaded and in batch
+  /// block::SampledBlock, features gathered once per unique vertex of the
+  /// batch). 0 runs the three stages inline on the caller's thread, batch
+  /// after batch; >= 1 overlaps batch N+1's hop sampling with batch N's
+  /// feature gather and batch N-1's forward/backward. Every stage stays single-threaded and in batch
   /// order, so results are bit-identical across depths; only wall-clock and
   /// the (bounded) number of in-flight blocks change.
   size_t pipeline_depth = 0;

@@ -325,12 +325,12 @@ Result<nn::Matrix> Anrl::Embed(const AttributedGraph& graph) {
     for (VertexId v = 0; v < n; ++v) {
       auto src = x.Row(v);
       std::copy(src.begin(), src.end(), xv.Row(0).begin());
-      nn::Matrix h = encoder.Forward(xv);
+      nn::Matrix h = encoder.ForwardAt(xv);
       nn::TanhInPlace(h);
       const nn::Matrix h_act = h;
 
       // Reconstruction branch.
-      nn::Matrix recon = decoder.Forward(h_act);
+      nn::Matrix recon = decoder.ForwardAt(h_act);
       nn::Matrix drecon(1, config_.feature_dim);
       auto t = target.Row(v);
       auto r = recon.Row(0);
@@ -340,7 +340,7 @@ Result<nn::Matrix> Anrl::Embed(const AttributedGraph& graph) {
       for (size_t j = 0; j < config_.feature_dim; ++j) {
         dr[j] = scale * (r[j] - t[j]);
       }
-      nn::Matrix dh = decoder.Backward(drecon);
+      nn::Matrix dh = decoder.BackwardAt(h_act, drecon);
 
       // Skip-gram branch through the encoder output.
       auto it = contexts.find(v);
@@ -359,7 +359,7 @@ Result<nn::Matrix> Anrl::Embed(const AttributedGraph& graph) {
         }
       }
 
-      encoder.Backward(nn::TanhBackward(h_act, dh));
+      encoder.BackwardAt(xv, nn::TanhBackward(h_act, dh));
       encoder.Apply(opt);
       decoder.Apply(opt);
     }
@@ -370,7 +370,7 @@ Result<nn::Matrix> Anrl::Embed(const AttributedGraph& graph) {
   for (VertexId v = 0; v < n; ++v) {
     auto src = x.Row(v);
     std::copy(src.begin(), src.end(), xv.Row(0).begin());
-    nn::Matrix h = encoder.Forward(xv);
+    nn::Matrix h = encoder.ForwardAt(xv);
     nn::TanhInPlace(h);
     auto dst = out.Row(v);
     auto hr = h.Row(0);

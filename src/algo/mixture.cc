@@ -120,7 +120,7 @@ void InteractionAutoencoder::Train(
           x.At(0, it) = 1.0f;
         }
       }
-      nn::Matrix mu = encoder_.Forward(x);
+      nn::Matrix mu = encoder_.ForwardAt(x);
       nn::TanhInPlace(mu);
       const nn::Matrix mu_act = mu;
 
@@ -135,7 +135,7 @@ void InteractionAutoencoder::Train(
         }
       }
 
-      nn::Matrix logits = decoder_.Forward(z);
+      nn::Matrix logits = decoder_.ForwardAt(z);
       // Multi-hot BCE against the uncorrupted interactions.
       nn::Matrix dlogits(1, num_items_);
       for (size_t j = 0; j < num_items_; ++j) {
@@ -145,7 +145,7 @@ void InteractionAutoencoder::Train(
         dlogits.At(0, j) =
             (SigmoidF(logits.At(0, j)) - label) / num_items_;
       }
-      nn::Matrix dz = decoder_.Backward(dlogits);
+      nn::Matrix dz = decoder_.BackwardAt(z, dlogits);
 
       if (config_.variational) {
         // KL(N(mu, sigma) || N(0,1)) gradients: dmu += beta*mu,
@@ -162,7 +162,7 @@ void InteractionAutoencoder::Train(
         enc_logvar_.Apply(opt);
       }
 
-      encoder_.Backward(nn::TanhBackward(mu_act, dz));
+      encoder_.BackwardAt(x, nn::TanhBackward(mu_act, dz));
       encoder_.Apply(opt);
       decoder_.Apply(opt);
     }

@@ -197,16 +197,6 @@ Result<Cluster> Cluster::Build(const AttributedGraph& graph,
   }
 
   if (obs::MetricsRegistry* reg = obs::Default()) {
-    cluster.obs_.local_reads = reg->GetCounter("comm.local_reads");
-    cluster.obs_.replica_reads = reg->GetCounter("comm.replica_reads");
-    cluster.obs_.cache_hits = reg->GetCounter("comm.cache_hits");
-    cluster.obs_.remote_reads = reg->GetCounter("comm.remote_reads");
-    cluster.obs_.remote_batches = reg->GetCounter("comm.remote_batches");
-    cluster.obs_.batched_remote_reads =
-        reg->GetCounter("comm.batched_remote_reads");
-    cluster.obs_.retry_attempts = reg->GetCounter("retry.attempts");
-    cluster.obs_.retry_backoff_us = reg->GetCounter("retry.backoff_us");
-    cluster.obs_.failed_reads = reg->GetCounter("comm.failed_reads");
     reg->GetGauge("cluster.workers")->Set(num_workers);
     reg->GetGauge("cluster.vertices")
         ->Set(static_cast<double>(graph.num_vertices()));
@@ -261,19 +251,6 @@ void Cluster::Charge(WorkerId from, const ReadTally& tally, CommStats* stats) {
     add(stats->retry_backoff_us, tally.backoff_us);
     add(stats->failed_reads, tally.failed);
   }
-  if (obs_.local_reads == nullptr) return;  // all handles or none
-  auto count = [](obs::Counter* counter, uint64_t n) {
-    if (n != 0) counter->Add(n);
-  };
-  count(obs_.local_reads, tally.local);
-  count(obs_.replica_reads, tally.replica);
-  count(obs_.cache_hits, tally.hit);
-  count(obs_.remote_reads, tally.remote);
-  count(obs_.batched_remote_reads, tally.batched_remote);
-  count(obs_.remote_batches, tally.batches);
-  count(obs_.retry_attempts, tally.retries);
-  count(obs_.retry_backoff_us, tally.backoff_us);
-  count(obs_.failed_reads, tally.failed);
 }
 
 std::span<const Neighbor> Cluster::ReadNeighbors(WorkerId from, VertexId v,
@@ -569,13 +546,6 @@ Status Cluster::ApplyUpdateBatch(std::span<const EdgeUpdate> updates,
   // walks past them.
   const uint64_t published = epochs_->Advance();
 
-  if (obs::MetricsRegistry* reg = obs::Default()) {
-    reg->GetCounter("update.batches")->Add(1);
-    reg->GetCounter("update.edges_applied")->Add(applied);
-    reg->GetCounter("update.skipped")->Add(skipped);
-    reg->GetCounter("update.versions_pruned")->Add(pruned);
-    reg->GetGauge("update.epoch")->Set(static_cast<double>(published));
-  }
   if (report != nullptr) {
     report->epoch = published;
     report->applied = applied;

@@ -30,10 +30,6 @@
 
 namespace aligraph {
 
-namespace obs {
-class Counter;
-}  // namespace obs
-
 /// \brief Timing breakdown of a distributed build (Figure 7).
 struct ClusterBuildReport {
   double partition_ms = 0;       ///< partitioning the vertex set
@@ -252,24 +248,6 @@ class Cluster {
  private:
   Cluster() = default;
 
-  /// Registry handles mirroring the CommStats fields, resolved at Build
-  /// time from the default metrics registry (all null when observability is
-  /// detached — attach the registry before building the cluster). Charge
-  /// increments both a CommStats counter and, when attached, the matching
-  /// "comm.*" registry counter, so the registry view stays consistent with
-  /// any Snapshot::Delta over the same window.
-  struct CommCounters {
-    obs::Counter* local_reads = nullptr;
-    obs::Counter* replica_reads = nullptr;
-    obs::Counter* cache_hits = nullptr;
-    obs::Counter* remote_reads = nullptr;
-    obs::Counter* remote_batches = nullptr;
-    obs::Counter* batched_remote_reads = nullptr;
-    obs::Counter* retry_attempts = nullptr;
-    obs::Counter* retry_backoff_us = nullptr;
-    obs::Counter* failed_reads = nullptr;
-  };
-
   /// Where one read of v issued by worker `from` is served. `worker` and
   /// `row` locate the storage the read views: `from`'s own row for local
   /// and replica reads, the owner's row for a cache hit, and the serving
@@ -319,9 +297,9 @@ class Cluster {
   };
 
   /// The one charge point of every read path: adds `tally` to `stats`
-  /// (when non-null), to the comm.* registry counters (when attached) and
-  /// to served_reads_ (`from` for local, replica and hit slots; each
-  /// remote_served worker for what it sent).
+  /// (when non-null) and to served_reads_ (`from` for local, replica and
+  /// hit slots; each remote_served worker for what it sent). The caller's
+  /// CommStats is the only record of the read counts.
   void Charge(WorkerId from, const ReadTally& tally, CommStats* stats);
 
   /// The per-vertex neighbor read behind both GetNeighbors overloads.
@@ -421,7 +399,6 @@ class Cluster {
   }
 
   const AttributedGraph* graph_ = nullptr;
-  CommCounters obs_;
   /// Heap-held so the servers' pointers to it survive moving the cluster.
   std::unique_ptr<Placement> plan_;
   std::vector<std::unique_ptr<GraphServer>> servers_;

@@ -2,8 +2,6 @@
 
 #include <sstream>
 
-#include "obs/metrics.h"
-
 namespace aligraph {
 
 const char* FaultKindName(FaultKind kind) {
@@ -28,10 +26,6 @@ std::string FaultConfig::ToString() const {
   return os.str();
 }
 
-FaultInjector::FaultInjector(FaultConfig config)
-    : config_(std::move(config)),
-      obs_injected_(obs::DefaultCounter("fault.injected")) {}
-
 FaultDecision FaultInjector::Decide(WorkerId from, WorkerId to,
                                     uint64_t request_key,
                                     uint32_t attempt) const {
@@ -46,10 +40,6 @@ FaultDecision FaultInjector::Decide(WorkerId from, WorkerId to,
                                                    : 0.0;
     }
     // A scheduled worker never also draws from the probability model.
-    if (d.kind != FaultKind::kNone) {
-      injected_.fetch_add(1, std::memory_order_relaxed);
-      if (obs_injected_ != nullptr) obs_injected_->Add(1);
-    }
     return d;
   }
 
@@ -70,10 +60,6 @@ FaultDecision FaultInjector::Decide(WorkerId from, WorkerId to,
              config_.transient_prob + config_.timeout_prob + config_.slow_prob) {
     d.kind = FaultKind::kSlow;
     d.latency_us = config_.slow_latency_us;
-  }
-  if (d.kind != FaultKind::kNone) {
-    injected_.fetch_add(1, std::memory_order_relaxed);
-    if (obs_injected_ != nullptr) obs_injected_->Add(1);
   }
   return d;
 }

@@ -23,19 +23,15 @@
 #ifndef ALIGRAPH_FAULT_FAULT_INJECTOR_H_
 #define ALIGRAPH_FAULT_FAULT_INJECTOR_H_
 
-#include <atomic>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
 #include "graph/types.h"
 
 namespace aligraph {
-
-namespace obs {
-class Counter;
-}  // namespace obs
 
 /// \brief What the injector did to one request attempt.
 enum class FaultKind : uint8_t {
@@ -93,14 +89,12 @@ struct FaultConfig {
   std::string ToString() const;
 };
 
-/// \brief Judges request attempts against a FaultConfig. Thread-safe: the
-/// decision is a pure hash of its arguments; only the injected-fault
-/// counter is (relaxed) shared state.
+/// \brief Judges request attempts against a FaultConfig. Stateless and
+/// thread-safe: the decision is a pure hash of its arguments. The cluster's
+/// retry layer counts the faults it is handed in CommStats::faults_injected.
 class FaultInjector {
  public:
-  /// Resolves the "fault.injected" counter from the default metrics
-  /// registry at construction (null when observability is detached).
-  explicit FaultInjector(FaultConfig config);
+  explicit FaultInjector(FaultConfig config) : config_(std::move(config)) {}
 
   const FaultConfig& config() const { return config_; }
   bool enabled() const { return config_.Active(); }
@@ -111,15 +105,8 @@ class FaultInjector {
   FaultDecision Decide(WorkerId from, WorkerId to, uint64_t request_key,
                        uint32_t attempt) const;
 
-  /// Total faults injected (transient + timeout + slow) since construction.
-  uint64_t injected() const {
-    return injected_.load(std::memory_order_relaxed);
-  }
-
  private:
   FaultConfig config_;
-  mutable std::atomic<uint64_t> injected_{0};
-  obs::Counter* obs_injected_ = nullptr;
 };
 
 }  // namespace aligraph

@@ -7,17 +7,6 @@
 namespace aligraph {
 namespace nn {
 
-Matrix Linear::Forward(const Matrix& x) {
-  last_input_ = x;
-  Matrix y = MatMul(x, w_.value);
-  AddBiasRow(y, b_.value);
-  return y;
-}
-
-Matrix Linear::Backward(const Matrix& grad_out) {
-  return BackwardAt(last_input_, grad_out);
-}
-
 Matrix Linear::ForwardAt(const Matrix& x) const {
   Matrix y = MatMul(x, w_.value);
   AddBiasRow(y, b_.value);

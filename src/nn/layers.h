@@ -22,17 +22,11 @@ class Linear {
       : w_(Matrix::Xavier(in_dim, out_dim, rng)),
         b_(Matrix(1, out_dim)) {}
 
-  /// Forward; caches the input for the next Backward call.
-  Matrix Forward(const Matrix& x);
-
-  /// Backward: accumulates dW, db from dY and returns dX.
-  Matrix Backward(const Matrix& grad_out);
-
-  /// Stateless variants for layers used at several sites in one step: the
-  /// caller keeps the input and passes it back at backward time.
+  /// Y = X W + b. The layer keeps no state between calls: the caller keeps
+  /// X and passes it back to BackwardAt.
   Matrix ForwardAt(const Matrix& x) const;
-  /// dW += X^T dY, db += colsum(dY), returns dX = dY W^T, both products
-  /// under MatMul's contract.
+  /// Backward of a ForwardAt(x): dW += X^T dY, db += colsum(dY), returns
+  /// dX = dY W^T, both products under MatMul's contract.
   Matrix BackwardAt(const Matrix& x, const Matrix& grad_out);
 
   /// Applies the optimizer to both parameters and clears gradients.
@@ -49,7 +43,6 @@ class Linear {
  private:
   Param w_;
   Param b_;
-  Matrix last_input_;
 };
 
 /// \brief Embedding table with sparse SGD updates, the dominant parameter

@@ -10,19 +10,15 @@ namespace ops {
 
 HopEmbeddingCache::HopEmbeddingCache(size_t dim)
     : dim_(dim),
-      obs_hits_(obs::DefaultCounter("hop_cache.hits")),
-      obs_misses_(obs::DefaultCounter("hop_cache.misses")),
       obs_reused_rows_(obs::DefaultCounter("block.reused_rows")) {}
 
 std::span<const float> HopEmbeddingCache::Lookup(int hop, VertexId v) {
   auto it = index_.find(Key(hop, v));
   if (it == index_.end()) {
     ++misses_;
-    if (obs_misses_ != nullptr) obs_misses_->Add(1);
     return {};
   }
   ++hits_;
-  if (obs_hits_ != nullptr) obs_hits_->Add(1);
   return {storage_.data() + it->second, dim_};
 }
 
@@ -59,10 +55,6 @@ size_t HopEmbeddingCache::LookupRows(int hop,
     (*present)[i] = 1;
     ++hits_;
     ++found;
-  }
-  if (obs_hits_ != nullptr && found > 0) obs_hits_->Add(found);
-  if (obs_misses_ != nullptr && found < globals.size()) {
-    obs_misses_->Add(globals.size() - found);
   }
   if (obs_reused_rows_ != nullptr && found > 0) obs_reused_rows_->Add(found);
   return found;

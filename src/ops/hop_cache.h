@@ -27,10 +27,8 @@ namespace ops {
 
 /// \brief Per-mini-batch store of hˆ(k)_v rows, keyed by (hop, vertex).
 ///
-/// Lookups also feed the "hop_cache.hits" / "hop_cache.misses" counters of
-/// the default metrics registry when one is attached at construction, so
-/// reports can derive the Table 5 hit ratio without reaching into the
-/// class.
+/// hits(), misses() and HitRate() are the only record of its lookups (the
+/// Table 5 hit ratio).
 class HopEmbeddingCache {
  public:
   explicit HopEmbeddingCache(size_t dim);
@@ -79,8 +77,6 @@ class HopEmbeddingCache {
   std::vector<float> storage_;
   size_t hits_ = 0;
   size_t misses_ = 0;
-  obs::Counter* obs_hits_ = nullptr;
-  obs::Counter* obs_misses_ = nullptr;
   obs::Counter* obs_reused_rows_ = nullptr;
 };
 

@@ -48,14 +48,6 @@ size_t BlockEdges(const block::SampledBlock& blk) {
   return edges;
 }
 
-void Count(obs::Counter* c, uint64_t n = 1) {
-  if (c != nullptr) c->Add(n);
-}
-
-void Observe(obs::Histogram* h, double v) {
-  if (h != nullptr) h->Record(v);
-}
-
 }  // namespace
 
 std::string LatencyReport::ToString() const {
@@ -110,12 +102,6 @@ ServeEngine::ServeEngine(const AttributedGraph& graph,
       layer1_(features.cols(), config.dim, /*maxpool=*/false, rng_),
       layer2_(config.dim, config.dim, /*maxpool=*/false, rng_,
               /*relu=*/false),
-      offered_(obs::DefaultCounter("serve.offered")),
-      completed_(obs::DefaultCounter("serve.completed")),
-      shed_(obs::DefaultCounter("serve.shed")),
-      deadline_missed_(obs::DefaultCounter("serve.deadline_missed")),
-      modeled_latency_(obs::DefaultHistogram("serve.modeled_latency_us")),
-      queue_wait_(obs::DefaultHistogram("serve.queue_wait_us")),
       wall_latency_(obs::DefaultHistogram("serve.wall_latency_us")) {
   ALIGRAPH_CHECK_GT(config_.max_in_flight, 0u);
   ALIGRAPH_CHECK_GT(config_.lanes, 0u);
@@ -213,7 +199,6 @@ LatencyReport ServeEngine::Run(const LoadGenerator& gen) {
         r.arrival_us = arrival;
         if (first_arrival < 0.0) first_arrival = arrival;
         last_event = std::max(last_event, arrival);
-        Count(offered_);
         if (timeline_) timeline_->offered.Count(arrival);
 
         // The budget's trace id is the batch root minted by the pipeline
@@ -232,7 +217,6 @@ LatencyReport ServeEngine::Run(const LoadGenerator& gen) {
         if (inflight.size() >= config_.max_in_flight) {
           r.outcome = RequestOutcome::kShed;
           ++shed_count;
-          Count(shed_);
           // A shed request spends no modeled time: total stays 0 so it
           // never dilutes attribution coverage, but the outcome is kept so
           // the flight recorder's uniform sample shows sheds in proportion.
@@ -272,7 +256,6 @@ LatencyReport ServeEngine::Run(const LoadGenerator& gen) {
         if (finish - arrival > config_.deadline_us) {
           r.outcome = RequestOutcome::kDeadlineMissed;
           ++missed_count;
-          Count(deadline_missed_);
           // The client waited out its whole budget before giving up: the
           // abandoned request's modeled cost is the deadline, charged to a
           // single component (the wait bought nothing decomposable).
@@ -303,8 +286,6 @@ LatencyReport ServeEngine::Run(const LoadGenerator& gen) {
         r.latency_us = finish - arrival;
         r.queue_wait_us = start - arrival;
         latencies.Add(r.latency_us);
-        Observe(modeled_latency_, r.latency_us);
-        Observe(queue_wait_, r.queue_wait_us);
         // Budget the completed request by cause. total_us is derived
         // independently (finish - arrival), so coverage stays an honest
         // accounting check rather than a tautology.
@@ -334,8 +315,9 @@ LatencyReport ServeEngine::Run(const LoadGenerator& gen) {
       [&](size_t id, const block::SampledBlock& blk, const nn::Matrix& x,
           std::any&) {
         results_[id].fingerprint = Embed(blk, x);
-        Count(completed_);
-        Observe(wall_latency_, wall_start[id].ElapsedMicros());
+        if (wall_latency_ != nullptr) {
+          wall_latency_->Record(wall_start[id].ElapsedMicros());
+        }
       });
   // The lanes are owned by `pipe` and cannot have been shut down here.
   ALIGRAPH_CHECK(run.ok());

@@ -24,21 +24,23 @@
 ///     schedules and sanitizers. These are the numbers bench_serve gates
 ///     against bench/baseline.json. Service cost is charged per request
 ///     from an explicit cost model (base + per-edge + per-row), mirroring
-///     how the cluster's CommModel charges modeled communication.
+///     how the cluster's CommModel charges modeled communication. Its
+///     counts and latencies are returned in LatencyReport and results(),
+///     not copied into the metrics registry.
 ///   - The MEASURED wall clock times the actual sample/gather/forward work
-///     into obs histograms ("serve.wall_latency_us") and the trace. It is
+///     into the "serve.wall_latency_us" histogram and the trace. It is
 ///     reported for eyeballing, never gated.
 ///
 /// CONTROL LOOP, per offered request (modeled clock, sample stage):
 ///   1. completions with finish <= arrival retire; in-flight = live count.
-///   2. admission: in-flight >= max_in_flight -> SHED ("serve.shed",
+///   2. admission: in-flight >= max_in_flight -> SHED (LatencyReport::shed,
 ///      Result::kResourceExhausted semantics — local backpressure, the
 ///      client may retry). Shed requests never touch the sampler.
 ///   3. the k-hop block is sampled (the engine must know the request's
 ///      shape to price it); service = cost model over edges + rows.
 ///   4. deadline: queue wait + service past deadline_us -> ABANDONED
-///      ("serve.deadline_missed") without occupying a lane — a reply the
-///      client gave up on is pure waste, so it is never served.
+///      (LatencyReport::deadline_missed) without occupying a lane — a reply
+///      the client gave up on is pure waste, so it is never served.
 ///   5. else the earliest-free lane is charged and the request completes
 ///      at start + service; its latency (finish - arrival) feeds the
 ///      report. Gather + forward then run on the real lanes for the
@@ -70,7 +72,6 @@
 namespace aligraph {
 
 namespace obs {
-class Counter;
 class FlightRecorder;
 class Histogram;
 }  // namespace obs
@@ -257,13 +258,9 @@ class ServeEngine {
   std::unique_ptr<ServeTimeline> timeline_;
   obs::FlightRecorder* recorder_ = nullptr;
 
-  // Handles from the default registry at construction (null when detached).
-  obs::Counter* offered_ = nullptr;
-  obs::Counter* completed_ = nullptr;
-  obs::Counter* shed_ = nullptr;
-  obs::Counter* deadline_missed_ = nullptr;
-  obs::Histogram* modeled_latency_ = nullptr;
-  obs::Histogram* queue_wait_ = nullptr;
+  // The measured clock's only record: "serve.wall_latency_us" from the
+  // default registry at construction (null when detached). The modeled
+  // counts and latencies live in LatencyReport and results().
   obs::Histogram* wall_latency_ = nullptr;
 };
 

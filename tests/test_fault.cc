@@ -69,16 +69,17 @@ TEST(FaultInjectorTest, SameSeedSameDecisions) {
   const FaultConfig cfg = TransientConfig(/*seed=*/42, /*p=*/0.3);
   FaultInjector a(cfg);
   FaultInjector b(cfg);
+  uint64_t faulted = 0;
   for (uint64_t key = 0; key < 500; ++key) {
     for (uint32_t attempt = 1; attempt <= 3; ++attempt) {
       const FaultDecision da = a.Decide(0, 1, Mix64(key), attempt);
       const FaultDecision db = b.Decide(0, 1, Mix64(key), attempt);
       EXPECT_EQ(da.kind, db.kind);
       EXPECT_EQ(da.latency_us, db.latency_us);
+      faulted += da.kind != FaultKind::kNone;
     }
   }
-  EXPECT_EQ(a.injected(), b.injected());
-  EXPECT_GT(a.injected(), 0u);
+  EXPECT_GT(faulted, 0u);
 }
 
 TEST(FaultInjectorTest, DifferentSeedsDisagreeSomewhere) {
@@ -131,10 +132,11 @@ TEST(FaultInjectorTest, TimeoutAndSlowCarryLatency) {
 TEST(FaultInjectorTest, InactiveConfigInjectsNothing) {
   FaultInjector inj(FaultConfig{});
   EXPECT_FALSE(inj.enabled());
+  uint64_t faulted = 0;
   for (uint64_t key = 0; key < 100; ++key) {
-    EXPECT_EQ(inj.Decide(0, 1, key, 1).kind, FaultKind::kNone);
+    faulted += inj.Decide(0, 1, key, 1).kind != FaultKind::kNone;
   }
-  EXPECT_EQ(inj.injected(), 0u);
+  EXPECT_EQ(faulted, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -555,6 +557,9 @@ std::map<std::string, uint64_t> RunSeededFaultSweep(uint64_t seed,
   EXPECT_EQ(sample.hops[1].size(), roots.size() * 4 * 3);  // zero aborts
   EXPECT_TRUE(sample.partial);
 
+  // The fault counts live in CommStats; the registry holds the sampler's
+  // degradation counter. Export one beside the other to compare whole runs.
+  stats.snapshot().ExportTo(*reg, "comm");
   std::map<std::string, uint64_t> counters = reg->Snapshot().counters;
   obs::SetDefault(nullptr);
   return counters;
@@ -563,9 +568,9 @@ std::map<std::string, uint64_t> RunSeededFaultSweep(uint64_t seed,
 TEST(FaultAcceptanceTest, SeededRunMovesCountersAndReplaysExactly) {
   obs::MetricsRegistry reg1;
   const auto run1 = RunSeededFaultSweep(97, &reg1);
-  ASSERT_GT(run1.at("fault.injected"), 0u);
-  ASSERT_GT(run1.at("retry.attempts"), 0u);
-  ASSERT_GT(run1.at("retry.backoff_us"), 0u);
+  ASSERT_GT(run1.at("comm.faults_injected"), 0u);
+  ASSERT_GT(run1.at("comm.retry_attempts"), 0u);
+  ASSERT_GT(run1.at("comm.retry_backoff_us"), 0u);
   ASSERT_GT(run1.at("degraded.samples"), 0u);
   ASSERT_GT(run1.at("comm.failed_reads"), 0u);
 

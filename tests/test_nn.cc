@@ -223,10 +223,10 @@ TEST(LinearTest, GradientCheck) {
   Rng rng(5);
   Linear layer(3, 2, rng);
   Matrix x = Matrix::Gaussian(4, 3, 1.0f, rng);
-  Matrix y = layer.Forward(x);
+  Matrix y = layer.ForwardAt(x);
   Matrix ones(y.rows(), y.cols());
   ones.Fill(1.0f);
-  Matrix dx = layer.Backward(ones);
+  Matrix dx = layer.BackwardAt(x, ones);
 
   const float eps = 1e-3f;
   auto loss = [&](const Matrix& input) {

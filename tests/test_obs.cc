@@ -506,9 +506,9 @@ TEST(RunReportTest, JsonFileRoundTrip) {
 }
 
 // ---------------------------------------------------------------------------
-// Cluster comm counters vs CommStats
+// Cluster reads are counted once, in the caller's CommStats
 
-TEST(ObsIntegrationTest, CommCountersMatchSnapshotDelta) {
+TEST(ObsIntegrationTest, ClusterChargesCommStatsOnly) {
   obs::MetricsRegistry registry;
   obs::SetDefault(&registry);
 
@@ -524,7 +524,6 @@ TEST(ObsIntegrationTest, CommCountersMatchSnapshotDelta) {
   cluster.InstallTopImportanceCache(/*k=*/1, 0.1);
 
   CommStats stats;
-  const CommStats::Snapshot before = stats.snapshot();
 
   // Per-vertex reads from every worker touch the local, replica, cached and
   // remote paths.
@@ -543,18 +542,22 @@ TEST(ObsIntegrationTest, CommCountersMatchSnapshotDelta) {
 
   obs::SetDefault(nullptr);
 
-  const CommStats::Snapshot delta = stats.snapshot().Delta(before);
+  const CommStats::Snapshot counts = stats.snapshot();
+  EXPECT_GT(counts.local_reads, 0u);
+  EXPECT_GT(counts.replica_reads, 0u);
+  EXPECT_GT(counts.cache_hits, 0u);
+  EXPECT_GT(counts.remote_reads, 0u);
+  EXPECT_GT(counts.remote_batches, 0u);
+  EXPECT_GT(counts.batched_remote_reads, 0u);
+
+  // The registry keeps what nothing else records (the cluster's shape), and
+  // no copy of the read counts the caller's CommStats already holds.
   const obs::MetricsSnapshot snap = registry.Snapshot();
-  EXPECT_EQ(snap.counters.at("comm.local_reads"), delta.local_reads);
-  EXPECT_EQ(snap.counters.at("comm.replica_reads"), delta.replica_reads);
-  EXPECT_GT(delta.replica_reads, 0u);
-  EXPECT_EQ(snap.counters.at("comm.cache_hits"), delta.cache_hits);
-  EXPECT_EQ(snap.counters.at("comm.remote_reads"), delta.remote_reads);
-  EXPECT_EQ(snap.counters.at("comm.remote_batches"), delta.remote_batches);
-  EXPECT_EQ(snap.counters.at("comm.batched_remote_reads"),
-            delta.batched_remote_reads);
-  EXPECT_GT(delta.TotalReads(), 0u);
   EXPECT_DOUBLE_EQ(snap.gauges.at("cluster.workers"), 3.0);
+  for (const auto& [name, value] : snap.counters) {
+    EXPECT_NE(name.rfind("comm.", 0), 0u) << name;
+    EXPECT_NE(name.rfind("retry.", 0), 0u) << name;
+  }
 }
 
 TEST(ObsIntegrationTest, ExportToMirrorsSnapshotFields) {
