@@ -2,10 +2,11 @@
 /// \brief google-benchmark micro-benchmarks for the hot primitives the
 /// system layers are built from: alias-table sampling, LRU access, CSR
 /// neighbor scans, importance computation, the dense GEMM behind
-/// AGGREGATE/COMBINE and online update batches.
+/// AGGREGATE/COMBINE, online update batches and batched cluster reads.
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <numeric>
 #include <vector>
 
@@ -365,6 +366,98 @@ BENCHMARK(BM_ApplyUpdateBatch)
     ->Arg(200)
     ->Iterations(20)
     ->Unit(benchmark::kMicrosecond);
+
+// khop_cluster's read shape: a 4-worker hybrid cluster with the importance
+// cache at tau = 10 on 1- and 2-hop importance, over a 500k-vertex ChungLu
+// graph, and the frontiers (about 500 unique vertices each) of 16 fixed
+// two-hop blocks of 30 random roots, fans 10/5.
+struct ClusterReadFixture {
+  std::unique_ptr<AttributedGraph> graph;
+  std::unique_ptr<Cluster> cluster;
+  std::vector<std::vector<VertexId>> frontiers;
+};
+
+const ClusterReadFixture& BenchClusterRead() {
+  static const ClusterReadFixture* f = [] {
+    auto* fx = new ClusterReadFixture;
+    gen::ChungLuConfig cfg;
+    cfg.num_vertices = 500000;
+    cfg.avg_degree = 8;
+    cfg.seed = 5;
+    fx->graph =
+        std::make_unique<AttributedGraph>(std::move(gen::ChungLu(cfg)).value());
+    auto partitioner = std::move(MakePartitioner("hybrid")).value();
+    fx->cluster = std::make_unique<Cluster>(
+        std::move(Cluster::Build(*fx->graph, *partitioner, 4)).value());
+    fx->cluster->InstallImportanceCache(2, {10.0, 10.0});
+    LocalNeighborSource source(*fx->graph);
+    NeighborhoodSampler sampler(NeighborStrategy::kUniform, 3);
+    Rng rng(17);
+    const std::vector<uint32_t> fans{10, 5};
+    for (int b = 0; b < 16; ++b) {
+      std::vector<VertexId> roots(30);
+      for (VertexId& r : roots) {
+        r = static_cast<VertexId>(rng.Uniform(cfg.num_vertices));
+      }
+      const block::SampledBlock blk = sampler.SampleBlock(
+          source, roots, NeighborhoodSampler::kAllEdgeTypes, fans);
+      fx->frontiers.emplace_back(blk.globals().begin(), blk.globals().end());
+    }
+    return fx;
+  }();
+  return *f;
+}
+
+// One batched read of each frontier in turn, as khop_cluster's sample and
+// gather stages issue it. Arg 0 = neighbors (NeighborsBatch), 1 =
+// attributes (a 32-column Gather; the graph has no attribute payloads, so
+// both sources only resolve attribute ids).
+void RunBatchRead(benchmark::State& state, NeighborSource& neighbors,
+                  block::FeatureSource& features) {
+  const ClusterReadFixture& f = BenchClusterRead();
+  const bool attrs = state.range(0) == 1;
+  std::vector<nn::Matrix> xs;
+  for (const std::vector<VertexId>& frontier : f.frontiers) {
+    xs.emplace_back(frontier.size(), features.dim());
+  }
+  BatchResult out;
+  size_t k = 0;
+  int64_t items = 0;
+  for (auto _ : state) {
+    const size_t b = k++ % f.frontiers.size();
+    const std::vector<VertexId>& frontier = f.frontiers[b];
+    if (attrs) {
+      benchmark::DoNotOptimize(features.Gather(frontier, &xs[b]));
+    } else {
+      benchmark::DoNotOptimize(
+          neighbors.NeighborsBatch(frontier, kAllEdgeTypes, &out));
+    }
+    items += static_cast<int64_t>(frontier.size());
+  }
+  state.SetItemsProcessed(items);
+  state.counters["frontier"] = static_cast<double>(items) /
+                               static_cast<double>(state.iterations());
+}
+
+// Through the cluster from worker 0 (local, replica, cached and remote
+// slots). Read against BM_CsrBatchRead for the cluster / CSR ratio.
+void BM_ClusterBatchRead(benchmark::State& state) {
+  const ClusterReadFixture& f = BenchClusterRead();
+  CommStats stats;
+  DistributedNeighborSource neighbors(*f.cluster, /*worker=*/0, &stats);
+  block::ClusterFeatureSource features(*f.cluster, /*worker=*/0, 32, &stats);
+  RunBatchRead(state, neighbors, features);
+}
+BENCHMARK(BM_ClusterBatchRead)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+// The same reads on the graph's own CSR.
+void BM_CsrBatchRead(benchmark::State& state) {
+  const ClusterReadFixture& f = BenchClusterRead();
+  LocalNeighborSource neighbors(*f.graph);
+  block::GraphFeatureSource features(*f.graph, 32);
+  RunBatchRead(state, neighbors, features);
+}
+BENCHMARK(BM_CsrBatchRead)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace aligraph

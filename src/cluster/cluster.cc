@@ -31,106 +31,97 @@ uint64_t AttrRequestKey(VertexId v) {
 
 constexpr uint64_t kAttrBatchTag = 0x61'6263ULL;  // "abc" (attr batch)
 
-/// The remote residue of one batched read: its unique vertices in
-/// first-occurrence order, each with the worker that serves it, its row
-/// there and its resolved version, and every remote slot with the index of
-/// its unique vertex.
-/// Deduplication uses a flat linear-probing table sized for the batch, so no
-/// entry allocates.
+/// The remote residue of one batched read, as the requests it coalesces
+/// into: one per serving worker, each keeping its unique-vertex count, its
+/// request key and a chain through the first-occurrence slots of its
+/// vertices. The key is a fold over the request's vertices in
+/// first-occurrence order, taken as each is first seen: pure in the
+/// request's payload, so two identical runs judge identical requests
+/// identically regardless of call order. Deduplication uses a flat
+/// linear-probing set sized for the batch, so no entry allocates.
 class RemoteResidue {
  public:
-  explicit RemoteResidue(size_t batch_size) : batch_size_(batch_size) {}
+  RemoteResidue(size_t batch_size, size_t num_workers, uint64_t tag)
+      : batch_size_(batch_size), requests_(num_workers, Request{tag << 40}) {}
 
-  /// Records that batch slot `slot` asks for v, served by `target` from
-  /// its row `row` or from `ver` (null for attribute reads and for vertices
-  /// not updated at the read's epoch).
-  void Add(uint32_t slot, VertexId v, WorkerId target, uint32_t row,
-           const AdjVersion* ver) {
-    if (table_.empty()) {
-      table_.assign(std::bit_ceil(2 * batch_size_), kEmpty);
+  /// Records that batch slot `slot` asks worker `target` for v.
+  void Add(uint32_t slot, VertexId v, WorkerId target) {
+    if (set_.empty()) {
+      set_.assign(std::bit_ceil(2 * batch_size_), kEmpty);
+      links_.reserve(batch_size_);
     }
-    const size_t mask = table_.size() - 1;
-    for (size_t h = Mix64(v) & mask;; h = (h + 1) & mask) {
-      if (table_[h] == kEmpty) {
-        table_[h] = static_cast<uint32_t>(vertices_.size());
-        vertices_.push_back(v);
-        targets_.push_back(target);
-        rows_.push_back(row);
-        versions_.push_back(ver);
-        failed_.push_back(0);
-      } else if (vertices_[table_[h]] != v) {
+    const size_t mask = set_.size() - 1;
+    size_t h = Mix64(v) & mask;
+    for (; set_[h] != kEmpty; h = (h + 1) & mask) {
+      if (set_[h] == v) return;
+    }
+    set_[h] = v;
+    Request& r = requests_[target];
+    r.key = Mix64(r.key ^ v);
+    const uint32_t u = static_cast<uint32_t>(links_.size());
+    (r.count++ == 0 ? r.first : links_[r.last].next) = u;
+    r.last = u;
+    links_.push_back({slot, kEnd});
+  }
+
+  /// Unique remote vertices.
+  size_t size() const { return links_.size(); }
+  /// True when worker w's request was refused.
+  bool failed(WorkerId w) const { return requests_[w].failed; }
+
+  /// Judges the requests one after another, in worker order, on the calling
+  /// thread. `admit(w, key)` is request w's fault decision; a refused
+  /// request is marked failed, an admitted one is passed to `serve(w)`.
+  /// Returns the unique vertices refused.
+  template <typename Admit, typename Serve>
+  uint32_t Judge(Admit admit, Serve serve) {
+    uint32_t refused = 0;
+    for (WorkerId w = 0; w < requests_.size(); ++w) {
+      Request& r = requests_[w];
+      if (r.count == 0) continue;
+      if (!admit(w, r.key)) {
+        r.failed = true;
+        refused += r.count;
         continue;
       }
-      slots_.emplace_back(slot, table_[h]);
-      return;
+      served_.emplace_back(w, r.count);
+      serve(w);
+    }
+    return refused;
+  }
+
+  /// Calls fn on the first-occurrence slot of each vertex of worker w's
+  /// request, in first-occurrence order.
+  template <typename Fn>
+  void ForEachSlot(WorkerId w, Fn fn) const {
+    for (uint32_t u = requests_[w].first; u != kEnd; u = links_[u].next) {
+      fn(links_[u].slot);
     }
   }
 
-  size_t size() const { return vertices_.size(); }
-  VertexId vertex(uint32_t u) const { return vertices_[u]; }
-  uint32_t row(uint32_t u) const { return rows_[u]; }
-  const AdjVersion* version(uint32_t u) const { return versions_[u]; }
-  bool failed(uint32_t u) const { return failed_[u] != 0; }
-  /// Unique vertices whose request was refused.
-  size_t num_failed() const { return num_failed_; }
-  /// (batch slot, unique index) of every remote slot, in batch order.
-  const std::vector<std::pair<uint32_t, uint32_t>>& slots() const {
-    return slots_;
-  }
   /// (worker, unique vertices it sent) of every answered request.
   const std::vector<std::pair<WorkerId, uint64_t>>& served() const {
     return served_;
   }
 
-  /// Walks the coalesced requests — one per destination worker, in worker
-  /// order, each carrying its unique vertices in first-occurrence order —
-  /// on the calling thread. `admit(w, request)` is the request's fault
-  /// decision; a refused request marks its vertices failed.
-  /// `serve(w, request)` answers an admitted one. Returns the number of
-  /// workers contacted (answered requests).
-  template <typename Admit, typename Serve>
-  uint32_t ForEachRequest(size_t num_workers, Admit admit, Serve serve) {
-    uint32_t contacted = 0;
-    std::vector<uint32_t> request;
-    for (WorkerId w = 0; w < num_workers; ++w) {
-      request.clear();
-      for (uint32_t u = 0; u < targets_.size(); ++u) {
-        if (targets_[u] == w) request.push_back(u);
-      }
-      if (request.empty()) continue;
-      if (!admit(w, request)) {
-        for (const uint32_t u : request) failed_[u] = 1;
-        num_failed_ += request.size();
-        continue;
-      }
-      ++contacted;
-      served_.emplace_back(w, request.size());
-      serve(w, request);
-    }
-    return contacted;
-  }
-
-  /// Content-derived key of one coalesced request: a fold over the unique
-  /// vertices it carries. Pure in the request's payload, so two identical
-  /// runs judge identical requests identically regardless of call order.
-  uint64_t RequestKey(uint64_t tag,
-                      const std::vector<uint32_t>& request) const {
-    uint64_t key = tag << 40;
-    for (const uint32_t u : request) key = Mix64(key ^ vertices_[u]);
-    return key;
-  }
-
  private:
-  static constexpr uint32_t kEmpty = ~uint32_t{0};
+  static constexpr VertexId kEmpty = kInvalidVertex;
+  static constexpr uint32_t kEnd = ~uint32_t{0};
+  struct Request {
+    uint64_t key;
+    uint32_t count = 0;     // unique vertices
+    uint32_t first = kEnd;  // chain head and tail (indices into links_)
+    uint32_t last = kEnd;
+    bool failed = false;
+  };
+  struct Link {
+    uint32_t slot;  // the vertex's first-occurrence slot
+    uint32_t next;  // the request's next vertex, or kEnd
+  };
   size_t batch_size_;
-  std::vector<uint32_t> table_;  // unique index per probe cell, or kEmpty
-  std::vector<VertexId> vertices_;
-  std::vector<WorkerId> targets_;
-  std::vector<uint32_t> rows_;
-  std::vector<const AdjVersion*> versions_;
-  std::vector<uint8_t> failed_;
-  size_t num_failed_ = 0;
-  std::vector<std::pair<uint32_t, uint32_t>> slots_;
+  std::vector<VertexId> set_;  // the remote vertices seen, or kEmpty
+  std::vector<Link> links_;    // one per unique vertex, first-occurrence order
+  std::vector<Request> requests_;
   std::vector<std::pair<WorkerId, uint64_t>> served_;
 };
 
@@ -206,10 +197,11 @@ Result<Cluster> Cluster::Build(const AttributedGraph& graph,
   return cluster;
 }
 
-// Forced inline: the batch loops call this once per slot. As an
-// out-of-line call it cost a two-reader khop_cluster-style loop about 15%
-// more CPU per block on a 4-vCPU x86 VM (fewer slots' cache misses in
-// flight at once).
+// Forced inline: the batch reads' route pass calls this once per slot and
+// does nothing else, so the placement-array misses of many slots can be in
+// flight at once. An out-of-line call limits that overlap; it cost a
+// two-reader khop_cluster-style loop about 15% more CPU per block on a
+// 4-vCPU x86 VM.
 [[gnu::always_inline]] inline Cluster::Route Cluster::Classify(
     WorkerId from, VertexId v, const AdjVersion* ver,
     NeighborCache* cache) const {
@@ -325,6 +317,82 @@ bool Cluster::RemoteRequestSucceeds(WorkerId from, WorkerId to,
   return success;
 }
 
+template <typename ReadSlot, typename ClearSlot>
+Status Cluster::ReadBatch(WorkerId from, std::span<const VertexId> batch,
+                          uint64_t e, NeighborCache* cache, bool fallible,
+                          uint64_t tag, const char* what, CommStats* stats,
+                          ReadSlot read, ClearSlot clear) {
+  // Route pass, in slot order, so cache lookups, recency touches and
+  // bypass invalidations keep the order of per-vertex reads. Each slot
+  // resolves its version once (kept only at a nonzero epoch): it decides
+  // whether the cache may serve the slot and is what every copy returns.
+  std::vector<Route> routes(batch.size());
+  std::vector<const AdjVersion*> versions(e != 0 ? batch.size() : 0);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const AdjVersion* ver = VersionAt(batch[i], e);
+    if (e != 0) versions[i] = ver;
+    routes[i] = Classify(from, batch[i], ver, cache);
+  }
+  auto version = [&versions](size_t i) {
+    return versions.empty() ? nullptr : versions[i];
+  };
+
+  // Read pass: every slot from its route's server. A remote slot reads the
+  // serving worker's bytes here too; a refused request clears it below.
+  for (size_t i = 0; i < batch.size(); ++i) read(i, routes[i], version(i));
+
+  // Count pass: owned, replica and cached slots count per occurrence; the
+  // remote residue is deduplicated into one request per serving worker.
+  ReadTally tally;
+  RemoteResidue remote(batch.size(), servers_.size(), tag);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    if (routes[i].kind == Route::Kind::kRemote) {
+      remote.Add(static_cast<uint32_t>(i), batch[i], routes[i].worker);
+    } else {
+      tally.Count(routes[i].kind);
+    }
+  }
+
+  // One fault decision per coalesced message, in worker order: the message
+  // is the failure domain, so all slots of a refused request fail
+  // together. The vertices of an answered request are admitted to the
+  // cache in first-occurrence order; admission runs after every slot was
+  // routed, so a repeated remote vertex of this batch is not a hit.
+  const uint32_t refused = remote.Judge(
+      [&](WorkerId w, uint64_t key) {
+        return !fallible || RemoteRequestSucceeds(from, w, key, &tally);
+      },
+      [&](WorkerId w) {
+        obs::ScopedSpan serve_span("cluster/remote_serve");
+        if (cache == nullptr) return;
+        remote.ForEachSlot(w, [&](uint32_t i) {
+          AdmitFetched(cache, version(i), batch[i]);
+        });
+      });
+  size_t failed_slots = 0;
+  if (refused != 0) {
+    for (size_t i = 0; i < batch.size(); ++i) {
+      if (routes[i].kind == Route::Kind::kRemote &&
+          remote.failed(routes[i].worker)) {
+        clear(i);
+        ++failed_slots;
+      }
+    }
+  }
+
+  // Only answered requests moved bytes: refused vertices are excluded from
+  // the payload counters (their cost lives in retry_* / failed_reads).
+  tally.remote = tally.batched_remote =
+      static_cast<uint32_t>(remote.size() - refused);
+  tally.batches = static_cast<uint32_t>(remote.served().size());
+  tally.remote_served = remote.served();
+  Charge(from, tally, stats);
+  if (failed_slots == 0) return Status::OK();
+  return Status::Unavailable(std::to_string(failed_slots) + " of " +
+                             std::to_string(batch.size()) + " " + what +
+                             " exhausted their retry budget");
+}
+
 Result<AttrId> Cluster::TryGetVertexAttr(WorkerId from, VertexId v,
                                          CommStats* stats) {
   // Attributes are immutable, so a replica copy is always current.
@@ -368,57 +436,19 @@ Status Cluster::GetVertexAttrBatchImpl(WorkerId from,
                                        std::vector<uint8_t>* ok,
                                        CommStats* stats, bool fallible) {
   obs::ScopedSpan span("cluster/attr_batch_read");
-  ids->assign(batch.size(), kNoAttr);
+  ids->resize(batch.size());
   if (ok != nullptr) ok->assign(batch.size(), 1);
-
-  // Owned and replica-held slots resolve from `from`'s own table
-  // (attributes are immutable, so a replica copy is always current, and
-  // never neighbor-cached); the remote residue is deduplicated and grouped
-  // by serving worker.
-  ReadTally tally;
-  RemoteResidue remote(batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    const VertexId v = batch[i];
-    const Route route = Classify(from, v, nullptr, nullptr);
-    if (route.kind == Route::Kind::kRemote) {
-      remote.Add(static_cast<uint32_t>(i), v, route.worker, route.row,
-                 nullptr);
-      continue;
-    }
-    (*ids)[i] = servers_[route.worker]->RowAttr(route.row);
-    tally.Count(route.kind);
-  }
-
-  // One message (and one fault decision) per destination worker.
-  std::vector<AttrId> attrs(remote.size(), kNoAttr);
-  tally.batches = remote.ForEachRequest(
-      servers_.size(),
-      [&](WorkerId w, const std::vector<uint32_t>& request) {
-        return !fallible ||
-               RemoteRequestSucceeds(
-                   from, w, remote.RequestKey(kAttrBatchTag, request), &tally);
+  // Attributes are immutable, so any copy is current and none is cached.
+  return ReadBatch(
+      from, batch, /*e=*/0, /*cache=*/nullptr, fallible, kAttrBatchTag,
+      "attr slots", stats,
+      [&](size_t i, const Route& r, const AdjVersion*) {
+        (*ids)[i] = servers_[r.worker]->RowAttr(r.row);
       },
-      [&](WorkerId w, const std::vector<uint32_t>& request) {
-        const GraphServer& srv = *servers_[w];
-        for (const uint32_t u : request) attrs[u] = srv.RowAttr(remote.row(u));
+      [&](size_t i) {
+        (*ids)[i] = kNoAttr;
+        if (ok != nullptr) (*ok)[i] = 0;
       });
-  size_t failed_slots = 0;
-  for (const auto& [slot, u] : remote.slots()) {
-    (*ids)[slot] = attrs[u];
-    if (remote.failed(u)) {
-      if (ok != nullptr) (*ok)[slot] = 0;
-      ++failed_slots;
-    }
-  }
-
-  tally.remote = tally.batched_remote =
-      static_cast<uint32_t>(remote.size() - remote.num_failed());
-  tally.remote_served = remote.served();
-  Charge(from, tally, stats);
-  if (failed_slots == 0) return Status::OK();
-  return Status::Unavailable(std::to_string(failed_slots) + " of " +
-                             std::to_string(batch.size()) +
-                             " attr slots exhausted their retry budget");
 }
 
 void Cluster::InstallFaultInjection(FaultConfig config, RetryPolicy policy) {
@@ -630,76 +660,20 @@ Status Cluster::GetNeighborsBatchImpl(WorkerId from,
                                       CommStats* stats, bool fallible,
                                       uint64_t epoch) {
   obs::ScopedSpan span("cluster/batch_read");
-  // Resolved once, so the whole batch reads one epoch even unpinned. Each
-  // slot resolves its version once; it decides whether the cache may serve
-  // the slot and is what every copy of the vertex returns.
+  // Resolved once, so the whole batch reads one epoch even unpinned.
   EpochPin pin;
   const uint64_t e = ResolveEpoch(epoch, &pin);
-  NeighborCache* cache = servers_[from]->neighbor_cache();
   out->Reset(batch.size());
-
-  // Slots with a copy `from` can read (owned, replica, cache hit) resolve
-  // immediately; the remote residue is deduplicated and grouped by its
-  // serving worker.
-  ReadTally tally;
-  RemoteResidue remote(batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    const VertexId v = batch[i];
-    const AdjVersion* ver = VersionAt(v, e);
-    const Route route = Classify(from, v, ver, cache);
-    if (route.kind == Route::Kind::kRemote) {
-      remote.Add(static_cast<uint32_t>(i), v, route.worker, route.row, ver);
-      continue;
-    }
-    out->spans[i] = servers_[route.worker]->Read(route.row, type, ver);
-    tally.Count(route.kind);
-  }
-
-  // Coalesce: ONE request per destination worker carrying all its unique
-  // vertices, served in worker order on this thread. One fault decision per
-  // coalesced message — the message is the failure domain, so all slots of
-  // a failed per-worker request fail together.
-  std::vector<std::span<const Neighbor>> views(remote.size());
-  tally.batches = remote.ForEachRequest(
-      servers_.size(),
-      [&](WorkerId w, const std::vector<uint32_t>& request) {
-        return !fallible ||
-               RemoteRequestSucceeds(
-                   from, w, remote.RequestKey(kBatchReadTag, request), &tally);
+  return ReadBatch(
+      from, batch, e, servers_[from]->neighbor_cache(), fallible,
+      kBatchReadTag, "batch slots", stats,
+      [&](size_t i, const Route& r, const AdjVersion* ver) {
+        out->spans[i] = servers_[r.worker]->Read(r.row, type, ver);
       },
-      [&](WorkerId w, const std::vector<uint32_t>& request) {
-        const GraphServer& srv = *servers_[w];
-        {
-          obs::ScopedSpan serve_span("cluster/remote_serve");
-          for (const uint32_t u : request) {
-            views[u] = srv.Read(remote.row(u), type, remote.version(u));
-          }
-        }
-        // Admission touches the cache, which is not thread-safe; this is
-        // the reading worker's thread.
-        for (const uint32_t u : request) {
-          AdmitFetched(cache, remote.version(u), remote.vertex(u));
-        }
+      [&](size_t i) {
+        out->spans[i] = {};
+        out->ok[i] = 0;
       });
-  size_t failed_slots = 0;
-  for (const auto& [slot, u] : remote.slots()) {
-    out->spans[slot] = views[u];
-    if (remote.failed(u)) {
-      out->ok[slot] = 0;
-      ++failed_slots;
-    }
-  }
-
-  // Only admitted requests moved bytes: failed vertices are excluded from
-  // the payload counters (their cost lives in retry_* / failed_reads).
-  tally.remote = tally.batched_remote =
-      static_cast<uint32_t>(remote.size() - remote.num_failed());
-  tally.remote_served = remote.served();
-  Charge(from, tally, stats);
-  if (failed_slots == 0) return Status::OK();
-  return Status::Unavailable(std::to_string(failed_slots) + " of " +
-                             std::to_string(batch.size()) +
-                             " batch slots exhausted their retry budget");
 }
 
 double Cluster::InstallImportanceCache(int depth,

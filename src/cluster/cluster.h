@@ -331,6 +331,19 @@ class Cluster {
                                 std::vector<uint8_t>* ok, CommStats* stats,
                                 bool fallible);
 
+  /// The passes both Impls run at epoch `e` (0 and a null `cache` for
+  /// attributes): route every slot in slot order, `read(i, route, ver)`
+  /// every slot, then count the owned, replica and cached slots and
+  /// deduplicate the remote ones into one request per serving worker
+  /// (keyed by `tag`). The requests are judged in worker order, `clear(i)`
+  /// empties each slot of a refused one, and the whole call is charged
+  /// once. `what` names the slots in the Unavailable message.
+  template <typename ReadSlot, typename ClearSlot>
+  Status ReadBatch(WorkerId from, std::span<const VertexId> batch, uint64_t e,
+                   NeighborCache* cache, bool fallible, uint64_t tag,
+                   const char* what, CommStats* stats, ReadSlot read,
+                   ClearSlot clear);
+
   /// True when the cache must be skipped for a read of v whose version at
   /// the read's epoch is `ver` (non-null: v was updated by then); also
   /// drops the stale entry. Mutates the cache, so it runs on the reading

@@ -434,6 +434,102 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param);
     });
 
+TEST(StorageDifferentialTest, SeventyWorkersBatchedReadsEqualPerVertexReads) {
+  // Worker ids past 64: a batch's per-worker request counts and failure
+  // flags must not live in a fixed-width worker mask.
+  const AttributedGraph g =
+      std::move(gen::Taobao(gen::TaobaoSmallConfig(0.05))).value();
+  auto partitioner = std::move(MakePartitioner("hybrid")).value();
+  constexpr uint32_t kWorkers = 70;
+  auto cluster = std::move(Cluster::Build(g, *partitioner, kWorkers)).value();
+  ASSERT_TRUE(cluster.plan().HasReplicas());
+  cluster.InstallRandomCache(0.2, 3);  // pinned, so read order cannot move it
+  const VertexId n = g.num_vertices();
+  std::vector<VertexId> all(n);
+  std::iota(all.begin(), all.end(), 0);
+
+  for (const WorkerId from : {0u, 65u, 69u}) {
+    // Neighbors: one batch over every vertex vs one read per vertex.
+    CommStats per_vertex;
+    cluster.ResetServedReads();
+    std::vector<std::span<const Neighbor>> want(n);
+    for (VertexId v = 0; v < n; ++v) {
+      want[v] = cluster.GetNeighbors(from, v, &per_vertex);
+    }
+    const std::vector<uint64_t> served = cluster.ServedReadsSnapshot();
+    size_t contacted = 0;
+    for (WorkerId w = 0; w < kWorkers; ++w) contacted += w != from && served[w];
+    ASSERT_GT(contacted, 64u) << "from=" << from;
+
+    CommStats batched;
+    cluster.ResetServedReads();
+    BatchResult out;
+    cluster.GetNeighborsBatch(from, all, kAllEdgeTypes, &out, &batched);
+    EXPECT_EQ(cluster.ServedReadsSnapshot(), served) << "from=" << from;
+    for (VertexId v = 0; v < n; ++v) {
+      EXPECT_TRUE(SameBytes(out[v], want[v])) << "v=" << v;
+    }
+    const CommStats::Snapshot p = per_vertex.snapshot();
+    const CommStats::Snapshot b = batched.snapshot();
+    EXPECT_EQ(b.local_reads, p.local_reads);
+    EXPECT_EQ(b.replica_reads, p.replica_reads);
+    EXPECT_EQ(b.cache_hits, p.cache_hits);
+    EXPECT_EQ(b.remote_reads, p.remote_reads);
+    EXPECT_EQ(b.batched_remote_reads, p.remote_reads);
+    EXPECT_EQ(b.remote_batches, contacted);
+
+    // Attributes: the same, against the per-vertex attribute read.
+    CommStats attr_per_vertex;
+    cluster.ResetServedReads();
+    std::vector<AttrId> want_ids(n);
+    for (VertexId v = 0; v < n; ++v) {
+      want_ids[v] = cluster.TryGetVertexAttr(from, v, &attr_per_vertex).value();
+    }
+    const std::vector<uint64_t> attr_served = cluster.ServedReadsSnapshot();
+    CommStats attr_batched;
+    cluster.ResetServedReads();
+    std::vector<AttrId> ids;
+    cluster.GetVertexAttrBatch(from, all, &ids, &attr_batched);
+    EXPECT_EQ(ids, want_ids);
+    EXPECT_EQ(cluster.ServedReadsSnapshot(), attr_served);
+    const CommStats::Snapshot ap = attr_per_vertex.snapshot();
+    const CommStats::Snapshot ab = attr_batched.snapshot();
+    EXPECT_EQ(ab.local_reads, ap.local_reads);
+    EXPECT_EQ(ab.replica_reads, ap.replica_reads);
+    EXPECT_EQ(ab.remote_reads, ap.remote_reads);
+    EXPECT_EQ(ab.batched_remote_reads, ap.remote_reads);
+  }
+
+  // Two dark workers, one on each side of 64: a batch fails exactly the
+  // slots whose one-slot read fails.
+  FaultConfig cfg;
+  cfg.schedule.push_back({5, FaultKind::kTransient, 99});
+  cfg.schedule.push_back({66, FaultKind::kTransient, 99});
+  cluster.InstallFaultInjection(cfg);
+  BatchResult out;
+  EXPECT_FALSE(
+      cluster.TryGetNeighborsBatch(0, all, kAllEdgeTypes, &out, nullptr).ok());
+  std::vector<AttrId> ids;
+  std::vector<uint8_t> ok;
+  EXPECT_FALSE(cluster.TryGetVertexAttrBatch(0, all, &ids, &ok, nullptr).ok());
+  size_t failed_at[2] = {0, 0};  // failed neighbor slots served by 5, by 66
+  for (VertexId v = 0; v < n; ++v) {
+    BatchResult one;
+    const VertexId slot[] = {v};
+    (void)cluster.TryGetNeighborsBatch(0, slot, kAllEdgeTypes, &one, nullptr);
+    ASSERT_EQ(out.ok[v], one.ok[0]) << "v=" << v;
+    EXPECT_TRUE(SameBytes(out[v], one[0])) << "v=" << v;
+    const Result<AttrId> id = cluster.TryGetVertexAttr(0, v, nullptr);
+    ASSERT_EQ(ok[v], id.ok()) << "v=" << v;
+    EXPECT_EQ(ids[v], id.ok() ? id.value() : kNoAttr) << "v=" << v;
+    if (out.ok[v] == 0) {
+      ++failed_at[cluster.plan().ServingWorker(v, 0) == 66];
+    }
+  }
+  EXPECT_GT(failed_at[0], 0u);
+  EXPECT_GT(failed_at[1], 0u);
+}
+
 TEST(ClusterBatchTest, LruAdmitsBatchFetchedVertices) {
   const AttributedGraph g = MakeGraph();
   auto cluster = std::move(Cluster::Build(g, EdgeCutPartitioner(), 2)).value();

@@ -687,14 +687,21 @@ void ExpectClusterMatchesModel(Cluster& cluster, uint64_t epoch,
 }
 
 /// MakeSkewGraph(31) with each edge typed a or b by (src + dst) parity:
-/// hubs for hybrid replication and two edge types for typed reads.
-AttributedGraph MakeTwoTypeSkewGraph() {
+/// hubs for hybrid replication and two edge types for typed reads. With
+/// `attrs`, two vertices in three also get an attribute record.
+AttributedGraph MakeTwoTypeSkewGraph(bool attrs = false) {
   const AttributedGraph base = MakeSkewGraph(31);
   GraphSchema schema;
   schema.AddEdgeType("a");
   schema.AddEdgeType("b");
   GraphBuilder gb(std::move(schema));
-  for (VertexId v = 0; v < base.num_vertices(); ++v) gb.AddVertex();
+  for (VertexId v = 0; v < base.num_vertices(); ++v) {
+    if (attrs && v % 3 != 0) {
+      gb.AddVertex(0, {static_cast<float>(v)});
+    } else {
+      gb.AddVertex();
+    }
+  }
   for (VertexId v = 0; v < base.num_vertices(); ++v) {
     for (const Neighbor& nb : base.OutNeighbors(v)) {
       EXPECT_TRUE(gb.AddEdge(v, nb.dst, (v + nb.dst) % 2, nb.weight).ok());
@@ -824,6 +831,119 @@ TEST(UpdateCacheTest, ChargesMatchParentFingerprint) {
                                      428,  4377, 427, 4341, 432,  4450};
     EXPECT_EQ(ChargeFingerprint(cluster, g), want);
   }
+}
+
+/// Runs a seeded sequence of fallible batched reads on `cluster` (built over
+/// `g`, fault injection installed): rounds of TryGetNeighborsBatch, typed and
+/// untyped, and TryGetVertexAttrBatch from every worker, each round followed
+/// by an update batch. Checks that every failed slot is ok = 0 with an empty
+/// span or kNoAttr. Returns every CommStats field, each worker's served
+/// reads, its cache size() and entry_count(), then the failed neighbor and
+/// attribute slots, a fold of their positions and a fold of what the
+/// resolved slots returned.
+std::vector<uint64_t> FaultChargeFingerprint(Cluster& cluster,
+                                             const AttributedGraph& g) {
+  const VertexId n = g.num_vertices();
+  AdjModel model = ModelOf(g);
+  Rng rng(777);
+  // Half the picks hit the 64 lowest ids, so batches repeat vertices.
+  auto pick = [&rng, n] {
+    return static_cast<VertexId>(
+        rng.Uniform(rng.Uniform(2) == 0 ? std::min<VertexId>(n, 64) : n));
+  };
+  CommStats stats;
+  uint64_t failed_nbr = 0;
+  uint64_t failed_attr = 0;
+  uint64_t failed_at = 0;
+  uint64_t payload = 0;
+  uint64_t call = 0;
+  for (int round = 0; round < 4; ++round) {
+    for (WorkerId from = 0; from < cluster.num_workers(); ++from) {
+      for (int b = 0; b < 3; ++b, ++call) {
+        std::vector<VertexId> batch(48);
+        for (VertexId& v : batch) v = pick();
+        const EdgeType type =
+            b == 2 ? kAllEdgeTypes : static_cast<EdgeType>(b);
+        BatchResult out;
+        const Status st =
+            cluster.TryGetNeighborsBatch(from, batch, type, &out, &stats);
+        EXPECT_EQ(st.ok(), out.FailedSlots() == 0);
+        for (size_t i = 0; i < batch.size(); ++i) {
+          if (out.ok[i] == 0) {
+            EXPECT_TRUE(out[i].empty()) << "v=" << batch[i];
+            ++failed_nbr;
+            failed_at = Mix64(failed_at ^ (call << 32 | i));
+            continue;
+          }
+          for (const Neighbor& nb : out[i]) payload = Mix64(payload ^ nb.dst);
+        }
+        std::vector<AttrId> ids;
+        std::vector<uint8_t> ok;
+        const Status ast =
+            cluster.TryGetVertexAttrBatch(from, batch, &ids, &ok, &stats);
+        size_t failed_here = 0;
+        for (size_t i = 0; i < batch.size(); ++i) {
+          if (ok[i] == 0) {
+            EXPECT_EQ(ids[i], kNoAttr) << "v=" << batch[i];
+            ++failed_here;
+            failed_at = Mix64(failed_at ^ (call << 32 | i) ^ (1ULL << 63));
+            continue;
+          }
+          EXPECT_EQ(ids[i], g.vertex_attr(batch[i]));
+          payload = Mix64(payload ^ ids[i]);
+        }
+        EXPECT_EQ(ast.ok(), failed_here == 0);
+        failed_attr += failed_here;
+      }
+    }
+    const std::vector<EdgeUpdate> batch = RandomBatch(model, 40, &rng);
+    ApplyToModel(batch, &model);
+    EXPECT_TRUE(cluster.ApplyUpdateBatch(batch).ok());
+  }
+  const CommStats::Snapshot s = stats.snapshot();
+  std::vector<uint64_t> print{s.local_reads,    s.replica_reads,
+                              s.cache_hits,     s.remote_reads,
+                              s.remote_batches, s.batched_remote_reads,
+                              s.faults_injected, s.retry_attempts,
+                              s.retry_backoff_us, s.failed_reads};
+  const std::vector<uint64_t> served = cluster.ServedReadsSnapshot();
+  print.insert(print.end(), served.begin(), served.end());
+  for (WorkerId w = 0; w < cluster.num_workers(); ++w) {
+    const NeighborCache* cache = cluster.server(w).neighbor_cache();
+    print.push_back(cache->size());
+    print.push_back(cache->entry_count());
+  }
+  print.insert(print.end(), {failed_nbr, failed_attr, failed_at, payload});
+  return print;
+}
+
+TEST(UpdateCacheTest, FaultPathChargesMatchParentFingerprint) {
+  // The fault path pinned bit for bit: retries, backoff and failed slots
+  // are charged per coalesced request, and a failed fetch must not be
+  // admitted to the cache. The expected values were recorded from the
+  // single-loop batch reads, before they were split into route, read and
+  // count passes. Layout: the 10 CommStats fields as in
+  // ChargesMatchParentFingerprint, served reads per worker, (size,
+  // entry_count) per worker, then failed neighbor slots, failed attribute
+  // slots, the fold of failed positions and the fold of resolved payloads.
+  const AttributedGraph g = MakeTwoTypeSkewGraph(/*attrs=*/true);
+  Cluster cluster = BuildWith(g, "hybrid", 4);
+  ASSERT_TRUE(cluster.plan().HasReplicas());
+  cluster.InstallLruCache(96);
+  FaultConfig cfg;
+  cfg.seed = 23;
+  cfg.transient_prob = 0.2;
+  cfg.schedule.push_back({3, FaultKind::kTransient, 99});  // worker 3 is dark
+  // Two attempts, so some transient faults exhaust their request too.
+  RetryPolicy policy;
+  policy.max_attempts = 2;
+  cluster.InstallFaultInjection(cfg, policy);
+  const std::vector<uint64_t> want{
+      1220, 18,  369, 1846, 207, 1846, 203,  122, 11937, 81,
+      996,  1027, 1015, 415,
+      96,   725, 96,  808,  96,  765,  96,   804,
+      454,  533, 7890779116177274813ULL, 3042121566780854794ULL};
+  EXPECT_EQ(FaultChargeFingerprint(cluster, g), want);
 }
 
 // ---------------------------------------------------------------------------
