@@ -367,10 +367,16 @@ BENCHMARK(BM_ApplyUpdateBatch)
     ->Iterations(20)
     ->Unit(benchmark::kMicrosecond);
 
+// Frontiers a cold run cycles through: their reads touch far more lines
+// than a core's L2 holds, so a frontier's lines are gone from it by its
+// next turn. A warm run cycles the first kWarmFrontiers, whose lines stay.
+constexpr int kColdFrontiers = 1024;
+constexpr int kWarmFrontiers = 16;
+
 // khop_cluster's read shape: a 4-worker hybrid cluster with the importance
 // cache at tau = 10 on 1- and 2-hop importance, over a 500k-vertex ChungLu
-// graph, and the frontiers (about 500 unique vertices each) of 16 fixed
-// two-hop blocks of 30 random roots, fans 10/5.
+// graph, and the frontiers (about 500 unique vertices each) of
+// kColdFrontiers fixed two-hop blocks of 30 random roots, fans 10/5.
 struct ClusterReadFixture {
   std::unique_ptr<AttributedGraph> graph;
   std::unique_ptr<Cluster> cluster;
@@ -394,7 +400,7 @@ const ClusterReadFixture& BenchClusterRead() {
     NeighborhoodSampler sampler(NeighborStrategy::kUniform, 3);
     Rng rng(17);
     const std::vector<uint32_t> fans{10, 5};
-    for (int b = 0; b < 16; ++b) {
+    for (int b = 0; b < kColdFrontiers; ++b) {
       std::vector<VertexId> roots(30);
       for (VertexId& r : roots) {
         r = static_cast<VertexId>(rng.Uniform(cfg.num_vertices));
@@ -409,22 +415,24 @@ const ClusterReadFixture& BenchClusterRead() {
 }
 
 // One batched read of each frontier in turn, as khop_cluster's sample and
-// gather stages issue it. Arg 0 = neighbors (NeighborsBatch), 1 =
+// gather stages issue it. Arg `attrs` 0 = neighbors (NeighborsBatch), 1 =
 // attributes (a 32-column Gather; the graph has no attribute payloads, so
-// both sources only resolve attribute ids).
+// both sources only resolve attribute ids). Arg `frontiers` is how many
+// frontiers the run cycles: kWarmFrontiers or kColdFrontiers.
 void RunBatchRead(benchmark::State& state, NeighborSource& neighbors,
                   block::FeatureSource& features) {
   const ClusterReadFixture& f = BenchClusterRead();
   const bool attrs = state.range(0) == 1;
+  const size_t cycled = static_cast<size_t>(state.range(1));
   std::vector<nn::Matrix> xs;
-  for (const std::vector<VertexId>& frontier : f.frontiers) {
-    xs.emplace_back(frontier.size(), features.dim());
+  for (size_t b = 0; attrs && b < cycled; ++b) {
+    xs.emplace_back(f.frontiers[b].size(), features.dim());
   }
   BatchResult out;
   size_t k = 0;
   int64_t items = 0;
   for (auto _ : state) {
-    const size_t b = k++ % f.frontiers.size();
+    const size_t b = k++ % cycled;
     const std::vector<VertexId>& frontier = f.frontiers[b];
     if (attrs) {
       benchmark::DoNotOptimize(features.Gather(frontier, &xs[b]));
@@ -448,7 +456,10 @@ void BM_ClusterBatchRead(benchmark::State& state) {
   block::ClusterFeatureSource features(*f.cluster, /*worker=*/0, 32, &stats);
   RunBatchRead(state, neighbors, features);
 }
-BENCHMARK(BM_ClusterBatchRead)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ClusterBatchRead)
+    ->ArgNames({"attrs", "frontiers"})
+    ->ArgsProduct({{0, 1}, {kWarmFrontiers, kColdFrontiers}})
+    ->Unit(benchmark::kMicrosecond);
 
 // The same reads on the graph's own CSR.
 void BM_CsrBatchRead(benchmark::State& state) {
@@ -457,7 +468,10 @@ void BM_CsrBatchRead(benchmark::State& state) {
   block::GraphFeatureSource features(*f.graph, 32);
   RunBatchRead(state, neighbors, features);
 }
-BENCHMARK(BM_CsrBatchRead)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_CsrBatchRead)
+    ->ArgNames({"attrs", "frontiers"})
+    ->ArgsProduct({{0, 1}, {kWarmFrontiers, kColdFrontiers}})
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace aligraph

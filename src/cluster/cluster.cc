@@ -141,6 +141,11 @@ Result<Cluster> Cluster::Build(const AttributedGraph& graph,
                                uint32_t num_workers,
                                ClusterBuildReport* report) {
   if (num_workers == 0) return Status::InvalidArgument("num_workers == 0");
+  if (num_workers > Placement::kMaxWorkers) {
+    return Status::InvalidArgument(
+        std::to_string(num_workers) + " workers exceed the route word's " +
+        std::to_string(Placement::kMaxWorkers));
+  }
   Cluster cluster;
   cluster.graph_ = &graph;
 
@@ -197,26 +202,29 @@ Result<Cluster> Cluster::Build(const AttributedGraph& graph,
   return cluster;
 }
 
-// Forced inline: the batch reads' route pass calls this once per slot and
-// does nothing else, so the placement-array misses of many slots can be in
-// flight at once. An out-of-line call limits that overlap; it cost a
-// two-reader khop_cluster-style loop about 15% more CPU per block on a
-// 4-vCPU x86 VM.
+// Forced inline: the batch reads' route pass calls this once per slot,
+// with the slot's route word prefetched kAhead slots earlier, so the misses
+// of many slots are in flight at once. An out-of-line call limits that
+// overlap; it cost a two-reader khop_cluster-style loop about 15% more CPU
+// per block on a 4-vCPU x86 VM.
 [[gnu::always_inline]] inline Cluster::Route Cluster::Classify(
     WorkerId from, VertexId v, const AdjVersion* ver,
     NeighborCache* cache) const {
-  const WorkerId owner = plan_->OwnerOf(v);
-  const uint32_t row = servers_[from]->RowOf(v);
-  if (row != GraphServer::kNoRow) {
-    return {owner == from ? Route::Kind::kLocal : Route::Kind::kReplica, from,
-            row};
+  const Placement::RouteWord word = plan_->route[v];
+  const WorkerId owner = word.owner();
+  if (owner == from) return {Route::Kind::kLocal, from, word.row()};
+  const uint32_t rank =
+      word.replicated() ? plan_->replica_rank[v] : Placement::kNoRow;
+  if (rank != Placement::kNoRow) {
+    const uint32_t row = servers_[from]->ReplicaRow(rank);
+    if (row != GraphServer::kNoRow) return {Route::Kind::kReplica, from, row};
   }
   if (cache != nullptr && !BypassCache(cache, ver, v) && cache->Lookup(v)) {
     // The cache holds no bytes: the owner's row is the pre-update adjacency.
-    return {Route::Kind::kCacheHit, owner, plan_->local_row[v]};
+    return {Route::Kind::kCacheHit, owner, word.row()};
   }
-  if (plan_->ReplicaRank(v) == Placement::kNoRow) {
-    return {Route::Kind::kRemote, owner, plan_->local_row[v]};
+  if (rank == Placement::kNoRow) {
+    return {Route::Kind::kRemote, owner, word.row()};
   }
   const WorkerId target = plan_->ServingWorker(v, from);
   return {Route::Kind::kRemote, target, servers_[target]->RowOf(v)};
@@ -317,21 +325,32 @@ bool Cluster::RemoteRequestSucceeds(WorkerId from, WorkerId to,
   return success;
 }
 
-template <typename ReadSlot, typename ClearSlot>
+template <typename ReadSlot, typename PrefetchSlot, typename ClearSlot>
 Status Cluster::ReadBatch(WorkerId from, std::span<const VertexId> batch,
                           uint64_t e, NeighborCache* cache, bool fallible,
                           uint64_t tag, const char* what, CommStats* stats,
-                          ReadSlot read, ClearSlot clear) {
+                          ReadSlot read, PrefetchSlot prefetch,
+                          ClearSlot clear) {
   // Route pass, in slot order, so cache lookups, recency touches and
   // bypass invalidations keep the order of per-vertex reads. Each slot
   // resolves its version once (kept only at a nonzero epoch): it decides
   // whether the cache may serve the slot and is what every copy returns.
+  // The loads of slot i + kAhead (its route word, and its version head at
+  // a nonzero epoch) are prefetched while slot i is routed, and slot i's
+  // row is prefetched for the read pass as soon as its route is known.
   std::vector<Route> routes(batch.size());
   std::vector<const AdjVersion*> versions(e != 0 ? batch.size() : 0);
+  const VersionIndex* heads = e != 0 ? versions_.get() : nullptr;
   for (size_t i = 0; i < batch.size(); ++i) {
+    if (i + kAhead < batch.size()) {
+      const VertexId ahead = batch[i + kAhead];
+      ALIGRAPH_PREFETCH(&plan_->route[ahead]);
+      if (heads != nullptr) heads->Prefetch(ahead);
+    }
     const AdjVersion* ver = VersionAt(batch[i], e);
     if (e != 0) versions[i] = ver;
     routes[i] = Classify(from, batch[i], ver, cache);
+    prefetch(routes[i]);
   }
   auto version = [&versions](size_t i) {
     return versions.empty() ? nullptr : versions[i];
@@ -445,6 +464,7 @@ Status Cluster::GetVertexAttrBatchImpl(WorkerId from,
       [&](size_t i, const Route& r, const AdjVersion*) {
         (*ids)[i] = servers_[r.worker]->RowAttr(r.row);
       },
+      [&](const Route& r) { servers_[r.worker]->PrefetchAttr(r.row); },
       [&](size_t i) {
         (*ids)[i] = kNoAttr;
         if (ok != nullptr) (*ok)[i] = 0;
@@ -509,7 +529,7 @@ Status Cluster::ApplyUpdateBatch(std::span<const EdgeUpdate> updates,
   versions.reserve(sources.size());
   for (const VertexId v : sources) {
     const GraphServer& osrv = *servers_[plan_->OwnerOf(v)];
-    const uint32_t row = plan_->local_row[v];
+    const uint32_t row = plan_->route[v].row();
     const AdjVersion* head = VersionAt(v, kEpochCurrent);
     const std::vector<const EdgeUpdate*>& ups = by_src[v];
     auto ver = std::make_unique<AdjVersion>();
@@ -668,8 +688,12 @@ Status Cluster::GetNeighborsBatchImpl(WorkerId from,
       from, batch, e, servers_[from]->neighbor_cache(), fallible,
       kBatchReadTag, "batch slots", stats,
       [&](size_t i, const Route& r, const AdjVersion* ver) {
-        out->spans[i] = servers_[r.worker]->Read(r.row, type, ver);
+        // The sampler's draws load this span next: start its first line.
+        const auto span = servers_[r.worker]->Read(r.row, type, ver);
+        if (!span.empty()) ALIGRAPH_PREFETCH(span.data());
+        out->spans[i] = span;
       },
+      [&](const Route& r) { servers_[r.worker]->PrefetchRow(r.row); },
       [&](size_t i) {
         out->spans[i] = {};
         out->ok[i] = 0;

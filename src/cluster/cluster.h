@@ -22,6 +22,7 @@
 #include "cluster/comm_model.h"
 #include "cluster/epoch.h"
 #include "cluster/graph_server.h"
+#include "common/prefetch.h"
 #include "common/status.h"
 #include "fault/fault_injector.h"
 #include "fault/retry_policy.h"
@@ -67,8 +68,15 @@ struct UpdateReport {
 /// \brief A distributed AttributedGraph over p simulated workers.
 class Cluster {
  public:
+  /// How many slots ahead of the one it routes a batch read's route pass
+  /// prefetches the route word (and, at a nonzero epoch, the version
+  /// head) of.
+  static constexpr size_t kAhead = 8;
+
   /// Partitions `graph` with `partitioner` and builds per-worker storage.
   /// The graph must outlive the cluster. Fills `report` when non-null.
+  /// InvalidArgument when num_workers is 0 or above
+  /// Placement::kMaxWorkers, before anything is partitioned.
   static Result<Cluster> Build(const AttributedGraph& graph,
                                const Partitioner& partitioner,
                                uint32_t num_workers,
@@ -262,9 +270,11 @@ class Cluster {
   /// The serve-order policy of every read path, cheapest copy first:
   /// `from`'s owned row, its replica row, its neighbor cache (`cache`,
   /// null for attribute reads, which are never cached), else a remote
-  /// fetch from Placement::ServingWorker. Touches the cache like a read
-  /// (recency, and invalidation when `ver`, v's version at the read's
-  /// epoch, is non-null), so it runs on the reading worker's thread.
+  /// fetch from Placement::ServingWorker. Decodes v's route word with one
+  /// load and reads its replica rank only when the word's flag is set.
+  /// Touches the cache like a read (recency, and invalidation when `ver`,
+  /// v's version at the read's epoch, is non-null), so it runs on the
+  /// reading worker's thread.
   Route Classify(WorkerId from, VertexId v, const AdjVersion* ver,
                  NeighborCache* cache) const;
 
@@ -337,12 +347,14 @@ class Cluster {
   /// deduplicate the remote ones into one request per serving worker
   /// (keyed by `tag`). The requests are judged in worker order, `clear(i)`
   /// empties each slot of a refused one, and the whole call is charged
-  /// once. `what` names the slots in the Unavailable message.
-  template <typename ReadSlot, typename ClearSlot>
+  /// once. `what` names the slots in the Unavailable message. The route
+  /// pass prefetches kAhead slots ahead and calls `prefetch(route)` on
+  /// each slot it routes, for the line `read` will load.
+  template <typename ReadSlot, typename PrefetchSlot, typename ClearSlot>
   Status ReadBatch(WorkerId from, std::span<const VertexId> batch, uint64_t e,
                    NeighborCache* cache, bool fallible, uint64_t tag,
                    const char* what, CommStats* stats, ReadSlot read,
-                   ClearSlot clear);
+                   PrefetchSlot prefetch, ClearSlot clear);
 
   /// True when the cache must be skipped for a read of v whose version at
   /// the read's epoch is `ver` (non-null: v was updated by then); also
@@ -389,6 +401,8 @@ class Cluster {
       while (ver != nullptr && ver->epoch > epoch) ver = ver->older;
       return ver;
     }
+    /// Prefetch hint for At(v, ...)'s first load.
+    void Prefetch(VertexId v) const { ALIGRAPH_PREFETCH(&heads_[v]); }
     /// Makes `ver` v's head, then frees every version behind the newest
     /// one at or below `min_active`. Every live reader is pinned at or
     /// above `min_active`, so its walk stops at that version or before it

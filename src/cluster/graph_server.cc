@@ -7,7 +7,7 @@ namespace aligraph {
 GraphServer::GraphServer(WorkerId id, const AttributedGraph& graph,
                          const Placement& placement)
     : id_(id), num_types_(graph.num_edge_types()), placement_(&placement) {
-  ALIGRAPH_CHECK(placement.local_row.size() == graph.num_vertices())
+  ALIGRAPH_CHECK(placement.route.size() == graph.num_vertices())
       << "placement rows not indexed";
   const VertexId n = graph.num_vertices();
   for (VertexId v = 0; v < n; ++v) {
@@ -28,7 +28,7 @@ GraphServer::GraphServer(WorkerId id, const AttributedGraph& graph,
   }
 
   // Count pass: row offsets from per-type degrees, owned rows then replica
-  // rows — the row order Placement::local_row and replica_row_ name.
+  // rows — the row order Placement::route and replica_row_ name.
   const size_t rows = owned_.size() + replicas_.size();
   auto vertex_of = [this](size_t row) {
     return row < owned_.size() ? owned_[row] : replicas_[row - owned_.size()];

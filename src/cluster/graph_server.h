@@ -8,8 +8,12 @@
 /// segment of one CSR). Row r's adjacency is neighbors_[offsets_[r*T] ..
 /// offsets_[(r+1)*T]), split by edge type at offsets_[r*T + t], and its
 /// vertex attribute is attrs_[r]. A global id resolves to its row through
-/// the Placement's dense index (Placement::local_row / replica_rank), so a
-/// read costs a few array loads and no hash lookup.
+/// the Placement's dense index: one load of its route word
+/// (Placement::route: owner, owner's row, has-replicas flag), and for a
+/// replicated vertex read off its owner, its replica rank and this
+/// server's rank -> row array. No hash lookup is on that path. A batch
+/// read prefetches the line a Read or RowAttr will load first
+/// (PrefetchRow, PrefetchAttr) while it routes the slots after it.
 ///
 /// Two extensions over the plain owned store:
 ///   - **Replica storage.** A server may additionally hold full adjacency
@@ -28,6 +32,7 @@
 #include <span>
 #include <vector>
 
+#include "common/prefetch.h"
 #include "graph/graph.h"
 #include "partition/partitioner.h"
 #include "storage/neighbor_cache.h"
@@ -71,10 +76,14 @@ class GraphServer {
   /// v's row in this server's table: its owned row, else its replica row,
   /// else kNoRow.
   uint32_t RowOf(VertexId v) const {
-    if (Owns(v)) return placement_->local_row[v];
-    const uint32_t rank = placement_->ReplicaRank(v);
-    return rank == kNoRow ? kNoRow : replica_row_[rank];
+    const Placement::RouteWord word = placement_->route[v];
+    if (word.owner() == id_) return word.row();
+    return word.replicated() ? ReplicaRow(placement_->replica_rank[v])
+                             : kNoRow;
   }
+  /// The row of this server's copy of the vertex with replica rank `rank`,
+  /// or kNoRow when it holds none.
+  uint32_t ReplicaRow(uint32_t rank) const { return replica_row_[rank]; }
 
   size_t num_vertices() const { return owned_.size(); }
   size_t num_replicas() const { return replicas_.size(); }
@@ -110,6 +119,15 @@ class GraphServer {
   }
   /// Attribute id stored at a row (see RowOf).
   AttrId RowAttr(uint32_t row) const { return attrs_[row]; }
+
+  /// Prefetch hints: the first line Read(row, ...) loads from the base
+  /// storage, and the line RowAttr(row) loads.
+  void PrefetchRow(uint32_t row) const {
+    ALIGRAPH_PREFETCH(offsets_.data() + row * num_types_);
+  }
+  void PrefetchAttr(uint32_t row) const {
+    ALIGRAPH_PREFETCH(attrs_.data() + row);
+  }
 
   /// The vertices this server owns, in ascending id order (row order).
   const std::vector<VertexId>& owned_vertices() const { return owned_; }

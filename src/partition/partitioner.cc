@@ -29,17 +29,24 @@ WorkerId Placement::ServingWorker(VertexId v, WorkerId from) const {
 }
 
 void Placement::IndexRows() {
+  ALIGRAPH_CHECK(num_workers <= kMaxWorkers)
+      << num_workers << " workers do not fit a route word";
   const VertexId n = static_cast<VertexId>(vertex_owner.size());
   std::vector<uint32_t> next_row(num_workers, 0);
-  local_row.resize(n);
-  for (VertexId v = 0; v < n; ++v) local_row[v] = next_row[vertex_owner[v]]++;
+  route.resize(n);
+  for (VertexId v = 0; v < n; ++v) {
+    const WorkerId owner = vertex_owner[v];
+    route[v] = RouteWord::Pack(owner, next_row[owner]++, false);
+  }
   replica_rank.clear();
   if (replicas.empty()) return;
+  for (const auto& [v, workers] : replicas) {
+    route[v] = RouteWord::Pack(route[v].owner(), route[v].row(), true);
+  }
   replica_rank.assign(n, kNoRow);
-  for (const auto& [v, workers] : replicas) replica_rank[v] = 0;
   uint32_t rank = 0;
   for (VertexId v = 0; v < n; ++v) {
-    if (replica_rank[v] != kNoRow) replica_rank[v] = rank++;
+    if (route[v].replicated()) replica_rank[v] = rank++;
   }
 }
 

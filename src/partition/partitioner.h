@@ -47,25 +47,42 @@ struct Placement {
   /// live only on their primary owner — the degenerate single-owner form.
   std::unordered_map<VertexId, std::vector<WorkerId>> replicas;
 
+  /// Largest worker count a route word's owner field holds.
+  static constexpr uint32_t kMaxWorkers = uint32_t{1} << 31;
+
+  /// Where v's primary copy lives, packed into one 8-byte word so that a
+  /// read resolves it with one load: v's row on its owner in bits 0-31,
+  /// the owner in bits 32-62, and bit 63 set when v has replicas.
+  struct RouteWord {
+    uint64_t bits = 0;
+
+    static RouteWord Pack(WorkerId owner, uint32_t row, bool replicated) {
+      return {uint64_t{row} | (uint64_t{owner} << 32) |
+              (uint64_t{replicated} << 63)};
+    }
+    uint32_t row() const { return static_cast<uint32_t>(bits); }
+    WorkerId owner() const {
+      return static_cast<WorkerId>((bits >> 32) & (kMaxWorkers - 1));
+    }
+    bool replicated() const { return (bits >> 63) != 0; }
+  };
+
   /// Dense global -> local index over the servers' vertex tables, derived
   /// from vertex_owner and replicas by IndexRows() (Cluster::Build calls
   /// it; a placement that only routes needs neither). Every server numbers
-  /// the vertices it owns 0, 1, ... in ascending id order: local_row[v] is
-  /// v's row on its owner. replica_rank[v] is v's position among all
-  /// replicated vertices in ascending id order (kNoRow when v has a single
-  /// copy); each replica holder maps that rank to a row of its own. Both
-  /// are plain arrays, so resolving a read costs no hash lookup.
-  std::vector<uint32_t> local_row;     ///< size n after IndexRows()
+  /// the vertices it owns 0, 1, ... in ascending id order: route[v] holds
+  /// v's row on its owner, with the owner and the has-replicas flag.
+  /// replica_rank[v] is v's position among all replicated vertices in
+  /// ascending id order (kNoRow when v has a single copy); each replica
+  /// holder maps that rank to a row of its own. Both are plain arrays, so
+  /// finding a copy's row costs no hash lookup; only ServingWorker, which
+  /// picks among a replicated vertex's copies for a remote read, does one.
+  std::vector<RouteWord> route;        ///< size n after IndexRows()
   std::vector<uint32_t> replica_rank;  ///< size n, or empty without replicas
 
-  /// Fills local_row and replica_rank from the current owner and replica
-  /// tables.
+  /// Fills route and replica_rank from the current owner and replica
+  /// tables. Requires num_workers <= kMaxWorkers.
   void IndexRows();
-
-  /// v's replica rank, or kNoRow (requires IndexRows()).
-  uint32_t ReplicaRank(VertexId v) const {
-    return replica_rank.empty() ? kNoRow : replica_rank[v];
-  }
 
   WorkerId OwnerOf(VertexId v) const { return vertex_owner[v]; }
 
@@ -110,6 +127,8 @@ struct Placement {
                      static_cast<double>(vertex_owner.size());
   }
 };
+
+static_assert(sizeof(Placement::RouteWord) == sizeof(uint64_t));
 
 /// The historical single-owner plan IS the degenerate no-replica placement;
 /// every pre-replication caller keeps compiling against this alias.

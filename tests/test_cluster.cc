@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <numeric>
 #include <vector>
@@ -340,6 +341,158 @@ TEST(ClusterBatchTest, CacheHitsShortCircuitTheRemotePath) {
   EXPECT_EQ(stats.remote_reads.load(), 0u);
   EXPECT_EQ(stats.remote_batches.load(), 0u);
   EXPECT_GT(stats.cache_hits.load(), 0u);
+}
+
+void ExpectSameStats(const CommStats::Snapshot& got,
+                     const CommStats::Snapshot& want) {
+  EXPECT_EQ(got.local_reads, want.local_reads);
+  EXPECT_EQ(got.replica_reads, want.replica_reads);
+  EXPECT_EQ(got.cache_hits, want.cache_hits);
+  EXPECT_EQ(got.remote_reads, want.remote_reads);
+  EXPECT_EQ(got.remote_batches, want.remote_batches);
+  EXPECT_EQ(got.batched_remote_reads, want.batched_remote_reads);
+  EXPECT_EQ(got.faults_injected, want.faults_injected);
+  EXPECT_EQ(got.retry_attempts, want.retry_attempts);
+  EXPECT_EQ(got.retry_backoff_us, want.retry_backoff_us);
+  EXPECT_EQ(got.failed_reads, want.failed_reads);
+}
+
+/// What a batch of the slots `reads` describes must be charged, from the
+/// charges of one per-vertex read per slot: owned, replica and cached slots
+/// per occurrence, each unique remote vertex once, inside one request per
+/// serving worker.
+struct SlotCharges {
+  CommStats::Snapshot want;
+  std::vector<VertexId> remote_seen;
+  std::vector<WorkerId> contacted;
+
+  void Add(VertexId v, WorkerId serving, const CommStats::Snapshot& one) {
+    want.local_reads += one.local_reads;
+    want.replica_reads += one.replica_reads;
+    want.cache_hits += one.cache_hits;
+    if (one.remote_reads == 0) return;
+    if (std::find(remote_seen.begin(), remote_seen.end(), v) !=
+        remote_seen.end()) {
+      return;
+    }
+    remote_seen.push_back(v);
+    ++want.remote_reads;
+    ++want.batched_remote_reads;
+    if (std::find(contacted.begin(), contacted.end(), serving) ==
+        contacted.end()) {
+      contacted.push_back(serving);
+      ++want.remote_batches;
+    }
+  }
+};
+
+// The route pass prefetches Cluster::kAhead slots ahead: batches shorter
+// than, equal to and just past that distance, and one that repeats its
+// vertices, must read and charge exactly what per-vertex reads do, at epoch
+// 0 and at an epoch where some of their vertices have versions.
+TEST(ClusterBatchTest, LookaheadEdgesMatchPerVertexReads) {
+  gen::ChungLuConfig cfg;
+  cfg.num_vertices = 3000;
+  cfg.avg_degree = 6;
+  cfg.gamma = 2.1;
+  cfg.directed = false;
+  cfg.seed = 9;
+  const AttributedGraph g = std::move(gen::ChungLu(cfg)).value();
+  auto partitioner = std::move(MakePartitioner("hybrid")).value();
+  auto cluster = std::move(Cluster::Build(g, *partitioner, 4)).value();
+  ASSERT_TRUE(cluster.plan().HasReplicas());
+  cluster.InstallTopImportanceCache(/*k=*/1, 0.1);  // pinned: order-free
+  constexpr WorkerId kFrom = 0;
+
+  // Slots that cycle through the four routes a read of worker 0 takes.
+  std::vector<VertexId> by_kind[4];  // local, replica, hit, remote
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    if (g.OutDegree(v) == 0) continue;
+    CommStats one;
+    cluster.GetNeighbors(kFrom, v, &one);
+    const int kind = one.local_reads ? 0
+                     : one.replica_reads ? 1
+                     : one.cache_hits    ? 2
+                                         : 3;
+    if (by_kind[kind].size() < Cluster::kAhead) by_kind[kind].push_back(v);
+  }
+  std::vector<VertexId> mixed;
+  for (size_t k = 0; k < Cluster::kAhead; ++k) {
+    for (const auto& kind : by_kind) {
+      ASSERT_EQ(kind.size(), Cluster::kAhead);
+      mixed.push_back(kind[k]);
+    }
+  }
+  std::vector<std::vector<VertexId>> batches;
+  for (const size_t n :
+       {size_t{0}, size_t{1}, Cluster::kAhead - 1, Cluster::kAhead,
+        Cluster::kAhead + 1}) {
+    batches.emplace_back(mixed.begin(), mixed.begin() + n);
+  }
+  std::vector<VertexId> repeated(mixed.begin(),
+                                 mixed.begin() + Cluster::kAhead + 1);
+  repeated.insert(repeated.end(), mixed.rbegin() + 3 * Cluster::kAhead,
+                  mixed.rend());
+  batches.push_back(repeated);
+
+  auto check = [&](uint64_t epoch) {
+    for (const std::vector<VertexId>& batch : batches) {
+      SCOPED_TRACE(::testing::Message() << batch.size() << " slots");
+      SlotCharges neighbors, attrs;
+      std::vector<std::span<const Neighbor>> want(batch.size());
+      std::vector<AttrId> want_ids(batch.size());
+      for (size_t i = 0; i < batch.size(); ++i) {
+        const VertexId v = batch[i];
+        const WorkerId serving = cluster.plan().ServingWorker(v, kFrom);
+        CommStats one, one_attr;
+        want[i] = cluster.GetNeighbors(kFrom, v, &one, epoch);
+        neighbors.Add(v, serving, one.snapshot());
+        want_ids[i] = cluster.TryGetVertexAttr(kFrom, v, &one_attr).value();
+        attrs.Add(v, serving, one_attr.snapshot());
+      }
+
+      CommStats stats;
+      BatchResult out;
+      ASSERT_TRUE(cluster
+                      .TryGetNeighborsBatch(kFrom, batch, kAllEdgeTypes, &out,
+                                            &stats, epoch)
+                      .ok());
+      ASSERT_EQ(out.size(), batch.size());
+      for (size_t i = 0; i < batch.size(); ++i) {
+        EXPECT_EQ(out.ok[i], 1) << "slot " << i;
+        EXPECT_TRUE(SameBytes(out[i], want[i])) << "slot " << i;
+      }
+      ExpectSameStats(stats.snapshot(), neighbors.want);
+
+      CommStats attr_stats;
+      std::vector<AttrId> ids;
+      std::vector<uint8_t> ok;
+      ASSERT_TRUE(
+          cluster.TryGetVertexAttrBatch(kFrom, batch, &ids, &ok, &attr_stats)
+              .ok());
+      EXPECT_EQ(ids, want_ids);
+      EXPECT_EQ(ok, std::vector<uint8_t>(batch.size(), 1));
+      ExpectSameStats(attr_stats.snapshot(), attrs.want);
+    }
+  };
+  check(kEpochCurrent);
+
+  // One insert on a vertex of each route: the cached one now bypasses the
+  // cache, and every one reads its version.
+  std::vector<EdgeUpdate> updates;
+  for (const auto& kind : by_kind) {
+    updates.push_back({EdgeUpdate::Kind::kInsert, kind[0], kind[1]});
+  }
+  UpdateReport report;
+  ASSERT_TRUE(cluster.ApplyUpdateBatch(updates, &report).ok());
+  ASSERT_EQ(report.applied, updates.size());
+  EpochPin pin = cluster.PinEpoch();
+  ASSERT_GT(pin.epoch(), 0u);
+  for (const auto& kind : by_kind) {
+    EXPECT_EQ(cluster.GetNeighbors(kFrom, kind[0], nullptr, pin.epoch()).size(),
+              g.OutDegree(kind[0]) + 1);
+  }
+  check(pin.epoch());
 }
 
 // ---------------------------------------------------------------------------

@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "cluster/cluster.h"
 #include "common/random.h"
 #include "gen/powerlaw.h"
 #include "graph/graph.h"
@@ -215,6 +217,73 @@ TEST(Grid2DPartitionerTest, UsesAllWorkersOnLargeGraph) {
   std::vector<int> used(6, 0);
   for (WorkerId w : plan.vertex_owner) used[w] = 1;
   EXPECT_EQ(std::count(used.begin(), used.end(), 1), 6);
+}
+
+// The route word packs what a read needs first: the owner's row, the
+// owner and whether other copies exist. Each field must decode to what the
+// plain arrays say, also for owner ids past 64.
+TEST(PlacementTest, RouteWordDecodesOwnerRowAndReplicaFlag) {
+  gen::ChungLuConfig cfg;
+  cfg.num_vertices = 2000;
+  cfg.avg_degree = 8;
+  cfg.gamma = 2.1;
+  cfg.directed = false;
+  cfg.seed = 5;
+  const AttributedGraph g = std::move(gen::ChungLu(cfg)).value();
+  for (const uint32_t workers : {4u, 70u}) {
+    SCOPED_TRACE(workers);
+    Placement plan =
+        std::move(HybridSkewPartitioner().Partition(g, workers)).value();
+    ASSERT_TRUE(plan.HasReplicas());
+    plan.IndexRows();
+    ASSERT_EQ(plan.route.size(), g.num_vertices());
+    std::vector<uint32_t> next_row(workers, 0);
+    WorkerId max_owner = 0;
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      const WorkerId owner = plan.vertex_owner[v];
+      const Placement::RouteWord word = plan.route[v];
+      ASSERT_EQ(word.owner(), owner) << "v=" << v;
+      ASSERT_EQ(word.row(), next_row[owner]++) << "v=" << v;
+      ASSERT_EQ(word.replicated(), plan.replica_rank[v] != Placement::kNoRow)
+          << "v=" << v;
+      ASSERT_EQ(word.replicated(), !plan.ReplicasOf(v).empty()) << "v=" << v;
+      max_owner = std::max(max_owner, owner);
+    }
+    EXPECT_EQ(max_owner, workers - 1);
+  }
+  // The fields do not bleed into each other at their limits.
+  const Placement::RouteWord top = Placement::RouteWord::Pack(
+      Placement::kMaxWorkers - 1, Placement::kNoRow, true);
+  EXPECT_EQ(top.owner(), Placement::kMaxWorkers - 1);
+  EXPECT_EQ(top.row(), Placement::kNoRow);
+  EXPECT_TRUE(top.replicated());
+  const Placement::RouteWord low =
+      Placement::RouteWord::Pack(Placement::kMaxWorkers - 1, 0, false);
+  EXPECT_EQ(low.owner(), Placement::kMaxWorkers - 1);
+  EXPECT_EQ(low.row(), 0u);
+  EXPECT_FALSE(low.replicated());
+}
+
+// Fails the test if anything asks it for a placement.
+class MustNotRunPartitioner : public Partitioner {
+ public:
+  std::string name() const override { return "must_not_run"; }
+  Result<Placement> Partition(const AttributedGraph&,
+                              uint32_t num_workers) const override {
+    ADD_FAILURE() << "partitioned for " << num_workers << " workers";
+    return Status::Internal("must not run");
+  }
+};
+
+TEST(PlacementTest, ClusterRejectsWorkerCountsPastTheOwnerField) {
+  const AttributedGraph g = MakeTestGraph();
+  for (const uint32_t workers :
+       {Placement::kMaxWorkers + 1, std::numeric_limits<uint32_t>::max()}) {
+    const Result<Cluster> cluster =
+        Cluster::Build(g, MustNotRunPartitioner(), workers);
+    ASSERT_FALSE(cluster.ok());
+    EXPECT_EQ(cluster.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(PartitionPlanTest, EdgeAssignmentFollowsSource) {
