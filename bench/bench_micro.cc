@@ -2,7 +2,8 @@
 /// \brief google-benchmark micro-benchmarks for the hot primitives the
 /// system layers are built from: alias-table sampling, LRU access, CSR
 /// neighbor scans, importance computation, the dense GEMM behind
-/// AGGREGATE/COMBINE, online update batches and batched cluster reads.
+/// AGGREGATE/COMBINE, online update batches, batched cluster reads and the
+/// block relabel.
 
 #include <benchmark/benchmark.h>
 
@@ -471,6 +472,45 @@ void BM_CsrBatchRead(benchmark::State& state) {
 BENCHMARK(BM_CsrBatchRead)
     ->ArgNames({"attrs", "frontiers"})
     ->ArgsProduct({{0, 1}, {kWarmFrontiers, kColdFrontiers}})
+    ->Unit(benchmark::kMicrosecond);
+
+// SampledBlock::Build alone, on khop_cluster-shaped samples (16 roots, fans
+// 10/5) drawn once from the cluster fixture's graph. Arg `samples` is how
+// many distinct samples the run cycles: 1 repeats one sample, so every
+// relabel probe sequence repeats and its branches are learned; 64 cycles
+// samples whose sequences differ. The gap between the two is what the
+// relabel's data-dependent branches cost.
+void BM_BlockBuild(benchmark::State& state) {
+  const ClusterReadFixture& f = BenchClusterRead();
+  const size_t cycled = static_cast<size_t>(state.range(0));
+  LocalNeighborSource source(*f.graph);
+  NeighborhoodSampler sampler(NeighborStrategy::kUniform, 23);
+  Rng rng(29);
+  const std::vector<uint32_t> fans{10, 5};
+  std::vector<NeighborhoodSample> samples;
+  for (size_t b = 0; b < cycled; ++b) {
+    std::vector<VertexId> roots(16);
+    for (VertexId& r : roots) {
+      r = static_cast<VertexId>(rng.Uniform(f.graph->num_vertices()));
+    }
+    samples.push_back(
+        sampler.Sample(source, roots, NeighborhoodSampler::kAllEdgeTypes,
+                       fans));
+  }
+  size_t k = 0;
+  int64_t slots = 0;
+  for (auto _ : state) {
+    const NeighborhoodSample& s = samples[k++ % cycled];
+    benchmark::DoNotOptimize(block::SampledBlock::Build(s.roots, s.hops, fans));
+    slots += static_cast<int64_t>(s.roots.size() + s.hops[0].size() +
+                                  s.hops[1].size());
+  }
+  state.SetItemsProcessed(slots);
+}
+BENCHMARK(BM_BlockBuild)
+    ->ArgName("samples")
+    ->Arg(1)
+    ->Arg(64)
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -32,40 +32,53 @@ uint64_t AttrRequestKey(VertexId v) {
 constexpr uint64_t kAttrBatchTag = 0x61'6263ULL;  // "abc" (attr batch)
 
 /// The remote residue of one batched read, as the requests it coalesces
-/// into: one per serving worker, each keeping its unique-vertex count, its
-/// request key and a chain through the first-occurrence slots of its
-/// vertices. The key is a fold over the request's vertices in
-/// first-occurrence order, taken as each is first seen: pure in the
-/// request's payload, so two identical runs judge identical requests
-/// identically regardless of call order. Deduplication uses a flat
-/// linear-probing set sized for the batch, so no entry allocates.
+/// into: one per serving worker, each keeping its unique-vertex count and,
+/// only where the call uses them, its request key and a chain through the
+/// first-occurrence slots of its vertices. The key is a fold over the
+/// request's vertices in first-occurrence order, taken as each is first
+/// seen: pure in the request's payload, so two identical runs judge
+/// identical requests identically regardless of call order. Only a
+/// fallible read judges keys, and only a cache that admits fetches walks
+/// the chains. Deduplication uses a flat linear-probing set sized for the
+/// batch and a multiplicative (Fibonacci) hash, so no entry allocates.
 class RemoteResidue {
  public:
-  RemoteResidue(size_t batch_size, size_t num_workers, uint64_t tag)
-      : batch_size_(batch_size), requests_(num_workers, Request{tag << 40}) {}
+  /// `keys`: fold request keys; `slots`: chain first-occurrence slots
+  /// (ForEachSlot visits none without).
+  RemoteResidue(size_t batch_size, size_t num_workers, uint64_t tag,
+                bool keys, bool slots)
+      : batch_size_(batch_size),
+        keys_(keys),
+        slots_(slots),
+        requests_(num_workers, Request{tag << 40}) {}
 
   /// Records that batch slot `slot` asks worker `target` for v.
   void Add(uint32_t slot, VertexId v, WorkerId target) {
     if (set_.empty()) {
       set_.assign(std::bit_ceil(2 * batch_size_), kEmpty);
-      links_.reserve(batch_size_);
+      shift_ = 64 - std::countr_zero(set_.size());  // at most 63
+      if (slots_) links_.reserve(batch_size_);
     }
     const size_t mask = set_.size() - 1;
-    size_t h = Mix64(v) & mask;
+    size_t h = (v * kFibonacci) >> shift_;
     for (; set_[h] != kEmpty; h = (h + 1) & mask) {
       if (set_[h] == v) return;
     }
     set_[h] = v;
+    ++unique_;
     Request& r = requests_[target];
-    r.key = Mix64(r.key ^ v);
-    const uint32_t u = static_cast<uint32_t>(links_.size());
-    (r.count++ == 0 ? r.first : links_[r.last].next) = u;
-    r.last = u;
-    links_.push_back({slot, kEnd});
+    ++r.count;
+    if (keys_) r.key = Mix64(r.key ^ v);
+    if (slots_) {
+      const uint32_t u = static_cast<uint32_t>(links_.size());
+      (r.first == kEnd ? r.first : links_[r.last].next) = u;
+      r.last = u;
+      links_.push_back({slot, kEnd});
+    }
   }
 
   /// Unique remote vertices.
-  size_t size() const { return links_.size(); }
+  size_t size() const { return unique_; }
   /// True when worker w's request was refused.
   bool failed(WorkerId w) const { return requests_[w].failed; }
 
@@ -107,6 +120,7 @@ class RemoteResidue {
  private:
   static constexpr VertexId kEmpty = kInvalidVertex;
   static constexpr uint32_t kEnd = ~uint32_t{0};
+  static constexpr uint64_t kFibonacci = 0x9e37'79b9'7f4a'7c15ULL;  // 2^64/phi
   struct Request {
     uint64_t key;
     uint32_t count = 0;     // unique vertices
@@ -119,6 +133,10 @@ class RemoteResidue {
     uint32_t next;  // the request's next vertex, or kEnd
   };
   size_t batch_size_;
+  bool keys_;
+  bool slots_;
+  int shift_ = 0;              // 64 - log2(set_.size())
+  size_t unique_ = 0;
   std::vector<VertexId> set_;  // the remote vertices seen, or kEmpty
   std::vector<Link> links_;    // one per unique vertex, first-occurrence order
   std::vector<Request> requests_;
@@ -208,10 +226,23 @@ Result<Cluster> Cluster::Build(const AttributedGraph& graph,
 // overlap; it cost a two-reader khop_cluster-style loop about 15% more CPU
 // per block on a 4-vCPU x86 VM.
 [[gnu::always_inline]] inline Cluster::Route Cluster::Classify(
-    WorkerId from, VertexId v, const AdjVersion* ver,
-    NeighborCache* cache) const {
+    WorkerId from, VertexId v, const AdjVersion* ver, NeighborCache* cache,
+    const uint8_t* pinned) const {
   const Placement::RouteWord word = plan_->route[v];
   const WorkerId owner = word.owner();
+  if (!word.replicated() && ver == nullptr &&
+      (cache == nullptr || pinned != nullptr)) {
+    // Local, cache hit or remote from the owner: the kind is arithmetic on
+    // two flags, (kRemote - hit) off the owner and kLocal (0) on it.
+    static_assert(static_cast<int>(Route::Kind::kLocal) == 0 &&
+                  static_cast<int>(Route::Kind::kRemote) -
+                          static_cast<int>(Route::Kind::kCacheHit) ==
+                      1);
+    const uint32_t hit = pinned != nullptr && pinned[v] != 0;
+    const uint32_t kind = static_cast<uint32_t>(owner != from) *
+                          (static_cast<uint32_t>(Route::Kind::kRemote) - hit);
+    return {static_cast<Route::Kind>(kind), owner, word.row()};
+  }
   if (owner == from) return {Route::Kind::kLocal, from, word.row()};
   const uint32_t rank =
       word.replicated() ? plan_->replica_rank[v] : Placement::kNoRow;
@@ -262,7 +293,7 @@ std::span<const Neighbor> Cluster::ReadNeighbors(WorkerId from, VertexId v,
   NeighborCache* cache = servers_[from]->neighbor_cache();
   // Every copy of v serves the same version, whichever row the route picks.
   const AdjVersion* ver = VersionAt(v, e);
-  const Route route = Classify(from, v, ver, cache);
+  const Route route = Classify(from, v, ver, cache, /*pinned=*/nullptr);
   ReadTally tally;
   tally.Count(route.kind);
   const std::pair<WorkerId, uint64_t> served{route.worker, 1};
@@ -336,9 +367,15 @@ Status Cluster::ReadBatch(WorkerId from, std::span<const VertexId> batch,
   // resolves its version once (kept only at a nonzero epoch): it decides
   // whether the cache may serve the slot and is what every copy returns.
   // The loads of slot i + kAhead (its route word, and its version head at
-  // a nonzero epoch) are prefetched while slot i is routed, and slot i's
-  // row is prefetched for the read pass as soon as its route is known.
+  // a nonzero epoch, and its pin byte under a static cache) are prefetched
+  // while slot i is routed, and slot i's row is prefetched for the read
+  // pass as soon as its route is known.
+  const uint8_t* pinned = cache != nullptr ? cache->pinned() : nullptr;
+  const bool admits = cache != nullptr && pinned == nullptr;
   std::vector<Route> routes(batch.size());
+  std::vector<uint32_t> remote_slots(batch.size());
+  size_t num_remote = 0;
+  uint32_t kinds[4] = {};  // slots per Route::Kind
   std::vector<const AdjVersion*> versions(e != 0 ? batch.size() : 0);
   const VersionIndex* heads = e != 0 ? versions_.get() : nullptr;
   for (size_t i = 0; i < batch.size(); ++i) {
@@ -346,11 +383,17 @@ Status Cluster::ReadBatch(WorkerId from, std::span<const VertexId> batch,
       const VertexId ahead = batch[i + kAhead];
       ALIGRAPH_PREFETCH(&plan_->route[ahead]);
       if (heads != nullptr) heads->Prefetch(ahead);
+      if (pinned != nullptr) ALIGRAPH_PREFETCH(pinned + ahead);
     }
     const AdjVersion* ver = VersionAt(batch[i], e);
     if (e != 0) versions[i] = ver;
-    routes[i] = Classify(from, batch[i], ver, cache);
+    routes[i] = Classify(from, batch[i], ver, cache, pinned);
     prefetch(routes[i]);
+    // Counted by kind, and listed when remote, with stores rather than a
+    // branch on the kind: the kind mix of a khop frontier is unpredictable.
+    ++kinds[static_cast<size_t>(routes[i].kind)];
+    remote_slots[num_remote] = static_cast<uint32_t>(i);
+    num_remote += routes[i].kind == Route::Kind::kRemote;
   }
   auto version = [&versions](size_t i) {
     return versions.empty() ? nullptr : versions[i];
@@ -360,39 +403,42 @@ Status Cluster::ReadBatch(WorkerId from, std::span<const VertexId> batch,
   // serving worker's bytes here too; a refused request clears it below.
   for (size_t i = 0; i < batch.size(); ++i) read(i, routes[i], version(i));
 
-  // Count pass: owned, replica and cached slots count per occurrence; the
-  // remote residue is deduplicated into one request per serving worker.
+  // Count pass: owned, replica and cached slots count per occurrence (the
+  // route pass counted them); the listed remote slots are deduplicated
+  // into one request per serving worker.
   ReadTally tally;
-  RemoteResidue remote(batch.size(), servers_.size(), tag);
-  for (size_t i = 0; i < batch.size(); ++i) {
-    if (routes[i].kind == Route::Kind::kRemote) {
-      remote.Add(static_cast<uint32_t>(i), batch[i], routes[i].worker);
-    } else {
-      tally.Count(routes[i].kind);
-    }
+  tally.local = kinds[static_cast<size_t>(Route::Kind::kLocal)];
+  tally.replica = kinds[static_cast<size_t>(Route::Kind::kReplica)];
+  tally.hit = kinds[static_cast<size_t>(Route::Kind::kCacheHit)];
+  RemoteResidue remote(batch.size(), servers_.size(), tag,
+                       /*keys=*/fallible, /*slots=*/admits);
+  for (size_t k = 0; k < num_remote; ++k) {
+    const uint32_t i = remote_slots[k];
+    remote.Add(i, batch[i], routes[i].worker);
   }
 
   // One fault decision per coalesced message, in worker order: the message
   // is the failure domain, so all slots of a refused request fail
-  // together. The vertices of an answered request are admitted to the
-  // cache in first-occurrence order; admission runs after every slot was
-  // routed, so a repeated remote vertex of this batch is not a hit.
+  // together. The vertices of an answered request are admitted to a cache
+  // that admits fetches in first-occurrence order; admission runs after
+  // every slot was routed, so a repeated remote vertex of this batch is
+  // not a hit.
   const uint32_t refused = remote.Judge(
       [&](WorkerId w, uint64_t key) {
         return !fallible || RemoteRequestSucceeds(from, w, key, &tally);
       },
       [&](WorkerId w) {
         obs::ScopedSpan serve_span("cluster/remote_serve");
-        if (cache == nullptr) return;
+        if (!admits) return;
         remote.ForEachSlot(w, [&](uint32_t i) {
           AdmitFetched(cache, version(i), batch[i]);
         });
       });
   size_t failed_slots = 0;
   if (refused != 0) {
-    for (size_t i = 0; i < batch.size(); ++i) {
-      if (routes[i].kind == Route::Kind::kRemote &&
-          remote.failed(routes[i].worker)) {
+    for (size_t k = 0; k < num_remote; ++k) {
+      const uint32_t i = remote_slots[k];
+      if (remote.failed(routes[i].worker)) {
         clear(i);
         ++failed_slots;
       }
@@ -415,7 +461,7 @@ Status Cluster::ReadBatch(WorkerId from, std::span<const VertexId> batch,
 Result<AttrId> Cluster::TryGetVertexAttr(WorkerId from, VertexId v,
                                          CommStats* stats) {
   // Attributes are immutable, so a replica copy is always current.
-  const Route route = Classify(from, v, nullptr, nullptr);
+  const Route route = Classify(from, v, nullptr, nullptr, nullptr);
   ReadTally tally;
   const std::pair<WorkerId, uint64_t> served{route.worker, 1};
   if (route.kind == Route::Kind::kRemote) {
@@ -605,16 +651,11 @@ Status Cluster::ApplyUpdateBatch(std::span<const EdgeUpdate> updates,
   return Status::OK();
 }
 
-Cluster::VersionIndex::VersionIndex(VertexId n)
-    : n_(n), heads_(new std::atomic<AdjVersion*>[n]) {
-  for (VertexId v = 0; v < n; ++v) {
-    heads_[v].store(nullptr, std::memory_order_relaxed);
-  }
-}
+Cluster::VersionIndex::VersionIndex(VertexId n) : heads_(n) {}
 
 Cluster::VersionIndex::~VersionIndex() {
-  for (VertexId v = 0; v < n_; ++v) {
-    for (AdjVersion* ver = heads_[v].load(std::memory_order_relaxed);
+  for (std::atomic<AdjVersion*>& head : heads_) {
+    for (AdjVersion* ver = head.load(std::memory_order_relaxed);
          ver != nullptr;) {
       delete std::exchange(ver, ver->older);
     }
@@ -638,9 +679,9 @@ size_t Cluster::VersionIndex::Push(VertexId v,
 }
 
 size_t Cluster::VersionIndex::MemoryBytes() const {
-  size_t bytes = n_ * sizeof(heads_[0]);
-  for (VertexId v = 0; v < n_; ++v) {
-    for (const AdjVersion* ver = heads_[v].load(std::memory_order_relaxed);
+  size_t bytes = heads_.size() * sizeof(heads_[0]);
+  for (const std::atomic<AdjVersion*>& head : heads_) {
+    for (const AdjVersion* ver = head.load(std::memory_order_relaxed);
          ver != nullptr; ver = ver->older) {
       bytes += sizeof(AdjVersion) + ver->neighbors.size() * sizeof(Neighbor) +
                ver->type_offsets.size() * sizeof(uint32_t);

@@ -22,6 +22,7 @@
 #include "cluster/comm_model.h"
 #include "cluster/epoch.h"
 #include "cluster/graph_server.h"
+#include "common/huge_pages.h"
 #include "common/prefetch.h"
 #include "common/status.h"
 #include "fault/fault_injector.h"
@@ -275,8 +276,17 @@ class Cluster {
   /// Touches the cache like a read (recency, and invalidation when `ver`,
   /// v's version at the read's epoch, is non-null), so it runs on the
   /// reading worker's thread.
+  ///
+  /// `pinned` is `cache`'s membership array when it is a static policy
+  /// (NeighborCache::pinned), else null. For a vertex that is neither
+  /// replicated nor updated, read with no cache or a static one, every
+  /// route is {kind, owner, owner's row}, and only the kind depends on
+  /// ownership and the pin byte: it is picked with selects, so nothing the
+  /// caller does next with the row waits on the byte's load, and no
+  /// virtual call is made. Replicated and updated vertices and reactive
+  /// caches take the branching path.
   Route Classify(WorkerId from, VertexId v, const AdjVersion* ver,
-                 NeighborCache* cache) const;
+                 NeighborCache* cache, const uint8_t* pinned) const;
 
   /// What one read call did, filled by the read path and charged once.
   /// Counts are per call, so 32 bits hold them (a batch indexes its slots
@@ -348,8 +358,14 @@ class Cluster {
   /// (keyed by `tag`). The requests are judged in worker order, `clear(i)`
   /// empties each slot of a refused one, and the whole call is charged
   /// once. `what` names the slots in the Unavailable message. The route
-  /// pass prefetches kAhead slots ahead and calls `prefetch(route)` on
-  /// each slot it routes, for the line `read` will load.
+  /// pass prefetches kAhead slots ahead (route word, version head, and a
+  /// static cache's pin byte) and calls `prefetch(route)` on each slot it
+  /// routes, for the line `read` will load; it also counts each slot's
+  /// kind and lists the remote slots, without branching on the kind, so
+  /// the count pass walks only the remote ones. The remote residue folds
+  /// request keys only when the call is fallible and chains
+  /// first-occurrence slots only for a cache that admits fetches (one
+  /// without a pinned() array), since nothing else reads them.
   template <typename ReadSlot, typename PrefetchSlot, typename ClearSlot>
   Status ReadBatch(WorkerId from, std::span<const VertexId> batch, uint64_t e,
                    NeighborCache* cache, bool fallible, uint64_t tag,
@@ -387,7 +403,8 @@ class Cluster {
   /// The published update state: one version-chain head per vertex (null
   /// until it is updated), shared by every copy of the vertex. Only the
   /// writer, under update_mu_, pushes and frees versions; readers load a
-  /// head and walk `older` down to their epoch.
+  /// head and walk `older` down to their epoch. The head array sits on
+  /// 2 MB pages where the host allows it (HugePageAllocator).
   class VersionIndex {
    public:
     explicit VersionIndex(VertexId n);
@@ -413,8 +430,7 @@ class Cluster {
     size_t MemoryBytes() const;
 
    private:
-    VertexId n_;
-    std::unique_ptr<std::atomic<AdjVersion*>[]> heads_;
+    HugePageVector<std::atomic<AdjVersion*>> heads_;  // value-initialized
   };
 
   /// v's newest version at or below epoch e: the one version every copy of

@@ -13,7 +13,11 @@
 /// replicated vertex read off its owner, its replica rank and this
 /// server's rank -> row array. No hash lookup is on that path. A batch
 /// read prefetches the line a Read or RowAttr will load first
-/// (PrefetchRow, PrefetchAttr) while it routes the slots after it.
+/// (PrefetchRow, PrefetchAttr) while it routes the slots after it. The
+/// row arrays (offsets_, neighbors_, attrs_) and the route words are
+/// HugePageVectors: each that reaches 4 MB has its 2 MB-aligned interior
+/// advised onto huge pages, so a random row read rarely walks the page
+/// table.
 ///
 /// Two extensions over the plain owned store:
 ///   - **Replica storage.** A server may additionally hold full adjacency
@@ -32,6 +36,7 @@
 #include <span>
 #include <vector>
 
+#include "common/huge_pages.h"
 #include "common/prefetch.h"
 #include "graph/graph.h"
 #include "partition/partitioner.h"
@@ -150,9 +155,11 @@ class GraphServer {
   std::vector<VertexId> replicas_;  // rows [owned_.size(), ...)
   /// Replica rank -> row here (kNoRow when this server holds no copy).
   std::vector<uint32_t> replica_row_;
-  std::vector<uint64_t> offsets_;  // rows * num_types_ + 1
-  std::vector<Neighbor> neighbors_;
-  std::vector<AttrId> attrs_;  // one per row
+  // The arrays a read loads at a random row, on 2 MB pages where the host
+  // allows it (HugePageAllocator).
+  HugePageVector<uint64_t> offsets_;  // rows * num_types_ + 1
+  HugePageVector<Neighbor> neighbors_;
+  HugePageVector<AttrId> attrs_;  // one per row
   std::unique_ptr<NeighborCache> neighbor_cache_;
 };
 

@@ -28,6 +28,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/huge_pages.h"
 #include "common/status.h"
 #include "graph/graph.h"
 
@@ -77,7 +78,9 @@ struct Placement {
   /// holder maps that rank to a row of its own. Both are plain arrays, so
   /// finding a copy's row costs no hash lookup; only ServingWorker, which
   /// picks among a replicated vertex's copies for a remote read, does one.
-  std::vector<RouteWord> route;        ///< size n after IndexRows()
+  /// `route`, which every cluster read loads at a random vertex, sits on
+  /// 2 MB pages where the host allows it (HugePageAllocator).
+  HugePageVector<RouteWord> route;     ///< size n after IndexRows()
   std::vector<uint32_t> replica_rank;  ///< size n, or empty without replicas
 
   /// Fills route and replica_rank from the current owner and replica

@@ -13,6 +13,7 @@
 #ifndef ALIGRAPH_STORAGE_NEIGHBOR_CACHE_H_
 #define ALIGRAPH_STORAGE_NEIGHBOR_CACHE_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -26,7 +27,8 @@ namespace aligraph {
 /// Lookup tells whether v is cached. OnRemoteFetch gives reactive policies
 /// (LRU) a chance to admit a vertex that was just fetched; static policies
 /// (importance, random) ignore it because their contents are pinned at
-/// build time.
+/// build time, and expose their membership array (pinned()) so that the
+/// cluster's batch read can test it without a virtual call.
 class NeighborCache {
  public:
   virtual ~NeighborCache() = default;
@@ -43,6 +45,15 @@ class NeighborCache {
   /// makes the cached copy stale for the reader's epoch; like every other
   /// cache call it runs on the owning worker's reading thread.
   virtual void Invalidate(VertexId v) = 0;
+
+  /// A static policy's membership array, one byte per graph vertex
+  /// (nonzero = cached); null for a reactive policy. Non-null promises that
+  /// Lookup(v) is pinned()[v] != 0 with no side effect and that
+  /// OnRemoteFetch does nothing, so a batch read loads the byte itself
+  /// (prefetched, with a select instead of a virtual call and a branch) and
+  /// skips admission. The array stays valid while the cache lives;
+  /// Invalidate clears bytes in it.
+  virtual const uint8_t* pinned() const { return nullptr; }
 
   /// Number of vertices currently cached.
   virtual size_t size() const = 0;
@@ -64,6 +75,7 @@ class StaticNeighborCache : public NeighborCache {
   bool Lookup(VertexId v) override { return pinned_[v] != 0; }
   void OnRemoteFetch(VertexId v) override {}
   void Invalidate(VertexId v) override;
+  const uint8_t* pinned() const override { return pinned_.data(); }
   size_t size() const override { return size_; }
   size_t entry_count() const override { return entries_; }
 

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "cluster/cluster.h"
+#include "common/random.h"
 #include "gen/powerlaw.h"
 #include "gen/taobao.h"
 #include "partition/partitioner.h"
@@ -493,6 +494,157 @@ TEST(ClusterBatchTest, LookaheadEdgesMatchPerVertexReads) {
               g.OutDegree(kind[0]) + 1);
   }
   check(pin.epoch());
+}
+
+// Under a pinned cache, the route pass picks an unreplicated, never-updated
+// vertex's route with selects over its pin byte; replicated and updated
+// vertices take the branching path, which also drops an updated vertex
+// from the cache. Batched reads from every worker, at epoch 0 and after an
+// update batch that touches pinned vertices, must return, charge and leave
+// in the caches exactly what per-vertex reads of the same slots do on a
+// twin cluster.
+TEST(ClusterBatchTest, PinnedRouteFastPathMatchesPerVertexReads) {
+  gen::ChungLuConfig cfg;
+  cfg.num_vertices = 3000;
+  cfg.avg_degree = 6;
+  cfg.gamma = 2.1;
+  cfg.directed = false;
+  cfg.seed = 9;
+  const AttributedGraph g = std::move(gen::ChungLu(cfg)).value();
+  // Every vertex in a shuffled order, then 800 repeats.
+  std::vector<VertexId> batch(g.num_vertices());
+  std::iota(batch.begin(), batch.end(), 0);
+  Rng rng(31);
+  std::shuffle(batch.begin(), batch.end(), rng);
+  for (size_t i = 0; i < 800; ++i) batch.push_back(batch[i * 3]);
+
+  for (const bool random : {false, true}) {
+    SCOPED_TRACE(random ? "random cache" : "importance cache");
+    auto partitioner = std::move(MakePartitioner("hybrid")).value();
+    auto per_vertex = std::move(Cluster::Build(g, *partitioner, 4)).value();
+    auto batched = std::move(Cluster::Build(g, *partitioner, 4)).value();
+    ASSERT_TRUE(batched.plan().HasReplicas());
+    for (Cluster* c : {&per_vertex, &batched}) {
+      if (random) {
+        c->InstallRandomCache(0.2, /*seed=*/5);
+      } else {
+        c->InstallTopImportanceCache(/*k=*/1, 0.2);
+      }
+    }
+
+    // One batched neighbor and attribute read per worker at `epoch`
+    // against per-vertex reads of the same slots; adds the cache hits to
+    // `*hits`.
+    auto check = [&](uint64_t epoch, uint64_t* hits) {
+      for (WorkerId from = 0; from < batched.num_workers(); ++from) {
+        SCOPED_TRACE(::testing::Message() << "worker " << from);
+        SlotCharges neighbors, attrs;
+        std::vector<uint64_t> served(batched.num_workers(), 0);
+        std::vector<uint64_t> attr_served(batched.num_workers(), 0);
+        std::vector<VertexId> remote_seen, attr_remote_seen;
+        // Adds one per-vertex read's charges and served reads, a repeated
+        // remote vertex's only once, as a batch counts it.
+        auto add = [&](SlotCharges* charges, std::vector<uint64_t>* want,
+                       std::vector<VertexId>* seen, VertexId v,
+                       const CommStats& one,
+                       const std::vector<uint64_t>& before) {
+          const std::vector<uint64_t> after = per_vertex.ServedReadsSnapshot();
+          WorkerId serving = from;
+          for (WorkerId w = 0; w < after.size(); ++w) {
+            if (after[w] != before[w]) serving = w;
+          }
+          charges->Add(v, serving, one.snapshot());
+          if (one.remote_reads.load() != 0) {
+            if (std::find(seen->begin(), seen->end(), v) != seen->end()) {
+              return;
+            }
+            seen->push_back(v);
+          }
+          ++(*want)[serving];
+        };
+        std::vector<std::span<const Neighbor>> want(batch.size());
+        std::vector<AttrId> want_ids(batch.size());
+        for (size_t i = 0; i < batch.size(); ++i) {
+          const VertexId v = batch[i];
+          CommStats one, one_attr;
+          std::vector<uint64_t> before = per_vertex.ServedReadsSnapshot();
+          want[i] = per_vertex.GetNeighbors(from, v, &one, epoch);
+          add(&neighbors, &served, &remote_seen, v, one, before);
+          before = per_vertex.ServedReadsSnapshot();
+          want_ids[i] = per_vertex.TryGetVertexAttr(from, v, &one_attr).value();
+          add(&attrs, &attr_served, &attr_remote_seen, v, one_attr, before);
+        }
+
+        batched.ResetServedReads();
+        CommStats stats;
+        BatchResult out;
+        ASSERT_TRUE(batched
+                        .TryGetNeighborsBatch(from, batch, kAllEdgeTypes, &out,
+                                              &stats, epoch)
+                        .ok());
+        ASSERT_EQ(out.size(), batch.size());
+        for (size_t i = 0; i < batch.size(); ++i) {
+          ASSERT_TRUE(SameBytes(out[i], want[i])) << "slot " << i;
+        }
+        ExpectSameStats(stats.snapshot(), neighbors.want);
+        EXPECT_EQ(batched.ServedReadsSnapshot(), served);
+        *hits += stats.cache_hits.load();
+
+        batched.ResetServedReads();
+        CommStats attr_stats;
+        std::vector<AttrId> ids;
+        std::vector<uint8_t> ok;
+        ASSERT_TRUE(batched
+                        .TryGetVertexAttrBatch(from, batch, &ids, &ok,
+                                               &attr_stats)
+                        .ok());
+        EXPECT_EQ(ids, want_ids);
+        ExpectSameStats(attr_stats.snapshot(), attrs.want);
+        EXPECT_EQ(batched.ServedReadsSnapshot(), attr_served);
+
+        for (WorkerId w = 0; w < batched.num_workers(); ++w) {
+          const NeighborCache* a = per_vertex.server(w).neighbor_cache();
+          const NeighborCache* b = batched.server(w).neighbor_cache();
+          EXPECT_EQ(b->size(), a->size()) << "cache of worker " << w;
+          EXPECT_EQ(b->entry_count(), a->entry_count())
+              << "cache of worker " << w;
+        }
+      }
+    };
+    uint64_t hits = 0;
+    check(kEpochCurrent, &hits);
+    EXPECT_GT(hits, 0u);
+
+    // Touch pinned vertices (and a few unpinned ones): their reads now
+    // bypass the cache and drop them from every reading worker's cache.
+    const uint8_t* pinned = batched.server(0).neighbor_cache()->pinned();
+    ASSERT_NE(pinned, nullptr);
+    std::vector<EdgeUpdate> updates;
+    for (VertexId v = 0; v < g.num_vertices() && updates.size() < 60; ++v) {
+      if (pinned[v] != 0 || v % 97 == 0) {
+        updates.push_back({EdgeUpdate::Kind::kInsert, v, (v + 1) % 3000});
+      }
+    }
+    std::vector<size_t> cached_before;
+    for (WorkerId w = 0; w < batched.num_workers(); ++w) {
+      cached_before.push_back(batched.server(w).neighbor_cache()->size());
+    }
+    for (Cluster* c : {&per_vertex, &batched}) {
+      UpdateReport report;
+      ASSERT_TRUE(c->ApplyUpdateBatch(updates, &report).ok());
+      ASSERT_EQ(report.applied, updates.size());
+    }
+    EpochPin pin = batched.PinEpoch();
+    EpochPin twin_pin = per_vertex.PinEpoch();
+    ASSERT_EQ(pin.epoch(), twin_pin.epoch());
+    hits = 0;
+    check(pin.epoch(), &hits);
+    EXPECT_GT(hits, 0u);
+    for (WorkerId w = 0; w < batched.num_workers(); ++w) {
+      EXPECT_LT(batched.server(w).neighbor_cache()->size(), cached_before[w])
+          << "worker " << w << " kept a stale pin";
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

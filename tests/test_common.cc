@@ -1,11 +1,16 @@
 // Unit and property tests for the common utilities: RNG, alias table, LRU
-// cache, thread pool, summaries and the power-law fitter.
+// cache, thread pool, summaries, the power-law fitter and the huge-page
+// allocator.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <fstream>
 #include <limits>
+#include <numeric>
 #include <set>
 #include <span>
 #include <thread>
@@ -13,6 +18,7 @@
 
 #include "common/alias_table.h"
 #include "common/histogram.h"
+#include "common/huge_pages.h"
 #include "common/lru_cache.h"
 #include "common/random.h"
 #include "common/threadpool.h"
@@ -527,6 +533,98 @@ TEST(TimerTest, MeasuresElapsedTime) {
   const double before = t.ElapsedMillis();
   t.Reset();
   EXPECT_LE(t.ElapsedMillis(), before + 1e3);
+}
+
+// ---------------------------------------------------------------------------
+// HugePageAllocator: advice only on the 2 MB-aligned interior of a block of
+// at least 4 MB, and contents exactly those of a plain std::vector.
+
+/// Bytes of the whole huge pages inside [p, p + bytes).
+size_t HugeInterior(const void* p, size_t bytes) {
+  const uintptr_t mask = kHugePageBytes - 1;
+  const uintptr_t at = reinterpret_cast<uintptr_t>(p);
+  const uintptr_t begin = (at + mask) & ~mask;
+  const uintptr_t end = (at + bytes) & ~mask;
+  return end > begin ? end - begin : 0;
+}
+
+/// True when the kernel has transparent huge pages (whatever its mode), so
+/// madvise(MADV_HUGEPAGE) is accepted.
+bool KernelHasThp() {
+  return std::ifstream("/sys/kernel/mm/transparent_hugepage/enabled").good();
+}
+
+TEST(HugePageAllocatorTest, AdvisesTheAlignedInteriorOfBlocksFrom4MB) {
+  const bool thp = KernelHasThp();
+  EXPECT_EQ(AdviseHugePages(nullptr, 0), 0u);
+  for (const size_t bytes :
+       {size_t{0}, kHugePageAdviseBytes - 4096, kHugePageAdviseBytes - 1,
+        kHugePageAdviseBytes, kHugePageAdviseBytes + 1,
+        kHugePageAdviseBytes + 4096, 3 * kHugePageAdviseBytes + 12}) {
+    SCOPED_TRACE(::testing::Message() << bytes << " bytes");
+    HugePageAllocator<char> alloc;
+    char* p = alloc.allocate(bytes);
+    const size_t advised = AdviseHugePages(p, bytes);
+    if (bytes < kHugePageAdviseBytes) {
+      EXPECT_EQ(advised, 0u);
+    } else {
+      // Any 4 MB block holds a whole aligned 2 MB page, and the advice never
+      // reaches past the block.
+      EXPECT_GE(HugeInterior(p, bytes), kHugePageBytes);
+      EXPECT_LE(HugeInterior(p, bytes), bytes);
+      EXPECT_EQ(advised, thp ? HugeInterior(p, bytes) : 0u);
+      EXPECT_EQ(advised % kHugePageBytes, 0u);
+    }
+    alloc.deallocate(p, bytes);
+  }
+}
+
+TEST(HugePageAllocatorTest, SizedVectorsAroundTheThresholdMatchStdVector) {
+  constexpr size_t kAtThreshold = kHugePageAdviseBytes / sizeof(uint32_t);
+  for (const size_t n :
+       {size_t{0}, kAtThreshold - 1, kAtThreshold, kAtThreshold + 1}) {
+    SCOPED_TRACE(::testing::Message() << n << " elements");
+    HugePageVector<uint32_t> huge(n);
+    std::vector<uint32_t> plain(n);
+    EXPECT_TRUE(std::all_of(huge.begin(), huge.end(),
+                            [](uint32_t x) { return x == 0; }));
+    std::iota(huge.begin(), huge.end(), 7u);
+    std::iota(plain.begin(), plain.end(), 7u);
+    EXPECT_TRUE(std::equal(huge.begin(), huge.end(), plain.begin(),
+                           plain.end()));
+  }
+}
+
+TEST(HugePageAllocatorTest, GrowthAcrossTheThresholdKeepsContents) {
+  constexpr size_t kPast = kHugePageAdviseBytes / sizeof(uint64_t) + 1000;
+  HugePageVector<uint64_t> pushed;
+  std::vector<uint64_t> plain;
+  for (uint64_t i = 0; i < kPast; ++i) {
+    pushed.push_back(Mix64(i));
+    plain.push_back(Mix64(i));
+  }
+  EXPECT_GE(pushed.capacity() * sizeof(uint64_t), kHugePageAdviseBytes);
+  EXPECT_TRUE(
+      std::equal(pushed.begin(), pushed.end(), plain.begin(), plain.end()));
+
+  // resize from below the threshold to past it, with a fill value, then
+  // back below it.
+  HugePageVector<uint64_t> resized(100, 3);
+  std::vector<uint64_t> plain_resized(100, 3);
+  resized.resize(kPast, 11);
+  plain_resized.resize(kPast, 11);
+  resized[kPast - 1] = plain_resized[kPast - 1] = 42;
+  EXPECT_TRUE(std::equal(resized.begin(), resized.end(),
+                         plain_resized.begin(), plain_resized.end()));
+  resized.resize(50);
+  plain_resized.resize(50);
+  EXPECT_TRUE(std::equal(resized.begin(), resized.end(),
+                         plain_resized.begin(), plain_resized.end()));
+
+  // Copies and moves keep working with the stateless allocator.
+  HugePageVector<uint64_t> copy = pushed;
+  HugePageVector<uint64_t> moved = std::move(pushed);
+  EXPECT_TRUE(copy == moved);
 }
 
 }  // namespace
