@@ -13,11 +13,12 @@
 /// replicated vertex read off its owner, its replica rank and this
 /// server's rank -> row array. No hash lookup is on that path. A batch
 /// read prefetches the line a Read or RowAttr will load first
-/// (PrefetchRow, PrefetchAttr) while it routes the slots after it. The
-/// row arrays (offsets_, neighbors_, attrs_) and the route words are
-/// HugePageVectors: each that reaches 4 MB has its 2 MB-aligned interior
-/// advised onto huge pages, so a random row read rarely walks the page
-/// table.
+/// (PrefetchRow, PrefetchAttr) while it routes the slots after it.
+/// neighbors_, the one row array that passes 4 MB on a khop_cluster-sized
+/// server, is a HugePageVector like the route words: its 2 MB-aligned
+/// interior is advised onto huge pages, so a random span read rarely walks
+/// the page table. offsets_ and attrs_ (about 2.5 MB and 1.25 MB there) stay
+/// plain vectors.
 ///
 /// Two extensions over the plain owned store:
 ///   - **Replica storage.** A server may additionally hold full adjacency
@@ -155,11 +156,10 @@ class GraphServer {
   std::vector<VertexId> replicas_;  // rows [owned_.size(), ...)
   /// Replica rank -> row here (kNoRow when this server holds no copy).
   std::vector<uint32_t> replica_row_;
-  // The arrays a read loads at a random row, on 2 MB pages where the host
-  // allows it (HugePageAllocator).
-  HugePageVector<uint64_t> offsets_;  // rows * num_types_ + 1
+  std::vector<uint64_t> offsets_;  // rows * num_types_ + 1
+  // On 2 MB pages where the host allows it (HugePageAllocator).
   HugePageVector<Neighbor> neighbors_;
-  HugePageVector<AttrId> attrs_;  // one per row
+  std::vector<AttrId> attrs_;  // one per row
   std::unique_ptr<NeighborCache> neighbor_cache_;
 };
 

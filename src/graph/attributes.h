@@ -8,10 +8,6 @@
 /// ND the average degree, NL the average attribute length and NA the number
 /// of distinct attributes, this reduces space from O(n*ND*NL) to
 /// O(n*ND + NA*NL).
-///
-/// The payload, offset and length arrays are HugePageVectors: once one
-/// reaches 4 MB, its 2 MB-aligned interior is advised onto huge pages, so a
-/// gather's random record reads rarely walk the page table.
 
 #ifndef ALIGRAPH_GRAPH_ATTRIBUTES_H_
 #define ALIGRAPH_GRAPH_ATTRIBUTES_H_
@@ -21,7 +17,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/huge_pages.h"
 #include "graph/types.h"
 
 namespace aligraph {
@@ -58,9 +53,9 @@ class AttributeStore {
  private:
   // Payloads are concatenated in `data_`; record i spans
   // [offsets_[i], offsets_[i] + lengths_[i]).
-  HugePageVector<float> data_;
-  HugePageVector<uint64_t> offsets_;
-  HugePageVector<uint32_t> lengths_;
+  std::vector<float> data_;
+  std::vector<uint64_t> offsets_;
+  std::vector<uint32_t> lengths_;
   std::unordered_map<uint64_t, std::vector<AttrId>> hash_index_;
   size_t num_references_ = 0;
   size_t inlined_bytes_ = 0;

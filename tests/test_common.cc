@@ -8,13 +8,19 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <span>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
+
+#include <sys/mman.h>
 
 #include "common/alias_table.h"
 #include "common/histogram.h"
@@ -548,15 +554,49 @@ size_t HugeInterior(const void* p, size_t bytes) {
   return end > begin ? end - begin : 0;
 }
 
-/// True when the kernel has transparent huge pages (whatever its mode), so
-/// madvise(MADV_HUGEPAGE) is accepted.
-bool KernelHasThp() {
-  return std::ifstream("/sys/kernel/mm/transparent_hugepage/enabled").good();
+/// True when the kernel accepts MADV_HUGEPAGE (it has transparent huge
+/// pages, whatever their mode), probed on a page of our own.
+bool KernelAcceptsHugePageAdvice() {
+  void* p = mmap(nullptr, 4096, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) return false;
+  const bool ok = madvise(p, 4096, MADV_HUGEPAGE) == 0;
+  munmap(p, 4096);
+  return ok;
+}
+
+/// The mapping of this process that holds `addr`, as /proc/self/smaps
+/// lists it: its range and whether it is marked MADV_HUGEPAGE (`hg` among
+/// its VmFlags).
+struct Mapping {
+  uintptr_t lo = 0, hi = 0;
+  bool advised = false;
+};
+std::optional<Mapping> MappingAt(uintptr_t addr) {
+  std::ifstream smaps("/proc/self/smaps");
+  std::optional<Mapping> found;
+  bool inside = false;
+  std::string line;
+  while (std::getline(smaps, line)) {
+    unsigned long lo = 0, hi = 0;
+    if (std::sscanf(line.c_str(), "%lx-%lx ", &lo, &hi) == 2) {
+      if (found) break;
+      inside = lo <= addr && addr < hi;
+      if (inside) found = Mapping{lo, hi, false};
+    } else if (inside && line.rfind("VmFlags:", 0) == 0) {
+      std::istringstream flags(line.substr(8));
+      std::string flag;
+      while (flags >> flag) found->advised |= flag == "hg";
+    }
+  }
+  return found;
 }
 
 TEST(HugePageAllocatorTest, AdvisesTheAlignedInteriorOfBlocksFrom4MB) {
-  const bool thp = KernelHasThp();
-  EXPECT_EQ(AdviseHugePages(nullptr, 0), 0u);
+  if (!std::ifstream("/proc/self/smaps").good()) {
+    GTEST_SKIP() << "no /proc/self/smaps to read the advice from";
+  }
+  const bool accepted = KernelAcceptsHugePageAdvice();
   for (const size_t bytes :
        {size_t{0}, kHugePageAdviseBytes - 4096, kHugePageAdviseBytes - 1,
         kHugePageAdviseBytes, kHugePageAdviseBytes + 1,
@@ -564,18 +604,45 @@ TEST(HugePageAllocatorTest, AdvisesTheAlignedInteriorOfBlocksFrom4MB) {
     SCOPED_TRACE(::testing::Message() << bytes << " bytes");
     HugePageAllocator<char> alloc;
     char* p = alloc.allocate(bytes);
-    const size_t advised = AdviseHugePages(p, bytes);
+    const uintptr_t at = reinterpret_cast<uintptr_t>(p);
     if (bytes < kHugePageAdviseBytes) {
-      EXPECT_EQ(advised, 0u);
-    } else {
-      // Any 4 MB block holds a whole aligned 2 MB page, and the advice never
-      // reaches past the block.
-      EXPECT_GE(HugeInterior(p, bytes), kHugePageBytes);
-      EXPECT_LE(HugeInterior(p, bytes), bytes);
-      EXPECT_EQ(advised, thp ? HugeInterior(p, bytes) : 0u);
-      EXPECT_EQ(advised % kHugePageBytes, 0u);
+      // A small block comes from operator new, which no advice reaches.
+      if (bytes > 0) {
+        const std::optional<Mapping> m = MappingAt(at);
+        ASSERT_TRUE(m.has_value());
+        EXPECT_FALSE(m->advised);
+      }
+      alloc.deallocate(p, bytes);
+      continue;
+    }
+    // A large block is a page-aligned mapping of its own. Any 4 MB block
+    // holds a whole aligned 2 MB page; exactly those pages are advised, and
+    // the ragged ends are not.
+    EXPECT_EQ(at % 4096, 0u);
+    const size_t interior = HugeInterior(p, bytes);
+    EXPECT_GE(interior, kHugePageBytes);
+    const uintptr_t begin = (at + kHugePageBytes - 1) & ~(kHugePageBytes - 1);
+    const uintptr_t end = begin + interior;
+    p[0] = 1;
+    p[bytes - 1] = 2;
+    const std::optional<Mapping> middle = MappingAt(begin);
+    ASSERT_TRUE(middle.has_value());
+    EXPECT_EQ(middle->advised, accepted);
+    if (accepted) {
+      EXPECT_LE(middle->lo, begin);
+      EXPECT_GE(middle->hi, end);
+    }
+    for (const uintptr_t edge : {at, end}) {
+      if (edge == begin || edge == at + bytes) continue;  // no ragged end
+      const std::optional<Mapping> m = MappingAt(edge);
+      ASSERT_TRUE(m.has_value());
+      EXPECT_FALSE(m->advised);
     }
     alloc.deallocate(p, bytes);
+    // The advice went with the mapping: nothing left at that address
+    // carries it.
+    const std::optional<Mapping> after = MappingAt(begin);
+    EXPECT_TRUE(!after.has_value() || !after->advised);
   }
 }
 
