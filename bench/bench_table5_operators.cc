@@ -148,7 +148,7 @@ BlockCost RunBlockVariant(const AttributedGraph& graph, uint64_t seed) {
   // One attribute row, zero-padded / truncated to d.
   auto fetch_row = [&](VertexId v, CommStats* stats, std::span<float> out) {
     std::fill(out.begin(), out.end(), 0.0f);
-    auto id = cluster.TryGetVertexAttr(/*from=*/0, v, stats);
+    auto id = cluster.GetVertexAttr(/*from=*/0, v, stats);
     if (!id.ok() || *id == kNoAttr) return;
     const auto payload = store.Get(*id);
     const size_t n = payload.size() < d ? payload.size() : d;

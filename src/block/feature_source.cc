@@ -55,7 +55,7 @@ Status ClusterFeatureSource::Gather(std::span<const VertexId> vertices,
   std::vector<AttrId> ids;
   std::vector<uint8_t> slot_ok;
   const Status status =
-      cluster_.TryGetVertexAttrBatch(worker_, vertices, &ids, &slot_ok, stats_);
+      cluster_.GetVertexAttrBatch(worker_, vertices, &ids, stats_, &slot_ok);
   const AttributeStore& store = cluster_.graph().vertex_attributes();
   for (size_t i = 0; i < vertices.size(); ++i) {
     if (slot_ok[i] == 0 || ids[i] == kNoAttr) continue;

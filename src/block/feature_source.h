@@ -86,7 +86,7 @@ class GraphFeatureSource : public FeatureSource {
 
 /// \brief Attribute payloads read through the cluster from one worker's
 /// perspective: local slots cost nothing, remote slots ride coalesced
-/// per-worker attribute messages (Cluster::TryGetVertexAttrBatch), and
+/// per-worker attribute messages (Cluster::GetVertexAttrBatch), and
 /// under fault injection failed messages degrade to zero rows instead of
 /// aborting the gather.
 class ClusterFeatureSource : public FeatureSource {

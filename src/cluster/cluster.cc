@@ -37,10 +37,11 @@ constexpr uint64_t kAttrBatchTag = 0x61'6263ULL;  // "abc" (attr batch)
 /// first-occurrence slots of its vertices. The key is a fold over the
 /// request's vertices in first-occurrence order, taken as each is first
 /// seen: pure in the request's payload, so two identical runs judge
-/// identical requests identically regardless of call order. Only a
-/// fallible read judges keys, and only a cache that admits fetches walks
-/// the chains. Deduplication uses a flat linear-probing set sized for the
-/// batch and a multiplicative (Fibonacci) hash, so no entry allocates.
+/// identical requests identically regardless of call order. Only a read
+/// under an enabled injector judges keys, and only a cache that admits
+/// fetches walks the chains. Deduplication uses a flat linear-probing set
+/// sized for the batch and a multiplicative (Fibonacci) hash, so no entry
+/// allocates.
 class RemoteResidue {
  public:
   /// `keys`: fold request keys; `slots`: chain first-occurrence slots
@@ -358,8 +359,8 @@ bool Cluster::RemoteRequestSucceeds(WorkerId from, WorkerId to,
 
 template <typename ReadSlot, typename PrefetchSlot, typename ClearSlot>
 Status Cluster::ReadBatch(WorkerId from, std::span<const VertexId> batch,
-                          uint64_t e, NeighborCache* cache, bool fallible,
-                          uint64_t tag, const char* what, CommStats* stats,
+                          uint64_t e, NeighborCache* cache, uint64_t tag,
+                          const char* what, CommStats* stats,
                           ReadSlot read, PrefetchSlot prefetch,
                           ClearSlot clear) {
   // Route pass, in slot order, so cache lookups, recency touches and
@@ -370,6 +371,7 @@ Status Cluster::ReadBatch(WorkerId from, std::span<const VertexId> batch,
   // a nonzero epoch, and its pin byte under a static cache) are prefetched
   // while slot i is routed, and slot i's row is prefetched for the read
   // pass as soon as its route is known.
+  const bool judged = fault_injection_enabled();
   const uint8_t* pinned = cache != nullptr ? cache->pinned() : nullptr;
   const bool admits = cache != nullptr && pinned == nullptr;
   std::vector<Route> routes(batch.size());
@@ -411,7 +413,7 @@ Status Cluster::ReadBatch(WorkerId from, std::span<const VertexId> batch,
   tally.replica = kinds[static_cast<size_t>(Route::Kind::kReplica)];
   tally.hit = kinds[static_cast<size_t>(Route::Kind::kCacheHit)];
   RemoteResidue remote(batch.size(), servers_.size(), tag,
-                       /*keys=*/fallible, /*slots=*/admits);
+                       /*keys=*/judged, /*slots=*/admits);
   for (size_t k = 0; k < num_remote; ++k) {
     const uint32_t i = remote_slots[k];
     remote.Add(i, batch[i], routes[i].worker);
@@ -425,7 +427,7 @@ Status Cluster::ReadBatch(WorkerId from, std::span<const VertexId> batch,
   // not a hit.
   const uint32_t refused = remote.Judge(
       [&](WorkerId w, uint64_t key) {
-        return !fallible || RemoteRequestSucceeds(from, w, key, &tally);
+        return !judged || RemoteRequestSucceeds(from, w, key, &tally);
       },
       [&](WorkerId w) {
         obs::ScopedSpan serve_span("cluster/remote_serve");
@@ -458,8 +460,8 @@ Status Cluster::ReadBatch(WorkerId from, std::span<const VertexId> batch,
                              " exhausted their retry budget");
 }
 
-Result<AttrId> Cluster::TryGetVertexAttr(WorkerId from, VertexId v,
-                                         CommStats* stats) {
+Result<AttrId> Cluster::GetVertexAttr(WorkerId from, VertexId v,
+                                      CommStats* stats) {
   // Attributes are immutable, so a replica copy is always current.
   const Route route = Classify(from, v, nullptr, nullptr, nullptr);
   ReadTally tally;
@@ -479,33 +481,16 @@ Result<AttrId> Cluster::TryGetVertexAttr(WorkerId from, VertexId v,
   return servers_[route.worker]->RowAttr(route.row);
 }
 
-void Cluster::GetVertexAttrBatch(WorkerId from, std::span<const VertexId> batch,
-                                 std::vector<AttrId>* ids, CommStats* stats) {
-  // Infallible path: never consults the injector (see GetNeighborsBatch).
-  (void)GetVertexAttrBatchImpl(from, batch, ids, nullptr, stats,
-                               /*fallible=*/false);
-}
-
-Status Cluster::TryGetVertexAttrBatch(WorkerId from,
-                                      std::span<const VertexId> batch,
-                                      std::vector<AttrId>* ids,
-                                      std::vector<uint8_t>* ok,
-                                      CommStats* stats) {
-  return GetVertexAttrBatchImpl(from, batch, ids, ok, stats,
-                                fault_injection_enabled());
-}
-
-Status Cluster::GetVertexAttrBatchImpl(WorkerId from,
-                                       std::span<const VertexId> batch,
-                                       std::vector<AttrId>* ids,
-                                       std::vector<uint8_t>* ok,
-                                       CommStats* stats, bool fallible) {
+Status Cluster::GetVertexAttrBatch(WorkerId from,
+                                   std::span<const VertexId> batch,
+                                   std::vector<AttrId>* ids, CommStats* stats,
+                                   std::vector<uint8_t>* ok) {
   obs::ScopedSpan span("cluster/attr_batch_read");
   ids->resize(batch.size());
   if (ok != nullptr) ok->assign(batch.size(), 1);
   // Attributes are immutable, so any copy is current and none is cached.
   return ReadBatch(
-      from, batch, /*e=*/0, /*cache=*/nullptr, fallible, kAttrBatchTag,
+      from, batch, /*e=*/0, /*cache=*/nullptr, kAttrBatchTag,
       "attr slots", stats,
       [&](size_t i, const Route& r, const AdjVersion*) {
         (*ids)[i] = servers_[r.worker]->RowAttr(r.row);
@@ -697,37 +682,18 @@ size_t Cluster::MemoryBytes() const {
   return bytes;
 }
 
-void Cluster::GetNeighborsBatch(WorkerId from,
-                                std::span<const VertexId> batch,
-                                EdgeType type, BatchResult* out,
-                                CommStats* stats, uint64_t epoch) {
-  // Infallible path: never consults the injector, so installed-but-unused
-  // fault configs cannot perturb it. Always OK, hence the discarded Status.
-  (void)GetNeighborsBatchImpl(from, batch, type, out, stats,
-                              /*fallible=*/false, epoch);
-}
-
-Status Cluster::TryGetNeighborsBatch(WorkerId from,
-                                     std::span<const VertexId> batch,
-                                     EdgeType type, BatchResult* out,
-                                     CommStats* stats, uint64_t epoch) {
-  return GetNeighborsBatchImpl(from, batch, type, out, stats,
-                               fault_injection_enabled(), epoch);
-}
-
-Status Cluster::GetNeighborsBatchImpl(WorkerId from,
-                                      std::span<const VertexId> batch,
-                                      EdgeType type, BatchResult* out,
-                                      CommStats* stats, bool fallible,
-                                      uint64_t epoch) {
+Status Cluster::GetNeighborsBatch(WorkerId from,
+                                  std::span<const VertexId> batch,
+                                  EdgeType type, BatchResult* out,
+                                  CommStats* stats, uint64_t epoch) {
   obs::ScopedSpan span("cluster/batch_read");
   // Resolved once, so the whole batch reads one epoch even unpinned.
   EpochPin pin;
   const uint64_t e = ResolveEpoch(epoch, &pin);
   out->Reset(batch.size());
   return ReadBatch(
-      from, batch, e, servers_[from]->neighbor_cache(), fallible,
-      kBatchReadTag, "batch slots", stats,
+      from, batch, e, servers_[from]->neighbor_cache(), kBatchReadTag,
+      "batch slots", stats,
       [&](size_t i, const Route& r, const AdjVersion* ver) {
         // The sampler's draws load this span next: start its first line.
         const auto span = servers_[r.worker]->Read(r.row, type, ver);

@@ -101,8 +101,8 @@ class Cluster {
   /// cache holds membership, not bytes: a hit is charged as one and reads
   /// the owner's storage. A vertex updated at or before the read's epoch
   /// (it has a version there) bypasses the cache and leaves it.
-  /// Per-vertex reads never consult the fault injector; fallible reads are
-  /// batched (TryGetNeighborsBatch).
+  /// Per-vertex neighbor reads never consult the fault injector; reads
+  /// that can fail are batched (GetNeighborsBatch).
   ///
   /// Spans stay valid while a pin at `epoch` is held. A kEpochCurrent read
   /// pins internally for the call only, so its spans are only safe to use
@@ -131,38 +131,30 @@ class Cluster {
   /// vertex counts one remote_read + one batched_remote_read (duplicates
   /// ride the same response payload for free), and each contacted worker
   /// counts one remote_batch — at most num_workers - 1 per call. Returns
-  /// the same bytes as per-vertex GetNeighbors. Never consults the fault
-  /// injector.
-  void GetNeighborsBatch(WorkerId from, std::span<const VertexId> batch,
-                         EdgeType type, BatchResult* out, CommStats* stats,
-                         uint64_t epoch = kEpochCurrent);
-
-  /// The fallible read paths, used when fault injection is active. Every
-  /// remote request (one message) gets the first attempt plus up to
-  /// retry_policy().max_attempts - 1 retries (exponential backoff with
-  /// decorrelated jitter, modeled — see RetryPolicy), judged by the
-  /// installed FaultInjector; backoff time and failed attempts are charged
-  /// to `stats` (faults_injected, retry_attempts, retry_backoff_us,
-  /// failed_reads) so CommModel::ModeledMillis reflects the faults. With no
-  /// injector installed these behave exactly like the infallible paths and
-  /// always succeed. Local, replica and cache-served reads never fail
-  /// (faults model the network, not local storage).
+  /// the same bytes as per-vertex GetNeighbors.
   ///
-  /// Fallible batched read: each coalesced per-worker request is judged
-  /// once (one fault decision per message, matching the real failure
-  /// domain). Failed requests mark their slots out->ok[i] = 0 and leave the
-  /// spans empty; successful slots are exactly GetNeighborsBatch's output.
-  /// Returns OK when every slot resolved, Unavailable when any failed.
-  Status TryGetNeighborsBatch(WorkerId from, std::span<const VertexId> batch,
-                              EdgeType type, BatchResult* out,
-                              CommStats* stats,
-                              uint64_t epoch = kEpochCurrent);
+  /// While an enabled fault injector is installed, each coalesced request
+  /// (one message, the real failure domain) is judged by it: the first
+  /// attempt plus up to RetryPolicy::max_attempts - 1 retries (exponential
+  /// backoff with decorrelated jitter, modeled — see RetryPolicy), with
+  /// faults, retries, backoff and refused requests charged to `stats`
+  /// (faults_injected, retry_attempts, retry_backoff_us, failed_reads) so
+  /// CommModel::ModeledMillis reflects them. A refused request marks its
+  /// slots out->ok[i] = 0 and leaves their spans empty; every other slot
+  /// is exactly the fault-free output. Local, replica and cache-served
+  /// slots never fail (faults model the network, not local storage).
+  /// Returns OK when every slot resolved, Unavailable when any failed;
+  /// with no enabled injector, always OK.
+  Status GetNeighborsBatch(WorkerId from, std::span<const VertexId> batch,
+                           EdgeType type, BatchResult* out, CommStats* stats,
+                           uint64_t epoch = kEpochCurrent);
 
-  /// Fallible attribute fetch, routed like a neighbor read (attributes are
-  /// never cached): remote attrs cost one (retryable) individual message
-  /// and exhausted retries return Unavailable. kNoAttr for vertices without
+  /// Per-vertex attribute fetch, routed like a neighbor read (attributes
+  /// are never cached): a remote attr costs one individual message, judged
+  /// like a batch request while an enabled injector is installed, and
+  /// exhausted retries return Unavailable. kNoAttr for vertices without
   /// attrs.
-  Result<AttrId> TryGetVertexAttr(WorkerId from, VertexId v, CommStats* stats);
+  Result<AttrId> GetVertexAttr(WorkerId from, VertexId v, CommStats* stats);
 
   /// Batched attribute fetch issued by worker `from`: (*ids)[i] is the
   /// AttrId of batch[i] (kNoAttr for vertices without attributes). Mirrors
@@ -170,18 +162,13 @@ class Cluster {
   /// occurrence; the remote residue is deduplicated and coalesced into ONE
   /// message per serving worker. Each unique remote vertex counts one
   /// remote_read + one batched_remote_read, each contacted worker one
-  /// remote_batch.
-  void GetVertexAttrBatch(WorkerId from, std::span<const VertexId> batch,
-                          std::vector<AttrId>* ids, CommStats* stats);
-
-  /// Fallible batched attribute fetch: each coalesced per-worker message is
-  /// judged once by the retry loop. Slots of a failed message get
-  /// (*ids)[i] = kNoAttr and (*ok)[i] = 0 (when `ok` is non-null);
-  /// successful slots match GetVertexAttrBatch's output. Returns OK when
-  /// every slot resolved, Unavailable when any failed.
-  Status TryGetVertexAttrBatch(WorkerId from, std::span<const VertexId> batch,
-                               std::vector<AttrId>* ids,
-                               std::vector<uint8_t>* ok, CommStats* stats);
+  /// remote_batch. Messages are judged as in GetNeighborsBatch: slots of a
+  /// refused one get (*ids)[i] = kNoAttr and, when `ok` is non-null,
+  /// (*ok)[i] = 0. Returns OK when every slot resolved, Unavailable when
+  /// any failed.
+  Status GetVertexAttrBatch(WorkerId from, std::span<const VertexId> batch,
+                            std::vector<AttrId>* ids, CommStats* stats,
+                            std::vector<uint8_t>* ok = nullptr);
 
   /// Applies a batch of edge inserts/removes concurrently with sampling
   /// reads. Each touched vertex gets one new version, which every copy of
@@ -224,18 +211,17 @@ class Cluster {
   void ResetServedReads();
 
   /// Installs deterministic fault injection + the retry policy applied to
-  /// the TryGet* read paths. An inactive config (all probabilities zero, no
-  /// schedule) leaves every path byte-identical to the uninjected cluster.
+  /// the batch reads and GetVertexAttr. An inactive config (all
+  /// probabilities zero, no schedule) leaves every path byte-identical to
+  /// the uninjected cluster.
   void InstallFaultInjection(FaultConfig config, RetryPolicy policy = {});
 
-  /// Removes fault injection; all read paths are infallible again.
+  /// Removes fault injection; every read resolves again.
   void ClearFaultInjection();
 
   bool fault_injection_enabled() const {
     return injector_ != nullptr && injector_->enabled();
   }
-  const FaultInjector* fault_injector() const { return injector_.get(); }
-  const RetryPolicy& retry_policy() const { return retry_policy_; }
 
   /// Installs the paper's importance-based cache on every worker: vertices
   /// with Imp_k >= taus[k-1] for any k <= depth get their out-neighbors
@@ -335,42 +321,27 @@ class Cluster {
   bool RemoteRequestSucceeds(WorkerId from, WorkerId to, uint64_t request_key,
                              ReadTally* tally);
 
-  /// Shared implementation of the batched read. With `fallible` false this
-  /// is exactly GetNeighborsBatch (every slot resolves, no injector branch
-  /// is evaluated); with `fallible` true each coalesced per-worker request
-  /// is judged by the retry loop first.
-  Status GetNeighborsBatchImpl(WorkerId from, std::span<const VertexId> batch,
-                               EdgeType type, BatchResult* out,
-                               CommStats* stats, bool fallible,
-                               uint64_t epoch);
-
-  /// Shared implementation of the batched attribute read; `fallible` works
-  /// as in GetNeighborsBatchImpl.
-  Status GetVertexAttrBatchImpl(WorkerId from, std::span<const VertexId> batch,
-                                std::vector<AttrId>* ids,
-                                std::vector<uint8_t>* ok, CommStats* stats,
-                                bool fallible);
-
-  /// The passes both Impls run at epoch `e` (0 and a null `cache` for
-  /// attributes): route every slot in slot order, `read(i, route, ver)`
+  /// The passes both batch reads run at epoch `e` (0 and a null `cache`
+  /// for attributes): route every slot in slot order, `read(i, route, ver)`
   /// every slot, then count the owned, replica and cached slots and
   /// deduplicate the remote ones into one request per serving worker
-  /// (keyed by `tag`). The requests are judged in worker order, `clear(i)`
-  /// empties each slot of a refused one, and the whole call is charged
-  /// once. `what` names the slots in the Unavailable message. The route
-  /// pass prefetches kAhead slots ahead (route word, version head, and a
-  /// static cache's pin byte) and calls `prefetch(route)` on each slot it
-  /// routes, for the line `read` will load; it also counts each slot's
-  /// kind and lists the remote slots, without branching on the kind, so
-  /// the count pass walks only the remote ones. The remote residue folds
-  /// request keys only when the call is fallible and chains
-  /// first-occurrence slots only for a cache that admits fetches (one
-  /// without a pinned() array), since nothing else reads them.
+  /// (keyed by `tag`). The requests are judged in worker order (by the
+  /// injector when fault_injection_enabled(), read once per call),
+  /// `clear(i)` empties each slot of a refused one, and the whole call is
+  /// charged once. `what` names the slots in the Unavailable message. The
+  /// route pass prefetches kAhead slots ahead (route word, version head,
+  /// and a static cache's pin byte) and calls `prefetch(route)` on each
+  /// slot it routes, for the line `read` will load; it also counts each
+  /// slot's kind and lists the remote slots, without branching on the
+  /// kind, so the count pass walks only the remote ones. The remote
+  /// residue folds request keys only when an injector will judge them and
+  /// chains first-occurrence slots only for a cache that admits fetches
+  /// (one without a pinned() array), since nothing else reads them.
   template <typename ReadSlot, typename PrefetchSlot, typename ClearSlot>
   Status ReadBatch(WorkerId from, std::span<const VertexId> batch, uint64_t e,
-                   NeighborCache* cache, bool fallible, uint64_t tag,
-                   const char* what, CommStats* stats, ReadSlot read,
-                   PrefetchSlot prefetch, ClearSlot clear);
+                   NeighborCache* cache, uint64_t tag, const char* what,
+                   CommStats* stats, ReadSlot read, PrefetchSlot prefetch,
+                   ClearSlot clear);
 
   /// True when the cache must be skipped for a read of v whose version at
   /// the read's epoch is `ver` (non-null: v was updated by then); also

@@ -22,7 +22,8 @@
 
 namespace aligraph {
 
-/// \brief Bounded-retry configuration applied to fallible cluster reads.
+/// \brief Bounded-retry configuration applied to the cluster reads a fault
+/// injector judges.
 struct RetryPolicy {
   /// Total tries per request, including the first (>= 1).
   uint32_t max_attempts = 4;

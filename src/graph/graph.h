@@ -38,10 +38,10 @@ struct Neighbor {
 /// allocation.
 struct BatchResult {
   std::vector<std::span<const Neighbor>> spans;
-  /// Per-slot success flags for fallible (retry-aware) read paths:
+  /// Per-slot success flags for reads judged by a fault injector:
   /// ok[i] == 0 means slot i exhausted its retry budget and spans[i] is
   /// empty — distinguishable from a genuinely empty adjacency, which has
-  /// ok[i] == 1. Infallible paths leave every flag at 1.
+  /// ok[i] == 1. A read no injector judges leaves every flag at 1.
   std::vector<uint8_t> ok;
 
   void Reset(size_t n) {
@@ -51,7 +51,7 @@ struct BatchResult {
   size_t size() const { return spans.size(); }
   std::span<const Neighbor> operator[](size_t i) const { return spans[i]; }
 
-  /// Number of slots whose read failed (0 on infallible paths).
+  /// Number of slots whose read failed (0 when no injector judged it).
   size_t FailedSlots() const {
     size_t failed = 0;
     for (const uint8_t f : ok) failed += f == 0;

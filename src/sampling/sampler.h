@@ -122,8 +122,8 @@ class DistributedNeighborSource : public NeighborSource {
   }
   Status NeighborsBatch(std::span<const VertexId> vertices, EdgeType type,
                         BatchResult* out) override {
-    return cluster_.TryGetNeighborsBatch(worker_, vertices, type, out, stats_,
-                                         epoch_);
+    return cluster_.GetNeighborsBatch(worker_, vertices, type, out, stats_,
+                                      epoch_);
   }
 
   bool fallible() const override {

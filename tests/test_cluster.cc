@@ -448,15 +448,15 @@ TEST(ClusterBatchTest, LookaheadEdgesMatchPerVertexReads) {
         CommStats one, one_attr;
         want[i] = cluster.GetNeighbors(kFrom, v, &one, epoch);
         neighbors.Add(v, serving, one.snapshot());
-        want_ids[i] = cluster.TryGetVertexAttr(kFrom, v, &one_attr).value();
+        want_ids[i] = cluster.GetVertexAttr(kFrom, v, &one_attr).value();
         attrs.Add(v, serving, one_attr.snapshot());
       }
 
       CommStats stats;
       BatchResult out;
       ASSERT_TRUE(cluster
-                      .TryGetNeighborsBatch(kFrom, batch, kAllEdgeTypes, &out,
-                                            &stats, epoch)
+                      .GetNeighborsBatch(kFrom, batch, kAllEdgeTypes, &out,
+                                         &stats, epoch)
                       .ok());
       ASSERT_EQ(out.size(), batch.size());
       for (size_t i = 0; i < batch.size(); ++i) {
@@ -469,7 +469,7 @@ TEST(ClusterBatchTest, LookaheadEdgesMatchPerVertexReads) {
       std::vector<AttrId> ids;
       std::vector<uint8_t> ok;
       ASSERT_TRUE(
-          cluster.TryGetVertexAttrBatch(kFrom, batch, &ids, &ok, &attr_stats)
+          cluster.GetVertexAttrBatch(kFrom, batch, &ids, &attr_stats, &ok)
               .ok());
       EXPECT_EQ(ids, want_ids);
       EXPECT_EQ(ok, std::vector<uint8_t>(batch.size(), 1));
@@ -571,7 +571,7 @@ TEST(ClusterBatchTest, PinnedRouteFastPathMatchesPerVertexReads) {
           want[i] = per_vertex.GetNeighbors(from, v, &one, epoch);
           add(&neighbors, &served, &remote_seen, v, one, before);
           before = per_vertex.ServedReadsSnapshot();
-          want_ids[i] = per_vertex.TryGetVertexAttr(from, v, &one_attr).value();
+          want_ids[i] = per_vertex.GetVertexAttr(from, v, &one_attr).value();
           add(&attrs, &attr_served, &attr_remote_seen, v, one_attr, before);
         }
 
@@ -579,8 +579,8 @@ TEST(ClusterBatchTest, PinnedRouteFastPathMatchesPerVertexReads) {
         CommStats stats;
         BatchResult out;
         ASSERT_TRUE(batched
-                        .TryGetNeighborsBatch(from, batch, kAllEdgeTypes, &out,
-                                              &stats, epoch)
+                        .GetNeighborsBatch(from, batch, kAllEdgeTypes, &out,
+                                           &stats, epoch)
                         .ok());
         ASSERT_EQ(out.size(), batch.size());
         for (size_t i = 0; i < batch.size(); ++i) {
@@ -595,8 +595,8 @@ TEST(ClusterBatchTest, PinnedRouteFastPathMatchesPerVertexReads) {
         std::vector<AttrId> ids;
         std::vector<uint8_t> ok;
         ASSERT_TRUE(batched
-                        .TryGetVertexAttrBatch(from, batch, &ids, &ok,
-                                               &attr_stats)
+                        .GetVertexAttrBatch(from, batch, &ids, &attr_stats,
+                                            &ok)
                         .ok());
         EXPECT_EQ(ids, want_ids);
         ExpectSameStats(attr_stats.snapshot(), attrs.want);
@@ -788,7 +788,7 @@ TEST(StorageDifferentialTest, SeventyWorkersBatchedReadsEqualPerVertexReads) {
     cluster.ResetServedReads();
     std::vector<AttrId> want_ids(n);
     for (VertexId v = 0; v < n; ++v) {
-      want_ids[v] = cluster.TryGetVertexAttr(from, v, &attr_per_vertex).value();
+      want_ids[v] = cluster.GetVertexAttr(from, v, &attr_per_vertex).value();
     }
     const std::vector<uint64_t> attr_served = cluster.ServedReadsSnapshot();
     CommStats attr_batched;
@@ -813,18 +813,28 @@ TEST(StorageDifferentialTest, SeventyWorkersBatchedReadsEqualPerVertexReads) {
   cluster.InstallFaultInjection(cfg);
   BatchResult out;
   EXPECT_FALSE(
-      cluster.TryGetNeighborsBatch(0, all, kAllEdgeTypes, &out, nullptr).ok());
+      cluster.GetNeighborsBatch(0, all, kAllEdgeTypes, &out, nullptr).ok());
   std::vector<AttrId> ids;
   std::vector<uint8_t> ok;
-  EXPECT_FALSE(cluster.TryGetVertexAttrBatch(0, all, &ids, &ok, nullptr).ok());
+  CommStats attr_stats;
+  EXPECT_FALSE(cluster.GetVertexAttrBatch(0, all, &ids, &attr_stats, &ok).ok());
+  // Without `ok` the attribute read refuses the same slots, marks them
+  // kNoAttr and is charged exactly as the call that passes `ok`.
+  std::vector<AttrId> ids_no_ok;
+  CommStats no_ok_stats;
+  EXPECT_EQ(cluster.GetVertexAttrBatch(0, all, &ids_no_ok, &no_ok_stats).code(),
+            StatusCode::kUnavailable);
+  EXPECT_EQ(ids_no_ok, ids);
+  ExpectSameStats(no_ok_stats.snapshot(), attr_stats.snapshot());
+  EXPECT_GT(no_ok_stats.snapshot().failed_reads, 0u);
   size_t failed_at[2] = {0, 0};  // failed neighbor slots served by 5, by 66
   for (VertexId v = 0; v < n; ++v) {
     BatchResult one;
     const VertexId slot[] = {v};
-    (void)cluster.TryGetNeighborsBatch(0, slot, kAllEdgeTypes, &one, nullptr);
+    (void)cluster.GetNeighborsBatch(0, slot, kAllEdgeTypes, &one, nullptr);
     ASSERT_EQ(out.ok[v], one.ok[0]) << "v=" << v;
     EXPECT_TRUE(SameBytes(out[v], one[0])) << "v=" << v;
-    const Result<AttrId> id = cluster.TryGetVertexAttr(0, v, nullptr);
+    const Result<AttrId> id = cluster.GetVertexAttr(0, v, nullptr);
     ASSERT_EQ(ok[v], id.ok()) << "v=" << v;
     EXPECT_EQ(ids[v], id.ok() ? id.value() : kNoAttr) << "v=" << v;
     if (out.ok[v] == 0) {

@@ -37,12 +37,12 @@ bool SameBytes(std::span<const Neighbor> a, std::span<const Neighbor> b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(Neighbor)) == 0;
 }
 
-// One-slot fallible read of v's adjacency: the per-vertex form of
-// TryGetNeighborsBatch, one remote message when v is not local to `from`.
+// One-slot batch read of v's adjacency, judged by the injector: one remote
+// message when v is not local to `from`.
 Status ReadOne(Cluster& cluster, WorkerId from, VertexId v, CommStats* stats,
                BatchResult* out) {
   const VertexId batch[] = {v};
-  return cluster.TryGetNeighborsBatch(from, batch, kAllEdgeTypes, out, stats);
+  return cluster.GetNeighborsBatch(from, batch, kAllEdgeTypes, out, stats);
 }
 
 // A config where every attempt draws the transient probability.
@@ -271,7 +271,7 @@ TEST(ClusterFaultTest, TryAttrReadRetriesLikeNeighborRead) {
   CommStats stats;
   for (VertexId v = 0; v < 100; ++v) {
     if (cluster.OwnerOf(v) != 1) continue;
-    auto r = cluster.TryGetVertexAttr(0, v, &stats);
+    auto r = cluster.GetVertexAttr(0, v, &stats);
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(*r, g.vertex_attr(v));
   }
@@ -328,8 +328,8 @@ TEST(FaultDifferentialTest, InactiveInjectorIsBitIdenticalToBaseline) {
   BatchResult base_out, inj_out;
   baseline.GetNeighborsBatch(0, batch, kAllEdgeTypes, &base_out, &base_stats);
   ASSERT_TRUE(injected
-                  .TryGetNeighborsBatch(0, batch, kAllEdgeTypes, &inj_out,
-                                        &inj_stats)
+                  .GetNeighborsBatch(0, batch, kAllEdgeTypes, &inj_out,
+                                     &inj_stats)
                   .ok());
   ASSERT_EQ(base_out.size(), inj_out.size());
   for (size_t i = 0; i < base_out.size(); ++i) {
@@ -408,7 +408,7 @@ ALIGRAPH_PROP(FaultDifferentialProps, BatchPayloadsMatchPerVertex, 6) {
     }
     BatchResult out;
     const Status st =
-        cluster.TryGetNeighborsBatch(0, batch, kAllEdgeTypes, &out, nullptr);
+        cluster.GetNeighborsBatch(0, batch, kAllEdgeTypes, &out, nullptr);
     ASSERT_EQ(out.size(), batch.size());
     if (!cfg.Active()) {
       EXPECT_TRUE(st.ok());

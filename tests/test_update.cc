@@ -834,8 +834,8 @@ TEST(UpdateCacheTest, ChargesMatchParentFingerprint) {
 }
 
 /// Runs a seeded sequence of fallible batched reads on `cluster` (built over
-/// `g`, fault injection installed): rounds of TryGetNeighborsBatch, typed and
-/// untyped, and TryGetVertexAttrBatch from every worker, each round followed
+/// `g`, fault injection installed): rounds of GetNeighborsBatch, typed and
+/// untyped, and GetVertexAttrBatch from every worker, each round followed
 /// by an update batch. Checks that every failed slot is ok = 0 with an empty
 /// span or kNoAttr. Returns every CommStats field, each worker's served
 /// reads, its cache size() and entry_count(), then the failed neighbor and
@@ -866,7 +866,7 @@ std::vector<uint64_t> FaultChargeFingerprint(Cluster& cluster,
             b == 2 ? kAllEdgeTypes : static_cast<EdgeType>(b);
         BatchResult out;
         const Status st =
-            cluster.TryGetNeighborsBatch(from, batch, type, &out, &stats);
+            cluster.GetNeighborsBatch(from, batch, type, &out, &stats);
         EXPECT_EQ(st.ok(), out.FailedSlots() == 0);
         for (size_t i = 0; i < batch.size(); ++i) {
           if (out.ok[i] == 0) {
@@ -880,7 +880,7 @@ std::vector<uint64_t> FaultChargeFingerprint(Cluster& cluster,
         std::vector<AttrId> ids;
         std::vector<uint8_t> ok;
         const Status ast =
-            cluster.TryGetVertexAttrBatch(from, batch, &ids, &ok, &stats);
+            cluster.GetVertexAttrBatch(from, batch, &ids, &stats, &ok);
         size_t failed_here = 0;
         for (size_t i = 0; i < batch.size(); ++i) {
           if (ok[i] == 0) {
