@@ -18,7 +18,6 @@ class Timer {
   void Reset() { start_ = Clock::now(); }
 
   /// Elapsed time since construction / last Reset, in the requested unit.
-  double ElapsedSeconds() const { return ElapsedNanos() * 1e-9; }
   double ElapsedMillis() const { return ElapsedNanos() * 1e-6; }
   double ElapsedMicros() const { return ElapsedNanos() * 1e-3; }
   int64_t ElapsedNanos() const {

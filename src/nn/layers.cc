@@ -44,11 +44,6 @@ void EmbeddingTable::SgdUpdate(size_t id, std::span<const float> grad,
   Axpy(-lr, grad, Row(id));
 }
 
-void EmbeddingTable::Accumulate(size_t id, std::span<const float> grad,
-                                float alpha) {
-  Axpy(alpha, grad, Row(id));
-}
-
 float BceWithLogits(std::span<const float> logits,
                     std::span<const float> labels, std::span<float> grad) {
   ALIGRAPH_CHECK_EQ(logits.size(), labels.size());

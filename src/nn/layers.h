@@ -63,9 +63,6 @@ class EmbeddingTable {
   /// row[id] -= lr * grad (sparse SGD step on one row).
   void SgdUpdate(size_t id, std::span<const float> grad, float lr);
 
-  /// Adds grad into the row of id scaled by alpha (for custom schedules).
-  void Accumulate(size_t id, std::span<const float> grad, float alpha);
-
   const Matrix& matrix() const { return table_; }
   Matrix& mutable_matrix() { return table_; }
 

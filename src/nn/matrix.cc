@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <sstream>
 
 #include "common/logging.h"
 
@@ -46,12 +45,6 @@ float Matrix::SquaredNorm() const {
   float acc = 0;
   for (float v : data_) acc += v * v;
   return acc;
-}
-
-std::string Matrix::ShapeString() const {
-  std::ostringstream os;
-  os << "[" << rows_ << "x" << cols_ << "]";
-  return os.str();
 }
 
 namespace {

@@ -8,7 +8,6 @@
 
 #include <cstddef>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "common/random.h"
@@ -23,8 +22,6 @@ class Matrix {
   Matrix() = default;
   Matrix(size_t rows, size_t cols)
       : rows_(rows), cols_(cols), data_(rows * cols, 0.0f) {}
-
-  static Matrix Zeros(size_t rows, size_t cols) { return Matrix(rows, cols); }
 
   /// Xavier/Glorot-uniform initialization.
   static Matrix Xavier(size_t rows, size_t cols, Rng& rng);
@@ -57,8 +54,6 @@ class Matrix {
 
   /// Frobenius norm squared.
   float SquaredNorm() const;
-
-  std::string ShapeString() const;
 
  private:
   size_t rows_ = 0;

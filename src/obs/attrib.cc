@@ -15,9 +15,7 @@ namespace obs {
 namespace {
 
 constexpr const char* kComponentNames[kNumBudgetComponents] = {
-    "queue_wait",   "sample",     "gather",     "compute",
-    "remote_read",  "replica_read", "cache_read", "retry_backoff",
-    "shed",         "abandoned",
+    "queue_wait", "sample", "gather", "compute", "abandoned",
 };
 
 constexpr const char* kOutcomeNames[] = {"completed", "shed", "abandoned"};
@@ -86,28 +84,6 @@ double RequestBudget::attributed_us() const {
 double RequestBudget::coverage() const {
   if (total_us <= 0.0) return 1.0;
   return std::clamp(attributed_us() / total_us, 0.0, 1.0);
-}
-
-void ApplyCommDelta(const CommStats::Snapshot& delta, const CommModel& model,
-                    RequestBudget* budget) {
-  // Mirror CommModel::ModeledMillis term by term, regrouped by cause: the
-  // attribution must bill exactly what the model bills, or the coverage
-  // gate would flag phantom (or missing) microseconds.
-  budget->at(BudgetComponent::kSample) +=
-      static_cast<double>(delta.local_reads) * model.local_latency_us;
-  budget->at(BudgetComponent::kReplicaRead) +=
-      static_cast<double>(delta.replica_reads) * model.local_latency_us;
-  budget->at(BudgetComponent::kCacheRead) +=
-      static_cast<double>(delta.cache_hits) * model.local_latency_us;
-  const uint64_t individual = delta.remote_reads - delta.batched_remote_reads;
-  budget->at(BudgetComponent::kRemoteRead) +=
-      static_cast<double>(individual + delta.remote_batches) *
-          model.remote_rpc_us +
-      static_cast<double>(delta.remote_reads) * model.remote_item_us;
-  budget->at(BudgetComponent::kRetryBackoff) +=
-      static_cast<double>(delta.retry_attempts + delta.failed_reads) *
-          model.remote_rpc_us +
-      static_cast<double>(delta.retry_backoff_us);
 }
 
 AttributionReport BuildAttributionReport(

@@ -5,15 +5,15 @@
 ///
 /// When the serving gate (DESIGN.md §13) reports a p99 regression, the only
 /// follow-up question that matters is *where the time went*: queueing,
-/// sampling, gathering, compute, or communication. The serving sim already
-/// knows — every modeled microsecond it charges comes from an explicit term
-/// (lane wait, per-edge sample cost, per-row gather cost, fixed forward
-/// cost, CommModel charges) — so attribution is bookkeeping, not guesswork:
-/// each request carries a RequestBudget whose components are the sim's own
-/// charge terms, recorded as they are charged. Because everything lives on
-/// the modeled clock, budgets are bit-deterministic across runs, machines
-/// and pipeline depths, which lets bench_serve gate the attribution
-/// coverage fraction (attributed / total latency) in bench/baseline.json:
+/// sampling, gathering or compute. The serving sim already knows — every
+/// modeled microsecond it charges comes from an explicit term (lane wait,
+/// per-edge sample cost, per-row gather cost, fixed forward cost) — so
+/// attribution is bookkeeping, not guesswork: each request carries a
+/// RequestBudget whose components are the sim's own charge terms, recorded
+/// as they are charged. Because everything lives on the modeled clock,
+/// budgets are bit-deterministic across runs, machines and pipeline depths,
+/// which lets bench_serve gate the attribution coverage fraction
+/// (attributed / total latency) in bench/baseline.json:
 /// a new latency source that forgets to declare its component makes the
 /// gate fail instead of silently rotting the breakdown.
 ///
@@ -25,9 +25,7 @@
 /// (PAPERS.md, arXiv:2112.08541) builds its optimization loop around.
 ///
 /// Two sources feed the same taxonomy:
-///   - MODELED budgets from the serving sim (deterministic, gateable), with
-///     per-phase CommStats deltas folded in via ApplyCommDelta using the
-///     cluster's CommModel charge terms.
+///   - MODELED budgets from the serving sim (deterministic, gateable).
 ///   - WALL budgets from a request's causal trace tree (BudgetFromTraceTree)
 ///     for eyeballing flight-recorder exemplars; never gated.
 
@@ -40,7 +38,6 @@
 #include <string>
 #include <string_view>
 
-#include "cluster/comm_model.h"
 #include "common/status.h"
 
 namespace aligraph {
@@ -51,18 +48,13 @@ struct TraceTree;
 /// \brief Where one modeled microsecond of a request's latency went.
 enum class BudgetComponent : uint8_t {
   kQueueWait = 0,   ///< admitted but waiting for a free service lane
-  kSample,          ///< k-hop neighbor sampling (per-edge cost + local reads)
+  kSample,          ///< k-hop neighbor sampling (per-edge cost)
   kGather,          ///< feature-row gathering (per-row cost)
   kCompute,         ///< GNN forward (fixed per-request cost)
-  kRemoteRead,      ///< cross-server messages + payload items (CommModel)
-  kReplicaRead,     ///< reads served from a local replica copy
-  kCacheRead,       ///< reads served from a local cache copy
-  kRetryBackoff,    ///< fault-retry messages, backoff and injected latency
-  kShed,            ///< rejected at admission (always 0 us: instant)
   kAbandoned,       ///< client wait until it gave up on a missed deadline
 };
 
-inline constexpr size_t kNumBudgetComponents = 10;
+inline constexpr size_t kNumBudgetComponents = 5;
 
 /// Stable lower_snake_case name ("queue_wait", "sample", ...), used as the
 /// JSON key in flight-recorder dumps and the row label in reports.
@@ -109,17 +101,6 @@ struct RequestBudget {
 
 const char* BudgetOutcomeName(RequestBudget::Outcome outcome);
 Result<RequestBudget::Outcome> BudgetOutcomeFromName(std::string_view name);
-
-/// Folds one phase's CommStats delta into `budget` using the CommModel's
-/// own charge terms, so attribution agrees with what ModeledMillis bills:
-/// owned local reads land in kSample (they are the sampler's local scans),
-/// replica / cache copies in their own read components, remote messages and
-/// payload items in kRemoteRead, and all fault-induced traffic (retry and
-/// failed-request messages, backoff, injected latency) in kRetryBackoff.
-/// The component increments sum to ModeledMillis(delta) * 1000 up to
-/// floating-point association.
-void ApplyCommDelta(const CommStats::Snapshot& delta, const CommModel& model,
-                    RequestBudget* budget);
 
 /// \brief Per-component statistics of one latency cohort.
 struct CohortAttribution {

@@ -1,8 +1,10 @@
 #include "obs/recorder.h"
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <unordered_map>
 #include <utility>
 
@@ -59,6 +61,28 @@ double NumberOr(const JsonValue* v, double fallback) {
   return v != nullptr && v->IsNumber() ? v->number : fallback;
 }
 
+/// Reads the integer member `key` of `obj` into `*out`, leaving `*out` as
+/// it is when the member is absent. A dump is outside input, so a value
+/// that is not an integral number inside T's range is refused, never cast.
+template <typename T>
+Status ReadInt(const JsonValue& obj, std::string_view key, T* out) {
+  const JsonValue* v = obj.Find(key);
+  if (v == nullptr) return Status::OK();
+  if (!v->IsNumber()) {
+    return Status::InvalidArgument(std::string(key) + " is not a number");
+  }
+  // 2^digits is T's max + 1, exact as a double.
+  const double x = v->number;
+  if (x != std::floor(x) ||
+      x < static_cast<double>(std::numeric_limits<T>::min()) ||
+      x >= std::ldexp(1.0, std::numeric_limits<T>::digits)) {
+    return Status::InvalidArgument(std::string(key) +
+                                   " is not an integer in range");
+  }
+  *out = static_cast<T>(x);
+  return Status::OK();
+}
+
 Status ParseComponents(const JsonValue& obj,
                        std::array<double, kNumBudgetComponents>* out) {
   if (!obj.IsObject()) {
@@ -79,7 +103,7 @@ Status ParseCohort(const JsonValue& obj, CohortAttribution* out) {
   if (!obj.IsObject()) {
     return Status::InvalidArgument("cohort must be an object");
   }
-  out->requests = static_cast<uint64_t>(NumberOr(obj.Find("requests"), 0));
+  ALIGRAPH_RETURN_NOT_OK(ReadInt(obj, "requests", &out->requests));
   out->threshold_us = NumberOr(obj.Find("threshold_us"), 0);
   out->total_us = NumberOr(obj.Find("total_us"), 0);
   out->mean_total_us = NumberOr(obj.Find("mean_total_us"), 0);
@@ -277,14 +301,6 @@ Status FlightRecorder::WriteJson(const std::string& path,
   return Status::OK();
 }
 
-Status FlightRecorder::WriteChromeTrace(const std::string& path) const {
-  std::vector<SpanEvent> events;
-  for (const Exemplar& ex : Exemplars()) {
-    events.insert(events.end(), ex.spans.begin(), ex.spans.end());
-  }
-  return ::aligraph::obs::WriteChromeTrace(events, path);
-}
-
 Result<RecorderDump> ParseRecorderDump(std::string_view json) {
   auto parsed = JsonValue::Parse(json);
   if (!parsed.ok()) return parsed.status();
@@ -304,21 +320,20 @@ Result<RecorderDump> ParseRecorderDump(std::string_view json) {
   if (const JsonValue* name = doc.Find("name"); name && name->IsString()) {
     dump.name = name->string_value;
   }
-  dump.offered = static_cast<uint64_t>(NumberOr(doc.Find("offered"), 0));
+  ALIGRAPH_RETURN_NOT_OK(ReadInt(doc, "offered", &dump.offered));
   if (const JsonValue* cfg = doc.Find("config"); cfg && cfg->IsObject()) {
-    dump.config.slowest_k =
-        static_cast<size_t>(NumberOr(cfg->Find("slowest_k"), 0));
-    dump.config.sample_k =
-        static_cast<size_t>(NumberOr(cfg->Find("sample_k"), 0));
-    dump.config.seed = static_cast<uint64_t>(NumberOr(cfg->Find("seed"), 0));
+    ALIGRAPH_RETURN_NOT_OK(
+        ReadInt(*cfg, "slowest_k", &dump.config.slowest_k));
+    ALIGRAPH_RETURN_NOT_OK(ReadInt(*cfg, "sample_k", &dump.config.sample_k));
+    ALIGRAPH_RETURN_NOT_OK(ReadInt(*cfg, "seed", &dump.config.seed));
   }
   if (const JsonValue* attr = doc.Find("attribution")) {
     if (!attr->IsObject()) {
       return Status::InvalidArgument("attribution must be an object");
     }
     dump.has_attribution = true;
-    dump.attribution.requests =
-        static_cast<uint64_t>(NumberOr(attr->Find("requests"), 0));
+    ALIGRAPH_RETURN_NOT_OK(
+        ReadInt(*attr, "requests", &dump.attribution.requests));
     dump.attribution.p_low = NumberOr(attr->Find("p_low"), 50.0);
     dump.attribution.p_high = NumberOr(attr->Find("p_high"), 99.0);
     dump.attribution.coverage = NumberOr(attr->Find("coverage"), 1.0);
@@ -342,10 +357,9 @@ Result<RecorderDump> ParseRecorderDump(std::string_view json) {
         return Status::InvalidArgument("exemplar must be an object");
       }
       Exemplar ex;
-      ex.budget.request_id =
-          static_cast<uint64_t>(NumberOr(item.Find("request_id"), 0));
-      ex.budget.trace_id =
-          static_cast<uint64_t>(NumberOr(item.Find("trace_id"), 0));
+      ALIGRAPH_RETURN_NOT_OK(
+          ReadInt(item, "request_id", &ex.budget.request_id));
+      ALIGRAPH_RETURN_NOT_OK(ReadInt(item, "trace_id", &ex.budget.trace_id));
       if (const JsonValue* outcome = item.Find("outcome");
           outcome && outcome->IsString()) {
         auto parsed_outcome = BudgetOutcomeFromName(outcome->string_value);
@@ -365,12 +379,9 @@ Result<RecorderDump> ParseRecorderDump(std::string_view json) {
       }
       if (const JsonValue* counters = item.Find("counters");
           counters && counters->IsObject()) {
-        for (const auto& [key, value] : counters->members) {
-          if (!value.IsNumber()) {
-            return Status::InvalidArgument("counter " + key +
-                                           " is not a number");
-          }
-          ex.counters[key] = static_cast<uint64_t>(value.number);
+        for (const auto& member : counters->members) {
+          ALIGRAPH_RETURN_NOT_OK(
+              ReadInt(*counters, member.first, &ex.counters[member.first]));
         }
       }
       if (const JsonValue* spans = item.Find("spans");
@@ -384,18 +395,15 @@ Result<RecorderDump> ParseRecorderDump(std::string_view json) {
               name && name->IsString()) {
             span.name = name->string_value;
           }
-          span.trace_id =
-              static_cast<uint64_t>(NumberOr(sv.Find("trace_id"), 0));
-          span.span_id =
-              static_cast<uint64_t>(NumberOr(sv.Find("span_id"), 0));
-          span.parent_span_id =
-              static_cast<uint64_t>(NumberOr(sv.Find("parent_span_id"), 0));
-          span.depth = static_cast<uint32_t>(NumberOr(sv.Find("depth"), 0));
-          span.thread = static_cast<uint32_t>(NumberOr(sv.Find("thread"), 0));
-          span.start_ns =
-              static_cast<int64_t>(NumberOr(sv.Find("start_ns"), 0));
-          span.duration_ns =
-              static_cast<int64_t>(NumberOr(sv.Find("duration_ns"), 0));
+          ALIGRAPH_RETURN_NOT_OK(ReadInt(sv, "trace_id", &span.trace_id));
+          ALIGRAPH_RETURN_NOT_OK(ReadInt(sv, "span_id", &span.span_id));
+          ALIGRAPH_RETURN_NOT_OK(
+              ReadInt(sv, "parent_span_id", &span.parent_span_id));
+          ALIGRAPH_RETURN_NOT_OK(ReadInt(sv, "depth", &span.depth));
+          ALIGRAPH_RETURN_NOT_OK(ReadInt(sv, "thread", &span.thread));
+          ALIGRAPH_RETURN_NOT_OK(ReadInt(sv, "start_ns", &span.start_ns));
+          ALIGRAPH_RETURN_NOT_OK(
+              ReadInt(sv, "duration_ns", &span.duration_ns));
           ex.spans.push_back(std::move(span));
         }
       }

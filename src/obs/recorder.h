@@ -24,8 +24,7 @@
 ///
 /// Dumps: WriteJson() emits a self-contained dump (budgets, counters,
 /// spans, plus the run's AttributionReport) that tools/trace_attrib reads
-/// back via ParseRecorderDump; WriteChromeTrace() exports the union of the
-/// exemplars' spans for chrome://tracing / Perfetto.
+/// back via ParseRecorderDump.
 
 #ifndef ALIGRAPH_OBS_RECORDER_H_
 #define ALIGRAPH_OBS_RECORDER_H_
@@ -95,9 +94,6 @@ class FlightRecorder {
   std::string ToJson(const std::string& name) const;
   Status WriteJson(const std::string& path, const std::string& name) const;
 
-  /// Chrome trace_event export of the union of the exemplars' spans.
-  Status WriteChromeTrace(const std::string& path) const;
-
  private:
   struct Entry {
     RequestBudget budget;
@@ -124,7 +120,8 @@ struct RecorderDump {
 };
 
 /// Parses a dump produced by FlightRecorder::ToJson. InvalidArgument on
-/// malformed documents or unknown component/outcome names.
+/// malformed documents, unknown component/outcome names, or an integer
+/// field that is not an integral number inside its type's range.
 Result<RecorderDump> ParseRecorderDump(std::string_view json);
 
 }  // namespace obs

@@ -87,19 +87,6 @@ void WindowedSeries::Count(double t_us, uint64_t n) {
   win->count += n;
 }
 
-void WindowedSeries::SampleCumulative(double t_us, uint64_t cumulative) {
-  if (!have_cumulative_base_) {
-    have_cumulative_base_ = true;
-    cumulative_base_ = cumulative;
-    return;
-  }
-  ALIGRAPH_CHECK_GE(cumulative, cumulative_base_)
-      << "SampleCumulative requires a monotone source";
-  const uint64_t delta = cumulative - cumulative_base_;
-  cumulative_base_ = cumulative;
-  Count(t_us, delta);
-}
-
 int64_t WindowedSeries::first_index() const {
   return windows_.empty() ? 0 : windows_.front().index;
 }

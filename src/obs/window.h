@@ -11,22 +11,17 @@
 /// clock the serving sim gates), so bench_serve can emit a latency/goodput
 /// timeline instead of a single end-of-run point, deterministically.
 ///
-/// Two feeding styles share one ring:
-///   - Record / Count: per-event observations stamped with their modeled
-///     time (a completion at t with latency v; an arrival at t).
-///   - SampleCumulative: periodic samples of an existing monotonic counter
-///     (obs::Counter::Value(), a CommStats field); each sample stores the
-///     DELTA since the previous sample in the window of the sample time —
-///     the classic interval-delta view of a cumulative series.
+/// Record / Count feed it per-event observations stamped with their modeled
+/// time (a completion at t with latency v; an arrival at t).
 ///
 /// The ring holds the most recent `capacity` windows. Observations for
 /// windows that already fell off the ring (and old windows evicted when
 /// time advances) are folded into evicted_count/evicted_sum rather than
 /// dropped, so conservation holds by construction:
 ///   retained_count() + evicted_count() == total_count()
-/// and tests can assert that no delta was ever lost. Not thread-safe: feed
-/// it from one logical stream (the serving sim's single-threaded sample
-/// stage, a bench main loop).
+/// and tests can assert that no observation was ever lost. Not thread-safe:
+/// feed it from one logical stream (the serving sim's single-threaded
+/// sample stage, a bench main loop).
 
 #ifndef ALIGRAPH_OBS_WINDOW_H_
 #define ALIGRAPH_OBS_WINDOW_H_
@@ -73,12 +68,6 @@ class WindowedSeries {
   /// Counts `n` events at modeled time `t_us` (no value, no buckets).
   void Count(double t_us, uint64_t n = 1);
 
-  /// Interval-delta sampling of a cumulative counter: stores
-  /// `cumulative - previous sample` as a count in t_us's window. The first
-  /// sample establishes the base and stores nothing. `cumulative` must be
-  /// monotone over calls.
-  void SampleCumulative(double t_us, uint64_t cumulative);
-
   double interval_us() const { return interval_us_; }
   size_t capacity() const { return capacity_; }
   const std::vector<double>& bounds() const { return bounds_; }
@@ -124,8 +113,6 @@ class WindowedSeries {
   double total_sum_ = 0;
   uint64_t evicted_count_ = 0;
   double evicted_sum_ = 0;
-  bool have_cumulative_base_ = false;
-  uint64_t cumulative_base_ = 0;
 };
 
 }  // namespace obs

@@ -11,7 +11,6 @@
 #include "common/histogram.h"
 #include "common/logging.h"
 #include "common/timer.h"
-#include "layout/layout.h"
 #include "nn/layers.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
@@ -41,6 +40,9 @@ uint64_t FingerprintMatrix(const nn::Matrix& m) {
   }
   return h;
 }
+
+/// Most recent timeline windows retained per series.
+constexpr size_t kTimelineWindows = 1024;
 
 size_t BlockEdges(const block::SampledBlock& blk) {
   size_t edges = 0;
@@ -92,12 +94,10 @@ int64_t ServeTimeline::last_index() const {
 }
 
 ServeEngine::ServeEngine(const AttributedGraph& graph,
-                         const nn::Matrix& features, const ServeConfig& config,
-                         const layout::VertexLayout* layout)
+                         const nn::Matrix& features, const ServeConfig& config)
     : graph_(graph),
       features_(features),
       config_(config),
-      layout_(layout),
       rng_(config.seed),
       layer1_(features.cols(), config.dim, /*maxpool=*/false, rng_),
       layer2_(config.dim, config.dim, /*maxpool=*/false, rng_,
@@ -107,18 +107,6 @@ ServeEngine::ServeEngine(const AttributedGraph& graph,
   ALIGRAPH_CHECK_GT(config_.lanes, 0u);
   ALIGRAPH_CHECK_GT(config_.deadline_us, 0.0);
   ALIGRAPH_CHECK_EQ(features_.rows(), graph_.num_vertices());
-  if (layout_ != nullptr) {
-    ALIGRAPH_CHECK(
-        layout::IsValidPermutation(*layout_, graph_.num_vertices()))
-        << "ServeEngine layout must be a permutation of the graph";
-  }
-}
-
-std::vector<VertexId> ServeEngine::TranslateRoots(const LoadGenerator& gen,
-                                                  uint64_t request_id) const {
-  std::vector<VertexId> roots = gen.RootsFor(request_id);
-  if (layout_ != nullptr) return layout::MapToNew(*layout_, roots);
-  return roots;
 }
 
 LatencyReport ServeEngine::Run(const LoadGenerator& gen) {
@@ -132,7 +120,7 @@ LatencyReport ServeEngine::Run(const LoadGenerator& gen) {
   timeline_.reset();
   if (config_.timeline_interval_us > 0.0) {
     timeline_ = std::make_unique<ServeTimeline>(config_.timeline_interval_us,
-                                                config_.timeline_windows);
+                                                kTimelineWindows);
   }
 
   LocalNeighborSource source(graph_);
@@ -231,7 +219,7 @@ LatencyReport ServeEngine::Run(const LoadGenerator& gen) {
         // actual shape) with a private, id-derived sampler.
         NeighborhoodSampler hood(NeighborStrategy::kUniform,
                                  gen.RequestSeed(id));
-        *block = hood.SampleBlock(source, TranslateRoots(gen, id),
+        *block = hood.SampleBlock(source, gen.RootsFor(id),
                                   NeighborhoodSampler::kAllEdgeTypes, fans);
         // Priced per phase so the request's latency budget decomposes by
         // cause. The sum keeps the original left-to-right association
@@ -360,7 +348,7 @@ uint64_t ServeEngine::ExecuteOffline(const LoadGenerator& gen,
   NeighborhoodSampler hood(NeighborStrategy::kUniform,
                            gen.RequestSeed(request_id));
   block::SampledBlock blk =
-      hood.SampleBlock(source, TranslateRoots(gen, request_id),
+      hood.SampleBlock(source, gen.RootsFor(request_id),
                        NeighborhoodSampler::kAllEdgeTypes, fans);
   const nn::Matrix x =
       block::GatherBlockFeatures(blk, feature_source, /*row_cache=*/nullptr);

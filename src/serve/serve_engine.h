@@ -76,10 +76,6 @@ class FlightRecorder;
 class Histogram;
 }  // namespace obs
 
-namespace layout {
-struct VertexLayout;
-}  // namespace layout
-
 namespace serve {
 
 /// \brief Serving knobs: model shape, admission bound, deadline, and the
@@ -115,8 +111,6 @@ struct ServeConfig {
   /// Width of one timeline window on the MODELED clock (see
   /// ServeEngine::timeline). 0 disables the timeline.
   double timeline_interval_us = 10000.0;
-  /// Most recent timeline windows retained per series.
-  size_t timeline_windows = 1024;
 };
 
 /// \brief What happened to one offered request.
@@ -194,16 +188,8 @@ struct ServeTimeline {
 /// and features must outlive the engine.
 class ServeEngine {
  public:
-  /// When `layout` is non-null, `graph` and `features` are expected in the
-  /// layout's NEW (reordered) id space — features permuted through
-  /// layout::PermuteRows — while the LoadGenerator and everything reported
-  /// keep speaking ORIGINAL ids. Request roots are translated on entry, so
-  /// a reordered engine is a drop-in replacement: the layout invariance
-  /// tests hold its per-request fingerprints bit-equal to an identity
-  /// engine's. `layout` must outlive the engine.
   ServeEngine(const AttributedGraph& graph, const nn::Matrix& features,
-              const ServeConfig& config,
-              const layout::VertexLayout* layout = nullptr);
+              const ServeConfig& config);
 
   /// Runs the generator's full request stream through the serving pipeline.
   /// Blocks until every offered request is accounted for (completed, shed,
@@ -236,11 +222,6 @@ class ServeEngine {
   const ServeConfig& config() const { return config_; }
 
  private:
-  /// Roots from `gen` (original ids) mapped into the engine's own id space
-  /// (the identity when no layout is installed).
-  std::vector<VertexId> TranslateRoots(const LoadGenerator& gen,
-                                       uint64_t request_id) const;
-
   /// The request forward shared by Run's compute lane and ExecuteOffline:
   /// two GraphSAGE layers over the block's gathered rows `x`, row-wise L2
   /// normalization, and the fingerprint of the resulting embedding.
@@ -249,7 +230,6 @@ class ServeEngine {
   const AttributedGraph& graph_;
   const nn::Matrix& features_;
   ServeConfig config_;
-  const layout::VertexLayout* layout_ = nullptr;
   Rng rng_;
   algo::SageLayer layer1_;
   algo::SageLayer layer2_;

@@ -15,7 +15,6 @@
 #include "algo/embedding_algorithm.h"
 #include "gen/powerlaw.h"
 #include "graph/graph.h"
-#include "layout/layout.h"
 #include "nn/matrix.h"
 #include "obs/metrics.h"
 #include "obs/timeline.h"
@@ -250,128 +249,38 @@ TEST(ServeEngineTest, ModeledTimelineDeterministicAcrossRunsAndDepths) {
   const LatencyReport base = first.Run(gen);
   const std::vector<RequestResult> base_results = first.results();
 
-  // Same engine re-run, a fresh engine, and a fresh engine at a different
-  // pipeline depth must all reproduce the modeled timeline and the
+  // The same engine re-run, and fresh engines serving inline (depth 0) and
+  // at a deeper pipeline, must all reproduce the modeled timeline and the
   // embeddings exactly: the simulation lives on the in-order sample stage,
   // so real-thread interleaving cannot leak in.
-  const LatencyReport rerun = first.Run(gen);
-  cfg.pipeline_depth = 3;
-  ServeEngine other(graph, features, cfg);
-  const LatencyReport deep = other.Run(gen);
-
-  for (const LatencyReport* rep : {&rerun, &deep}) {
-    EXPECT_EQ(rep->completed, base.completed);
-    EXPECT_EQ(rep->shed, base.shed);
-    EXPECT_EQ(rep->deadline_missed, base.deadline_missed);
-    EXPECT_DOUBLE_EQ(rep->p99_us, base.p99_us);
-    EXPECT_DOUBLE_EQ(rep->p999_us, base.p999_us);
-    EXPECT_DOUBLE_EQ(rep->goodput_rps, base.goodput_rps);
-    EXPECT_EQ(rep->max_in_flight_observed, base.max_in_flight_observed);
+  std::vector<LatencyReport> reports{first.Run(gen)};
+  std::vector<std::vector<RequestResult>> results{first.results()};
+  for (const size_t depth : {size_t{0}, size_t{3}}) {
+    cfg.pipeline_depth = depth;
+    ServeEngine other(graph, features, cfg);
+    reports.push_back(other.Run(gen));
+    results.push_back(other.results());
   }
-  ASSERT_EQ(first.results().size(), base_results.size());
-  ASSERT_EQ(other.results().size(), base_results.size());
-  for (size_t id = 0; id < base_results.size(); ++id) {
-    const RequestResult& b = base_results[id];
-    for (const auto* results : {&first.results(), &other.results()}) {
-      const RequestResult& r = (*results)[id];
+
+  for (const LatencyReport& rep : reports) {
+    EXPECT_EQ(rep.completed, base.completed);
+    EXPECT_EQ(rep.shed, base.shed);
+    EXPECT_EQ(rep.deadline_missed, base.deadline_missed);
+    EXPECT_DOUBLE_EQ(rep.p99_us, base.p99_us);
+    EXPECT_DOUBLE_EQ(rep.p999_us, base.p999_us);
+    EXPECT_DOUBLE_EQ(rep.goodput_rps, base.goodput_rps);
+    EXPECT_EQ(rep.max_in_flight_observed, base.max_in_flight_observed);
+  }
+  for (const std::vector<RequestResult>& run : results) {
+    ASSERT_EQ(run.size(), base_results.size());
+    for (size_t id = 0; id < base_results.size(); ++id) {
+      const RequestResult& b = base_results[id];
+      const RequestResult& r = run[id];
       EXPECT_EQ(static_cast<int>(r.outcome), static_cast<int>(b.outcome))
           << "id " << id;
       EXPECT_DOUBLE_EQ(r.latency_us, b.latency_us) << "id " << id;
       EXPECT_EQ(r.fingerprint, b.fingerprint) << "id " << id;
     }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Layout invariance: a vertex reordering is observationally invisible to
-// the serving layer. The LoadGenerator keeps speaking original ids, the
-// engine translates roots at the boundary, and every modeled number and
-// embedding fingerprint is bit-equal to the identity-layout engine's —
-// across layout policies and pipeline depths.
-
-TEST(ServeEngineTest, ReorderingIsInvisibleAcrossPoliciesAndDepths) {
-  const AttributedGraph graph = TestGraph();
-  const nn::Matrix features = algo::BuildFeatureMatrix(graph, 8);
-
-  LoadConfig load;
-  load.num_requests = 150;
-  load.roots_per_request = 4;
-  load.arrival_rate_rps = 20000.0;  // mild overload: mixed outcomes
-  load.seed = 61;
-  const LoadGenerator gen(graph, load);
-
-  ServeConfig cfg = SmallServeConfig();
-  ServeEngine base_engine(graph, features, cfg);
-  const LatencyReport base = base_engine.Run(gen);
-  const std::vector<RequestResult> base_results = base_engine.results();
-  ASSERT_GT(base.completed, 0u);
-
-  for (const layout::LayoutPolicy policy :
-       {layout::LayoutPolicy::kDegreeDescending,
-        layout::LayoutPolicy::kBfsCluster}) {
-    const layout::VertexLayout lay = layout::ComputeLayout(graph, policy);
-    const AttributedGraph reordered =
-        std::move(layout::ApplyLayout(graph, lay)).value();
-    const nn::Matrix permuted = layout::PermuteRows(features, lay);
-
-    for (const size_t depth : {size_t{0}, size_t{1}, size_t{3}}) {
-      ServeConfig rcfg = cfg;
-      rcfg.pipeline_depth = depth;
-      ServeEngine engine(reordered, permuted, rcfg, &lay);
-      const LatencyReport report = engine.Run(gen);
-
-      EXPECT_EQ(report.completed, base.completed);
-      EXPECT_EQ(report.shed, base.shed);
-      EXPECT_EQ(report.deadline_missed, base.deadline_missed);
-      EXPECT_DOUBLE_EQ(report.p50_us, base.p50_us);
-      EXPECT_DOUBLE_EQ(report.p99_us, base.p99_us);
-      EXPECT_DOUBLE_EQ(report.goodput_rps, base.goodput_rps);
-      ASSERT_EQ(engine.results().size(), base_results.size());
-      for (size_t id = 0; id < base_results.size(); ++id) {
-        const RequestResult& b = base_results[id];
-        const RequestResult& r = engine.results()[id];
-        EXPECT_EQ(static_cast<int>(r.outcome), static_cast<int>(b.outcome))
-            << "id " << id;
-        EXPECT_DOUBLE_EQ(r.latency_us, b.latency_us) << "id " << id;
-        EXPECT_EQ(r.fingerprint, b.fingerprint)
-            << layout::PolicyName(policy) << " depth " << depth << " id "
-            << id;
-      }
-      // The offline replay contract survives reordering too.
-      for (uint64_t id = 0; id < 20; ++id) {
-        EXPECT_EQ(engine.ExecuteOffline(gen, id),
-                  base_engine.ExecuteOffline(gen, id))
-            << "id " << id;
-      }
-    }
-  }
-}
-
-TEST(ServeEngineTest, LoadGeneratorRootsUntouchedByReordering) {
-  // The generator is constructed over the ORIGINAL graph and its roots are
-  // original ids; nothing about building or serving a reordered engine may
-  // perturb them (they are compared against a second, untouched generator).
-  const AttributedGraph graph = TestGraph();
-  const nn::Matrix features = algo::BuildFeatureMatrix(graph, 8);
-  LoadConfig load;
-  load.num_requests = 40;
-  load.roots_per_request = 5;
-  load.seed = 77;
-  const LoadGenerator gen(graph, load);
-  const LoadGenerator untouched(graph, load);
-
-  const layout::VertexLayout lay =
-      layout::ComputeLayout(graph, layout::LayoutPolicy::kDegreeDescending);
-  const AttributedGraph reordered =
-      std::move(layout::ApplyLayout(graph, lay)).value();
-  const nn::Matrix permuted = layout::PermuteRows(features, lay);
-  ServeEngine engine(reordered, permuted, SmallServeConfig(), &lay);
-  (void)engine.Run(gen);
-
-  for (uint64_t id = 0; id < load.num_requests; ++id) {
-    const std::vector<VertexId> roots = gen.RootsFor(id);
-    EXPECT_EQ(roots, untouched.RootsFor(id)) << "id " << id;
-    for (const VertexId v : roots) EXPECT_LT(v, graph.num_vertices());
   }
 }
 
