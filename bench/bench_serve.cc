@@ -23,7 +23,6 @@
 #include "nn/matrix.h"
 #include "obs/attrib.h"
 #include "obs/recorder.h"
-#include "obs/window.h"
 #include "serve/load_generator.h"
 #include "serve/serve_engine.h"
 
@@ -37,22 +36,18 @@ struct Scenario {
   serve::LoadConfig load;
 };
 
-/// Snapshots one scenario's windowed timeline into report-table rows while
-/// the engine still holds it (the next Run() rebuilds the timeline).
+/// One scenario's timeline as report-table rows.
 std::vector<std::vector<std::string>> TimelineRows(
     const serve::ServeTimeline& tl) {
   std::vector<std::vector<std::string>> rows;
-  const double interval_us = tl.offered.interval_us();
-  for (int64_t w = tl.first_index(); w <= tl.last_index(); ++w) {
-    rows.push_back(
-        {bench::Fmt("%.1f", static_cast<double>(w) * interval_us * 1e-3),
-         std::to_string(tl.offered.At(w).count),
-         std::to_string(tl.completed.At(w).count),
-         std::to_string(tl.shed.At(w).count),
-         std::to_string(tl.missed.At(w).count),
-         bench::Fmt("%.1f", tl.completed.RatePerSec(w)),
-         bench::Fmt("%.1f", tl.completed.Percentile(w, 50.0)),
-         bench::Fmt("%.1f", tl.completed.Percentile(w, 99.0))});
+  for (size_t i = 0; i < tl.windows.size(); ++i) {
+    const serve::TimelineWindow& w = tl.windows[i];
+    rows.push_back({bench::Fmt("%.1f", tl.start_us(i) * 1e-3),
+                    std::to_string(w.offered), std::to_string(w.completed()),
+                    std::to_string(w.shed), std::to_string(w.missed),
+                    bench::Fmt("%.1f", tl.goodput_rps(i)),
+                    bench::Fmt("%.1f", w.latency.Percentile(50.0)),
+                    bench::Fmt("%.1f", w.latency.Percentile(99.0))});
   }
   return rows;
 }
@@ -125,8 +120,8 @@ int main(int argc, char** argv) {
       {"serve.closed", "closed 8 users", closed_load},
   };
 
-  // The gated "serve.open" scenario also feeds a flight recorder: K
-  // slowest completed requests + a uniform sample, traces rematched from
+  // The gated "serve.open" scenario's results also feed a flight recorder:
+  // K slowest completed requests + a uniform sample, traces rematched from
   // the span rings after the run, dumped for tools/trace_attrib.
   obs::FlightRecorderConfig rcfg;
   rcfg.slowest_k = 8;
@@ -134,18 +129,15 @@ int main(int argc, char** argv) {
   rcfg.seed = args.seed;
   obs::FlightRecorder recorder(rcfg);
   obs::AttributionReport open_attrib;
-  bool have_open_attrib = false;
 
   double min_coverage = 1.0;
-  // Timeline rows are snapshotted inside the loop (the next Run() rebuilds
-  // the engine's timeline) but emitted as report tables only after the
+  // Timeline rows are built inside the loop (the next Run() overwrites the
+  // results they derive from) but emitted as report tables only after the
   // serving table's rows are complete — AddRow appends to the LAST table.
   std::vector<std::vector<std::vector<std::string>>> timelines;
   obs.Table("serving", {"scenario", "completed", "shed %", "miss %",
                         "p50 us", "p99 us", "p99.9 us", "goodput rps"});
   for (const Scenario& s : scenarios) {
-    const bool recorded = s.key == "serve.open";
-    engine.set_recorder(recorded ? &recorder : nullptr);
     const serve::LoadGenerator gen(graph, s.load);
     const serve::LatencyReport r = engine.Run(gen);
     obs.TableRow({s.label,
@@ -164,21 +156,29 @@ int main(int argc, char** argv) {
                            r.deadline_miss_rate);
     obs.report().AddMetric(s.key + ".attrib_coverage", r.attrib_coverage);
     min_coverage = std::min(min_coverage, r.attrib_coverage);
-    if (engine.timeline() != nullptr) {
-      timelines.push_back(TimelineRows(*engine.timeline()));
-    } else {
-      timelines.emplace_back();
-    }
-    if (recorded) {
+    timelines.push_back(TimelineRows(engine.Timeline()));
+    if (s.key == "serve.open") {
+      // Offered in id order, the order the requests retired in; a shed
+      // request was never sampled, so it carries no counters.
+      std::vector<obs::RequestBudget> budgets;
+      for (uint64_t id = 0; id < engine.results().size(); ++id) {
+        const serve::RequestResult& res = engine.results()[id];
+        budgets.push_back(serve::BudgetFor(id, res, scfg));
+        if (res.outcome == serve::RequestOutcome::kShed) {
+          recorder.Offer(budgets.back());
+        } else {
+          recorder.Offer(budgets.back(),
+                         {{"sampled_edges", res.sampled_edges},
+                          {"block_rows", res.block_rows}});
+        }
+      }
+      open_attrib = obs::BuildAttributionReport(budgets);
+      recorder.SetAttribution(open_attrib);
       // Capture now: later scenarios keep writing the same span rings, so
       // this run's spans are only guaranteed resident at this point.
-      open_attrib = obs::BuildAttributionReport(engine.budgets());
-      have_open_attrib = true;
-      recorder.SetAttribution(open_attrib);
       recorder.CaptureTraces(obs.tracer().Events());
     }
   }
-  engine.set_recorder(nullptr);
 
   // Worst attribution coverage across the sweep: gated >= 0.95 so a new
   // modeled latency source cannot ship without declaring its budget
@@ -186,7 +186,6 @@ int main(int argc, char** argv) {
   obs.report().AddMetric("serve.attrib.coverage", min_coverage);
 
   for (size_t i = 0; i < scenarios.size(); ++i) {
-    if (timelines[i].empty()) continue;
     obs.report().AddTable(
         "timeline." + scenarios[i].key,
         {"t_ms", "offered", "completed", "shed", "missed", "goodput_rps",
@@ -194,19 +193,17 @@ int main(int argc, char** argv) {
     for (const auto& row : timelines[i]) obs.report().AddRow(row);
   }
 
-  if (have_open_attrib) {
-    std::printf("\np50-vs-p99 attribution (serve.open):\n%s",
-                open_attrib.ToString().c_str());
-    const std::string rec_path = args.out_dir + "/bench_serve.flightrec.json";
-    const Status st = recorder.WriteJson(rec_path, "bench_serve.serve.open");
-    if (st.ok()) {
-      std::printf("flight recorder: %s (%llu offered, %zu exemplars)\n",
-                  rec_path.c_str(),
-                  static_cast<unsigned long long>(recorder.offered()),
-                  recorder.Exemplars().size());
-    } else {
-      std::printf("flight recorder FAILED: %s\n", st.ToString().c_str());
-    }
+  std::printf("\np50-vs-p99 attribution (serve.open):\n%s",
+              open_attrib.ToString().c_str());
+  const std::string rec_path = args.out_dir + "/bench_serve.flightrec.json";
+  const Status st = recorder.WriteJson(rec_path, "bench_serve.serve.open");
+  if (st.ok()) {
+    std::printf("flight recorder: %s (%llu offered, %zu exemplars)\n",
+                rec_path.c_str(),
+                static_cast<unsigned long long>(recorder.offered()),
+                recorder.Exemplars().size());
+  } else {
+    std::printf("flight recorder FAILED: %s\n", st.ToString().c_str());
   }
 
   obs.WriteReport();

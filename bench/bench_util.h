@@ -8,10 +8,12 @@
 #ifndef ALIGRAPH_BENCH_BENCH_UTIL_H_
 #define ALIGRAPH_BENCH_BENCH_UTIL_H_
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/build_info.h"
@@ -26,7 +28,9 @@ namespace bench {
 /// Parses --scale=<double> (default 1.0), --seed=<uint64>,
 /// --out=<dir> (run-report directory, default bench/out) and
 /// --trace-out[=<path>] (Chrome trace_event JSON; the bare flag defaults
-/// the path to <out_dir>/<name>.trace.json) from argv.
+/// the path to <out_dir>/<name>.trace.json) from argv. A scale that is not
+/// a finite positive number, a seed that is not an unsigned decimal
+/// integer, and any other argument print a usage error and exit 2.
 struct BenchArgs {
   double scale = 1.0;
   uint64_t seed = 1;
@@ -37,17 +41,36 @@ struct BenchArgs {
   static BenchArgs Parse(int argc, char** argv) {
     BenchArgs args;
     for (int i = 1; i < argc; ++i) {
-      if (std::strncmp(argv[i], "--scale=", 8) == 0) {
-        args.scale = std::atof(argv[i] + 8);
-      } else if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-        args.seed = std::strtoull(argv[i] + 7, nullptr, 10);
-      } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
-        args.out_dir = argv[i] + 6;
-      } else if (std::strncmp(argv[i], "--trace-out=", 12) == 0) {
+      const std::string_view arg = argv[i];
+      bool ok = true;
+      if (arg.starts_with("--scale=")) {
+        const std::string value(arg.substr(8));
+        char* end = nullptr;
+        args.scale = std::strtod(value.c_str(), &end);
+        ok = end == value.c_str() + value.size() &&
+             std::isfinite(args.scale) && args.scale > 0.0;
+      } else if (arg.starts_with("--seed=")) {
+        const std::string_view value = arg.substr(7);
+        const auto [ptr, ec] = std::from_chars(
+            value.data(), value.data() + value.size(), args.seed);
+        ok = ec == std::errc() && ptr == value.data() + value.size();
+      } else if (arg.starts_with("--out=")) {
+        args.out_dir = arg.substr(6);
+      } else if (arg.starts_with("--trace-out=")) {
         args.trace_requested = true;
-        args.trace_out_path = argv[i] + 12;
-      } else if (std::strcmp(argv[i], "--trace-out") == 0) {
+        args.trace_out_path = arg.substr(12);
+      } else if (arg == "--trace-out") {
         args.trace_requested = true;
+      } else {
+        ok = false;
+      }
+      if (!ok) {
+        std::fprintf(stderr,
+                     "%s: bad argument '%s'\nusage: %s [--scale=<positive "
+                     "number>] [--seed=<uint64>] [--out=<dir>] "
+                     "[--trace-out[=<path>]]\n",
+                     argv[0], argv[i], argv[0]);
+        std::exit(2);
       }
     }
     return args;

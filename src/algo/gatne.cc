@@ -8,12 +8,6 @@
 
 namespace aligraph {
 namespace algo {
-namespace {
-
-inline float SigmoidF(float x) { return 1.0f / (1.0f + std::exp(-x)); }
-
-}  // namespace
-
 Result<nn::Matrix> Gatne::Embed(const AttributedGraph& graph) {
   const VertexId n = graph.num_vertices();
   if (n == 0) return Status::InvalidArgument("empty graph");
@@ -187,7 +181,7 @@ Result<nn::Matrix> Gatne::Embed(const AttributedGraph& graph) {
         std::fill(db.begin(), db.end(), 0.0f);
         auto sgns = [&](VertexId target, float label) {
           auto ctx = context.Row(target);
-          const float grad = SigmoidF(nn::Dot(b, ctx)) - label;
+          const float grad = nn::Sigmoid(nn::Dot(b, ctx)) - label;
           nn::Axpy(grad, ctx, db);
           context.SgdUpdate(target, b, lr * grad);
         };
@@ -215,7 +209,7 @@ Result<nn::Matrix> Gatne::Embed(const AttributedGraph& graph) {
             std::fill(dh.begin(), dh.end(), 0.0f);
             auto sgns = [&](VertexId target, float label) {
               auto ctx = context.Row(target);
-              const float grad = SigmoidF(nn::Dot(h, ctx)) - label;
+              const float grad = nn::Sigmoid(nn::Dot(h, ctx)) - label;
               nn::Axpy(grad, ctx, dh);
               context.SgdUpdate(target, h, lr * grad);
             };

@@ -17,8 +17,6 @@ namespace aligraph {
 namespace algo {
 namespace {
 
-inline float SigmoidF(float x) { return 1.0f / (1.0f + std::exp(-x)); }
-
 nn::Matrix MeanAggBackward(const nn::Matrix& grad, size_t fan) {
   nn::Matrix out(grad.rows() * fan, grad.cols());
   const float inv = 1.0f / static_cast<float>(fan);
@@ -74,7 +72,7 @@ nn::Matrix EdgeLossGrad(const nn::Matrix& h2, const EdgeBatch& eb) {
   const float denom = static_cast<float>(eb.pos.size() + eb.neg.size());
   auto pair_grad = [&](size_t a, size_t b, float label) {
     const float g =
-        (SigmoidF(nn::Dot(h2.Row(a), h2.Row(b))) - label) / denom;
+        (nn::Sigmoid(nn::Dot(h2.Row(a), h2.Row(b))) - label) / denom;
     nn::Axpy(g, h2.Row(b), dh2.Row(a));
     nn::Axpy(g, h2.Row(a), dh2.Row(b));
   };
@@ -423,7 +421,7 @@ Result<nn::Matrix> Gcn::Embed(const AttributedGraph& graph) {
         if (nbs.empty()) continue;
         const VertexId v = nbs[rng.Uniform(nbs.size())].dst;
         auto grad_pair = [&](VertexId a, VertexId b, float label) {
-          const float g = (SigmoidF(nn::Dot(h2.Row(a), h2.Row(b))) - label) /
+          const float g = (nn::Sigmoid(nn::Dot(h2.Row(a), h2.Row(b))) - label) /
                           static_cast<float>(pairs * (1 + base.negatives));
           nn::Axpy(g, h2.Row(b), dh2.Row(a));
           nn::Axpy(g, h2.Row(a), dh2.Row(b));

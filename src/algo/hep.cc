@@ -9,12 +9,6 @@
 
 namespace aligraph {
 namespace algo {
-namespace {
-
-inline float SigmoidF(float x) { return 1.0f / (1.0f + std::exp(-x)); }
-
-}  // namespace
-
 Result<nn::Matrix> Hep::Embed(const AttributedGraph& graph) {
   const VertexId n = graph.num_vertices();
   if (n == 0) return Status::InvalidArgument("empty graph");
@@ -105,7 +99,7 @@ Result<nn::Matrix> Hep::Embed(const AttributedGraph& graph) {
           auto ht = emb.Row(target);
           const float g =
               config_.alpha *
-              (SigmoidF(nn::Dot(h_prime.Row(0), ht)) - label);
+              (nn::Sigmoid(nn::Dot(h_prime.Row(0), ht)) - label);
           nn::Axpy(g, ht, dh);
           emb.SgdUpdate(target, h_prime.Row(0), lr * g);
         };

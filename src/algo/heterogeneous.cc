@@ -18,8 +18,6 @@ std::vector<VertexId> AllVertices(const AttributedGraph& graph) {
   return vs;
 }
 
-inline float SigmoidF(float x) { return 1.0f / (1.0f + std::exp(-x)); }
-
 }  // namespace
 
 Result<nn::Matrix> Metapath2Vec::Embed(const AttributedGraph& graph) {
@@ -171,8 +169,8 @@ Result<nn::Matrix> Mve::Embed(const AttributedGraph& graph) {
         pos += a[t] * s_pos[t];
         negs_score += a[t] * s_neg[t];
       }
-      const float gp = SigmoidF(pos) - 1.0f;   // positive label grad
-      const float gn = SigmoidF(negs_score);   // negative label grad
+      const float gp = nn::Sigmoid(pos) - 1.0f;   // positive label grad
+      const float gn = nn::Sigmoid(negs_score);   // negative label grad
       // dLoss/dlogit_t through the softmax.
       for (size_t t = 0; t < views; ++t) {
         float da = gp * s_pos[t] + gn * s_neg[t];
@@ -245,7 +243,7 @@ Result<nn::Matrix> Mne::Embed(const AttributedGraph& graph) {
 
             auto sgns_target = [&](VertexId target, float label) {
               auto ctx = context.Row(target);
-              const float g = SigmoidF(nn::Dot(h, ctx)) - label;
+              const float g = nn::Sigmoid(nn::Dot(h, ctx)) - label;
               nn::Axpy(g, ctx, dh);
               context.SgdUpdate(target, h, lr * g);
             };
@@ -349,7 +347,7 @@ Result<nn::Matrix> Anrl::Embed(const AttributedGraph& graph) {
             it->second[rng.Uniform(it->second.size())];
         auto sgns_target = [&](VertexId targetv, float label) {
           auto ctx = context.Row(targetv);
-          const float g = SigmoidF(nn::Dot(h_act.Row(0), ctx)) - label;
+          const float g = nn::Sigmoid(nn::Dot(h_act.Row(0), ctx)) - label;
           nn::Axpy(g, ctx, dh.Row(0));
           context.SgdUpdate(targetv, h_act.Row(0), config_.learning_rate * g);
         };

@@ -8,12 +8,6 @@
 
 namespace aligraph {
 namespace algo {
-namespace {
-
-inline float SigmoidF(float x) { return 1.0f / (1.0f + std::exp(-x)); }
-
-}  // namespace
-
 Result<nn::Matrix> MixtureGnn::Embed(const AttributedGraph& graph) {
   const VertexId n = graph.num_vertices();
   if (n == 0) return Status::InvalidArgument("empty graph");
@@ -66,7 +60,7 @@ Result<nn::Matrix> MixtureGnn::Embed(const AttributedGraph& graph) {
           auto sgns = [&](VertexId target, float label) {
             auto ct = context.Row(target);
             const float g =
-                resp[s] * (SigmoidF(nn::Dot(hs, ct)) - label);
+                resp[s] * (nn::Sigmoid(nn::Dot(hs, ct)) - label);
             // center first so the context update uses the pre-step value.
             std::vector<float> dcenter(d);
             nn::Axpy(g, ct, dcenter);
@@ -143,7 +137,7 @@ void InteractionAutoencoder::Train(
             std::find(items.begin(), items.end(), j) != items.end() ? 1.0f
                                                                     : 0.0f;
         dlogits.At(0, j) =
-            (SigmoidF(logits.At(0, j)) - label) / num_items_;
+            (nn::Sigmoid(logits.At(0, j)) - label) / num_items_;
       }
       nn::Matrix dz = decoder_.BackwardAt(z, dlogits);
 

@@ -55,7 +55,7 @@ float BceWithLogits(std::span<const float> logits,
     const float y = labels[i];
     // Numerically stable: log(1+exp(-|x|)) + max(x,0) - x*y
     loss += std::log1p(std::exp(-std::abs(x))) + std::max(x, 0.0f) - x * y;
-    const float p = 1.0f / (1.0f + std::exp(-x));
+    const float p = Sigmoid(x);
     grad[i] = (p - y) / n;
   }
   return loss / n;

@@ -208,7 +208,7 @@ Matrix TanhBackward(const Matrix& output, const Matrix& grad) {
 
 void SigmoidInPlace(Matrix& a) {
   for (size_t i = 0; i < a.rows(); ++i) {
-    for (float& v : a.Row(i)) v = 1.0f / (1.0f + std::exp(-v));
+    for (float& v : a.Row(i)) v = Sigmoid(v);
   }
 }
 

@@ -6,6 +6,7 @@
 #ifndef ALIGRAPH_NN_MATRIX_H_
 #define ALIGRAPH_NN_MATRIX_H_
 
+#include <cmath>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -74,6 +75,9 @@ Matrix Transpose(const Matrix& a);
 
 /// Adds a 1 x m bias row to every row of a.
 void AddBiasRow(Matrix& a, const Matrix& bias);
+
+/// The logistic function 1 / (1 + e^-x).
+inline float Sigmoid(float x) { return 1.0f / (1.0f + std::exp(-x)); }
 
 /// Elementwise activations with their derivative-given-output forms.
 void ReluInPlace(Matrix& a);

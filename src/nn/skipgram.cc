@@ -5,12 +5,6 @@
 
 namespace aligraph {
 namespace nn {
-namespace {
-
-inline float SigmoidF(float x) { return 1.0f / (1.0f + std::exp(-x)); }
-
-}  // namespace
-
 SkipGramModel::SkipGramModel(size_t num_vertices,
                              const SkipGramConfig& config)
     : config_(config),
@@ -29,7 +23,7 @@ float SkipGramModel::SgnsUpdate(VertexId center, VertexId context,
   auto update_one = [&](VertexId target, float label) {
     auto ctx = out_.Row(target);
     const float score = Dot(h, ctx);
-    const float p = SigmoidF(score);
+    const float p = Sigmoid(score);
     loss += label > 0.5f ? -std::log(std::max(p, 1e-7f))
                          : -std::log(std::max(1.0f - p, 1e-7f));
     const float g = p - label;  // dLoss/dscore

@@ -8,9 +8,10 @@
 /// sampling, gathering or compute. The serving sim already knows — every
 /// modeled microsecond it charges comes from an explicit term (lane wait,
 /// per-edge sample cost, per-row gather cost, fixed forward cost) — so
-/// attribution is bookkeeping, not guesswork: each request carries a
-/// RequestBudget whose components are the sim's own charge terms, recorded
-/// as they are charged. Because everything lives on the modeled clock,
+/// attribution is bookkeeping, not guesswork: each request maps to a
+/// RequestBudget whose components are the sim's own charge terms, derived
+/// after the run from the request's serve::RequestResult by
+/// serve::BudgetFor. Because everything lives on the modeled clock,
 /// budgets are bit-deterministic across runs, machines and pipeline depths,
 /// which lets bench_serve gate the attribution coverage fraction
 /// (attributed / total latency) in bench/baseline.json:

@@ -1,10 +1,9 @@
 #include "obs/recorder.h"
 
 #include <algorithm>
-#include <cmath>
+#include <charconv>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <unordered_map>
 #include <utility>
 
@@ -63,7 +62,8 @@ double NumberOr(const JsonValue* v, double fallback) {
 
 /// Reads the integer member `key` of `obj` into `*out`, leaving `*out` as
 /// it is when the member is absent. A dump is outside input, so a value
-/// that is not an integral number inside T's range is refused, never cast.
+/// that is not an integer literal inside T's range is refused, never cast.
+/// The literal is parsed, not the double, so every 64-bit value is exact.
 template <typename T>
 Status ReadInt(const JsonValue& obj, std::string_view key, T* out) {
   const JsonValue* v = obj.Find(key);
@@ -71,15 +71,15 @@ Status ReadInt(const JsonValue& obj, std::string_view key, T* out) {
   if (!v->IsNumber()) {
     return Status::InvalidArgument(std::string(key) + " is not a number");
   }
-  // 2^digits is T's max + 1, exact as a double.
-  const double x = v->number;
-  if (x != std::floor(x) ||
-      x < static_cast<double>(std::numeric_limits<T>::min()) ||
-      x >= std::ldexp(1.0, std::numeric_limits<T>::digits)) {
+  const std::string& literal = v->string_value;
+  const char* end = literal.data() + literal.size();
+  T x{};
+  const auto [ptr, ec] = std::from_chars(literal.data(), end, x);
+  if (ec != std::errc() || ptr != end) {
     return Status::InvalidArgument(std::string(key) +
                                    " is not an integer in range");
   }
-  *out = static_cast<T>(x);
+  *out = x;
   return Status::OK();
 }
 

@@ -5,8 +5,9 @@
 /// retroactively from the span rings) its full causal trace tree.
 ///
 /// Aggregates answer "how slow is p99"; the flight recorder answers "show
-/// me one". The serving sim offers every request's RequestBudget as it
-/// retires; the recorder keeps
+/// me one". After a serving run, each request's RequestBudget is offered
+/// in request-id order (the order the sim retired them in); the recorder
+/// keeps
 ///   - the `slowest_k` COMPLETED requests by modeled latency (the p99
 ///     exemplars a tail investigation starts from), and
 ///   - a `sample_k` uniform reservoir over ALL offered requests (so shed
@@ -18,9 +19,10 @@
 ///
 /// Trace trees are attached AFTER the run: budgets carry their root span's
 /// trace id, and CaptureTraces() walks the tracer's retained events once,
-/// assembling trees only for retained exemplars. Nothing is paid per
-/// request beyond the budget copy — the span rings already hold the data,
-/// the recorder just stops it from being overwritten anonymously.
+/// assembling trees only for retained exemplars. The serving path pays
+/// nothing per request for it beyond storing the trace id — the span rings
+/// already hold the data, the recorder just stops it from being
+/// overwritten anonymously.
 ///
 /// Dumps: WriteJson() emits a self-contained dump (budgets, counters,
 /// spans, plus the run's AttributionReport) that tools/trace_attrib reads
@@ -62,8 +64,8 @@ struct Exemplar {
   std::vector<SpanEvent> spans;
 };
 
-/// \brief Bounded exemplar reservoir. Offer() from ONE logical stream (the
-/// sim's single-threaded sample stage); capture/dump at quiescent points.
+/// \brief Bounded exemplar reservoir. Offer() from ONE logical stream (a
+/// run's results in id order); capture/dump at quiescent points.
 class FlightRecorder {
  public:
   explicit FlightRecorder(FlightRecorderConfig config = {});
@@ -121,7 +123,8 @@ struct RecorderDump {
 
 /// Parses a dump produced by FlightRecorder::ToJson. InvalidArgument on
 /// malformed documents, unknown component/outcome names, or an integer
-/// field that is not an integral number inside its type's range.
+/// field that is not an integer literal inside its type's range (read from
+/// the literal, so a 64-bit value round-trips exactly).
 Result<RecorderDump> ParseRecorderDump(std::string_view json);
 
 }  // namespace obs

@@ -318,6 +318,7 @@ class JsonParser {
     if (!std::isfinite(v)) return Err("number out of range");
     out->type = JsonValue::Type::kNumber;
     out->number = v;
+    out->string_value = token;
     return Status::OK();
   }
 

@@ -78,6 +78,8 @@ struct JsonValue {
   Type type = Type::kNull;
   bool bool_value = false;
   double number = 0;
+  /// kString: the decoded text. kNumber: the literal as written, so an
+  /// integer past 2^53 can be read exactly (see ParseRecorderDump).
   std::string string_value;
   std::vector<std::pair<std::string, JsonValue>> members;  ///< kObject
   std::vector<JsonValue> items;                            ///< kArray

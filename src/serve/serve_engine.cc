@@ -1,6 +1,7 @@
 #include "serve/serve_engine.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <limits>
@@ -13,7 +14,6 @@
 #include "common/timer.h"
 #include "nn/layers.h"
 #include "obs/metrics.h"
-#include "obs/recorder.h"
 #include "obs/trace.h"
 #include "pipeline/block_pipeline.h"
 #include "sampling/sampler.h"
@@ -41,8 +41,24 @@ uint64_t FingerprintMatrix(const nn::Matrix& m) {
   return h;
 }
 
-/// Most recent timeline windows retained per series.
-constexpr size_t kTimelineWindows = 1024;
+/// The cost model's charge terms for a request of `edges` sampled edges
+/// and `rows` block rows. service_us() keeps the original left-to-right
+/// association (base + per_edge*E) + per_row*R, so the modeled clock — and
+/// every gated serve.* baseline number downstream of it — is bit-identical
+/// to the un-decomposed expression.
+struct Charges {
+  double sample_us;
+  double gather_us;
+  double compute_us;
+
+  double service_us() const { return compute_us + sample_us + gather_us; }
+};
+
+Charges ChargesFor(const ServeConfig& config, size_t edges, size_t rows) {
+  return {config.per_edge_us * static_cast<double>(edges),
+          config.per_row_us * static_cast<double>(rows),
+          config.base_service_us};
+}
 
 size_t BlockEdges(const block::SampledBlock& blk) {
   size_t edges = 0;
@@ -69,28 +85,37 @@ std::string LatencyReport::ToString() const {
   return buf;
 }
 
-ServeTimeline::ServeTimeline(double interval_us, size_t windows)
-    : offered(interval_us, windows),
-      completed(interval_us, windows, obs::LatencyBoundsUs()),
-      shed(interval_us, windows),
-      missed(interval_us, windows) {}
-
-int64_t ServeTimeline::first_index() const {
-  int64_t first = std::numeric_limits<int64_t>::max();
-  for (const obs::WindowedSeries* s : {&offered, &completed, &shed, &missed}) {
-    if (s->last_index() >= s->first_index()) {
-      first = std::min(first, s->first_index());
+obs::RequestBudget BudgetFor(uint64_t id, const RequestResult& result,
+                             const ServeConfig& config) {
+  obs::RequestBudget budget;
+  budget.request_id = id;
+  budget.trace_id = result.trace_id;
+  switch (result.outcome) {
+    case RequestOutcome::kShed:
+      budget.outcome = obs::RequestBudget::Outcome::kShed;
+      break;
+    case RequestOutcome::kDeadlineMissed:
+      // The client waited out its whole budget before giving up: the wait
+      // bought nothing decomposable.
+      budget.outcome = obs::RequestBudget::Outcome::kAbandoned;
+      budget.total_us = config.deadline_us;
+      budget.at(obs::BudgetComponent::kAbandoned) = config.deadline_us;
+      break;
+    case RequestOutcome::kCompleted: {
+      // total_us is the independently derived finish - arrival, so
+      // coverage stays an honest accounting check, not a tautology.
+      const Charges c =
+          ChargesFor(config, result.sampled_edges, result.block_rows);
+      budget.outcome = obs::RequestBudget::Outcome::kCompleted;
+      budget.total_us = result.latency_us;
+      budget.at(obs::BudgetComponent::kQueueWait) = result.queue_wait_us;
+      budget.at(obs::BudgetComponent::kSample) = c.sample_us;
+      budget.at(obs::BudgetComponent::kGather) = c.gather_us;
+      budget.at(obs::BudgetComponent::kCompute) = c.compute_us;
+      break;
     }
   }
-  return first == std::numeric_limits<int64_t>::max() ? 0 : first;
-}
-
-int64_t ServeTimeline::last_index() const {
-  int64_t last = -1;
-  for (const obs::WindowedSeries* s : {&offered, &completed, &shed, &missed}) {
-    last = std::max(last, s->last_index());
-  }
-  return last;
+  return budget;
 }
 
 ServeEngine::ServeEngine(const AttributedGraph& graph,
@@ -106,6 +131,7 @@ ServeEngine::ServeEngine(const AttributedGraph& graph,
   ALIGRAPH_CHECK_GT(config_.max_in_flight, 0u);
   ALIGRAPH_CHECK_GT(config_.lanes, 0u);
   ALIGRAPH_CHECK_GT(config_.deadline_us, 0.0);
+  ALIGRAPH_CHECK_GT(config_.timeline_interval_us, 0.0);
   ALIGRAPH_CHECK_EQ(features_.rows(), graph_.num_vertices());
 }
 
@@ -116,12 +142,6 @@ LatencyReport ServeEngine::Run(const LoadGenerator& gen) {
   const std::vector<uint32_t> fans{config_.fanout1, config_.fanout2};
 
   results_.assign(n, RequestResult{});
-  budgets_.assign(n, obs::RequestBudget{});
-  timeline_.reset();
-  if (config_.timeline_interval_us > 0.0) {
-    timeline_ = std::make_unique<ServeTimeline>(config_.timeline_interval_us,
-                                                kTimelineWindows);
-  }
 
   LocalNeighborSource source(graph_);
   block::MatrixFeatureSource feature_source(features_);
@@ -185,17 +205,11 @@ LatencyReport ServeEngine::Run(const LoadGenerator& gen) {
         }
         r.user = user;
         r.arrival_us = arrival;
+        // The batch root minted by the pipeline for this request: the
+        // sample callback runs inside its adopted context.
+        r.trace_id = obs::CurrentTraceContext().trace_id;
         if (first_arrival < 0.0) first_arrival = arrival;
         last_event = std::max(last_event, arrival);
-        if (timeline_) timeline_->offered.Count(arrival);
-
-        // The budget's trace id is the batch root minted by the pipeline
-        // for this request — the sample callback runs inside its adopted
-        // context, so the flight recorder can rematch the trace tree after
-        // the run.
-        obs::RequestBudget& budget = budgets_[id];
-        budget.request_id = id;
-        budget.trace_id = obs::CurrentTraceContext().trace_id;
 
         // 1. Retire everything that finished before this arrival.
         while (!inflight.empty() && inflight.top() <= arrival) inflight.pop();
@@ -205,12 +219,6 @@ LatencyReport ServeEngine::Run(const LoadGenerator& gen) {
         if (inflight.size() >= config_.max_in_flight) {
           r.outcome = RequestOutcome::kShed;
           ++shed_count;
-          // A shed request spends no modeled time: total stays 0 so it
-          // never dilutes attribution coverage, but the outcome is kept so
-          // the flight recorder's uniform sample shows sheds in proportion.
-          budget.outcome = obs::RequestBudget::Outcome::kShed;
-          if (timeline_) timeline_->shed.Count(arrival);
-          if (recorder_ != nullptr) recorder_->Offer(budget);
           if (closed) users.push({arrival + load.think_time_us, user});
           return false;
         }
@@ -221,19 +229,10 @@ LatencyReport ServeEngine::Run(const LoadGenerator& gen) {
                                  gen.RequestSeed(id));
         *block = hood.SampleBlock(source, gen.RootsFor(id),
                                   NeighborhoodSampler::kAllEdgeTypes, fans);
-        // Priced per phase so the request's latency budget decomposes by
-        // cause. The sum keeps the original left-to-right association
-        // (base + per_edge*E) + per_row*R, so `service` — and every gated
-        // serve.* baseline number downstream of it — is bit-identical to
-        // the un-decomposed expression.
-        const size_t block_edges = BlockEdges(*block);
-        const size_t block_rows = block->num_vertices();
-        const double sample_us =
-            config_.per_edge_us * static_cast<double>(block_edges);
-        const double gather_us =
-            config_.per_row_us * static_cast<double>(block_rows);
-        const double compute_us = config_.base_service_us;
-        const double service = compute_us + sample_us + gather_us;
+        r.sampled_edges = BlockEdges(*block);
+        r.block_rows = block->num_vertices();
+        const double service =
+            ChargesFor(config_, r.sampled_edges, r.block_rows).service_us();
 
         // 4. Deadline: a request that cannot finish inside its budget is
         // abandoned before it occupies a lane — serving a reply nobody is
@@ -244,19 +243,6 @@ LatencyReport ServeEngine::Run(const LoadGenerator& gen) {
         if (finish - arrival > config_.deadline_us) {
           r.outcome = RequestOutcome::kDeadlineMissed;
           ++missed_count;
-          // The client waited out its whole budget before giving up: the
-          // abandoned request's modeled cost is the deadline, charged to a
-          // single component (the wait bought nothing decomposable).
-          budget.outcome = obs::RequestBudget::Outcome::kAbandoned;
-          budget.total_us = config_.deadline_us;
-          budget.at(obs::BudgetComponent::kAbandoned) = config_.deadline_us;
-          if (timeline_) {
-            timeline_->missed.Count(arrival + config_.deadline_us);
-          }
-          if (recorder_ != nullptr) {
-            recorder_->Offer(budget, {{"sampled_edges", block_edges},
-                                      {"block_rows", block_rows}});
-          }
           if (closed) {
             users.push(
                 {arrival + config_.deadline_us + load.think_time_us, user});
@@ -274,20 +260,6 @@ LatencyReport ServeEngine::Run(const LoadGenerator& gen) {
         r.latency_us = finish - arrival;
         r.queue_wait_us = start - arrival;
         latencies.Add(r.latency_us);
-        // Budget the completed request by cause. total_us is derived
-        // independently (finish - arrival), so coverage stays an honest
-        // accounting check rather than a tautology.
-        budget.outcome = obs::RequestBudget::Outcome::kCompleted;
-        budget.total_us = r.latency_us;
-        budget.at(obs::BudgetComponent::kQueueWait) = r.queue_wait_us;
-        budget.at(obs::BudgetComponent::kSample) = sample_us;
-        budget.at(obs::BudgetComponent::kGather) = gather_us;
-        budget.at(obs::BudgetComponent::kCompute) = compute_us;
-        if (timeline_) timeline_->completed.Record(finish, r.latency_us);
-        if (recorder_ != nullptr) {
-          recorder_->Offer(budget, {{"sampled_edges", block_edges},
-                                    {"block_rows", block_rows}});
-        }
         last_event = std::max(last_event, finish);
         if (closed) users.push({finish + load.think_time_us, user});
         return true;
@@ -335,9 +307,80 @@ LatencyReport ServeEngine::Run(const LoadGenerator& gen) {
     report.deadline_miss_rate =
         static_cast<double>(missed_count) / static_cast<double>(n);
   }
-  report.attrib_coverage =
-      obs::BuildAttributionReport(budgets_).coverage;
+  std::vector<obs::RequestBudget> budgets;
+  budgets.reserve(n);
+  for (uint64_t id = 0; id < n; ++id) {
+    budgets.push_back(BudgetFor(id, results_[id], config_));
+  }
+  report.attrib_coverage = obs::BuildAttributionReport(budgets).coverage;
   return report;
+}
+
+ServeTimeline ServeEngine::Timeline() const {
+  ServeTimeline tl;
+  tl.interval_us = config_.timeline_interval_us;
+  if (results_.empty()) return tl;
+  const auto window = [&](double t_us) {
+    return static_cast<int64_t>(std::floor(t_us / tl.interval_us));
+  };
+  // Every request arrives once, then has exactly one outcome event.
+  const auto outcome_us = [&](const RequestResult& r) {
+    switch (r.outcome) {
+      case RequestOutcome::kCompleted:
+        return r.finish_us;
+      case RequestOutcome::kDeadlineMissed:
+        return r.arrival_us + config_.deadline_us;
+      case RequestOutcome::kShed:
+        break;
+    }
+    return r.arrival_us;
+  };
+  int64_t first = std::numeric_limits<int64_t>::max();
+  int64_t last = std::numeric_limits<int64_t>::min();
+  for (const RequestResult& r : results_) {
+    for (const int64_t w : {window(r.arrival_us), window(outcome_us(r))}) {
+      first = std::min(first, w);
+      last = std::max(last, w);
+    }
+  }
+  first = std::max(first, last - static_cast<int64_t>(kTimelineWindows) + 1);
+  tl.first_index = first;
+
+  const std::span<const double> bounds = obs::LatencyBoundsUs();
+  TimelineWindow empty;
+  empty.latency.bounds.assign(bounds.begin(), bounds.end());
+  empty.latency.counts.assign(bounds.size() + 1, 0);
+  tl.windows.assign(static_cast<size_t>(last - first + 1), empty);
+  // The window of time t, or null when t predates the retained range.
+  const auto at = [&](double t_us) -> TimelineWindow* {
+    const int64_t w = window(t_us);
+    return w < first ? nullptr : &tl.windows[static_cast<size_t>(w - first)];
+  };
+  for (const RequestResult& r : results_) {
+    if (TimelineWindow* w = at(r.arrival_us)) ++w->offered;
+    TimelineWindow* w = at(outcome_us(r));
+    if (w == nullptr) continue;
+    switch (r.outcome) {
+      case RequestOutcome::kCompleted: {
+        // Bucketed as obs::Histogram::Record buckets, so the window's
+        // percentiles are those of a latency histogram over it.
+        const size_t b = static_cast<size_t>(
+            std::upper_bound(bounds.begin(), bounds.end(), r.latency_us) -
+            bounds.begin());
+        ++w->latency.counts[b];
+        ++w->latency.count;
+        w->latency.sum += r.latency_us;
+        break;
+      }
+      case RequestOutcome::kShed:
+        ++w->shed;
+        break;
+      case RequestOutcome::kDeadlineMissed:
+        ++w->missed;
+        break;
+    }
+  }
+  return tl;
 }
 
 uint64_t ServeEngine::ExecuteOffline(const LoadGenerator& gen,

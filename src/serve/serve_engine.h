@@ -24,9 +24,11 @@
 ///     schedules and sanitizers. These are the numbers bench_serve gates
 ///     against bench/baseline.json. Service cost is charged per request
 ///     from an explicit cost model (base + per-edge + per-row), mirroring
-///     how the cluster's CommModel charges modeled communication. Its
-///     counts and latencies are returned in LatencyReport and results(),
-///     not copied into the metrics registry.
+///     how the cluster's CommModel charges modeled communication. The sim
+///     writes one record per request, its RequestResult; the latency
+///     budget (BudgetFor), the windowed timeline (Timeline) and the
+///     flight-recorder offers are derived from results() after the run,
+///     and nothing is copied into the metrics registry.
 ///   - The MEASURED wall clock times the actual sample/gather/forward work
 ///     into the "serve.wall_latency_us" histogram and the trace. It is
 ///     reported for eyeballing, never gated.
@@ -57,7 +59,6 @@
 #define ALIGRAPH_SERVE_SERVE_ENGINE_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -66,15 +67,10 @@
 #include "graph/graph.h"
 #include "nn/matrix.h"
 #include "obs/attrib.h"
-#include "obs/window.h"
+#include "obs/metrics.h"
 #include "serve/load_generator.h"
 
 namespace aligraph {
-
-namespace obs {
-class FlightRecorder;
-class Histogram;
-}  // namespace obs
 
 namespace serve {
 
@@ -109,9 +105,12 @@ struct ServeConfig {
   uint64_t seed = 29;
 
   /// Width of one timeline window on the MODELED clock (see
-  /// ServeEngine::timeline). 0 disables the timeline.
+  /// ServeEngine::Timeline); must be positive.
   double timeline_interval_us = 10000.0;
 };
+
+/// Most recent windows a ServeTimeline keeps.
+inline constexpr size_t kTimelineWindows = 1024;
 
 /// \brief What happened to one offered request.
 enum class RequestOutcome : uint8_t {
@@ -130,7 +129,22 @@ struct RequestResult {
   double latency_us = 0;      ///< modeled finish - arrival (completed only)
   double queue_wait_us = 0;   ///< modeled start - arrival (completed only)
   uint64_t fingerprint = 0;   ///< hash of the embedding bytes (completed only)
+  /// Trace id of the request's "serve/request" root span (0 when tracing
+  /// was detached); the flight recorder rematches trace trees by it.
+  uint64_t trace_id = 0;
+  size_t sampled_edges = 0;   ///< edges of the sampled block (not shed)
+  size_t block_rows = 0;      ///< unique rows of the sampled block (not shed)
 };
+
+/// The latency budget of request `id` (see obs::RequestBudget), derived
+/// from its result with the same charge expressions the sim priced it by,
+/// so the components are bit-equal to the charges: a completed request's
+/// queue wait, per-edge sample, per-row gather and fixed compute cost
+/// against its latency; an abandoned one's deadline, charged to
+/// kAbandoned; a shed one's zero total (it spent no modeled time, but
+/// keeps its outcome so a uniform sample shows sheds in proportion).
+obs::RequestBudget BudgetFor(uint64_t id, const RequestResult& result,
+                             const ServeConfig& config);
 
 /// \brief The serving run's headline numbers. All latency fields are on the
 /// MODELED clock — deterministic, hence gateable.
@@ -166,21 +180,36 @@ struct LatencyReport {
   std::string ToString() const;
 };
 
-/// \brief Per-series modeled-clock timelines of one serving run (see
-/// obs::WindowedSeries): arrivals, completions (latency-valued, so
-/// percentile-over-window works), sheds and deadline misses share one
-/// window grid. Rebuilt by every Run().
+/// \brief One window of a ServeTimeline: the modeled events that fell in
+/// [start, start + interval).
+struct TimelineWindow {
+  uint64_t offered = 0;  ///< arrivals
+  uint64_t shed = 0;     ///< rejections, at arrival (shedding is instant)
+  uint64_t missed = 0;   ///< deadline misses, when the client gave up
+  /// Latencies of the completions that finished in this window, bucketed
+  /// by obs::LatencyBoundsUs; its count is the window's completed count.
+  obs::HistogramSnapshot latency;
+
+  uint64_t completed() const { return latency.count; }
+};
+
+/// \brief A serving run on a grid of fixed modeled-clock windows: the
+/// contiguous run of windows from the first event to the last (a quiet
+/// window in between is a zero data point, not a gap), capped at the most
+/// recent kTimelineWindows.
 struct ServeTimeline {
-  ServeTimeline(double interval_us, size_t windows);
+  double interval_us = 0;
+  int64_t first_index = 0;  ///< window number floor(t / interval) of [0]
+  std::vector<TimelineWindow> windows;
 
-  obs::WindowedSeries offered;    ///< arrivals, counted at arrival time
-  obs::WindowedSeries completed;  ///< latencies, recorded at finish time
-  obs::WindowedSeries shed;       ///< counted at the (instant) rejection
-  obs::WindowedSeries missed;     ///< counted when the client gave up
-
-  /// Union index range over the four series, for aligned walking.
-  int64_t first_index() const;
-  int64_t last_index() const;
+  double start_us(size_t i) const {
+    return static_cast<double>(first_index + static_cast<int64_t>(i)) *
+           interval_us;
+  }
+  /// Completions per modeled second in window i.
+  double goodput_rps(size_t i) const {
+    return static_cast<double>(windows[i].completed()) / (interval_us * 1e-6);
+  }
 };
 
 /// \brief Serves embedding requests over one graph + feature matrix with a
@@ -200,18 +229,11 @@ class ServeEngine {
   /// Per-request outcomes of the last Run, indexed by request id.
   const std::vector<RequestResult>& results() const { return results_; }
 
-  /// Per-request latency budgets of the last Run, indexed by request id
-  /// (see obs::RequestBudget). Every offered request has one; shed
-  /// requests carry a zero total.
-  const std::vector<obs::RequestBudget>& budgets() const { return budgets_; }
-
-  /// Windowed timeline of the last Run; null before the first Run or when
-  /// config.timeline_interval_us == 0.
-  const ServeTimeline* timeline() const { return timeline_.get(); }
-
-  /// Installs a flight recorder to Offer() every retired request to during
-  /// Run(). Not owned; must outlive the engine or be detached (nullptr).
-  void set_recorder(obs::FlightRecorder* recorder) { recorder_ = recorder; }
+  /// The last Run's timeline, built from results() on every call: each
+  /// request is offered at arrival and then completed at finish, shed at
+  /// arrival, or missed at arrival + deadline_us. Empty before the first
+  /// Run.
+  ServeTimeline Timeline() const;
 
   /// Replays request `id` through the sequential offline path (same roots,
   /// same per-request seed, no pipeline, no admission) and returns the
@@ -234,9 +256,6 @@ class ServeEngine {
   algo::SageLayer layer1_;
   algo::SageLayer layer2_;
   std::vector<RequestResult> results_;
-  std::vector<obs::RequestBudget> budgets_;
-  std::unique_ptr<ServeTimeline> timeline_;
-  obs::FlightRecorder* recorder_ = nullptr;
 
   // The measured clock's only record: "serve.wall_latency_us" from the
   // default registry at construction (null when detached). The modeled

@@ -1,15 +1,17 @@
 // Tests for the tail-latency attribution stack: per-request budget
 // accounting identities against a real serving run, p50-vs-p99 cohort
-// separation on a synthetic slow-gather workload, windowed time-series
-// conservation (including eviction and far jumps), flight-recorder
-// reservoir bounds / determinism / JSON round-trip, wall budgets recovered
-// from trace trees, and bit-identical budgets across pipeline depths.
+// separation on a synthetic slow-gather workload, the serving timeline
+// derived from a run's results (quiet windows, per-window percentiles, the
+// window cap), flight-recorder reservoir bounds / determinism / JSON
+// round-trip, wall budgets recovered from trace trees, and bit-identical
+// budgets across pipeline depths.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -18,10 +20,10 @@
 #include "gen/powerlaw.h"
 #include "graph/graph.h"
 #include "obs/attrib.h"
+#include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
-#include "obs/window.h"
 #include "serve/load_generator.h"
 #include "serve/serve_engine.h"
 
@@ -73,6 +75,16 @@ obs::RequestBudget MakeBudget(uint64_t id, double queue_us, double gather_us) {
   return b;
 }
 
+/// The budgets of the engine's last Run, indexed by request id.
+std::vector<obs::RequestBudget> Budgets(const serve::ServeEngine& engine) {
+  std::vector<obs::RequestBudget> budgets;
+  for (uint64_t id = 0; id < engine.results().size(); ++id) {
+    budgets.push_back(
+        serve::BudgetFor(id, engine.results()[id], engine.config()));
+  }
+  return budgets;
+}
+
 // ---------------------------------------------------------------------------
 // RequestBudget accounting against a real serving run.
 
@@ -90,7 +102,7 @@ TEST(AttribTest, ServeBudgetsAccountForModeledLatency) {
   const serve::LoadGenerator gen(graph, OpenLoad(300, 12000.0));
   const serve::LatencyReport report = engine.Run(gen);
 
-  const std::vector<obs::RequestBudget>& budgets = engine.budgets();
+  const std::vector<obs::RequestBudget> budgets = Budgets(engine);
   ASSERT_EQ(budgets.size(), 300u);
   uint64_t completed = 0, shed = 0, abandoned = 0;
   for (uint64_t id = 0; id < budgets.size(); ++id) {
@@ -101,6 +113,7 @@ TEST(AttribTest, ServeBudgetsAccountForModeledLatency) {
       case obs::RequestBudget::Outcome::kCompleted: {
         ++completed;
         EXPECT_EQ(r.outcome, serve::RequestOutcome::kCompleted);
+        EXPECT_EQ(b.trace_id, r.trace_id);
         // The accounting identity: components sum to the independently
         // derived total up to floating-point association.
         EXPECT_NEAR(b.attributed_us(), b.total_us,
@@ -134,8 +147,10 @@ TEST(AttribTest, ServeBudgetsAccountForModeledLatency) {
   EXPECT_GT(shed, 0u) << "workload did not exercise shedding";
   EXPECT_GT(abandoned, 0u) << "workload did not exercise abandonment";
   // The gated aggregate: the sim declares a component for (essentially)
-  // every modeled microsecond.
+  // every modeled microsecond, and Run reports it from the same budgets.
   EXPECT_GE(report.attrib_coverage, 0.999);
+  EXPECT_EQ(report.attrib_coverage,
+            obs::BuildAttributionReport(budgets).coverage);
 }
 
 TEST(AttribTest, CohortReportSeparatesSlowGatherTail) {
@@ -208,64 +223,118 @@ TEST(AttribTest, ComponentAndOutcomeNamesRoundTrip) {
 }
 
 // ---------------------------------------------------------------------------
-// WindowedSeries: conservation, rates, percentiles.
+// The serving timeline, derived from a run's results.
 
-TEST(WindowTest, DeltaConservationAcrossEviction) {
-  // Tiny ring (4 windows) so advancing time evicts; every recorded count
-  // must land either in a retained window or in the eviction tallies.
-  obs::WindowedSeries series(100.0, 4);
-  uint64_t expected = 0;
-  for (int i = 0; i < 40; ++i) {
-    series.Count(static_cast<double>(i) * 37.0, 3);
-    expected += 3;
+TEST(ServeTimelineTest, WindowsRecountResults) {
+  const AttributedGraph graph = TestGraph();
+  const nn::Matrix features = algo::BuildFeatureMatrix(graph, 12);
+  const serve::LoadGenerator gen(graph, OpenLoad(300, 12000.0));
+  // Overloaded with a tight deadline (as in ServeBudgetsAccountForModeled-
+  // Latency), so every window column sees events.
+  auto run = [&](double interval_us) {
+    serve::ServeConfig cfg = SmallServeConfig();
+    cfg.max_in_flight = 4;
+    cfg.deadline_us = 150.0;
+    cfg.timeline_interval_us = interval_us;
+    serve::ServeEngine engine(graph, features, cfg);
+    engine.Run(gen);
+    return std::make_pair(engine.results(), engine.Timeline());
+  };
+
+  // 60us windows are shorter than the mean arrival gap (~83us), so the
+  // timeline has quiet windows between its first and last.
+  const double interval_us = 60.0;
+  const auto [results, tl] = run(interval_us);
+  ASSERT_FALSE(tl.windows.empty());
+  EXPECT_EQ(tl.interval_us, interval_us);
+  // The modeled time of a request's one outcome event.
+  auto outcome_us = [](const serve::RequestResult& r) {
+    switch (r.outcome) {
+      case serve::RequestOutcome::kCompleted:
+        return r.finish_us;
+      case serve::RequestOutcome::kDeadlineMissed:
+        return r.arrival_us + 150.0;
+      case serve::RequestOutcome::kShed:
+        break;
+    }
+    return r.arrival_us;
+  };
+  auto window_of = [&](double t_us) {
+    return static_cast<int64_t>(std::floor(t_us / interval_us)) -
+           tl.first_index;
+  };
+  // Each window's counts and latencies, recounted from the results.
+  std::vector<uint64_t> offered(tl.windows.size()), shed(tl.windows.size()),
+      missed(tl.windows.size());
+  std::vector<std::vector<double>> latencies(tl.windows.size());
+  for (const serve::RequestResult& r : results) {
+    ++offered.at(window_of(r.arrival_us));
+    const size_t w = window_of(outcome_us(r));
+    switch (r.outcome) {
+      case serve::RequestOutcome::kCompleted:
+        latencies.at(w).push_back(r.latency_us);
+        break;
+      case serve::RequestOutcome::kShed:
+        ++shed.at(w);
+        break;
+      case serve::RequestOutcome::kDeadlineMissed:
+        ++missed.at(w);
+        break;
+    }
   }
-  EXPECT_EQ(series.total_count(), expected);
-  EXPECT_EQ(series.retained_count() + series.evicted_count(), expected);
-  EXPECT_GT(series.evicted_count(), 0u) << "ring never evicted";
-  // Retained range is contiguous and bounded by capacity.
-  EXPECT_LE(series.windows().size(), 4u);
-  for (size_t i = 1; i < series.windows().size(); ++i) {
-    EXPECT_EQ(series.windows()[i].index, series.windows()[i - 1].index + 1);
+  size_t quiet_inside = 0;
+  uint64_t completed = 0, shed_total = 0, missed_total = 0;
+  obs::MetricsRegistry registry;
+  for (size_t i = 0; i < tl.windows.size(); ++i) {
+    const serve::TimelineWindow& w = tl.windows[i];
+    EXPECT_EQ(w.offered, offered[i]) << "window " << i;
+    EXPECT_EQ(w.completed(), latencies[i].size()) << "window " << i;
+    EXPECT_EQ(w.shed, shed[i]) << "window " << i;
+    EXPECT_EQ(w.missed, missed[i]) << "window " << i;
+    EXPECT_EQ(tl.start_us(i),
+              static_cast<double>(tl.first_index + static_cast<int64_t>(i)) *
+                  interval_us);
+    EXPECT_EQ(tl.goodput_rps(i), static_cast<double>(latencies[i].size()) /
+                                     (interval_us * 1e-6));
+    // The window's percentiles are those of a latency histogram over just
+    // its completions.
+    obs::Histogram* h = registry.GetHistogram("window" + std::to_string(i));
+    for (const double v : latencies[i]) h->Record(v);
+    const obs::HistogramSnapshot want = h->Snapshot();
+    EXPECT_EQ(w.latency.Percentile(50.0), want.Percentile(50.0));
+    EXPECT_EQ(w.latency.Percentile(99.0), want.Percentile(99.0));
+    const bool quiet = w.offered == 0 && w.completed() == 0 && w.shed == 0 &&
+                       w.missed == 0;
+    if (quiet && i > 0 && i + 1 < tl.windows.size()) ++quiet_inside;
+    completed += w.completed();
+    shed_total += w.shed;
+    missed_total += w.missed;
   }
-  // A late observation for a window that already fell off the ring is
-  // folded into the eviction tally, not dropped.
-  series.Count(0.0, 5);
-  expected += 5;
-  EXPECT_EQ(series.total_count(), expected);
-  EXPECT_EQ(series.retained_count() + series.evicted_count(), expected);
-}
+  EXPECT_GT(quiet_inside, 0u) << "no quiet window was materialized";
+  // Uncapped, every request is counted once and finishes once.
+  EXPECT_EQ(completed + shed_total + missed_total, results.size());
+  EXPECT_GT(shed_total, 0u);
+  EXPECT_GT(missed_total, 0u);
 
-TEST(WindowTest, FarJumpFoldsRingNotOOM) {
-  obs::WindowedSeries series(1.0, 8);
-  series.Count(0.0, 2);
-  series.Record(3.0, 7.0);
-  // A jump 10^9 windows ahead must not materialize 10^9 empty windows.
-  series.Count(1e9, 1);
-  EXPECT_LE(series.windows().size(), 8u);
-  EXPECT_EQ(series.total_count(), 4u);
-  EXPECT_EQ(series.retained_count() + series.evicted_count(), 4u);
-  EXPECT_DOUBLE_EQ(series.total_sum(), 7.0);
-  EXPECT_DOUBLE_EQ(series.evicted_sum(), 7.0);
-}
-
-TEST(WindowTest, RateAndPercentilePerWindow) {
-  const double bounds[] = {10.0, 100.0, 1000.0};
-  obs::WindowedSeries series(1000.0, 8, bounds);  // 1ms windows
-  // Window 0: 10 fast observations; window 2: 4 slow ones.
-  for (int i = 0; i < 10; ++i) series.Record(500.0, 5.0);
-  for (int i = 0; i < 4; ++i) series.Record(2500.0, 500.0);
-  EXPECT_DOUBLE_EQ(series.RatePerSec(0), 10.0 / 1e-3);
-  EXPECT_DOUBLE_EQ(series.RatePerSec(1), 0.0);
-  EXPECT_DOUBLE_EQ(series.RatePerSec(2), 4.0 / 1e-3);
-  EXPECT_LE(series.Percentile(0, 99.0), 10.0);
-  EXPECT_GT(series.Percentile(2, 99.0), 100.0);
-  // Outside the retained range: zero-filled, not UB.
-  EXPECT_DOUBLE_EQ(series.RatePerSec(-5), 0.0);
-  EXPECT_DOUBLE_EQ(series.Percentile(7, 50.0), 0.0);
-  // Quiet window 1 is materialized (a data point, not a gap).
-  EXPECT_EQ(series.first_index(), 0);
-  EXPECT_EQ(series.last_index(), 2);
-  EXPECT_EQ(series.windows().size(), 3u);
+  // 1us windows: the ~25ms run spans far more than kTimelineWindows
+  // windows; the timeline keeps only the most recent ones.
+  const auto [fine_results, fine] = run(1.0);
+  ASSERT_EQ(fine.windows.size(), serve::kTimelineWindows);
+  int64_t last = 0;
+  for (const serve::RequestResult& r : fine_results) {
+    last = std::max(last, static_cast<int64_t>(std::floor(outcome_us(r))));
+  }
+  EXPECT_EQ(fine.first_index + static_cast<int64_t>(fine.windows.size()) - 1,
+            last);
+  uint64_t kept = 0;
+  for (const serve::RequestResult& r : fine_results) {
+    if (std::floor(r.arrival_us) >= static_cast<double>(fine.first_index)) {
+      ++kept;
+    }
+  }
+  uint64_t offered_kept = 0;
+  for (const serve::TimelineWindow& w : fine.windows) offered_kept += w.offered;
+  EXPECT_EQ(offered_kept, kept);
 }
 
 // ---------------------------------------------------------------------------
@@ -369,6 +438,17 @@ TEST(RecorderTest, DumpJsonRoundTrips) {
        }) {
     EXPECT_FALSE(obs::ParseRecorderDump(bad).ok()) << bad;
   }
+  // Integer fields are read from their literals, so every 64-bit value
+  // round-trips exactly; a double holds only 53 bits.
+  for (const uint64_t seed : {(uint64_t{1} << 53) + 1,
+                              std::numeric_limits<uint64_t>::max()}) {
+    obs::FlightRecorderConfig wide = cfg;
+    wide.seed = seed;
+    const auto parsed =
+        obs::ParseRecorderDump(obs::FlightRecorder(wide).ToJson("seed"));
+    ASSERT_TRUE(parsed.ok()) << seed << ": " << parsed.status().ToString();
+    EXPECT_EQ(parsed->config.seed, seed);
+  }
 }
 
 TEST(RecorderTest, CaptureTracesAttachesServeRequestTrees) {
@@ -377,12 +457,16 @@ TEST(RecorderTest, CaptureTracesAttachesServeRequestTrees) {
   const AttributedGraph graph = TestGraph();
   const nn::Matrix features = algo::BuildFeatureMatrix(graph, 12);
   serve::ServeEngine engine(graph, features, SmallServeConfig());
-  obs::FlightRecorder recorder;
-  engine.set_recorder(&recorder);
   const serve::LoadGenerator gen(graph, OpenLoad(64, 4000.0));
   engine.Run(gen);
   obs::SetDefaultTracer(nullptr);
 
+  // Offered after the run, in id order, as bench_serve offers them.
+  obs::FlightRecorder recorder;
+  for (const obs::RequestBudget& b : Budgets(engine)) {
+    EXPECT_NE(b.trace_id, 0u) << "request " << b.request_id;
+    recorder.Offer(b);
+  }
   const size_t captured = recorder.CaptureTraces(tracer.Events());
   EXPECT_GT(captured, 0u);
   size_t with_spans = 0;
@@ -451,19 +535,17 @@ TEST(AttribTest, BudgetsAndTimelineBitIdenticalAcrossDepths) {
     serve::ServeEngine engine(graph, features, cfg);
     const serve::LoadGenerator gen(graph, load);
     engine.Run(gen);
-    return std::make_pair(engine.budgets(),
-                          [&engine] {
-                            std::vector<uint64_t> counts;
-                            const serve::ServeTimeline* tl = engine.timeline();
-                            for (int64_t w = tl->first_index();
-                                 w <= tl->last_index(); ++w) {
-                              counts.push_back(tl->offered.At(w).count);
-                              counts.push_back(tl->completed.At(w).count);
-                              counts.push_back(tl->shed.At(w).count);
-                              counts.push_back(tl->missed.At(w).count);
-                            }
-                            return counts;
-                          }());
+    const serve::ServeTimeline tl = engine.Timeline();
+    std::vector<double> windows{static_cast<double>(tl.first_index)};
+    for (const serve::TimelineWindow& w : tl.windows) {
+      windows.insert(windows.end(),
+                     {static_cast<double>(w.offered),
+                      static_cast<double>(w.completed()),
+                      static_cast<double>(w.shed),
+                      static_cast<double>(w.missed), w.latency.sum,
+                      w.latency.Percentile(50.0), w.latency.Percentile(99.0)});
+    }
+    return std::make_pair(Budgets(engine), windows);
   };
   const auto [budgets1, timeline1] = run(1);
   const auto [budgets3, timeline3] = run(3);
