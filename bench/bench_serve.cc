@@ -159,7 +159,7 @@ int main(int argc, char** argv) {
     timelines.push_back(TimelineRows(engine.Timeline()));
     if (s.key == "serve.open") {
       // Offered in id order, the order the requests retired in; a shed
-      // request was never sampled, so it carries no counters.
+      // request's result keeps no block counts, so it carries no counters.
       std::vector<obs::RequestBudget> budgets;
       for (uint64_t id = 0; id < engine.results().size(); ++id) {
         const serve::RequestResult& res = engine.results()[id];

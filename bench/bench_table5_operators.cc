@@ -346,7 +346,6 @@ PipelineCost RunPipelineVariant(const AttributedGraph& graph, uint64_t seed) {
         [&](size_t b, block::SampledBlock* blk, std::any*) {
           *blk = sampler.SampleBlock(source, all_roots[b],
                                      NeighborhoodSampler::kAllEdgeTypes, fans);
-          return true;
         },
         [&](const block::SampledBlock& blk) {
           return block::GatherBlockFeatures(blk, features,

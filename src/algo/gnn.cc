@@ -98,7 +98,7 @@ template <typename SelfRow, typename NeighborRow>
 nn::Matrix SageLayer::ForwardRows(size_t n, size_t fan,
                                   const SelfRow& self_row,
                                   const NeighborRow& neighbor_row,
-                                  Cache* cache) {
+                                  Cache* cache) const {
   ALIGRAPH_CHECK(!maxpool_ || fan > 0) << "maxpool needs a neighbor per row";
   const size_t d = in_dim_;
   cache->input = nn::Matrix(n, 2 * d);
@@ -137,7 +137,7 @@ nn::Matrix SageLayer::ForwardRows(size_t n, size_t fan,
 
 nn::Matrix SageLayer::Forward(const nn::Matrix& self,
                               const nn::Matrix& neighbors, size_t fan,
-                              Cache* cache) {
+                              Cache* cache) const {
   ALIGRAPH_CHECK_EQ(self.cols(), in_dim_);
   ALIGRAPH_CHECK_EQ(neighbors.cols(), in_dim_);
   ALIGRAPH_CHECK_EQ(neighbors.rows(), self.rows() * fan);
@@ -147,7 +147,8 @@ nn::Matrix SageLayer::Forward(const nn::Matrix& self,
 }
 
 nn::Matrix SageLayer::ForwardBlock(const nn::Matrix& rows,
-                                   const block::BlockHop& hop, Cache* cache) {
+                                   const block::BlockHop& hop,
+                                   Cache* cache) const {
   ALIGRAPH_CHECK_EQ(rows.cols(), in_dim_);
   // Build lays every hop out with stride fan: edge e of dst i is
   // i * fan + f.
@@ -231,7 +232,6 @@ void SageTrainer::TrainEpochs(const AttributedGraph& graph,
         *blk = hood.SampleBlock(source, eb.roots,
                                 NeighborhoodSampler::kAllEdgeTypes, fans);
         *user = std::move(eb);
-        return true;
       },
       /*gather=*/
       [&](const block::SampledBlock& blk) {
@@ -285,7 +285,6 @@ nn::Matrix SageTrainer::Infer(const AttributedGraph& graph,
         std::iota(roots.begin(), roots.end(), begin);
         *blk = infer_hood.SampleBlock(source, roots,
                                       NeighborhoodSampler::kAllEdgeTypes, fans);
-        return true;
       },
       /*gather=*/
       [&](const block::SampledBlock& blk) {

@@ -76,7 +76,7 @@ class SageLayer {
 
   /// neighbors is [n*fan, in_dim]; self is [n, in_dim].
   nn::Matrix Forward(const nn::Matrix& self, const nn::Matrix& neighbors,
-                     size_t fan, Cache* cache);
+                     size_t fan, Cache* cache) const;
 
   /// Block forward: `rows` is a block's dense [num_vertices, in_dim]
   /// per-unique-vertex matrix; self rows come from hop.dst, neighbor rows
@@ -84,7 +84,7 @@ class SageLayer {
   /// matrix. Fills `cache` exactly like Forward (same input / output /
   /// argmax bits), so Backward serves both paths unchanged.
   nn::Matrix ForwardBlock(const nn::Matrix& rows, const block::BlockHop& hop,
-                          Cache* cache);
+                          Cache* cache) const;
 
   /// Returns (dSelf, dNeighbors).
   std::pair<nn::Matrix, nn::Matrix> Backward(const Cache& cache,
@@ -98,7 +98,7 @@ class SageLayer {
   // aggregates self_row(i) with neighbor_row(i * fan + f) for f < fan.
   template <typename SelfRow, typename NeighborRow>
   nn::Matrix ForwardRows(size_t n, size_t fan, const SelfRow& self_row,
-                         const NeighborRow& neighbor_row, Cache* cache);
+                         const NeighborRow& neighbor_row, Cache* cache) const;
 
   nn::Linear linear_;
   size_t in_dim_;

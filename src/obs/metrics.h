@@ -115,9 +115,11 @@ struct HistogramSnapshot {
 
 /// \brief Fixed-bucket histogram with per-thread sharded bucket counts.
 ///
-/// Bucket i counts values <= bounds[i]; values above the last bound land in
-/// an overflow bucket. Record is lock-free: one binary search plus three
-/// relaxed atomic adds on the caller's shard.
+/// Bucket i counts values in [bounds[i-1], bounds[i]): the lower edge is
+/// inclusive, so a value equal to bounds[i] lands in bucket i + 1 (bucket 0
+/// takes everything below bounds[0]). Values at or above the last bound
+/// land in an overflow bucket. Record is lock-free: one binary search plus
+/// three relaxed atomic adds on the caller's shard.
 class Histogram {
  public:
   void Record(double v);

@@ -34,19 +34,16 @@ void Charge(obs::Counter* counter, const Timer& timer) {
 }
 
 /// Emits the synthetic per-batch root span: parentless, covering the batch
-/// from first touch on the sample lane to now. Recorded after its children
-/// are already in the rings, with the ids minted at first touch, so
-/// timeline assembly sees exactly one root per batch regardless of which
-/// thread closes the batch out (compute for completed batches, the sample
-/// lane for dropped ones).
-void RecordBatchRoot(obs::Tracer* tracer, const char* name,
-                     const Batch& batch) {
+/// from first touch on the sample lane to now. Recorded on the compute
+/// thread after its children are already in the rings, with the ids minted
+/// at first touch, so timeline assembly sees exactly one root per batch.
+void RecordBatchRoot(obs::Tracer* tracer, const Batch& batch) {
   if (tracer == nullptr) return;
   const auto duration_ns =
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - batch.start)
           .count();
-  tracer->Record(name, /*depth=*/1, batch.trace,
+  tracer->Record("pipeline/batch", /*depth=*/1, batch.trace,
                  /*parent_span_id=*/0, batch.start, duration_ns);
 }
 
@@ -73,10 +70,7 @@ Status BlockPipeline::RunStages(size_t num_batches, const SampleFn& sample,
 
   // The three stage bodies. Both schedules below run exactly these, so the
   // spans, batch roots and busy counters do not depend on the depth.
-  // Sample returns null for a batch dropped at the source (shed / deadline
-  // abandoned): downstream stages never see it, but it still gets its root
-  // span so the trace timeline shows every offered batch, served or not.
-  auto sample_stage = [&](size_t b) -> std::unique_ptr<Batch> {
+  auto sample_stage = [&](size_t b) {
     auto batch = std::make_unique<Batch>();
     batch->index = b;
     // Mint the batch's trace root here, at first touch: all three stage
@@ -86,20 +80,15 @@ Status BlockPipeline::RunStages(size_t num_batches, const SampleFn& sample,
     batch->trace = obs::TraceContext{root_id, root_id};
     batch->start = std::chrono::steady_clock::now();
     obs::ScopedTraceContext adopt(batch->trace);
-    bool admitted = false;
-    {
-      obs::ScopedSpan span(config_.sample_span);
-      Timer busy;
-      admitted = sample(b, &batch->block, &batch->user);
-      Charge(busy_sample_, busy);
-    }
-    if (admitted) return batch;
-    RecordBatchRoot(tracer, config_.batch_span, *batch);
-    return nullptr;
+    obs::ScopedSpan span("pipeline/sample");
+    Timer busy;
+    sample(b, &batch->block, &batch->user);
+    Charge(busy_sample_, busy);
+    return batch;
   };
   auto gather_stage = [&](Batch& batch) {
     obs::ScopedTraceContext adopt(batch.trace);
-    obs::ScopedSpan span(config_.gather_span);
+    obs::ScopedSpan span("pipeline/gather");
     Timer busy;
     batch.features = gather(batch.block);
     Charge(busy_gather_, busy);
@@ -107,13 +96,13 @@ Status BlockPipeline::RunStages(size_t num_batches, const SampleFn& sample,
   auto compute_stage = [&](Batch& batch) {
     obs::ScopedTraceContext adopt(batch.trace);
     {
-      obs::ScopedSpan span(config_.compute_span);
+      obs::ScopedSpan span("pipeline/compute");
       Timer busy;
       compute(batch.index, batch.block, batch.features, batch.user);
       Charge(busy_compute_, busy);
     }
     if (batches_ != nullptr) batches_->Add(1);
-    RecordBatchRoot(tracer, config_.batch_span, batch);
+    RecordBatchRoot(tracer, batch);
   };
 
   if (config_.depth == 0) {
@@ -121,10 +110,9 @@ Status BlockPipeline::RunStages(size_t num_batches, const SampleFn& sample,
     // end on the caller's thread before the next one starts. No queue, so
     // no stall is ever charged.
     for (size_t b = 0; b < num_batches; ++b) {
-      if (std::unique_ptr<Batch> batch = sample_stage(b)) {
-        gather_stage(*batch);
-        compute_stage(*batch);
-      }
+      const std::unique_ptr<Batch> batch = sample_stage(b);
+      gather_stage(*batch);
+      compute_stage(*batch);
     }
     return Status::OK();
   }
@@ -141,9 +129,7 @@ Status BlockPipeline::RunStages(size_t num_batches, const SampleFn& sample,
   // trivial and avoids a Submit per batch: the loop itself is the stage.
   const Status sample_submitted = sample_lane_.Submit([&] {
     for (size_t b = 0; b < num_batches; ++b) {
-      std::unique_ptr<Batch> batch = sample_stage(b);
-      if (batch == nullptr) continue;
-      if (!sampled.Push(std::move(batch))) return;  // downstream closed
+      if (!sampled.Push(sample_stage(b))) return;  // downstream closed
     }
     sampled.Close();
   });

@@ -19,8 +19,8 @@
 ///     batch b: forward / backward / apply, in batch order
 ///
 /// RunStages is the one entry point, and the pipeline knows nothing of
-/// samplers or feature sources: each caller (the trainer, the serve
-/// engine) owns its stage bodies and the state they touch.
+/// samplers or feature sources: its caller, the GraphSAGE trainer, owns
+/// the stage bodies and the state they touch.
 ///
 /// Each stage is single-threaded and processes batches in submission order,
 /// so every stateful participant keeps the exact call sequence of the
@@ -72,14 +72,6 @@ struct PipelineConfig {
   /// handoff); 2-3 absorbs stage-time jitter. Peak in-flight batches is
   /// bounded by 2 * depth + 3 (one resident per stage plus the queues).
   size_t depth = 2;
-  /// Span names recorded per batch (string literals only — spans keep the
-  /// pointer). The serving layer renames the root to "serve/request" so the
-  /// Chrome trace export and critical-path analyzer read as request
-  /// lifecycles; training keeps the defaults.
-  const char* batch_span = "pipeline/batch";
-  const char* sample_span = "pipeline/sample";
-  const char* gather_span = "pipeline/gather";
-  const char* compute_span = "pipeline/compute";
 };
 
 /// \brief Runs batches through sample -> gather -> compute with bounded
@@ -102,11 +94,7 @@ class BlockPipeline {
   /// batch order. `user` may be filled with per-batch payload (e.g. the
   /// training pairs drawn alongside the roots) and is handed to the compute
   /// stage with the batch — it rides the stage queues, so no extra locking.
-  /// Returning false DROPS the batch — the gather and compute stages never
-  /// see it, only its root + sample spans are recorded. The serving layer
-  /// uses the drop to shed or abandon requests at admission time without
-  /// occupying the downstream lanes.
-  using SampleFn = std::function<bool(size_t batch,
+  using SampleFn = std::function<void(size_t batch,
                                       block::SampledBlock* block,
                                       std::any* user)>;
 

@@ -12,10 +12,8 @@
 /// so a trace showing bubbles can be cross-checked against which queue ran
 /// full (downstream too slow) or empty (upstream too slow).
 ///
-/// Waiting is spin-then-park. A serving pipeline hands off one batch per
-/// request, tens of thousands per second per queue, and a waiter the other
-/// side catches within microseconds is the common case; a futex sleep and
-/// wake per handoff would cost more than the batch's own compute. So a
+/// Waiting is spin-then-park. When the other side catches a waiter within
+/// microseconds, a futex sleep and wake would cost more than the wait. So a
 /// blocked side first polls the atomic mirrors of the item count and the
 /// closed flag for kSpinBudget, yielding its CPU between polls (stages may
 /// outnumber cores), and only then parks on a condvar. The items and the

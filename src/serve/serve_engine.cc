@@ -1,10 +1,12 @@
 #include "serve/serve_engine.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <queue>
 #include <utility>
 
@@ -12,10 +14,8 @@
 #include "common/histogram.h"
 #include "common/logging.h"
 #include "common/timer.h"
-#include "nn/layers.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "pipeline/block_pipeline.h"
 #include "sampling/sampler.h"
 
 namespace aligraph {
@@ -64,6 +64,18 @@ size_t BlockEdges(const block::SampledBlock& blk) {
   size_t edges = 0;
   for (const block::BlockHop& hop : blk.hops()) edges += hop.num_edges();
   return edges;
+}
+
+/// Runs one stage of a request under its span and charges its wall time to
+/// the stage's busy counter (summed over the threads that serve).
+template <typename Body>
+void Stage(const char* span_name, obs::Counter* busy, const Body& body) {
+  obs::ScopedSpan span(span_name);
+  const Timer timer;
+  body();
+  if (busy != nullptr) {
+    busy->Add(static_cast<uint64_t>(timer.ElapsedMicros()));
+  }
 }
 
 }  // namespace
@@ -127,7 +139,13 @@ ServeEngine::ServeEngine(const AttributedGraph& graph,
       layer1_(features.cols(), config.dim, /*maxpool=*/false, rng_),
       layer2_(config.dim, config.dim, /*maxpool=*/false, rng_,
               /*relu=*/false),
-      wall_latency_(obs::DefaultHistogram("serve.wall_latency_us")) {
+      wall_latency_(obs::DefaultHistogram("serve.wall_latency_us")),
+      busy_sample_(obs::DefaultCounter("pipeline.stage_busy_us.sample")),
+      busy_gather_(obs::DefaultCounter("pipeline.stage_busy_us.gather")),
+      busy_compute_(obs::DefaultCounter("pipeline.stage_busy_us.compute")) {
+  if (config_.pipeline_depth > 0) {
+    workers_ = std::make_unique<ThreadPool>(config_.pipeline_depth);
+  }
   ALIGRAPH_CHECK_GT(config_.max_in_flight, 0u);
   ALIGRAPH_CHECK_GT(config_.lanes, 0u);
   ALIGRAPH_CHECK_GT(config_.deadline_us, 0.0);
@@ -139,16 +157,33 @@ LatencyReport ServeEngine::Run(const LoadGenerator& gen) {
   const LoadConfig& load = gen.config();
   const uint64_t n = load.num_requests;
   const bool closed = load.mode == LoadConfig::Mode::kClosed;
-  const std::vector<uint32_t> fans{config_.fanout1, config_.fanout2};
-
   results_.assign(n, RequestResult{});
 
-  LocalNeighborSource source(graph_);
-  block::MatrixFeatureSource feature_source(features_);
+  // --- Serve: the caller and pipeline_depth workers claim ids from one
+  // counter and run each request end to end; a request writes only its own
+  // result.
+  std::atomic<uint64_t> next{0};
+  const auto serve = [&] {
+    // Every request span is a parentless root, whichever thread runs it and
+    // whatever span the caller has open.
+    obs::ScopedTraceContext detached({});
+    for (uint64_t id; (id = next.fetch_add(1)) < n;) {
+      obs::ScopedSpan span("serve/request", wall_latency_);
+      const uint64_t trace_id = obs::CurrentTraceContext().trace_id;
+      results_[id] = Serve(gen, id);
+      results_[id].trace_id = trace_id;
+    }
+  };
+  for (size_t w = 0; w < config_.pipeline_depth; ++w) {
+    // The pool lives as long as the engine, so the submit cannot fail.
+    ALIGRAPH_CHECK(workers_->Submit(serve).ok());
+  }
+  serve();
+  if (workers_ != nullptr) workers_->Wait();
 
-  // --- Modeled discrete-event state. Touched ONLY by the pipeline's
-  // single-threaded, in-order sample stage, so the simulation is
-  // deterministic regardless of how the real lanes interleave.
+  // --- Model: the discrete-event sim, a sequential pass in id order. Each
+  // request's shape is a pure function of its id, so no thread schedule can
+  // reach the modeled clock.
   std::vector<double> lane_free(config_.lanes, 0.0);
   // Completion times of admitted, unfinished requests.
   std::priority_queue<double, std::vector<double>, std::greater<double>>
@@ -167,120 +202,76 @@ LatencyReport ServeEngine::Run(const LoadGenerator& gen) {
                   u});
     }
   }
-  Summary latencies;  // modeled, completed requests only (sample stage)
+  Summary latencies;  // modeled, completed requests only
   double first_arrival = -1.0;
   double last_event = 0.0;
   size_t peak_inflight = 0;
   uint64_t shed_count = 0;
   uint64_t missed_count = 0;
-  // Wall-clock request starts, indexed by id; written on the sample stage,
-  // read in compute. Safe: the request's journey through the stage queues
-  // orders the two accesses.
-  std::vector<Timer> wall_start(n);
+  for (uint64_t id = 0; id < n; ++id) {
+    RequestResult& r = results_[id];
+    double arrival;
+    size_t user = 0;
+    if (closed) {
+      const UserEvent ev = users.top();
+      users.pop();
+      arrival = ev.first;
+      user = ev.second;
+    } else {
+      arrival = gen.OpenArrivalUs(id);
+    }
+    r.user = user;
+    r.arrival_us = arrival;
+    if (first_arrival < 0.0) first_arrival = arrival;
+    last_event = std::max(last_event, arrival);
 
-  pipeline::PipelineConfig pcfg;
-  pcfg.depth = config_.pipeline_depth;
-  pcfg.batch_span = "serve/request";
-  pcfg.sample_span = "serve/sample";
-  pcfg.gather_span = "serve/gather";
-  pcfg.compute_span = "serve/compute";
-  pipeline::BlockPipeline pipe(pcfg);
+    // 1. Retire everything that finished before this arrival.
+    while (!inflight.empty() && inflight.top() <= arrival) inflight.pop();
 
-  const Status run = pipe.RunStages(
-      n,
-      /*sample=*/
-      [&](size_t id, block::SampledBlock* block, std::any*) -> bool {
-        RequestResult& r = results_[id];
-        wall_start[id] = Timer();
+    // 2. Admission control: bounded in-flight, excess is shed and keeps
+    // nothing of what was served.
+    if (inflight.size() >= config_.max_in_flight) {
+      r.outcome = RequestOutcome::kShed;
+      r.sampled_edges = 0;
+      r.block_rows = 0;
+      r.fingerprint = 0;
+      ++shed_count;
+      if (closed) users.push({arrival + load.think_time_us, user});
+      continue;
+    }
 
-        double arrival;
-        size_t user = 0;
-        if (closed) {
-          const UserEvent ev = users.top();
-          users.pop();
-          arrival = ev.first;
-          user = ev.second;
-        } else {
-          arrival = gen.OpenArrivalUs(id);
-        }
-        r.user = user;
-        r.arrival_us = arrival;
-        // The batch root minted by the pipeline for this request: the
-        // sample callback runs inside its adopted context.
-        r.trace_id = obs::CurrentTraceContext().trace_id;
-        if (first_arrival < 0.0) first_arrival = arrival;
-        last_event = std::max(last_event, arrival);
+    // 3. Price the request from its sampled shape.
+    const double service =
+        ChargesFor(config_, r.sampled_edges, r.block_rows).service_us();
 
-        // 1. Retire everything that finished before this arrival.
-        while (!inflight.empty() && inflight.top() <= arrival) inflight.pop();
+    // 4. Deadline: a request that cannot finish inside its budget is
+    // abandoned before it occupies a lane, and its embedding is discarded.
+    auto lane = std::min_element(lane_free.begin(), lane_free.end());
+    const double start = std::max(arrival, *lane);
+    const double finish = start + service;
+    if (finish - arrival > config_.deadline_us) {
+      r.outcome = RequestOutcome::kDeadlineMissed;
+      r.fingerprint = 0;
+      ++missed_count;
+      if (closed) {
+        users.push({arrival + config_.deadline_us + load.think_time_us, user});
+      }
+      continue;
+    }
 
-        // 2. Admission control: bounded in-flight, excess is shed. The
-        // sampler is never touched for a shed request.
-        if (inflight.size() >= config_.max_in_flight) {
-          r.outcome = RequestOutcome::kShed;
-          ++shed_count;
-          if (closed) users.push({arrival + load.think_time_us, user});
-          return false;
-        }
-
-        // 3. Sample the k-hop block (the request must be priced from its
-        // actual shape) with a private, id-derived sampler.
-        NeighborhoodSampler hood(NeighborStrategy::kUniform,
-                                 gen.RequestSeed(id));
-        *block = hood.SampleBlock(source, gen.RootsFor(id),
-                                  NeighborhoodSampler::kAllEdgeTypes, fans);
-        r.sampled_edges = BlockEdges(*block);
-        r.block_rows = block->num_vertices();
-        const double service =
-            ChargesFor(config_, r.sampled_edges, r.block_rows).service_us();
-
-        // 4. Deadline: a request that cannot finish inside its budget is
-        // abandoned before it occupies a lane — serving a reply nobody is
-        // waiting for is pure waste.
-        auto lane = std::min_element(lane_free.begin(), lane_free.end());
-        const double start = std::max(arrival, *lane);
-        const double finish = start + service;
-        if (finish - arrival > config_.deadline_us) {
-          r.outcome = RequestOutcome::kDeadlineMissed;
-          ++missed_count;
-          if (closed) {
-            users.push(
-                {arrival + config_.deadline_us + load.think_time_us, user});
-          }
-          return false;
-        }
-
-        // 5. Admit: charge the lane, record the modeled latency.
-        *lane = finish;
-        inflight.push(finish);
-        peak_inflight = std::max(peak_inflight, inflight.size());
-        r.outcome = RequestOutcome::kCompleted;
-        r.start_us = start;
-        r.finish_us = finish;
-        r.latency_us = finish - arrival;
-        r.queue_wait_us = start - arrival;
-        latencies.Add(r.latency_us);
-        last_event = std::max(last_event, finish);
-        if (closed) users.push({finish + load.think_time_us, user});
-        return true;
-      },
-      /*gather=*/
-      [&](const block::SampledBlock& blk) {
-        // No cross-request row cache: each embedding stays a pure function
-        // of its own request id (the bit-identical replay contract).
-        return block::GatherBlockFeatures(blk, feature_source,
-                                          /*row_cache=*/nullptr);
-      },
-      /*compute=*/
-      [&](size_t id, const block::SampledBlock& blk, const nn::Matrix& x,
-          std::any&) {
-        results_[id].fingerprint = Embed(blk, x);
-        if (wall_latency_ != nullptr) {
-          wall_latency_->Record(wall_start[id].ElapsedMicros());
-        }
-      });
-  // The lanes are owned by `pipe` and cannot have been shut down here.
-  ALIGRAPH_CHECK(run.ok());
+    // 5. Admit: charge the lane, record the modeled latency.
+    *lane = finish;
+    inflight.push(finish);
+    peak_inflight = std::max(peak_inflight, inflight.size());
+    r.outcome = RequestOutcome::kCompleted;
+    r.start_us = start;
+    r.finish_us = finish;
+    r.latency_us = finish - arrival;
+    r.queue_wait_us = start - arrival;
+    latencies.Add(r.latency_us);
+    last_event = std::max(last_event, finish);
+    if (closed) users.push({finish + load.think_time_us, user});
+  }
 
   LatencyReport report;
   report.offered = n;
@@ -384,22 +375,35 @@ ServeTimeline ServeEngine::Timeline() const {
 }
 
 uint64_t ServeEngine::ExecuteOffline(const LoadGenerator& gen,
-                                     uint64_t request_id) {
+                                     uint64_t request_id) const {
+  return Serve(gen, request_id).fingerprint;
+}
+
+RequestResult ServeEngine::Serve(const LoadGenerator& gen, uint64_t id) const {
   const std::vector<uint32_t> fans{config_.fanout1, config_.fanout2};
   LocalNeighborSource source(graph_);
   block::MatrixFeatureSource feature_source(features_);
-  NeighborhoodSampler hood(NeighborStrategy::kUniform,
-                           gen.RequestSeed(request_id));
-  block::SampledBlock blk =
-      hood.SampleBlock(source, gen.RootsFor(request_id),
-                       NeighborhoodSampler::kAllEdgeTypes, fans);
-  const nn::Matrix x =
-      block::GatherBlockFeatures(blk, feature_source, /*row_cache=*/nullptr);
-  return Embed(blk, x);
+  block::SampledBlock blk;
+  nn::Matrix x;
+  RequestResult r;
+  Stage("serve/sample", busy_sample_, [&] {
+    NeighborhoodSampler hood(NeighborStrategy::kUniform, gen.RequestSeed(id));
+    blk = hood.SampleBlock(source, gen.RootsFor(id),
+                           NeighborhoodSampler::kAllEdgeTypes, fans);
+  });
+  // No cross-request row cache: each embedding stays a pure function of its
+  // own request id (the bit-identical replay contract).
+  Stage("serve/gather", busy_gather_, [&] {
+    x = block::GatherBlockFeatures(blk, feature_source, /*row_cache=*/nullptr);
+  });
+  Stage("serve/compute", busy_compute_, [&] { r.fingerprint = Embed(blk, x); });
+  r.sampled_edges = BlockEdges(blk);
+  r.block_rows = blk.num_vertices();
+  return r;
 }
 
 uint64_t ServeEngine::Embed(const block::SampledBlock& blk,
-                            const nn::Matrix& x) {
+                            const nn::Matrix& x) const {
   algo::SageLayer::Cache c_roots, c_h1, c_top;
   const nn::Matrix h1_roots = layer1_.ForwardBlock(x, blk.hops()[0], &c_roots);
   const nn::Matrix h1_h1 = layer1_.ForwardBlock(x, blk.hops()[1], &c_h1);

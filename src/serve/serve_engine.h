@@ -6,21 +6,22 @@
 /// AliGraph's operators and samplers were built for offline training
 /// batches; this subsystem turns the same machinery — SampleBlock ->
 /// GatherBlockFeatures -> SageLayer::ForwardBlock — into a request server.
-/// Each request carries a batch of Zipf-hot seed vertices (LoadGenerator),
-/// runs through pipeline::BlockPipeline's three lanes (sample / gather /
-/// compute overlap across in-flight requests exactly as training batches
-/// overlap), and is traced end to end: every offered request gets a
-/// "serve/request" root span, so the PR 5 Chrome-trace export is the tail-
+/// Each request carries a batch of Zipf-hot seed vertices (LoadGenerator)
+/// and is the unit of work: one thread runs its sample, gather and forward
+/// end to end, as each core serves its own request bucket in the paper.
+/// The calling thread and pipeline_depth workers, a pool that lives as long
+/// as the engine, claim requests from one shared id counter. Every offered request gets a parentless
+/// "serve/request" root span, so the Chrome-trace export is the tail-
 /// latency debugging tool.
 ///
 /// TWO CLOCKS. The engine keeps a modeled clock and a measured one:
 ///
 ///   - The MODELED timeline is a discrete-event simulation of a small
-///     serving fleet (config.lanes service lanes, one queue) that runs
-///     entirely on the pipeline's single-threaded, in-order sample stage.
-///     Admission, queueing, deadlines and the reported latency percentiles
-///     all live on this clock, so they are a pure function of (graph,
-///     config, load seed) — byte-identical across machines, thread
+///     serving fleet (config.lanes service lanes, one queue). It runs after
+///     the requests are served, as one sequential pass over results() in id
+///     order. Admission, queueing, deadlines and the reported latency
+///     percentiles all live on this clock, so they are a pure function of
+///     (graph, config, load seed) — byte-identical across machines, thread
 ///     schedules and sanitizers. These are the numbers bench_serve gates
 ///     against bench/baseline.json. Service cost is charged per request
 ///     from an explicit cost model (base + per-edge + per-row), mirroring
@@ -29,41 +30,46 @@
 ///     budget (BudgetFor), the windowed timeline (Timeline) and the
 ///     flight-recorder offers are derived from results() after the run,
 ///     and nothing is copied into the metrics registry.
-///   - The MEASURED wall clock times the actual sample/gather/forward work
-///     into the "serve.wall_latency_us" histogram and the trace. It is
+///   - The MEASURED wall clock times each request's sample/gather/forward
+///     work into the "serve.wall_latency_us" histogram and the trace. It is
 ///     reported for eyeballing, never gated.
 ///
-/// CONTROL LOOP, per offered request (modeled clock, sample stage):
+/// CONTROL LOOP, per offered request in id order (modeled clock, after
+/// serving):
 ///   1. completions with finish <= arrival retire; in-flight = live count.
 ///   2. admission: in-flight >= max_in_flight -> SHED (LatencyReport::shed,
 ///      Result::kResourceExhausted semantics — local backpressure, the
-///      client may retry). Shed requests never touch the sampler.
-///   3. the k-hop block is sampled (the engine must know the request's
-///      shape to price it); service = cost model over edges + rows.
+///      client may retry). It was served, as every request is, but the
+///      model charges nothing for it and its result keeps no edges, rows
+///      or fingerprint.
+///   3. service = cost model over the sampled block's edges + rows (the
+///      engine must know the request's shape to price it).
 ///   4. deadline: queue wait + service past deadline_us -> ABANDONED
 ///      (LatencyReport::deadline_missed) without occupying a lane — a reply
-///      the client gave up on is pure waste, so it is never served.
+///      the client gave up on is pure waste — and its fingerprint is
+///      dropped.
 ///   5. else the earliest-free lane is charged and the request completes
 ///      at start + service; its latency (finish - arrival) feeds the
-///      report. Gather + forward then run on the real lanes for the
-///      measured clock and the embedding bytes.
+///      report.
 ///
 /// BIT-IDENTITY. Every request's draws come from a private sampler seeded
 /// by LoadGenerator::RequestSeed(id), and features are gathered with no
-/// cross-request row cache, so an accepted request's embedding is a pure
-/// function of (graph, features, weights, id) — ExecuteOffline(id) replays
-/// it sequentially and must produce the same fingerprint, no matter which
-/// neighbors were shed. Tests hold the serving path to that contract.
+/// cross-request row cache, so a request's embedding is a pure function of
+/// (graph, features, weights, id) — ExecuteOffline(id) replays it on the
+/// calling thread and must produce the same fingerprint, whichever thread
+/// served it. Tests hold the serving path to that contract.
 
 #ifndef ALIGRAPH_SERVE_SERVE_ENGINE_H_
 #define ALIGRAPH_SERVE_SERVE_ENGINE_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "algo/gnn.h"
 #include "common/random.h"
+#include "common/threadpool.h"
 #include "graph/graph.h"
 #include "nn/matrix.h"
 #include "obs/attrib.h"
@@ -98,8 +104,8 @@ struct ServeConfig {
   double per_edge_us = 0.4;
   double per_row_us = 0.6;
 
-  /// Stage-queue depth of the underlying BlockPipeline (0 serves every
-  /// request inline on the calling thread).
+  /// Worker threads that serve requests next to the caller in Run (0 serves
+  /// every request inline on the calling thread).
   size_t pipeline_depth = 2;
   /// Seed for the served model's weight initialization.
   uint64_t seed = 29;
@@ -220,10 +226,10 @@ class ServeEngine {
   ServeEngine(const AttributedGraph& graph, const nn::Matrix& features,
               const ServeConfig& config);
 
-  /// Runs the generator's full request stream through the serving pipeline.
-  /// Blocks until every offered request is accounted for (completed, shed,
-  /// or deadline-missed). Callable repeatedly; each call starts a fresh
-  /// modeled timeline and overwrites results().
+  /// Serves the generator's full request stream, then runs the modeled sim
+  /// over it. Blocks until every offered request is accounted for
+  /// (completed, shed, or deadline-missed). Callable repeatedly; each call
+  /// starts a fresh modeled timeline and overwrites results().
   LatencyReport Run(const LoadGenerator& gen);
 
   /// Per-request outcomes of the last Run, indexed by request id.
@@ -235,19 +241,25 @@ class ServeEngine {
   /// Run.
   ServeTimeline Timeline() const;
 
-  /// Replays request `id` through the sequential offline path (same roots,
-  /// same per-request seed, no pipeline, no admission) and returns the
-  /// embedding fingerprint. For any request Run() completed, this must
-  /// equal results()[id].fingerprint bit for bit.
-  uint64_t ExecuteOffline(const LoadGenerator& gen, uint64_t request_id);
+  /// Replays request `id` on the calling thread (same roots, same
+  /// per-request seed, no admission) and returns the embedding fingerprint.
+  /// For any request Run() completed, this must equal
+  /// results()[id].fingerprint bit for bit.
+  uint64_t ExecuteOffline(const LoadGenerator& gen, uint64_t request_id) const;
 
   const ServeConfig& config() const { return config_; }
 
  private:
-  /// The request forward shared by Run's compute lane and ExecuteOffline:
-  /// two GraphSAGE layers over the block's gathered rows `x`, row-wise L2
-  /// normalization, and the fingerprint of the resulting embedding.
-  uint64_t Embed(const block::SampledBlock& blk, const nn::Matrix& x);
+  /// Serves request `id` end to end on the calling thread: sample, gather
+  /// and Embed, each under its "serve/*" span. Fills the result's
+  /// fingerprint, sampled_edges and block_rows. Const, so Run's threads
+  /// may call it at once.
+  RequestResult Serve(const LoadGenerator& gen, uint64_t id) const;
+
+  /// The request forward: two GraphSAGE layers over the block's gathered
+  /// rows `x`, row-wise L2 normalization, and the fingerprint of the
+  /// resulting embedding.
+  uint64_t Embed(const block::SampledBlock& blk, const nn::Matrix& x) const;
 
   const AttributedGraph& graph_;
   const nn::Matrix& features_;
@@ -257,10 +269,18 @@ class ServeEngine {
   algo::SageLayer layer2_;
   std::vector<RequestResult> results_;
 
-  // The measured clock's only record: "serve.wall_latency_us" from the
-  // default registry at construction (null when detached). The modeled
-  // counts and latencies live in LatencyReport and results().
+  // The measured clock's records, from the default registry at
+  // construction (null when detached): "serve.wall_latency_us" per served
+  // request, and each stage's wall time in "pipeline.stage_busy_us.*",
+  // summed over threads. The modeled counts and latencies live in
+  // LatencyReport and results().
   obs::Histogram* wall_latency_ = nullptr;
+  obs::Counter* busy_sample_ = nullptr;
+  obs::Counter* busy_gather_ = nullptr;
+  obs::Counter* busy_compute_ = nullptr;
+  // The pipeline_depth serving threads (null at depth 0). Declared last, so
+  // they are joined before the members they read are destroyed.
+  std::unique_ptr<ThreadPool> workers_;
 };
 
 }  // namespace serve

@@ -7,6 +7,7 @@
 
 #include <array>
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <optional>
@@ -87,11 +88,27 @@ TEST(MetricsTest, HistogramBucketsAndPercentiles) {
   EXPECT_EQ(snap.counts[1], 9u);
   EXPECT_EQ(snap.counts[3], 1u);
   // Interpolated within the containing bucket: rank 50 of 90 records in
-  // [0, 10] sits at 10 * 50/90; rank 95 is 5 of the 9 records in (10, 100].
+  // [0, 10) sits at 10 * 50/90; rank 95 is 5 of the 9 records in [10, 100).
   EXPECT_DOUBLE_EQ(snap.Percentile(50.0), 10.0 * 50.0 / 90.0);
   EXPECT_DOUBLE_EQ(snap.Percentile(95.0), 10.0 + 90.0 * 5.0 / 9.0);
   // Overflow bucket has no upper edge: reports the last finite bound.
   EXPECT_DOUBLE_EQ(snap.Percentile(99.9), 1000.0);
+}
+
+// A bucket's lower edge is inclusive: a value exactly at a bound counts in
+// the bucket above it, and just below the bound in the bucket below.
+TEST(MetricsTest, HistogramValueAtBoundLandsInNextBucket) {
+  obs::MetricsRegistry registry;
+  const double bounds[] = {10.0, 100.0};
+  obs::Histogram* h = registry.GetHistogram("h", bounds);
+  h->Record(std::nextafter(10.0, 0.0));  // bucket 0
+  h->Record(10.0);                       // bucket 1
+  h->Record(100.0);                      // overflow bucket
+  const obs::HistogramSnapshot snap = h->Snapshot();
+  ASSERT_EQ(snap.counts.size(), 3u);
+  EXPECT_EQ(snap.counts[0], 1u);
+  EXPECT_EQ(snap.counts[1], 1u);
+  EXPECT_EQ(snap.counts[2], 1u);
 }
 
 // Degenerate snapshots the attribution/window layers can legitimately

@@ -352,7 +352,6 @@ std::vector<BatchCapture> RunPipelined(
       [&](size_t b, block::SampledBlock* blk, std::any*) {
         *blk = sampler.SampleBlock(source, roots[b],
                                    NeighborhoodSampler::kAllEdgeTypes, fans);
-        return true;
       },
       [&](const block::SampledBlock& blk) {
         return block::GatherBlockFeatures(blk, feature_source,
@@ -525,7 +524,6 @@ TEST(BlockPipelineTest, StressSlowGatherForcesQueueEdges) {
       [&](size_t b, block::SampledBlock* blk, std::any*) {
         *blk = sampler.SampleBlock(source, roots[b],
                                    NeighborhoodSampler::kAllEdgeTypes, fans);
-        return true;
       },
       [&](const block::SampledBlock& blk) {
         return block::GatherBlockFeatures(blk, slow, nullptr);

@@ -1,15 +1,16 @@
 // Tests for the online serving layer: LoadGenerator determinism and skew,
 // admission control (in-flight never exceeds the bound, shed requests are
-// counted and never served), modeled deadlines (abandoned requests never
-// occupy a lane), bit-identity of every accepted request against the
+// counted and keep no embedding), modeled deadlines (abandoned requests
+// never occupy a lane), bit-identity of every accepted request against the
 // sequential offline replay, determinism of the whole modeled timeline
-// across runs and pipeline depths, closed-loop population bounds, and the
+// across runs and worker counts, closed-loop population bounds, and the
 // per-request "serve/request" trace roots.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <vector>
 
 #include "algo/embedding_algorithm.h"
@@ -156,8 +157,8 @@ TEST(ServeEngineTest, AdmissionBoundHoldsUnderOverload) {
   EXPECT_EQ(report.offered,
             report.completed + report.shed + report.deadline_missed);
   EXPECT_EQ(report.offered, load.num_requests);
-  // Every completed request ran on the compute lane (it has a
-  // fingerprint); shed and missed requests were never served.
+  // Every completed request carries its embedding's fingerprint; shed and
+  // missed requests keep none.
   for (const RequestResult& r : engine.results()) {
     if (r.outcome == RequestOutcome::kCompleted) {
       EXPECT_NE(r.fingerprint, 0u);
@@ -195,7 +196,7 @@ TEST(ServeEngineTest, DeadlineMissesAreAbandonedNotServed) {
   EXPECT_GT(report.deadline_missed, 0u);
   for (const RequestResult& r : engine.results()) {
     if (r.outcome == RequestOutcome::kDeadlineMissed) {
-      // Abandoned before service: no embedding was ever computed.
+      // Abandoned before service: its embedding is discarded.
       EXPECT_EQ(r.fingerprint, 0u);
     } else if (r.outcome == RequestOutcome::kCompleted) {
       // A served request always made its deadline.
@@ -250,8 +251,8 @@ TEST(ServeEngineTest, ModeledTimelineDeterministicAcrossRunsAndDepths) {
   const std::vector<RequestResult> base_results = first.results();
 
   // The same engine re-run, and fresh engines serving inline (depth 0) and
-  // at a deeper pipeline, must all reproduce the modeled timeline and the
-  // embeddings exactly: the simulation lives on the in-order sample stage,
+  // on more workers, must all reproduce the modeled timeline and the
+  // embeddings exactly: the simulation is a sequential pass in id order,
   // so real-thread interleaving cannot leak in.
   std::vector<LatencyReport> reports{first.Run(gen)};
   std::vector<std::vector<RequestResult>> results{first.results()};
@@ -322,6 +323,60 @@ TEST(ServeEngineTest, ClosedLoopBoundedByUserPopulation) {
   }
 }
 
+// Concurrency: the threads of Run serve requests in any order, and nothing
+// of the schedule reaches results().
+
+TEST(ServeEngineTest, ConcurrentRunMatchesInline) {
+  const AttributedGraph graph = TestGraph();
+  const nn::Matrix features = algo::BuildFeatureMatrix(graph, 8);
+  LoadConfig load;
+  load.num_requests = 2400;
+  load.roots_per_request = 4;
+  load.arrival_rate_rps = 25000.0;  // overload: all three outcomes occur
+  load.seed = 61;
+  const LoadGenerator gen(graph, load);
+
+  obs::Tracer tracer;
+  obs::SetDefaultTracer(&tracer);
+  std::vector<std::vector<RequestResult>> results;
+  for (const size_t depth : {size_t{0}, size_t{3}}) {
+    ServeConfig cfg = SmallServeConfig();
+    cfg.max_in_flight = 6;
+    cfg.deadline_us = 250.0;
+    cfg.pipeline_depth = depth;
+    ServeEngine engine(graph, features, cfg);
+    engine.Run(gen);
+    results.push_back(engine.results());
+  }
+  obs::SetDefaultTracer(nullptr);
+
+  const std::vector<RequestResult>& inline_run = results[0];
+  const std::vector<RequestResult>& threaded = results[1];
+  ASSERT_EQ(threaded.size(), inline_run.size());
+  std::map<RequestOutcome, size_t> outcomes;
+  for (size_t id = 0; id < inline_run.size(); ++id) {
+    const RequestResult& a = inline_run[id];
+    const RequestResult& b = threaded[id];
+    ++outcomes[a.outcome];
+    EXPECT_EQ(b.outcome, a.outcome) << "id " << id;
+    EXPECT_EQ(b.user, a.user) << "id " << id;
+    EXPECT_EQ(b.arrival_us, a.arrival_us) << "id " << id;
+    EXPECT_EQ(b.start_us, a.start_us) << "id " << id;
+    EXPECT_EQ(b.finish_us, a.finish_us) << "id " << id;
+    EXPECT_EQ(b.latency_us, a.latency_us) << "id " << id;
+    EXPECT_EQ(b.queue_wait_us, a.queue_wait_us) << "id " << id;
+    EXPECT_EQ(b.fingerprint, a.fingerprint) << "id " << id;
+    EXPECT_EQ(b.sampled_edges, a.sampled_edges) << "id " << id;
+    EXPECT_EQ(b.block_rows, a.block_rows) << "id " << id;
+    // Trace ids are minted per run; each run traced every request.
+    EXPECT_NE(a.trace_id, 0u) << "id " << id;
+    EXPECT_NE(b.trace_id, 0u) << "id " << id;
+  }
+  EXPECT_GT(outcomes[RequestOutcome::kCompleted], 0u);
+  EXPECT_GT(outcomes[RequestOutcome::kShed], 0u);
+  EXPECT_GT(outcomes[RequestOutcome::kDeadlineMissed], 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Tracing: every offered request — served, shed or abandoned — gets a
 // "serve/request" root span, so the trace timeline shows the whole offered
@@ -358,8 +413,66 @@ TEST(ServeEngineTest, EveryOfferedRequestGetsATraceRoot) {
     }
   }
   EXPECT_EQ(roots, report.offered);
-  // Only completed requests reach the compute stage.
-  EXPECT_EQ(with_compute, report.completed);
+  // Every offered request is served before the model decides its outcome;
+  // only the completed ones keep their fingerprint.
+  EXPECT_EQ(with_compute, report.offered);
+  for (const RequestResult& r : engine.results()) {
+    if (r.outcome != RequestOutcome::kCompleted) {
+      EXPECT_EQ(r.fingerprint, 0u);
+    }
+  }
+}
+
+// A caller that runs the engine inside a span of its own, as a benchmark
+// loop does, must still get one parentless root per request: nested under
+// the caller's span, the requests would share its trace and the flight
+// recorder could not rematch them by trace id.
+TEST(ServeEngineTest, RequestRootsAreParentlessInsideCallerSpan) {
+  const AttributedGraph graph = TestGraph();
+  const nn::Matrix features = algo::BuildFeatureMatrix(graph, 8);
+  LoadConfig load;
+  load.num_requests = 120;
+  load.roots_per_request = 4;
+  load.arrival_rate_rps = 50000.0;
+  load.seed = 57;
+  const LoadGenerator gen(graph, load);
+
+  for (const size_t depth : {size_t{0}, size_t{2}}) {
+    obs::Tracer tracer;
+    obs::SetDefaultTracer(&tracer);
+    ServeConfig cfg = SmallServeConfig();
+    cfg.max_in_flight = 2;
+    cfg.pipeline_depth = depth;
+    ServeEngine engine(graph, features, cfg);
+    uint64_t caller_trace = 0;
+    {
+      obs::ScopedSpan run("caller/run");
+      caller_trace = obs::CurrentTraceContext().trace_id;
+      engine.Run(gen);
+    }
+    obs::SetDefaultTracer(nullptr);
+
+    std::set<uint64_t> trace_ids;
+    for (const RequestResult& r : engine.results()) {
+      EXPECT_NE(r.trace_id, 0u) << "depth " << depth;
+      EXPECT_NE(r.trace_id, caller_trace) << "depth " << depth;
+      trace_ids.insert(r.trace_id);
+    }
+    EXPECT_EQ(trace_ids.size(), load.num_requests) << "depth " << depth;
+
+    size_t request_roots = 0;
+    for (const obs::SpanEvent& e : tracer.Events()) {
+      if (e.name != "serve/request") continue;
+      EXPECT_EQ(e.parent_span_id, 0u) << "depth " << depth;
+      EXPECT_EQ(e.trace_id, e.span_id) << "depth " << depth;
+      EXPECT_EQ(trace_ids.count(e.trace_id), 1u) << "depth " << depth;
+      ++request_roots;
+    }
+    EXPECT_EQ(request_roots, load.num_requests) << "depth " << depth;
+    // Each request's trace is one tree rooted at its own span.
+    const obs::TraceForest forest = obs::AssembleTraces(tracer.Events());
+    EXPECT_EQ(forest.orphan_spans, 0u) << "depth " << depth;
+  }
 }
 
 }  // namespace

@@ -266,7 +266,6 @@ TEST(SamplingTraceTest, PipelinedKHopTraceIsCompleteAndSingleRooted) {
       [&](size_t, block::SampledBlock* blk, std::any*) {
         *blk = sampler.SampleBlock(source, roots,
                                    NeighborhoodSampler::kAllEdgeTypes, fans);
-        return true;
       },
       [&](const block::SampledBlock& blk) {
         return block::GatherBlockFeatures(blk, features,
