@@ -105,9 +105,9 @@ inline std::string Ms(double v) { return Fmt("%.2f ms", v); }
 /// Owns a MetricsRegistry and a Tracer, attaches both as process defaults
 /// for its lifetime, and mirrors the printed tables into a RunReport that
 /// WriteReport() serializes to <out_dir>/<name>.json. Construct BEFORE any
-/// instrumented component (Cluster, ThreadPool lane, HopEmbeddingCache):
-/// those resolve their counter handles from the default registry at
-/// construction time.
+/// instrumented component (Cluster, BlockPipeline or the SageTrainer that
+/// holds one, HopEmbeddingCache): those resolve their counter handles from
+/// the default registry at construction time.
 class ObsBench {
  public:
   ObsBench(std::string name, const BenchArgs& args)

@@ -201,7 +201,8 @@ SageTrainer::SageTrainer(const GnnConfig& config, size_t feature_dim)
       layer1_(feature_dim, config.dim, config.aggregator == "maxpool", rng_),
       layer2_(config.dim, config.dim, config.aggregator == "maxpool", rng_,
               /*relu=*/false),
-      opt_(config.learning_rate) {}
+      opt_(config.learning_rate),
+      pipeline_(config.pipeline_depth) {}
 
 void SageTrainer::TrainEpochs(const AttributedGraph& graph,
                               const nn::Matrix& features, uint32_t epochs) {
@@ -223,8 +224,7 @@ void SageTrainer::TrainEpochs(const AttributedGraph& graph,
   // (hence single-threaded and in batch order, hence bit-identical at every
   // depth): rng_ / negatives / hood live on the sample stage, feature_source
   // on the gather stage, layers / optimizer on this thread.
-  pipeline::BlockPipeline pipe({config_.pipeline_depth});
-  const Status run = pipe.RunStages(
+  pipeline_.RunStages(
       num_batches,
       /*sample=*/
       [&](size_t, block::SampledBlock* blk, std::any* user) {
@@ -255,8 +255,6 @@ void SageTrainer::TrainEpochs(const AttributedGraph& graph,
         layer1_.Apply(opt_);
         layer2_.Apply(opt_);
       });
-  // The lanes are owned by `pipe` and cannot have been shut down here.
-  ALIGRAPH_CHECK(run.ok());
 }
 
 nn::Matrix SageTrainer::Infer(const AttributedGraph& graph,
@@ -273,8 +271,7 @@ nn::Matrix SageTrainer::Infer(const AttributedGraph& graph,
   const size_t num_batches =
       (static_cast<size_t>(graph.num_vertices()) + chunk - 1) / chunk;
 
-  pipeline::BlockPipeline pipe({config_.pipeline_depth});
-  const Status run = pipe.RunStages(
+  pipeline_.RunStages(
       num_batches,
       /*sample=*/
       [&](size_t b, block::SampledBlock* blk, std::any*) {
@@ -307,7 +304,6 @@ nn::Matrix SageTrainer::Infer(const AttributedGraph& graph,
           std::copy(src.begin(), src.end(), dst.begin());
         }
       });
-  ALIGRAPH_CHECK(run.ok());
   return out;
 }
 

@@ -19,6 +19,7 @@
 #include "nn/layers.h"
 #include "nn/skipgram.h"
 #include "nn/walks.h"
+#include "pipeline/block_pipeline.h"
 #include "sampling/sampler.h"
 
 namespace aligraph {
@@ -41,8 +42,10 @@ struct GnnConfig {
   /// training and inference (sample -> gather -> compute over
   /// block::SampledBlock, features gathered once per unique vertex of the
   /// batch). 0 runs the three stages inline on the caller's thread, batch
-  /// after batch; >= 1 overlaps batch N+1's hop sampling with batch N's
-  /// feature gather and batch N-1's forward/backward. Every stage stays single-threaded and in batch
+  /// after batch, and a SageTrainer starts no thread; >= 1 gives the
+  /// trainer two lane threads for its lifetime and overlaps batch N+1's hop
+  /// sampling with batch N's feature gather and batch N-1's
+  /// forward/backward. Every stage stays single-threaded and in batch
   /// order, so results are bit-identical across depths; only wall-clock and
   /// the (bounded) number of in-flight blocks change.
   size_t pipeline_depth = 0;
@@ -109,7 +112,9 @@ class SageLayer {
 /// \brief Reusable two-layer GraphSAGE trainer whose weights persist across
 /// calls — the building block of GraphSage itself and of models that train
 /// over a sequence of graphs (Evolving GNN warm-starts every snapshot from
-/// the previous one's weights).
+/// the previous one's weights). It holds one pipeline::BlockPipeline of
+/// depth `pipeline_depth`, built with the trainer, that every TrainEpochs
+/// and Infer call runs on.
 class SageTrainer {
  public:
   SageTrainer(const GnnConfig& config, size_t feature_dim);
@@ -131,6 +136,9 @@ class SageTrainer {
   SageLayer layer1_;
   SageLayer layer2_;
   nn::Adam opt_;
+  // Declared last, so its lanes are joined before the members their stage
+  // bodies touch are destroyed.
+  pipeline::BlockPipeline pipeline_;
 };
 
 /// \brief Two-layer GraphSAGE with node-wise neighbor sampling.

@@ -6,11 +6,6 @@
 /// k sparse matrix-vector products in O(k*m). The paper's proofs of Theorems
 /// 1-2 use exactly this recurrence (D^k as a product over hop degrees), so
 /// path counts are the faithful — and scalable — interpretation.
-///
-/// Each hop of the recurrence is embarrassingly parallel over rows; all
-/// entry points take an optional ThreadPool to spread the rows across
-/// cores. Results are bit-identical with and without a pool (each row's
-/// accumulation order is unchanged).
 
 #ifndef ALIGRAPH_GRAPH_KHOP_H_
 #define ALIGRAPH_GRAPH_KHOP_H_
@@ -21,20 +16,15 @@
 
 namespace aligraph {
 
-class ThreadPool;
-
 /// Number of k-hop out-paths starting at each vertex (k >= 1).
-std::vector<double> KHopOutCounts(const AttributedGraph& graph, int k,
-                                  ThreadPool* pool = nullptr);
+std::vector<double> KHopOutCounts(const AttributedGraph& graph, int k);
 
 /// Number of k-hop in-paths ending at each vertex (k >= 1).
-std::vector<double> KHopInCounts(const AttributedGraph& graph, int k,
-                                 ThreadPool* pool = nullptr);
+std::vector<double> KHopInCounts(const AttributedGraph& graph, int k);
 
 /// Imp_k(v) = D_i^k(v) / D_o^k(v). Vertices with D_o^k = 0 get importance 0
 /// (caching their out-neighbors would be free but also useless).
-std::vector<double> ImportanceScores(const AttributedGraph& graph, int k,
-                                     ThreadPool* pool = nullptr);
+std::vector<double> ImportanceScores(const AttributedGraph& graph, int k);
 
 }  // namespace aligraph
 

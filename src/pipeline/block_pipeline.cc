@@ -49,10 +49,8 @@ void RecordBatchRoot(obs::Tracer* tracer, const Batch& batch) {
 
 }  // namespace
 
-BlockPipeline::BlockPipeline(PipelineConfig config)
-    : config_(config),
-      sample_lane_(1, "pipeline.sample"),
-      gather_lane_(1, "pipeline.gather"),
+BlockPipeline::BlockPipeline(size_t depth)
+    : depth_(depth),
       busy_sample_(obs::DefaultCounter("pipeline.stage_busy_us.sample")),
       busy_gather_(obs::DefaultCounter("pipeline.stage_busy_us.gather")),
       busy_compute_(obs::DefaultCounter("pipeline.stage_busy_us.compute")),
@@ -61,11 +59,13 @@ BlockPipeline::BlockPipeline(PipelineConfig config)
       stall_compute_(obs::DefaultCounter("pipeline.stall_us.compute")),
       batches_(obs::DefaultCounter("pipeline.batches")),
       depth_sampled_(obs::DefaultGauge("pipeline.queue_depth.sampled")),
-      depth_gathered_(obs::DefaultGauge("pipeline.queue_depth.gathered")) {}
+      depth_gathered_(obs::DefaultGauge("pipeline.queue_depth.gathered")),
+      sample_lane_(depth > 0 ? std::make_unique<ThreadPool>(1) : nullptr),
+      gather_lane_(depth > 0 ? std::make_unique<ThreadPool>(1) : nullptr) {}
 
-Status BlockPipeline::RunStages(size_t num_batches, const SampleFn& sample,
-                                const GatherFn& gather,
-                                const ComputeFn& compute) {
+void BlockPipeline::RunStages(size_t num_batches, const SampleFn& sample,
+                              const GatherFn& gather,
+                              const ComputeFn& compute) {
   obs::Tracer* tracer = obs::DefaultTracer();
 
   // The three stage bodies. Both schedules below run exactly these, so the
@@ -105,7 +105,7 @@ Status BlockPipeline::RunStages(size_t num_batches, const SampleFn& sample,
     RecordBatchRoot(tracer, batch);
   };
 
-  if (config_.depth == 0) {
+  if (depth_ == 0) {
     // Inline schedule: every batch runs sample -> gather -> compute to the
     // end on the caller's thread before the next one starts. No queue, so
     // no stall is ever charged.
@@ -114,54 +114,40 @@ Status BlockPipeline::RunStages(size_t num_batches, const SampleFn& sample,
       gather_stage(*batch);
       compute_stage(*batch);
     }
-    return Status::OK();
+    return;
   }
 
   // sample -> gather and gather -> compute handoffs. Producer-side waits
   // (queue full) are charged to the producing stage, consumer-side waits
   // (queue empty) to the consuming stage.
-  BoundedQueue<std::unique_ptr<Batch>> sampled(config_.depth, depth_sampled_,
+  BoundedQueue<std::unique_ptr<Batch>> sampled(depth_, depth_sampled_,
                                                stall_sample_, stall_gather_);
-  BoundedQueue<std::unique_ptr<Batch>> gathered(config_.depth, depth_gathered_,
+  BoundedQueue<std::unique_ptr<Batch>> gathered(depth_, depth_gathered_,
                                                 stall_gather_, stall_compute_);
 
   // Stage 1 — sample lane. One long-lived task per call keeps batch order
   // trivial and avoids a Submit per batch: the loop itself is the stage.
-  const Status sample_submitted = sample_lane_.Submit([&] {
-    for (size_t b = 0; b < num_batches; ++b) {
-      if (!sampled.Push(sample_stage(b))) return;  // downstream closed
-    }
+  // Only a queue's producer closes it, so no Push here is ever rejected.
+  sample_lane_->Submit([&] {
+    for (size_t b = 0; b < num_batches; ++b) sampled.Push(sample_stage(b));
     sampled.Close();
   });
-  if (!sample_submitted.ok()) {
-    sampled.Close();
-    return sample_submitted;
-  }
 
   // Stage 2 — gather lane.
-  const Status gather_submitted = gather_lane_.Submit([&] {
+  gather_lane_->Submit([&] {
     std::unique_ptr<Batch> batch;
     while (sampled.Pop(&batch)) {
       gather_stage(*batch);
-      if (!gathered.Push(std::move(batch))) return;  // downstream closed
+      gathered.Push(std::move(batch));
     }
     gathered.Close();
   });
-  if (!gather_submitted.ok()) {
-    // Unblock and retire the sample task before reporting: the stage loops
-    // only reference this frame, so they must not outlive it.
-    sampled.Close();
-    gathered.Close();
-    sample_lane_.Wait();
-    return gather_submitted;
-  }
 
   // Stage 3 — compute, on the caller's thread, in batch order.
   std::unique_ptr<Batch> batch;
   while (gathered.Pop(&batch)) compute_stage(*batch);
-  sample_lane_.Wait();
-  gather_lane_.Wait();
-  return Status::OK();
+  sample_lane_->Wait();
+  gather_lane_->Wait();
 }
 
 }  // namespace pipeline

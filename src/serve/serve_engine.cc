@@ -174,10 +174,7 @@ LatencyReport ServeEngine::Run(const LoadGenerator& gen) {
       results_[id].trace_id = trace_id;
     }
   };
-  for (size_t w = 0; w < config_.pipeline_depth; ++w) {
-    // The pool lives as long as the engine, so the submit cannot fail.
-    ALIGRAPH_CHECK(workers_->Submit(serve).ok());
-  }
+  for (size_t w = 0; w < config_.pipeline_depth; ++w) workers_->Submit(serve);
   serve();
   if (workers_ != nullptr) workers_->Wait();
 

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -390,13 +391,6 @@ TEST(ThreadPoolTest, RunsAllSubmittedTasks) {
   EXPECT_EQ(count.load(), 100);
 }
 
-TEST(ThreadPoolTest, ParallelForCoversEveryIndex) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(257);
-  pool.ParallelFor(hits.size(), [&hits](size_t i) { ++hits[i]; });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
 TEST(ThreadPoolTest, ReusableAcrossWaits) {
   ThreadPool pool(2);
   std::atomic<int> count{0};
@@ -407,68 +401,18 @@ TEST(ThreadPoolTest, ReusableAcrossWaits) {
   EXPECT_EQ(count.load(), 2);
 }
 
-TEST(ThreadPoolTest, ParallelForZeroIsNoop) {
-  ThreadPool pool(2);
-  pool.ParallelFor(0, [](size_t) { FAIL(); });
-}
-
-TEST(ThreadPoolTest, SubmitAfterShutdownIsRejected) {
-  ThreadPool pool(2);
+TEST(ThreadPoolTest, DestructorRunsEveryQueuedTask) {
   std::atomic<int> count{0};
-  for (int i = 0; i < 32; ++i) {
-    EXPECT_TRUE(pool.Submit([&count] { ++count; }).ok());
-  }
-  pool.Shutdown();
-  EXPECT_EQ(count.load(), 32);  // queued work drains before the join
-  const Status rejected = pool.Submit([&count] { ++count; });
-  EXPECT_FALSE(rejected.ok());  // no silent drop, no enqueue-after-join race
-  EXPECT_EQ(count.load(), 32);
-  pool.Shutdown();  // idempotent
-}
-
-TEST(ThreadPoolTest, ShutdownRaceNeverLosesAcceptedTasks) {
-  // Submitters race Shutdown from another thread: every Submit must either
-  // return a failed Status or have its task run — accepted work is never
-  // dropped. TSan covers the queue/flag ordering.
-  for (int round = 0; round < 8; ++round) {
+  {
     ThreadPool pool(2);
-    std::atomic<int> accepted{0};
-    std::atomic<int> ran{0};
-    std::vector<std::thread> submitters;
-    for (int t = 0; t < 3; ++t) {
-      submitters.emplace_back([&] {
-        for (int i = 0; i < 64; ++i) {
-          if (pool.Submit([&ran] { ++ran; }).ok()) ++accepted;
-        }
+    for (int i = 0; i < 32; ++i) {
+      pool.Submit([&count] {
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+        ++count;
       });
     }
-    pool.Shutdown();
-    for (auto& s : submitters) s.join();
-    EXPECT_EQ(ran.load(), accepted.load());
   }
-}
-
-TEST(ThreadPoolTest, ParallelForRacingShutdownRunsNoIndexOrEvery) {
-  // ParallelFor races Shutdown from another thread. Once one of its tasks is
-  // accepted it must wait for it: the task reads ParallelFor's stack frame.
-  // So it returns having run no index or every index, and the join inside
-  // Shutdown adds none. ASan/TSan cover the frame lifetime.
-  constexpr size_t kN = 256;
-  for (int round = 0; round < 200; ++round) {
-    ThreadPool pool(4);
-    std::atomic<size_t> ran{0};
-    std::atomic<bool> go{false};
-    std::thread stopper([&] {
-      while (!go.load()) std::this_thread::yield();
-      pool.Shutdown();
-    });
-    go.store(true);
-    pool.ParallelFor(kN, [&ran](size_t) { ++ran; });
-    const size_t at_return = ran.load();
-    stopper.join();
-    EXPECT_TRUE(at_return == 0 || at_return == kN) << "ran " << at_return;
-    EXPECT_EQ(ran.load(), at_return) << "indices ran after ParallelFor";
-  }
+  EXPECT_EQ(count.load(), 32);  // queued work drains before the join
 }
 
 TEST(SummaryTest, BasicStatistics) {

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "common/threadpool.h"
 #include "graph/attributes.h"
 #include "graph/dynamic_graph.h"
 #include "graph/graph.h"
@@ -361,27 +360,6 @@ TEST(KHopTest, ImportanceRatio) {
   const auto imp = ImportanceScores(g, 1);
   EXPECT_DOUBLE_EQ(imp[0], 3.0);  // D_i=3, D_o=1
   EXPECT_DOUBLE_EQ(imp[4], 0.0);  // no out-edges -> 0 by convention
-}
-
-TEST(KHopTest, ThreadPoolResultsAreBitIdentical) {
-  // The recurrence parallelizes over rows; each row keeps its sequential
-  // accumulation order, so pooled results must equal the serial ones
-  // exactly, not just approximately.
-  GraphBuilder gb;
-  constexpr VertexId kN = 400;
-  for (VertexId i = 0; i < kN; ++i) gb.AddVertex();
-  for (VertexId v = 0; v < kN; ++v) {
-    for (VertexId d = 1; d <= 5; ++d) {
-      ASSERT_TRUE(gb.AddEdge(v, (v * 7 + d * 13) % kN).ok());
-    }
-  }
-  auto g = std::move(gb.Build()).value();
-  ThreadPool pool(4);
-  for (int k : {1, 2, 3}) {
-    EXPECT_EQ(KHopOutCounts(g, k), KHopOutCounts(g, k, &pool)) << "k=" << k;
-    EXPECT_EQ(KHopInCounts(g, k), KHopInCounts(g, k, &pool)) << "k=" << k;
-    EXPECT_EQ(ImportanceScores(g, k), ImportanceScores(g, k, &pool));
-  }
 }
 
 TEST(DynamicGraphTest, SnapshotsAccumulateEdges) {
