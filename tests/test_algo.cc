@@ -4,9 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstring>
+#include <iomanip>
+#include <map>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "algo/bayesian.h"
@@ -69,6 +74,20 @@ const AttributedGraph& SmallTaobao() {
         std::move(gen::Taobao(gen::TaobaoSmallConfig(0.03))).value());
   }();
   return *g;
+}
+
+// FNV-1a over the float bit patterns, row-major: equal iff bit-identical.
+uint64_t Fingerprint(const nn::Matrix& m) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (size_t i = 0; i < m.size(); ++i) {
+    uint32_t bits;
+    std::memcpy(&bits, &m.data()[i], sizeof(bits));
+    for (int shift = 0; shift < 32; shift += 8) {
+      h ^= (bits >> shift) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
 }
 
 bool IsFinite(const nn::Matrix& m) {
@@ -244,6 +263,42 @@ TEST_P(AlgorithmSmokeTest, FailsCleanlyOnEmptyGraph) {
   EXPECT_FALSE(algorithm->Embed(empty).ok()) << GetParam();
 }
 
+// Golden Embed fingerprints on SmallTaobao() with Make()'s configs. They pin
+// every algorithm's draws, float-op order and update order: the shared SGNS
+// update, context window, walk loop, softmax and GraphSAGE stack must
+// reproduce each algorithm's bits exactly.
+TEST_P(AlgorithmSmokeTest, MatchesGoldenFingerprint) {
+  static const std::map<std::string, uint64_t> kGolden = {
+      {"deepwalk", 0xd314003427be03b9ULL},
+      {"node2vec", 0xe3d403f0f679dc07ULL},
+      {"line", 0x847bc35d2bd0aa9bULL},
+      {"metapath2vec", 0xaef376c44eddbf0bULL},
+      {"pmne-n", 0xd314003427be03b9ULL},
+      {"pmne-r", 0xc9c29924585c75eaULL},
+      {"pmne-c", 0x939861c3453e1333ULL},
+      {"mve", 0xd4ef8eec758558cdULL},
+      {"mne", 0x8a984d4595a9944bULL},
+      {"anrl", 0x0e6efc406f1eec09ULL},
+      {"graphsage", 0x1ba2dc57031dde54ULL},
+      {"graphsage-maxpool", 0xa49e81ca7de3854cULL},
+      {"gcn", 0xccd5dcdd6af34d1eULL},
+      {"fastgcn", 0xb97643fe5fd50beeULL},
+      {"as-gcn", 0xfc732c1520d4eabcULL},
+      {"struc2vec", 0xf35b2621d8af0d34ULL},
+      {"hep", 0x0e57bba4f618abbcULL},
+      {"ahep", 0x4fcfe69145d5131eULL},
+      {"gatne", 0x1373759bcc4f76fdULL},
+      {"mixture_gnn", 0x58bcaa23d62c24e8ULL},
+      {"hierarchical_gnn", 0xcf6bec5675670c20ULL},
+  };
+  auto algorithm = Make(GetParam());
+  ASSERT_NE(algorithm, nullptr);
+  auto emb = algorithm->Embed(SmallTaobao());
+  ASSERT_TRUE(emb.ok()) << GetParam() << ": " << emb.status().ToString();
+  EXPECT_EQ(Fingerprint(*emb), kGolden.at(GetParam()))
+      << GetParam() << " fingerprint 0x" << std::hex << Fingerprint(*emb);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllAlgorithms, AlgorithmSmokeTest,
     ::testing::Values("deepwalk", "node2vec", "line", "metapath2vec",
@@ -349,6 +404,18 @@ TEST(EvolvingTest, RunsAndReturnsScoresInRange) {
   dcfg.normal_edges_per_step = 400;
   dcfg.burst_size = 100;
   auto dg = std::move(gen::GenerateDynamic(dcfg)).value();
+  // {normal.micro, normal.macro, burst.micro, burst.macro} per embedder.
+  static const std::map<DynamicEmbedder, std::array<double, 4>> kGolden = {
+      {DynamicEmbedder::kEvolvingGnn,
+       {0.71449275362318843, 0.41673710904480138, 0.90875576036866357,
+        0.47609850313858038}},
+      {DynamicEmbedder::kStaticGraphSage,
+       {0.71449275362318843, 0.41673710904480138, 0.90875576036866357,
+        0.47609850313858038}},
+      {DynamicEmbedder::kTne,
+       {0.72028985507246379, 0.6411711449542471, 0.75668202764976955,
+        0.44282632146709816}},
+  };
 
   for (auto embedder :
        {DynamicEmbedder::kEvolvingGnn, DynamicEmbedder::kStaticGraphSage,
@@ -365,6 +432,18 @@ TEST(EvolvingTest, RunsAndReturnsScoresInRange) {
     EXPECT_LE(scores->normal.micro, 1.0);
     EXPECT_GE(scores->burst.macro, 0.0);
     EXPECT_LE(scores->burst.macro, 1.0);
+    // Exact scores: kEvolvingGnn reuses one SageTrainer across snapshots
+    // and kTne one SkipGramModel, so these pin both warm-start paths.
+    const auto& want = kGolden.at(embedder);
+    const std::array<double, 4> got = {scores->normal.micro,
+                                       scores->normal.macro,
+                                       scores->burst.micro,
+                                       scores->burst.macro};
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i], want[i])
+          << model.name() << " score " << i << " = "
+          << std::setprecision(17) << got[i];
+    }
   }
 }
 

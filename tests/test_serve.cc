@@ -231,6 +231,10 @@ TEST(ServeEngineTest, AcceptedRequestsBitIdenticalToOfflineReplay) {
     ++checked;
   }
   EXPECT_EQ(checked, report.completed);
+  // Golden replay of request 0: pins the served model's weight draws and
+  // its forward's float-op order, not just online == offline.
+  EXPECT_EQ(engine.ExecuteOffline(gen, 0), 0x0810c7b0938b6ed1ULL)
+      << std::hex << engine.ExecuteOffline(gen, 0);
 }
 
 TEST(ServeEngineTest, ModeledTimelineDeterministicAcrossRunsAndDepths) {
