@@ -1,16 +1,8 @@
 #include "algo/classic.h"
 
-#include <numeric>
-
 namespace aligraph {
 namespace algo {
 namespace {
-
-std::vector<VertexId> AllVertices(const AttributedGraph& graph) {
-  std::vector<VertexId> vs(graph.num_vertices());
-  std::iota(vs.begin(), vs.end(), 0);
-  return vs;
-}
 
 std::vector<std::pair<VertexId, VertexId>> AllEdges(
     const AttributedGraph& graph) {
@@ -29,7 +21,7 @@ Result<nn::Matrix> DeepWalk::Embed(const AttributedGraph& graph) {
   if (graph.num_vertices() == 0) return Status::InvalidArgument("empty graph");
   const auto walks = nn::UniformWalks(graph, config_.walks);
   nn::SkipGramModel model(graph.num_vertices(), config_.sgns);
-  NegativeSampler negs(graph, AllVertices(graph), 0.75, config_.sgns.seed);
+  NegativeSampler negs(graph, nn::AllVertices(graph), 0.75, config_.sgns.seed);
   model.TrainWalks(walks, negs);
   return model.embeddings().matrix();
 }
@@ -39,7 +31,7 @@ Result<nn::Matrix> Node2Vec::Embed(const AttributedGraph& graph) {
   const auto walks =
       nn::Node2VecWalks(graph, config_.walks, config_.p, config_.q);
   nn::SkipGramModel model(graph.num_vertices(), config_.sgns);
-  NegativeSampler negs(graph, AllVertices(graph), 0.75, config_.sgns.seed);
+  NegativeSampler negs(graph, nn::AllVertices(graph), 0.75, config_.sgns.seed);
   model.TrainWalks(walks, negs);
   return model.embeddings().matrix();
 }
@@ -47,7 +39,7 @@ Result<nn::Matrix> Node2Vec::Embed(const AttributedGraph& graph) {
 Result<nn::Matrix> Line::Embed(const AttributedGraph& graph) {
   if (graph.num_vertices() == 0) return Status::InvalidArgument("empty graph");
   const auto edges = AllEdges(graph);
-  NegativeSampler negs(graph, AllVertices(graph), 0.75, config_.seed);
+  NegativeSampler negs(graph, nn::AllVertices(graph), 0.75, config_.seed);
 
   // First-order: symmetric SGNS directly on edges.
   nn::SkipGramConfig first;

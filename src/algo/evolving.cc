@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <unordered_set>
 
 #include "common/logging.h"
@@ -126,9 +125,8 @@ Result<EvolvingScores> EvolvingGnn::Run(const DynamicGraph& dynamic) {
       wc.seed = config_.seed + 3;
       for (Timestamp t = 1; t < T; ++t) {
         const AttributedGraph& snap = dynamic.Snapshot(t);
-        std::vector<VertexId> all(n);
-        std::iota(all.begin(), all.end(), 0);
-        NegativeSampler negs(snap, all, 0.75, config_.seed + t);
+        NegativeSampler negs(snap, nn::AllVertices(snap), 0.75,
+                             config_.seed + t);
         model.TrainWalks(nn::UniformWalks(snap, wc), negs);
         h[t - 1] = model.embeddings().matrix();
       }

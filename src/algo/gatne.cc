@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
+#include "nn/skipgram.h"
 #include "sampling/sampler.h"
 
 namespace aligraph {
@@ -38,15 +38,13 @@ Result<nn::Matrix> Gatne::Embed(const AttributedGraph& graph) {
   nn::Matrix attr_proj = nn::Matrix::Xavier(config_.feature_dim, d, rng);
   attr_proj *= 0.1f;
 
-  std::vector<VertexId> all(n);
-  std::iota(all.begin(), all.end(), 0);
-  NegativeSampler negs(graph, all, 0.75, config_.seed + 1);
+  NegativeSampler negs(graph, nn::AllVertices(graph), 0.75, config_.seed + 1);
   const float lr = config_.learning_rate;
 
   // Scratch buffers reused across pairs.
   std::vector<float> h(d), dh(d), g(s), dg(s);
   std::vector<std::vector<float>> e(T, std::vector<float>(a_dim));
-  std::vector<float> scores(T), att(T), datt(T);
+  std::vector<float> att(T), datt(T);
   // GATNE-T: the effective specific embedding of v for type t is the mean
   // of the type-t neighbors' u (including v's own), which makes U_v
   // structure-aware. agg_members[t] records whose rows contributed so the
@@ -66,11 +64,9 @@ Result<nn::Matrix> Gatne::Embed(const AttributedGraph& graph) {
       auto& members = agg_members[t];
       members.clear();
       members.push_back(v);
-      if (config_.aggregate_specific) {
-        const auto nbs = graph.OutNeighbors(v, static_cast<EdgeType>(t));
-        for (size_t f = 0; f < kAggFan && !nbs.empty(); ++f) {
-          members.push_back(nbs[rng.Uniform(nbs.size())].dst);
-        }
+      const auto nbs = graph.OutNeighbors(v, static_cast<EdgeType>(t));
+      for (size_t f = 0; f < kAggFan && !nbs.empty(); ++f) {
+        members.push_back(nbs[rng.Uniform(nbs.size())].dst);
       }
       auto& ue = u_eff[t];
       std::fill(ue.begin(), ue.end(), 0.0f);
@@ -84,7 +80,6 @@ Result<nn::Matrix> Gatne::Embed(const AttributedGraph& graph) {
   auto forward = [&](VertexId v, size_t c) {
     build_u_eff(v);
     // Attention over the per-type aggregated specific embeddings.
-    float mx = -1e30f;
     for (size_t t = 0; t < T; ++t) {
       const auto& u = u_eff[t];
       auto& et = e[t];
@@ -93,15 +88,9 @@ Result<nn::Matrix> Gatne::Embed(const AttributedGraph& graph) {
         for (size_t i = 0; i < s; ++i) acc += u[i] * w_att[c].At(i, j);
         et[j] = std::tanh(acc);
       }
-      scores[t] = nn::Dot(et, v_att[c].Row(0));
-      mx = std::max(mx, scores[t]);
+      att[t] = nn::Dot(et, v_att[c].Row(0));
     }
-    float sum = 0;
-    for (size_t t = 0; t < T; ++t) {
-      att[t] = std::exp(scores[t] - mx);
-      sum += att[t];
-    }
-    for (size_t t = 0; t < T; ++t) att[t] /= sum;
+    nn::Softmax(att);
 
     std::fill(g.begin(), g.end(), 0.0f);
     for (size_t t = 0; t < T; ++t) {
@@ -179,15 +168,9 @@ Result<nn::Matrix> Gatne::Embed(const AttributedGraph& graph) {
         const VertexId center = walk[i];
         auto b = base.Row(center);
         std::fill(db.begin(), db.end(), 0.0f);
-        auto sgns = [&](VertexId target, float label) {
-          auto ctx = context.Row(target);
-          const float grad = nn::Sigmoid(nn::Dot(b, ctx)) - label;
-          nn::Axpy(grad, ctx, db);
-          context.SgdUpdate(target, b, lr * grad);
-        };
-        sgns(walk[i + 1], 1.0f);
+        nn::SgnsUpdate(b, context, walk[i + 1], 1.0f, lr, db);
         for (VertexId ng : negs.Sample(config_.negatives, walk[i + 1])) {
-          sgns(ng, 0.0f);
+          nn::SgnsUpdate(b, context, ng, 0.0f, lr, db);
         }
         nn::Axpy(-lr, db, b);
       }
@@ -199,27 +182,16 @@ Result<nn::Matrix> Gatne::Embed(const AttributedGraph& graph) {
       const auto walks =
           nn::LayerWalks(graph, config_.walks, static_cast<EdgeType>(c));
       for (const auto& walk : walks) {
-        for (size_t i = 0; i < walk.size(); ++i) {
-          const size_t lo = i > 2 ? i - 2 : 0;
-          const size_t hi = std::min(walk.size(), i + 3);
-          for (size_t j = lo; j < hi; ++j) {
-            if (j == i) continue;
-            const VertexId center = walk[i];
-            forward(center, c);
-            std::fill(dh.begin(), dh.end(), 0.0f);
-            auto sgns = [&](VertexId target, float label) {
-              auto ctx = context.Row(target);
-              const float grad = nn::Sigmoid(nn::Dot(h, ctx)) - label;
-              nn::Axpy(grad, ctx, dh);
-              context.SgdUpdate(target, h, lr * grad);
-            };
-            sgns(walk[j], 1.0f);
-            for (VertexId ng : negs.Sample(config_.negatives, walk[j])) {
-              sgns(ng, 0.0f);
-            }
-            backward(center, c);
+        nn::ForEachContextPair(walk.size(), [&](size_t i, size_t j) {
+          const VertexId center = walk[i];
+          forward(center, c);
+          std::fill(dh.begin(), dh.end(), 0.0f);
+          nn::SgnsUpdate(h, context, walk[j], 1.0f, lr, dh);
+          for (VertexId ng : negs.Sample(config_.negatives, walk[j])) {
+            nn::SgnsUpdate(h, context, ng, 0.0f, lr, dh);
           }
-        }
+          backward(center, c);
+        });
       }
     }
   }

@@ -35,10 +35,6 @@ class Gatne : public EmbeddingAlgorithm {
     size_t feature_dim = 16;
     float alpha = 1.0f;     ///< specific-embedding coefficient
     float beta = 0.5f;      ///< attribute-embedding coefficient
-    /// GATNE-T style neighbor aggregation of the specific embeddings
-    /// (u_eff = mean over sampled same-type neighbors). Disable for the
-    /// purely attribute-driven GATNE-I behaviour.
-    bool aggregate_specific = true;
     nn::WalkConfig walks;
     uint32_t negatives = 4;
     uint32_t epochs = 2;

@@ -65,19 +65,23 @@ EdgeBatch DrawEdgeBatch(const AttributedGraph& graph,
   return eb;
 }
 
-// Edge loss gradient on the root embeddings: connected pairs pulled toward
-// score 1, negatives toward 0, normalized by the total pair count.
+// The edge objective's gradient for one pair (a, b) of rows of `h`:
+// g = (sigmoid(h_a . h_b) - label) / denom into both rows of `dh`, so
+// connected pairs are pulled toward score 1 and negatives toward 0.
+void PairGrad(const nn::Matrix& h, size_t a, size_t b, float label,
+              float denom, nn::Matrix& dh) {
+  const float g = (nn::Sigmoid(nn::Dot(h.Row(a), h.Row(b))) - label) / denom;
+  nn::Axpy(g, h.Row(b), dh.Row(a));
+  nn::Axpy(g, h.Row(a), dh.Row(b));
+}
+
+// Edge loss gradient on the root embeddings, normalized by the total pair
+// count.
 nn::Matrix EdgeLossGrad(const nn::Matrix& h2, const EdgeBatch& eb) {
   nn::Matrix dh2(h2.rows(), h2.cols());
   const float denom = static_cast<float>(eb.pos.size() + eb.neg.size());
-  auto pair_grad = [&](size_t a, size_t b, float label) {
-    const float g =
-        (nn::Sigmoid(nn::Dot(h2.Row(a), h2.Row(b))) - label) / denom;
-    nn::Axpy(g, h2.Row(b), dh2.Row(a));
-    nn::Axpy(g, h2.Row(a), dh2.Row(b));
-  };
-  for (const auto& [a, b] : eb.pos) pair_grad(a, b, 1.0f);
-  for (const auto& [a, b] : eb.neg) pair_grad(a, b, 0.0f);
+  for (const auto& [a, b] : eb.pos) PairGrad(h2, a, b, 1.0f, denom, dh2);
+  for (const auto& [a, b] : eb.neg) PairGrad(h2, a, b, 0.0f, denom, dh2);
   return dh2;
 }
 
@@ -189,6 +193,38 @@ std::pair<nn::Matrix, nn::Matrix> SageLayer::Backward(
   return {std::move(dself), std::move(dneigh)};
 }
 
+SageStack::SageStack(size_t feature_dim, size_t dim, bool maxpool, Rng& rng)
+    : layer1_(feature_dim, dim, maxpool, rng),
+      layer2_(dim, dim, maxpool, rng, /*relu=*/false) {}
+
+nn::Matrix SageStack::Forward(const block::SampledBlock& blk,
+                              const nn::Matrix& x, Cache* cache) const {
+  const nn::Matrix h1_roots =
+      layer1_.ForwardBlock(x, blk.hops()[0], &cache->roots);
+  const nn::Matrix h1_hop1 =
+      layer1_.ForwardBlock(x, blk.hops()[1], &cache->hop1);
+  return layer2_.Forward(h1_roots, h1_hop1, blk.hops()[0].fan, &cache->top);
+}
+
+void SageStack::Backward(const Cache& cache, const nn::Matrix& grad) {
+  auto [dh1_roots, dh1_hop1] = layer2_.Backward(cache.top, grad);
+  layer1_.Backward(cache.roots, dh1_roots);
+  layer1_.Backward(cache.hop1, dh1_hop1);
+}
+
+void SageStack::Apply(nn::Optimizer& opt) {
+  layer1_.Apply(opt);
+  layer2_.Apply(opt);
+}
+
+nn::Matrix SageStack::Embed(const block::SampledBlock& blk,
+                            const nn::Matrix& x) const {
+  Cache cache;
+  nn::Matrix h = Forward(blk, x, &cache);
+  nn::L2NormalizeRows(h);
+  return h;
+}
+
 Result<nn::Matrix> GraphSage::Embed(const AttributedGraph& graph) {
   const nn::Matrix features =
       BuildFeatureMatrix(graph, config_.feature_dim);
@@ -198,23 +234,19 @@ Result<nn::Matrix> GraphSage::Embed(const AttributedGraph& graph) {
 SageTrainer::SageTrainer(const GnnConfig& config, size_t feature_dim)
     : config_(config),
       rng_(config.seed),
-      layer1_(feature_dim, config.dim, config.aggregator == "maxpool", rng_),
-      layer2_(config.dim, config.dim, config.aggregator == "maxpool", rng_,
-              /*relu=*/false),
+      stack_(feature_dim, config.dim, config.aggregator == "maxpool", rng_),
       opt_(config.learning_rate),
       pipeline_(config.pipeline_depth) {}
 
 void SageTrainer::TrainEpochs(const AttributedGraph& graph,
                               const nn::Matrix& features, uint32_t epochs) {
-  std::vector<VertexId> all(graph.num_vertices());
-  std::iota(all.begin(), all.end(), 0);
+  const std::vector<VertexId> all = nn::AllVertices(graph);
   NegativeSampler negatives(graph, all, 0.75, config_.seed + 2);
   NeighborhoodSampler hood(NeighborStrategy::kUniform, config_.seed + 3);
   LocalNeighborSource source(graph);
   block::MatrixFeatureSource feature_source(features);
 
-  const uint32_t f1 = config_.fanout1;
-  const std::vector<uint32_t> fans{f1, config_.fanout2};
+  const std::vector<uint32_t> fans{config_.fanout1, config_.fanout2};
   const size_t B = config_.batch_size;
   const uint32_t k = config_.negatives;
   const size_t num_batches =
@@ -223,7 +255,7 @@ void SageTrainer::TrainEpochs(const AttributedGraph& graph,
   // Stage state partitioning keeps every stateful participant single-stage
   // (hence single-threaded and in batch order, hence bit-identical at every
   // depth): rng_ / negatives / hood live on the sample stage, feature_source
-  // on the gather stage, layers / optimizer on this thread.
+  // on the gather stage, the stack / optimizer on this thread.
   pipeline_.RunStages(
       num_batches,
       /*sample=*/
@@ -243,25 +275,17 @@ void SageTrainer::TrainEpochs(const AttributedGraph& graph,
           std::any& user) {
         const EdgeBatch& eb = std::any_cast<const EdgeBatch&>(user);
         if (eb.roots.empty()) return;  // every draw hit a sink vertex
-        SageLayer::Cache c_roots, c_h1, c_top;
-        const nn::Matrix h1_roots =
-            layer1_.ForwardBlock(x, blk.hops()[0], &c_roots);
-        const nn::Matrix h1_h1 = layer1_.ForwardBlock(x, blk.hops()[1], &c_h1);
-        const nn::Matrix h2 = layer2_.Forward(h1_roots, h1_h1, f1, &c_top);
-        const nn::Matrix dh2 = EdgeLossGrad(h2, eb);
-        auto [dh1_roots, dh1_h1] = layer2_.Backward(c_top, dh2);
-        layer1_.Backward(c_roots, dh1_roots);
-        layer1_.Backward(c_h1, dh1_h1);
-        layer1_.Apply(opt_);
-        layer2_.Apply(opt_);
+        SageStack::Cache cache;
+        const nn::Matrix h2 = stack_.Forward(blk, x, &cache);
+        stack_.Backward(cache, EdgeLossGrad(h2, eb));
+        stack_.Apply(opt_);
       });
 }
 
 nn::Matrix SageTrainer::Infer(const AttributedGraph& graph,
                               const nn::Matrix& features) {
   LocalNeighborSource source(graph);
-  const uint32_t f1 = config_.fanout1;
-  const std::vector<uint32_t> fans{f1, config_.fanout2};
+  const std::vector<uint32_t> fans{config_.fanout1, config_.fanout2};
 
   // Inference: one deterministic sampled pass over all vertices, chunked.
   nn::Matrix out(graph.num_vertices(), config_.dim);
@@ -291,12 +315,7 @@ nn::Matrix SageTrainer::Infer(const AttributedGraph& graph,
       /*compute=*/
       [&](size_t b, const block::SampledBlock& blk, const nn::Matrix& x,
           std::any&) {
-        SageLayer::Cache c_roots, c_h1, c_top;
-        const nn::Matrix h1_roots =
-            layer1_.ForwardBlock(x, blk.hops()[0], &c_roots);
-        const nn::Matrix h1_h1 = layer1_.ForwardBlock(x, blk.hops()[1], &c_h1);
-        nn::Matrix h2 = layer2_.Forward(h1_roots, h1_h1, f1, &c_top);
-        nn::L2NormalizeRows(h2);
+        const nn::Matrix h2 = stack_.Embed(blk, x);
         const VertexId begin = static_cast<VertexId>(b * chunk);
         for (size_t i = 0; i < h2.rows(); ++i) {
           auto src = h2.Row(i);
@@ -349,8 +368,7 @@ Result<nn::Matrix> Gcn::Embed(const AttributedGraph& graph) {
   }
   AliasTable degree_table(degree_weight);
 
-  std::vector<VertexId> all(n);
-  std::iota(all.begin(), all.end(), 0);
+  const std::vector<VertexId> all = nn::AllVertices(graph);
   NegativeSampler negatives(graph, all, 0.75, base.seed + 2);
 
   double total_degree = 0;
@@ -410,20 +428,15 @@ Result<nn::Matrix> Gcn::Embed(const AttributedGraph& graph) {
       // Sampled-edge loss on h2.
       nn::Matrix dh2(h2.rows(), h2.cols());
       const size_t pairs = base.batch_size;
+      const float denom = static_cast<float>(pairs * (1 + base.negatives));
       for (size_t i = 0; i < pairs; ++i) {
         const VertexId u = all[rng.Uniform(all.size())];
         const auto nbs = graph.OutNeighbors(u);
         if (nbs.empty()) continue;
         const VertexId v = nbs[rng.Uniform(nbs.size())].dst;
-        auto grad_pair = [&](VertexId a, VertexId b, float label) {
-          const float g = (nn::Sigmoid(nn::Dot(h2.Row(a), h2.Row(b))) - label) /
-                          static_cast<float>(pairs * (1 + base.negatives));
-          nn::Axpy(g, h2.Row(b), dh2.Row(a));
-          nn::Axpy(g, h2.Row(a), dh2.Row(b));
-        };
-        grad_pair(u, v, 1.0f);
+        PairGrad(h2, u, v, 1.0f, denom, dh2);
         for (VertexId ng : negatives.Sample(base.negatives, v)) {
-          grad_pair(u, ng, 0.0f);
+          PairGrad(h2, u, ng, 0.0f, denom, dh2);
         }
       }
 
@@ -492,22 +505,16 @@ Result<nn::Matrix> Struc2Vec::Embed(const AttributedGraph& graph) {
     for (size_t i = 0; i < k; ++i) similar[v].push_back(cand[i].second);
   }
 
-  // Walks over the similarity lists + SGNS.
-  std::vector<std::vector<VertexId>> walks;
-  for (uint32_t w = 0; w < config_.walks.walks_per_vertex; ++w) {
-    for (VertexId start = 0; start < n; ++start) {
-      std::vector<VertexId> walk{start};
-      while (walk.size() < config_.walks.walk_length) {
+  // Walks over the similarity lists, continuing rng's stream, + SGNS.
+  const std::vector<VertexId> all = nn::AllVertices(graph);
+  const auto walks = nn::GenerateWalks(
+      all, config_.walks, rng,
+      [&](const std::vector<VertexId>& walk, Rng& r) -> VertexId {
         const auto& list = similar[walk.back()];
-        if (list.empty()) break;
-        walk.push_back(list[rng.Uniform(list.size())]);
-      }
-      if (walk.size() >= 2) walks.push_back(std::move(walk));
-    }
-  }
+        if (list.empty()) return kInvalidVertex;
+        return list[r.Uniform(list.size())];
+      });
   nn::SkipGramModel model(n, config_.sgns);
-  std::vector<VertexId> all(n);
-  std::iota(all.begin(), all.end(), 0);
   NegativeSampler negs(graph, all, 0.75, config_.sgns.seed);
   model.TrainWalks(walks, negs);
   return model.embeddings().matrix();

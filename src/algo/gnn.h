@@ -6,7 +6,12 @@
 /// (Struc2Vec, simplified).
 ///
 /// All models train unsupervised with the edge-based objective of the
-/// GraphSAGE paper: connected pairs score high, sampled negatives score low.
+/// GraphSAGE paper: connected pairs score high, sampled negatives score low;
+/// GraphSAGE and the GCNs take its gradient from one pair-gradient step.
+///
+/// GraphSAGE's compute has one definition, SageStack: SageTrainer's
+/// training and Infer run it, and so does serve::ServeEngine for every
+/// request, so a change to the model's compute is made there once.
 
 #ifndef ALIGRAPH_ALGO_GNN_H_
 #define ALIGRAPH_ALGO_GNN_H_
@@ -109,12 +114,49 @@ class SageLayer {
   bool relu_;
 };
 
-/// \brief Reusable two-layer GraphSAGE trainer whose weights persist across
-/// calls — the building block of GraphSage itself and of models that train
-/// over a sequence of graphs (Evolving GNN warm-starts every snapshot from
-/// the previous one's weights). It holds one pipeline::BlockPipeline of
-/// depth `pipeline_depth`, built with the trainer, that every TrainEpochs
-/// and Infer call runs on.
+/// \brief The two-layer GraphSAGE stack over a 2-hop block::SampledBlock:
+/// the one definition of the model's compute, run by SageTrainer's training
+/// and Infer and by serve::ServeEngine's requests. Layer 1 (ReLU) embeds
+/// the roots (hop 0) and their sampled neighbors (hop 1) from the block's
+/// gathered rows; layer 2 (no ReLU) combines them into the roots'
+/// embeddings.
+class SageStack {
+ public:
+  /// Draws layer 1's weights, then layer 2's, from `rng`.
+  SageStack(size_t feature_dim, size_t dim, bool maxpool, Rng& rng);
+
+  /// What Backward needs of one Forward.
+  struct Cache {
+    SageLayer::Cache roots, hop1, top;
+  };
+
+  /// The roots' [num roots, dim] embeddings, unnormalized, from `x`, the
+  /// block's [num_vertices, feature_dim] gathered rows. Fills `cache`.
+  nn::Matrix Forward(const block::SampledBlock& blk, const nn::Matrix& x,
+                     Cache* cache) const;
+
+  /// Backward of a Forward from the gradient on its output: accumulates
+  /// both layers' weight gradients.
+  void Backward(const Cache& cache, const nn::Matrix& grad);
+
+  /// Applies `opt` to layer 1, then layer 2, and clears their gradients.
+  void Apply(nn::Optimizer& opt);
+
+  /// Forward, then row-wise L2 normalization: the embedding Infer and
+  /// serving return. Const and stateless, so threads may call it at once.
+  nn::Matrix Embed(const block::SampledBlock& blk, const nn::Matrix& x) const;
+
+ private:
+  SageLayer layer1_;
+  SageLayer layer2_;
+};
+
+/// \brief Reusable GraphSAGE trainer over one SageStack whose weights
+/// persist across calls — the building block of GraphSage itself and of
+/// models that train over a sequence of graphs (Evolving GNN warm-starts
+/// every snapshot from the previous one's weights). It holds one
+/// pipeline::BlockPipeline of depth `pipeline_depth`, built with the
+/// trainer, that every TrainEpochs and Infer call runs on.
 class SageTrainer {
  public:
   SageTrainer(const GnnConfig& config, size_t feature_dim);
@@ -132,9 +174,8 @@ class SageTrainer {
 
  private:
   GnnConfig config_;
-  Rng rng_;
-  SageLayer layer1_;
-  SageLayer layer2_;
+  Rng rng_;  // the stack's weights, then every batch draw
+  SageStack stack_;
   nn::Adam opt_;
   // Declared last, so its lanes are joined before the members their stage
   // bodies touch are destroyed.

@@ -1,10 +1,10 @@
 #include "algo/hep.h"
 
 #include <algorithm>
-#include <cmath>
-#include <numeric>
 
 #include "common/random.h"
+#include "nn/skipgram.h"
+#include "nn/walks.h"
 #include "sampling/sampler.h"
 
 namespace aligraph {
@@ -33,9 +33,7 @@ Result<nn::Matrix> Hep::Embed(const AttributedGraph& graph) {
   }
   nn::Sgd opt(config_.learning_rate);
 
-  std::vector<VertexId> all(n);
-  std::iota(all.begin(), all.end(), 0);
-  NegativeSampler negs(graph, all, 0.75, config_.seed + 1);
+  NegativeSampler negs(graph, nn::AllVertices(graph), 0.75, config_.seed + 1);
 
   // AHEP importance per vertex: degree-proportional sampling minimizes the
   // variance of the mean estimator on power-law neighborhoods.
@@ -95,17 +93,10 @@ Result<nn::Matrix> Hep::Embed(const AttributedGraph& graph) {
 
         // EP loss: pull h' toward h_v, push from negatives.
         std::fill(dh.begin(), dh.end(), 0.0f);
-        auto push = [&](VertexId target, float label) {
-          auto ht = emb.Row(target);
-          const float g =
-              config_.alpha *
-              (nn::Sigmoid(nn::Dot(h_prime.Row(0), ht)) - label);
-          nn::Axpy(g, ht, dh);
-          emb.SgdUpdate(target, h_prime.Row(0), lr * g);
-        };
-        push(v, 1.0f);
+        const auto hp = h_prime.Row(0);
+        nn::SgnsUpdate(hp, emb, v, 1.0f, lr, dh, config_.alpha);
         for (VertexId ng : negs.Sample(config_.negatives, v)) {
-          push(ng, 0.0f);
+          nn::SgnsUpdate(hp, emb, ng, 0.0f, lr, dh, config_.alpha);
         }
 
         // Backprop into the transform and the neighbor mean.

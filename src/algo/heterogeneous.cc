@@ -1,8 +1,6 @@
 #include "algo/heterogeneous.h"
 
 #include <algorithm>
-#include <cmath>
-#include <numeric>
 #include <unordered_map>
 
 #include "common/logging.h"
@@ -10,16 +8,6 @@
 
 namespace aligraph {
 namespace algo {
-namespace {
-
-std::vector<VertexId> AllVertices(const AttributedGraph& graph) {
-  std::vector<VertexId> vs(graph.num_vertices());
-  std::iota(vs.begin(), vs.end(), 0);
-  return vs;
-}
-
-}  // namespace
-
 Result<nn::Matrix> Metapath2Vec::Embed(const AttributedGraph& graph) {
   if (graph.num_vertices() == 0) return Status::InvalidArgument("empty graph");
   std::vector<EdgeType> metapath = config_.metapath;
@@ -48,7 +36,7 @@ Result<nn::Matrix> Metapath2Vec::Embed(const AttributedGraph& graph) {
   const auto walks =
       nn::MetapathWalks(graph, config_.walks, metapath, starts);
   nn::SkipGramModel model(graph.num_vertices(), config_.sgns);
-  NegativeSampler negs(graph, AllVertices(graph), 0.75, config_.sgns.seed);
+  NegativeSampler negs(graph, nn::AllVertices(graph), 0.75, config_.sgns.seed);
   model.TrainWalks(walks, negs);
   return model.embeddings().matrix();
 }
@@ -67,7 +55,7 @@ std::string Pmne::name() const {
 
 Result<nn::Matrix> Pmne::Embed(const AttributedGraph& graph) {
   if (graph.num_vertices() == 0) return Status::InvalidArgument("empty graph");
-  NegativeSampler negs(graph, AllVertices(graph), 0.75, config_.sgns.seed);
+  NegativeSampler negs(graph, nn::AllVertices(graph), 0.75, config_.sgns.seed);
   const size_t layers = graph.num_edge_types();
 
   switch (config_.variant) {
@@ -94,25 +82,24 @@ Result<nn::Matrix> Pmne::Embed(const AttributedGraph& graph) {
       return out;
     }
     case PmneVariant::kCoAnalysis: {
-      // Walks that hop between layers with probability switch_prob.
+      // Walks that hop between layers with probability switch_prob. Each
+      // walk draws its starting layer before its first step.
       Rng rng(config_.walks.seed);
-      std::vector<std::vector<VertexId>> walks;
-      for (uint32_t w = 0; w < config_.walks.walks_per_vertex; ++w) {
-        for (VertexId start = 0; start < graph.num_vertices(); ++start) {
-          std::vector<VertexId> walk{start};
-          EdgeType layer = static_cast<EdgeType>(rng.Uniform(layers));
-          while (walk.size() < config_.walks.walk_length) {
-            if (rng.Bernoulli(config_.switch_prob)) {
-              layer = static_cast<EdgeType>(rng.Uniform(layers));
+      EdgeType layer = 0;
+      const auto walks = nn::GenerateWalks(
+          nn::AllVertices(graph), config_.walks, rng,
+          [&](const std::vector<VertexId>& walk, Rng& r) -> VertexId {
+            if (walk.size() == 1) {
+              layer = static_cast<EdgeType>(r.Uniform(layers));
+            }
+            if (r.Bernoulli(config_.switch_prob)) {
+              layer = static_cast<EdgeType>(r.Uniform(layers));
             }
             auto nbs = graph.OutNeighbors(walk.back(), layer);
             if (nbs.empty()) nbs = graph.OutNeighbors(walk.back());
-            if (nbs.empty()) break;
-            walk.push_back(nbs[rng.Uniform(nbs.size())].dst);
-          }
-          if (walk.size() >= 2) walks.push_back(std::move(walk));
-        }
-      }
+            if (nbs.empty()) return kInvalidVertex;
+            return nbs[r.Uniform(nbs.size())].dst;
+          });
       nn::SkipGramModel model(graph.num_vertices(), config_.sgns);
       model.TrainWalks(walks, negs);
       return model.embeddings().matrix();
@@ -124,7 +111,7 @@ Result<nn::Matrix> Pmne::Embed(const AttributedGraph& graph) {
 Result<nn::Matrix> Mve::Embed(const AttributedGraph& graph) {
   if (graph.num_vertices() == 0) return Status::InvalidArgument("empty graph");
   const size_t views = graph.num_edge_types();
-  NegativeSampler negs(graph, AllVertices(graph), 0.75, config_.sgns.seed);
+  NegativeSampler negs(graph, nn::AllVertices(graph), 0.75, config_.sgns.seed);
 
   // Per-view embeddings.
   std::vector<nn::Matrix> view_emb;
@@ -148,14 +135,8 @@ Result<nn::Matrix> Mve::Embed(const AttributedGraph& graph) {
   if (!edges.empty()) {
     for (uint32_t round = 0; round < config_.attention_rounds; ++round) {
       // Softmax of the current logits.
-      std::vector<float> a(views);
-      float mx = *std::max_element(logits.begin(), logits.end());
-      float sum = 0;
-      for (size_t t = 0; t < views; ++t) {
-        a[t] = std::exp(logits[t] - mx);
-        sum += a[t];
-      }
-      for (float& x : a) x /= sum;
+      std::vector<float> a = logits;
+      nn::Softmax(a);
 
       const auto [u, v] = edges[rng.Uniform(edges.size())];
       const VertexId neg = static_cast<VertexId>(
@@ -184,18 +165,12 @@ Result<nn::Matrix> Mve::Embed(const AttributedGraph& graph) {
   }
 
   // Combined embedding.
-  std::vector<float> a(views);
-  float mx = *std::max_element(logits.begin(), logits.end());
-  float sum = 0;
-  for (size_t t = 0; t < views; ++t) {
-    a[t] = std::exp(logits[t] - mx);
-    sum += a[t];
-  }
+  std::vector<float> a = logits;
+  nn::Softmax(a);
   nn::Matrix out(graph.num_vertices(), config_.sgns.dim);
   for (size_t t = 0; t < views; ++t) {
-    const float w = a[t] / sum;
     for (size_t i = 0; i < out.rows(); ++i) {
-      nn::Axpy(w, view_emb[t].Row(i), out.Row(i));
+      nn::Axpy(a[t], view_emb[t].Row(i), out.Row(i));
     }
   }
   return out;
@@ -216,7 +191,7 @@ Result<nn::Matrix> Mne::Embed(const AttributedGraph& graph) {
     proj.push_back(nn::Matrix::Xavier(config_.extra_dim, config_.dim, rng));
   }
 
-  NegativeSampler negs(graph, AllVertices(graph), 0.75, config_.seed);
+  NegativeSampler negs(graph, nn::AllVertices(graph), 0.75, config_.seed);
   const float lr = config_.learning_rate;
   std::vector<float> h(config_.dim);
   std::vector<float> dh(config_.dim);
@@ -226,40 +201,28 @@ Result<nn::Matrix> Mne::Embed(const AttributedGraph& graph) {
       const auto walks =
           nn::LayerWalks(graph, config_.walks, static_cast<EdgeType>(t));
       for (const auto& walk : walks) {
-        for (size_t i = 0; i < walk.size(); ++i) {
-          const size_t lo = i > 2 ? i - 2 : 0;
-          const size_t hi = std::min(walk.size(), i + 3);
-          for (size_t j = lo; j < hi; ++j) {
-            if (j == i) continue;
-            const VertexId center = walk[i];
-            // h_{v,t} = b_v + u_{v,t} P_t
-            auto b = common.Row(center);
-            auto u = extra[t].Row(center);
-            std::copy(b.begin(), b.end(), h.begin());
-            for (size_t e = 0; e < config_.extra_dim; ++e) {
-              nn::Axpy(u[e], proj[t].Row(e), h);
-            }
-            std::fill(dh.begin(), dh.end(), 0.0f);
-
-            auto sgns_target = [&](VertexId target, float label) {
-              auto ctx = context.Row(target);
-              const float g = nn::Sigmoid(nn::Dot(h, ctx)) - label;
-              nn::Axpy(g, ctx, dh);
-              context.SgdUpdate(target, h, lr * g);
-            };
-            sgns_target(walk[j], 1.0f);
-            for (VertexId ng : negs.Sample(config_.negatives, walk[j])) {
-              sgns_target(ng, 0.0f);
-            }
-            // Backprop dh into b, u and P_t.
-            common.SgdUpdate(center, dh, lr);
-            for (size_t e = 0; e < config_.extra_dim; ++e) {
-              const float du = nn::Dot(dh, proj[t].Row(e));
-              nn::Axpy(-lr * u[e], dh, proj[t].Row(e));
-              extra[t].Row(center)[e] -= lr * du;
-            }
+        nn::ForEachContextPair(walk.size(), [&](size_t i, size_t j) {
+          const VertexId center = walk[i];
+          // h_{v,t} = b_v + u_{v,t} P_t
+          auto b = common.Row(center);
+          auto u = extra[t].Row(center);
+          std::copy(b.begin(), b.end(), h.begin());
+          for (size_t e = 0; e < config_.extra_dim; ++e) {
+            nn::Axpy(u[e], proj[t].Row(e), h);
           }
-        }
+          std::fill(dh.begin(), dh.end(), 0.0f);
+          nn::SgnsUpdate(h, context, walk[j], 1.0f, lr, dh);
+          for (VertexId ng : negs.Sample(config_.negatives, walk[j])) {
+            nn::SgnsUpdate(h, context, ng, 0.0f, lr, dh);
+          }
+          // Backprop dh into b, u and P_t.
+          common.SgdUpdate(center, dh, lr);
+          for (size_t e = 0; e < config_.extra_dim; ++e) {
+            const float du = nn::Dot(dh, proj[t].Row(e));
+            nn::Axpy(-lr * u[e], dh, proj[t].Row(e));
+            extra[t].Row(center)[e] -= lr * du;
+          }
+        });
       }
     }
   }
@@ -306,7 +269,7 @@ Result<nn::Matrix> Anrl::Embed(const AttributedGraph& graph) {
   nn::Linear decoder(config_.dim, config_.feature_dim, rng);
   nn::EmbeddingTable context(n, config_.dim, rng);
   nn::Sgd opt(config_.learning_rate);
-  NegativeSampler negs(graph, AllVertices(graph), 0.75, config_.seed);
+  NegativeSampler negs(graph, nn::AllVertices(graph), 0.75, config_.seed);
 
   // Context lists from walks: center -> sampled contexts.
   const auto walks = nn::UniformWalks(graph, config_.walks);
@@ -345,15 +308,10 @@ Result<nn::Matrix> Anrl::Embed(const AttributedGraph& graph) {
       if (it != contexts.end() && !it->second.empty()) {
         const VertexId ctx_v =
             it->second[rng.Uniform(it->second.size())];
-        auto sgns_target = [&](VertexId targetv, float label) {
-          auto ctx = context.Row(targetv);
-          const float g = nn::Sigmoid(nn::Dot(h_act.Row(0), ctx)) - label;
-          nn::Axpy(g, ctx, dh.Row(0));
-          context.SgdUpdate(targetv, h_act.Row(0), config_.learning_rate * g);
-        };
-        sgns_target(ctx_v, 1.0f);
+        const float lr = config_.learning_rate;
+        nn::SgnsUpdate(h_act.Row(0), context, ctx_v, 1.0f, lr, dh.Row(0));
         for (VertexId ng : negs.Sample(config_.negatives, ctx_v)) {
-          sgns_target(ng, 0.0f);
+          nn::SgnsUpdate(h_act.Row(0), context, ng, 0.0f, lr, dh.Row(0));
         }
       }
 

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
+#include "nn/skipgram.h"
 #include "sampling/sampler.h"
 
 namespace aligraph {
@@ -22,13 +22,11 @@ Result<nn::Matrix> MixtureGnn::Embed(const AttributedGraph& graph) {
   nn::Matrix prior(n, S);
   prior.Fill(1.0f / static_cast<float>(S));
 
-  std::vector<VertexId> all(n);
-  std::iota(all.begin(), all.end(), 0);
-  NegativeSampler negs(graph, all, 0.75, config_.seed + 1);
+  NegativeSampler negs(graph, nn::AllVertices(graph), 0.75, config_.seed + 1);
   const auto walks = nn::UniformWalks(graph, config_.walks);
   const float lr = config_.learning_rate;
 
-  std::vector<float> resp(S), score(S);
+  std::vector<float> resp(S), dcenter(d);
 
   for (uint32_t epoch = 0; epoch < config_.epochs; ++epoch) {
     for (const auto& walk : walks) {
@@ -39,32 +37,22 @@ Result<nn::Matrix> MixtureGnn::Embed(const AttributedGraph& graph) {
 
         // Posterior responsibility of each sense for this context
         // (E step of the lower-bound maximization).
-        float mx = -1e30f;
         for (size_t s = 0; s < S; ++s) {
-          score[s] = nn::Dot(sense[s].Row(center), ctx) +
-                     std::log(std::max(prior.At(center, s), 1e-6f));
-          mx = std::max(mx, score[s]);
+          resp[s] = nn::Dot(sense[s].Row(center), ctx) +
+                    std::log(std::max(prior.At(center, s), 1e-6f));
         }
-        float sum = 0;
-        for (size_t s = 0; s < S; ++s) {
-          resp[s] = std::exp(score[s] - mx);
-          sum += resp[s];
-        }
-        for (size_t s = 0; s < S; ++s) resp[s] /= sum;
+        nn::Softmax(resp);
 
         // M step: every sense takes a responsibility-weighted SGNS update.
         const auto negatives = negs.Sample(config_.negatives, ctx_v);
         for (size_t s = 0; s < S; ++s) {
           if (resp[s] < 1e-3f) continue;
           auto hs = sense[s].Row(center);
+          // The sense row moves after every target, the context update
+          // having used its pre-step value.
           auto sgns = [&](VertexId target, float label) {
-            auto ct = context.Row(target);
-            const float g =
-                resp[s] * (nn::Sigmoid(nn::Dot(hs, ct)) - label);
-            // center first so the context update uses the pre-step value.
-            std::vector<float> dcenter(d);
-            nn::Axpy(g, ct, dcenter);
-            context.SgdUpdate(target, hs, lr * g);
+            std::fill(dcenter.begin(), dcenter.end(), 0.0f);
+            nn::SgnsUpdate(hs, context, target, label, lr, dcenter, resp[s]);
             nn::Axpy(-lr, dcenter, hs);
           };
           sgns(ctx_v, 1.0f);

@@ -3,10 +3,11 @@
 /// local AttributedGraph's attribute store, or the simulated cluster with
 /// coalesced (and fault-aware) remote attribute reads.
 ///
-/// GatherBlockFeatures is the one gather: the pipeline's gather stage runs
-/// it once per block, fetching exactly one row per unique vertex, so the
-/// source abstraction is batched by construction: one Gather call per
-/// block, never one fetch per slot. The cluster-backed source mirrors the
+/// GatherBlockFeatures is the one gather: training's pipeline runs it as its
+/// gather stage and serving on each request's thread, once per block,
+/// fetching exactly one row per unique vertex, so the source abstraction is
+/// batched by construction: one Gather call per block, never one fetch per
+/// slot. The cluster-backed source mirrors the
 /// adjacency path's design — local slots are free, the remote residue is
 /// deduplicated and coalesced into one message per destination worker, and
 /// under fault injection each coalesced message is judged once, with
@@ -107,7 +108,8 @@ class ClusterFeatureSource : public FeatureSource {
 };
 
 /// Materializes a block's [num_vertices, d] feature matrix: the GATHER
-/// stage of block execution, which the pipeline schedules on its own lane.
+/// step of block execution, which training's pipeline schedules on its own
+/// lane and serving runs on the request's thread.
 /// With a null `row_cache` every row is fetched from `source` straight into
 /// the returned matrix. Otherwise rows already held by `row_cache` (keyed
 /// hop 0 by global id) are reused bitwise; only the missing residue is

@@ -223,18 +223,19 @@ void L2NormalizeRows(Matrix& a) {
   }
 }
 
-void SoftmaxRows(Matrix& a) {
-  for (size_t i = 0; i < a.rows(); ++i) {
-    auto row = a.Row(i);
-    float mx = row[0];
-    for (float v : row) mx = std::max(mx, v);
-    float sum = 0;
-    for (float& v : row) {
-      v = std::exp(v - mx);
-      sum += v;
-    }
-    for (float& v : row) v /= sum;
+void Softmax(std::span<float> v) {
+  float mx = v[0];
+  for (float x : v) mx = std::max(mx, x);
+  float sum = 0;
+  for (float& x : v) {
+    x = std::exp(x - mx);
+    sum += x;
   }
+  for (float& x : v) x /= sum;
+}
+
+void SoftmaxRows(Matrix& a) {
+  for (size_t i = 0; i < a.rows(); ++i) Softmax(a.Row(i));
 }
 
 Matrix ConcatCols(const Matrix& a, const Matrix& b) {

@@ -89,7 +89,10 @@ void SigmoidInPlace(Matrix& a);
 /// Row-wise L2 normalization (the per-hop normalize step of Algorithm 1).
 void L2NormalizeRows(Matrix& a);
 
-/// Row-wise softmax in place.
+/// Softmax of a non-empty vector in place: exp(v - max) over its sum.
+void Softmax(std::span<float> v);
+
+/// Softmax of every row in place.
 void SoftmaxRows(Matrix& a);
 
 /// Horizontal concatenation [a | b].

@@ -13,36 +13,34 @@ SkipGramModel::SkipGramModel(size_t num_vertices,
       out_(num_vertices, config.dim, rng_),
       center_grad_(config.dim, 0.0f) {}
 
-float SkipGramModel::SgnsUpdate(VertexId center, VertexId context,
-                                std::span<const VertexId> negatives) {
-  auto h = in_.Row(center);
-  std::fill(center_grad_.begin(), center_grad_.end(), 0.0f);
-  float loss = 0;
-  const float lr = config_.learning_rate;
-
-  auto update_one = [&](VertexId target, float label) {
-    auto ctx = out_.Row(target);
-    const float score = Dot(h, ctx);
-    const float p = Sigmoid(score);
-    loss += label > 0.5f ? -std::log(std::max(p, 1e-7f))
-                         : -std::log(std::max(1.0f - p, 1e-7f));
-    const float g = p - label;  // dLoss/dscore
-    // Defer the center update until all targets are processed.
-    Axpy(g, ctx, center_grad_);
-    out_.SgdUpdate(target, h, lr * g);
-  };
-
-  update_one(context, 1.0f);
-  for (VertexId neg : negatives) update_one(neg, 0.0f);
-  in_.SgdUpdate(center, center_grad_, lr);
-  return loss / static_cast<float>(1 + negatives.size());
+float SgnsUpdate(std::span<const float> h, EmbeddingTable& context,
+                 VertexId target, float label, float lr, std::span<float> dh,
+                 float scale) {
+  auto c = context.Row(target);
+  const float p = Sigmoid(Dot(h, c));
+  const float g = scale * (p - label);
+  Axpy(g, c, dh);
+  context.SgdUpdate(target, h, lr * g);
+  return p;
 }
 
 float SkipGramModel::TrainPair(VertexId center, VertexId context,
                                NegativeSampler& negative_sampler) {
-  const std::vector<VertexId> negs =
+  const std::vector<VertexId> negatives =
       negative_sampler.Sample(config_.negatives, context);
-  return SgnsUpdate(center, context, negs);
+  auto h = in_.Row(center);
+  std::fill(center_grad_.begin(), center_grad_.end(), 0.0f);
+  const float lr = config_.learning_rate;
+  float loss = 0;
+  const float p = SgnsUpdate(h, out_, context, 1.0f, lr, center_grad_);
+  loss -= std::log(std::max(p, 1e-7f));
+  for (VertexId neg : negatives) {
+    const float q = SgnsUpdate(h, out_, neg, 0.0f, lr, center_grad_);
+    loss -= std::log(std::max(1.0f - q, 1e-7f));
+  }
+  // The center moves once, after all of the pair's targets.
+  in_.SgdUpdate(center, center_grad_, lr);
+  return loss / static_cast<float>(1 + negatives.size());
 }
 
 float SkipGramModel::TrainWalks(
@@ -53,15 +51,10 @@ float SkipGramModel::TrainWalks(
     double loss = 0;
     size_t pairs = 0;
     for (const auto& walk : walks) {
-      for (size_t i = 0; i < walk.size(); ++i) {
-        const size_t lo = i > config_.window ? i - config_.window : 0;
-        const size_t hi = std::min(walk.size(), i + config_.window + 1);
-        for (size_t j = lo; j < hi; ++j) {
-          if (j == i) continue;
-          loss += TrainPair(walk[i], walk[j], negative_sampler);
-          ++pairs;
-        }
-      }
+      ForEachContextPair(walk.size(), [&](size_t i, size_t j) {
+        loss += TrainPair(walk[i], walk[j], negative_sampler);
+        ++pairs;
+      });
     }
     last_epoch_loss =
         pairs == 0 ? 0.0f : static_cast<float>(loss / static_cast<double>(pairs));

@@ -6,6 +6,8 @@
 #ifndef ALIGRAPH_NN_SKIPGRAM_H_
 #define ALIGRAPH_NN_SKIPGRAM_H_
 
+#include <algorithm>
+#include <span>
 #include <vector>
 
 #include "nn/layers.h"
@@ -14,10 +16,39 @@
 namespace aligraph {
 namespace nn {
 
+/// The skip-gram context window: positions within this distance of a walk's
+/// center are its contexts.
+inline constexpr size_t kSkipGramWindow = 2;
+
+/// Calls fn(i, j) for every (center, context) position pair of a walk of
+/// `length`: i ascending, and for each i every j != i within
+/// kSkipGramWindow, ascending.
+template <typename Fn>
+void ForEachContextPair(size_t length, const Fn& fn) {
+  for (size_t i = 0; i < length; ++i) {
+    const size_t lo = i > kSkipGramWindow ? i - kSkipGramWindow : 0;
+    const size_t hi = std::min(length, i + kSkipGramWindow + 1);
+    for (size_t j = lo; j < hi; ++j) {
+      if (j != i) fn(i, j);
+    }
+  }
+}
+
+/// The one SGNS update of center vector `h` against row `target` of the
+/// context table, the step every skip-gram model takes per target:
+///
+///   g = scale * (sigmoid(h . c) - label);  dh += g * c;  c -= lr * g * h
+///
+/// `dh` collects the center's gradient; the caller applies it (after all
+/// of a pair's targets, or after each). Returns sigmoid(h . c) before the
+/// step.
+float SgnsUpdate(std::span<const float> h, EmbeddingTable& context,
+                 VertexId target, float label, float lr, std::span<float> dh,
+                 float scale = 1.0f);
+
 /// \brief SGNS options.
 struct SkipGramConfig {
   size_t dim = 32;
-  uint32_t window = 2;
   uint32_t negatives = 4;
   float learning_rate = 0.05f;
   uint32_t epochs = 2;
@@ -35,8 +66,8 @@ class SkipGramModel {
   float TrainPair(VertexId center, VertexId context,
                   NegativeSampler& negative_sampler);
 
-  /// Trains over a walk corpus with the configured window. Returns the
-  /// average loss of the final epoch.
+  /// Trains over a walk corpus with the kSkipGramWindow context window.
+  /// Returns the average loss of the final epoch.
   float TrainWalks(const std::vector<std::vector<VertexId>>& walks,
                    NegativeSampler& negative_sampler);
 
@@ -50,9 +81,6 @@ class SkipGramModel {
   EmbeddingTable& mutable_context_embeddings() { return out_; }
 
  private:
-  float SgnsUpdate(VertexId center, VertexId context,
-                   std::span<const VertexId> negatives);
-
   SkipGramConfig config_;
   Rng rng_;
   EmbeddingTable in_;

@@ -1,49 +1,22 @@
 #include "nn/walks.h"
 
-#include <algorithm>
+#include <numeric>
 #include <unordered_set>
 
 namespace aligraph {
 namespace nn {
-namespace {
-
-// Appends `count` walks from each start vertex using `step` to pick the
-// next vertex (returning kInvalidVertex to stop the walk early).
-template <typename StepFn>
-std::vector<std::vector<VertexId>> GenerateWalks(
-    std::span<const VertexId> starts, const WalkConfig& config, StepFn step) {
-  std::vector<std::vector<VertexId>> walks;
-  walks.reserve(starts.size() * config.walks_per_vertex);
-  Rng rng(config.seed);
-  for (uint32_t w = 0; w < config.walks_per_vertex; ++w) {
-    for (VertexId start : starts) {
-      std::vector<VertexId> walk;
-      walk.reserve(config.walk_length);
-      walk.push_back(start);
-      while (walk.size() < config.walk_length) {
-        const VertexId next = step(walk, rng);
-        if (next == kInvalidVertex) break;
-        walk.push_back(next);
-      }
-      if (walk.size() >= 2) walks.push_back(std::move(walk));
-    }
-  }
-  return walks;
-}
-
 std::vector<VertexId> AllVertices(const AttributedGraph& graph) {
   std::vector<VertexId> vs(graph.num_vertices());
-  for (VertexId v = 0; v < graph.num_vertices(); ++v) vs[v] = v;
+  std::iota(vs.begin(), vs.end(), 0);
   return vs;
 }
-
-}  // namespace
 
 std::vector<std::vector<VertexId>> UniformWalks(const AttributedGraph& graph,
                                                 const WalkConfig& config) {
   const std::vector<VertexId> starts = AllVertices(graph);
+  Rng rng(config.seed);
   return GenerateWalks(
-      std::span<const VertexId>(starts), config,
+      std::span<const VertexId>(starts), config, rng,
       [&graph](const std::vector<VertexId>& walk, Rng& rng) -> VertexId {
         const auto nbs = graph.OutNeighbors(walk.back());
         if (nbs.empty()) return kInvalidVertex;
@@ -55,8 +28,9 @@ std::vector<std::vector<VertexId>> Node2VecWalks(const AttributedGraph& graph,
                                                  const WalkConfig& config,
                                                  double p, double q) {
   const std::vector<VertexId> starts = AllVertices(graph);
+  Rng rng(config.seed);
   return GenerateWalks(
-      std::span<const VertexId>(starts), config,
+      std::span<const VertexId>(starts), config, rng,
       [&graph, p, q](const std::vector<VertexId>& walk, Rng& rng) -> VertexId {
         const VertexId cur = walk.back();
         const auto nbs = graph.OutNeighbors(cur);
@@ -89,8 +63,9 @@ std::vector<std::vector<VertexId>> MetapathWalks(
     const std::vector<EdgeType>& metapath,
     const std::vector<VertexId>& start_vertices) {
   if (metapath.empty()) return {};
+  Rng rng(config.seed);
   return GenerateWalks(
-      std::span<const VertexId>(start_vertices), config,
+      std::span<const VertexId>(start_vertices), config, rng,
       [&graph, &metapath](const std::vector<VertexId>& walk,
                           Rng& rng) -> VertexId {
         const EdgeType et = metapath[(walk.size() - 1) % metapath.size()];
@@ -108,8 +83,9 @@ std::vector<std::vector<VertexId>> LayerWalks(const AttributedGraph& graph,
   for (VertexId v = 0; v < graph.num_vertices(); ++v) {
     if (!graph.OutNeighbors(v, layer).empty()) starts.push_back(v);
   }
+  Rng rng(config.seed);
   return GenerateWalks(
-      std::span<const VertexId>(starts), config,
+      std::span<const VertexId>(starts), config, rng,
       [&graph, layer](const std::vector<VertexId>& walk, Rng& rng) -> VertexId {
         const auto nbs = graph.OutNeighbors(walk.back(), layer);
         if (nbs.empty()) return kInvalidVertex;

@@ -8,9 +8,11 @@
 /// Cluster (where reads are cache-aware and communication-counted).
 ///
 /// The NEIGHBORHOOD sampler only draws: its blocks carry ids and CSRs, no
-/// feature rows. block::GatherBlockFeatures is the one gather, run as its
-/// own stage by pipeline::BlockPipeline. Draws are sequential on the
-/// calling thread; the pipeline's lanes supply the concurrency.
+/// feature rows. block::GatherBlockFeatures is the one gather: training's
+/// pipeline::BlockPipeline runs it as its own stage, and serving runs it on
+/// the thread that serves the request, after the draw. Draws are
+/// sequential on the calling thread; training's pipeline lanes and
+/// serving's request threads supply the concurrency.
 
 #ifndef ALIGRAPH_SAMPLING_SAMPLER_H_
 #define ALIGRAPH_SAMPLING_SAMPLER_H_
@@ -230,9 +232,10 @@ class NeighborhoodSampler {
   /// block::SampledBlock: deduplicated frontier with dense local ids plus
   /// one local-id CSR per hop. Each hop issues ONE NeighborsBatch over the
   /// whole frontier instead of per-vertex reads. The sampler only draws:
-  /// feature rows come from block::GatherBlockFeatures, the pipeline's
-  /// gather stage. The draws are identical to Sample's for the same
-  /// sampler state: both entry points share one draw loop.
+  /// feature rows come from block::GatherBlockFeatures (training's gather
+  /// stage, or the next step of a served request). The draws are identical
+  /// to Sample's for the same sampler state: both entry points share one
+  /// draw loop.
   block::SampledBlock SampleBlock(NeighborSource& source,
                                   std::span<const VertexId> roots,
                                   EdgeType type,

@@ -135,10 +135,11 @@ ServeEngine::ServeEngine(const AttributedGraph& graph,
     : graph_(graph),
       features_(features),
       config_(config),
-      rng_(config.seed),
-      layer1_(features.cols(), config.dim, /*maxpool=*/false, rng_),
-      layer2_(config.dim, config.dim, /*maxpool=*/false, rng_,
-              /*relu=*/false),
+      stack_([&] {
+        Rng rng(config.seed);
+        return algo::SageStack(features.cols(), config.dim,
+                               /*maxpool=*/false, rng);
+      }()),
       wall_latency_(obs::DefaultHistogram("serve.wall_latency_us")),
       busy_sample_(obs::DefaultCounter("pipeline.stage_busy_us.sample")),
       busy_gather_(obs::DefaultCounter("pipeline.stage_busy_us.gather")),
@@ -393,20 +394,11 @@ RequestResult ServeEngine::Serve(const LoadGenerator& gen, uint64_t id) const {
   Stage("serve/gather", busy_gather_, [&] {
     x = block::GatherBlockFeatures(blk, feature_source, /*row_cache=*/nullptr);
   });
-  Stage("serve/compute", busy_compute_, [&] { r.fingerprint = Embed(blk, x); });
+  Stage("serve/compute", busy_compute_,
+        [&] { r.fingerprint = FingerprintMatrix(stack_.Embed(blk, x)); });
   r.sampled_edges = BlockEdges(blk);
   r.block_rows = blk.num_vertices();
   return r;
-}
-
-uint64_t ServeEngine::Embed(const block::SampledBlock& blk,
-                            const nn::Matrix& x) const {
-  algo::SageLayer::Cache c_roots, c_h1, c_top;
-  const nn::Matrix h1_roots = layer1_.ForwardBlock(x, blk.hops()[0], &c_roots);
-  const nn::Matrix h1_h1 = layer1_.ForwardBlock(x, blk.hops()[1], &c_h1);
-  nn::Matrix h2 = layer2_.Forward(h1_roots, h1_h1, config_.fanout1, &c_top);
-  nn::L2NormalizeRows(h2);
-  return FingerprintMatrix(h2);
 }
 
 }  // namespace serve

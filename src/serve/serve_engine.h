@@ -5,7 +5,8 @@
 ///
 /// AliGraph's operators and samplers were built for offline training
 /// batches; this subsystem turns the same machinery — SampleBlock ->
-/// GatherBlockFeatures -> SageLayer::ForwardBlock — into a request server.
+/// GatherBlockFeatures -> algo::SageStack::Embed, the stack training and
+/// Infer run — into a request server.
 /// Each request carries a batch of Zipf-hot seed vertices (LoadGenerator)
 /// and is the unit of work: one thread runs its sample, gather and forward
 /// end to end, as each core serves its own request bucket in the paper.
@@ -68,7 +69,6 @@
 #include <vector>
 
 #include "algo/gnn.h"
-#include "common/random.h"
 #include "common/threadpool.h"
 #include "graph/graph.h"
 #include "nn/matrix.h"
@@ -219,8 +219,8 @@ struct ServeTimeline {
 };
 
 /// \brief Serves embedding requests over one graph + feature matrix with a
-/// freshly initialized (deterministic) two-layer GraphSAGE stack. The graph
-/// and features must outlive the engine.
+/// freshly initialized (deterministic) algo::SageStack. The graph and
+/// features must outlive the engine.
 class ServeEngine {
  public:
   ServeEngine(const AttributedGraph& graph, const nn::Matrix& features,
@@ -251,22 +251,17 @@ class ServeEngine {
 
  private:
   /// Serves request `id` end to end on the calling thread: sample, gather
-  /// and Embed, each under its "serve/*" span. Fills the result's
-  /// fingerprint, sampled_edges and block_rows. Const, so Run's threads
-  /// may call it at once.
+  /// and the stack's Embed, each under its "serve/*" span. Fills the
+  /// result's fingerprint, sampled_edges and block_rows. Const, so Run's
+  /// threads may call it at once.
   RequestResult Serve(const LoadGenerator& gen, uint64_t id) const;
-
-  /// The request forward: two GraphSAGE layers over the block's gathered
-  /// rows `x`, row-wise L2 normalization, and the fingerprint of the
-  /// resulting embedding.
-  uint64_t Embed(const block::SampledBlock& blk, const nn::Matrix& x) const;
 
   const AttributedGraph& graph_;
   const nn::Matrix& features_;
   ServeConfig config_;
-  Rng rng_;
-  algo::SageLayer layer1_;
-  algo::SageLayer layer2_;
+  // The served model: the GraphSAGE stack training and Infer run, with
+  // weights drawn from Rng(config.seed).
+  algo::SageStack stack_;
   std::vector<RequestResult> results_;
 
   // The measured clock's records, from the default registry at
