@@ -112,6 +112,29 @@ ALIGRAPH_PROP(LayoutProps, DegreeDescendingRanksHubsFirst, 10) {
   }
 }
 
+// rank -> old vertex: descending hub degree, ties toward the smaller id.
+std::vector<VertexId> HubOrder(const AttributedGraph& g) {
+  std::vector<VertexId> order(g.num_vertices());
+  std::iota(order.begin(), order.end(), VertexId{0});
+  std::stable_sort(order.begin(), order.end(), [&g](VertexId a, VertexId b) {
+    return HubDegree(g, a) > HubDegree(g, b);
+  });
+  return order;
+}
+
+ALIGRAPH_PROP(LayoutProps, HotFirstOverHubOrderIsDegreeDescending, 10) {
+  const AttributedGraph g = proptest::RandomGraph(ctx);
+  const VertexLayout hot = ComputeHotFirstLayout(g, HubOrder(g));
+  const VertexLayout degree =
+      ComputeLayout(g, LayoutPolicy::kDegreeDescending);
+  EXPECT_EQ(hot.new_of_old, degree.new_of_old);
+  EXPECT_EQ(hot.old_of_new, degree.old_of_new);
+  const VertexLayout none = ComputeHotFirstLayout(g, {});
+  EXPECT_TRUE(none.IsIdentity());
+  EXPECT_EQ(none.old_of_new,
+            ComputeLayout(g, LayoutPolicy::kIdentity).old_of_new);
+}
+
 ALIGRAPH_PROP(LayoutProps, HotFirstPacksTrafficRankingThenOldIdOrder, 10) {
   const AttributedGraph g = proptest::RandomGraph(ctx);
   const VertexId n = g.num_vertices();
