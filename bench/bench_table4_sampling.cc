@@ -7,18 +7,13 @@
 /// batch. The paper's claims: all samplers finish within tens of
 /// milliseconds, and latency grows slowly with graph size.
 
-#include <cstdio>
 #include <numeric>
 #include <vector>
 
 #include "bench_util.h"
 #include "cluster/cluster.h"
-#include "common/random.h"
 #include "common/timer.h"
-#include "gen/powerlaw.h"
 #include "gen/taobao.h"
-#include "gen/zipf.h"
-#include "layout/layout.h"
 #include "partition/partitioner.h"
 #include "sampling/sampler.h"
 
@@ -116,99 +111,6 @@ SamplingTimes RunDataset(const AttributedGraph& graph, uint32_t workers,
   return out;
 }
 
-/// One layout variant's modeled replay of the recorded gather trace.
-struct ReorderCost {
-  layout::LayoutPolicy policy = layout::LayoutPolicy::kIdentity;
-  double modeled_us = 0;
-  double hit_rate = 0;
-};
-
-struct ReorderCosts {
-  ReorderCost identity, degree, bfs, hot;
-  /// identity modeled cost / hot-first modeled cost — the gated
-  /// `sampling.reorder_speedup` key.
-  double speedup = 0;
-};
-
-/// Reorder-on/off variants of the batched root-neighborhood gather.
-///
-/// The study runs on a FIXED ChungLu graph (not the scale-dependent Taobao
-/// sets): layout effects need the graph to dwarf the modeled cache, and at
-/// smoke scale the Taobao graphs fit entirely — the gated ratio must mean
-/// the same thing at every --scale. Traffic is Zipf over an ACTIVITY
-/// ranking drawn independently of degree (item popularity correlates only
-/// loosely with connectivity), the sampler records its reads through a
-/// RecordingNeighborSource in the order it makes them, and each layout
-/// replays that identical read sequence, mapped into its own id space,
-/// through the LRU + stream-prefetch line model over its CSR geometry.
-/// Pure function of the seed, so the speedup is bit-stable and CI can
-/// gate it.
-ReorderCosts RunReorder(uint64_t seed) {
-  gen::ChungLuConfig cfg;
-  cfg.num_vertices = 20000;
-  cfg.avg_degree = 3;
-  cfg.seed = 42;
-  const AttributedGraph graph = std::move(gen::ChungLu(cfg)).value();
-
-  // Activity ranking: a seeded shuffle of the vertex set.
-  std::vector<VertexId> activity(graph.num_vertices());
-  std::iota(activity.begin(), activity.end(), 0);
-  Rng arng(seed + 11);
-  for (size_t i = activity.size(); i > 1; --i) {
-    std::swap(activity[i - 1], activity[arng.Uniform(i)]);
-  }
-
-  gen::ZipfConfig zcfg;
-  zcfg.num_ranks = graph.num_vertices();
-  zcfg.exponent = 1.2;
-  zcfg.seed = seed + 6;
-  gen::ZipfSampler zipf(zcfg);
-
-  LocalNeighborSource local(graph);
-  layout::RecordingNeighborSource recorder(local);
-  NeighborhoodSampler hood(NeighborStrategy::kUniform, seed + 5);
-  const std::vector<uint32_t> fans{10};
-  constexpr size_t kBatch = 512;
-  constexpr int kRequests = 40;
-  std::vector<VertexId> roots(kBatch);
-  for (int r = 0; r < kRequests; ++r) {
-    for (VertexId& v : roots) v = activity[zipf.Next()];
-    hood.Sample(recorder, roots, NeighborhoodSampler::kAllEdgeTypes, fans);
-  }
-  const std::vector<VertexId>& trace = recorder.trace();
-
-  // An L1-ish cache (256 lines = 16 KiB of adjacency) against a ~5600-line
-  // adjacency footprint: the packed hot band fits, a scattered one cannot.
-  layout::CacheModelConfig model;
-  model.cache_lines = 256;
-
-  ReorderCosts out;
-  const auto run = [&](const layout::VertexLayout& lay,
-                       layout::LayoutPolicy policy) {
-    ReorderCost cost;
-    cost.policy = policy;
-    const AttributedGraph reordered =
-        std::move(layout::ApplyLayout(graph, lay)).value();
-    const std::vector<VertexId> replay = layout::MapToNew(lay, trace);
-    const layout::ScanCost scan =
-        layout::ModeledScanCost(reordered, replay, model);
-    cost.modeled_us = scan.modeled_us;
-    cost.hit_rate = scan.HitRate();
-    return cost;
-  };
-  out.identity = run(layout::VertexLayout::Identity(graph.num_vertices()),
-                     layout::LayoutPolicy::kIdentity);
-  out.degree =
-      run(layout::ComputeLayout(graph, layout::LayoutPolicy::kDegreeDescending),
-          layout::LayoutPolicy::kDegreeDescending);
-  out.bfs = run(layout::ComputeLayout(graph, layout::LayoutPolicy::kBfsCluster),
-                layout::LayoutPolicy::kBfsCluster);
-  out.hot = run(layout::ComputeHotFirstLayout(graph, activity),
-                layout::LayoutPolicy::kHotFirst);
-  out.speedup = out.identity.modeled_us / out.hot.modeled_us;
-  return out;
-}
-
 }  // namespace
 }  // namespace aligraph
 
@@ -260,36 +162,6 @@ int main(int argc, char** argv) {
                            t.neighborhood_modeled_ms);
     obs.report().AddMetric("taobao_large.neighborhood_per_vertex_modeled_ms",
                            t.neighborhood_pv_modeled_ms);
-  }
-  {
-    // Reorder-on/off variants: same recorded gather trace, replayed through
-    // the cache-line model under each layout (fixed study graph — see
-    // RunReorder). Modeled, hence deterministic —
-    // `sampling.reorder_speedup` feeds the regression gate.
-    const ReorderCosts rc = RunReorder(args.seed);
-    obs.Table("reorder_locality",
-              {"layout", "modeled scan", "hit rate", "vs identity"});
-    const auto row = [&obs, &rc](const ReorderCost& c) {
-      char hit[32], rel[32];
-      std::snprintf(hit, sizeof(hit), "%.1f%%", c.hit_rate * 100.0);
-      std::snprintf(rel, sizeof(rel), "%.2fx",
-                    rc.identity.modeled_us / c.modeled_us);
-      obs.TableRow({layout::PolicyName(c.policy),
-                    bench::Ms(c.modeled_us / 1000.0), hit, rel});
-    };
-    row(rc.identity);
-    row(rc.degree);
-    row(rc.bfs);
-    row(rc.hot);
-    obs.report().AddMetric("sampling.reorder_speedup", rc.speedup);
-    obs.report().AddMetric("sampling.reorder_hit_rate.identity",
-                           rc.identity.hit_rate);
-    obs.report().AddMetric("sampling.reorder_hit_rate.degree_descending",
-                           rc.degree.hit_rate);
-    obs.report().AddMetric("sampling.reorder_hit_rate.bfs_cluster",
-                           rc.bfs.hit_rate);
-    obs.report().AddMetric("sampling.reorder_hit_rate.hot_first",
-                           rc.hot.hit_rate);
   }
   obs.WriteReport();
   return 0;

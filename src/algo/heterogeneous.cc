@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "algo/classic.h"
 #include "common/logging.h"
 #include "sampling/sampler.h"
 
@@ -55,57 +56,51 @@ std::string Pmne::name() const {
 
 Result<nn::Matrix> Pmne::Embed(const AttributedGraph& graph) {
   if (graph.num_vertices() == 0) return Status::InvalidArgument("empty graph");
+  if (config_.variant == PmneVariant::kNetwork) {
+    // Merging all layers into one network and embedding it once is
+    // DeepWalk on the merged graph.
+    return DeepWalk({config_.walks, config_.sgns}).Embed(graph);
+  }
   NegativeSampler negs(graph, nn::AllVertices(graph), 0.75, config_.sgns.seed);
   const size_t layers = graph.num_edge_types();
 
-  switch (config_.variant) {
-    case PmneVariant::kNetwork: {
-      // Merge all layers into one network, embed once.
-      const auto walks = nn::UniformWalks(graph, config_.walks);
-      nn::SkipGramModel model(graph.num_vertices(), config_.sgns);
+  if (config_.variant == PmneVariant::kResults) {
+    // Embed each layer independently, concatenate the results.
+    nn::SkipGramConfig per = config_.sgns;
+    per.dim = std::max<size_t>(4, config_.sgns.dim / std::max<size_t>(layers, 1));
+    nn::Matrix out;
+    for (size_t t = 0; t < layers; ++t) {
+      const auto walks =
+          nn::LayerWalks(graph, config_.walks, static_cast<EdgeType>(t));
+      nn::SkipGramModel model(graph.num_vertices(), per);
       model.TrainWalks(walks, negs);
-      return model.embeddings().matrix();
+      out = out.empty() ? model.embeddings().matrix()
+                        : nn::ConcatCols(out, model.embeddings().matrix());
     }
-    case PmneVariant::kResults: {
-      // Embed each layer independently, concatenate the results.
-      nn::SkipGramConfig per = config_.sgns;
-      per.dim = std::max<size_t>(4, config_.sgns.dim / std::max<size_t>(layers, 1));
-      nn::Matrix out;
-      for (size_t t = 0; t < layers; ++t) {
-        const auto walks =
-            nn::LayerWalks(graph, config_.walks, static_cast<EdgeType>(t));
-        nn::SkipGramModel model(graph.num_vertices(), per);
-        model.TrainWalks(walks, negs);
-        out = out.empty() ? model.embeddings().matrix()
-                          : nn::ConcatCols(out, model.embeddings().matrix());
-      }
-      return out;
-    }
-    case PmneVariant::kCoAnalysis: {
-      // Walks that hop between layers with probability switch_prob. Each
-      // walk draws its starting layer before its first step.
-      Rng rng(config_.walks.seed);
-      EdgeType layer = 0;
-      const auto walks = nn::GenerateWalks(
-          nn::AllVertices(graph), config_.walks, rng,
-          [&](const std::vector<VertexId>& walk, Rng& r) -> VertexId {
-            if (walk.size() == 1) {
-              layer = static_cast<EdgeType>(r.Uniform(layers));
-            }
-            if (r.Bernoulli(config_.switch_prob)) {
-              layer = static_cast<EdgeType>(r.Uniform(layers));
-            }
-            auto nbs = graph.OutNeighbors(walk.back(), layer);
-            if (nbs.empty()) nbs = graph.OutNeighbors(walk.back());
-            if (nbs.empty()) return kInvalidVertex;
-            return nbs[r.Uniform(nbs.size())].dst;
-          });
-      nn::SkipGramModel model(graph.num_vertices(), config_.sgns);
-      model.TrainWalks(walks, negs);
-      return model.embeddings().matrix();
-    }
+    return out;
   }
-  return Status::Internal("unreachable");
+
+  // Co-analysis: walks that hop between layers with probability
+  // switch_prob. Each walk draws its starting layer before its first step.
+  Rng rng(config_.walks.seed);
+  EdgeType layer = 0;
+  const auto walks = nn::GenerateWalks(
+      nn::AllVertices(graph), config_.walks, rng,
+      [&](const std::vector<VertexId>& walk, Rng& r) -> VertexId {
+        if (walk.size() == 1) {
+          layer = static_cast<EdgeType>(r.Uniform(layers));
+        }
+        if (r.Bernoulli(config_.switch_prob)) {
+          layer = static_cast<EdgeType>(r.Uniform(layers));
+        }
+        auto nbs = graph.OutNeighbors(walk.back(), layer);
+        if (nbs.empty()) nbs = graph.OutNeighbors(walk.back());
+        if (nbs.empty()) return kInvalidVertex;
+        return nbs[r.Uniform(nbs.size())].dst;
+      });
+  nn::SkipGramModel model(graph.num_vertices(), config_.sgns);
+  model.TrainWalks(walks, negs);
+  return model.embeddings().matrix();
 }
 
 Result<nn::Matrix> Mve::Embed(const AttributedGraph& graph) {

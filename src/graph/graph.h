@@ -85,11 +85,6 @@ class Csr {
 
   size_t Degree(VertexId v) const { return offsets_[v + 1] - offsets_[v]; }
 
-  /// Position of v's adjacency in the flat neighbor array. Exposed so the
-  /// layout subsystem can model cache behaviour of a walk from the CSR's
-  /// actual storage geometry.
-  uint64_t OffsetOf(VertexId v) const { return offsets_[v]; }
-
   /// Copy of this CSR re-indexed under a vertex permutation: the new
   /// vertex new_of_old[v] gets v's adjacency with every destination mapped
   /// through new_of_old, per-vertex neighbor ORDER preserved. Order
@@ -149,18 +144,14 @@ class AttributedGraph {
   size_t OutDegree(VertexId v) const { return out_all_.Degree(v); }
   size_t InDegree(VertexId v) const { return in_all_.Degree(v); }
 
-  /// Storage position of v's merged out-adjacency (units of Neighbor
-  /// entries); feeds the layout subsystem's modeled cache cost.
-  uint64_t OutAdjacencyOffset(VertexId v) const { return out_all_.OffsetOf(v); }
-
   /// Copy of this graph with vertices relabeled under a permutation:
   /// vertex v becomes new_of_old[v]. Adjacency (merged and per-type, both
   /// directions), vertex types, and attribute references are carried over
   /// with per-vertex neighbor order preserved; attribute payload stores are
   /// shared byte-for-byte (AttrIds are not renumbered). The permutation
   /// must be a bijection over [0, n); old_of_new must be its inverse.
-  /// Used by layout::ApplyLayout — see src/layout/layout.h for the policy
-  /// that picks the permutation.
+  /// Used by layout::ApplyLayout, which builds the permutation from a
+  /// caller's access ranking (src/layout/layout.h).
   AttributedGraph Reordered(std::span<const VertexId> new_of_old,
                             std::span<const VertexId> old_of_new) const;
 

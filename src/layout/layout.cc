@@ -2,31 +2,14 @@
 
 #include <algorithm>
 #include <numeric>
-#include <queue>
 
 #include "common/logging.h"
-#include "common/lru_cache.h"
 
 namespace aligraph {
 namespace layout {
 
-const char* PolicyName(LayoutPolicy policy) {
-  switch (policy) {
-    case LayoutPolicy::kIdentity:
-      return "identity";
-    case LayoutPolicy::kDegreeDescending:
-      return "degree_desc";
-    case LayoutPolicy::kBfsCluster:
-      return "bfs_cluster";
-    case LayoutPolicy::kHotFirst:
-      return "hot_first";
-  }
-  return "unknown";
-}
-
 VertexLayout VertexLayout::Identity(VertexId n) {
   VertexLayout layout;
-  layout.policy = LayoutPolicy::kIdentity;
   layout.new_of_old.resize(n);
   layout.old_of_new.resize(n);
   std::iota(layout.new_of_old.begin(), layout.new_of_old.end(), VertexId{0});
@@ -49,95 +32,10 @@ bool IsValidPermutation(const VertexLayout& layout, VertexId n) {
   return true;
 }
 
-namespace {
-
-/// Combined degree used for hub ranking; in-degree matters because the
-/// NEGATIVE sampler and Imp_k both read it, and a hub by either metric is
-/// hot in somebody's walk.
-size_t HubDegree(const AttributedGraph& g, VertexId v) {
-  return g.OutDegree(v) + g.InDegree(v);
-}
-
-/// rank -> old vertex, descending hub degree, ties toward the smaller id.
-std::vector<VertexId> HubOrder(const AttributedGraph& g) {
-  std::vector<VertexId> order(g.num_vertices());
-  std::iota(order.begin(), order.end(), VertexId{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&g](VertexId a, VertexId b) {
-                     return HubDegree(g, a) > HubDegree(g, b);
-                   });
-  return order;
-}
-
-VertexLayout DegreeDescendingLayout(const AttributedGraph& g) {
-  VertexLayout layout;
-  layout.policy = LayoutPolicy::kDegreeDescending;
-  layout.old_of_new = HubOrder(g);
-  layout.new_of_old.resize(layout.old_of_new.size());
-  for (size_t rank = 0; rank < layout.old_of_new.size(); ++rank) {
-    layout.new_of_old[layout.old_of_new[rank]] = static_cast<VertexId>(rank);
-  }
-  return layout;
-}
-
-/// Hub-seeded BFS: repeatedly seed at the highest-degree unvisited vertex
-/// and lay its reachable component out in breadth-first order, so each
-/// neighborhood community occupies a contiguous stretch of the CSR. The
-/// frontier expands over OUT-neighbors in adjacency order (the order the
-/// samplers themselves walk).
-VertexLayout BfsClusterLayout(const AttributedGraph& g) {
-  const VertexId n = g.num_vertices();
-  VertexLayout layout;
-  layout.policy = LayoutPolicy::kBfsCluster;
-  layout.new_of_old.assign(n, kInvalidVertex);
-  layout.old_of_new.reserve(n);
-
-  std::vector<uint8_t> visited(n, 0);
-  std::queue<VertexId> frontier;
-  for (const VertexId seed : HubOrder(g)) {
-    if (visited[seed]) continue;
-    visited[seed] = 1;
-    frontier.push(seed);
-    while (!frontier.empty()) {
-      const VertexId v = frontier.front();
-      frontier.pop();
-      layout.new_of_old[v] =
-          static_cast<VertexId>(layout.old_of_new.size());
-      layout.old_of_new.push_back(v);
-      for (const Neighbor& nb : g.OutNeighbors(v)) {
-        if (visited[nb.dst]) continue;
-        visited[nb.dst] = 1;
-        frontier.push(nb.dst);
-      }
-    }
-  }
-  return layout;
-}
-
-}  // namespace
-
-VertexLayout ComputeLayout(const AttributedGraph& graph, LayoutPolicy policy) {
-  switch (policy) {
-    case LayoutPolicy::kIdentity:
-      return VertexLayout::Identity(graph.num_vertices());
-    case LayoutPolicy::kDegreeDescending:
-      return DegreeDescendingLayout(graph);
-    case LayoutPolicy::kBfsCluster:
-      return BfsClusterLayout(graph);
-    case LayoutPolicy::kHotFirst:
-      ALIGRAPH_CHECK(false)
-          << "kHotFirst needs a traffic ranking; use ComputeHotFirstLayout";
-      break;
-  }
-  ALIGRAPH_CHECK(false) << "unknown layout policy";
-  return VertexLayout::Identity(graph.num_vertices());
-}
-
 VertexLayout ComputeHotFirstLayout(const AttributedGraph& graph,
                                    std::span<const VertexId> hot_order) {
   const VertexId n = graph.num_vertices();
   VertexLayout layout;
-  layout.policy = LayoutPolicy::kHotFirst;
   layout.new_of_old.assign(n, kInvalidVertex);
   layout.old_of_new.reserve(n);
   for (const VertexId v : hot_order) {
@@ -190,45 +88,6 @@ nn::Matrix PermuteRows(const nn::Matrix& rows, const VertexLayout& layout) {
               out.Row(layout.ToNew(static_cast<VertexId>(v))).begin());
   }
   return out;
-}
-
-ScanCost ModeledScanCost(const AttributedGraph& graph,
-                         std::span<const VertexId> visits,
-                         const CacheModelConfig& config) {
-  ALIGRAPH_CHECK_GT(config.line_bytes, 0u);
-  ALIGRAPH_CHECK_GT(config.cache_lines, 0u);
-  LruCache<uint64_t, uint8_t> lines(config.cache_lines);
-  ScanCost cost;
-  uint64_t prev_line = ~uint64_t{0};
-  for (const VertexId v : visits) {
-    const size_t degree = graph.OutDegree(v);
-    if (degree == 0) continue;
-    const uint64_t begin_byte =
-        graph.OutAdjacencyOffset(v) * sizeof(Neighbor);
-    const uint64_t end_byte = begin_byte + degree * sizeof(Neighbor);
-    const uint64_t first = begin_byte / config.line_bytes;
-    const uint64_t last = (end_byte - 1) / config.line_bytes;
-    for (uint64_t line = first; line <= last; ++line) {
-      ++cost.line_accesses;
-      if (lines.Get(line).has_value()) {
-        ++cost.hits;
-      } else {
-        ++cost.misses;
-        // The stream prefetcher has the NEXT line in flight by the time a
-        // monotone walk reaches it, so only non-sequential misses pay the
-        // full DRAM fetch.
-        if (config.stream_prefetch && line == prev_line + 1) {
-          ++cost.prefetched;
-        }
-        lines.Put(line, 1);
-      }
-      prev_line = line;
-    }
-  }
-  cost.modeled_us =
-      static_cast<double>(cost.hits + cost.prefetched) * config.hit_us +
-      static_cast<double>(cost.misses - cost.prefetched) * config.miss_us;
-  return cost;
 }
 
 }  // namespace layout
