@@ -317,16 +317,26 @@ void BM_ReorderAliasSampleBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_ReorderAliasSampleBatch)->Arg(0)->Arg(1);
 
+// [m,k] * [k,n]: the square 64 and 128 products, then the two GEMM shapes
+// of a serve request's forward pass (the layer-1 hop-1 rows, 40x32 * 32x32,
+// and layer 2's four roots, 4x64 * 64x32).
 void BM_MatMul(benchmark::State& state) {
   Rng rng(7);
-  const size_t n = static_cast<size_t>(state.range(0));
-  nn::Matrix a = nn::Matrix::Gaussian(n, n, 1.0f, rng);
-  nn::Matrix b = nn::Matrix::Gaussian(n, n, 1.0f, rng);
+  const size_t m = static_cast<size_t>(state.range(0));
+  const size_t k = static_cast<size_t>(state.range(1));
+  const size_t n = static_cast<size_t>(state.range(2));
+  nn::Matrix a = nn::Matrix::Gaussian(m, k, 1.0f, rng);
+  nn::Matrix b = nn::Matrix::Gaussian(k, n, 1.0f, rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(nn::MatMul(a, b));
   }
 }
-BENCHMARK(BM_MatMul)->Arg(64)->Arg(128);
+BENCHMARK(BM_MatMul)
+    ->ArgNames({"m", "k", "n"})
+    ->Args({64, 64, 64})
+    ->Args({128, 128, 128})
+    ->Args({40, 32, 32})
+    ->Args({4, 64, 32});
 
 // One ApplyUpdateBatch after Arg(0) earlier batches on a 4-worker hybrid
 // cluster. Each batch has 256 edges: 128 inserts with Zipf(1.0)-hot

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <numeric>
 #include <unordered_set>
+#include <utility>
 
 #include "block/feature_source.h"
 #include "block/scaled_csr.h"
@@ -99,10 +100,10 @@ Status CheckAggregator(const std::string& aggregator) {
 // the order a separate aggregate matrix joined by ConcatCols would use, so
 // the bits are the same.
 template <typename SelfRow, typename NeighborRow>
-nn::Matrix SageLayer::ForwardRows(size_t n, size_t fan,
-                                  const SelfRow& self_row,
-                                  const NeighborRow& neighbor_row,
-                                  Cache* cache) const {
+const nn::Matrix& SageLayer::ForwardRows(size_t n, size_t fan,
+                                         const SelfRow& self_row,
+                                         const NeighborRow& neighbor_row,
+                                         Cache* cache) const {
   ALIGRAPH_CHECK(!maxpool_ || fan > 0) << "maxpool needs a neighbor per row";
   const size_t d = in_dim_;
   cache->input = nn::Matrix(n, 2 * d);
@@ -133,15 +134,14 @@ nn::Matrix SageLayer::ForwardRows(size_t n, size_t fan,
       }
     }
   }
-  nn::Matrix y = linear_.ForwardAt(cache->input);
-  if (relu_) nn::ReluInPlace(y);
-  cache->output = y;
-  return y;
+  cache->output = linear_.ForwardAt(cache->input);
+  if (relu_) nn::ReluInPlace(cache->output);
+  return cache->output;
 }
 
-nn::Matrix SageLayer::Forward(const nn::Matrix& self,
-                              const nn::Matrix& neighbors, size_t fan,
-                              Cache* cache) const {
+const nn::Matrix& SageLayer::Forward(const nn::Matrix& self,
+                                     const nn::Matrix& neighbors, size_t fan,
+                                     Cache* cache) const {
   ALIGRAPH_CHECK_EQ(self.cols(), in_dim_);
   ALIGRAPH_CHECK_EQ(neighbors.cols(), in_dim_);
   ALIGRAPH_CHECK_EQ(neighbors.rows(), self.rows() * fan);
@@ -150,9 +150,9 @@ nn::Matrix SageLayer::Forward(const nn::Matrix& self,
       [&](size_t e) { return neighbors.Row(e); }, cache);
 }
 
-nn::Matrix SageLayer::ForwardBlock(const nn::Matrix& rows,
-                                   const block::BlockHop& hop,
-                                   Cache* cache) const {
+const nn::Matrix& SageLayer::ForwardBlock(const nn::Matrix& rows,
+                                          const block::BlockHop& hop,
+                                          Cache* cache) const {
   ALIGRAPH_CHECK_EQ(rows.cols(), in_dim_);
   // Build lays every hop out with stride fan: edge e of dst i is
   // i * fan + f.
@@ -197,11 +197,12 @@ SageStack::SageStack(size_t feature_dim, size_t dim, bool maxpool, Rng& rng)
     : layer1_(feature_dim, dim, maxpool, rng),
       layer2_(dim, dim, maxpool, rng, /*relu=*/false) {}
 
-nn::Matrix SageStack::Forward(const block::SampledBlock& blk,
-                              const nn::Matrix& x, Cache* cache) const {
-  const nn::Matrix h1_roots =
+const nn::Matrix& SageStack::Forward(const block::SampledBlock& blk,
+                                     const nn::Matrix& x,
+                                     Cache* cache) const {
+  const nn::Matrix& h1_roots =
       layer1_.ForwardBlock(x, blk.hops()[0], &cache->roots);
-  const nn::Matrix h1_hop1 =
+  const nn::Matrix& h1_hop1 =
       layer1_.ForwardBlock(x, blk.hops()[1], &cache->hop1);
   return layer2_.Forward(h1_roots, h1_hop1, blk.hops()[0].fan, &cache->top);
 }
@@ -220,7 +221,8 @@ void SageStack::Apply(nn::Optimizer& opt) {
 nn::Matrix SageStack::Embed(const block::SampledBlock& blk,
                             const nn::Matrix& x) const {
   Cache cache;
-  nn::Matrix h = Forward(blk, x, &cache);
+  Forward(blk, x, &cache);
+  nn::Matrix h = std::move(cache.top.output);
   nn::L2NormalizeRows(h);
   return h;
 }
@@ -276,7 +278,7 @@ void SageTrainer::TrainEpochs(const AttributedGraph& graph,
         const EdgeBatch& eb = std::any_cast<const EdgeBatch&>(user);
         if (eb.roots.empty()) return;  // every draw hit a sink vertex
         SageStack::Cache cache;
-        const nn::Matrix h2 = stack_.Forward(blk, x, &cache);
+        const nn::Matrix& h2 = stack_.Forward(blk, x, &cache);
         stack_.Backward(cache, EdgeLossGrad(h2, eb));
         stack_.Apply(opt_);
       });

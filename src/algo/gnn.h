@@ -82,17 +82,21 @@ class SageLayer {
     size_t fan = 1;
   };
 
-  /// neighbors is [n*fan, in_dim]; self is [n, in_dim].
-  nn::Matrix Forward(const nn::Matrix& self, const nn::Matrix& neighbors,
-                     size_t fan, Cache* cache) const;
+  /// neighbors is [n*fan, in_dim]; self is [n, in_dim]. Returns the
+  /// layer's output, held in cache->output: valid while the cache is.
+  const nn::Matrix& Forward(const nn::Matrix& self,
+                            const nn::Matrix& neighbors, size_t fan,
+                            Cache* cache) const;
 
   /// Block forward: `rows` is a block's dense [num_vertices, in_dim]
   /// per-unique-vertex matrix; self rows come from hop.dst, neighbor rows
   /// from the hop CSR, with no per-slot materialization of the neighbor
   /// matrix. Fills `cache` exactly like Forward (same input / output /
-  /// argmax bits), so Backward serves both paths unchanged.
-  nn::Matrix ForwardBlock(const nn::Matrix& rows, const block::BlockHop& hop,
-                          Cache* cache) const;
+  /// argmax bits), so Backward serves both paths unchanged, and returns
+  /// cache->output as Forward does.
+  const nn::Matrix& ForwardBlock(const nn::Matrix& rows,
+                                 const block::BlockHop& hop,
+                                 Cache* cache) const;
 
   /// Returns (dSelf, dNeighbors).
   std::pair<nn::Matrix, nn::Matrix> Backward(const Cache& cache,
@@ -105,8 +109,9 @@ class SageLayer {
   // The one AGGREGATE + COMBINE body behind Forward and ForwardBlock: row i
   // aggregates self_row(i) with neighbor_row(i * fan + f) for f < fan.
   template <typename SelfRow, typename NeighborRow>
-  nn::Matrix ForwardRows(size_t n, size_t fan, const SelfRow& self_row,
-                         const NeighborRow& neighbor_row, Cache* cache) const;
+  const nn::Matrix& ForwardRows(size_t n, size_t fan, const SelfRow& self_row,
+                                const NeighborRow& neighbor_row,
+                                Cache* cache) const;
 
   nn::Linear linear_;
   size_t in_dim_;
@@ -131,9 +136,10 @@ class SageStack {
   };
 
   /// The roots' [num roots, dim] embeddings, unnormalized, from `x`, the
-  /// block's [num_vertices, feature_dim] gathered rows. Fills `cache`.
-  nn::Matrix Forward(const block::SampledBlock& blk, const nn::Matrix& x,
-                     Cache* cache) const;
+  /// block's [num_vertices, feature_dim] gathered rows. Fills `cache` and
+  /// returns cache->top.output, valid while the cache is.
+  const nn::Matrix& Forward(const block::SampledBlock& blk,
+                            const nn::Matrix& x, Cache* cache) const;
 
   /// Backward of a Forward from the gradient on its output: accumulates
   /// both layers' weight gradients.

@@ -8,9 +8,7 @@ namespace aligraph {
 namespace nn {
 
 Matrix Linear::ForwardAt(const Matrix& x) const {
-  Matrix y = MatMul(x, w_.value);
-  AddBiasRow(y, b_.value);
-  return y;
+  return MatMulAddBias(x, w_.value, b_.value);
 }
 
 Matrix Linear::BackwardAt(const Matrix& x, const Matrix& grad_out) {

@@ -22,8 +22,9 @@ class Linear {
       : w_(Matrix::Xavier(in_dim, out_dim, rng)),
         b_(Matrix(1, out_dim)) {}
 
-  /// Y = X W + b. The layer keeps no state between calls: the caller keeps
-  /// X and passes it back to BackwardAt.
+  /// Y = X W + b, the bias added in the GEMM's store (MatMulAddBias). The
+  /// layer keeps no state between calls: the caller keeps X and passes it
+  /// back to BackwardAt.
   Matrix ForwardAt(const Matrix& x) const;
   /// Backward of a ForwardAt(x): dW += X^T dY, db += colsum(dY), returns
   /// dX = dY W^T, both products under MatMul's contract.

@@ -49,101 +49,141 @@ float Matrix::SquaredNorm() const {
 
 namespace {
 
-// Four floats in one SIMD register, via the GCC/Clang vector extension: the
-// portable way to get SSE / NEON arithmetic out of -O2 without -march, and
-// lane-wise the same IEEE operations as the scalar code.
-typedef float F4 __attribute__((vector_size(16)));
+using simd::F4;
+using simd::Load4;
+using simd::Store4;
 
-inline F4 Load4(const float* p) {
-  F4 v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
+// Eight floats in one vector. An AVX2 build holds one in a ymm register; a
+// baseline x86-64 build (or another target) splits each operation into
+// narrower lanes. Either way it is lane-wise the same IEEE arithmetic as the
+// scalar code. F8 values never cross a function boundary: passing or
+// returning one by value would change the ABI between the two builds.
+typedef float F8 __attribute__((vector_size(32)));
 
-inline void Store4(float* p, F4 v) { std::memcpy(p, &v, sizeof(v)); }
+// One kernel source, two builds: GCC emits an AVX2 clone and a baseline
+// clone and an ifunc picks one when the program loads. AVX2 alone does not
+// enable FMA, so each multiply and add stays separately rounded in both.
+#if defined(__x86_64__)
+#define ALIGRAPH_AVX2_CLONES __attribute__((target_clones("avx2", "default")))
+#else
+#define ALIGRAPH_AVX2_CLONES
+#endif
 
-// c[r][0..8) = sum over p ascending of a[r][p] * b[p][0..8), each sum
-// starting from +0, for the four rows r. Rows may alias (a short last row
-// block repeats its final row): aliased rows store identical values.
-void Tile4x8(const float* const a[4], const float* b, size_t ldb, size_t k,
-             float* const c[4]) {
-  F4 c00 = {}, c01 = {}, c10 = {}, c11 = {};
-  F4 c20 = {}, c21 = {}, c30 = {}, c31 = {};
-  for (size_t p = 0; p < k; ++p) {
-    const F4 b0 = Load4(b + p * ldb);
-    const F4 b1 = Load4(b + p * ldb + 4);
-    const F4 x0 = {a[0][p], a[0][p], a[0][p], a[0][p]};
-    const F4 x1 = {a[1][p], a[1][p], a[1][p], a[1][p]};
-    const F4 x2 = {a[2][p], a[2][p], a[2][p], a[2][p]};
-    const F4 x3 = {a[3][p], a[3][p], a[3][p], a[3][p]};
-    c00 += x0 * b0;
-    c01 += x0 * b1;
-    c10 += x1 * b0;
-    c11 += x1 * b1;
-    c20 += x2 * b0;
-    c21 += x2 * b1;
-    c30 += x3 * b0;
-    c31 += x3 * b1;
+constexpr size_t kTileRows = 4;
+constexpr size_t kTileCols = 16;
+
+// C[i][j] = sum over p ascending of A[i][p] * B[p][j], from +0, then
+// + bias[j] when bias is not null; A is [m,k], B [k,n] and C [m,n], all
+// dense row-major, with m >= 1 and n >= kTileCols. Register tiles of 4 rows
+// x 16 columns (eight 8-float accumulators). A ragged column edge is
+// covered by a last tile that overlaps its neighbour, a ragged row edge by
+// the last four rows, or by repeating the last row when m < 4: a cell
+// computed twice gets the same bits both times.
+ALIGRAPH_AVX2_CLONES
+void GemmTiles(const float* a, const float* b, const float* bias, float* c,
+               size_t m, size_t k, size_t n) {
+  for (size_t i0 = 0; i0 < m; i0 += kTileRows) {
+    const size_t i = std::min(i0, m >= kTileRows ? m - kTileRows : 0);
+    const float* ar[kTileRows];
+    float* cr[kTileRows];
+    for (size_t r = 0; r < kTileRows; ++r) {
+      const size_t row = std::min(i + r, m - 1);
+      ar[r] = a + row * k;
+      cr[r] = c + row * n;
+    }
+    for (size_t j0 = 0; j0 < n; j0 += kTileCols) {
+      const size_t j = std::min(j0, n - kTileCols);
+      F8 c00 = {}, c01 = {}, c10 = {}, c11 = {};
+      F8 c20 = {}, c21 = {}, c30 = {}, c31 = {};
+      for (size_t p = 0; p < k; ++p) {
+        F8 b0, b1;
+        std::memcpy(&b0, b + p * n + j, sizeof(b0));
+        std::memcpy(&b1, b + p * n + j + 8, sizeof(b1));
+        c00 += ar[0][p] * b0;
+        c01 += ar[0][p] * b1;
+        c10 += ar[1][p] * b0;
+        c11 += ar[1][p] * b1;
+        c20 += ar[2][p] * b0;
+        c21 += ar[2][p] * b1;
+        c30 += ar[3][p] * b0;
+        c31 += ar[3][p] * b1;
+      }
+      if (bias != nullptr) {
+        F8 d0, d1;
+        std::memcpy(&d0, bias + j, sizeof(d0));
+        std::memcpy(&d1, bias + j + 8, sizeof(d1));
+        c00 += d0;
+        c01 += d1;
+        c10 += d0;
+        c11 += d1;
+        c20 += d0;
+        c21 += d1;
+        c30 += d0;
+        c31 += d1;
+      }
+      std::memcpy(cr[0] + j, &c00, sizeof(c00));
+      std::memcpy(cr[0] + j + 8, &c01, sizeof(c01));
+      std::memcpy(cr[1] + j, &c10, sizeof(c10));
+      std::memcpy(cr[1] + j + 8, &c11, sizeof(c11));
+      std::memcpy(cr[2] + j, &c20, sizeof(c20));
+      std::memcpy(cr[2] + j + 8, &c21, sizeof(c21));
+      std::memcpy(cr[3] + j, &c30, sizeof(c30));
+      std::memcpy(cr[3] + j + 8, &c31, sizeof(c31));
+    }
   }
-  Store4(c[0], c00);
-  Store4(c[0] + 4, c01);
-  Store4(c[1], c10);
-  Store4(c[1] + 4, c11);
-  Store4(c[2], c20);
-  Store4(c[2] + 4, c21);
-  Store4(c[3], c30);
-  Store4(c[3] + 4, c31);
 }
 
-}  // namespace
+// g[i] = out[i] <= 0 ? 0 : grad[i], eight lanes at a time. A NaN output
+// compares false and passes its gradient; a -0 output compares true.
+ALIGRAPH_AVX2_CLONES
+void ReluMask(const float* out, const float* grad, float* g, size_t n) {
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    F8 o, d;
+    std::memcpy(&o, out + i, sizeof(o));
+    std::memcpy(&d, grad + i, sizeof(d));
+    const F8 r = o <= F8{} ? F8{} : d;
+    std::memcpy(g + i, &r, sizeof(r));
+  }
+  for (; i < n; ++i) g[i] = out[i] <= 0.0f ? 0.0f : grad[i];
+}
 
-Matrix MatMul(const Matrix& a, const Matrix& b) {
+Matrix Gemm(const Matrix& a, const Matrix& b, const float* bias) {
   ALIGRAPH_CHECK_EQ(a.cols(), b.rows());
   const size_t m = a.rows();
   const size_t k = a.cols();
   const size_t n = b.cols();
   Matrix c(m, n);
   if (m == 0 || n == 0) return c;
-  // Register tiles of 4 rows x 8 columns. A ragged edge is covered by a
-  // last tile that overlaps its neighbour (recomputing a cell yields the
-  // same bits) or, when the whole matrix is narrower than a tile, by
-  // aliased rows and a zero-padded copy of b written to a scratch tile.
-  const bool narrow = n < 8;
-  std::vector<float> padded;
-  const float* bp = b.data();
-  size_t ldb = n;
-  if (narrow) {
-    padded.assign(k * 8, 0.0f);
-    for (size_t p = 0; p < k; ++p) {
-      std::copy_n(b.Row(p).data(), n, padded.data() + p * 8);
-    }
-    bp = padded.data();
-    ldb = 8;
+  if (n >= kTileCols) {
+    GemmTiles(a.data(), b.data(), bias, c.data(), m, k, n);
+    return c;
   }
-  float scratch[4][8];
-  for (size_t i0 = 0; i0 < m; i0 += 4) {
-    const size_t i = std::min(i0, m >= 4 ? m - 4 : 0);
-    const float* arow[4];
-    float* crow[4];
-    for (size_t r = 0; r < 4; ++r) {
-      const size_t row = std::min(i + r, m - 1);
-      arow[r] = a.Row(row).data();
-      crow[r] = narrow ? scratch[r] : c.Row(row).data();
-    }
-    if (narrow) {
-      Tile4x8(arow, bp, ldb, k, crow);
-      for (size_t r = 0; r < 4 && i + r < m; ++r) {
-        std::copy_n(scratch[r], n, c.Row(i + r).data());
-      }
-      continue;
-    }
-    for (size_t j0 = 0; j0 < n; j0 += 8) {
-      const size_t j = std::min(j0, n - 8);
-      float* cj[4] = {crow[0] + j, crow[1] + j, crow[2] + j, crow[3] + j};
-      Tile4x8(arow, bp + j, ldb, k, cj);
-    }
+  // Narrower than a tile: run on b and the bias zero-padded to a tile's
+  // width, then keep the first n columns of each row.
+  std::vector<float> padded((k + 1) * kTileCols, 0.0f);
+  for (size_t p = 0; p < k; ++p) {
+    std::copy_n(b.Row(p).data(), n, padded.data() + p * kTileCols);
+  }
+  float* padded_bias = padded.data() + k * kTileCols;
+  if (bias != nullptr) std::copy_n(bias, n, padded_bias);
+  std::vector<float> wide(m * kTileCols);
+  GemmTiles(a.data(), padded.data(), bias != nullptr ? padded_bias : nullptr,
+            wide.data(), m, k, kTileCols);
+  for (size_t i = 0; i < m; ++i) {
+    std::copy_n(wide.data() + i * kTileCols, n, c.Row(i).data());
   }
   return c;
+}
+
+}  // namespace
+
+Matrix MatMul(const Matrix& a, const Matrix& b) { return Gemm(a, b, nullptr); }
+
+Matrix MatMulAddBias(const Matrix& a, const Matrix& b, const Matrix& bias) {
+  ALIGRAPH_CHECK_EQ(bias.rows(), 1u);
+  ALIGRAPH_CHECK_EQ(bias.cols(), b.cols());
+  return Gemm(a, b, bias.data());
 }
 
 Matrix Transpose(const Matrix& a) {
@@ -179,14 +219,10 @@ void ReluInPlace(Matrix& a) {
 }
 
 Matrix ReluBackward(const Matrix& output, const Matrix& grad) {
-  Matrix g = grad;
-  for (size_t i = 0; i < g.rows(); ++i) {
-    auto out = output.Row(i);
-    auto row = g.Row(i);
-    for (size_t j = 0; j < row.size(); ++j) {
-      if (out[j] <= 0.0f) row[j] = 0.0f;
-    }
-  }
+  ALIGRAPH_CHECK_EQ(output.rows(), grad.rows());
+  ALIGRAPH_CHECK_EQ(output.cols(), grad.cols());
+  Matrix g(grad.rows(), grad.cols());
+  ReluMask(output.data(), grad.data(), g.data(), g.size());
   return g;
 }
 
@@ -256,16 +292,6 @@ float Dot(std::span<const float> a, std::span<const float> b) {
   float acc = 0;
   for (size_t i = 0; i < a.size(); ++i) acc += a[i] * b[i];
   return acc;
-}
-
-void Axpy(float alpha, std::span<const float> x, std::span<float> y) {
-  ALIGRAPH_CHECK_EQ(x.size(), y.size());
-  const F4 a = {alpha, alpha, alpha, alpha};
-  size_t i = 0;
-  for (; i + 4 <= x.size(); i += 4) {
-    Store4(y.data() + i, Load4(y.data() + i) + a * Load4(x.data() + i));
-  }
-  for (; i < x.size(); ++i) y[i] += alpha * x[i];
 }
 
 }  // namespace nn

@@ -6,11 +6,14 @@
 #ifndef ALIGRAPH_NN_MATRIX_H_
 #define ALIGRAPH_NN_MATRIX_H_
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstring>
 #include <span>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/random.h"
 
 namespace aligraph {
@@ -63,12 +66,21 @@ class Matrix {
 };
 
 /// C = A * B. A is [n,k], B is [k,m], C is [n,m]. Each C[i][j] is the sum
-/// of A[i][p] * B[p][j] over p in ascending order, starting from +0, so the
-/// result does not depend on how the kernel tiles or vectorizes. Plain IEEE
-/// semantics throughout: a zero in A does not mask an Inf or NaN in B.
-/// Linear::BackwardAt runs both of its products (X^T dY and dY W^T) through
-/// MatMul on Transpose copies, so the backward pass follows this contract.
+/// of A[i][p] * B[p][j] over p in ascending order, starting from +0, each
+/// term a separate multiply and add (no FMA), so the result does not depend
+/// on how the kernel tiles or vectorizes, nor on which ISA runs it. Plain
+/// IEEE semantics throughout: a zero in A does not mask an Inf or NaN in B.
+/// One kernel source is built twice on x86-64, for AVX2 and for the
+/// baseline ISA, and the loader picks the build the CPU supports; both
+/// produce the same bits. Linear::BackwardAt runs both of its products
+/// (X^T dY and dY W^T) through MatMul on Transpose copies, so the backward
+/// pass follows this contract.
 Matrix MatMul(const Matrix& a, const Matrix& b);
+
+/// C = A * B + bias, with the 1 x m bias row added in the kernel's store:
+/// each C[i][j] is MatMul's sum, then + bias[j], so the result is bit-equal
+/// to MatMul followed by AddBiasRow without a second pass over C.
+Matrix MatMulAddBias(const Matrix& a, const Matrix& b, const Matrix& bias);
 
 /// A^T: the [cols, rows] matrix with A^T[j][i] == A[i][j].
 Matrix Transpose(const Matrix& a);
@@ -99,7 +111,36 @@ void SoftmaxRows(Matrix& a);
 Matrix ConcatCols(const Matrix& a, const Matrix& b);
 
 float Dot(std::span<const float> a, std::span<const float> b);
-void Axpy(float alpha, std::span<const float> x, std::span<float> y);
+
+namespace simd {
+
+// Four floats in one SIMD register, via the GCC/Clang vector extension: SSE
+// or NEON arithmetic out of -O2, lane-wise the same IEEE operations as the
+// scalar code.
+typedef float F4 __attribute__((vector_size(16)));
+
+inline F4 Load4(const float* p) {
+  F4 v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+inline void Store4(float* p, F4 v) { std::memcpy(p, &v, sizeof(v)); }
+
+}  // namespace simd
+
+/// y += alpha * x, lane by lane. Inline, so the many short calls of the
+/// mean aggregations compile to straight-line vector code.
+inline void Axpy(float alpha, std::span<const float> x, std::span<float> y) {
+  ALIGRAPH_CHECK_EQ(x.size(), y.size());
+  const simd::F4 a = {alpha, alpha, alpha, alpha};
+  size_t i = 0;
+  for (; i + 4 <= x.size(); i += 4) {
+    simd::Store4(y.data() + i, simd::Load4(y.data() + i) +
+                                   a * simd::Load4(x.data() + i));
+  }
+  for (; i < x.size(); ++i) y[i] += alpha * x[i];
+}
 
 }  // namespace nn
 }  // namespace aligraph

@@ -57,11 +57,14 @@ bool SameBits(const Matrix& a, const Matrix& b) {
           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
 }
 
+// The shapes cover the 4 x 16 register tile's edges: rows below, at and
+// past a multiple of 4; columns below 16 (the zero-padded narrow path), at
+// 16 and past each multiple of 16 (an overlapping last tile).
 TEST(MatrixTest, MatMulBitEqualsNaiveReference) {
   Rng rng(7);
-  for (size_t m : {0, 1, 3, 4, 5, 41}) {
-    for (size_t k : {0, 1, 16, 64}) {
-      for (size_t n : {1, 7, 8, 30, 33}) {
+  for (size_t m : {0, 1, 2, 3, 4, 5, 6, 41}) {
+    for (size_t k : {0, 1, 16, 32, 64}) {
+      for (size_t n : {1, 7, 8, 15, 16, 17, 30, 31, 32, 33, 48}) {
         Matrix a = Matrix::Gaussian(m, k, 1.0f, rng);
         const Matrix b = Matrix::Gaussian(k, n, 1.0f, rng);
         // Every third row all zero; elsewhere exact zeros and -0.0f.
@@ -122,15 +125,40 @@ TEST(MatrixTest, ReluBitEqualsStdMax) {
   }
 }
 
+TEST(MatrixTest, ReluBackwardBitEqualsScalarLoop) {
+  // Lengths below, at and past multiples of the 8-lane kernel, with NaN,
+  // +-0 and +-Inf in the outputs and NaN and -0 in the gradients.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float specials[] = {nan, -0.0f, 0.0f, inf, -inf, -nan};
+  Rng rng(19);
+  for (size_t rows : {1, 3}) {
+    for (size_t n = 0; n <= 19; ++n) {
+      Matrix out = Matrix::Gaussian(rows, n, 1.0f, rng);
+      Matrix grad = Matrix::Gaussian(rows, n, 1.0f, rng);
+      for (size_t i = 0; i < out.size(); ++i) {
+        if (rng.Uniform(3) == 0) out.data()[i] = specials[rng.Uniform(6)];
+        if (rng.Uniform(4) == 0) grad.data()[i] = specials[rng.Uniform(2)];
+      }
+      Matrix expected = grad;
+      for (size_t i = 0; i < expected.size(); ++i) {
+        if (out.data()[i] <= 0.0f) expected.data()[i] = 0.0f;
+      }
+      EXPECT_TRUE(SameBits(ReluBackward(out, grad), expected))
+          << rows << "x" << n;
+    }
+  }
+}
+
 // Linear::BackwardAt's dW = X^T dY and dX = dY W^T go through Transpose
 // and the tiled MatMul; both must equal the naive k-ascending sums bit for
-// bit, also on ragged shapes: fewer than 8 columns, rows not a multiple
+// bit, also on ragged shapes: fewer than 16 columns, rows not a multiple
 // of 4.
 TEST(MatrixTest, TransposedProductsBitEqualNaiveReference) {
   Rng rng(13);
   for (size_t n : {1, 3, 6, 13}) {
-    for (size_t in : {1, 5, 7, 9}) {
-      for (size_t out : {1, 3, 7, 8, 11}) {
+    for (size_t in : {1, 5, 7, 9, 17}) {
+      for (size_t out : {1, 3, 7, 8, 11, 17}) {
         Matrix x = Matrix::Gaussian(n, in, 1.0f, rng);
         for (size_t i = 0; i < n; ++i) {
           if (rng.Uniform(3) == 0) x.At(i, rng.Uniform(in)) = 0.0f;
@@ -254,6 +282,29 @@ TEST(LinearTest, GradientCheck) {
     const float lm = loss(x);
     w.value.data()[i] = orig;
     EXPECT_NEAR(analytic, (lp - lm) / (2 * eps), 5e-2) << "dW[" << i << "]";
+  }
+}
+
+// ForwardAt adds the bias in the GEMM's store; the sum and then + b[j] must
+// give the bits of MatMul followed by AddBiasRow. Serve shapes (4x32,
+// 40x32 and 4x64 inputs into 32 outputs) and ragged ones, narrow included.
+TEST(LinearTest, ForwardAtFusedBiasBitEqualsMatMulThenAddBiasRow) {
+  struct Shape {
+    size_t rows, in, out;
+  };
+  Rng rng(23);
+  for (const Shape& s : {Shape{4, 32, 32}, Shape{40, 32, 32},
+                         Shape{4, 64, 32}, Shape{1, 7, 5}, Shape{3, 17, 15},
+                         Shape{5, 33, 17}, Shape{6, 32, 48},
+                         Shape{41, 16, 31}, Shape{2, 0, 16}}) {
+    Linear layer(s.in, s.out, rng);
+    layer.bias().value = Matrix::Gaussian(1, s.out, 1.0f, rng);
+    layer.bias().value.At(0, 0) = -0.0f;
+    const Matrix x = Matrix::Gaussian(s.rows, s.in, 1.0f, rng);
+    Matrix expected = MatMul(x, layer.weight().value);
+    AddBiasRow(expected, layer.bias().value);
+    EXPECT_TRUE(SameBits(layer.ForwardAt(x), expected))
+        << s.rows << "x" << s.in << " -> " << s.out;
   }
 }
 

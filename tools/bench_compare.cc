@@ -25,8 +25,12 @@
 /// of the baseline's contract (e.g. the table4 and table5 smoke runs): the
 /// LAST candidate carrying a metric wins, and only a metric absent from all
 /// of them counts as missing.
+/// A --metric-tolerance, --metric-slack or --higher-better on a key the
+/// baseline does not carry would gate nothing, so it is a usage error, in
+/// both modes: a misspelt key fails loudly instead of passing in silence.
 /// Exit codes: 0 = gate passed, 1 = regression or missing metric,
-/// 2 = usage / unreadable file / malformed JSON.
+/// 2 = usage / unreadable file / malformed JSON / gate flag on an unknown
+/// key.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -123,6 +127,27 @@ int main(int argc, char** argv) {
                  baseline.status().ToString().c_str());
     return 2;
   }
+  const aligraph::obs::JsonValue* base_metrics = baseline->Find("metrics");
+  if (base_metrics == nullptr || !base_metrics->IsObject()) {
+    std::fprintf(stderr, "bench_compare: baseline has no \"metrics\"\n");
+    return 2;
+  }
+  const auto unknown = [&](const char* flag, const std::string& name) {
+    const aligraph::obs::JsonValue* value = base_metrics->Find(name);
+    if (value != nullptr && value->IsNumber()) return false;
+    std::fprintf(stderr, "bench_compare: %s%s: %s has no such metric\n", flag,
+                 name.c_str(), baseline_path.c_str());
+    return true;
+  };
+  for (const auto& [name, tol] : options.per_metric_tolerance) {
+    if (unknown("--metric-tolerance=", name)) return 2;
+  }
+  for (const auto& [name, slack] : options.per_metric_slack) {
+    if (unknown("--metric-slack=", name)) return 2;
+  }
+  for (const std::string& name : options.higher_is_better) {
+    if (unknown("--higher-better=", name)) return 2;
+  }
 
   std::vector<aligraph::obs::JsonValue> candidates;
   candidates.reserve(candidate_paths.size());
@@ -145,11 +170,6 @@ int main(int argc, char** argv) {
   for (const auto& c : candidates) candidate_ptrs.push_back(&c);
 
   if (list_mode) {
-    const aligraph::obs::JsonValue* base_metrics = baseline->Find("metrics");
-    if (base_metrics == nullptr || !base_metrics->IsObject()) {
-      std::fprintf(stderr, "bench_compare: baseline has no \"metrics\"\n");
-      return 2;
-    }
     std::printf("gate contract: %s (%zu metric(s), default tolerance "
                 "%.0f%%)\n",
                 baseline_path.c_str(), base_metrics->members.size(),
