@@ -49,10 +49,6 @@ float Matrix::SquaredNorm() const {
 
 namespace {
 
-using simd::F4;
-using simd::Load4;
-using simd::Store4;
-
 // Eight floats in one vector. An AVX2 build holds one in a ymm register; a
 // baseline x86-64 build (or another target) splits each operation into
 // narrower lanes. Either way it is lane-wise the same IEEE arithmetic as the
@@ -212,8 +208,8 @@ void ReluInPlace(Matrix& a) {
   float* p = a.data();
   size_t i = 0;
   for (; i + 4 <= a.size(); i += 4) {
-    const F4 v = Load4(p + i);
-    Store4(p + i, v < F4{} ? F4{} : v);
+    const simd::F4 v = simd::Load4(p + i);
+    simd::Store4(p + i, v < simd::F4{} ? simd::F4{} : v);
   }
   for (; i < a.size(); ++i) p[i] = std::max(p[i], 0.0f);
 }

@@ -6,7 +6,6 @@
 #ifndef ALIGRAPH_NN_MATRIX_H_
 #define ALIGRAPH_NN_MATRIX_H_
 
-#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstring>
